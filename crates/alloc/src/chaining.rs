@@ -135,12 +135,12 @@ impl PacketChainingAllocator {
         for r in requests.active_requests() {
             if !test_bit(input_taken_bits, r.port.0) && !test_bit(output_taken_bits, r.out_port.0)
             {
-                residual.push(*r);
+                residual.push(r);
             }
         }
         inner.allocate_into(residual, inner_grants);
         grants.extend(inner_grants.iter().copied());
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 
     /// The original scalar loops, kept as the executable specification and
@@ -194,12 +194,12 @@ impl PacketChainingAllocator {
         residual.clear();
         for r in requests.active_requests() {
             if !input_taken[r.port.0] && !output_taken[r.out_port.0] {
-                residual.push(*r);
+                residual.push(r);
             }
         }
         inner.allocate_into(residual, inner_grants);
         grants.extend(inner_grants.iter().copied());
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 }
 

@@ -169,7 +169,7 @@ impl IslipAllocator {
             let vc = chosen.expect("matched pair implies a requesting VC");
             grants.add(Grant { port: PortId(input), vc, out_port: PortId(out) });
         }
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 
     /// The original scalar loops, kept as the executable specification and
@@ -256,7 +256,7 @@ impl IslipAllocator {
             let vc = chosen.expect("matched pair implies a requesting VC");
             grants.add(Grant { port: PortId(input), vc, out_port: PortId(out) });
         }
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 }
 

@@ -121,7 +121,7 @@ pub enum KernelKind {
     /// candidate scans, masked round-robin arbitration.
     #[default]
     Bitset,
-    /// The original scalar loops over [`RequestSet`] slots.
+    /// The original scalar loops over per-VC [`RequestSet::get`] lookups.
     Scalar,
 }
 
@@ -207,9 +207,9 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     /// This is the hot-path entry point: `grants` is cleared and refilled,
     /// never reallocated once it has reached its steady-state capacity, and
     /// implementations keep their working arrays as owned scratch fields
-    /// sized on first use. After warmup a call performs **zero** heap
-    /// allocations (enforced by the counting-allocator regression test in
-    /// `tests/zero_alloc.rs`).
+    /// sized at construction or on first use. After warmup a call performs
+    /// **zero** heap allocations (enforced by the counting-allocator
+    /// regression test in `tests/zero_alloc.rs`).
     ///
     /// Grant emission order is part of each allocator's observable
     /// behaviour (downstream consumers hash the trace), so implementations

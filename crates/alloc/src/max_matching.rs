@@ -190,7 +190,7 @@ impl SwitchAllocator for MaxMatchingAllocator {
                 });
             }
         }
-        match_stats.record(requests, grants, &cfg.partition);
+        match_stats.record_set(requests, grants, &cfg.partition);
     }
 
     fn partition(&self) -> &VixPartition {

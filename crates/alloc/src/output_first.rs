@@ -166,7 +166,7 @@ impl OutputFirstAllocator {
                 grants.add(Grant { port: p, vc: v, out_port: PortId(out) });
             }
         }
-        matching.record(requests, grants, &part);
+        matching.record_set(requests, grants, &part);
     }
 
     /// The original scalar loops, kept as the executable specification and
@@ -227,7 +227,7 @@ impl OutputFirstAllocator {
                 grants.add(Grant { port: p, vc: v, out_port: PortId(out) });
             }
         }
-        matching.record(requests, grants, &part);
+        matching.record_set(requests, grants, &part);
     }
 }
 

@@ -7,8 +7,8 @@
 
 use crate::{mask_to_oldest_bits, AllocatorConfig, KernelKind, PriorityPolicy, SwitchAllocator};
 use vix_arbiter::Arbiter;
-use vix_core::bits::{any_set, extract_range, set_bit, test_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId, VirtualInputId, VixPartition};
+use vix_core::bits::{any_set, count_ones, extract_range, range_any_set, set_bit, test_bit, words_for};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
 use vix_telemetry::MatchingStats;
 
 /// Input-first separable switch allocator (Fig. 3 of the paper).
@@ -43,37 +43,55 @@ pub struct SeparableAllocator {
     matching: MatchingStats,
 }
 
-/// Owned per-cycle working state, sized once at construction and reused by
-/// every [`SwitchAllocator::allocate_into`] call — the steady-state hot
-/// path never heap-allocates.
+/// Stage-1 winner of one virtual input in the bitset kernel. Entries are
+/// only ever reached through the bits of `champ_class`, which is rebuilt
+/// every call, so stale ones are never cleared.
+#[derive(Debug, Clone, Copy, Default)]
+struct Champion {
+    port: PortId,
+    vc: VcId,
+    /// Index of `vc` within its sub-group (the input arbiter's line).
+    local: usize,
+}
+
+/// Owned per-cycle working state, reused by every
+/// [`SwitchAllocator::allocate_into`] call — the steady-state hot path
+/// never heap-allocates. The bitset kernel's buffers are sized once at
+/// construction and only ever `fill`ed; the scalar reference kernel sizes
+/// its own on use.
 #[derive(Debug, Default)]
 struct SeparableScratch {
-    /// `champions[vi]` = stage-1 winner `(request, local VC index)`.
+    /// Scalar kernel: `champions[vi]` = stage-1 winner `(request, local VC
+    /// index)`.
     champions: Vec<Option<(SwitchRequest, usize)>>,
-    /// `championed[out]` = some stage-1 winner targets output `out`.
+    /// Scalar kernel: `championed[out]` = some stage-1 winner targets `out`.
     championed: Vec<bool>,
     output_taken: Vec<bool>,
     vi_taken: Vec<bool>,
-    /// Stage-1 request lines / ages (one per VC of a sub-group).
+    /// Scalar kernel: stage-1 request lines / ages (one per VC of a
+    /// sub-group).
     in_lines: Vec<bool>,
     in_ages: Vec<u64>,
-    /// Stage-2 request lines / ages (one per virtual input).
+    /// Scalar kernel: stage-2 request lines / ages (one per virtual input).
     out_lines: Vec<bool>,
     out_ages: Vec<u64>,
-    /// Bitset kernel: per-output multi-word mask of champion virtual
-    /// inputs, one plane per class (`[non-speculative, speculative]`),
-    /// strided `words_for(ports × groups)` words per output row.
-    champ_class: [Vec<u64>; 2],
-    /// Bitset kernel: the current port's per-class VC masks
-    /// (`class_vcs_word` assembled into contiguous words for windowing).
-    class_lines: [Vec<u64>; 2],
+    /// Bitset kernel: stage-1 winner per virtual input.
+    champs: Vec<Champion>,
+    /// Bitset kernel: `[class][out]` → multi-word mask of the champion
+    /// virtual inputs targeting `out` (`[non-speculative, speculative]`),
+    /// `words_for(ports × groups)` words per row.
+    champ_class: Vec<u64>,
+    /// Bitset kernel: the current port's non-speculative VC mask
+    /// (`active & !speculative`, assembled for windowing).
+    nonspec_line: Vec<u64>,
     /// Bitset kernel: one sub-group's extracted stage-1 request lines.
     line_buf: Vec<u64>,
-    /// Bitset kernel: one output's stage-2 request lines.
+    /// Bitset kernel: one output's age-masked stage-2 request lines.
     out_line_buf: Vec<u64>,
-    /// Bitset kernel: multi-word taken masks.
+    /// Bitset kernel: outputs granted so far this call.
     output_taken_bits: Vec<u64>,
-    vi_taken_bits: Vec<u64>,
+    /// Bitset kernel: union of requested outputs (matching record).
+    out_union: Vec<u64>,
 }
 
 impl SeparableAllocator {
@@ -82,21 +100,31 @@ impl SeparableAllocator {
     pub fn new(cfg: AllocatorConfig) -> Self {
         let groups = cfg.partition.groups();
         let group_size = cfg.partition.group_size();
+        let virtual_inputs = cfg.ports * groups;
+        let vi_words = words_for(virtual_inputs);
         let group_vcs = (0..groups)
             .map(|g| cfg.partition.vcs_in_group(vix_core::VirtualInputId(g)).collect())
             .collect();
-        let input_arbiters =
-            (0..cfg.ports * groups).map(|_| cfg.arbiter.build(group_size)).collect();
-        let output_arbiters =
-            (0..cfg.ports).map(|_| cfg.arbiter.build(cfg.ports * groups)).collect();
-        let matching = MatchingStats::new(cfg.ports * groups);
+        let input_arbiters = (0..virtual_inputs).map(|_| cfg.arbiter.build(group_size)).collect();
+        let output_arbiters = (0..cfg.ports).map(|_| cfg.arbiter.build(virtual_inputs)).collect();
+        let scratch = SeparableScratch {
+            champs: vec![Champion::default(); virtual_inputs],
+            champ_class: vec![0; 2 * cfg.ports * vi_words],
+            nonspec_line: vec![0; words_for(cfg.partition.vcs())],
+            line_buf: vec![0; words_for(group_size)],
+            out_line_buf: vec![0; vi_words],
+            output_taken_bits: vec![0; words_for(cfg.ports)],
+            out_union: vec![0; words_for(cfg.ports)],
+            // The scalar reference kernel sizes its buffers on use.
+            ..SeparableScratch::default()
+        };
         SeparableAllocator {
             cfg,
             group_vcs,
             input_arbiters,
             output_arbiters,
-            scratch: SeparableScratch::default(),
-            matching,
+            scratch,
+            matching: MatchingStats::new(virtual_inputs),
         }
     }
 }
@@ -107,15 +135,15 @@ impl SeparableAllocator {
 /// Returns the champion's request and its *local* index within the
 /// sub-group (needed for the grant-aware pointer update). `lines`/`ages`
 /// are caller-owned scratch.
-fn input_stage<'r>(
+fn input_stage(
     cfg: &AllocatorConfig,
     vcs: &[VcId],
     arb: &dyn Arbiter,
-    requests: &'r RequestSet,
+    requests: &RequestSet,
     port: usize,
     lines: &mut Vec<bool>,
     ages: &mut Vec<u64>,
-) -> Option<(&'r SwitchRequest, usize)> {
+) -> Option<(SwitchRequest, usize)> {
     let has_speculative = requests.speculative_len() > 0;
     // Pessimistic masking: non-speculative first. A pass over an empty
     // request class can neither win nor move arbiter state, so it is
@@ -155,43 +183,6 @@ fn mask_to_oldest(lines: &mut [bool], ages: &[u64]) {
     }
 }
 
-/// Stage 1 on the dense bit-view: the sub-group's request lines for one
-/// class are a word-window extraction of the port's VC row
-/// ([`extract_range`]), and the arbiter scans them with
-/// [`Arbiter::peek_words`]. Grant order and arbiter state match
-/// [`input_stage`] exactly.
-#[allow(clippy::too_many_arguments)]
-fn input_stage_bits(
-    cfg: &AllocatorConfig,
-    arb: &dyn Arbiter,
-    requests: &RequestSet,
-    port: usize,
-    group: usize,
-    has_speculative: bool,
-    class_lines: &[Vec<u64>; 2],
-    line_buf: &mut [u64],
-) -> Option<(SwitchRequest, usize)> {
-    let gstart = cfg.partition.group_start(VirtualInputId(group));
-    let gsize = cfg.partition.group_size();
-    for speculative in [false, true] {
-        if speculative && !has_speculative {
-            continue;
-        }
-        extract_range(&class_lines[usize::from(speculative)], gstart, gsize, line_buf);
-        if cfg.priority == PriorityPolicy::OldestFirst {
-            mask_to_oldest_bits(line_buf, |local| {
-                requests.get(PortId(port), VcId(gstart + local)).map_or(0, |r| r.age)
-            });
-        }
-        if let Some(local) = arb.peek_words(line_buf) {
-            let req =
-                requests.get(PortId(port), VcId(gstart + local)).expect("bit implies request");
-            return Some((*req, local));
-        }
-    }
-    None
-}
-
 impl SeparableAllocator {
     /// Single-request fast path: the lone requester is its sub-group's
     /// champion and its output's only contender, and every arbiter kind
@@ -202,156 +193,141 @@ impl SeparableAllocator {
     /// against [`allocate_scalar`](Self::allocate_scalar).
     fn allocate_single(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.len(), 1);
-        let groups = self.cfg.partition.groups();
-        for port in 0..self.cfg.ports {
-            let active = requests.bits().active_vcs(PortId(port));
+        let partition = &self.cfg.partition;
+        for port in (0..self.cfg.ports).map(PortId) {
+            let active = requests.bits().active_vcs(port);
             let Some(w) = active.iter().position(|&word| word != 0) else {
                 continue;
             };
-            let vc = w * 64 + active[w].trailing_zeros() as usize;
-            let req = *requests.get(PortId(port), VcId(vc)).expect("bit implies request");
-            let group = self.cfg.partition.group_of(VcId(vc)).0;
-            let vi = port * groups + group;
-            let local = vc - self.cfg.partition.group_start(VirtualInputId(group));
-            self.output_arbiters[req.out_port.0].commit(vi);
+            let vc = VcId(w * 64 + active[w].trailing_zeros() as usize);
+            let out_port = requests.get(port, vc).expect("bit implies request").out_port;
+            let group = partition.group_of(vc);
+            let vi = port.0 * partition.groups() + group.0;
+            self.output_arbiters[out_port.0].commit(vi);
             // Grant-aware input pointer update.
-            self.input_arbiters[vi].commit(local);
-            grants.add(Grant { port: req.port, vc: req.vc, out_port: req.out_port });
+            self.input_arbiters[vi].commit(vc.0 - partition.group_start(group));
+            grants.add(Grant { port, vc, out_port });
             break;
         }
-        self.matching.record(requests, grants, &self.cfg.partition);
+        self.matching.record(1, 1, 1, grants.len());
     }
 
     /// Word-parallel kernel: identical grants, emission order, and arbiter
-    /// state to [`allocate_scalar`](Self::allocate_scalar).
+    /// state to [`allocate_scalar`](Self::allocate_scalar). Every buffer it
+    /// touches was sized at construction.
     fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         if requests.len() == 1 {
             return self.allocate_single(requests, grants);
         }
         let ports = self.cfg.ports;
         let groups = self.cfg.partition.groups();
-        let virtual_inputs = ports * groups;
-        let vi_words = words_for(virtual_inputs);
-        let vc_words = requests.bits().vc_words();
-        let line_words = words_for(self.cfg.partition.group_size());
-        let Self { cfg, input_arbiters, output_arbiters, scratch, matching, .. } = self;
+        let gsize = self.cfg.partition.group_size();
+        let vi_words = words_for(ports * groups);
+        let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
+        let age_of = |port: PortId, vc: VcId| requests.get(port, vc).map_or(0, |r| r.age);
+        let bits = requests.bits();
+        let Self { input_arbiters, output_arbiters, scratch, matching, .. } = self;
         let SeparableScratch {
-            champions,
+            champs,
             champ_class,
-            class_lines,
+            nonspec_line,
             line_buf,
             out_line_buf,
             output_taken_bits,
-            vi_taken_bits,
+            out_union,
             ..
         } = scratch;
 
-        // Stage 1: champions[vi] = (request, local VC index in sub-group);
-        // champ_class[class] accumulates the stage-2 request masks, one
-        // vi_words-wide row per output.
-        champions.clear();
-        champions.resize(virtual_inputs, None);
-        for class in champ_class.iter_mut() {
-            class.clear();
-            class.resize(ports * vi_words, 0);
-        }
-        for class in class_lines.iter_mut() {
-            class.clear();
-            class.resize(vc_words, 0);
-        }
-        line_buf.clear();
-        line_buf.resize(line_words, 0);
+        // Stage 1: one champion per virtual input with a request. Its bit
+        // goes into the (class, output) row stage 2 arbitrates over. The
+        // same sweep counts the active virtual inputs and ORs up the
+        // requested outputs for the matching record.
+        champ_class.fill(0);
+        out_union.fill(0);
         let has_speculative = requests.speculative_len() > 0;
         let mut any_speculative_champion = false;
-        for port in 0..ports {
-            let active = requests.bits().active_vcs(PortId(port));
+        let mut active_vi = 0;
+        for port in (0..ports).map(PortId) {
+            let active = bits.active_vcs(port);
             if !any_set(active) {
                 continue;
             }
-            for spec in [false, true] {
-                if spec && !has_speculative {
-                    // The row was zeroed above and `input_stage_bits` never
-                    // reads the speculative plane without speculative
-                    // requests — skip assembling it.
-                    continue;
-                }
-                let class = &mut class_lines[usize::from(spec)];
-                for (w, word) in class.iter_mut().enumerate() {
-                    *word = requests.bits().class_vcs_word(spec, PortId(port), w);
-                }
+            for (w, word) in out_union.iter_mut().enumerate() {
+                *word |= bits.row_any_word(port, w);
+            }
+            let spec_line = bits.spec_vcs(port);
+            for (w, word) in nonspec_line.iter_mut().enumerate() {
+                *word = active[w] & !spec_line[w];
             }
             for group in 0..groups {
                 // A sub-group with no requesting VC can neither elect a
                 // champion nor move its arbiter — skip the virtual dispatch.
-                if !vix_core::bits::range_any_set(
-                    active,
-                    cfg.partition.group_start(VirtualInputId(group)),
-                    cfg.partition.group_size(),
-                ) {
+                let gstart = group * gsize;
+                if !range_any_set(active, gstart, gsize) {
                     continue;
                 }
-                let vi = port * groups + group;
-                let champ = input_stage_bits(
-                    cfg,
-                    &*input_arbiters[vi],
-                    requests,
-                    port,
-                    group,
-                    has_speculative,
-                    class_lines,
-                    line_buf,
-                );
-                if let Some((r, _)) = champ {
-                    let row = usize::from(r.speculative);
-                    set_bit(&mut champ_class[row][r.out_port.0 * vi_words..], vi);
-                    any_speculative_champion |= r.speculative;
+                active_vi += 1;
+                let vi = port.0 * groups + group;
+                // Pessimistic masking: non-speculative lines first. A pass
+                // over an empty class can neither win nor move arbiter
+                // state, so the speculative one is skipped outright then.
+                for speculative in [false, true] {
+                    if speculative && !has_speculative {
+                        break;
+                    }
+                    let class_line = if speculative { spec_line } else { &nonspec_line[..] };
+                    extract_range(class_line, gstart, gsize, line_buf);
+                    if oldest_first {
+                        mask_to_oldest_bits(line_buf, |local| age_of(port, VcId(gstart + local)));
+                    }
+                    let Some(local) = input_arbiters[vi].peek_words(line_buf) else {
+                        continue;
+                    };
+                    let vc = VcId(gstart + local);
+                    let out = requests.get(port, vc).expect("bit implies request").out_port;
+                    champs[vi] = Champion { port, vc, local };
+                    let row = (usize::from(speculative) * ports + out.0) * vi_words;
+                    set_bit(&mut champ_class[row..row + vi_words], vi);
+                    any_speculative_champion |= speculative;
+                    break;
                 }
-                champions[vi] = champ;
             }
         }
 
         // Stage 2: per-output arbitration among champion virtual inputs,
-        // non-speculative pass first.
-        output_taken_bits.clear();
-        output_taken_bits.resize(words_for(ports), 0);
-        vi_taken_bits.clear();
-        vi_taken_bits.resize(vi_words, 0);
-        out_line_buf.clear();
-        out_line_buf.resize(vi_words, 0);
+        // non-speculative pass first. A virtual input champions exactly one
+        // (class, output) row, so a winner can never reappear in another
+        // row and no per-virtual-input taken mask is needed.
+        output_taken_bits.fill(0);
         for speculative in [false, true] {
             if speculative && !any_speculative_champion {
                 continue;
             }
+            let class = &champ_class[usize::from(speculative) * ports * vi_words..][..ports * vi_words];
             for (out, arbiter) in output_arbiters.iter_mut().enumerate() {
-                if test_bit(output_taken_bits, out) {
+                let row = &class[out * vi_words..(out + 1) * vi_words];
+                if test_bit(output_taken_bits, out) || !any_set(row) {
                     continue;
                 }
-                let row = out * vi_words;
-                if (0..vi_words).all(|w| champ_class[0][row + w] | champ_class[1][row + w] == 0) {
-                    continue;
-                }
-                let class = &champ_class[usize::from(speculative)];
-                for (w, word) in out_line_buf.iter_mut().enumerate() {
-                    *word = class[row + w] & !vi_taken_bits[w];
-                }
-                if cfg.priority == PriorityPolicy::OldestFirst {
-                    mask_to_oldest_bits(out_line_buf, |vi| {
-                        champions[vi].as_ref().map_or(0, |(r, _)| r.age)
-                    });
-                }
-                let Some(winner_vi) = arbiter.peek_words(out_line_buf) else {
+                let lines = if oldest_first {
+                    out_line_buf.copy_from_slice(row);
+                    mask_to_oldest_bits(out_line_buf, |vi| age_of(champs[vi].port, champs[vi].vc));
+                    &out_line_buf[..]
+                } else {
+                    row
+                };
+                let Some(winner_vi) = arbiter.peek_words(lines) else {
                     continue;
                 };
-                let (req, local) = champions[winner_vi].expect("winner implies champion");
+                let champ = champs[winner_vi];
                 set_bit(output_taken_bits, out);
-                set_bit(vi_taken_bits, winner_vi);
                 arbiter.commit(winner_vi);
                 // Grant-aware input pointer update.
-                input_arbiters[winner_vi].commit(local);
-                grants.add(Grant { port: req.port, vc: req.vc, out_port: out.into() });
+                input_arbiters[winner_vi].commit(champ.local);
+                grants.add(Grant { port: champ.port, vc: champ.vc, out_port: out.into() });
             }
         }
-        matching.record(requests, grants, &cfg.partition);
+        matching.record(requests.len(), active_vi, count_ones(out_union) as usize, grants.len());
     }
 
     /// The original scalar loops, kept as the executable specification and
@@ -393,8 +369,7 @@ impl SeparableAllocator {
                     port,
                     in_lines,
                     in_ages,
-                )
-                .map(|(r, l)| (*r, l));
+                );
                 any_speculative_champion |=
                     champions[vi].is_some_and(|(r, _)| r.speculative);
             }
@@ -448,7 +423,7 @@ impl SeparableAllocator {
                 grants.add(Grant { port: req.port, vc: req.vc, out_port: out.into() });
             }
         }
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 }
 

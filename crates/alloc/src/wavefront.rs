@@ -275,7 +275,7 @@ impl SwitchAllocator for WavefrontAllocator {
             }
         }
         *offset = (*offset + 1) % cfg.ports;
-        matching.record(requests, grants, &cfg.partition);
+        matching.record_set(requests, grants, &cfg.partition);
     }
 
     fn partition(&self) -> &VixPartition {

@@ -199,6 +199,14 @@ fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
             bitset.note_idle_cycles(idle);
         }
     }
+    // The scalar kernels scan the request set for the matching record; the
+    // separable bitset kernel hands over counts from its own sweep.
+    assert_eq!(
+        scalar.matching_summary(),
+        bitset.matching_summary(),
+        "{}: matching records diverged (seed {seed:#x})",
+        f.label
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Rotating-priority (round-robin) arbiter.
 
-use crate::Arbiter;
+use crate::{first_set_from_words, Arbiter};
 
 /// A rotating-priority arbiter: the requestor at or after the priority
 /// pointer wins, and the pointer then advances one past the winner.
@@ -60,28 +60,13 @@ impl Arbiter for RoundRobinArbiter {
 
     fn commit(&mut self, winner: usize) {
         debug_assert!(winner < self.size, "winner index out of range");
-        self.pointer = (winner + 1) % self.size;
+        // Compare-and-wrap: no division on the per-grant path.
+        let next = winner + 1;
+        self.pointer = if next == self.size { 0 } else { next };
     }
 
     fn peek_words(&self, words: &[u64]) -> Option<usize> {
-        debug_assert_eq!(words.len(), self.size.div_ceil(64), "request mask width mismatch");
-        // Split the cyclic scan at the pointer: first the bits at or after it
-        // (high part of the pointer word, then later words), then wrap to the
-        // words before it, finishing with the low part of the pointer word.
-        let (wp, bp) = (self.pointer / 64, self.pointer % 64);
-        let hi = words[wp] & (!0u64 << bp);
-        if hi != 0 {
-            return Some(wp * 64 + hi.trailing_zeros() as usize);
-        }
-        let n = words.len();
-        for k in 1..=n {
-            let w = (wp + k) % n;
-            let m = if w == wp { words[wp] & !(!0u64 << bp) } else { words[w] };
-            if m != 0 {
-                return Some(w * 64 + m.trailing_zeros() as usize);
-            }
-        }
-        None
+        first_set_from_words(words, self.pointer, self.size)
     }
 
     fn reset(&mut self) {
@@ -182,6 +167,17 @@ mod tests {
         arb.commit(99); // pointer wraps to 0
         assert_eq!(arb.peek_words(&words), Some(70));
         assert_eq!(arb.peek_words(&[0, 0]), None);
+    }
+
+    #[test]
+    fn commit_wraps_like_modulo_for_every_size() {
+        for n in 1..=130usize {
+            let mut arb = RoundRobinArbiter::new(n);
+            for w in 0..n {
+                arb.commit(w);
+                assert_eq!(arb.pointer(), (w + 1) % n, "size {n}, winner {w}");
+            }
+        }
     }
 
     #[test]

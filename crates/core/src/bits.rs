@@ -1,4 +1,5 @@
-//! Dense word-parallel bit-view of a [`RequestSet`](crate::RequestSet).
+//! Dense word-parallel bit planes of a [`RequestSet`](crate::RequestSet) —
+//! together with two flat per-VC arrays, the set's only representation.
 //!
 //! Switch-allocation kernels spend their time answering three questions:
 //! *which outputs does this virtual input want?*, *which ports want this
@@ -14,10 +15,9 @@
 //! Rows are stored *words-per-row* (DESIGN.md §6d): a row over a domain of
 //! `width` bits occupies `words_for(width) = ceil(width / 64)` consecutive
 //! `u64`s, little-endian (bit `i` lives in word `i / 64` at bit `i % 64`).
-//! At the paper's shapes every row is a single word and the kernels reduce
-//! to the PR 5 single-`u64` fast path; wider shapes — radix-16 × 8 VCs,
-//! 128-virtual-input flattened butterflies — simply use more words per row.
-//! There is no upper width limit.
+//! At the paper's shapes every row is a single word; wider shapes —
+//! radix-16 × 8 VCs, 128-virtual-input flattened butterflies — simply use
+//! more words per row through the same loops. There is no upper width limit.
 //!
 //! The view is maintained by the request set itself; allocators only read
 //! it (via [`RequestSet::bits`](crate::RequestSet::bits)), which is why
@@ -171,7 +171,7 @@ pub fn clear_range(words: &mut [u64], start: usize, len: usize) {
     }
 }
 
-/// The incrementally-maintained dense bit-view of one request set.
+/// The incrementally-maintained dense bit planes of one request set.
 ///
 /// All masks are indexed little-endian: bit `i` of a VC mask is VC `i`,
 /// bit `o` of an output mask is output port `o`, bit `p` of a requester
@@ -180,6 +180,10 @@ pub fn clear_range(words: &mut [u64], start: usize, len: usize) {
 /// are stored as separate planes (`speculative == false` first), so
 /// allocators that run a non-speculative pass before a speculative one
 /// index the plane directly instead of filtering per element.
+///
+/// Every plane lives in one allocation (DESIGN.md §6d), so emptying the
+/// view is a single `fill(0)` and registering a request is one OR per
+/// plane at a computed offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestBits {
     ports: usize,
@@ -188,20 +192,21 @@ pub struct RequestBits {
     vc_words: usize,
     /// `ceil(ports / 64)` — stride of every output/requester-mask row.
     port_words: usize,
-    /// `[class][port][out]` → VC mask; row starts at
-    /// `((class * ports + port) * ports + out) * vc_words`.
-    vc_planes: Vec<u64>,
-    /// `[class][port]` → output mask (bit `o` ⇔ the `(class, port, o)`
-    /// VC plane is non-empty); row starts at
-    /// `(class * ports + port) * port_words`.
-    rows: Vec<u64>,
-    /// `[class][out]` → requesting-port mask; row starts at
-    /// `(class * ports + out) * port_words`.
-    requesters: Vec<u64>,
-    /// `[port]` → VC mask of all posted requests.
-    active_vcs: Vec<u64>,
-    /// `[port]` → VC mask of the speculative requests.
-    spec_vcs: Vec<u64>,
+    /// The planes, back to back:
+    /// * `[class][port][out]` → VC mask, from word 0, row at
+    ///   `((class * ports + port) * ports + out) * vc_words`;
+    /// * `[class][port]` → output mask (bit `o` ⇔ the `(class, port, o)`
+    ///   VC plane is non-empty), from `rows_at`, row at
+    ///   `(class * ports + port) * port_words`;
+    /// * `[class][out]` → requesting-port mask, from `requesters_at`, row
+    ///   at `(class * ports + out) * port_words`;
+    /// * `[port]` → VC mask of all posted requests, from `active_at`;
+    /// * `[port]` → VC mask of the speculative requests, from `spec_at`.
+    words: Vec<u64>,
+    rows_at: usize,
+    requesters_at: usize,
+    active_at: usize,
+    spec_at: usize,
 }
 
 impl RequestBits {
@@ -211,16 +216,20 @@ impl RequestBits {
     pub(crate) fn new(ports: usize, vcs: usize) -> Self {
         let vc_words = words_for(vcs);
         let port_words = words_for(ports);
+        let rows_at = 2 * ports * ports * vc_words;
+        let requesters_at = rows_at + 2 * ports * port_words;
+        let active_at = requesters_at + 2 * ports * port_words;
+        let spec_at = active_at + ports * vc_words;
         RequestBits {
             ports,
             vcs,
             vc_words,
             port_words,
-            vc_planes: vec![0; 2 * ports * ports * vc_words],
-            rows: vec![0; 2 * ports * port_words],
-            requesters: vec![0; 2 * ports * port_words],
-            active_vcs: vec![0; ports * vc_words],
-            spec_vcs: vec![0; ports * vc_words],
+            words: vec![0; spec_at + ports * vc_words],
+            rows_at,
+            requesters_at,
+            active_at,
+            spec_at,
         }
     }
 
@@ -248,60 +257,43 @@ impl RequestBits {
         (usize::from(speculative) * self.ports + i) * self.port_words
     }
 
-    /// Registers a request; the owning set guarantees the slot was empty.
+    /// Registers a request; the owning set guarantees the slot was empty
+    /// and the indices are in range. One OR per plane.
+    #[inline]
     pub(crate) fn insert(&mut self, port: usize, vc: usize, out: usize, speculative: bool) {
-        let plane = self.plane_start(speculative, port, out);
-        let row = self.row_start(speculative, port);
-        let req = self.row_start(speculative, out);
-        set_bit(&mut self.vc_planes[plane..plane + self.vc_words], vc);
-        set_bit(&mut self.rows[row..row + self.port_words], out);
-        set_bit(&mut self.requesters[req..req + self.port_words], port);
-        set_bit(&mut self.active_vcs[port * self.vc_words..(port + 1) * self.vc_words], vc);
-        if speculative {
-            set_bit(&mut self.spec_vcs[port * self.vc_words..(port + 1) * self.vc_words], vc);
-        }
+        let (vw, vb) = (vc / 64, 1u64 << (vc % 64));
+        let plane = self.plane_start(speculative, port, out) + vw;
+        let row = self.rows_at + self.row_start(speculative, port) + out / 64;
+        let req = self.requesters_at + self.row_start(speculative, out) + port / 64;
+        let line = port * self.vc_words + vw;
+        self.words[plane] |= vb;
+        self.words[row] |= 1u64 << (out % 64);
+        self.words[req] |= 1u64 << (port % 64);
+        self.words[self.active_at + line] |= vb;
+        self.words[self.spec_at + line] |= if speculative { vb } else { 0 };
     }
 
     /// Unregisters a request previously passed to `insert`.
     pub(crate) fn remove(&mut self, port: usize, vc: usize, out: usize, speculative: bool) {
+        let (vw, vb) = (vc / 64, 1u64 << (vc % 64));
         let plane = self.plane_start(speculative, port, out);
-        let row = self.row_start(speculative, port);
-        let req = self.row_start(speculative, out);
-        clear_bit(&mut self.vc_planes[plane..plane + self.vc_words], vc);
-        if !any_set(&self.vc_planes[plane..plane + self.vc_words]) {
-            clear_bit(&mut self.rows[row..row + self.port_words], out);
-            clear_bit(&mut self.requesters[req..req + self.port_words], port);
+        self.words[plane + vw] &= !vb;
+        if !any_set(&self.words[plane..plane + self.vc_words]) {
+            let row = self.rows_at + self.row_start(speculative, port);
+            let req = self.requesters_at + self.row_start(speculative, out);
+            self.words[row + out / 64] &= !(1u64 << (out % 64));
+            self.words[req + port / 64] &= !(1u64 << (port % 64));
         }
-        clear_bit(&mut self.active_vcs[port * self.vc_words..(port + 1) * self.vc_words], vc);
-        if speculative {
-            clear_bit(&mut self.spec_vcs[port * self.vc_words..(port + 1) * self.vc_words], vc);
-        }
+        let line = port * self.vc_words + vw;
+        self.words[self.active_at + line] &= !vb;
+        self.words[self.spec_at + line] &= !vb;
     }
 
-    /// Empties the view in O(posted requests) by walking its own rows.
+    /// Empties the view: one flat fill over every plane, independent of
+    /// how many requests were posted.
+    #[inline]
     pub(crate) fn clear(&mut self) {
-        for port in 0..self.ports {
-            if !any_set(&self.active_vcs[port * self.vc_words..(port + 1) * self.vc_words]) {
-                continue;
-            }
-            for class in [false, true] {
-                let row_start = self.row_start(class, port);
-                for w in 0..self.port_words {
-                    let mut row = self.rows[row_start + w];
-                    self.rows[row_start + w] = 0;
-                    while row != 0 {
-                        let out = w * 64 + row.trailing_zeros() as usize;
-                        row &= row - 1;
-                        let plane = self.plane_start(class, port, out);
-                        self.vc_planes[plane..plane + self.vc_words].fill(0);
-                        let req = self.row_start(class, out);
-                        self.requesters[req..req + self.port_words].fill(0);
-                    }
-                }
-            }
-            self.active_vcs[port * self.vc_words..(port + 1) * self.vc_words].fill(0);
-            self.spec_vcs[port * self.vc_words..(port + 1) * self.vc_words].fill(0);
-        }
+        self.words.fill(0);
     }
 
     /// VC mask of `port`'s requests for `out` in one speculation class —
@@ -322,7 +314,7 @@ impl RequestBits {
             self.ports
         );
         let start = self.plane_start(speculative, port.0, out.0);
-        &self.vc_planes[start..start + self.vc_words]
+        &self.words[start..start + self.vc_words]
     }
 
     /// Word `w` of the VC mask of `port`'s requests for `out`, either
@@ -332,8 +324,8 @@ impl RequestBits {
     #[must_use]
     pub fn vc_plane_any_word(&self, port: PortId, out: PortId, w: usize) -> u64 {
         debug_assert!(w < self.vc_words, "word {w} out of range ({} vc words)", self.vc_words);
-        self.vc_planes[self.plane_start(false, port.0, out.0) + w]
-            | self.vc_planes[self.plane_start(true, port.0, out.0) + w]
+        self.words[self.plane_start(false, port.0, out.0) + w]
+            | self.words[self.plane_start(true, port.0, out.0) + w]
     }
 
     /// Output mask of `port` in one speculation class: bit `o` is set when
@@ -347,8 +339,8 @@ impl RequestBits {
     #[must_use]
     pub fn row(&self, speculative: bool, port: PortId) -> &[u64] {
         debug_assert!(port.0 < self.ports, "port {port} out of range (ports = {})", self.ports);
-        let start = self.row_start(speculative, port.0);
-        &self.rows[start..start + self.port_words]
+        let start = self.rows_at + self.row_start(speculative, port.0);
+        &self.words[start..start + self.port_words]
     }
 
     /// Word `w` of the output mask of `port` over both speculation classes.
@@ -356,7 +348,8 @@ impl RequestBits {
     #[must_use]
     pub fn row_any_word(&self, port: PortId, w: usize) -> u64 {
         debug_assert!(w < self.port_words, "word {w} out of range ({} port words)", self.port_words);
-        self.rows[self.row_start(false, port.0) + w] | self.rows[self.row_start(true, port.0) + w]
+        let rows = &self.words[self.rows_at..self.requesters_at];
+        rows[self.row_start(false, port.0) + w] | rows[self.row_start(true, port.0) + w]
     }
 
     /// Requesting-port mask of `out` in one speculation class.
@@ -369,8 +362,8 @@ impl RequestBits {
     #[must_use]
     pub fn requesters(&self, speculative: bool, out: PortId) -> &[u64] {
         debug_assert!(out.0 < self.ports, "out {out} out of range (ports = {})", self.ports);
-        let start = self.row_start(speculative, out.0);
-        &self.requesters[start..start + self.port_words]
+        let start = self.requesters_at + self.row_start(speculative, out.0);
+        &self.words[start..start + self.port_words]
     }
 
     /// Word `w` of the requesting-port mask of `out` over both classes.
@@ -378,37 +371,24 @@ impl RequestBits {
     #[must_use]
     pub fn requesters_any_word(&self, out: PortId, w: usize) -> u64 {
         debug_assert!(w < self.port_words, "word {w} out of range ({} port words)", self.port_words);
-        self.requesters[self.row_start(false, out.0) + w]
-            | self.requesters[self.row_start(true, out.0) + w]
+        let requesters = &self.words[self.requesters_at..self.active_at];
+        requesters[self.row_start(false, out.0) + w] | requesters[self.row_start(true, out.0) + w]
     }
 
     /// VC mask of every posted request at `port`.
     #[inline]
     #[must_use]
     pub fn active_vcs(&self, port: PortId) -> &[u64] {
-        &self.active_vcs[port.0 * self.vc_words..(port.0 + 1) * self.vc_words]
+        let start = self.active_at + port.0 * self.vc_words;
+        &self.words[start..start + self.vc_words]
     }
 
     /// VC mask of the speculative requests at `port`.
     #[inline]
     #[must_use]
     pub fn spec_vcs(&self, port: PortId) -> &[u64] {
-        &self.spec_vcs[port.0 * self.vc_words..(port.0 + 1) * self.vc_words]
-    }
-
-    /// Word `w` of the VC mask of one speculation class at `port`
-    /// (non-speculative is computed as `active & !speculative`, so a slice
-    /// cannot be returned).
-    #[inline]
-    #[must_use]
-    pub fn class_vcs_word(&self, speculative: bool, port: PortId, w: usize) -> u64 {
-        debug_assert!(w < self.vc_words, "word {w} out of range ({} vc words)", self.vc_words);
-        let i = port.0 * self.vc_words + w;
-        if speculative {
-            self.spec_vcs[i]
-        } else {
-            self.active_vcs[i] & !self.spec_vcs[i]
-        }
+        let start = self.spec_at + port.0 * self.vc_words;
+        &self.words[start..start + self.vc_words]
     }
 }
 
@@ -457,8 +437,6 @@ mod tests {
         assert_eq!(b.requesters_any_word(PortId(2), 0), 0b0010);
         assert_eq!(b.active_vcs(PortId(1)), [0b101]);
         assert_eq!(b.spec_vcs(PortId(1)), [0b100]);
-        assert_eq!(b.class_vcs_word(false, PortId(1), 0), 0b001);
-        assert_eq!(b.class_vcs_word(true, PortId(1), 0), 0b100);
 
         rs.remove(PortId(1), VcId(0));
         assert_consistent(&rs);
@@ -560,8 +538,6 @@ mod tests {
         assert_eq!(b.vc_plane_any_word(PortId(0), PortId(2), 1), 1);
         assert_eq!(b.active_vcs(PortId(0)), [1u64 << 63, 1, 1u64 << 1]);
         assert_eq!(b.spec_vcs(PortId(0)), [0, 1, 0]);
-        assert_eq!(b.class_vcs_word(false, PortId(0), 1), 0);
-        assert_eq!(b.class_vcs_word(true, PortId(0), 1), 1);
 
         rs.clear();
         assert_consistent(&rs);

@@ -14,7 +14,7 @@
 //! [`GrantSet::validate_against`] checks those invariants and is used by the
 //! property-based tests of every allocator.
 
-use crate::bits::RequestBits;
+use crate::bits::{test_bit, RequestBits};
 use crate::ids::{PortId, VcId};
 use crate::vix::VixPartition;
 use std::fmt;
@@ -36,21 +36,26 @@ pub struct SwitchRequest {
     pub age: u64,
 }
 
-/// Dense per-(port, VC) table of requests for one allocation cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The requests of one allocation cycle, stored once: the word-parallel
+/// bit planes ([`RequestBits`]) say *which* `(port, VC)` pairs request what
+/// and in which speculation class; two flat per-VC arrays carry the rest of
+/// each request. There is no second per-slot copy to keep in sync
+/// (DESIGN.md §6d).
+#[derive(Debug, Clone)]
 pub struct RequestSet {
     ports: usize,
     vcs: usize,
-    slots: Vec<Option<SwitchRequest>>,
     /// Posted requests, kept in sync by `push`/`remove`/`clear` so `len`
     /// and emptiness checks are O(1) in the allocators' hot loops.
     active: usize,
     /// Posted speculative requests; lets allocators skip a whole
     /// speculation pass when the class is empty.
     speculative: usize,
-    /// Dense word-parallel view of `slots`, kept in sync by
-    /// `push`/`remove`/`clear` so bitset allocator kernels never rebuild
-    /// their request matrices (see DESIGN.md §6d).
+    /// Requested output / age of flat VC `port * vcs + vc`; meaningful only
+    /// while the VC's bit in the planes' active mask is set, so `clear`
+    /// never touches them.
+    out_port: Vec<PortId>,
+    age: Vec<u64>,
     bits: RequestBits,
 }
 
@@ -61,7 +66,7 @@ impl RequestSet {
     /// # Panics
     ///
     /// Panics if either dimension is zero. There is no upper width limit:
-    /// the word-parallel bit-view stores `ceil(width / 64)` words per row
+    /// the bit planes store `ceil(width / 64)` words per row
     /// (DESIGN.md §6d).
     #[must_use]
     pub fn new(ports: usize, vcs: usize) -> Self {
@@ -69,16 +74,16 @@ impl RequestSet {
         RequestSet {
             ports,
             vcs,
-            slots: vec![None; ports * vcs],
             active: 0,
             speculative: 0,
+            out_port: vec![PortId(0); ports * vcs],
+            age: vec![0; ports * vcs],
             bits: RequestBits::new(ports, vcs),
         }
     }
 
-    // Bounds are debug-only: `idx` sits on every allocator's innermost
-    // loop, and in release builds the slot `Vec`'s own bounds check is the
-    // backstop.
+    // Read-side bounds are debug-only: `idx` sits on every allocator's
+    // innermost loop. `push` — the only writer — checks in release too.
     fn idx(&self, port: PortId, vc: VcId) -> usize {
         debug_assert!(port.0 < self.ports, "port {port} out of range ({})", self.ports);
         debug_assert!(vc.0 < self.vcs, "vc {vc} out of range ({})", self.vcs);
@@ -93,58 +98,64 @@ impl RequestSet {
 
     /// Posts a fully-specified request, replacing any previous request from
     /// the same VC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request's port, VC or output port is out of range: the
+    /// planes share one allocation, so a stray index would land in a
+    /// neighbouring plane instead of past the end.
     pub fn push(&mut self, req: SwitchRequest) {
-        let i = self.idx(req.port, req.vc);
-        if let Some(old) = self.slots[i].replace(req) {
-            self.speculative -= usize::from(old.speculative);
-            self.bits.remove(old.port.0, old.vc.0, old.out_port.0, old.speculative);
-        } else {
-            self.active += 1;
+        assert!(
+            req.port.0 < self.ports && req.vc.0 < self.vcs && req.out_port.0 < self.ports,
+            "request {}:{} -> {} out of range",
+            req.port,
+            req.vc,
+            req.out_port
+        );
+        if test_bit(self.bits.active_vcs(req.port), req.vc.0) {
+            self.remove(req.port, req.vc);
         }
+        let i = self.idx(req.port, req.vc);
+        self.active += 1;
         self.speculative += usize::from(req.speculative);
+        self.out_port[i] = req.out_port;
+        self.age[i] = req.age;
         self.bits.insert(req.port.0, req.vc.0, req.out_port.0, req.speculative);
     }
 
     /// Removes the request from `(port, vc)`, if any.
     pub fn remove(&mut self, port: PortId, vc: VcId) -> Option<SwitchRequest> {
-        let i = self.idx(port, vc);
-        let old = self.slots[i].take();
-        if let Some(old) = old {
-            self.active -= 1;
-            self.speculative -= usize::from(old.speculative);
-            self.bits.remove(old.port.0, old.vc.0, old.out_port.0, old.speculative);
-        }
-        old
+        let old = self.get(port, vc)?;
+        self.active -= 1;
+        self.speculative -= usize::from(old.speculative);
+        self.bits.remove(port.0, vc.0, old.out_port.0, old.speculative);
+        Some(old)
     }
 
-    /// Clears all requests in O(posted requests), reusing the allocation:
-    /// the bit-view's per-port activity masks say exactly which slots need
-    /// resetting, so an almost-empty set clears in a handful of word ops.
+    /// Clears all requests, reusing the allocation: one flat fill over the
+    /// bit planes, whatever the number of posted requests. An empty set is
+    /// already all-zero (every mutator keeps the planes in lockstep with
+    /// `active`), so it is left alone.
     pub fn clear(&mut self) {
-        if self.active == 0 {
-            // Every mutator keeps `slots`/`bits` in lockstep with `active`,
-            // so an empty set is already fully cleared.
-            return;
+        if self.active != 0 {
+            self.bits.clear();
+            self.active = 0;
+            self.speculative = 0;
         }
-        for port in 0..self.ports {
-            for (w, &word) in self.bits.active_vcs(PortId(port)).iter().enumerate() {
-                let mut m = word;
-                while m != 0 {
-                    let vc = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.slots[port * self.vcs + vc] = None;
-                }
-            }
-        }
-        self.bits.clear();
-        self.active = 0;
-        self.speculative = 0;
     }
 
     /// The request posted by `(port, vc)`, if any.
+    #[inline]
     #[must_use]
-    pub fn get(&self, port: PortId, vc: VcId) -> Option<&SwitchRequest> {
-        self.slots[self.idx(port, vc)].as_ref()
+    pub fn get(&self, port: PortId, vc: VcId) -> Option<SwitchRequest> {
+        let i = self.idx(port, vc);
+        test_bit(self.bits.active_vcs(port), vc.0).then(|| SwitchRequest {
+            port,
+            vc,
+            out_port: self.out_port[i],
+            speculative: test_bit(self.bits.spec_vcs(port), vc.0),
+            age: self.age[i],
+        })
     }
 
     /// Number of physical input ports.
@@ -160,19 +171,13 @@ impl RequestSet {
     }
 
     /// Iterator over all posted requests, in (port, vc) order.
-    pub fn active_requests(&self) -> impl Iterator<Item = &SwitchRequest> {
-        self.slots.iter().filter_map(Option::as_ref)
+    pub fn active_requests(&self) -> impl Iterator<Item = SwitchRequest> + '_ {
+        (0..self.ports).flat_map(move |p| self.requests_from(PortId(p)))
     }
 
     /// Iterator over the requests from one input port, in VC order.
-    pub fn requests_from(&self, port: PortId) -> impl Iterator<Item = &SwitchRequest> {
-        let base = self.idx(port, VcId(0));
-        self.slots[base..base + self.vcs].iter().filter_map(Option::as_ref)
-    }
-
-    /// Iterator over requests targeting one output port.
-    pub fn requests_for(&self, out_port: PortId) -> impl Iterator<Item = &SwitchRequest> + '_ {
-        self.active_requests().filter(move |r| r.out_port == out_port)
+    pub fn requests_from(&self, port: PortId) -> impl Iterator<Item = SwitchRequest> + '_ {
+        (0..self.vcs).filter_map(move |v| self.get(port, VcId(v)))
     }
 
     /// True if no VC posted a request.
@@ -196,15 +201,14 @@ impl RequestSet {
     }
 
     /// True when one of the VCs of `port` posted a request (O(words) —
-    /// a word scan of the bit-view's per-port activity mask).
+    /// a word scan of the planes' per-port activity mask).
     #[must_use]
     pub fn port_is_active(&self, port: PortId) -> bool {
         crate::bits::any_set(self.bits.active_vcs(port))
     }
 
-    /// The dense word-parallel view of this set, incrementally maintained
-    /// by every mutator. Bitset allocator kernels read whole request rows
-    /// from here instead of scanning `slots` per element.
+    /// The dense word-parallel planes of this set, maintained by every
+    /// mutator. Bitset allocator kernels read whole request rows from here.
     #[must_use]
     pub fn bits(&self) -> &RequestBits {
         &self.bits
@@ -439,14 +443,13 @@ mod tests {
     }
 
     #[test]
-    fn per_port_and_per_output_views() {
+    fn per_port_views() {
         let mut rs = RequestSet::new(3, 2);
         rs.request(PortId(0), VcId(0), PortId(2));
         rs.request(PortId(0), VcId(1), PortId(1));
         rs.request(PortId(2), VcId(0), PortId(2));
         assert_eq!(rs.requests_from(PortId(0)).count(), 2);
         assert_eq!(rs.requests_from(PortId(1)).count(), 0);
-        assert_eq!(rs.requests_for(PortId(2)).count(), 2);
     }
 
     #[test]
@@ -556,11 +559,7 @@ mod tests {
         assert_eq!(gs.count_for_input(PortId(3)), 0);
     }
 
-    /// The `idx` bounds are `debug_assert!`s (hot path); release builds
-    /// fall back to the slot `Vec`'s own bounds check, whose panic message
-    /// differs — so this test only runs where the debug assertions do.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "out of range")]
     fn request_bounds_checked() {
         let mut rs = RequestSet::new(2, 2);

@@ -15,11 +15,25 @@ use crate::ids::{VcId, VirtualInputId};
 /// With `groups == 1` this degenerates to the baseline router (every VC
 /// behind the single crossbar input of its port); with `groups == vcs` it is
 /// the paper's "ideal VIX".
+///
+/// `group_size` and its fixed-point reciprocal are derived once here: the
+/// accessors sit on per-cycle allocator and VC-allocation loops, which
+/// perform no runtime division (DESIGN.md §6d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VixPartition {
     vcs: usize,
     groups: usize,
+    /// `vcs / groups`.
+    group_size: usize,
+    /// `floor(2^32 / group_size) + 1`: `(vc * group_recip) >> 32` equals
+    /// `vc / group_size` exactly while `vc * group_size < 2^32`.
+    group_recip: u64,
 }
+
+/// Largest VC count [`VixPartition::group_of`]'s reciprocal multiply is
+/// exact for (`vcs² ≤ 2^32`) — far past the 255 VCs a
+/// [`Flit`](crate::Flit) can name.
+const MAX_VCS: usize = 1 << 16;
 
 impl VixPartition {
     /// Creates an even partition.
@@ -29,6 +43,10 @@ impl VixPartition {
     /// Returns [`ConfigError::UnevenPartition`] if `groups` does not divide
     /// `vcs`, and [`ConfigError::BadVirtualInputs`] if `groups` is zero or
     /// exceeds `vcs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs` exceeds 65 536 (no router can address that many).
     pub fn even(vcs: usize, groups: usize) -> Result<Self, ConfigError> {
         if groups == 0 || groups > vcs {
             return Err(ConfigError::BadVirtualInputs { virtual_inputs: groups, vcs });
@@ -36,7 +54,9 @@ impl VixPartition {
         if !vcs.is_multiple_of(groups) {
             return Err(ConfigError::UnevenPartition { vcs, virtual_inputs: groups });
         }
-        Ok(VixPartition { vcs, groups })
+        assert!(vcs <= MAX_VCS, "{vcs} VCs per port exceeds the supported {MAX_VCS}");
+        let group_size = vcs / groups;
+        Ok(VixPartition { vcs, groups, group_size, group_recip: (1 << 32) / group_size as u64 + 1 })
     }
 
     /// Partition with a single group (baseline router, no VIX).
@@ -63,8 +83,9 @@ impl VixPartition {
 
     /// VCs per sub-group.
     #[must_use]
+    #[inline]
     pub fn group_size(&self) -> usize {
-        self.vcs / self.groups
+        self.group_size
     }
 
     /// Sub-group (virtual input) a VC belongs to.
@@ -73,10 +94,11 @@ impl VixPartition {
     ///
     /// Panics in debug builds if `vc` is out of range. This accessor sits
     /// on allocator inner loops, so the bounds check is a `debug_assert`.
+    #[inline]
     #[must_use]
     pub fn group_of(&self, vc: VcId) -> VirtualInputId {
         debug_assert!(vc.0 < self.vcs, "VC {vc} out of range (vcs = {})", self.vcs);
-        VirtualInputId(vc.0 / self.group_size())
+        VirtualInputId(((vc.0 as u64 * self.group_recip) >> 32) as usize)
     }
 
     /// First flat VC index of one sub-group — the start of the
@@ -99,33 +121,6 @@ impl VixPartition {
             self.groups
         );
         group.0 * self.group_size()
-    }
-
-    /// Bit mask over the port's flat VC index space selecting the VCs of
-    /// one sub-group — the single-word companion of
-    /// [`vcs_in_group`](VixPartition::vcs_in_group), usable when the
-    /// sub-group's window lies inside the first word of the VC row
-    /// (`group_start + group_size ≤ 64`). Wider rows use
-    /// [`group_start`](VixPartition::group_start) with
-    /// [`extract_range`](crate::bits::extract_range) instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `group` is out of range or its window
-    /// reaches past bit 63. This accessor sits on allocator inner loops,
-    /// so the bounds checks are `debug_assert`s.
-    #[must_use]
-    pub fn group_mask(&self, group: VirtualInputId) -> u64 {
-        debug_assert!(
-            group.0 < self.groups,
-            "sub-group {group} out of range (groups = {})",
-            self.groups
-        );
-        debug_assert!(
-            (group.0 + 1) * self.group_size() <= 64,
-            "sub-group {group} window reaches past one word; use group_start + extract_range"
-        );
-        crate::bits::mask_up_to(self.group_size()) << (group.0 * self.group_size())
     }
 
     /// Iterator over the VCs of one sub-group.
@@ -160,6 +155,21 @@ mod tests {
     }
 
     #[test]
+    fn group_of_matches_division_for_every_divisor() {
+        // The reciprocal multiply must agree with `vc / group_size` for
+        // every even partition, including the widest supported one.
+        for vcs in (1..=300).chain([4096, MAX_VCS]) {
+            for groups in (1..=vcs).filter(|g| vcs % g == 0) {
+                let p = VixPartition::even(vcs, groups).unwrap();
+                let step = if vcs > 300 { 61 } else { 1 };
+                for vc in (0..vcs).step_by(step).chain([vcs - 1]) {
+                    assert_eq!(p.group_of(VcId(vc)).0, vc / (vcs / groups), "{vcs}/{groups} vc {vc}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn group_members_partition_the_vcs() {
         let p = VixPartition::even(6, 3).unwrap();
         let mut all: Vec<VcId> = p.group_ids().flat_map(|g| p.vcs_in_group(g)).collect();
@@ -180,17 +190,6 @@ mod tests {
         let p = VixPartition::even(4, 4).unwrap();
         for vc in 0..4 {
             assert_eq!(p.group_of(VcId(vc)), VirtualInputId(vc));
-        }
-    }
-
-    #[test]
-    fn group_mask_matches_group_members() {
-        for (vcs, groups) in [(6, 1), (6, 2), (6, 3), (6, 6), (4, 2)] {
-            let p = VixPartition::even(vcs, groups).unwrap();
-            for g in p.group_ids() {
-                let expect: u64 = p.vcs_in_group(g).map(|v| 1u64 << v.0).sum();
-                assert_eq!(p.group_mask(g), expect, "vcs={vcs} groups={groups} g={g}");
-            }
         }
     }
 

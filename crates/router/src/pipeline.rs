@@ -8,7 +8,7 @@ use crate::RouterEnv;
 use vix_alloc::SwitchAllocator;
 use vix_core::{
     ActivityCounters, Cycle, Flit, GrantSet, PipelineKind, PortId, RequestSet, RouterConfig,
-    RouterId, SwitchRequest, VcId,
+    RouterId, SwitchRequest, VcId, VixPartition,
 };
 use vix_telemetry::{MatchingSummary, TelemetrySink, TraceEvent, TraceEventKind, NO_PACKET};
 
@@ -44,6 +44,8 @@ impl RouterOutput {
 pub struct Router {
     id: RouterId,
     cfg: RouterConfig,
+    /// `cfg.partition()`, derived once (building it divides).
+    partition: VixPartition,
     env: RouterEnv,
     allocator: Box<dyn SwitchAllocator>,
     /// Input-side VC state, structure-of-arrays over `(port, vc)`.
@@ -71,6 +73,9 @@ pub struct Router {
     /// step; the RC/VA/request sweeps iterate its set bits (occupancy is
     /// invariant across those stages — only traversal pops flits).
     occ_scratch: Vec<u64>,
+    /// Flat VC index → `(port, vc)`, so the sweeps never divide by the
+    /// runtime VC count (DESIGN.md §6d).
+    flat_to_vc: Vec<(PortId, VcId)>,
 }
 
 /// Visits the set bits of `words` within index range `[lo, hi)` in
@@ -131,8 +136,13 @@ impl Router {
         let mut activity = ActivityCounters::new();
         activity.routers = 1;
         let total_vcs = cfg.ports() * cfg.vcs_per_port();
+        let mut flat_to_vc = Vec::with_capacity(total_vcs);
+        for port in (0..cfg.ports()).map(PortId) {
+            flat_to_vc.extend((0..cfg.vcs_per_port()).map(|vc| (port, VcId(vc))));
+        }
         Router {
             id,
+            partition: cfg.partition().expect("validated config"),
             env,
             allocator,
             inputs,
@@ -149,6 +159,7 @@ impl Router {
             bound_this_cycle: vec![false; total_vcs],
             va_failed_this_cycle: vec![false; total_vcs],
             occ_scratch: Vec::with_capacity(vix_core::bits::words_for(total_vcs.max(1))),
+            flat_to_vc,
             cfg,
         }
     }
@@ -236,8 +247,13 @@ impl Router {
     /// empty step touches (request/grant scratch, stage bitvecs) is
     /// rebuilt from scratch at the start of the next real step.
     pub fn note_idle_cycles(&mut self, n: u64) {
-        let total_vcs = self.cfg.ports() * self.cfg.vcs_per_port();
-        self.va_pointer = (self.va_pointer + (n % total_vcs as u64) as usize) % total_vcs;
+        // `va_pointer < total_vcs` and the reduced `n` is too, so one
+        // conditional subtract wraps the sum.
+        let total_vcs = self.flat_to_vc.len();
+        self.va_pointer += (n % total_vcs as u64) as usize;
+        if self.va_pointer >= total_vcs {
+            self.va_pointer -= total_vcs;
+        }
         self.activity.cycles += n;
         self.allocator.note_idle_cycles(n);
     }
@@ -287,16 +303,14 @@ impl Router {
     pub fn step_into(&mut self, now: Cycle, out: &mut RouterOutput, tel: &mut TelemetrySink) {
         out.clear();
         let router = self.id.0 as u32;
-        let ports = self.cfg.ports();
-        let vcs = self.cfg.vcs_per_port();
-        let total_vcs = ports * vcs;
-        let partition = self.cfg.partition().expect("validated config");
+        let total_vcs = self.flat_to_vc.len();
 
         let five_stage = self.cfg.pipeline == PipelineKind::FiveStage;
         let speculation = self.cfg.speculative_sa && !five_stage;
 
         let Self {
             cfg,
+            partition,
             env,
             allocator,
             inputs,
@@ -311,6 +325,7 @@ impl Router {
             bound_this_cycle,
             va_failed_this_cycle,
             occ_scratch,
+            flat_to_vc,
             ..
         } = self;
 
@@ -328,7 +343,7 @@ impl Router {
         rc_this_cycle.fill(false);
         if five_stage {
             for_each_set_in(occ_scratch, 0, total_vcs, &mut |flat| {
-                let (port, vc) = (PortId(flat / vcs), VcId(flat % vcs));
+                let (port, vc) = flat_to_vc[flat];
                 if inputs.needs_va(port, vc) && !inputs.rc_done(port, vc) {
                     inputs.mark_rc_done(port, vc);
                     rc_this_cycle[flat] = true;
@@ -342,8 +357,8 @@ impl Router {
         bound_this_cycle.fill(false);
         va_failed_this_cycle.fill(false);
         for_each_set_cyclic(occ_scratch, total_vcs, *va_pointer, |flat| {
-            let (p, v) = (flat / vcs, flat % vcs);
-            let (port, vc) = (PortId(p), VcId(v));
+            let (port, vc) = flat_to_vc[flat];
+            let (p, v) = (port.0, vc.0);
             if !inputs.needs_va(port, vc) {
                 return;
             }
@@ -380,7 +395,7 @@ impl Router {
                 VcAllocPolicy::MaxCredits
             };
             let dim = env.port_dims[lookahead_port.0];
-            match select_output_vc(policy, outputs, out_port, &partition, dim) {
+            match select_output_vc(policy, outputs, out_port, partition, dim) {
                 Some(w) => {
                     outputs.allocate(out_port, w);
                     inputs.bind_out_vc(port, vc, w);
@@ -403,16 +418,19 @@ impl Router {
                 }
             }
         });
-        *va_pointer = (*va_pointer + 1) % total_vcs;
+        *va_pointer += 1;
+        if *va_pointer == total_vcs {
+            *va_pointer = 0;
+        }
 
-        // ---- Build the switch-allocation request set. Each `push` also
-        // updates the set's dense bit-view (`RequestBits`) incrementally,
-        // so the allocator's word-parallel kernels start from ready-made
-        // request planes — no per-cycle rebuild on the SA critical path.
+        // ---- Build the switch-allocation request set. `clear` is one flat
+        // fill and each `push` writes its request exactly once — an OR per
+        // bit plane plus the per-VC output/age — so the allocator's
+        // word-parallel kernels start from ready-made request planes.
         requests.clear();
         for_each_set_in(occ_scratch, 0, total_vcs, &mut |flat| {
-            let (p, v) = (flat / vcs, flat % vcs);
-            let (port, vc) = (PortId(p), VcId(v));
+            let (port, vc) = flat_to_vc[flat];
+            let (p, v) = (port.0, vc.0);
             let head = inputs.head(port, vc).expect("occupied VC has a head");
             let out_port = head.out_port();
             let head_packet = head.packet.id.0;
@@ -485,7 +503,7 @@ impl Router {
         } else {
             allocator.allocate_into(requests, grants);
             debug_assert!(
-                grants.validate_against(requests, &partition).is_ok(),
+                grants.validate_against(requests, partition).is_ok(),
                 "allocator produced conflicting grants"
             );
             tel.count(tel.ids.stall_sa_no_grant, (requests.len() - grants.len()) as u64);
@@ -750,6 +768,33 @@ mod tests {
         let mut f = flit_to(PortId(2), 1, 0, VcId(0));
         f.set_out_vc(None);
         r.accept_flit(PortId(0), f);
+    }
+
+    #[test]
+    fn note_idle_cycles_matches_empty_steps() {
+        // 3 ports x 4 VCs: the VA pointer wraps at 12. Gaps below, at, and
+        // far above one lap must land where that many empty steps would,
+        // from every starting offset.
+        let cfg = RouterConfig::new(3, 4, 4);
+        for start in 0..12u64 {
+            for n in [0u64, 1, 5, 11, 12, 13, 24, 31, 1_000_003] {
+                let mut stepped = test_router(AllocatorKind::InputFirst, cfg);
+                let mut skipped = test_router(AllocatorKind::InputFirst, cfg);
+                for c in 0..start {
+                    stepped.step(Cycle(c));
+                    skipped.step(Cycle(c));
+                }
+                skipped.note_idle_cycles(n);
+                assert_eq!(skipped.va_pointer as u64, (start + n) % 12, "start {start}, gap {n}");
+                assert_eq!(skipped.activity().cycles, start + n);
+                if n < 100 {
+                    for c in 0..n {
+                        stepped.step(Cycle(start + c));
+                    }
+                    assert_eq!(skipped.va_pointer, stepped.va_pointer, "start {start}, gap {n}");
+                }
+            }
+        }
     }
 
     #[test]

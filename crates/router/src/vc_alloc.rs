@@ -49,35 +49,33 @@ pub fn select_output_vc(
     partition: &VixPartition,
     downstream_dim: usize,
 ) -> Option<VcId> {
-    // Iterate the free VCs directly — no intermediate Vec. The winner is
-    // identical because keys are unique (lowest-index tie-break via
-    // `Reverse(vc.0)`), so `max_by_key` order-independence holds.
-    let free = (0..outputs.vc_count()).map(VcId).filter(|&vc| !outputs.is_allocated(out, vc));
+    // Iterate the free VCs directly — no intermediate Vec. Keys are unique
+    // (lowest-index tie-break via `Reverse(vc)`), so the maximum does not
+    // depend on iteration order.
     match policy {
-        VcAllocPolicy::MaxCredits => {
-            free.max_by_key(|&vc| (outputs.credits(out, vc), std::cmp::Reverse(vc.0)))
-        }
+        VcAllocPolicy::MaxCredits => (0..outputs.vc_count())
+            .map(VcId)
+            .filter(|&vc| !outputs.is_allocated(out, vc))
+            .max_by_key(|&vc| (outputs.credits(out, vc), std::cmp::Reverse(vc.0))),
         VcAllocPolicy::DimensionAware => {
             let preferred = preferred_group(downstream_dim, partition.groups());
-            // Load per sub-group: how many VCs are already allocated.
-            let load = |group: usize| {
-                partition
-                    .vcs_in_group(vix_core::VirtualInputId(group))
-                    .filter(|&vc| outputs.is_allocated(out, vc))
-                    .count()
-            };
-            free.max_by_key(|&vc| {
-                let group = partition.group_of(vc).0;
-                let in_preferred = preferred == Some(group);
-                // Rank: preferred sub-group first, then lightest-loaded
-                // sub-group, then most credits, then lowest index.
-                (
-                    usize::from(in_preferred),
-                    std::cmp::Reverse(load(group)),
-                    outputs.credits(out, vc),
-                    std::cmp::Reverse(vc.0),
-                )
-            })
+            let size = partition.group_size();
+            let allocated = |v: usize| outputs.is_allocated(out, VcId(v));
+            (0..partition.groups())
+                .flat_map(|group| {
+                    let vcs = group * size..(group + 1) * size;
+                    // Load of the sub-group — how many of its VCs are already
+                    // allocated — counted once, not once per candidate VC.
+                    let load = vcs.clone().filter(|&v| allocated(v)).count();
+                    // Rank: preferred sub-group first, then lightest-loaded
+                    // sub-group, then most credits, then lowest index.
+                    vcs.filter(move |&v| !allocated(v)).map(move |v| {
+                        let credits = outputs.credits(out, VcId(v));
+                        (preferred == Some(group), std::cmp::Reverse(load), credits, std::cmp::Reverse(v))
+                    })
+                })
+                .max()
+                .map(|(.., std::cmp::Reverse(v))| VcId(v))
         }
     }
 }
@@ -163,6 +161,62 @@ mod tests {
         port.allocate(OUT, VcId(0)); // sub-group 0 carries one packet
         let vc = select_output_vc(VcAllocPolicy::DimensionAware, &port, OUT, &part, 2).unwrap();
         assert_eq!(part.group_of(vc).0, 1, "local packet goes to the lighter sub-group");
+    }
+
+    /// The ranking as first written: every candidate VC recounts its
+    /// sub-group's load. Kept as the reference the group-major form must
+    /// reproduce.
+    fn dimension_aware_reference(
+        outputs: &OutputVcs,
+        partition: &VixPartition,
+        downstream_dim: usize,
+    ) -> Option<VcId> {
+        let preferred = preferred_group(downstream_dim, partition.groups());
+        let load = |group: usize| {
+            partition
+                .vcs_in_group(vix_core::VirtualInputId(group))
+                .filter(|&vc| outputs.is_allocated(OUT, vc))
+                .count()
+        };
+        (0..outputs.vc_count()).map(VcId).filter(|&vc| !outputs.is_allocated(OUT, vc)).max_by_key(
+            |&vc| {
+                let group = partition.group_of(vc).0;
+                (
+                    usize::from(preferred == Some(group)),
+                    std::cmp::Reverse(load(group)),
+                    outputs.credits(OUT, vc),
+                    std::cmp::Reverse(vc.0),
+                )
+            },
+        )
+    }
+
+    #[test]
+    fn dimension_aware_matches_reference_on_random_states() {
+        use vix_rng::rngs::StdRng;
+        use vix_rng::{Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (vcs, groups) = [(6, 2), (6, 3), (6, 6), (8, 2), (4, 1), (12, 4)][seed as usize % 6];
+            let depth = 5;
+            let part = VixPartition::even(vcs, groups).unwrap();
+            let mut port = port_with(vcs, depth);
+            for v in (0..vcs).map(VcId) {
+                if rng.gen_bool(0.4) {
+                    port.allocate(OUT, v);
+                }
+                for _ in 0..rng.gen_range(0..depth + 1) {
+                    port.consume_credit(OUT, v);
+                }
+            }
+            for dim in 0..3 {
+                assert_eq!(
+                    select_output_vc(VcAllocPolicy::DimensionAware, &port, OUT, &part, dim),
+                    dimension_aware_reference(&port, &part, dim),
+                    "seed {seed}, {vcs} VCs in {groups} groups, dimension {dim}"
+                );
+            }
+        }
     }
 
     #[test]

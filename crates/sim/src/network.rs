@@ -37,16 +37,22 @@ pub(crate) fn resolve_route(
     (out, lookahead, topology.port_dimension(out))
 }
 
-/// Precomputed [`resolve_route`] over the whole (static) topology: entry
-/// `router * nodes + dest` packs the three results into three bytes. Routing
-/// is deterministic and the topology never changes after build, so the hot
-/// per-flit lookahead rewrite becomes one table load instead of three
-/// virtual topology calls.
+/// Precomputed [`resolve_route`] and [`Topology::neighbor`] over the whole
+/// (static) topology: entry `router * nodes + dest` packs the three routing
+/// results into three bytes, entry `router * radix + port` holds the far end
+/// of a link. Routing is deterministic and the topology never changes after
+/// build, so the hot per-flit lookahead rewrite and link fan-out become table
+/// loads instead of virtual topology calls (a mesh's `neighbor` divides by
+/// the mesh side to recover coordinates).
 #[derive(Debug, Clone)]
 pub(crate) struct RouteTable {
     nodes: usize,
+    radix: usize,
     /// `(out_port, lookahead_port, dimension)` per `(router, dest)` pair.
     entries: Vec<(u8, u8, u8)>,
+    /// `(downstream router, its input port)` per `(router, port)` pair;
+    /// `None` on local and unconnected ports.
+    links: Vec<Option<(u32, u8)>>,
 }
 
 impl RouteTable {
@@ -63,7 +69,25 @@ impl RouteTable {
                 ));
             }
         }
-        RouteTable { nodes, entries }
+        let radix = topology.radix();
+        let links = (0..topology.routers() * radix)
+            .map(|i| {
+                let (next, port) = topology.neighbor(RouterId(i / radix), PortId(i % radix))?;
+                Some((
+                    u32::try_from(next.0).expect("router id fits 32 bits"),
+                    u8::try_from(port.0).expect("port id fits a byte"),
+                ))
+            })
+            .collect();
+        RouteTable { nodes, radix, entries, links }
+    }
+
+    /// The table form of [`Topology::neighbor`] — identical results by
+    /// construction.
+    #[inline]
+    pub(crate) fn neighbor(&self, router: RouterId, port: PortId) -> Option<(RouterId, PortId)> {
+        let (next, next_port) = self.links[router.0 * self.radix + port.0]?;
+        Some((RouterId(next as usize), PortId(next_port as usize)))
     }
 
     /// The table form of [`resolve_route`] — identical results by
@@ -533,7 +557,7 @@ impl NetworkSim {
                     continue;
                 }
                 let (down, down_port) = self
-                    .topology
+                    .routes
                     .neighbor(RouterId(r), PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 while let Some(flit) = self.flit_pipes[r][p]
@@ -610,7 +634,7 @@ impl NetworkSim {
                     // Lookahead routing: rewrite the routing fields for the
                     // downstream router before the flit enters the link.
                     let (down, _) =
-                        self.topology.neighbor(RouterId(r), p).expect("route uses connected ports");
+                        self.routes.neighbor(RouterId(r), p).expect("route uses connected ports");
                     let (out_port, lookahead, _) = self.resolve_route(down, flit.packet.dest);
                     flit.set_route(out_port, lookahead);
                     if self.telemetry.tracing() {
@@ -752,7 +776,7 @@ impl NetworkSim {
                 }
                 WakeEvent::FlitLink(r, p) => {
                     let (down, down_port) = self
-                        .topology
+                        .routes
                         .neighbor(RouterId(r), PortId(p))
                         .expect("flit pipe exists only on connected ports");
                     while let Some(flit) = self.flit_pipes[r][p]
@@ -845,7 +869,7 @@ impl NetworkSim {
                     }
                 } else {
                     let (down, _) =
-                        self.topology.neighbor(RouterId(r), p).expect("route uses connected ports");
+                        self.routes.neighbor(RouterId(r), p).expect("route uses connected ports");
                     let (out_port, lookahead, _) = self.resolve_route(down, flit.packet.dest);
                     flit.set_route(out_port, lookahead);
                     if self.telemetry.tracing() {

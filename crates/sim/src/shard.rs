@@ -419,7 +419,7 @@ impl ShardWorker<'_> {
                     continue;
                 }
                 let (down, _) = self
-                    .topology
+                    .routes
                     .neighbor(RouterId(r), PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 if self.plan.shard_of_router(down.0) != self.idx {
@@ -606,7 +606,7 @@ impl ShardWorker<'_> {
                     continue;
                 }
                 let (down, down_port) = self
-                    .topology
+                    .routes
                     .neighbor(RouterId(r), PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 debug_assert_eq!(
@@ -705,7 +705,7 @@ impl ShardWorker<'_> {
                 }
                 WakeEvent::FlitLink(r, p) => {
                     let (down, down_port) = self
-                        .topology
+                        .routes
                         .neighbor(RouterId(r), PortId(p))
                         .expect("flit pipe exists only on connected ports");
                     while let Some(flit) = self.flit_pipes[r - self.router_off][p]
@@ -803,7 +803,7 @@ impl ShardWorker<'_> {
                 }
             } else {
                 let (down, _) = self
-                    .topology
+                    .routes
                     .neighbor(RouterId(r), p)
                     .expect("route uses connected ports");
                 let (out_port, lookahead, _) = self.routes.resolve(down, flit.packet.dest);
@@ -947,7 +947,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         for p in 0..radix {
             if sim.flit_pipes[r][p].is_some() {
                 let (down, down_port) = sim
-                    .topology
+                    .routes
                     .neighbor(RouterId(r), PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 let dst_shard = plan.shard_of_router(down.0);

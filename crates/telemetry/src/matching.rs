@@ -25,12 +25,14 @@
 //!
 //! The instrumentation is pure observation — it never feeds back into
 //! arbiter state or grant order, so determinism goldens and
-//! gated/ungated parity are unaffected. The scans run word-parallel over
-//! the request set's incrementally-maintained bit-view
-//! ([`vix_core::RequestBits`]), so recording allocates nothing and costs
-//! `O(ports × groups)` per cycle.
+//! gated/ungated parity are unaffected. A kernel that already walks the
+//! virtual inputs hands its counts to [`MatchingStats::record`]; the others
+//! call [`MatchingStats::record_set`], which scans the request set's bit
+//! planes ([`vix_core::RequestBits`]) word-parallel. Either way recording
+//! allocates nothing.
 
 use std::fmt::Write as _;
+use vix_core::bits::range_any_set;
 use vix_core::{GrantSet, PortId, RequestSet, VixPartition};
 
 /// Aggregated matching-efficiency counters, mergeable across routers.
@@ -132,16 +134,11 @@ impl MatchingSummary {
     }
 }
 
-/// Per-allocator recorder. The distinct-virtual-input / distinct-output
-/// scans run word-parallel over the request set's bit-view; the only
-/// owned state besides the summary is the reused output-union word
-/// buffer, which reaches its steady-state capacity after the first
-/// recorded cycle.
+/// Per-allocator recorder: the running [`MatchingSummary`] and nothing
+/// else.
 #[derive(Debug, Clone, Default)]
 pub struct MatchingStats {
     summary: MatchingSummary,
-    /// Union of requested outputs across all ports, one bit per output.
-    out_union: Vec<u64>,
 }
 
 impl MatchingStats {
@@ -151,61 +148,52 @@ impl MatchingStats {
     pub fn new(virtual_inputs: usize) -> Self {
         MatchingStats {
             summary: MatchingSummary { virtual_inputs: virtual_inputs as u64, ..Default::default() },
-            out_union: Vec::new(),
         }
     }
 
-    /// Records one allocation cycle. Empty request sets are ignored so
-    /// gated and ungated schedules observe identical statistics.
+    /// Records one allocation cycle from counts the caller already has:
+    /// `offered` posted requests, `active_vi` distinct virtual inputs with
+    /// a request, `outputs` distinct requested output ports, `grants`
+    /// issued. Empty cycles are ignored so gated and ungated schedules
+    /// observe identical statistics.
     ///
-    /// The distinct-virtual-input and distinct-output scans run over the
-    /// [`RequestSet`]'s incrementally-maintained bit-view: a word array of
-    /// active-VC lines per port, a word array of requested outputs per
-    /// port, so the whole scan is `O(ports × (groups + words))` with no
-    /// per-request work.
-    pub fn record(&mut self, requests: &RequestSet, grants: &GrantSet, partition: &VixPartition) {
-        let offered = requests.len();
+    /// A kernel that walks the virtual inputs anyway (the separable
+    /// allocators) passes what it counted; [`record_set`] derives the same
+    /// counts from the request set for the others.
+    ///
+    /// [`record_set`]: MatchingStats::record_set
+    #[inline]
+    pub fn record(&mut self, offered: usize, active_vi: usize, outputs: usize, grants: usize) {
         if offered == 0 {
             return;
-        }
-        if offered == 1 {
-            // One request ⇒ one active virtual input and one requested
-            // output: the generic scans below would compute exactly
-            // `active_vi = 1` and `count_ones(out_union) = 1`.
-            let s = &mut self.summary;
-            s.cycles += 1;
-            s.requests += 1;
-            s.survivors += 1;
-            s.grants += grants.len() as u64;
-            s.match_bound += 1;
-            return;
-        }
-        let bits = requests.bits();
-        let groups = partition.groups();
-        let group_size = partition.group_size();
-        let out_union = &mut self.out_union;
-        out_union.clear();
-        out_union.resize(bits.port_words(), 0);
-        let mut active_vi = 0u64;
-        for port in 0..requests.ports() {
-            let active = bits.active_vcs(PortId(port));
-            if !vix_core::bits::any_set(active) {
-                continue;
-            }
-            for (w, word) in out_union.iter_mut().enumerate() {
-                *word |= bits.row_any_word(PortId(port), w);
-            }
-            for group in 0..groups {
-                active_vi +=
-                    u64::from(vix_core::bits::range_any_set(active, group * group_size, group_size));
-            }
         }
         let s = &mut self.summary;
         s.cycles += 1;
         s.requests += offered as u64;
-        s.survivors += active_vi;
-        s.grants += grants.len() as u64;
-        s.match_bound += active_vi.min(u64::from(vix_core::bits::count_ones(out_union)));
+        s.survivors += active_vi as u64;
+        s.grants += grants as u64;
+        s.match_bound += active_vi.min(outputs) as u64;
+    }
+
+    /// [`record`](MatchingStats::record) with the distinct-virtual-input
+    /// and distinct-output counts scanned word-parallel from the
+    /// [`RequestSet`]'s bit planes: `O(ports × (groups + words))`, no
+    /// per-request work, no allocation.
+    pub fn record_set(&mut self, requests: &RequestSet, grants: &GrantSet, partition: &VixPartition) {
+        let bits = requests.bits();
+        let (groups, group_size) = (partition.groups(), partition.group_size());
+        let (mut active_vi, mut outputs) = (0, 0);
+        for w in 0..bits.port_words() {
+            let union = (0..requests.ports()).fold(0, |u, p| u | bits.row_any_word(PortId(p), w));
+            outputs += union.count_ones() as usize;
+        }
+        for port in (0..requests.ports()).map(PortId) {
+            let active = bits.active_vcs(port);
+            for group in 0..groups {
+                active_vi += usize::from(range_any_set(active, group * group_size, group_size));
+            }
+        }
+        self.record(requests.len(), active_vi, outputs, grants.len());
     }
 
     /// Snapshot of the counters so far.
@@ -239,7 +227,7 @@ mod tests {
     #[test]
     fn empty_cycles_are_not_counted() {
         let mut stats = MatchingStats::new(5);
-        stats.record(&RequestSet::new(5, 6), &GrantSet::new(), &VixPartition::baseline(6));
+        stats.record_set(&RequestSet::new(5, 6), &GrantSet::new(), &VixPartition::baseline(6));
         assert_eq!(stats.summary(), MatchingSummary { virtual_inputs: 5, ..Default::default() });
     }
 
@@ -249,7 +237,7 @@ mod tests {
         // Port 0 offers three VCs, two of them to the same output: one
         // active virtual input, two distinct outputs -> bound 1.
         let rs = requests(&[(0, 0, 1), (0, 1, 1), (0, 2, 3)]);
-        stats.record(&rs, &grants(&[(0, 0, 1)]), &VixPartition::baseline(6));
+        stats.record_set(&rs, &grants(&[(0, 0, 1)]), &VixPartition::baseline(6));
         let s = stats.summary();
         assert_eq!((s.cycles, s.requests, s.survivors, s.grants, s.match_bound), (1, 3, 1, 1, 1));
         assert_eq!(s.efficiency(), 1.0);
@@ -262,7 +250,7 @@ mod tests {
         // VCs 0 (sub-group 0) and 3 (sub-group 1) on port 0: two virtual
         // inputs survive, two outputs requested -> bound 2.
         let rs = requests(&[(0, 0, 1), (0, 3, 2)]);
-        stats.record(&rs, &grants(&[(0, 0, 1), (0, 3, 2)]), &part);
+        stats.record_set(&rs, &grants(&[(0, 0, 1), (0, 3, 2)]), &part);
         let s = stats.summary();
         assert_eq!((s.survivors, s.match_bound, s.grants), (2, 2, 2));
         assert_eq!(s.efficiency(), 1.0);
@@ -274,7 +262,7 @@ mod tests {
         let mut stats = MatchingStats::new(5);
         // Five ports all want output 0: bound is min(5, 1) = 1.
         let rs = requests(&[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)]);
-        stats.record(&rs, &grants(&[(2, 0, 0)]), &VixPartition::baseline(6));
+        stats.record_set(&rs, &grants(&[(2, 0, 0)]), &VixPartition::baseline(6));
         let s = stats.summary();
         assert_eq!((s.survivors, s.match_bound, s.grants), (5, 1, 1));
         assert_eq!(s.efficiency(), 1.0);
@@ -308,7 +296,7 @@ mod tests {
     fn json_export_parses() {
         let mut stats = MatchingStats::new(5);
         let rs = requests(&[(0, 0, 1), (1, 0, 2)]);
-        stats.record(&rs, &grants(&[(0, 0, 1), (1, 0, 2)]), &VixPartition::baseline(6));
+        stats.record_set(&rs, &grants(&[(0, 0, 1), (1, 0, 2)]), &VixPartition::baseline(6));
         let doc = json::parse(&stats.summary().to_json()).unwrap();
         assert_eq!(doc.get("grants").and_then(json::JsonValue::as_u64), Some(2));
         assert_eq!(doc.get("efficiency").and_then(json::JsonValue::as_f64), Some(1.0));

@@ -88,6 +88,11 @@ scripts/check_shardscaling.sh
 echo "==> scripts/check_hotpath.sh"
 scripts/check_hotpath.sh
 
+# Bit-identity gate through the repo benchmark: all five workloads must
+# reproduce the recorded seed-2014 sim_digests with no failed run.
+echo "==> scripts/check_benchmark_identity.sh"
+scripts/check_benchmark_identity.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -10,21 +10,39 @@
 //! magnitude.
 //!
 //! This lives in its own integration-test binary because the
-//! `#[global_allocator]` attribute is process-wide.
+//! `#[global_allocator]` attribute is process-wide. The *counter* is
+//! per-thread: the test harness runs the tests of one binary on parallel
+//! threads, and every measured region here is single-threaded (`shards`
+//! defaults to 1), so a thread-local count bills each test only its own
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vix::prelude::*;
 
-/// System allocator wrapper that counts every `alloc`/`realloc` call.
+/// System allocator wrapper that counts every `alloc`/`realloc` call made
+/// by the calling thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates or registers a TLS dtor, so it is safe inside the allocator.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -33,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,11 +82,11 @@ fn allocations_in_steady_state_for(network: NetworkConfig, telemetry: TelemetryS
         sim.step();
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for _ in 0..MEASURED_CYCLES {
         sim.step();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
     drop(sim);
     after - before
 }
@@ -127,13 +145,13 @@ fn ring_transport_recirculates_with_zero_allocations() {
             ejected.clear();
         }
 
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = alloc_calls();
         for _ in 0..MEASURED_CYCLES {
             sim.step();
             sim.take_ejections_into(&mut ejected);
             ejected.clear();
         }
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = alloc_calls();
         assert_eq!(
             after - before,
             0,
@@ -182,11 +200,11 @@ fn idle_network_cycles_are_constant_time_and_heap_free() {
     let cfg = SimConfig::new(network, 0.0).with_windows(CYCLES + 1, 1, 1);
     let mut sim = NetworkSim::build(cfg).expect("valid config");
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for _ in 0..CYCLES {
         sim.step();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
 
     assert_eq!(sim.router_steps(), 0, "an idle network must never visit a router");
     assert!(
