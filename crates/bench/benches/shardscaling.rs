@@ -14,9 +14,10 @@
 //! questions here are (a) does `shards=1` stay exactly as fast as the
 //! serial engine it bypasses to, and (b) how far does wall-clock drop as
 //! shards spread over real cores. The recorded JSON carries `host_cores`
-//! because (b) is meaningless without it: on a single-core host the
-//! worker threads timeshare one CPU and the barrier overhead makes every
-//! multi-shard figure a slowdown, honestly recorded as such. `--check`
+//! because (b) is meaningless without it: `S` shards are `S` threads
+//! (the bench's own thread steps shard 0), and wherever `S` exceeds the
+//! core count they timeshare and the barrier overhead makes the figure a
+//! slowdown, honestly recorded as such. `--check`
 //! therefore always enforces the `shards=1` no-regression budget, but
 //! only enforces the ≥2× speedup floor at 4 shards when the *current*
 //! host actually has ≥4 cores to scale over.
@@ -124,7 +125,8 @@ struct ShardProfile {
     /// `(max − min) / max` busy time across shards, in percent.
     imbalance_pct: f64,
     /// `BarrierWait` share of all shard-track span time, in percent —
-    /// the number the one-barrier/pipelined protocol exists to shrink.
+    /// the number the one-barrier, no-idle-thread protocol exists to
+    /// shrink.
     barrier_share_pct: f64,
 }
 
@@ -184,9 +186,11 @@ fn write_json(results: &[ShardResult], profile: &ShardProfile, p: &BenchParams) 
     out.push_str(&format!("  \"samples\": {},\n", p.samples));
     out.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
     // Protocol tag: which sharded cycle protocol produced the figures
-    // (two futex barriers per cycle before PR 10, one pipelined spin
-    // barrier after), so recordings across the trajectory stay legible.
-    out.push_str("  \"protocol\": \"spin-barrier-pipelined\",\n");
+    // (two futex barriers per cycle before PR 10; one spin barrier with a
+    // dedicated coordinator thread, S + 1 threads, until PR 18; S threads
+    // with the caller stepping shard 0 since), so recordings across the
+    // trajectory stay legible.
+    out.push_str("  \"protocol\": \"spin-barrier-caller-steps-shard-0\",\n");
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(

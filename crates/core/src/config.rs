@@ -529,10 +529,11 @@ pub struct SimConfig {
     /// `tests/gating_parity.rs`). Turn it off only to measure its own
     /// speedup or to debug the scheduler.
     pub activity_gating: bool,
-    /// Shards a *single* simulation run across worker threads: the router
-    /// graph is partitioned into contiguous per-thread shards that exchange
+    /// Shards a *single* simulation run across threads: the router graph
+    /// is partitioned into contiguous per-thread shards that exchange
     /// cross-shard flits and credits at cycle boundaries (`0` = all
-    /// available parallelism, `1` = serial, the default).
+    /// available parallelism, `1` = serial, the default). The count
+    /// includes the calling thread, which steps shard 0 itself.
     ///
     /// Unlike [`SimConfig::jobs`], which fans out *independent* sweep
     /// points, `shards` parallelises one run. The sharded engine is

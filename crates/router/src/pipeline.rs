@@ -6,6 +6,7 @@ use crate::output::OutputVcs;
 use crate::vc_alloc::{select_output_vc, VcAllocPolicy};
 use crate::RouterEnv;
 use vix_alloc::SwitchAllocator;
+use vix_core::bits::{set_bit, test_bit, words_for};
 use vix_core::{
     ActivityCounters, Cycle, Flit, GrantSet, PipelineKind, PortId, RequestSet, RouterConfig,
     RouterId, SwitchRequest, VcId, VixPartition,
@@ -66,13 +67,15 @@ pub struct Router {
     requests: RequestSet,
     grants: GrantSet,
     traversed: GrantSet,
-    rc_this_cycle: Vec<bool>,
-    bound_this_cycle: Vec<bool>,
-    va_failed_this_cycle: Vec<bool>,
-    /// Snapshot of the input occupancy bitset taken at the top of each
-    /// step; the RC/VA/request sweeps iterate its set bits (occupancy is
-    /// invariant across those stages — only traversal pops flits).
-    occ_scratch: Vec<u64>,
+    /// Per-stage outcome bitsets over flat VC indices, zeroed with one
+    /// store per word at the top of each step.
+    rc_this_cycle: Vec<u64>,
+    bound_this_cycle: Vec<u64>,
+    va_failed_this_cycle: Vec<u64>,
+    /// Snapshot of the inputs' VA-candidate bitset taken at the top of
+    /// each step; the RC and VA sweeps iterate its set bits (VA binds —
+    /// and so clears the live bit of — the very VC it is visiting).
+    va_scratch: Vec<u64>,
     /// Flat VC index → `(port, vc)`, so the sweeps never divide by the
     /// runtime VC count (DESIGN.md §6d).
     flat_to_vc: Vec<(PortId, VcId)>,
@@ -155,10 +158,10 @@ impl Router {
             // that bound keeps the first full-crossbar cycle off the heap.
             grants: GrantSet::with_capacity(cfg.ports()),
             traversed: GrantSet::with_capacity(cfg.ports()),
-            rc_this_cycle: vec![false; total_vcs],
-            bound_this_cycle: vec![false; total_vcs],
-            va_failed_this_cycle: vec![false; total_vcs],
-            occ_scratch: Vec::with_capacity(vix_core::bits::words_for(total_vcs.max(1))),
+            rc_this_cycle: vec![0; words_for(total_vcs.max(1))],
+            bound_this_cycle: vec![0; words_for(total_vcs.max(1))],
+            va_failed_this_cycle: vec![0; words_for(total_vcs.max(1))],
+            va_scratch: Vec::with_capacity(words_for(total_vcs.max(1))),
             flat_to_vc,
             cfg,
         }
@@ -324,29 +327,30 @@ impl Router {
             rc_this_cycle,
             bound_this_cycle,
             va_failed_this_cycle,
-            occ_scratch,
+            va_scratch,
             flat_to_vc,
             ..
         } = self;
 
-        // Snapshot the occupancy bitset once: RC, VA, and the request
-        // build only ever look at VCs that buffer a flit, and none of them
-        // changes occupancy (only traversal pops). Iterating set bits
-        // skips the empty majority of `(port, vc)` pairs at typical loads.
-        occ_scratch.clear();
-        occ_scratch.extend_from_slice(inputs.occupied_words());
+        // Snapshot the VA-candidate bitset once: RC and VA only ever look
+        // at VCs whose head-of-line flit awaits VC allocation, and a VC
+        // leaves that set only by being bound on its own visit. Iterating
+        // set bits skips the established majority of occupied VCs.
+        va_scratch.clear();
+        va_scratch.extend_from_slice(inputs.wants_va_words());
 
         // ---- Route computation stage (five-stage pipeline only): a head
         // flit reaching the front of its VC spends one cycle in RC before
         // becoming a VA candidate. Three-stage routers skip this — the
         // route arrived with the flit (lookahead).
-        rc_this_cycle.fill(false);
+        rc_this_cycle.fill(0);
         if five_stage {
-            for_each_set_in(occ_scratch, 0, total_vcs, &mut |flat| {
+            for_each_set_in(va_scratch, 0, total_vcs, &mut |flat| {
                 let (port, vc) = flat_to_vc[flat];
-                if inputs.needs_va(port, vc) && !inputs.rc_done(port, vc) {
+                debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
+                if !inputs.rc_done(port, vc) {
                     inputs.mark_rc_done(port, vc);
-                    rc_this_cycle[flat] = true;
+                    set_bit(rc_this_cycle, flat);
                 }
             });
         }
@@ -354,15 +358,13 @@ impl Router {
         // ---- VC allocation (with speculative SA run in the same cycle).
         // Candidates are visited in cyclic order from the fairness pointer,
         // exactly as a full `(va_pointer + k) % total_vcs` sweep would.
-        bound_this_cycle.fill(false);
-        va_failed_this_cycle.fill(false);
-        for_each_set_cyclic(occ_scratch, total_vcs, *va_pointer, |flat| {
+        bound_this_cycle.fill(0);
+        va_failed_this_cycle.fill(0);
+        for_each_set_cyclic(va_scratch, total_vcs, *va_pointer, |flat| {
             let (port, vc) = flat_to_vc[flat];
             let (p, v) = (port.0, vc.0);
-            if !inputs.needs_va(port, vc) {
-                return;
-            }
-            if five_stage && rc_this_cycle[flat] {
+            debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
+            if five_stage && test_bit(rc_this_cycle, flat) {
                 return; // RC occupied this cycle; VA starts next cycle
             }
             activity.va_arbitrations += 1;
@@ -375,7 +377,7 @@ impl Router {
             if outputs.is_sink(out_port) {
                 // Ejection: no downstream VC contention to track.
                 inputs.bind_out_vc(port, vc, VcId(0));
-                bound_this_cycle[flat] = true;
+                set_bit(bound_this_cycle, flat);
                 if tel.tracing() {
                     tel.trace(TraceEvent {
                         router,
@@ -399,7 +401,7 @@ impl Router {
                 Some(w) => {
                     outputs.allocate(out_port, w);
                     inputs.bind_out_vc(port, vc, w);
-                    bound_this_cycle[flat] = true;
+                    set_bit(bound_this_cycle, flat);
                     if tel.tracing() {
                         tel.trace(TraceEvent {
                             router,
@@ -413,7 +415,7 @@ impl Router {
                     }
                 }
                 None => {
-                    va_failed_this_cycle[flat] = true;
+                    set_bit(va_failed_this_cycle, flat);
                     tel.count(tel.ids.stall_va_no_free_vc, 1);
                 }
             }
@@ -428,14 +430,14 @@ impl Router {
         // bit plane plus the per-VC output/age — so the allocator's
         // word-parallel kernels start from ready-made request planes.
         requests.clear();
-        for_each_set_in(occ_scratch, 0, total_vcs, &mut |flat| {
+        for_each_set_in(inputs.occupied_words(), 0, total_vcs, &mut |flat| {
             let (port, vc) = flat_to_vc[flat];
             let (p, v) = (port.0, vc.0);
             let head = inputs.head(port, vc).expect("occupied VC has a head");
             let out_port = head.out_port();
             let head_packet = head.packet.id.0;
             match inputs.out_vc(port, vc) {
-                Some(w) if !bound_this_cycle[flat] => {
+                Some(w) if !test_bit(bound_this_cycle, flat) => {
                     // Established packet: request only when a credit
                     // guarantees the traversal.
                     if outputs.can_send(out_port, w) {
@@ -464,7 +466,8 @@ impl Router {
                     // request is speculative. A grant to a VC whose VA
                     // failed is dropped at traversal — the wasted-grant
                     // cost of speculation.
-                    let was_candidate = bound_this_cycle[flat] || va_failed_this_cycle[flat];
+                    let was_candidate =
+                        test_bit(bound_this_cycle, flat) || test_bit(va_failed_this_cycle, flat);
                     if speculation && was_candidate {
                         requests.push(SwitchRequest {
                             port,

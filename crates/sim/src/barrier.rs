@@ -190,8 +190,9 @@ impl SpinBarrier {
 
 /// Poisons `barrier` if the holding thread unwinds while this guard is
 /// live; disarmed on orderly return by being dropped without a panic in
-/// flight. Each sharded-run participant (workers *and* coordinator) holds
-/// one so that any panic releases everyone else from the rendezvous.
+/// flight. Each sharded-run participant (the calling thread and every
+/// spawned shard) holds one so that any panic releases everyone else from
+/// the rendezvous.
 #[derive(Debug)]
 pub(crate) struct PoisonOnPanic<'a>(pub(crate) &'a SpinBarrier);
 

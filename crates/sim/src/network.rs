@@ -469,7 +469,7 @@ impl NetworkSim {
 
     /// Samples a serial-engine health heartbeat when the just-finished
     /// cycle lands on the configured interval. (The sharded engine
-    /// samples from its coordinator instead — see `shard::run_sharded`.)
+    /// samples from its calling thread instead — see `shard::run_sharded`.)
     fn maybe_heartbeat(&mut self) {
         let cycle = self.now.0;
         let every = self.telemetry.profiler().map_or(0, vix_telemetry::Profiler::beat_every);
@@ -1065,11 +1065,13 @@ impl NetworkSim {
         self.shard_weights = None;
     }
 
-    /// Resolves [`SimConfig::shards`] to the worker count a
-    /// [`NetworkSim::run_cycles`] call will actually use: `0` (auto)
-    /// becomes [`std::thread::available_parallelism`] capped so that each
-    /// shard owns at least [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS)
-    /// routers (tiny shards are barrier-dominated), any explicit count is
+    /// Resolves [`SimConfig::shards`] to the thread count a
+    /// [`NetworkSim::run_cycles`] call will actually use — the calling
+    /// thread steps shard 0, so `S` shards are `S` threads, not `S + 1`:
+    /// `0` (auto) becomes [`std::thread::available_parallelism`] capped
+    /// so that each shard owns at least
+    /// [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS) routers (tiny shards
+    /// are barrier-dominated), any explicit count is
     /// clamped to the router count (a shard must own at least one
     /// router), and runs with telemetry recording enabled (tracing or
     /// metrics) fall back to `1` — trace-event order and per-cycle
@@ -1099,7 +1101,7 @@ impl NetworkSim {
 
     /// Advances the simulation by `cycles` cycles, using the sharded
     /// parallel engine when [`NetworkSim::effective_shards`] resolves to
-    /// more than one worker and plain [`NetworkSim::step`] calls
+    /// more than one shard and plain [`NetworkSim::step`] calls
     /// otherwise.
     ///
     /// The sharded engine is bit-identical to serial stepping for every

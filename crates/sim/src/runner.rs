@@ -204,8 +204,8 @@ where
 /// # Errors
 ///
 /// Returns the first configuration error in work-item order (e.g. a
-/// rate exceeding the flit bandwidth). Later items still execute — the
-/// pool does not cancel — but their results are discarded.
+/// rate exceeding the flit bandwidth). The other items still execute —
+/// the pool does not cancel — but their results are discarded.
 ///
 /// [`LoadSweep::run`]: crate::LoadSweep::run
 pub fn run_sweep(
@@ -218,10 +218,29 @@ pub fn run_sweep(
     run_sweep_with_profile(base, pattern, rates, replications, jobs).map(|(points, _)| points)
 }
 
+/// The `shards` setting each of `workers` concurrent sweep jobs runs
+/// with. Left to itself every job would resolve `0` (auto) to the whole
+/// host, `workers` times over; resolved here, once, to one job's share
+/// of the `cores`, the two pools together never start more threads than
+/// cores. A lone worker keeps auto (and its routers-per-shard floor, see
+/// [`NetworkSim::effective_shards`]); an explicit count is the caller's.
+fn shards_per_job(shards: usize, cores: usize, workers: usize) -> usize {
+    if shards == 0 && workers > 1 {
+        (cores / workers).max(1)
+    } else {
+        shards
+    }
+}
+
 /// Like [`run_sweep`], but also returns the merged engine profile when
 /// `base.telemetry.profiling` is on: every point's profiler is absorbed
 /// into one, in deterministic work-item order, so the phase breakdown
 /// covers the whole sweep. `None` when profiling is off.
+///
+/// Work items are *dispatched* longest first — descending rate, ties in
+/// work-item order: a point's cost grows with its load, and a pool that
+/// claims its most expensive items last idles longest at the end — and
+/// scattered back to work-item order before anything reads them.
 ///
 /// # Errors
 ///
@@ -234,13 +253,19 @@ pub fn run_sweep_with_profile(
     jobs: usize,
 ) -> Result<(Vec<SweepPoint>, Option<Box<vix_telemetry::Profiler>>), ConfigError> {
     let items = expand_sweep(base.seed, rates, replications);
+    let workers = resolve_jobs(jobs).min(items.len().max(1));
     vix_telemetry::info!(
         "sweep: {} rates x {} replications across {} workers",
         rates.len(),
         replications,
-        resolve_jobs(jobs).min(items.len().max(1)),
+        workers,
     );
-    let results = parallel_map(jobs, &items, |_, job| {
+    let base = SimConfig { shards: shards_per_job(base.shards, resolve_jobs(0), workers), ..base };
+    let mut dispatch: Vec<usize> = (0..items.len()).collect();
+    // A stable sort: equal rates stay in work-item order.
+    dispatch.sort_by(|&a, &b| items[b].rate.total_cmp(&items[a].rate));
+    let results = parallel_map(jobs, &dispatch, |_, &i| {
+        let job = &items[i];
         vix_telemetry::debug!(
             "sweep job: rate {} replication {} seed {:#018x}",
             job.rate,
@@ -253,9 +278,11 @@ pub fn run_sweep_with_profile(
             (SweepPoint { rate: job.rate, stats }, sink.into_profiler())
         })
     });
+    let mut results: Vec<_> = dispatch.into_iter().zip(results).collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
     let mut points = Vec::with_capacity(results.len());
     let mut profile: Option<Box<vix_telemetry::Profiler>> = None;
-    for result in results {
+    for (_, result) in results {
         let (point, prof) = result?;
         points.push(point);
         if let Some(p) = prof {
@@ -342,19 +369,58 @@ mod tests {
         assert_eq!(got, items);
     }
 
+    /// Rate lists in ascending, descending and shuffled order: dispatch
+    /// is by descending rate, results must come back in list order.
+    const RATE_ORDERS: [[f64; 4]; 3] =
+        [[0.02, 0.05, 0.1, 0.15], [0.15, 0.1, 0.05, 0.02], [0.05, 0.15, 0.02, 0.1]];
+
     #[test]
-    fn run_sweep_is_jobs_invariant() {
-        let rates = [0.02, 0.05, 0.1];
-        let serial = run_sweep(base(), &TrafficPattern::UniformRandom, &rates, 2, 1).unwrap();
-        let parallel = run_sweep(base(), &TrafficPattern::UniformRandom, &rates, 2, 4).unwrap();
-        assert_eq!(serial, parallel, "worker count leaked into results");
-        assert_eq!(serial.len(), 6);
+    fn run_sweep_is_jobs_and_rate_order_invariant() {
+        for rates in RATE_ORDERS {
+            // The reference never sees the pool: one run per work item.
+            let expected: Vec<SweepPoint> = expand_sweep(base().seed, &rates, 2)
+                .iter()
+                .map(|job| {
+                    let cfg = SimConfig { injection_rate: job.rate, ..base() }.with_seed(job.seed);
+                    SweepPoint { rate: job.rate, stats: NetworkSim::build(cfg).unwrap().run() }
+                })
+                .collect();
+            for jobs in [1, 2, 4] {
+                let got = run_sweep(base(), &TrafficPattern::UniformRandom, &rates, 2, jobs);
+                assert_eq!(got.unwrap(), expected, "jobs={jobs}, rates {rates:?}");
+            }
+        }
     }
 
     #[test]
     fn run_sweep_reports_first_error_in_order() {
-        // 0.5 pkt/cycle of 4-flit packets exceeds the flit bandwidth.
-        let err = run_sweep(base(), &TrafficPattern::UniformRandom, &[0.01, 0.5, 0.6], 1, 4);
-        assert!(matches!(err, Err(ConfigError::BadInjectionRate { rate }) if rate == 0.5));
+        // 0.5 and 0.6 pkt/cycle of 4-flit packets exceed the flit
+        // bandwidth; whichever comes first in the list is reported, not
+        // whichever was dispatched or finished first.
+        for (rates, first_bad) in
+            [([0.01, 0.5, 0.6], 0.5), ([0.6, 0.5, 0.01], 0.6), ([0.5, 0.01, 0.6], 0.5)]
+        {
+            for jobs in [1, 2, 4] {
+                let err = run_sweep(base(), &TrafficPattern::UniformRandom, &rates, 1, jobs);
+                assert!(
+                    matches!(err, Err(ConfigError::BadInjectionRate { rate }) if rate == first_bad),
+                    "jobs={jobs}, rates {rates:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_shards_split_the_cores_between_sweep_workers() {
+        // auto on 8 cores: alone it stays auto (the whole host); beside
+        // others, a share — never zero, however large the pool.
+        assert_eq!(shards_per_job(0, 8, 1), 0);
+        assert_eq!(shards_per_job(0, 8, 2), 4);
+        assert_eq!(shards_per_job(0, 8, 3), 2);
+        assert_eq!(shards_per_job(0, 8, 8), 1);
+        assert_eq!(shards_per_job(0, 2, 48), 1);
+        // An explicit count is left alone.
+        assert_eq!(shards_per_job(4, 8, 8), 4);
+        assert_eq!(shards_per_job(1, 8, 1), 1);
     }
 }

@@ -4,40 +4,44 @@
 //! module parallelises *within* one. The router graph is partitioned into
 //! contiguous shards ([`ShardPlan`] — equal-sized by default, or weighted
 //! by per-router cost via [`ShardPlan::weighted`]), each owned by one
-//! worker thread of a [`std::thread::scope`] pool, and the workers advance
-//! in lockstep one cycle at a time. Cross-shard traffic rides the
-//! ≥ 2-cycle link latency as conservative lookahead: everything a boundary
-//! pipe will deliver at cycle `t + 1` is already in flight (and final) by
-//! the end of cycle `t`, so a single end-of-cycle exchange per neighbour
-//! pair is enough and no rollback is ever needed.
+//! thread — shard 0 by the thread that called
+//! [`NetworkSim::run_cycles`], shards `1..S` by a [`std::thread::scope`]
+//! pool — and the `S` threads advance in lockstep one cycle at a time.
+//! Cross-shard traffic rides the ≥ 2-cycle link latency as conservative
+//! lookahead: everything a boundary pipe will deliver at cycle `t + 1` is
+//! already in flight (and final) by the end of cycle `t`, so a single
+//! end-of-cycle exchange per neighbour pair is enough and no rollback is
+//! ever needed.
 //!
 //! # Cycle protocol
 //!
-//! **One barrier per cycle** (a [`SpinBarrier`] over `shards + 1`
-//! participants), with the coordinator pipelined one cycle ahead of the
-//! workers. While the workers execute cycle `t`, the coordinator — the
-//! run's sole RNG and stats owner — concurrently:
+//! **One barrier per cycle** (a [`SpinBarrier`] over `shards`
+//! participants — `S` shards run on `S` threads, never `S + 1`). The
+//! calling thread is the run's sole RNG and stats owner; per cycle `t`,
+//! before it steps shard 0, it does the run's serial duties:
 //!
 //! 1. merges cycle `t − 1`'s ejection records shard-by-shard in ascending
 //!    shard order (which *is* ascending router order, so statistics
 //!    accumulate in exactly the serial order), and
 //! 2. runs phase 1 traffic generation for cycle `t + 1` in serial node
-//!    order, batching each shard's packets into a coordinator-owned
-//!    staging buffer that is swapped into the shared slot with **one**
-//!    lock acquisition per shard per cycle.
+//!    order — one cycle ahead, so shards `1..S` never wait for it —
+//!    batching each shard's packets into a caller-owned staging buffer
+//!    that is swapped into the shared slot with **one** lock acquisition
+//!    per shard per cycle.
 //!
 //! Then everybody meets at the single end-of-cycle barrier and the next
 //! cycle begins. The lookahead is safe because the inputs of cycle `t`
 //! were fully staged before `t` started: cycle `start`'s packets are
-//! generated before the workers are spawned, and cycle `t + 1`'s are
-//! final at the barrier that closes `t` — a worker never observes a
+//! generated before the other shards are spawned, and cycle `t + 1`'s are
+//! final at the barrier that closes `t` — a shard never observes a
 //! staging buffer mid-write.
 //!
-//! Workers, per cycle `t`: drain staged packets and inbound cross-shard
-//! mailboxes, execute the shard-local copy of the serial step (gated or
-//! ungated, phases 2–5), then pop every boundary pipe up to `t + 1` into
-//! the destination shard's mailbox for the next cycle, and publish the
-//! cycle's ejection records. — *barrier* —
+//! Every shard, per cycle `t` (`ShardWorker::run_cycle`, the one body
+//! the calling thread and the spawned threads share): drain staged
+//! packets and inbound cross-shard mailboxes, execute the shard-local
+//! copy of the serial step (gated or ungated, phases 2–5), then pop every
+//! boundary pipe up to `t + 1` into the destination shard's mailbox for
+//! the next cycle, and publish the cycle's ejection records. — *barrier* —
 //!
 //! Mailboxes, staging slots, and record slots are all double-buffered by
 //! cycle parity, so the side that fills a cycle-`t + 1` buffer never
@@ -45,11 +49,11 @@
 //! the protocol is uncontended by construction and acquired at most once
 //! per shard per cycle.
 //!
-//! A panicking participant (worker or coordinator) poisons the barrier
-//! through a `PoisonOnPanic` guard instead of leaving everyone else
-//! blocked; survivors observe the poison at their next wait, unwind, and
-//! the original panic propagates out of `run_sharded` as a clean
-//! re-thrown join failure.
+//! A panicking participant poisons the barrier through a `PoisonOnPanic`
+//! guard instead of leaving everyone else blocked; survivors observe the
+//! poison at their next wait and unwind. A shard-0 (or duties) panic
+//! unwinds straight out of the scope on the calling thread; a spawned
+//! shard's comes back through its `join` and is re-thrown there.
 //!
 //! # Determinism
 //!
@@ -58,7 +62,7 @@
 //! configurations). The proof obligations, spelled out in DESIGN.md §8:
 //!
 //! * **One RNG, one owner** — traffic generation never leaves the
-//!   coordinator, so the random stream is byte-for-byte the serial one
+//!   calling thread, so the random stream is byte-for-byte the serial one
 //!   regardless of shard count; shard seeds are never derived.
 //! * **Interchangeable delivery order** — distinct pipes feed disjoint
 //!   `(port, vc)` buffers and credits are commutative counter
@@ -77,7 +81,7 @@
 //! rebuilt from pipe contents ([`Pipe::dues`]), so a simulation can move
 //! freely between the serial and sharded schedulers mid-run.
 
-use crate::barrier::{PoisonOnPanic, SpinBarrier, SpinWaiter};
+use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::channel::Pipe;
 use crate::network::{
     CreditDest, EjectedPacket, GatingState, NetworkSim, WakeEvent, WAKE_RING,
@@ -274,7 +278,7 @@ struct CreditBoundary {
 }
 
 /// One ejection as the serial path would have recorded it into
-/// [`NetworkStats`]; replayed by the coordinator in merge order.
+/// [`NetworkStats`]; replayed by the calling thread in merge order.
 #[derive(Debug, Clone, Copy)]
 struct StatRecord {
     source: NodeId,
@@ -283,8 +287,8 @@ struct StatRecord {
     at: Cycle,
 }
 
-/// One cycle's observable output of one shard, swapped to the
-/// coordinator through a `Mutex` (uncontended: the two sides touch it in
+/// One cycle's observable output of one shard, swapped to the merging
+/// thread through a `Mutex` (uncontended: the two sides touch it in
 /// barrier-separated windows).
 #[derive(Debug, Default)]
 struct CycleOut {
@@ -319,7 +323,20 @@ impl Mailboxes {
     }
 }
 
-/// One worker thread's owned slice of the network plus its private
+/// What the shards of one sharded stretch share: the rendezvous, the
+/// parity-double-buffered exchange slots, and the health board.
+struct Stretch<'a> {
+    end: u64,
+    panic_inject: Option<(u64, usize)>,
+    barrier: &'a SpinBarrier,
+    mail: &'a Mailboxes,
+    staged: &'a [Vec<Mutex<Vec<PacketDescriptor>>>; 2],
+    outs: &'a [Vec<Mutex<CycleOut>>; 2],
+    board: Option<&'a HealthBoard>,
+    beat_every: u64,
+}
+
+/// One shard's owned slice of the network plus its private
 /// scheduler state. Router, pipe, and source indices arriving from
 /// shared structures are global; the `router_off` / `node_off` offsets
 /// translate them into the local slices.
@@ -348,12 +365,14 @@ struct ShardWorker<'a> {
     /// engine (see [`NetworkSim::effective_shards`]).
     sink: TelemetrySink,
     /// This shard's engine self-profiler (its own flame track), sharing
-    /// the coordinator's epoch; `None` when profiling is off. Profiling
+    /// the engine track's epoch; `None` when profiling is off. Profiling
     /// only reads the host clock, so — unlike the recording sink above —
     /// it runs fine under the sharded engine.
     prof: Option<Box<Profiler>>,
     recs: Vec<StatRecord>,
     ejects: Vec<EjectedPacket>,
+    /// This shard's private sense flag for the cycle barrier.
+    waiter: SpinWaiter,
 }
 
 impl ShardWorker<'_> {
@@ -382,7 +401,7 @@ impl ShardWorker<'_> {
     /// heartbeat-cycle gauges (router steps, wake-calendar depth,
     /// buffered flits) when cycle `t` closes a heartbeat interval. Runs
     /// before the end-of-cycle barrier, which orders the stores ahead of
-    /// the coordinator's reads.
+    /// the heartbeat's reads.
     fn publish_health(&self, board: &HealthBoard, t: u64, beat_every: u64) {
         let Some(p) = &self.prof else { return };
         let (busy, barrier) = p.own_busy_barrier_ns();
@@ -454,31 +473,27 @@ impl ShardWorker<'_> {
         }
     }
 
-    /// Executes this shard's part of cycle `t` (the window between two
-    /// end-of-cycle barriers). `staged` and `out_slot` are the cycle-`t`
-    /// parity slots: the coordinator filled `staged` before cycle `t`
-    /// began (one cycle ahead) and will drain `out_slot` during cycle
-    /// `t + 1`, so neither lock is ever contended.
-    /// `last` marks the final cycle of the sharded stretch: its boundary
-    /// scan is skipped so cycle-`t + 1` deliveries stay in their pipes —
-    /// there is no cycle `t + 1` in this run to drain the mailboxes, and
-    /// whichever engine continues (serial stepping or the next sharded
-    /// stretch's pre-scan) delivers straight from the pipes.
-    fn run_cycle(
-        &mut self,
-        t: u64,
-        last: bool,
-        mail: &Mailboxes,
-        staged: &Mutex<Vec<PacketDescriptor>>,
-        out_slot: &Mutex<CycleOut>,
-    ) {
+    /// One participant's whole cycle `t` — this shard's part of it, then
+    /// the end-of-cycle barrier — run alike by the calling thread (shard
+    /// 0) and the spawned ones. The cycle-`t` parity slots are never
+    /// contended: `staged` was filled before cycle `t` began and `outs` is
+    /// drained during cycle `t + 1`. The stretch's final cycle skips the
+    /// boundary scan: there is no cycle `t + 1` in this run to drain the
+    /// mailboxes, and whichever engine continues (serial stepping or the
+    /// next stretch's pre-scan) delivers straight from the pipes.
+    fn run_cycle(&mut self, t: u64, sh: &Stretch<'_>) -> Result<(), BarrierPoisoned> {
+        if sh.panic_inject == Some((t, self.idx)) {
+            panic!("injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}", self.idx);
+        }
         let now = Cycle(t);
         let gated = self.cfg.activity_gating;
+        let parity = (t % 2) as usize;
         // Profiling lap chain: staged/mailbox drains and the boundary
         // scan are `Exchange`; the step phases lap themselves.
         let mut span = self.sp_start();
 
-        // 0. Packets the coordinator generated for this cycle (phase 1).
+        // 0. Packets generated for this cycle one cycle ago (phase 1).
+        let staged = &sh.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
             self.sources[packet.source.0 - self.node_off].enqueue(packet);
         }
@@ -486,14 +501,13 @@ impl ShardWorker<'_> {
         // 1. Inbound cross-shard deliveries due this cycle. Flit
         // deliveries wake the receiving router exactly as a calendar
         // event would; credits follow the credit-no-wake rule.
-        let parity = (t % 2) as usize;
         for src in 0..self.plan.shards() {
             if src == self.idx {
                 continue;
             }
             {
                 let mut inbox =
-                    mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
+                    sh.mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
                 for (down, port, flit) in inbox.drain(..) {
                     self.routers[down.0 - self.router_off].accept_flit(port, flit);
                     if gated {
@@ -507,7 +521,7 @@ impl ShardWorker<'_> {
                 }
             }
             let mut inbox =
-                mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
+                sh.mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
             for (up, port, vc) in inbox.drain(..) {
                 self.routers[up.0 - self.router_off].credit_return(port, vc);
             }
@@ -518,55 +532,63 @@ impl ShardWorker<'_> {
         // 2–5. The serial step restricted to this shard.
         span = if gated { self.step_gated(now, span) } else { self.step_ungated(now, span) };
 
-        // 6. Boundary scan: everything a cross-shard pipe will deliver
-        // at `t + 1` is final now (this cycle's pushes are due ≥ t + 2,
-        // since every inter-router pipe has ≥ 2 cycles of latency), so
-        // hand it to the destination shard's next-cycle mailbox.
-        if last {
-            let mut slot = out_slot.lock().expect("coordinator not panicked");
+        // 6. Boundary scan — skipped on the stretch's final cycle.
+        if t + 1 < sh.end {
+            self.boundary_scan(t + 1, sh.mail);
+        }
+
+        // 7. Publish this cycle's records for the calling thread's merge.
+        // The swap gets back the vectors it drained last cycle, keeping
+        // the steady state allocation-free.
+        {
+            let mut slot = sh.outs[parity][self.idx].lock().expect("merger not panicked");
             std::mem::swap(&mut slot.recs, &mut self.recs);
             std::mem::swap(&mut slot.ejects, &mut self.ejects);
-            drop(slot);
-            self.sp_lap(SpanKind::Exchange, t, span);
-            return;
         }
-        let next_parity = ((t + 1) % 2) as usize;
+        self.sp_lap(SpanKind::Exchange, t, span);
+        if let Some(board) = sh.board {
+            self.publish_health(board, t, sh.beat_every);
+        }
+        // — the end-of-cycle barrier —
+        let span = self.sp_start();
+        sh.barrier.wait(&mut self.waiter)?;
+        self.sp_lap(SpanKind::BarrierWait, t, span);
+        Ok(())
+    }
+
+    /// Hands everything this shard's cross-shard pipes deliver at cycle
+    /// `due` to the destination shards' mailboxes for that cycle. It is
+    /// final at the end of cycle `due − 1`: that cycle's own pushes are
+    /// due ≥ `due + 1`, since every inter-router pipe has ≥ 2 cycles of
+    /// latency.
+    fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) {
+        let parity = (due % 2) as usize;
         for b in &self.flit_boundary {
             let pipe = self.flit_pipes[b.from - self.router_off][b.port]
                 .as_mut()
                 .expect("boundary port is connected");
-            if !pipe.has_ready(Cycle(t + 1)) {
+            if !pipe.has_ready(Cycle(due)) {
                 continue;
             }
-            let mut outbox = mail.flits[next_parity][b.dst_shard][self.idx]
+            let mut outbox = mail.flits[parity][b.dst_shard][self.idx]
                 .lock()
                 .expect("receiver not panicked");
-            while let Some(flit) = pipe.pop_ready(Cycle(t + 1)) {
+            while let Some(flit) = pipe.pop_ready(Cycle(due)) {
                 outbox.push((b.down, b.down_port, flit));
             }
         }
         for b in &self.credit_boundary {
             let pipe = &mut self.credit_pipes[b.from - self.router_off][b.port];
-            if !pipe.has_ready(Cycle(t + 1)) {
+            if !pipe.has_ready(Cycle(due)) {
                 continue;
             }
-            let mut outbox = mail.credits[next_parity][b.dst_shard][self.idx]
+            let mut outbox = mail.credits[parity][b.dst_shard][self.idx]
                 .lock()
                 .expect("receiver not panicked");
-            while let Some(vc) = pipe.pop_ready(Cycle(t + 1)) {
+            while let Some(vc) = pipe.pop_ready(Cycle(due)) {
                 outbox.push((b.up, b.up_port, vc));
             }
         }
-
-        // 7. Hand this cycle's records to the coordinator. The swap gets
-        // back the vectors the coordinator drained last cycle, keeping
-        // the steady state allocation-free.
-        {
-            let mut slot = out_slot.lock().expect("coordinator not panicked");
-            std::mem::swap(&mut slot.recs, &mut self.recs);
-            std::mem::swap(&mut slot.ejects, &mut self.ejects);
-        }
-        self.sp_lap(SpanKind::Exchange, t, span);
     }
 
     /// Phases 2–5 of the ungated serial step over this shard's routers.
@@ -849,7 +871,7 @@ impl ShardWorker<'_> {
 /// statistics, in shard order = ascending router order = serial order.
 fn merge_cycle(outs: &[Mutex<CycleOut>], stats: &mut NetworkStats, ejected: &mut Vec<EjectedPacket>) {
     for slot in outs {
-        let mut out = slot.lock().expect("worker not panicked");
+        let mut out = slot.lock().expect("shard not panicked");
         for rec in out.recs.drain(..) {
             stats.record_ejection(rec.source, rec.is_tail, rec.created_at, rec.at);
         }
@@ -857,17 +879,17 @@ fn merge_cycle(outs: &[Mutex<CycleOut>], stats: &mut NetworkStats, ejected: &mut
     }
 }
 
-/// Phase 1 traffic generation for cycle `u`, run by the coordinator one
-/// cycle ahead of the workers. Draws from the run's single RNG in serial
-/// node order — so the random stream, packet-id sequence, and
+/// Phase 1 traffic generation for cycle `u`, run by the calling thread
+/// one cycle ahead of the shards. Draws from the run's single RNG in
+/// serial node order — so the random stream, packet-id sequence, and
 /// offered-packet count are exactly what the serial `step()` for cycle
 /// `u` would produce — batching each shard's packets into a
-/// coordinator-owned buffer that is then swapped into the shared staging
+/// caller-owned buffer that is then swapped into the shared staging
 /// slot with one lock acquisition per (non-idle) shard.
 ///
 /// The caller guarantees `u < warmup + measure` (generation stops with
 /// the serial schedule) and that slot `staged[...]` was drained by its
-/// worker two cycles ago, so the swap hands back an empty vector and the
+/// shard two cycles ago, so the swap hands back an empty vector and the
 /// steady state stays allocation-free.
 #[allow(clippy::too_many_arguments)]
 fn generate_cycle(
@@ -905,11 +927,12 @@ fn generate_cycle(
         if buf.is_empty() {
             continue;
         }
-        std::mem::swap(&mut *slot.lock().expect("worker not panicked"), buf);
+        std::mem::swap(&mut *slot.lock().expect("shard not panicked"), buf);
     }
 }
 
-/// Advances `sim` by `cycles` cycles across `shards` worker threads,
+/// Advances `sim` by `cycles` cycles across `shards` threads — this one,
+/// which steps shard 0, plus `shards − 1` spawned ones —
 /// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
@@ -925,7 +948,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         None => ShardPlan::new(sim.topology.as_ref(), shards),
     };
     // Test-only fault hook: `VIX_SHARD_PANIC_AT=cycle:shard` makes that
-    // worker panic at the top of that cycle, exercising the barrier
+    // shard panic at the top of that cycle, exercising the barrier
     // poisoning path end-to-end (tests/shard_panic.rs).
     let panic_inject: Option<(u64, usize)> = std::env::var("VIX_SHARD_PANIC_AT")
         .ok()
@@ -976,35 +999,11 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         }
     }
 
-    // Pre-scan: deliveries already due at `start` on boundary pipes
-    // would normally have been exchanged at the end of cycle `start − 1`
-    // (which ran under a different scheduler), so stage them now.
     let mail = Mailboxes::new(shards);
-    let parity0 = (start % 2) as usize;
-    for s in 0..shards {
-        for b in &flit_boundary[s] {
-            let pipe = sim.flit_pipes[b.from][b.port].as_mut().expect("boundary port connected");
-            while let Some(flit) = pipe.pop_ready(Cycle(start)) {
-                mail.flits[parity0][b.dst_shard][s]
-                    .lock()
-                    .expect("unshared yet")
-                    .push((b.down, b.down_port, flit));
-            }
-        }
-        for b in &credit_boundary[s] {
-            let pipe = &mut sim.credit_pipes[b.from][b.port];
-            while let Some(vc) = pipe.pop_ready(Cycle(start)) {
-                mail.credits[parity0][b.dst_shard][s]
-                    .lock()
-                    .expect("unshared yet")
-                    .push((b.up, b.up_port, vc));
-            }
-        }
-    }
 
-    // Engine self-profiling: each worker gets its own span track (no
+    // Engine self-profiling: each shard gets its own span track (no
     // sharing, no locks on the hot path); health gauges ride a lock-free
-    // atomic board the coordinator samples on the heartbeat interval.
+    // atomic board the calling thread samples on the heartbeat interval.
     let profiling = sim.telemetry.profiling();
     let epoch = sim.telemetry.profiler().map(vix_telemetry::Profiler::epoch);
     let span_cap = if profiling {
@@ -1074,6 +1073,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
                     .map(|e| Box::new(Profiler::for_shard(s as u32, e, span_cap, 0, false))),
                 recs: Vec::new(),
                 ejects: Vec::new(),
+                waiter: SpinWaiter::new(),
             });
         }
     }
@@ -1085,11 +1085,18 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             w.rebuild_calendar();
         }
     }
+    // Pre-scan: deliveries already due at `start` on boundary pipes
+    // would normally have been exchanged at the end of cycle `start − 1`
+    // (which ran under a different scheduler), so stage them now.
+    for w in &mut workers {
+        w.boundary_scan(start, &mail);
+    }
 
     // Staging and record slots are double-buffered by cycle parity, like
-    // the mailboxes: the coordinator fills `staged[(t + 1) % 2]` and
-    // drains `outs[(t - 1) % 2]` while the workers touch only the `t % 2`
-    // slots, so every lock is uncontended and taken once per cycle.
+    // the mailboxes: during cycle `t` the calling thread's duties fill
+    // `staged[(t + 1) % 2]` and drain `outs[(t - 1) % 2]` while the shards
+    // touch only the `t % 2` slots, so every lock is uncontended and
+    // taken once per cycle.
     let staged: [Vec<Mutex<Vec<PacketDescriptor>>>; 2] = [
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -1099,11 +1106,21 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         (0..shards).map(|_| Mutex::new(CycleOut::default())).collect(),
     ];
     let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
-    let barrier = SpinBarrier::new(shards + 1);
+    let barrier = SpinBarrier::new(shards);
     let warm_plus_measure = sim.cfg.warmup + sim.cfg.measure;
+    let sh = Stretch {
+        end,
+        panic_inject,
+        barrier: &barrier,
+        mail: &mail,
+        staged: &staged,
+        outs: &outs,
+        board: board.as_ref(),
+        beat_every,
+    };
 
-    // Pipeline fill: cycle `start`'s packets are staged before the
-    // workers exist (spawning publishes them), so the in-loop generation
+    // Pipeline fill: cycle `start`'s packets are staged before the other
+    // shards exist (spawning publishes them), so the in-loop generation
     // can run one cycle ahead from the very first barrier.
     if start < warm_plus_measure {
         generate_cycle(
@@ -1120,45 +1137,32 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         );
     }
 
+    let mut workers = workers.into_iter();
+    let mut shard0 = workers.next().expect("a sharded stretch has at least two shards");
     let finished: Vec<ShardWorker> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards - 1);
         for mut w in workers {
-            let (barrier, mail, staged, outs) = (&barrier, &mail, &staged, &outs);
-            let board = &board;
+            let sh = &sh;
             handles.push(scope.spawn(move || {
                 // A panic anywhere in the cycle body poisons the barrier
-                // on unwind, releasing the coordinator and the other
-                // shards instead of deadlocking them.
-                let _poison = PoisonOnPanic(barrier);
-                let mut waiter = SpinWaiter::new();
+                // on unwind, releasing the other shards instead of
+                // deadlocking them.
+                let _poison = PoisonOnPanic(sh.barrier);
                 for t in start..end {
-                    if panic_inject == Some((t, w.idx)) {
-                        panic!(
-                            "injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}",
-                            w.idx
-                        );
-                    }
-                    let parity = (t % 2) as usize;
-                    w.run_cycle(t, t + 1 == end, mail, &staged[parity][w.idx], &outs[parity][w.idx]);
-                    if let Some(b) = board.as_ref() {
-                        w.publish_health(b, t, beat_every);
-                    }
-                    let sp = w.sp_start();
-                    if barrier.wait(&mut waiter).is_err() {
+                    if w.run_cycle(t, sh).is_err() {
                         break;
                     }
-                    w.sp_lap(SpanKind::BarrierWait, t, sp);
                 }
                 w
             }));
         }
-        // Coordinator: the stats/RNG owner, pipelined one cycle ahead.
-        // While the workers execute cycle `t` it merges cycle `t − 1`'s
-        // records and generates cycle `t + 1`'s traffic with the run's
-        // single RNG in exact serial order, so the random stream and
-        // packet-id sequence are shard-count-invariant.
+        // This thread: the stats/RNG owner, and shard 0. Before stepping
+        // cycle `t` it merges cycle `t − 1`'s records and generates cycle
+        // `t + 1`'s traffic with the run's single RNG in exact serial
+        // order, so the random stream and packet-id sequence are
+        // shard-count-invariant. The guard covers duties and shard 0's
+        // step alike: either panic unwinds straight out of the scope.
         let _poison = PoisonOnPanic(&barrier);
-        let mut waiter = SpinWaiter::new();
         let mut poisoned = false;
         for t in start..end {
             let mut csp = sim.telemetry.span_start();
@@ -1183,15 +1187,14 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
                     &mut gen_bufs,
                     &staged[((t + 1) % 2) as usize],
                 );
-                csp = sim.telemetry.span_lap(SpanKind::TrafficGen, t, csp);
+                sim.telemetry.span_lap(SpanKind::TrafficGen, t, csp);
             }
-            if barrier.wait(&mut waiter).is_err() {
+            if shard0.run_cycle(t, &sh).is_err() {
                 poisoned = true;
                 break;
             }
-            sim.telemetry.span_lap(SpanKind::BarrierWait, t, csp);
             if beat_every > 0 && (t + 1).is_multiple_of(beat_every) {
-                if let Some(b) = board.as_ref() {
+                if let Some(b) = sh.board {
                     let busy = HealthBoard::read(&b.busy_ns);
                     let barrier_ns = HealthBoard::read(&b.barrier_ns);
                     let shard_cum: Vec<(u64, u64)> =
@@ -1210,21 +1213,18 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         if !poisoned {
             merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
         }
-        let mut finished = Vec::with_capacity(shards);
+        let mut finished = vec![shard0];
         for h in handles {
             match h.join() {
                 Ok(w) => finished.push(w),
-                // Re-throw the worker's panic on the coordinator thread;
-                // the barrier is already poisoned, so the remaining
-                // workers have unwound (or will at their next wait) and
-                // the scope can close.
+                // Re-throw the shard's panic on this thread; the barrier
+                // is already poisoned, so the remaining shards have
+                // unwound (or will at their next wait) and the scope can
+                // close.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        assert!(
-            !poisoned,
-            "shard barrier poisoned but every worker joined cleanly"
-        );
+        assert!(!poisoned, "shard barrier poisoned but every shard joined cleanly");
         finished
     });
 

@@ -43,8 +43,8 @@ use std::time::Instant;
 /// takes 0 ns; the last bucket takes everything ≥ 2^22 ns ≈ 4 ms).
 pub const NS_BUCKETS: usize = 23;
 
-/// Track id used for the serial engine / the sharded coordinator.
-/// Shard workers use their shard index as the track id.
+/// Track id used for the serial engine / the sharded run's serial
+/// duties. Shards use their shard index as the track id.
 pub const ENGINE_TRACK: u32 = u32::MAX;
 
 /// The instrumented engine phases.
@@ -54,14 +54,15 @@ pub const ENGINE_TRACK: u32 = u32::MAX;
 /// and credit delivery into one wake-calendar drain, recorded as
 /// `Deliver`. Sharded runs additionally record `Exchange` (staged
 /// packets, cross-shard mailboxes, boundary scan) and one `BarrierWait`
-/// per cycle on every worker (the single end-of-cycle spin barrier),
-/// plus `TrafficGen` (pipelined one cycle ahead), `StatsMerge`, and
-/// `BarrierWait` on the coordinator track.
+/// per cycle on every shard's track (the single end-of-cycle spin
+/// barrier), plus `TrafficGen` (one cycle ahead) and `StatsMerge` — the
+/// calling thread's serial duties, and nothing else — on the engine
+/// track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
     /// Phase 1: per-node traffic generation (serial engine) or the
-    /// coordinator's generation pass (sharded engine).
+    /// calling thread's generation pass (sharded engine).
     TrafficGen = 0,
     /// Phase 2: source-queue head flits offered to injection links.
     SourceInject = 1,
@@ -75,10 +76,10 @@ pub enum SpanKind {
     /// Sharded engine: staged-packet drain, cross-shard mailbox drain,
     /// and the boundary scan that refills neighbour mailboxes.
     Exchange = 5,
-    /// Coordinator: merging a finished cycle's worker outputs into the
-    /// run statistics.
+    /// Sharded engine: merging a finished cycle's per-shard outputs into
+    /// the run statistics.
     StatsMerge = 6,
-    /// Time spent at the end-of-cycle barrier (worker and coordinator):
+    /// Time a shard spent at the end-of-cycle barrier,
     /// spinning/yielding for stragglers. The share of wall-clock spent
     /// here is the shard engine's synchronization + imbalance cost.
     BarrierWait = 7,
@@ -241,7 +242,7 @@ impl SpanRing {
 }
 
 /// Per-track profile state: the histogram slots and the span ring for
-/// one execution track (the engine/coordinator or one shard worker).
+/// one execution track (the engine track or one shard).
 #[derive(Debug, Clone)]
 struct TrackProf {
     track: u32,
@@ -374,9 +375,9 @@ impl SimHealth {
     }
 }
 
-/// Lock-free publication board for sharded health sampling: workers
+/// Lock-free publication board for sharded health sampling: shards
 /// store cumulative counters before the end-of-cycle barrier, the
-/// coordinator reads them after it. The barrier provides the ordering,
+/// calling thread reads them after it. The barrier provides the ordering,
 /// so `Relaxed` atomics are sufficient — the board never synchronizes
 /// anything itself.
 #[derive(Debug)]
@@ -420,7 +421,7 @@ impl HealthBoard {
         self.buffered_flits[shard].store(buffered, Ordering::Relaxed);
     }
 
-    /// Reads one column of the board (coordinator side, after the
+    /// Reads one column of the board (heartbeat side, after the
     /// cycle barrier).
     #[must_use]
     pub fn read(v: &[AtomicU64]) -> Vec<u64> {
@@ -429,7 +430,7 @@ impl HealthBoard {
 }
 
 /// The engine self-profiler: one instance per execution track, merged
-/// into the coordinator's instance when a sharded run finishes.
+/// into the engine track's instance when a sharded run finishes.
 ///
 /// ```
 /// use vix_telemetry::prof::{Profiler, SpanKind, ENGINE_TRACK};
@@ -463,7 +464,7 @@ impl Profiler {
         Profiler::for_shard(track, Instant::now(), span_capacity, beat_every, stream)
     }
 
-    /// A worker-track profiler sharing the coordinator's `epoch`, so
+    /// A shard-track profiler sharing the engine track's `epoch`, so
     /// span timestamps from every track live on one timeline.
     #[must_use]
     pub fn for_shard(
@@ -768,7 +769,7 @@ impl Profiler {
     }
 }
 
-/// Chrome-trace thread id for a track: the engine/coordinator is tid 0,
+/// Chrome-trace thread id for a track: the engine track is tid 0,
 /// shard `s` is tid `s + 1`.
 fn chrome_tid(track: u32) -> u32 {
     if track == ENGINE_TRACK {

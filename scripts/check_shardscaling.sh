@@ -10,10 +10,15 @@
 # a note (the comparison itself lives in the bench's `--check` mode).
 #
 # The recorded profile section carries `barrier_share_pct` — the share
-# of worker span time spent at the single end-of-cycle spin barrier
-# (DESIGN.md §8's pipelined protocol). A regression that reintroduces
-# coordinator work on the critical path shows up there before it shows
-# up in wall clock, so eyeball that figure when regenerating.
+# of shard span time spent at the single end-of-cycle spin barrier
+# (DESIGN.md §8). S shards run on S threads: the calling thread merges
+# statistics, generates traffic and then steps shard 0, so those two
+# duties ARE on shard 0's critical path (2-3 % of its saturated cycle).
+# A regression that fattens them, or that puts a thread back which only
+# waits, shows up in that figure and in the recorded `imbalance_pct`
+# before it shows up in wall clock, so eyeball both when regenerating —
+# and read them through `host_cores`: with fewer cores than shards they
+# measure the host's scheduler, not the protocol.
 #
 # Regenerate the recorded figures after an intentional perf change with:
 #   cargo bench -p vix-bench --bench shardscaling

@@ -30,9 +30,10 @@ echo "==> cargo test -q --release --test shard_parity --test determinism"
 cargo test -q --release --test shard_parity --test determinism
 
 # Barrier/panic contract: the sense-reversing spin barrier must survive
-# tens of thousands of reuses and oversubscription, and a worker panic
-# must poison the barrier and propagate as a clean join failure instead
-# of deadlocking the coordinator. Re-run by name for the same reason.
+# tens of thousands of reuses and oversubscription, and a panic in any
+# shard — shard 0 on the calling thread or a spawned one — must poison
+# the barrier and propagate out of run_cycles instead of deadlocking the
+# others. Re-run by name for the same reason.
 echo "==> cargo test -q --release --test spin_barrier --test shard_panic"
 cargo test -q --release --test spin_barrier --test shard_panic
 
@@ -92,6 +93,12 @@ scripts/check_hotpath.sh
 # reproduce the recorded seed-2014 sim_digests with no failed run.
 echo "==> scripts/check_benchmark_identity.sh"
 scripts/check_benchmark_identity.sh
+
+# The benchmark is its own offline crate and workspace, so nothing above
+# compiles it: run its unit tests here so a library change that breaks
+# its use of the public API fails before the benchmark pipeline does.
+echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

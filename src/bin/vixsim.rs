@@ -30,9 +30,10 @@
 //! profiling composes with `--shards`: that is where the per-shard
 //! busy/barrier balance comes from.
 //!
-//! `--shards auto` picks the shard count from the host's available
-//! parallelism (capped so each shard owns enough routers to amortize the
-//! cycle barrier). `--shard-weights FILE` reads one relative cost per
+//! `--shards N` runs one simulation on `N` threads, the calling one
+//! included; `auto` picks `N` from the host's available parallelism
+//! (capped so each shard owns enough routers to amortize the cycle
+//! barrier; inside a `--jobs J` sweep, each point's share `cores / J`). `--shard-weights FILE` reads one relative cost per
 //! router (whitespace-separated floats, `#` comments) and cuts the
 //! contiguous shard partition so per-shard weight — not router count —
 //! is balanced; feed it per-router utilization or a prior run's profiler
@@ -117,10 +118,11 @@ const USAGE: &str = "usage: vixsim [options]
   --seed <n>
   --jobs <n>                       sweep worker threads; 0 = all cores
                                    (default 0; results identical for any value)
-  --shards <n|auto>                worker threads inside each simulation;
-                                   auto (= 0) picks from the host's cores
-                                   (default 1; results identical for any
-                                   value — DESIGN.md §8)
+  --shards <n|auto>                threads inside each simulation, the
+                                   calling one included; auto (= 0) is one
+                                   per core, split between the --jobs
+                                   workers of a sweep (default 1; results
+                                   identical for any value — DESIGN.md §8)
   --shard-weights <file>           per-router cost weights for the shard
                                    partition, one float per router
                                    (whitespace-separated, # comments);

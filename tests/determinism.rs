@@ -103,14 +103,14 @@ fn sweeps_are_invariant_over_the_shards_x_jobs_grid() {
                 .to_vec()
         };
         let reference = sweep(1, 1);
-        for shards in [2, 4] {
-            for jobs in [1, 2] {
-                assert_eq!(
-                    sweep(shards, jobs),
-                    reference,
-                    "{kind:?}: shards={shards} x jobs={jobs} leaked into sweep results"
-                );
-            }
+        // The last cell is `shards = auto` under a two-worker pool: the
+        // sweep resolves it to each job's share of the cores.
+        for (shards, jobs) in [(2, 1), (2, 2), (4, 1), (4, 2), (0, 2)] {
+            assert_eq!(
+                sweep(shards, jobs),
+                reference,
+                "{kind:?}: shards={shards} x jobs={jobs} leaked into sweep results"
+            );
         }
     }
 }

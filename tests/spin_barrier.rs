@@ -67,8 +67,9 @@ fn oversubscribed_rounds_never_tear() {
     assert_eq!(phase.load(Ordering::Relaxed), ROUNDS as u64 * threads);
 }
 
-/// The shard-engine topology: N workers plus a coordinator meeting at
-/// one barrier per cycle, with one worker panicking mid-run. Everyone
+/// The shard-engine topology: spawned threads plus the thread that
+/// spawned them meeting at one barrier per cycle (here the spawner only
+/// waits, the worst case), with one worker panicking mid-run. Everyone
 /// else must unwind promptly via the poison instead of deadlocking —
 /// the same path `tests/shard_panic.rs` drives through the full engine.
 #[test]

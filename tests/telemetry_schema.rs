@@ -339,7 +339,7 @@ fn profiled_sharded_chrome_trace_has_per_shard_tracks() {
         .expect("top-level `traceEvents` array");
 
     let mut track_names: HashMap<u64, String> = HashMap::new();
-    let mut span_tids: HashSet<u64> = HashSet::new();
+    let mut span_names: HashSet<(u64, String)> = HashSet::new();
     let mut counters = 0usize;
     for ev in events {
         let ph = ev.get("ph").and_then(JsonValue::as_str).expect("every event has `ph`");
@@ -361,7 +361,8 @@ fn profiled_sharded_chrome_trace_has_per_shard_tracks() {
                 // flame track out.
                 assert!(ev.get("ts").and_then(JsonValue::as_f64).is_some(), "X event has ts");
                 assert!(ev.get("dur").and_then(JsonValue::as_f64).is_some(), "X event has dur");
-                span_tids.insert(tid);
+                let name = ev.get("name").and_then(JsonValue::as_str).expect("X event has name");
+                span_names.insert((tid, name.to_owned()));
             }
             "C" => counters += 1,
             other => panic!("unexpected phase {other:?} in profile trace"),
@@ -369,8 +370,17 @@ fn profiled_sharded_chrome_trace_has_per_shard_tracks() {
     }
     assert_eq!(track_names.get(&1).map(String::as_str), Some("shard0"));
     assert_eq!(track_names.get(&2).map(String::as_str), Some("shard1"));
-    assert!(span_tids.contains(&1) && span_tids.contains(&2), "both shards must record spans");
-    assert!(span_tids.contains(&0), "the coordinator records the engine track");
+    // The engine track holds the calling thread's serial duties and
+    // nothing else: that thread steps shard 0, so its barrier wait is on
+    // shard 0's track like every other shard's.
+    let on = |tid: u64, name: &str| span_names.contains(&(tid, name.to_owned()));
+    assert!(on(0, "stats_merge") && on(0, "traffic_gen"), "duties go on the engine track");
+    assert!(
+        span_names.iter().all(|(tid, name)| *tid != 0 || name == "stats_merge" || name == "traffic_gen"),
+        "engine track must hold only the serial duties: {span_names:?}"
+    );
+    assert!(on(1, "router_step") && on(2, "router_step"), "both shards must record spans");
+    assert!(on(1, "barrier_wait") && on(2, "barrier_wait"), "every shard records its own wait");
     assert!(counters > 0, "heartbeats must export counter tracks");
 }
 
