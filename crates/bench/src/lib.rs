@@ -158,59 +158,6 @@ pub fn pct(new: f64, base: f64) -> String {
     format!("{:+.1}%", (new / base - 1.0) * 100.0)
 }
 
-/// Dependency-free micro-benchmark harness used by the `benches/`
-/// targets (`cargo bench -p vix-bench`).
-///
-/// The crates-io `criterion` harness cannot be fetched in offline build
-/// environments, so the benches self-time with [`std::time::Instant`]:
-/// each benchmark is calibrated to a minimum batch duration, sampled
-/// several times, and reported as the median ns/iteration.
-pub mod timing {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Samples taken per benchmark; the median is reported.
-    const SAMPLES: usize = 7;
-    /// Minimum duration of one calibrated sample batch.
-    const MIN_BATCH: Duration = Duration::from_millis(20);
-
-    /// Times `f` and prints `name: <median> ns/iter (min … max)`.
-    ///
-    /// Calibrates the iteration count so one sample batch runs for at
-    /// least 20 ms, takes seven samples, and reports the median — enough
-    /// to rank allocators and spot large regressions, which is all the
-    /// simulator's benches are used for.
-    pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
-        let mut iters: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            if start.elapsed() >= MIN_BATCH || iters >= 1 << 30 {
-                break;
-            }
-            iters *= 2;
-        }
-        let mut per_iter: Vec<f64> = (0..SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                start.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect();
-        per_iter.sort_by(|a, b| a.total_cmp(b));
-        println!(
-            "{name:<44} {:>12.1} ns/iter  (min {:.1}, max {:.1}, {iters} iters/sample)",
-            per_iter[SAMPLES / 2],
-            per_iter[0],
-            per_iter[SAMPLES - 1],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

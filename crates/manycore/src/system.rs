@@ -7,7 +7,7 @@ use crate::l2::{L2Bank, L2Response};
 use crate::memory::MemoryController;
 use std::collections::{HashMap, VecDeque};
 use vix_core::{AllocatorKind, Cycle, NetworkConfig, NodeId, SimConfig, TopologyKind};
-use vix_sim::NetworkSim;
+use vix_sim::{EjectedPacket, NetworkSim};
 
 /// Flits in a request packet (address + metadata in one 128-bit flit).
 const REQ_FLITS: usize = 1;
@@ -105,7 +105,11 @@ pub struct ManycoreSystem {
     net: NetworkSim,
     cores: Vec<CoreModel>,
     banks: Vec<L2Bank>,
-    mcs: HashMap<usize, MemoryController>,
+    /// The memory controllers, in [`MC_NODES`] order — a fixed visiting
+    /// order, so packet ids and tags are assigned identically on every run.
+    mcs: Vec<MemoryController>,
+    /// Reused buffer the network's ejections are drained into each cycle.
+    ejected: Vec<EjectedPacket>,
     /// Transaction table: txn id → requesting core.
     txns: HashMap<u64, NodeId>,
     /// In-flight message payloads, keyed by packet tag.
@@ -139,12 +143,13 @@ impl ManycoreSystem {
             .map(|(n, b)| CoreModel::new(NodeId(n), b, MLP_LIMIT, L2_SHARE_BLOCKS, seed))
             .collect();
         let banks = (0..64).map(|n| L2Bank::new(NodeId(n))).collect();
-        let mcs = MC_NODES.iter().map(|&n| (n, MemoryController::new(NodeId(n)))).collect();
+        let mcs = MC_NODES.iter().map(|&n| MemoryController::new(NodeId(n))).collect();
         ManycoreSystem {
             net,
             cores,
             banks,
             mcs,
+            ejected: Vec::new(),
             txns: HashMap::new(),
             messages: HashMap::new(),
             local: VecDeque::new(),
@@ -178,9 +183,11 @@ impl ManycoreSystem {
         match msg {
             Msg::CoreReq { txn, block } => self.banks[dest.0].request(now, txn, block),
             Msg::MemReq { block, bank } => {
-                self.mcs.get_mut(&dest.0).expect("MemReq lands on a controller node").request(
-                    now, block, bank,
-                );
+                let slot = MC_NODES
+                    .iter()
+                    .position(|&n| n == dest.0)
+                    .expect("MemReq lands on a controller node");
+                self.mcs[slot].request(now, block, bank);
             }
             Msg::MemData { block } => {
                 let waiters = self.banks[dest.0].memory_reply(block);
@@ -212,10 +219,13 @@ impl ManycoreSystem {
         let now = self.net.now();
 
         // 1. Deliver network ejections and due local messages.
-        for e in self.net.take_ejections() {
+        let mut ejected = std::mem::take(&mut self.ejected);
+        self.net.take_ejections_into(&mut ejected);
+        for e in ejected.drain(..) {
             let msg = self.messages.remove(&e.packet.tag).expect("ejected packet has a message");
             self.handle(now, e.packet.dest, msg);
         }
+        self.ejected = ejected;
         while self.local.front().is_some_and(|&(t, _, _)| t <= now.0) {
             let (_, dest, msg) = self.local.pop_front().expect("front checked");
             self.handle(now, dest, msg);
@@ -239,10 +249,8 @@ impl ManycoreSystem {
         }
 
         // 3. Memory controllers.
-        let mc_nodes: Vec<usize> = self.mcs.keys().copied().collect();
-        for n in mc_nodes {
-            let replies = self.mcs.get_mut(&n).expect("known controller").step(now);
-            for (block, bank) in replies {
+        for (slot, &n) in MC_NODES.iter().enumerate() {
+            for (block, bank) in self.mcs[slot].step(now) {
                 self.send(now, NodeId(n), bank, Msg::MemData { block }, DATA_FLITS);
             }
         }
@@ -295,7 +303,7 @@ impl ManycoreSystem {
             misses_issued: self.cores.iter().map(CoreModel::misses_issued).sum(),
             writebacks_issued: self.cores.iter().map(CoreModel::writebacks_issued).sum(),
             l2_miss_ratio: if hits + misses == 0 { 0.0 } else { misses as f64 / (hits + misses) as f64 },
-            memory_requests: self.mcs.values().map(MemoryController::served).sum(),
+            memory_requests: self.mcs.iter().map(MemoryController::served).sum(),
         }
     }
 

@@ -38,6 +38,7 @@
 
 pub mod barrier;
 mod channel;
+mod cycle;
 mod network;
 pub mod runner;
 pub mod shard;

@@ -1,7 +1,14 @@
 //! Whole-network simulation: routers, links, sources, and the
 //! warmup/measure/drain protocol.
+//!
+//! [`NetworkSim`] owns the network ([`Fabric`]), the run's one traffic
+//! generator ([`TrafficGen`], phase 1 of a cycle) and the statistics.
+//! Phases 2–5 are not written here: [`NetworkSim::step`] runs the one
+//! cycle body, [`NetSlice::step`], over the whole network as a single
+//! slice, and [`crate::shard`] runs the same body over each shard's slice.
 
 use crate::channel::Pipe;
+use crate::cycle::{EjectionLog, GatingState, NetSlice};
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
@@ -13,9 +20,7 @@ use vix_core::{
     RouterId, SimConfig, VcId,
 };
 use vix_router::{Router, RouterEnv};
-use vix_telemetry::{
-    HistogramId, MatchingSummary, SpanKind, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
-};
+use vix_telemetry::{HistogramId, MatchingSummary, SpanKind, TelemetrySink};
 use vix_topology::{build_topology, Topology};
 use vix_traffic::{BernoulliInjector, TrafficPattern};
 
@@ -120,79 +125,80 @@ pub(crate) enum CreditDest {
     Unconnected,
 }
 
-/// Size of the wake-calendar ring. Must exceed every pipe latency in the
-/// network (flit links, credit links, and the 1-cycle injection link) so a
-/// slot is always fully drained before an event can be scheduled back into
-/// it.
-pub(crate) const WAKE_RING: usize = 4;
-const _: () = {
-    assert!(WAKE_RING as u64 > FLIT_LATENCY);
-    assert!(WAKE_RING as u64 > CREDIT_LATENCY);
-};
-
-/// A deferred delivery: drain this pipe when its due cycle arrives and wake
-/// the receiving router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WakeEvent {
-    /// Injection link of node `n` has a flit due.
-    Inject(usize),
-    /// Flit link leaving router `r` through port `p` has flits due.
-    FlitLink(usize, usize),
-    /// Credit link leaving router `r`'s input port `p` has credits due.
-    CreditLink(usize, usize),
-}
-
-/// Bookkeeping for activity-gated scheduling (see DESIGN.md §6c).
-///
-/// The gated [`NetworkSim::step`] touches only *active* routers and pipes
-/// with something due, instead of sweeping every router and every link each
-/// cycle. Correctness contract: a gated run is bit-identical to an ungated
-/// run — skipped cycles are replayed through
-/// [`vix_router::Router::note_idle_cycles`] before a router steps again.
+/// The network itself: routers, the links between them, and the
+/// terminals' sources, over a static topology.
 #[derive(Debug)]
-pub(crate) struct GatingState {
-    /// `calendar[t % WAKE_RING]` — deliveries due at cycle `t`.
-    pub(crate) calendar: [Vec<WakeEvent>; WAKE_RING],
-    /// Routers to step this cycle (sorted ascending before phase 5 so that
-    /// stats accumulation and ejection order match the ungated sweep).
-    pub(crate) work: Vec<usize>,
-    /// Routers pre-activated for the next cycle (retention: a router only
-    /// leaves the active set after a step that begins *and* ends quiescent).
-    pub(crate) pending: Vec<usize>,
-    /// `active_mark[r]` — last cycle router `r` was queued for; dedups
-    /// multiple wakeups in one cycle.
-    pub(crate) active_mark: Vec<u64>,
-    /// `stepped_until[r]` — cycles of router `r`'s history that have been
-    /// executed or replayed; the gap to `now` is replayed lazily via
-    /// `note_idle_cycles` when the router re-activates.
-    pub(crate) stepped_until: Vec<u64>,
-    /// Per-pipe scheduled-stamp dedup: the due cycle already scheduled, so
-    /// multiple same-cycle pushes (e.g. VIX multi-grant credits) enqueue
-    /// one event.
-    pub(crate) inject_sched: Vec<u64>,
-    pub(crate) flit_sched: Vec<Vec<u64>>,
-    pub(crate) credit_sched: Vec<Vec<u64>>,
-    /// Total `Router::step_into` calls over the run (gated and ungated);
-    /// the observable for O(active) scheduling tests.
-    pub(crate) router_steps: u64,
+pub(crate) struct Fabric {
+    pub(crate) topology: Box<dyn Topology>,
+    /// Precomputed routing table (see [`RouteTable`]).
+    pub(crate) routes: RouteTable,
+    pub(crate) routers: Vec<Router>,
+    /// `flit_pipes[r][p]` — link leaving router `r` through port `p`.
+    pub(crate) flit_pipes: Vec<Vec<Option<Pipe<Flit>>>>,
+    /// `credit_pipes[r][p]` — credits leaving router `r`'s *input* port `p`.
+    pub(crate) credit_pipes: Vec<Vec<Pipe<VcId>>>,
+    pub(crate) credit_dests: Vec<Vec<CreditDest>>,
+    pub(crate) inject_pipes: Vec<Pipe<Flit>>,
+    pub(crate) sources: Vec<SourceQueue>,
 }
 
-impl GatingState {
-    pub(crate) fn new(nodes: usize, routers: usize, radix: usize) -> Self {
-        // Worst-case slot population: every injection link plus every flit
-        // and credit link delivers on the same cycle. Reserving it up front
-        // keeps the steady-state gated step allocation-free.
-        let slot_cap = nodes + 2 * routers * radix;
-        GatingState {
-            calendar: std::array::from_fn(|_| Vec::with_capacity(slot_cap)),
-            work: Vec::with_capacity(routers),
-            pending: Vec::with_capacity(routers),
-            active_mark: vec![u64::MAX; routers],
-            stepped_until: vec![0; routers],
-            inject_sched: vec![u64::MAX; nodes],
-            flit_sched: vec![vec![u64::MAX; radix]; routers],
-            credit_sched: vec![vec![u64::MAX; radix]; routers],
-            router_steps: 0,
+impl Fabric {
+    /// The whole network as one [`NetSlice`]: offsets 0, every link local.
+    pub(crate) fn slice<'a>(&'a mut self, cfg: &'a SimConfig) -> NetSlice<'a> {
+        NetSlice {
+            cfg,
+            topology: self.topology.as_ref(),
+            routes: &self.routes,
+            router_off: 0,
+            node_off: 0,
+            routers: &mut self.routers,
+            flit_pipes: &mut self.flit_pipes,
+            credit_pipes: &mut self.credit_pipes,
+            credit_dests: &self.credit_dests,
+            inject_pipes: &mut self.inject_pipes,
+            sources: &mut self.sources,
+        }
+    }
+}
+
+/// Phase 1 of a cycle, and the run's single RNG: open-loop traffic
+/// generation. One owner draws for every node in serial node order, so
+/// the random stream, the packet-id sequence and the offered-packet count
+/// do not depend on who steps the network afterwards.
+#[derive(Debug)]
+pub(crate) struct TrafficGen {
+    pattern: TrafficPattern,
+    injector: BernoulliInjector,
+    rng: StdRng,
+    /// Next packet id — shared with [`NetworkSim::inject`].
+    next_packet: u64,
+}
+
+impl TrafficGen {
+    /// Generates cycle `cycle`'s packets and hands each to `deliver`
+    /// (nothing once the drain has begun). All nodes draw every cycle —
+    /// RNG bit-identity.
+    pub(crate) fn generate(
+        &mut self,
+        cycle: u64,
+        cfg: &SimConfig,
+        stats: &mut NetworkStats,
+        mut deliver: impl FnMut(PacketDescriptor),
+    ) {
+        if cycle >= cfg.warmup + cfg.measure {
+            return;
+        }
+        let nodes = cfg.network.nodes;
+        for n in 0..nodes {
+            if self.injector.fires(&mut self.rng) {
+                let dest = self.pattern.pick_dest(NodeId(n), nodes, &mut self.rng);
+                let id = PacketId(self.next_packet);
+                self.next_packet += 1;
+                deliver(PacketDescriptor::new(id, NodeId(n), dest, cfg.packet_len, Cycle(cycle)));
+                if cycle >= cfg.warmup {
+                    stats.record_offered(1);
+                }
+            }
         }
     }
 }
@@ -205,33 +211,17 @@ impl GatingState {
 #[derive(Debug)]
 pub struct NetworkSim {
     pub(crate) cfg: SimConfig,
-    pub(crate) topology: Box<dyn Topology>,
-    /// Precomputed routing table (see [`RouteTable`]).
-    pub(crate) routes: RouteTable,
-    pub(crate) routers: Vec<Router>,
-    /// `flit_pipes[r][p]` — link leaving router `r` through port `p`.
-    pub(crate) flit_pipes: Vec<Vec<Option<Pipe<Flit>>>>,
-    /// `credit_pipes[r][p]` — credits leaving router `r`'s *input* port `p`.
-    pub(crate) credit_pipes: Vec<Vec<Pipe<VcId>>>,
-    pub(crate) credit_dests: Vec<Vec<CreditDest>>,
-    pub(crate) inject_pipes: Vec<Pipe<Flit>>,
-    pub(crate) sources: Vec<SourceQueue>,
-    pub(crate) pattern: TrafficPattern,
-    pub(crate) injector: BernoulliInjector,
-    pub(crate) rng: StdRng,
+    pub(crate) net: Fabric,
+    pub(crate) traffic: TrafficGen,
     pub(crate) now: Cycle,
-    pub(crate) next_packet: u64,
     pub(crate) stats: NetworkStats,
-    pub(crate) ejected: Vec<EjectedPacket>,
-    /// Reused router-output buffer: [`vix_router::Router::step_into`]
-    /// writes each router's flits and credits here every cycle, so the
-    /// steady-state network step performs no heap allocation.
-    step_out: vix_router::RouterOutput,
-    /// Activity-gated scheduling state (used when
-    /// [`SimConfig::activity_gating`] is on).
+    /// The cycle body's ejection log; its `ejects` accumulate until
+    /// [`NetworkSim::take_ejections`].
+    pub(crate) log: EjectionLog,
+    /// Scheduler state of the serial cycle body.
     pub(crate) gating: GatingState,
     /// Event/metric sink built from [`SimConfig::telemetry`]; disabled by
-    /// default, in which case every hook below compiles to a cheap branch.
+    /// default, in which case every hook compiles to a cheap branch.
     pub(crate) telemetry: TelemetrySink,
     /// Per-router cost weights for the sharded engine's partition
     /// ([`ShardPlan::weighted`](crate::ShardPlan::weighted)); `None` means
@@ -349,22 +339,25 @@ impl NetworkSim {
         let routes = RouteTable::build(topology.as_ref());
         Ok(NetworkSim {
             cfg: run_cfg,
-            topology,
-            routes,
-            routers,
-            flit_pipes,
-            credit_pipes,
-            credit_dests,
-            inject_pipes,
-            sources,
-            pattern,
-            injector,
-            rng: StdRng::seed_from_u64(cfg.seed),
+            net: Fabric {
+                topology,
+                routes,
+                routers,
+                flit_pipes,
+                credit_pipes,
+                credit_dests,
+                inject_pipes,
+                sources,
+            },
+            traffic: TrafficGen {
+                pattern,
+                injector,
+                rng: StdRng::seed_from_u64(cfg.seed),
+                next_packet: 0,
+            },
             now: Cycle::ZERO,
-            next_packet: 0,
             stats,
-            ejected: Vec::new(),
-            step_out: vix_router::RouterOutput::default(),
+            log: EjectionLog::default(),
             gating,
             telemetry,
             vc_occupancy,
@@ -386,17 +379,17 @@ impl NetworkSim {
     pub fn inject(&mut self, source: NodeId, dest: NodeId, len: usize, tag: u64) -> PacketId {
         assert!(source.0 < self.cfg.network.nodes, "source {source} out of range");
         assert!(dest.0 < self.cfg.network.nodes, "dest {dest} out of range");
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+        let id = PacketId(self.traffic.next_packet);
+        self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
-        self.sources[source.0].enqueue(packet);
+        self.net.sources[source.0].enqueue(packet);
         id
     }
 
     /// Drains the packets fully delivered since the last call (every
     /// window, not just the measurement window).
     pub fn take_ejections(&mut self) -> Vec<EjectedPacket> {
-        std::mem::take(&mut self.ejected)
+        std::mem::take(&mut self.log.ejects)
     }
 
     /// Like [`NetworkSim::take_ejections`], but appends into a
@@ -404,7 +397,7 @@ impl NetworkSim {
     /// capacity — a per-cycle drain loop that reuses one `Vec` performs no
     /// heap allocation in steady state.
     pub fn take_ejections_into(&mut self, out: &mut Vec<EjectedPacket>) {
-        out.append(&mut self.ejected);
+        out.append(&mut self.log.ejects);
     }
 
     /// The simulation configuration (with the router port count resolved
@@ -423,40 +416,45 @@ impl NetworkSim {
     /// The topology under simulation.
     #[must_use]
     pub fn topology(&self) -> &dyn Topology {
-        self.topology.as_ref()
+        self.net.topology.as_ref()
     }
 
-    /// Resolves routing for a packet about to leave `router`: its output
-    /// port there, the output port at the following router (lookahead),
-    /// and the dimension of the first port.
-    fn resolve_route(&self, router: RouterId, dest: NodeId) -> (PortId, PortId, usize) {
-        self.routes.resolve(router, dest)
-    }
-
-    /// Runs one cycle of the whole network.
+    /// Runs one cycle of the whole network: phase 1 from the run's traffic
+    /// generator, then the cycle body (`NetSlice::step` in `cycle.rs`) over
+    /// the whole network as one slice, then the body's ejection records
+    /// into the statistics. The serial path takes no lock and meets no
+    /// barrier.
     ///
-    /// With [`SimConfig::activity_gating`] on (the default) the step visits
+    /// With [`SimConfig::activity_gating`] on (the default) the body visits
     /// only active routers and links with a delivery due; quiescent routers
-    /// are skipped and their idle history replayed on re-activation. The two
-    /// paths are bit-identical — same statistics, same activity counters,
-    /// same ejection order (`tests/gating_parity.rs` holds them side by
-    /// side for every allocator).
+    /// are skipped and their idle history replayed on re-activation. The
+    /// ungated reference sweep is bit-identical — same statistics, same
+    /// activity counters, same ejection order (`tests/gating_parity.rs`
+    /// holds them side by side for every allocator).
     pub fn step(&mut self) {
-        if self.cfg.activity_gating {
-            self.step_gated();
-        } else {
-            self.step_ungated();
-        }
+        let now = self.now;
+        // Profiling lap chain: one clock read per phase boundary, zero
+        // reads (one branch per lap) when profiling is off.
+        let mut span = self.telemetry.span_start();
+        let sources = &mut self.net.sources;
+        self.traffic.generate(now.0, &self.cfg, &mut self.stats, |packet| {
+            sources[packet.source.0].enqueue(packet);
+        });
+        span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
+        self.net.slice(&self.cfg).step(now, &mut self.gating, &mut self.telemetry, &mut self.log, span);
+        self.log.replay_into(&mut self.stats);
+        self.now = now.plus(1);
+
         // VC-occupancy sampling is pure observation over *all* routers
         // (gated or not), so gated and ungated runs report identical
         // histograms.
         if !self.vc_occupancy.is_empty() {
-            let ports = self.topology.radix();
+            let ports = self.net.topology.radix();
             let vcs = self.cfg.network.router.vcs_per_port();
             for (r, &hist) in self.vc_occupancy.iter().enumerate() {
                 for p in 0..ports {
                     for v in 0..vcs {
-                        let occ = self.routers[r].buffer_occupancy(PortId(p), VcId(v));
+                        let occ = self.net.routers[r].buffer_occupancy(PortId(p), VcId(v));
                         self.telemetry.observe(hist, occ as u64);
                     }
                 }
@@ -476,457 +474,11 @@ impl NetworkSim {
         if every == 0 || cycle == 0 || !cycle.is_multiple_of(every) {
             return;
         }
-        let wake_depth: u64 = if self.cfg.activity_gating {
-            self.gating.calendar.iter().map(|slot| slot.len() as u64).sum()
-        } else {
-            0
-        };
-        let buffered: u64 = self.routers.iter().map(|r| r.buffered_flits() as u64).sum();
+        let (wake_depth, buffered) = self.net.slice(&self.cfg).health_gauges(&self.gating);
         let steps = self.gating.router_steps;
         if let Some(p) = self.telemetry.profiler_mut() {
             p.heartbeat(cycle, steps, wake_depth, buffered, &[]);
         }
-    }
-
-    /// The ungated reference step: sweeps every node, link, and router.
-    fn step_ungated(&mut self) {
-        let now = self.now;
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-        // Profiling lap chain: one clock read per phase boundary, zero
-        // reads (one branch per lap) when profiling is off.
-        let mut span = self.telemetry.span_start();
-
-        // 1. Traffic generation (open loop; stops when the drain begins).
-        if now.0 < warm_plus_measure {
-            for n in 0..self.cfg.network.nodes {
-                if self.injector.fires(&mut self.rng) {
-                    let dest = self.pattern.pick_dest(NodeId(n), self.cfg.network.nodes, &mut self.rng);
-                    let packet = PacketDescriptor::new(
-                        PacketId(self.next_packet),
-                        NodeId(n),
-                        dest,
-                        self.cfg.packet_len,
-                        now,
-                    );
-                    self.next_packet += 1;
-                    self.sources[n].enqueue(packet);
-                    if in_window {
-                        self.stats.record_offered(1);
-                    }
-                }
-            }
-        }
-
-        span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
-
-        // 2. Sources stream flits toward their routers.
-        for n in 0..self.cfg.network.nodes {
-            let router = self.topology.router_of(NodeId(n));
-            let routes = &self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[n].try_send(now, resolve) {
-                self.inject_pipes[n].push(now, flit);
-            }
-        }
-        span = self.telemetry.span_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3. Deliver flits due this cycle (injection + inter-router links).
-        for n in 0..self.cfg.network.nodes {
-            let node = NodeId(n);
-            let router = self.topology.router_of(node);
-            let port = self.topology.local_port_of(node);
-            while let Some(flit) = self.inject_pipes[n].pop_ready(now) {
-                if self.telemetry.tracing() {
-                    self.telemetry.trace(TraceEvent {
-                        router: router.0 as u32,
-                        port: port.0 as u32,
-                        vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                        packet: flit.packet.id.0,
-                        flit: flit.index() as u32,
-                        ..TraceEvent::at(now, TraceEventKind::Inject)
-                    });
-                }
-                self.routers[router.0].accept_flit(port, flit);
-            }
-        }
-        for r in 0..self.routers.len() {
-            for p in 0..self.topology.radix() {
-                let Some(pipe) = self.flit_pipes[r][p].as_mut() else { continue };
-                if !pipe.has_ready(now) {
-                    continue;
-                }
-                let (down, down_port) = self
-                    .routes
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                while let Some(flit) = self.flit_pipes[r][p]
-                    .as_mut()
-                    .expect("checked above")
-                    .pop_ready(now)
-                {
-                    self.routers[down.0].accept_flit(down_port, flit);
-                }
-            }
-        }
-        span = self.telemetry.span_lap(SpanKind::Deliver, now.0, span);
-
-        // 4. Deliver credits due this cycle.
-        for r in 0..self.routers.len() {
-            for p in 0..self.topology.radix() {
-                if !self.credit_pipes[r][p].has_ready(now) {
-                    continue;
-                }
-                match self.credit_dests[r][p] {
-                    CreditDest::Upstream(ur, up) => {
-                        while let Some(vc) = self.credit_pipes[r][p].pop_ready(now) {
-                            self.routers[ur.0].credit_return(up, vc);
-                        }
-                    }
-                    CreditDest::Source(node) => {
-                        while let Some(vc) = self.credit_pipes[r][p].pop_ready(now) {
-                            self.sources[node.0].credit_return(vc);
-                        }
-                    }
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of router {r}")
-                    }
-                }
-            }
-        }
-        span = self.telemetry.span_lap(SpanKind::CreditDeliver, now.0, span);
-
-        // 5. Clock every router; fan out its flits and credits. One
-        // RouterOutput is reused across every router and every cycle.
-        let mut out = std::mem::take(&mut self.step_out);
-        for r in 0..self.routers.len() {
-            self.routers[r].step_into(now, &mut out, &mut self.telemetry);
-            self.gating.router_steps += 1;
-            for (p, mut flit) in out.flits.drain(..) {
-                if self.topology.is_local_port(p) {
-                    debug_assert_eq!(
-                        self.topology.node_at(RouterId(r), p),
-                        Some(flit.packet.dest),
-                        "flit ejected at the wrong terminal"
-                    );
-                    if self.telemetry.tracing() {
-                        self.telemetry.trace(TraceEvent {
-                            router: r as u32,
-                            port: p.0 as u32,
-                            vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                            packet: flit.packet.id.0,
-                            flit: flit.index() as u32,
-                            ..TraceEvent::at(now, TraceEventKind::Eject)
-                        });
-                    }
-                    if in_window {
-                        self.stats.record_ejection(
-                            flit.packet.source,
-                            flit.is_tail(),
-                            flit.packet.created_at,
-                            now,
-                        );
-                    }
-                    if flit.is_tail() {
-                        self.ejected.push(EjectedPacket { packet: flit.packet, at: now });
-                    }
-                } else {
-                    // Lookahead routing: rewrite the routing fields for the
-                    // downstream router before the flit enters the link.
-                    let (down, _) =
-                        self.routes.neighbor(RouterId(r), p).expect("route uses connected ports");
-                    let (out_port, lookahead, _) = self.resolve_route(down, flit.packet.dest);
-                    flit.set_route(out_port, lookahead);
-                    if self.telemetry.tracing() {
-                        self.telemetry.trace(TraceEvent {
-                            router: r as u32,
-                            port: p.0 as u32,
-                            vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                            packet: flit.packet.id.0,
-                            flit: flit.index() as u32,
-                            ..TraceEvent::at(now, TraceEventKind::LinkTraversal)
-                        });
-                    }
-                    self.flit_pipes[r][p.0]
-                        .as_mut()
-                        .expect("connected port has a pipe")
-                        .push(now, flit);
-                }
-            }
-            for (p, vc) in out.credits.drain(..) {
-                if self.telemetry.tracing() {
-                    self.telemetry.trace(TraceEvent {
-                        router: r as u32,
-                        port: p.0 as u32,
-                        vc: vc.0 as u32,
-                        ..TraceEvent::at(now, TraceEventKind::CreditReturn)
-                    });
-                }
-                self.credit_pipes[r][p.0].push(now, vc);
-            }
-        }
-        self.step_out = out;
-        self.telemetry.span_lap(SpanKind::RouterStep, now.0, span);
-
-        self.now = now.plus(1);
-    }
-
-    /// Marks router `r` active for cycle `at`, queueing it in `queue`
-    /// unless already queued for that cycle.
-    pub(crate) fn activate(
-        active_mark: &mut [u64],
-        queue: &mut Vec<usize>,
-        r: usize,
-        at: u64,
-    ) {
-        if active_mark[r] != at {
-            active_mark[r] = at;
-            queue.push(r);
-        }
-    }
-
-    /// The activity-gated step. Phases 1–2 are identical to the ungated
-    /// path (per-node RNG draws and `try_send` calls must happen every
-    /// cycle for bit-identity; an idle source's `try_send` is a pure
-    /// no-op). Phases 3–4 drain the wake calendar instead of sweeping every
-    /// link, and phase 5 steps only the active routers, in ascending index
-    /// order, replaying each one's skipped quiescent cycles first.
-    fn step_gated(&mut self) {
-        let now = self.now;
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-        // Profiling lap chain: one clock read per phase boundary, zero
-        // reads (one branch per lap) when profiling is off. The combined
-        // flit+credit calendar drain is recorded as one `Deliver` span.
-        let mut span = self.telemetry.span_start();
-
-        // 1. Traffic generation — all nodes, every cycle (RNG bit-identity).
-        if now.0 < warm_plus_measure {
-            for n in 0..self.cfg.network.nodes {
-                if self.injector.fires(&mut self.rng) {
-                    let dest = self.pattern.pick_dest(NodeId(n), self.cfg.network.nodes, &mut self.rng);
-                    let packet = PacketDescriptor::new(
-                        PacketId(self.next_packet),
-                        NodeId(n),
-                        dest,
-                        self.cfg.packet_len,
-                        now,
-                    );
-                    self.next_packet += 1;
-                    self.sources[n].enqueue(packet);
-                    if in_window {
-                        self.stats.record_offered(1);
-                    }
-                }
-            }
-        }
-
-        span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
-
-        // 2. Sources stream flits toward their routers. A push schedules
-        // the injection link's delivery one cycle out.
-        for n in 0..self.cfg.network.nodes {
-            let router = self.topology.router_of(NodeId(n));
-            let routes = &self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[n].try_send(now, resolve) {
-                self.inject_pipes[n].push(now, flit);
-                let due = now.0 + 1;
-                if self.gating.inject_sched[n] != due {
-                    self.gating.inject_sched[n] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::Inject(n));
-                }
-            }
-        }
-        span = self.telemetry.span_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3 + 4. Deliver everything due this cycle. Distinct events touch
-        // disjoint state (each pipe feeds one buffer; credits are counter
-        // increments), so calendar order is interchangeable with the
-        // ungated sweep order. Every delivery wakes the receiving router.
-        let slot = (now.0 % WAKE_RING as u64) as usize;
-        let mut events = std::mem::take(&mut self.gating.calendar[slot]);
-        self.telemetry.gauge(self.telemetry.ids.sched_wake_events, events.len() as u64);
-        for &ev in &events {
-            match ev {
-                WakeEvent::Inject(n) => {
-                    let node = NodeId(n);
-                    let router = self.topology.router_of(node);
-                    let port = self.topology.local_port_of(node);
-                    while let Some(flit) = self.inject_pipes[n].pop_ready(now) {
-                        if self.telemetry.tracing() {
-                            self.telemetry.trace(TraceEvent {
-                                router: router.0 as u32,
-                                port: port.0 as u32,
-                                vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                                packet: flit.packet.id.0,
-                                flit: flit.index() as u32,
-                                ..TraceEvent::at(now, TraceEventKind::Inject)
-                            });
-                        }
-                        self.routers[router.0].accept_flit(port, flit);
-                    }
-                    Self::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        router.0,
-                        now.0,
-                    );
-                }
-                WakeEvent::FlitLink(r, p) => {
-                    let (down, down_port) = self
-                        .routes
-                        .neighbor(RouterId(r), PortId(p))
-                        .expect("flit pipe exists only on connected ports");
-                    while let Some(flit) = self.flit_pipes[r][p]
-                        .as_mut()
-                        .expect("connected port has a pipe")
-                        .pop_ready(now)
-                    {
-                        self.routers[down.0].accept_flit(down_port, flit);
-                    }
-                    Self::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        down.0,
-                        now.0,
-                    );
-                }
-                // Credit deliveries never wake a router: a credit only
-                // increments an output-side counter, and output state is
-                // unread by an empty cycle — a quiescent router has no flit
-                // the credit could release. A non-quiescent receiver is
-                // already in the active set (flit delivery activated it and
-                // retention holds it until it drains), so the credit is
-                // applied before its step either way.
-                WakeEvent::CreditLink(r, p) => match self.credit_dests[r][p] {
-                    CreditDest::Upstream(ur, up) => {
-                        while let Some(vc) = self.credit_pipes[r][p].pop_ready(now) {
-                            self.routers[ur.0].credit_return(up, vc);
-                        }
-                    }
-                    CreditDest::Source(node) => {
-                        while let Some(vc) = self.credit_pipes[r][p].pop_ready(now) {
-                            self.sources[node.0].credit_return(vc);
-                        }
-                    }
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of router {r}")
-                    }
-                },
-            }
-        }
-        events.clear();
-        self.gating.calendar[slot] = events;
-        span = self.telemetry.span_lap(SpanKind::Deliver, now.0, span);
-
-        // 5. Step the active routers in ascending index order (stats
-        // accumulation and ejection order must match the ungated sweep).
-        // Skipped quiescent cycles are replayed first; a router leaves the
-        // set only after a step that begins and ends quiescent, so its last
-        // executed cycle before a skip is always a real empty cycle.
-        let mut out = std::mem::take(&mut self.step_out);
-        let mut work = std::mem::take(&mut self.gating.work);
-        work.sort_unstable();
-        self.telemetry.gauge(self.telemetry.ids.sched_active_routers, work.len() as u64);
-        for &r in &work {
-            let was_quiescent = self.routers[r].is_quiescent();
-            let gap = now.0 - self.gating.stepped_until[r];
-            if gap > 0 {
-                self.routers[r].note_idle_cycles(gap);
-            }
-            self.routers[r].step_into(now, &mut out, &mut self.telemetry);
-            self.gating.router_steps += 1;
-            self.gating.stepped_until[r] = now.0 + 1;
-            for (p, mut flit) in out.flits.drain(..) {
-                if self.topology.is_local_port(p) {
-                    debug_assert_eq!(
-                        self.topology.node_at(RouterId(r), p),
-                        Some(flit.packet.dest),
-                        "flit ejected at the wrong terminal"
-                    );
-                    if self.telemetry.tracing() {
-                        self.telemetry.trace(TraceEvent {
-                            router: r as u32,
-                            port: p.0 as u32,
-                            vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                            packet: flit.packet.id.0,
-                            flit: flit.index() as u32,
-                            ..TraceEvent::at(now, TraceEventKind::Eject)
-                        });
-                    }
-                    if in_window {
-                        self.stats.record_ejection(
-                            flit.packet.source,
-                            flit.is_tail(),
-                            flit.packet.created_at,
-                            now,
-                        );
-                    }
-                    if flit.is_tail() {
-                        self.ejected.push(EjectedPacket { packet: flit.packet, at: now });
-                    }
-                } else {
-                    let (down, _) =
-                        self.routes.neighbor(RouterId(r), p).expect("route uses connected ports");
-                    let (out_port, lookahead, _) = self.resolve_route(down, flit.packet.dest);
-                    flit.set_route(out_port, lookahead);
-                    if self.telemetry.tracing() {
-                        self.telemetry.trace(TraceEvent {
-                            router: r as u32,
-                            port: p.0 as u32,
-                            vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-                            packet: flit.packet.id.0,
-                            flit: flit.index() as u32,
-                            ..TraceEvent::at(now, TraceEventKind::LinkTraversal)
-                        });
-                    }
-                    self.flit_pipes[r][p.0]
-                        .as_mut()
-                        .expect("connected port has a pipe")
-                        .push(now, flit);
-                    let due = now.0 + FLIT_LATENCY;
-                    if self.gating.flit_sched[r][p.0] != due {
-                        self.gating.flit_sched[r][p.0] = due;
-                        self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::FlitLink(r, p.0));
-                    }
-                }
-            }
-            for (p, vc) in out.credits.drain(..) {
-                if self.telemetry.tracing() {
-                    self.telemetry.trace(TraceEvent {
-                        router: r as u32,
-                        port: p.0 as u32,
-                        vc: vc.0 as u32,
-                        ..TraceEvent::at(now, TraceEventKind::CreditReturn)
-                    });
-                }
-                self.credit_pipes[r][p.0].push(now, vc);
-                let due = now.0 + CREDIT_LATENCY;
-                if self.gating.credit_sched[r][p.0] != due {
-                    self.gating.credit_sched[r][p.0] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::CreditLink(r, p.0));
-                }
-            }
-            if !(was_quiescent && self.routers[r].is_quiescent()) {
-                Self::activate(
-                    &mut self.gating.active_mark,
-                    &mut self.gating.pending,
-                    r,
-                    now.0 + 1,
-                );
-            }
-        }
-        work.clear();
-        self.gating.work = work;
-        std::mem::swap(&mut self.gating.work, &mut self.gating.pending);
-        self.step_out = out;
-        self.telemetry.span_lap(SpanKind::RouterStep, now.0, span);
-
-        self.now = now.plus(1);
     }
 
     /// Total [`vix_router::Router::step_into`] calls so far. Under activity
@@ -940,10 +492,11 @@ impl NetworkSim {
     /// True when no flit remains anywhere (buffers, links, sources).
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.routers.iter().all(Router::is_empty)
-            && self.sources.iter().all(SourceQueue::is_idle)
-            && self.inject_pipes.iter().all(Pipe::is_empty)
+        self.net.routers.iter().all(Router::is_empty)
+            && self.net.sources.iter().all(SourceQueue::is_idle)
+            && self.net.inject_pipes.iter().all(Pipe::is_empty)
             && self
+                .net
                 .flit_pipes
                 .iter()
                 .flatten()
@@ -954,7 +507,7 @@ impl NetworkSim {
     /// not yet replayed credited back, so gated and ungated runs report
     /// identical activity (and, through `vix-power`, identical energy).
     fn router_activity(&self, r: usize) -> ActivityCounters {
-        let mut a = *self.routers[r].activity();
+        let mut a = *self.net.routers[r].activity();
         if self.cfg.activity_gating {
             a.cycles += self.now.0 - self.gating.stepped_until[r];
         }
@@ -965,7 +518,7 @@ impl NetworkSim {
     /// or hotspot maps.
     #[must_use]
     pub fn per_router_activity(&self) -> Vec<ActivityCounters> {
-        (0..self.routers.len()).map(|r| self.router_activity(r)).collect()
+        (0..self.net.routers.len()).map(|r| self.router_activity(r)).collect()
     }
 
     /// Per-router crossbar utilisation over the run so far: flits
@@ -973,8 +526,8 @@ impl NetworkSim {
     /// (values in `[0, 1]`).
     #[must_use]
     pub fn utilization_map(&self) -> Vec<f64> {
-        let ports = self.topology.radix() as f64;
-        (0..self.routers.len())
+        let ports = self.net.topology.radix() as f64;
+        (0..self.net.routers.len())
             .map(|r| {
                 let a = self.router_activity(r);
                 if a.cycles == 0 {
@@ -990,7 +543,7 @@ impl NetworkSim {
     #[must_use]
     pub fn aggregate_activity(&self) -> ActivityCounters {
         let mut total = ActivityCounters::new();
-        for r in 0..self.routers.len() {
+        for r in 0..self.net.routers.len() {
             total.merge(&self.router_activity(r));
         }
         total
@@ -1002,7 +555,7 @@ impl NetworkSim {
     #[must_use]
     pub fn matching_summary(&self) -> MatchingSummary {
         let mut total = MatchingSummary::default();
-        for r in &self.routers {
+        for r in &self.net.routers {
             total.merge(&r.matching_summary());
         }
         total
@@ -1040,7 +593,7 @@ impl NetworkSim {
     pub fn set_shard_weights(&mut self, weights: &[f64]) {
         assert_eq!(
             weights.len(),
-            self.routers.len(),
+            self.net.routers.len(),
             "need exactly one shard weight per router"
         );
         assert!(
@@ -1085,12 +638,12 @@ impl NetworkSim {
             return 1;
         }
         let requested = if self.cfg.shards == 0 {
-            let cap = (self.routers.len() / Self::MIN_AUTO_ROUTERS).max(1);
+            let cap = (self.net.routers.len() / Self::MIN_AUTO_ROUTERS).max(1);
             crate::runner::resolve_jobs(0).min(cap)
         } else {
             self.cfg.shards
         };
-        requested.clamp(1, self.routers.len())
+        requested.clamp(1, self.net.routers.len())
     }
 
     /// Minimum routers per shard the `--shards auto` heuristic will

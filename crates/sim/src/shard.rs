@@ -36,12 +36,16 @@
 //! final at the barrier that closes `t` — a shard never observes a
 //! staging buffer mid-write.
 //!
-//! Every shard, per cycle `t` (`ShardWorker::run_cycle`, the one body
-//! the calling thread and the spawned threads share): drain staged
-//! packets and inbound cross-shard mailboxes, execute the shard-local
-//! copy of the serial step (gated or ungated, phases 2–5), then pop every
-//! boundary pipe up to `t + 1` into the destination shard's mailbox for
-//! the next cycle, and publish the cycle's ejection records. — *barrier* —
+//! Every shard, per cycle `t` (`ShardWorker::run_cycle`, run alike by
+//! the calling thread and the spawned ones): drain staged packets and
+//! inbound cross-shard mailboxes, run the cycle body
+//! (`NetSlice::step` in `cycle.rs`, phases 2–5 — the very method
+//! [`NetworkSim::step`] runs over the whole network) over the shard's
+//! slice, then pop every boundary pipe up to `t + 1` into the destination
+//! shard's mailbox for the next cycle, and publish the cycle's ejection
+//! log. — *barrier* — This module holds no copy of the cycle: only the
+//! partition, the exchange around the body, and the hand-off of scheduler
+//! state in and out of a sharded stretch.
 //!
 //! Mailboxes, staging slots, and record slots are all double-buffered by
 //! cycle parity, so the side that fills a cycle-`t + 1` buffer never
@@ -78,26 +82,19 @@
 //! active set, retention, and idle replay are all per-router state, and a
 //! cross-shard delivery wakes the receiving router the same cycle it
 //! would have in a serial run. On entry and exit the calendars are
-//! rebuilt from pipe contents ([`Pipe::dues`]), so a simulation can move
-//! freely between the serial and sharded schedulers mid-run.
+//! rebuilt from pipe contents by one function (`NetSlice::rebuild_calendar`
+//! over [`Pipe::dues`](crate::Pipe::dues) — per shard on entry, over the
+//! whole network on exit), so a simulation can move freely between the
+//! serial and sharded schedulers mid-run.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
-use crate::channel::Pipe;
-use crate::network::{
-    CreditDest, EjectedPacket, GatingState, NetworkSim, WakeEvent, WAKE_RING,
-};
-use crate::source::SourceQueue;
+use crate::cycle::{EjectionLog, GatingState, NetSlice};
+use crate::network::{CreditDest, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
-use vix_core::{
-    Cycle, Flit, NodeId, PacketDescriptor, PacketId, PortId, RouterId, SimConfig,
-    TelemetrySettings, VcId,
-};
-use vix_rng::rngs::StdRng;
-use vix_router::{Router, RouterOutput};
-use vix_telemetry::{HealthBoard, Profiler, SpanKind, SpanStart, TelemetrySink};
+use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
+use vix_telemetry::{HealthBoard, SpanKind, TelemetrySink};
 use vix_topology::Topology;
-use vix_traffic::{BernoulliInjector, TrafficPattern};
 
 /// A partition of the router graph into contiguous, balanced shards.
 ///
@@ -277,25 +274,6 @@ struct CreditBoundary {
     dst_shard: usize,
 }
 
-/// One ejection as the serial path would have recorded it into
-/// [`NetworkStats`]; replayed by the calling thread in merge order.
-#[derive(Debug, Clone, Copy)]
-struct StatRecord {
-    source: NodeId,
-    is_tail: bool,
-    created_at: Cycle,
-    at: Cycle,
-}
-
-/// One cycle's observable output of one shard, swapped to the merging
-/// thread through a `Mutex` (uncontended: the two sides touch it in
-/// barrier-separated windows).
-#[derive(Debug, Default)]
-struct CycleOut {
-    recs: Vec<StatRecord>,
-    ejects: Vec<EjectedPacket>,
-}
-
 /// `grid[dst][src]`: one locked delivery queue per ordered shard pair.
 /// The `Mutex` is uncontended by construction — each (dst, src, parity)
 /// slot is filled and drained in barrier-separated windows.
@@ -331,71 +309,33 @@ struct Stretch<'a> {
     barrier: &'a SpinBarrier,
     mail: &'a Mailboxes,
     staged: &'a [Vec<Mutex<Vec<PacketDescriptor>>>; 2],
-    outs: &'a [Vec<Mutex<CycleOut>>; 2],
+    outs: &'a [Vec<Mutex<EjectionLog>>; 2],
     board: Option<&'a HealthBoard>,
     beat_every: u64,
 }
 
-/// One shard's owned slice of the network plus its private
-/// scheduler state. Router, pipe, and source indices arriving from
-/// shared structures are global; the `router_off` / `node_off` offsets
-/// translate them into the local slices.
+/// One shard: its slice of the network plus the private state the cycle
+/// body runs on.
 struct ShardWorker<'a> {
     idx: usize,
-    cfg: SimConfig,
-    plan: &'a ShardPlan,
-    topology: &'a dyn Topology,
-    /// Shared precomputed routing table (read-only across shards).
-    routes: &'a crate::network::RouteTable,
-    router_off: usize,
-    node_off: usize,
-    routers: &'a mut [Router],
-    flit_pipes: &'a mut [Vec<Option<Pipe<Flit>>>],
-    credit_pipes: &'a mut [Vec<Pipe<VcId>>],
-    credit_dests: &'a [Vec<CreditDest>],
-    inject_pipes: &'a mut [Pipe<Flit>],
-    sources: &'a mut [SourceQueue],
+    net: NetSlice<'a>,
     flit_boundary: Vec<FlitBoundary>,
     credit_boundary: Vec<CreditBoundary>,
     /// Shard-local gating state (globally indexed; only this shard's
     /// entries are ever touched).
     gating: GatingState,
-    out: RouterOutput,
-    /// Disabled sink: telemetry-recording runs never reach the sharded
-    /// engine (see [`NetworkSim::effective_shards`]).
+    /// Recording is off — telemetry-recording runs never reach the sharded
+    /// engine (see [`NetworkSim::effective_shards`]) — but the sink
+    /// carries this shard's engine self-profiler (its own flame track on
+    /// the engine track's epoch) when profiling is on: profiling only
+    /// reads the host clock, so it runs fine off the calling thread.
     sink: TelemetrySink,
-    /// This shard's engine self-profiler (its own flame track), sharing
-    /// the engine track's epoch; `None` when profiling is off. Profiling
-    /// only reads the host clock, so — unlike the recording sink above —
-    /// it runs fine under the sharded engine.
-    prof: Option<Box<Profiler>>,
-    recs: Vec<StatRecord>,
-    ejects: Vec<EjectedPacket>,
+    log: EjectionLog,
     /// This shard's private sense flag for the cycle barrier.
     waiter: SpinWaiter,
 }
 
 impl ShardWorker<'_> {
-    /// Starts a profiling span chain (no clock read when profiling is
-    /// off).
-    #[inline]
-    fn sp_start(&self) -> SpanStart {
-        match &self.prof {
-            Some(p) => p.start(),
-            None => SpanStart::DISABLED,
-        }
-    }
-
-    /// Closes the span begun at `from` as `kind` for cycle `t` and
-    /// starts the next one at the same instant.
-    #[inline]
-    fn sp_lap(&mut self, kind: SpanKind, t: u64, from: SpanStart) -> SpanStart {
-        match &mut self.prof {
-            Some(p) => p.lap(kind, t, from),
-            None => SpanStart::DISABLED,
-        }
-    }
-
     /// Publishes this shard's cumulative busy/barrier wall-clock to the
     /// health board every cycle (two relaxed stores), plus the
     /// heartbeat-cycle gauges (router steps, wake-calendar depth,
@@ -403,73 +343,12 @@ impl ShardWorker<'_> {
     /// before the end-of-cycle barrier, which orders the stores ahead of
     /// the heartbeat's reads.
     fn publish_health(&self, board: &HealthBoard, t: u64, beat_every: u64) {
-        let Some(p) = &self.prof else { return };
+        let Some(p) = self.sink.profiler() else { return };
         let (busy, barrier) = p.own_busy_barrier_ns();
         board.publish_time(self.idx, busy, barrier);
         if beat_every > 0 && (t + 1).is_multiple_of(beat_every) {
-            let wake: u64 = if self.cfg.activity_gating {
-                self.gating.calendar.iter().map(|slot| slot.len() as u64).sum()
-            } else {
-                0
-            };
-            let buffered: u64 = self.routers.iter().map(|r| r.buffered_flits() as u64).sum();
+            let (wake, buffered) = self.net.health_gauges(&self.gating);
             board.publish_gauges(self.idx, self.gating.router_steps, wake, buffered);
-        }
-    }
-
-    /// Rebuilds this shard's wake calendar from the contents of its own
-    /// pipes. Every in-flight item's due cycle lies within `WAKE_RING`
-    /// of `now`, so slots never alias. Boundary pipes are skipped — the
-    /// unconditional boundary scan replaces their calendar events.
-    fn rebuild_calendar(&mut self) {
-        for (i, pipe) in self.inject_pipes.iter().enumerate() {
-            let n = self.node_off + i;
-            for due in pipe.dues() {
-                self.gating.inject_sched[n] = due;
-                self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                    .push(WakeEvent::Inject(n));
-            }
-        }
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            for p in 0..self.flit_pipes[ri].len() {
-                let Some(pipe) = self.flit_pipes[ri][p].as_ref() else { continue };
-                if pipe.is_empty() {
-                    continue;
-                }
-                let (down, _) = self
-                    .routes
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                if self.plan.shard_of_router(down.0) != self.idx {
-                    continue;
-                }
-                for due in pipe.dues() {
-                    self.gating.flit_sched[r][p] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::FlitLink(r, p));
-                }
-            }
-            for p in 0..self.credit_pipes[ri].len() {
-                if self.credit_pipes[ri][p].is_empty() {
-                    continue;
-                }
-                let local = match self.credit_dests[ri][p] {
-                    CreditDest::Upstream(ur, _) => self.plan.shard_of_router(ur.0) == self.idx,
-                    CreditDest::Source(_) => true,
-                    CreditDest::Unconnected => {
-                        unreachable!("credit in flight on unconnected port {p} of router {r}")
-                    }
-                };
-                if !local {
-                    continue;
-                }
-                for due in self.credit_pipes[ri][p].dues() {
-                    self.gating.credit_sched[r][p] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::CreditLink(r, p));
-                }
-            }
         }
     }
 
@@ -485,33 +364,29 @@ impl ShardWorker<'_> {
         if sh.panic_inject == Some((t, self.idx)) {
             panic!("injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}", self.idx);
         }
-        let now = Cycle(t);
-        let gated = self.cfg.activity_gating;
+        let gated = self.net.cfg.activity_gating;
         let parity = (t % 2) as usize;
         // Profiling lap chain: staged/mailbox drains and the boundary
-        // scan are `Exchange`; the step phases lap themselves.
-        let mut span = self.sp_start();
+        // scan are `Exchange`; the cycle body laps its own phases.
+        let mut span = self.sink.span_start();
 
         // 0. Packets generated for this cycle one cycle ago (phase 1).
         let staged = &sh.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
-            self.sources[packet.source.0 - self.node_off].enqueue(packet);
+            self.net.sources[packet.source.0 - self.net.node_off].enqueue(packet);
         }
 
         // 1. Inbound cross-shard deliveries due this cycle. Flit
         // deliveries wake the receiving router exactly as a calendar
         // event would; credits follow the credit-no-wake rule.
-        for src in 0..self.plan.shards() {
-            if src == self.idx {
-                continue;
-            }
+        for src in (0..sh.staged[parity].len()).filter(|&src| src != self.idx) {
             {
                 let mut inbox =
                     sh.mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
                 for (down, port, flit) in inbox.drain(..) {
-                    self.routers[down.0 - self.router_off].accept_flit(port, flit);
+                    self.net.routers[down.0 - self.net.router_off].accept_flit(port, flit);
                     if gated {
-                        NetworkSim::activate(
+                        GatingState::activate(
                             &mut self.gating.active_mark,
                             &mut self.gating.work,
                             down.0,
@@ -523,36 +398,34 @@ impl ShardWorker<'_> {
             let mut inbox =
                 sh.mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
             for (up, port, vc) in inbox.drain(..) {
-                self.routers[up.0 - self.router_off].credit_return(port, vc);
+                self.net.routers[up.0 - self.net.router_off].credit_return(port, vc);
             }
         }
+        span = self.sink.span_lap(SpanKind::Exchange, t, span);
 
-        span = self.sp_lap(SpanKind::Exchange, t, span);
-
-        // 2–5. The serial step restricted to this shard.
-        span = if gated { self.step_gated(now, span) } else { self.step_ungated(now, span) };
+        // 2–5. The cycle body, over this shard's slice.
+        span = self.net.step(Cycle(t), &mut self.gating, &mut self.sink, &mut self.log, span);
 
         // 6. Boundary scan — skipped on the stretch's final cycle.
         if t + 1 < sh.end {
             self.boundary_scan(t + 1, sh.mail);
         }
 
-        // 7. Publish this cycle's records for the calling thread's merge.
-        // The swap gets back the vectors it drained last cycle, keeping
+        // 7. Publish this cycle's ejection log for the calling thread's
+        // merge. The swap gets back the log it drained last cycle, keeping
         // the steady state allocation-free.
-        {
-            let mut slot = sh.outs[parity][self.idx].lock().expect("merger not panicked");
-            std::mem::swap(&mut slot.recs, &mut self.recs);
-            std::mem::swap(&mut slot.ejects, &mut self.ejects);
-        }
-        self.sp_lap(SpanKind::Exchange, t, span);
+        std::mem::swap(
+            &mut *sh.outs[parity][self.idx].lock().expect("merger not panicked"),
+            &mut self.log,
+        );
+        self.sink.span_lap(SpanKind::Exchange, t, span);
         if let Some(board) = sh.board {
             self.publish_health(board, t, sh.beat_every);
         }
         // — the end-of-cycle barrier —
-        let span = self.sp_start();
+        let span = self.sink.span_start();
         sh.barrier.wait(&mut self.waiter)?;
-        self.sp_lap(SpanKind::BarrierWait, t, span);
+        self.sink.span_lap(SpanKind::BarrierWait, t, span);
         Ok(())
     }
 
@@ -564,7 +437,7 @@ impl ShardWorker<'_> {
     fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) {
         let parity = (due % 2) as usize;
         for b in &self.flit_boundary {
-            let pipe = self.flit_pipes[b.from - self.router_off][b.port]
+            let pipe = self.net.flit_pipes[b.from - self.net.router_off][b.port]
                 .as_mut()
                 .expect("boundary port is connected");
             if !pipe.has_ready(Cycle(due)) {
@@ -578,7 +451,7 @@ impl ShardWorker<'_> {
             }
         }
         for b in &self.credit_boundary {
-            let pipe = &mut self.credit_pipes[b.from - self.router_off][b.port];
+            let pipe = &mut self.net.credit_pipes[b.from - self.net.router_off][b.port];
             if !pipe.has_ready(Cycle(due)) {
                 continue;
             }
@@ -590,344 +463,40 @@ impl ShardWorker<'_> {
             }
         }
     }
-
-    /// Phases 2–5 of the ungated serial step over this shard's routers.
-    /// Boundary pipes never have anything due mid-cycle (the boundary
-    /// scan drained through `t` at the end of cycle `t − 1`), so the
-    /// sweep naturally skips them.
-    fn step_ungated(&mut self, now: Cycle, mut span: SpanStart) -> SpanStart {
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-        let radix = self.topology.radix();
-
-        // 2. Sources stream flits toward their routers.
-        for i in 0..self.sources.len() {
-            let router = self.topology.router_of(NodeId(self.node_off + i));
-            let routes = self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[i].try_send(now, resolve) {
-                self.inject_pipes[i].push(now, flit);
-            }
-        }
-        span = self.sp_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3. Deliver flits due this cycle.
-        for i in 0..self.inject_pipes.len() {
-            let node = NodeId(self.node_off + i);
-            let router = self.topology.router_of(node);
-            let port = self.topology.local_port_of(node);
-            while let Some(flit) = self.inject_pipes[i].pop_ready(now) {
-                self.routers[router.0 - self.router_off].accept_flit(port, flit);
-            }
-        }
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            for p in 0..radix {
-                let Some(pipe) = self.flit_pipes[ri][p].as_mut() else { continue };
-                if !pipe.has_ready(now) {
-                    continue;
-                }
-                let (down, down_port) = self
-                    .routes
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                debug_assert_eq!(
-                    self.plan.shard_of_router(down.0),
-                    self.idx,
-                    "boundary pipe had a delivery due mid-cycle"
-                );
-                while let Some(flit) =
-                    self.flit_pipes[ri][p].as_mut().expect("checked above").pop_ready(now)
-                {
-                    self.routers[down.0 - self.router_off].accept_flit(down_port, flit);
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::Deliver, now.0, span);
-
-        // 4. Deliver credits due this cycle.
-        for ri in 0..self.routers.len() {
-            for p in 0..radix {
-                if !self.credit_pipes[ri][p].has_ready(now) {
-                    continue;
-                }
-                match self.credit_dests[ri][p] {
-                    CreditDest::Upstream(ur, up) => {
-                        while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                            self.routers[ur.0 - self.router_off].credit_return(up, vc);
-                        }
-                    }
-                    CreditDest::Source(node) => {
-                        while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                            self.sources[node.0 - self.node_off].credit_return(vc);
-                        }
-                    }
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of shard router {ri}")
-                    }
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::CreditDeliver, now.0, span);
-
-        // 5. Clock every router in the shard, ascending.
-        let mut out = std::mem::take(&mut self.out);
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            self.routers[ri].step_into(now, &mut out, &mut self.sink);
-            self.gating.router_steps += 1;
-            self.fan_out(r, now, in_window, &mut out, false);
-        }
-        self.out = out;
-        self.sp_lap(SpanKind::RouterStep, now.0, span)
-    }
-
-    /// Phases 2–5 of the activity-gated serial step over this shard.
-    fn step_gated(&mut self, now: Cycle, mut span: SpanStart) -> SpanStart {
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-
-        // 2. Sources; a push schedules the injection link's delivery.
-        for i in 0..self.sources.len() {
-            let n = self.node_off + i;
-            let router = self.topology.router_of(NodeId(n));
-            let routes = self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[i].try_send(now, resolve) {
-                self.inject_pipes[i].push(now, flit);
-                let due = now.0 + 1;
-                if self.gating.inject_sched[n] != due {
-                    self.gating.inject_sched[n] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::Inject(n));
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3 + 4. Drain this cycle's calendar slot (intra-shard events
-        // only by construction; boundary traffic arrived via mailboxes).
-        let slot = (now.0 % WAKE_RING as u64) as usize;
-        let mut events = std::mem::take(&mut self.gating.calendar[slot]);
-        for &ev in &events {
-            match ev {
-                WakeEvent::Inject(n) => {
-                    let node = NodeId(n);
-                    let router = self.topology.router_of(node);
-                    let port = self.topology.local_port_of(node);
-                    while let Some(flit) = self.inject_pipes[n - self.node_off].pop_ready(now) {
-                        self.routers[router.0 - self.router_off].accept_flit(port, flit);
-                    }
-                    NetworkSim::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        router.0,
-                        now.0,
-                    );
-                }
-                WakeEvent::FlitLink(r, p) => {
-                    let (down, down_port) = self
-                        .routes
-                        .neighbor(RouterId(r), PortId(p))
-                        .expect("flit pipe exists only on connected ports");
-                    while let Some(flit) = self.flit_pipes[r - self.router_off][p]
-                        .as_mut()
-                        .expect("connected port has a pipe")
-                        .pop_ready(now)
-                    {
-                        self.routers[down.0 - self.router_off].accept_flit(down_port, flit);
-                    }
-                    NetworkSim::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        down.0,
-                        now.0,
-                    );
-                }
-                WakeEvent::CreditLink(r, p) => {
-                    let ri = r - self.router_off;
-                    match self.credit_dests[ri][p] {
-                        CreditDest::Upstream(ur, up) => {
-                            while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                                self.routers[ur.0 - self.router_off].credit_return(up, vc);
-                            }
-                        }
-                        CreditDest::Source(node) => {
-                            while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                                self.sources[node.0 - self.node_off].credit_return(vc);
-                            }
-                        }
-                        CreditDest::Unconnected => {
-                            unreachable!("credit on unconnected port {p} of router {r}")
-                        }
-                    }
-                }
-            }
-        }
-        events.clear();
-        self.gating.calendar[slot] = events;
-        span = self.sp_lap(SpanKind::Deliver, now.0, span);
-
-        // 5. Step the active routers in ascending order.
-        let mut out = std::mem::take(&mut self.out);
-        let mut work = std::mem::take(&mut self.gating.work);
-        work.sort_unstable();
-        for &r in &work {
-            let ri = r - self.router_off;
-            let was_quiescent = self.routers[ri].is_quiescent();
-            let gap = now.0 - self.gating.stepped_until[r];
-            if gap > 0 {
-                self.routers[ri].note_idle_cycles(gap);
-            }
-            self.routers[ri].step_into(now, &mut out, &mut self.sink);
-            self.gating.router_steps += 1;
-            self.gating.stepped_until[r] = now.0 + 1;
-            self.fan_out(r, now, in_window, &mut out, true);
-            if !(was_quiescent && self.routers[ri].is_quiescent()) {
-                NetworkSim::activate(
-                    &mut self.gating.active_mark,
-                    &mut self.gating.pending,
-                    r,
-                    now.0 + 1,
-                );
-            }
-        }
-        work.clear();
-        self.gating.work = work;
-        std::mem::swap(&mut self.gating.work, &mut self.gating.pending);
-        self.out = out;
-        self.sp_lap(SpanKind::RouterStep, now.0, span)
-    }
-
-    /// Fans one router's step outputs out to ejection records and link
-    /// pipes. With `gated` set, intra-shard pushes schedule calendar
-    /// events; boundary pushes schedule nothing — the boundary scan
-    /// visits those pipes unconditionally.
-    fn fan_out(&mut self, r: usize, now: Cycle, in_window: bool, out: &mut RouterOutput, gated: bool) {
-        let ri = r - self.router_off;
-        for (p, mut flit) in out.flits.drain(..) {
-            if self.topology.is_local_port(p) {
-                debug_assert_eq!(
-                    self.topology.node_at(RouterId(r), p),
-                    Some(flit.packet.dest),
-                    "flit ejected at the wrong terminal"
-                );
-                if in_window {
-                    self.recs.push(StatRecord {
-                        source: flit.packet.source,
-                        is_tail: flit.is_tail(),
-                        created_at: flit.packet.created_at,
-                        at: now,
-                    });
-                }
-                if flit.is_tail() {
-                    self.ejects.push(EjectedPacket { packet: flit.packet, at: now });
-                }
-            } else {
-                let (down, _) = self
-                    .routes
-                    .neighbor(RouterId(r), p)
-                    .expect("route uses connected ports");
-                let (out_port, lookahead, _) = self.routes.resolve(down, flit.packet.dest);
-                flit.set_route(out_port, lookahead);
-                self.flit_pipes[ri][p.0]
-                    .as_mut()
-                    .expect("connected port has a pipe")
-                    .push(now, flit);
-                if gated && self.plan.shard_of_router(down.0) == self.idx {
-                    let due = now.0 + crate::FLIT_LATENCY;
-                    if self.gating.flit_sched[r][p.0] != due {
-                        self.gating.flit_sched[r][p.0] = due;
-                        self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::FlitLink(r, p.0));
-                    }
-                }
-            }
-        }
-        for (p, vc) in out.credits.drain(..) {
-            self.credit_pipes[ri][p.0].push(now, vc);
-            if gated {
-                let local = match self.credit_dests[ri][p.0] {
-                    CreditDest::Upstream(ur, _) => self.plan.shard_of_router(ur.0) == self.idx,
-                    CreditDest::Source(_) => true,
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of router {r}")
-                    }
-                };
-                if local {
-                    let due = now.0 + crate::CREDIT_LATENCY;
-                    if self.gating.credit_sched[r][p.0] != due {
-                        self.gating.credit_sched[r][p.0] = due;
-                        self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::CreditLink(r, p.0));
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// Replays one cycle's per-shard ejection records into the network's
+/// Replays one cycle's per-shard ejection logs into the network's
 /// statistics, in shard order = ascending router order = serial order.
-fn merge_cycle(outs: &[Mutex<CycleOut>], stats: &mut NetworkStats, ejected: &mut Vec<EjectedPacket>) {
+fn merge_cycle(outs: &[Mutex<EjectionLog>], stats: &mut NetworkStats, log: &mut EjectionLog) {
     for slot in outs {
         let mut out = slot.lock().expect("shard not panicked");
-        for rec in out.recs.drain(..) {
-            stats.record_ejection(rec.source, rec.is_tail, rec.created_at, rec.at);
-        }
-        ejected.append(&mut out.ejects);
+        out.replay_into(stats);
+        log.ejects.append(&mut out.ejects);
     }
 }
 
-/// Phase 1 traffic generation for cycle `u`, run by the calling thread
-/// one cycle ahead of the shards. Draws from the run's single RNG in
-/// serial node order — so the random stream, packet-id sequence, and
-/// offered-packet count are exactly what the serial `step()` for cycle
-/// `u` would produce — batching each shard's packets into a
-/// caller-owned buffer that is then swapped into the shared staging
-/// slot with one lock acquisition per (non-idle) shard.
-///
-/// The caller guarantees `u < warmup + measure` (generation stops with
-/// the serial schedule) and that slot `staged[...]` was drained by its
-/// shard two cycles ago, so the swap hands back an empty vector and the
-/// steady state stays allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn generate_cycle(
+/// Phase 1 for cycle `u`, run by the calling thread one cycle ahead of
+/// the shards: the run's one generator batches each shard's packets into
+/// a caller-owned buffer, which is then swapped into the shared staging
+/// slot with one lock acquisition per (non-idle) shard. The slot was
+/// drained by its shard two cycles ago, so the swap hands back an empty
+/// vector and the steady state stays allocation-free.
+fn stage_cycle(
     u: u64,
+    traffic: &mut TrafficGen,
     cfg: &SimConfig,
-    plan: &ShardPlan,
-    injector: &BernoulliInjector,
-    pattern: &TrafficPattern,
-    rng: &mut StdRng,
-    next_packet: &mut u64,
     stats: &mut NetworkStats,
+    plan: &ShardPlan,
     gen_bufs: &mut [Vec<PacketDescriptor>],
     staged: &[Mutex<Vec<PacketDescriptor>>],
 ) {
-    let nodes_total = cfg.network.nodes;
-    let in_window = u >= cfg.warmup;
-    for n in 0..nodes_total {
-        if injector.fires(rng) {
-            let dest = pattern.pick_dest(NodeId(n), nodes_total, rng);
-            let packet = PacketDescriptor::new(
-                PacketId(*next_packet),
-                NodeId(n),
-                dest,
-                cfg.packet_len,
-                Cycle(u),
-            );
-            *next_packet += 1;
-            gen_bufs[plan.shard_of_node(n)].push(packet);
-            if in_window {
-                stats.record_offered(1);
-            }
-        }
-    }
+    traffic.generate(u, cfg, stats, |packet| {
+        gen_bufs[plan.shard_of_node(packet.source.0)].push(packet);
+    });
     for (buf, slot) in gen_bufs.iter_mut().zip(staged) {
-        if buf.is_empty() {
-            continue;
+        if !buf.is_empty() {
+            std::mem::swap(&mut *slot.lock().expect("shard not panicked"), buf);
         }
-        std::mem::swap(&mut *slot.lock().expect("shard not panicked"), buf);
     }
 }
 
@@ -944,8 +513,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     let start = sim.now.0;
     let end = start + cycles;
     let plan = match sim.shard_weights.as_deref() {
-        Some(weights) => ShardPlan::weighted(sim.topology.as_ref(), shards, weights),
-        None => ShardPlan::new(sim.topology.as_ref(), shards),
+        Some(weights) => ShardPlan::weighted(sim.net.topology.as_ref(), shards, weights),
+        None => ShardPlan::new(sim.net.topology.as_ref(), shards),
     };
     // Test-only fault hook: `VIX_SHARD_PANIC_AT=cycle:shard` makes that
     // shard panic at the top of that cycle, exercising the barrier
@@ -956,8 +525,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             let (t, s) = spec.split_once(':')?;
             Some((t.parse().ok()?, s.parse().ok()?))
         });
-    let radix = sim.topology.radix();
-    let routers_total = sim.routers.len();
+    let radix = sim.net.topology.radix();
+    let routers_total = sim.net.routers.len();
     let nodes_total = sim.cfg.network.nodes;
     let gated = sim.cfg.activity_gating;
 
@@ -968,8 +537,9 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     for r in 0..routers_total {
         let s = plan.shard_of_router(r);
         for p in 0..radix {
-            if sim.flit_pipes[r][p].is_some() {
+            if sim.net.flit_pipes[r][p].is_some() {
                 let (down, down_port) = sim
+                    .net
                     .routes
                     .neighbor(RouterId(r), PortId(p))
                     .expect("flit pipe exists only on connected ports");
@@ -984,7 +554,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
                     });
                 }
             }
-            if let CreditDest::Upstream(up, up_port) = sim.credit_dests[r][p] {
+            if let CreditDest::Upstream(up, up_port) = sim.net.credit_dests[r][p] {
                 let dst_shard = plan.shard_of_router(up.0);
                 if dst_shard != s {
                     credit_boundary[s].push(CreditBoundary {
@@ -1001,89 +571,42 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
 
     let mail = Mailboxes::new(shards);
 
-    // Engine self-profiling: each shard gets its own span track (no
-    // sharing, no locks on the hot path); health gauges ride a lock-free
-    // atomic board the calling thread samples on the heartbeat interval.
+    // Engine self-profiling: each shard's sink carries its own span track
+    // (no sharing, no locks on the hot path); health gauges ride a
+    // lock-free atomic board the calling thread samples on the heartbeat
+    // interval.
     let profiling = sim.telemetry.profiling();
-    let epoch = sim.telemetry.profiler().map(vix_telemetry::Profiler::epoch);
-    let span_cap = if profiling {
-        (sim.cfg.telemetry.profile_span_capacity / shards).max(1024)
-    } else {
-        0
-    };
+    let span_cap = (sim.cfg.telemetry.profile_span_capacity / shards).max(1024);
     let beat_every = sim.telemetry.profiler().map_or(0, vix_telemetry::Profiler::beat_every);
     let board = profiling.then(|| HealthBoard::new(shards));
     let steps_base = sim.gating.router_steps;
 
-    // Split the network into per-shard mutable slices.
+    // Split the network into per-shard slices. The serial calendar
+    // interleaves shards and references boundary pipes, so each shard's
+    // calendar is rebuilt from its own pipe contents instead of split.
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
-    {
-        let mut routers_rest: &mut [Router] = &mut sim.routers;
-        let mut flit_rest: &mut [Vec<Option<Pipe<Flit>>>] = &mut sim.flit_pipes;
-        let mut credit_rest: &mut [Vec<Pipe<VcId>>] = &mut sim.credit_pipes;
-        let mut cdest_rest: &[Vec<CreditDest>] = &sim.credit_dests;
-        let mut inject_rest: &mut [Pipe<Flit>] = &mut sim.inject_pipes;
-        let mut source_rest: &mut [SourceQueue] = &mut sim.sources;
-        for s in 0..shards {
-            let routers_here = plan.router_range(s).len();
-            let nodes_here = plan.node_range(s).len();
-            let (routers, rest) = routers_rest.split_at_mut(routers_here);
-            routers_rest = rest;
-            let (flit_pipes, rest) = flit_rest.split_at_mut(routers_here);
-            flit_rest = rest;
-            let (credit_pipes, rest) = credit_rest.split_at_mut(routers_here);
-            credit_rest = rest;
-            let (credit_dests, rest) = cdest_rest.split_at(routers_here);
-            cdest_rest = rest;
-            let (inject_pipes, rest) = inject_rest.split_at_mut(nodes_here);
-            inject_rest = rest;
-            let (sources, rest) = source_rest.split_at_mut(nodes_here);
-            source_rest = rest;
-
-            let mut gating = GatingState::new(nodes_total, routers_total, radix);
-            if gated {
-                gating.active_mark.copy_from_slice(&sim.gating.active_mark);
-                gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
-                for &r in &sim.gating.work {
-                    if plan.shard_of_router(r) == s {
-                        gating.work.push(r);
-                    }
-                }
-            }
-            workers.push(ShardWorker {
-                idx: s,
-                cfg: sim.cfg,
-                plan: &plan,
-                topology: sim.topology.as_ref(),
-                routes: &sim.routes,
-                router_off: plan.router_range(s).start,
-                node_off: plan.node_range(s).start,
-                routers,
-                flit_pipes,
-                credit_pipes,
-                credit_dests,
-                inject_pipes,
-                sources,
-                flit_boundary: std::mem::take(&mut flit_boundary[s]),
-                credit_boundary: std::mem::take(&mut credit_boundary[s]),
-                gating,
-                out: RouterOutput::default(),
-                sink: TelemetrySink::new(TelemetrySettings::disabled()),
-                prof: epoch
-                    .map(|e| Box::new(Profiler::for_shard(s as u32, e, span_cap, 0, false))),
-                recs: Vec::new(),
-                ejects: Vec::new(),
-                waiter: SpinWaiter::new(),
-            });
+    let mut rest = sim.net.slice(&sim.cfg);
+    for s in 0..shards {
+        let (net, tail) = rest.split_at(plan.router_range(s).len(), plan.node_range(s).len());
+        rest = tail;
+        let mut gating = GatingState::new(nodes_total, routers_total, radix);
+        if gated {
+            gating.active_mark.copy_from_slice(&sim.gating.active_mark);
+            gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
+            let range = plan.router_range(s);
+            gating.work.extend(sim.gating.work.iter().filter(|&&r| range.contains(&r)));
+            net.rebuild_calendar(&mut gating);
         }
-    }
-    if gated {
-        // The serial calendar interleaves shards and references boundary
-        // pipes; rebuild each shard's calendar from its own pipe contents
-        // instead of trying to split it.
-        for w in &mut workers {
-            w.rebuild_calendar();
-        }
+        workers.push(ShardWorker {
+            idx: s,
+            net,
+            flit_boundary: std::mem::take(&mut flit_boundary[s]),
+            credit_boundary: std::mem::take(&mut credit_boundary[s]),
+            gating,
+            sink: sim.telemetry.for_shard(s as u32, span_cap),
+            log: EjectionLog::default(),
+            waiter: SpinWaiter::new(),
+        });
     }
     // Pre-scan: deliveries already due at `start` on boundary pipes
     // would normally have been exchanged at the end of cycle `start − 1`
@@ -1101,13 +624,12 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
     ];
-    let outs: [Vec<Mutex<CycleOut>>; 2] = [
-        (0..shards).map(|_| Mutex::new(CycleOut::default())).collect(),
-        (0..shards).map(|_| Mutex::new(CycleOut::default())).collect(),
+    let outs: [Vec<Mutex<EjectionLog>>; 2] = [
+        (0..shards).map(|_| Mutex::new(EjectionLog::default())).collect(),
+        (0..shards).map(|_| Mutex::new(EjectionLog::default())).collect(),
     ];
     let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
     let barrier = SpinBarrier::new(shards);
-    let warm_plus_measure = sim.cfg.warmup + sim.cfg.measure;
     let sh = Stretch {
         end,
         panic_inject,
@@ -1122,20 +644,15 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // Pipeline fill: cycle `start`'s packets are staged before the other
     // shards exist (spawning publishes them), so the in-loop generation
     // can run one cycle ahead from the very first barrier.
-    if start < warm_plus_measure {
-        generate_cycle(
-            start,
-            &sim.cfg,
-            &plan,
-            &sim.injector,
-            &sim.pattern,
-            &mut sim.rng,
-            &mut sim.next_packet,
-            &mut sim.stats,
-            &mut gen_bufs,
-            &staged[(start % 2) as usize],
-        );
-    }
+    stage_cycle(
+        start,
+        &mut sim.traffic,
+        &sim.cfg,
+        &mut sim.stats,
+        &plan,
+        &mut gen_bufs,
+        &staged[(start % 2) as usize],
+    );
 
     let mut workers = workers.into_iter();
     let mut shard0 = workers.next().expect("a sharded stretch has at least two shards");
@@ -1158,32 +675,28 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         }
         // This thread: the stats/RNG owner, and shard 0. Before stepping
         // cycle `t` it merges cycle `t − 1`'s records and generates cycle
-        // `t + 1`'s traffic with the run's single RNG in exact serial
-        // order, so the random stream and packet-id sequence are
-        // shard-count-invariant. The guard covers duties and shard 0's
-        // step alike: either panic unwinds straight out of the scope.
+        // `t + 1`'s traffic with the run's single generator, so the random
+        // stream and packet-id sequence are shard-count-invariant. The
+        // guard covers duties and shard 0's step alike: either panic
+        // unwinds straight out of the scope.
         let _poison = PoisonOnPanic(&barrier);
         let mut poisoned = false;
         for t in start..end {
             let mut csp = sim.telemetry.span_start();
             if t > start {
-                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
+                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.log);
                 csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
             }
-            // Stage cycle `t + 1`. Generation stops at the serial
-            // schedule's horizon (`warmup + measure`) and at the end of
-            // this sharded stretch — cycle `end`'s draws belong to
-            // whichever engine steps cycle `end`.
-            if t + 1 < end && t + 1 < warm_plus_measure {
-                generate_cycle(
+            // Stage cycle `t + 1` — except past the end of this sharded
+            // stretch: cycle `end`'s draws belong to whichever engine
+            // steps cycle `end`.
+            if t + 1 < end {
+                stage_cycle(
                     t + 1,
+                    &mut sim.traffic,
                     &sim.cfg,
-                    &plan,
-                    &sim.injector,
-                    &sim.pattern,
-                    &mut sim.rng,
-                    &mut sim.next_packet,
                     &mut sim.stats,
+                    &plan,
                     &mut gen_bufs,
                     &staged[((t + 1) % 2) as usize],
                 );
@@ -1211,7 +724,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             }
         }
         if !poisoned {
-            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
+            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.log);
         }
         let mut finished = vec![shard0];
         for h in handles {
@@ -1229,68 +742,28 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     });
 
     // Reassemble a serial-scheduler view of the world so `step()` (or a
-    // later `run_cycles`) can continue from cycle `end` seamlessly.
-    // Extract the owned scheduler state first: the workers hold the
+    // later `run_cycles`) can continue from cycle `end` seamlessly. Each
+    // worker is consumed as it hands its state over — they hold the
     // mutable borrows of the network, which the rebuild below needs back.
-    let shard_state: Vec<(usize, Vec<u64>, Vec<usize>)> = finished
-        .into_iter()
-        .map(|w| {
-            sim.gating.router_steps += w.gating.router_steps;
-            if let Some(p) = w.prof {
-                if let Some(engine) = sim.telemetry.profiler_mut() {
-                    engine.absorb(*p);
-                }
+    sim.gating.work.clear();
+    sim.gating.pending.clear();
+    for w in finished {
+        sim.gating.router_steps += w.gating.router_steps;
+        if let (Some(p), Some(engine)) = (w.sink.into_profiler(), sim.telemetry.profiler_mut()) {
+            engine.absorb(*p);
+        }
+        if gated {
+            let range = plan.router_range(w.idx);
+            sim.gating.stepped_until[range.clone()].copy_from_slice(&w.gating.stepped_until[range]);
+            // Retention already put every non-quiescent router in its
+            // shard's work list; re-activate them for cycle `end`.
+            for &r in &w.gating.work {
+                GatingState::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
             }
-            (w.idx, w.gating.stepped_until, w.gating.work)
-        })
-        .collect();
+        }
+    }
     if gated {
-        for (idx, stepped_until, _) in &shard_state {
-            let range = plan.router_range(*idx);
-            sim.gating.stepped_until[range.clone()].copy_from_slice(&stepped_until[range]);
-        }
-        sim.gating.work.clear();
-        sim.gating.pending.clear();
-        for slot in &mut sim.gating.calendar {
-            slot.clear();
-        }
-        sim.gating.inject_sched.fill(u64::MAX);
-        for row in &mut sim.gating.flit_sched {
-            row.fill(u64::MAX);
-        }
-        for row in &mut sim.gating.credit_sched {
-            row.fill(u64::MAX);
-        }
-        for (n, pipe) in sim.inject_pipes.iter().enumerate() {
-            for due in pipe.dues() {
-                sim.gating.inject_sched[n] = due;
-                sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                    .push(WakeEvent::Inject(n));
-            }
-        }
-        for r in 0..routers_total {
-            for p in 0..radix {
-                if let Some(pipe) = sim.flit_pipes[r][p].as_ref() {
-                    for due in pipe.dues() {
-                        sim.gating.flit_sched[r][p] = due;
-                        sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::FlitLink(r, p));
-                    }
-                }
-                for due in sim.credit_pipes[r][p].dues() {
-                    sim.gating.credit_sched[r][p] = due;
-                    sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::CreditLink(r, p));
-                }
-            }
-        }
-        // Retention already put every non-quiescent router in its
-        // shard's work list; re-activate them for cycle `end`.
-        for (_, _, work) in &shard_state {
-            for &r in work {
-                NetworkSim::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
-            }
-        }
+        sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);
     }
     sim.now = Cycle(end);
 }

@@ -114,6 +114,22 @@ impl TelemetrySink {
         }
     }
 
+    /// The sink for shard `shard` of a sharded run of this sink's
+    /// simulation: recording off (trace order and per-cycle gauges are
+    /// defined by the serial engine), but carrying a shard-track profiler
+    /// on this sink's epoch when this sink profiles — profiling only reads
+    /// the host clock. Hand the profiler back with
+    /// [`into_profiler`](TelemetrySink::into_profiler) for
+    /// [`Profiler::absorb`].
+    #[must_use]
+    pub fn for_shard(&self, shard: u32, span_capacity: usize) -> Self {
+        let prof = self
+            .prof
+            .as_ref()
+            .map(|p| Box::new(Profiler::for_shard(shard, p.epoch(), span_capacity, 0, false)));
+        TelemetrySink { prof, ..TelemetrySink::disabled() }
+    }
+
     /// True when flit-lifecycle tracing is on. Callers should guard
     /// event construction behind this.
     #[inline]

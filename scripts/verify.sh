@@ -15,34 +15,6 @@ cargo test -q
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
-# Activity-gating contract: gated vs ungated bit-identity across all
-# allocator configs, plus the O(1)/heap-free idle-network guarantee.
-# Already covered by the suites above; re-run by name so a failure here
-# points straight at the gating invariant.
-echo "==> cargo test -q --release --test gating_parity --test zero_alloc"
-cargo test -q --release --test gating_parity --test zero_alloc
-
-# Sharded-engine contract: sharded single runs are bit-identical to
-# serial for every shard count, allocator, and scheduler, and compose
-# with sweep-level parallelism. Covered by the suites above; re-run by
-# name so a failure here points straight at the sharding invariant.
-echo "==> cargo test -q --release --test shard_parity --test determinism"
-cargo test -q --release --test shard_parity --test determinism
-
-# Barrier/panic contract: the sense-reversing spin barrier must survive
-# tens of thousands of reuses and oversubscription, and a panic in any
-# shard — shard 0 on the calling thread or a spawned one — must poison
-# the barrier and propagate out of run_cycles instead of deadlocking the
-# others. Re-run by name for the same reason.
-echo "==> cargo test -q --release --test spin_barrier --test shard_panic"
-cargo test -q --release --test spin_barrier --test shard_panic
-
-# Telemetry contract: the exporter schema is a compatibility surface for
-# external tooling (Perfetto, jq pipelines); run the schema test by name
-# so a drift failure points straight at the contract.
-echo "==> cargo test -q --release --test telemetry_schema --test matching_efficiency"
-cargo test -q --release --test telemetry_schema --test matching_efficiency
-
 # Traced smoke sim: a short instrumented run must produce a loadable
 # Chrome trace and a metrics JSON end to end (CI uploads both).
 echo "==> vixsim traced smoke run"

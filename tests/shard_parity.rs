@@ -127,31 +127,56 @@ fn sharded_run_protocol_matches_serial_end_to_end() {
 
 #[test]
 fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
-    // Lockstep: a sim that ran sharded for a while must continue under
-    // serial `step()` with the exact per-cycle ejections of an
-    // all-serial twin — the scheduler-state rebuild is what's on trial.
+    // Lockstep: a sim that ping-pongs between sharded stretches and serial
+    // `step()`s must show the exact per-cycle ejections of an all-serial
+    // twin — the scheduler-state hand-off, in both directions, is what's
+    // on trial. Stretches of `k` cycles for `k` in 1..=7 start at every
+    // phase of the wake-calendar ring; `k` = 1 and 2 are all entry
+    // pre-scan and skipped final boundary scan.
     for gating in [true, false] {
         let cfg = config(AllocatorKind::Vix, gating);
         let mut sharded = NetworkSim::build(cfg.with_shards(4)).unwrap();
         let mut serial = NetworkSim::build(cfg).unwrap();
-        sharded.run_cycles(700);
-        serial.run_cycles(700);
+        // Load the network first so the hand-offs carry in-flight state.
+        sharded.run_cycles(300);
+        serial.run_cycles(300);
         assert_eq!(sharded.take_ejections(), serial.take_ejections(), "gating={gating}");
-        for cycle in 0..400 {
-            sharded.step();
-            serial.step();
-            assert_eq!(
-                sharded.take_ejections(),
-                serial.take_ejections(),
-                "gating={gating}: diverged {cycle} cycles after the hand-off"
-            );
+        let mut seen = 0;
+        for round in 0..12 {
+            for k in 1..=7u64 {
+                let at = sharded.now();
+                sharded.run_cycles(k);
+                let mut expected = Vec::new();
+                for _ in 0..k {
+                    serial.step();
+                    expected.extend(serial.take_ejections());
+                }
+                assert_eq!(
+                    sharded.take_ejections(),
+                    expected,
+                    "gating={gating} round={round}: {k}-cycle stretch from {at} diverged"
+                );
+                for cycle in 0..k {
+                    sharded.step();
+                    serial.step();
+                    let ejected = serial.take_ejections();
+                    seen += ejected.len();
+                    assert_eq!(
+                        sharded.take_ejections(),
+                        ejected,
+                        "gating={gating} round={round}: diverged {cycle} cycles after \
+                         the {k}-cycle stretch from {at}"
+                    );
+                }
+                assert_eq!(sharded.router_steps(), serial.router_steps(), "gating={gating}");
+                assert_eq!(
+                    sharded.per_router_activity(),
+                    serial.per_router_activity(),
+                    "gating={gating} k={k}"
+                );
+            }
         }
-        assert_eq!(sharded.router_steps(), serial.router_steps(), "gating={gating}");
-        assert_eq!(
-            sharded.per_router_activity(),
-            serial.per_router_activity(),
-            "gating={gating}"
-        );
+        assert!(seen > 100, "gating={gating}: only {seen} ejections — the test saw no traffic");
     }
 }
 
