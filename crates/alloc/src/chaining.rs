@@ -2,7 +2,7 @@
 //! et al., MICRO-44, as described in §4.4 of the VIX paper.
 
 use crate::separable::SeparableAllocator;
-use crate::{AllocatorConfig, KernelKind, SwitchAllocator};
+use crate::{AllocatorConfig, SwitchAllocator};
 use vix_arbiter::Arbiter;
 use vix_core::bits::{set_bit, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
@@ -48,13 +48,9 @@ pub struct PacketChainingAllocator {
 /// [`SwitchAllocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct ChainingScratch {
-    input_taken: Vec<bool>,
-    output_taken: Vec<bool>,
-    /// VC request lines of one held connection's input port.
-    lines: Vec<bool>,
-    /// Bitset kernel: inherited inputs, one bit per port.
+    /// Inherited inputs, one bit per port.
     input_taken_bits: Vec<u64>,
-    /// Bitset kernel: inherited outputs, one bit per port.
+    /// Inherited outputs, one bit per port.
     output_taken_bits: Vec<u64>,
 }
 
@@ -84,17 +80,16 @@ impl PacketChainingAllocator {
 }
 
 impl PacketChainingAllocator {
-    /// Word-parallel kernel: inherited-chain champion lines come straight
-    /// from the request bit-view's VC planes, and the taken flags are
-    /// word arrays of one bit per port. Phase 2 delegates to the inner
-    /// separable allocator, which inherits the same kernel choice from the
-    /// shared config.
+    /// The word-parallel kernel: inherited-chain champion lines come
+    /// straight from the request bit-view's VC planes, and the taken flags
+    /// are word arrays of one bit per port. Phase 2 delegates to the inner
+    /// separable allocator.
     fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let port_words = words_for(ports);
         let Self { cfg, inner, held, vc_selectors, residual, inner_grants, scratch, matching } =
             self;
-        let ChainingScratch { input_taken_bits, output_taken_bits, .. } = scratch;
+        let ChainingScratch { input_taken_bits, output_taken_bits } = scratch;
         let bits = requests.bits();
         input_taken_bits.clear();
         input_taken_bits.resize(port_words, 0);
@@ -143,18 +138,16 @@ impl PacketChainingAllocator {
         matching.record_set(requests, grants, &cfg.partition);
     }
 
-    /// The original scalar loops, kept as the executable specification and
-    /// scalar benchmark baseline.
+    /// The original scalar loops: the executable specification the
+    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// against. Phase 2 goes through the inner allocator's scalar kernel.
+    #[cfg(test)]
     fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
-        let Self { cfg, inner, held, vc_selectors, residual, inner_grants, scratch, matching } =
-            self;
-        let ChainingScratch { input_taken, output_taken, lines, .. } = scratch;
-        input_taken.clear();
-        input_taken.resize(ports, false);
-        output_taken.clear();
-        output_taken.resize(ports, false);
+        let Self { cfg, inner, held, vc_selectors, residual, inner_grants, matching, .. } = self;
+        let mut input_taken = vec![false; ports];
+        let mut output_taken = vec![false; ports];
 
         // Phase 1: inherit surviving chains.
         for out in 0..ports {
@@ -167,14 +160,15 @@ impl PacketChainingAllocator {
             // non-speculative preferred.
             let mut chosen = None;
             for speculative in [false, true] {
-                lines.clear();
-                lines.extend((0..vcs).map(|v| {
-                    requests.get(input, VcId(v)).is_some_and(|r| {
-                        r.out_port == PortId(out) && r.speculative == speculative
+                let lines: Vec<bool> = (0..vcs)
+                    .map(|v| {
+                        requests.get(input, VcId(v)).is_some_and(|r| {
+                            r.out_port == PortId(out) && r.speculative == speculative
+                        })
                     })
-                }));
+                    .collect();
                 let sel = &mut vc_selectors[input.0];
-                if let Some(v) = sel.peek(lines) {
+                if let Some(v) = sel.peek(&lines) {
                     sel.commit(v);
                     chosen = Some(VcId(v));
                     break;
@@ -197,7 +191,7 @@ impl PacketChainingAllocator {
                 residual.push(r);
             }
         }
-        inner.allocate_into(residual, inner_grants);
+        inner.allocate_scalar_into(residual, inner_grants);
         grants.extend(inner_grants.iter().copied());
         matching.record_set(requests, grants, &cfg.partition);
     }
@@ -207,10 +201,13 @@ impl SwitchAllocator for PacketChainingAllocator {
     fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
         grants.clear();
-        match self.cfg.kernel {
-            KernelKind::Bitset => self.allocate_bitset(requests, grants),
-            KernelKind::Scalar => self.allocate_scalar(requests, grants),
-        }
+        self.allocate_bitset(requests, grants);
+    }
+
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        self.allocate_scalar(requests, grants);
     }
 
     fn partition(&self) -> &VixPartition {

@@ -1,7 +1,7 @@
 //! Iterative separable allocator (iSLIP-style), included as an extension
 //! baseline beyond the paper's evaluated schemes.
 
-use crate::{AllocatorConfig, KernelKind, SwitchAllocator};
+use crate::{AllocatorConfig, SwitchAllocator};
 use vix_arbiter::{first_set_from_words, Arbiter};
 use vix_core::bits::{any_set, clear_bit, set_bit, set_low_bits, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
@@ -35,26 +35,18 @@ pub struct IslipAllocator {
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls. The nested `grants_to_input`
-/// Vecs are cleared, never dropped, so their capacity persists too.
+/// [`SwitchAllocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct IslipScratch {
-    /// Port-level request matrix.
-    wants: Vec<bool>,
     matched_out_of_in: Vec<Option<usize>>,
-    out_matched: Vec<bool>,
-    /// Outputs granting each input in the current iteration.
-    grants_to_input: Vec<Vec<usize>>,
-    /// VC request lines of one matched input.
-    lines: Vec<bool>,
-    /// Bitset kernel: output mask granting each input this iteration,
-    /// `port_words` words per input.
+    /// Output mask granting each input this iteration, `port_words` words
+    /// per input.
     grant_masks: Vec<u64>,
-    /// Bitset kernel: still-unmatched inputs, one bit per port.
+    /// Still-unmatched inputs, one bit per port.
     free_in: Vec<u64>,
-    /// Bitset kernel: already-matched outputs, one bit per port.
+    /// Already-matched outputs, one bit per port.
     out_matched_bits: Vec<u64>,
-    /// Bitset kernel: requesting free inputs of one output.
+    /// Requesting free inputs of one output.
     cand: Vec<u64>,
 }
 
@@ -87,19 +79,17 @@ impl IslipAllocator {
 }
 
 impl IslipAllocator {
-    /// Word-parallel kernel: both pointer scans collapse to
+    /// The word-parallel kernel: both pointer scans collapse to
     /// [`first_set_from_words`] over the request-bit-view's per-output
-    /// requester masks. Grants, emission order, and pointer evolution match
-    /// [`allocate_scalar`](Self::allocate_scalar) exactly.
+    /// requester masks.
     fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let iterations = self.iterations;
         let port_words = words_for(ports);
         let Self { cfg, grant_pointers, accept_pointers, vc_selectors, scratch, matching, .. } =
             self;
-        let IslipScratch {
-            matched_out_of_in, grant_masks, free_in, out_matched_bits, cand, ..
-        } = scratch;
+        let IslipScratch { matched_out_of_in, grant_masks, free_in, out_matched_bits, cand } =
+            scratch;
         let bits = requests.bits();
 
         matched_out_of_in.clear();
@@ -172,30 +162,27 @@ impl IslipAllocator {
         matching.record_set(requests, grants, &cfg.partition);
     }
 
-    /// The original scalar loops, kept as the executable specification and
-    /// scalar benchmark baseline.
+    /// The original scalar loops: the executable specification the
+    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// against.
+    #[cfg(test)]
     fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
         let iterations = self.iterations;
-        let Self { cfg, grant_pointers, accept_pointers, vc_selectors, scratch, matching, .. } =
-            self;
-        let IslipScratch { wants, matched_out_of_in, out_matched, grants_to_input, lines, .. } =
-            scratch;
+        let Self { cfg, grant_pointers, accept_pointers, vc_selectors, matching, .. } = self;
 
         // Port-level request matrix (ignore speculation for the matching;
         // the VC champion prefers non-speculative below).
-        wants.clear();
-        wants.resize(ports * ports, false);
+        let mut wants = vec![false; ports * ports];
         for r in requests.active_requests() {
             wants[r.port.0 * ports + r.out_port.0] = true;
         }
 
-        matched_out_of_in.clear();
-        matched_out_of_in.resize(ports, None);
-        out_matched.clear();
-        out_matched.resize(ports, false);
-        grants_to_input.resize_with(ports, Vec::new);
+        let mut matched_out_of_in: Vec<Option<usize>> = vec![None; ports];
+        let mut out_matched = vec![false; ports];
+        // Outputs granting each input in the current iteration.
+        let mut grants_to_input: Vec<Vec<usize>> = vec![Vec::new(); ports];
 
         for iter in 0..iterations {
             // Grant round.
@@ -240,14 +227,15 @@ impl IslipAllocator {
             let Some(out) = matched_out_of_in[input] else { continue };
             let mut chosen = None;
             for speculative in [false, true] {
-                lines.clear();
-                lines.extend((0..vcs).map(|v| {
-                    requests.get(PortId(input), VcId(v)).is_some_and(|r| {
-                        r.out_port == PortId(out) && r.speculative == speculative
+                let lines: Vec<bool> = (0..vcs)
+                    .map(|v| {
+                        requests.get(PortId(input), VcId(v)).is_some_and(|r| {
+                            r.out_port == PortId(out) && r.speculative == speculative
+                        })
                     })
-                }));
+                    .collect();
                 let sel = &mut vc_selectors[input];
-                if let Some(v) = sel.peek(lines) {
+                if let Some(v) = sel.peek(&lines) {
                     sel.commit(v);
                     chosen = Some(VcId(v));
                     break;
@@ -264,10 +252,13 @@ impl SwitchAllocator for IslipAllocator {
     fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
         grants.clear();
-        match self.cfg.kernel {
-            KernelKind::Bitset => self.allocate_bitset(requests, grants),
-            KernelKind::Scalar => self.allocate_scalar(requests, grants),
-        }
+        self.allocate_bitset(requests, grants);
+    }
+
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        self.allocate_scalar(requests, grants);
     }
 
     fn partition(&self) -> &VixPartition {

@@ -40,6 +40,8 @@
 #![warn(missing_debug_implementations)]
 
 mod chaining;
+#[cfg(test)]
+mod differential;
 mod islip;
 mod matching;
 mod max_matching;
@@ -49,10 +51,7 @@ mod wavefront;
 
 pub use chaining::PacketChainingAllocator;
 pub use islip::IslipAllocator;
-pub use matching::{
-    max_bipartite_matching, max_bipartite_matching_bits_into, max_bipartite_matching_from,
-    MatchingScratch,
-};
+pub use matching::{max_bipartite_matching_bits_into, MatchingScratch};
 pub use max_matching::MaxMatchingAllocator;
 pub use output_first::OutputFirstAllocator;
 pub use separable::SeparableAllocator;
@@ -94,6 +93,14 @@ pub(crate) fn mask_to_oldest_bits(mask: &mut [u64], mut age_of: impl FnMut(usize
     }
 }
 
+/// VCs of each sub-group, as the scalar reference kernels walk them.
+#[cfg(test)]
+pub(crate) fn group_vcs(partition: &VixPartition) -> Vec<Vec<vix_core::VcId>> {
+    (0..partition.groups())
+        .map(|g| partition.vcs_in_group(vix_core::VirtualInputId(g)).collect())
+        .collect()
+}
+
 /// How separable stages break ties between simultaneous requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PriorityPolicy {
@@ -107,24 +114,6 @@ pub enum PriorityPolicy {
     OldestFirst,
 }
 
-/// Which implementation of the allocator inner loops to run.
-///
-/// Both kernels are **bit-identical** in observable behaviour — same grants,
-/// same emission order, same arbiter state evolution — which the differential
-/// suite in `tests/differential.rs` pins down. The scalar kernels are kept as
-/// the executable specification and as the benchmark baseline for
-/// `cargo bench -p vix-bench --bench alloc_kernels`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// Word-parallel kernels over the [`vix_core::RequestBits`] dense
-    /// bit-view: rotate-and-AND wavefront sweeps, `trailing_zeros`
-    /// candidate scans, masked round-robin arbitration.
-    #[default]
-    Bitset,
-    /// The original scalar loops over per-VC [`RequestSet::get`] lookups.
-    Scalar,
-}
-
 /// Static parameters shared by all allocators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocatorConfig {
@@ -136,13 +125,11 @@ pub struct AllocatorConfig {
     pub arbiter: ArbiterKind,
     /// Tie-break policy of the separable stages.
     pub priority: PriorityPolicy,
-    /// Inner-loop implementation (word-parallel bitset by default).
-    pub kernel: KernelKind,
 }
 
 impl AllocatorConfig {
     /// Creates a configuration with round-robin arbiters. Any shape is
-    /// accepted: the bitset kernels store `ceil(width / 64)` words per
+    /// accepted: the kernels store `ceil(width / 64)` words per
     /// request row, so radices, VC counts, and crossbar-input products
     /// past 64 are first-class (DESIGN.md §6d).
     #[must_use]
@@ -152,7 +139,6 @@ impl AllocatorConfig {
             partition,
             arbiter: ArbiterKind::RoundRobin,
             priority: PriorityPolicy::Rotating,
-            kernel: KernelKind::Bitset,
         }
     }
 
@@ -167,13 +153,6 @@ impl AllocatorConfig {
     #[must_use]
     pub fn with_priority(mut self, priority: PriorityPolicy) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Overrides the inner-loop kernel implementation.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -216,6 +195,13 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     /// must push grants in the same order as the equivalent
     /// [`allocate`](SwitchAllocator::allocate) always has.
     fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet);
+
+    /// [`allocate_into`](SwitchAllocator::allocate_into) through the scalar
+    /// reference kernel — the plain per-VC loops each word-parallel kernel
+    /// replaced, kept as the oracle of the in-crate differential suite:
+    /// same grants, same emission order, same arbiter state evolution.
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet);
 
     /// Allocates the switch for one cycle into a fresh [`GrantSet`].
     ///

@@ -7,7 +7,9 @@
 //! cycle — which is exactly the paper's point (Table 3 lists AP as
 //! *infeasible* in hardware) — but fine for simulation.
 
-/// Computes a maximum matching in a bipartite graph.
+/// Computes a maximum matching in a bipartite graph — the list-based
+/// reference matcher the word-parallel
+/// [`max_bipartite_matching_bits_into`] is held against.
 ///
 /// `adjacency[l]` lists the right-side vertices reachable from left vertex
 /// `l`. Returns `match_of_left` where `match_of_left[l]` is the right vertex
@@ -22,18 +24,8 @@
 /// # Panics
 ///
 /// Panics if an adjacency entry is `>= rights`.
-///
-/// # Example
-///
-/// ```
-/// use vix_alloc::max_bipartite_matching;
-///
-/// // Two left vertices both reach right 0; left 1 also reaches right 1.
-/// let m = max_bipartite_matching(2, 2, &[vec![0], vec![0, 1]]);
-/// assert_eq!(m, vec![Some(0), Some(1)]);
-/// ```
-#[must_use]
-pub fn max_bipartite_matching(
+#[cfg(test)]
+pub(crate) fn max_bipartite_matching(
     lefts: usize,
     rights: usize,
     adjacency: &[Vec<usize>],
@@ -52,61 +44,21 @@ pub fn max_bipartite_matching(
 /// # Panics
 ///
 /// Panics if an adjacency entry is `>= rights`.
-#[must_use]
-pub fn max_bipartite_matching_from(
+#[cfg(test)]
+pub(crate) fn max_bipartite_matching_from(
     lefts: usize,
     rights: usize,
     adjacency: &[Vec<usize>],
     offset: usize,
 ) -> Vec<Option<usize>> {
-    let mut scratch = MatchingScratch::default();
-    max_bipartite_matching_into(lefts, rights, adjacency, offset, &mut scratch);
-    std::mem::take(&mut scratch.match_of_left)
-}
-
-/// Reusable working state for `max_bipartite_matching_into`: the two
-/// match arrays plus the per-augmentation `visited` set, retained across
-/// cycles so the steady-state matcher never heap-allocates.
-#[derive(Debug, Default)]
-pub struct MatchingScratch {
-    /// `match_of_left[l]` = right vertex matched to `l` (the result).
-    pub match_of_left: Vec<Option<usize>>,
-    match_of_right: Vec<Option<usize>>,
-    visited: Vec<bool>,
-    /// Bitset kernel: per-augmentation visited set, one bit per right vertex.
-    visited_bits: Vec<u64>,
-    /// Bitset kernel: still-unmatched right vertices.
-    free_rights: Vec<u64>,
-}
-
-/// [`max_bipartite_matching_from`] writing into caller-owned scratch.
-///
-/// The matching is left in `scratch.match_of_left`; all other scratch
-/// fields are implementation detail. Allocations happen only while the
-/// scratch grows to the problem size — repeated same-size calls are
-/// allocation-free.
-///
-/// # Panics
-///
-/// Panics if an adjacency entry is `>= rights`.
-pub fn max_bipartite_matching_into(
-    lefts: usize,
-    rights: usize,
-    adjacency: &[Vec<usize>],
-    offset: usize,
-    scratch: &mut MatchingScratch,
-) {
     assert_eq!(adjacency.len(), lefts, "adjacency must have one entry per left vertex");
     for adj in adjacency {
         for &r in adj {
             assert!(r < rights, "right vertex {r} out of range ({rights})");
         }
     }
-    let MatchingScratch { match_of_left, match_of_right, visited, .. } = scratch;
-    match_of_right.clear();
-    match_of_right.resize(rights, None);
-    match_of_left.clear();
-    match_of_left.resize(lefts, None);
+    let mut match_of_right = vec![None; rights];
+    let mut match_of_left = vec![None; lefts];
 
     fn try_augment(
         l: usize,
@@ -137,13 +89,28 @@ pub fn max_bipartite_matching_into(
 
     for i in 0..lefts {
         let l = (i + offset) % lefts;
-        visited.clear();
-        visited.resize(rights, false);
-        try_augment(l, adjacency, visited, match_of_right, match_of_left);
+        let mut visited = vec![false; rights];
+        try_augment(l, adjacency, &mut visited, &mut match_of_right, &mut match_of_left);
     }
+    match_of_left
 }
 
-/// `max_bipartite_matching_into` over bit-mask adjacency: each left vertex
+/// Reusable working state for [`max_bipartite_matching_bits_into`]: the
+/// two match arrays plus the per-augmentation visited set, retained across
+/// cycles so the steady-state matcher never heap-allocates.
+#[derive(Debug, Default)]
+pub struct MatchingScratch {
+    /// `match_of_left[l]` = right vertex matched to `l` (the result).
+    pub match_of_left: Vec<Option<usize>>,
+    match_of_right: Vec<Option<usize>>,
+    /// Per-augmentation visited set, one bit per right vertex.
+    visited_bits: Vec<u64>,
+    /// Still-unmatched right vertices.
+    free_rights: Vec<u64>,
+}
+
+/// Maximum bipartite matching over bit-mask adjacency, with a rotated
+/// left-vertex scan start and caller-owned scratch: each left vertex
 /// owns a row of `rights.div_ceil(64)` consecutive words in `adjacency`,
 /// with bit `r` of the row set iff the left vertex reaches right vertex
 /// `r`. The per-augmentation visited set is a word array of the same
@@ -153,8 +120,8 @@ pub fn max_bipartite_matching_into(
 /// ascending right-vertex order — identical to the scalar algorithm on
 /// *sorted, deduplicated* adjacency lists, which is exactly what the
 /// allocators build. The resulting matching is therefore bit-identical to
-/// the scalar path. The matching is left in `scratch.match_of_left`; the
-/// boolean `visited` scratch field is unused here.
+/// the scalar path. The matching is left in `scratch.match_of_left`;
+/// allocations happen only while the scratch grows to the problem size.
 ///
 /// # Panics
 ///
@@ -181,7 +148,7 @@ pub fn max_bipartite_matching_bits_into(
                 .all(|row| row[right_words - 1] >> (rights % 64) == 0),
         "adjacency row has right vertices out of range ({rights})"
     );
-    let MatchingScratch { match_of_left, match_of_right, visited_bits, free_rights, .. } = scratch;
+    let MatchingScratch { match_of_left, match_of_right, visited_bits, free_rights } = scratch;
     match_of_right.clear();
     match_of_right.resize(rights, None);
     match_of_left.clear();
@@ -344,12 +311,11 @@ mod tests {
                     .iter()
                     .map(|&m| (0..rights).filter(|&r| m & (1 << r) != 0).collect())
                     .collect();
-                let mut scalar = MatchingScratch::default();
+                let scalar = max_bipartite_matching_from(lefts, rights, &adj_lists, offset);
                 let mut bits = MatchingScratch::default();
-                max_bipartite_matching_into(lefts, rights, &adj_lists, offset, &mut scalar);
                 max_bipartite_matching_bits_into(lefts, rights, &adj_bits, offset, &mut bits);
                 assert_eq!(
-                    scalar.match_of_left, bits.match_of_left,
+                    scalar, bits.match_of_left,
                     "kernels diverged on {lefts}x{rights} offset {offset}"
                 );
             }
@@ -385,12 +351,11 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let mut scalar = MatchingScratch::default();
+                let scalar = max_bipartite_matching_from(lefts, rights, &adj_lists, offset);
                 let mut bits = MatchingScratch::default();
-                max_bipartite_matching_into(lefts, rights, &adj_lists, offset, &mut scalar);
                 max_bipartite_matching_bits_into(lefts, rights, &adj_bits, offset, &mut bits);
                 assert_eq!(
-                    scalar.match_of_left, bits.match_of_left,
+                    scalar, bits.match_of_left,
                     "kernels diverged on {lefts}x{rights} offset {offset}"
                 );
             }

@@ -1,10 +1,10 @@
 //! Maximum-matching allocators: the paper's "AP" scheme and the ideal
 //! VC-level matcher, unified over the virtual-input partition.
 
-use crate::{AllocatorConfig, KernelKind, SwitchAllocator};
+use crate::{AllocatorConfig, SwitchAllocator};
 use vix_arbiter::Arbiter;
 use vix_core::bits::{extract_range, set_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VirtualInputId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
 use vix_telemetry::MatchingStats;
 
 /// Augmented-path maximum-matching allocator.
@@ -12,7 +12,8 @@ use vix_telemetry::MatchingStats;
 /// Builds a bipartite graph between *virtual inputs* (`ports × groups` left
 /// vertices) and output ports, with an edge wherever any VC of the
 /// sub-group requests the output, and computes a maximum matching with
-/// Kuhn's augmenting-path algorithm ([`crate::max_bipartite_matching`]).
+/// Kuhn's augmenting-path algorithm
+/// ([`crate::max_bipartite_matching_bits_into`]).
 ///
 /// * With the baseline partition (1 group/port) this is the paper's **AP**
 ///   allocator: provably maximum *port-level* matching, but — like any
@@ -30,11 +31,8 @@ use vix_telemetry::MatchingStats;
 #[derive(Debug)]
 pub struct MaxMatchingAllocator {
     cfg: AllocatorConfig,
-    /// VCs of each sub-group, precomputed so the per-cycle loops never
-    /// collect.
-    group_vcs: Vec<Vec<VcId>>,
     /// `partition.group_of(vc)` for every VC, hoisted out of the per-edge
-    /// bitset loops.
+    /// loop.
     vc_group: Vec<usize>,
     /// Champion selection within a matched sub-group, one per virtual input.
     vc_selectors: Vec<Box<dyn Arbiter>>,
@@ -46,22 +44,17 @@ pub struct MaxMatchingAllocator {
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls. The nested adjacency Vecs are
-/// cleared, never dropped, so their capacity persists too.
+/// [`SwitchAllocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct MaxMatchingScratch {
-    /// `adjacency[vi]` = outputs requested by the sub-group, ascending.
-    adjacency: Vec<Vec<usize>>,
-    /// Bitset kernel: the same adjacency as an output mask per row,
+    /// Outputs requested by each sub-group as an output mask per row,
     /// `port_words` words per virtual input.
     adjacency_bits: Vec<u64>,
     matching: crate::matching::MatchingScratch,
-    /// VC request lines of one matched virtual input.
-    lines: Vec<bool>,
-    /// Bitset kernel: union of both speculation classes' VC planes of one
-    /// matched (input, output) pair.
+    /// Union of both speculation classes' VC planes of one matched
+    /// (input, output) pair.
     any_plane: Vec<u64>,
-    /// Bitset kernel: one sub-group's window of `any_plane`.
+    /// One sub-group's window of `any_plane`.
     line_buf: Vec<u64>,
 }
 
@@ -70,9 +63,6 @@ impl MaxMatchingAllocator {
     #[must_use]
     pub fn new(cfg: AllocatorConfig) -> Self {
         let groups = cfg.partition.groups();
-        let group_vcs = (0..groups)
-            .map(|g| cfg.partition.vcs_in_group(VirtualInputId(g)).collect())
-            .collect();
         let vc_group =
             (0..cfg.partition.vcs()).map(|v| cfg.partition.group_of(VcId(v)).0).collect();
         let vc_selectors =
@@ -80,7 +70,6 @@ impl MaxMatchingAllocator {
         let match_stats = MatchingStats::new(cfg.ports * groups);
         MaxMatchingAllocator {
             cfg,
-            group_vcs,
             vc_group,
             vc_selectors,
             offset: 0,
@@ -103,85 +92,95 @@ impl SwitchAllocator for MaxMatchingAllocator {
         let groups = self.cfg.partition.groups();
         let group_size = self.cfg.partition.group_size();
         let port_words = words_for(ports);
-        let Self { cfg, group_vcs, vc_group, vc_selectors, offset, scratch, match_stats } = self;
-        let MaxMatchingScratch { adjacency, adjacency_bits, matching, lines, any_plane, line_buf } =
-            scratch;
+        let Self { cfg, vc_group, vc_selectors, offset, scratch, match_stats } = self;
+        let MaxMatchingScratch { adjacency_bits, matching, any_plane, line_buf } = scratch;
 
         // Edge (virtual input → output) iff some VC of the sub-group
-        // requests the output. Adjacency in ascending output order: the
-        // fixed tie-break of a hardware matching network. (The bit-mask rows
-        // are inherently sorted, which is what keeps the two kernels
-        // bit-identical.)
-        match cfg.kernel {
-            KernelKind::Bitset => {
-                adjacency_bits.clear();
-                adjacency_bits.resize(ports * groups * port_words, 0);
-                for req in requests.active_requests() {
-                    let row = (req.port.0 * groups + vc_group[req.vc.0]) * port_words;
-                    set_bit(&mut adjacency_bits[row..row + port_words], req.out_port.0);
+        // requests the output. The bit-mask rows are inherently in
+        // ascending output order: the fixed tie-break of a hardware
+        // matching network.
+        adjacency_bits.clear();
+        adjacency_bits.resize(ports * groups * port_words, 0);
+        for req in requests.active_requests() {
+            let row = (req.port.0 * groups + vc_group[req.vc.0]) * port_words;
+            set_bit(&mut adjacency_bits[row..row + port_words], req.out_port.0);
+        }
+        crate::matching::max_bipartite_matching_bits_into(
+            ports * groups,
+            ports,
+            adjacency_bits,
+            *offset,
+            matching,
+        );
+        *offset = (*offset + 1) % (ports * groups);
+
+        let bits = requests.bits();
+        for port in 0..ports {
+            for group in 0..groups {
+                let vi = port * groups + group;
+                let Some(out) = matching.match_of_left[vi] else { continue };
+                let selector = &mut vc_selectors[vi];
+                // Champion among the sub-group's VCs that request `out`.
+                any_plane.clear();
+                any_plane.resize(bits.vc_words(), 0);
+                for (w, word) in any_plane.iter_mut().enumerate() {
+                    *word = bits.vc_plane_any_word(PortId(port), PortId(out), w);
                 }
-                crate::matching::max_bipartite_matching_bits_into(
-                    ports * groups,
-                    ports,
-                    adjacency_bits,
-                    *offset,
-                    matching,
-                );
-            }
-            KernelKind::Scalar => {
-                adjacency.resize_with(ports * groups, Vec::new);
-                for port in 0..ports {
-                    for (group, vcs) in group_vcs.iter().enumerate() {
-                        let outs = &mut adjacency[port * groups + group];
-                        outs.clear();
-                        outs.extend(
-                            vcs.iter().filter_map(|&vc| {
-                                requests.get(PortId(port), vc).map(|r| r.out_port.0)
-                            }),
-                        );
-                        outs.sort_unstable();
-                        outs.dedup();
-                    }
-                }
-                crate::matching::max_bipartite_matching_into(
-                    ports * groups,
-                    ports,
-                    adjacency,
-                    *offset,
-                    matching,
-                );
+                line_buf.clear();
+                line_buf.resize(words_for(group_size), 0);
+                extract_range(any_plane, group * group_size, group_size, line_buf);
+                let local =
+                    selector.peek_words(line_buf).expect("matched edge implies a requesting VC");
+                selector.commit(local);
+                grants.add(Grant {
+                    port: PortId(port),
+                    vc: VcId(group * group_size + local),
+                    out_port: PortId(out),
+                });
             }
         }
+        match_stats.record_set(requests, grants, &cfg.partition);
+    }
+
+    /// The scalar reference: sorted, deduplicated adjacency lists from
+    /// per-VC [`RequestSet::get`] lookups into the list-based matcher —
+    /// which tries them in the order the bit-mask rows are scanned.
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        let ports = self.cfg.ports;
+        let groups = self.cfg.partition.groups();
+        let group_size = self.cfg.partition.group_size();
+        let group_vcs = crate::group_vcs(&self.cfg.partition);
+        let Self { cfg, vc_selectors, offset, match_stats, .. } = self;
+
+        let mut adjacency: Vec<Vec<usize>> = Vec::with_capacity(ports * groups);
+        for port in 0..ports {
+            for vcs in &group_vcs {
+                let mut outs: Vec<usize> = vcs
+                    .iter()
+                    .filter_map(|&vc| requests.get(PortId(port), vc).map(|r| r.out_port.0))
+                    .collect();
+                outs.sort_unstable();
+                outs.dedup();
+                adjacency.push(outs);
+            }
+        }
+        let match_of_left =
+            crate::matching::max_bipartite_matching_from(ports * groups, ports, &adjacency, *offset);
         *offset = (*offset + 1) % (ports * groups);
 
         for port in 0..ports {
             for (group, vcs) in group_vcs.iter().enumerate() {
                 let vi = port * groups + group;
-                let Some(out) = matching.match_of_left[vi] else { continue };
+                let Some(out) = match_of_left[vi] else { continue };
                 let selector = &mut vc_selectors[vi];
                 // Champion among the sub-group's VCs that request `out`.
-                let local = match cfg.kernel {
-                    KernelKind::Bitset => {
-                        let bits = requests.bits();
-                        any_plane.clear();
-                        any_plane.resize(bits.vc_words(), 0);
-                        for (w, word) in any_plane.iter_mut().enumerate() {
-                            *word = bits.vc_plane_any_word(PortId(port), PortId(out), w);
-                        }
-                        line_buf.clear();
-                        line_buf.resize(words_for(group_size), 0);
-                        extract_range(any_plane, group * group_size, group_size, line_buf);
-                        selector.peek_words(line_buf)
-                    }
-                    KernelKind::Scalar => {
-                        lines.clear();
-                        lines.extend(vcs.iter().map(|&vc| {
-                            requests.get(PortId(port), vc).is_some_and(|r| r.out_port.0 == out)
-                        }));
-                        selector.peek(lines)
-                    }
-                }
-                .expect("matched edge implies a requesting VC");
+                let lines: Vec<bool> = vcs
+                    .iter()
+                    .map(|&vc| requests.get(PortId(port), vc).is_some_and(|r| r.out_port.0 == out))
+                    .collect();
+                let local = selector.peek(&lines).expect("matched edge implies a requesting VC");
                 selector.commit(local);
                 grants.add(Grant {
                     port: PortId(port),

@@ -2,7 +2,7 @@
 //! included to complete the separable design space of Becker & Dally's
 //! allocator study (which the paper builds on).
 
-use crate::{AllocatorConfig, KernelKind, SwitchAllocator};
+use crate::{AllocatorConfig, SwitchAllocator};
 use vix_arbiter::Arbiter;
 use vix_core::bits::{any_set, clear_range, deposit_range, set_bit, set_low_bits, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VirtualInputId, VixPartition};
@@ -38,26 +38,20 @@ pub struct OutputFirstAllocator {
 /// [`SwitchAllocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct OutputFirstScratch {
-    vi_taken: Vec<bool>,
-    output_taken: Vec<bool>,
     /// Stage-1 winners, one slot per output port.
     candidates: Vec<Option<(PortId, VcId)>>,
-    /// Stage-1 request lines (one per `ports × vcs` flat VC index).
-    out_lines: Vec<bool>,
-    /// Stage-2 request lines (one per output port).
-    in_lines: Vec<bool>,
-    /// Bitset kernel: stage-1 lines as a multi-word mask over the flat
-    /// `ports × vcs` index space.
+    /// Stage-1 lines as a multi-word mask over the flat `ports × vcs`
+    /// index space.
     flat_words: Vec<u64>,
-    /// Bitset kernel: per-port mask of VCs whose virtual input is free,
-    /// strided `words_for(vcs)` words per port.
+    /// Per-port mask of VCs whose virtual input is free, strided
+    /// `words_for(vcs)` words per port.
     free_vcs: Vec<u64>,
-    /// Bitset kernel: per-virtual-input mask of outputs whose stage-1
-    /// candidate it hosts, strided `words_for(ports)` words per unit.
+    /// Per-virtual-input mask of outputs whose stage-1 candidate it hosts,
+    /// strided `words_for(ports)` words per unit.
     cand_masks: Vec<u64>,
-    /// Bitset kernel: one port's masked VC line before deposit.
+    /// One port's masked VC line before deposit.
     line_buf: Vec<u64>,
-    /// Bitset kernel: multi-word taken-output mask.
+    /// Multi-word taken-output mask.
     output_taken_bits: Vec<u64>,
 }
 
@@ -78,12 +72,11 @@ impl OutputFirstAllocator {
 }
 
 impl OutputFirstAllocator {
-    /// Word-parallel kernel. Stage 1's `P·v : 1` arbiter domain is the
+    /// The word-parallel kernel. Stage 1's `P·v : 1` arbiter domain is the
     /// widest in the crate, so its lines are a multi-word mask assembled
     /// by depositing each port's masked VC line at its flat offset
     /// ([`deposit_range`] handles word-boundary straddles of any width);
-    /// stage 2 works on multi-word output masks. Behaviour matches
-    /// [`allocate_scalar`](Self::allocate_scalar) exactly.
+    /// stage 2 works on multi-word output masks.
     fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
@@ -102,7 +95,6 @@ impl OutputFirstAllocator {
             cand_masks,
             line_buf,
             output_taken_bits,
-            ..
         } = scratch;
         let bits = requests.bits();
 
@@ -169,8 +161,10 @@ impl OutputFirstAllocator {
         matching.record_set(requests, grants, &part);
     }
 
-    /// The original scalar loops, kept as the executable specification and
-    /// scalar benchmark baseline.
+    /// The original scalar loops: the executable specification the
+    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// against.
+    #[cfg(test)]
     fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
@@ -178,32 +172,28 @@ impl OutputFirstAllocator {
         let units = ports * groups;
         let part = self.cfg.partition;
         let vi_of = move |p: PortId, v: VcId| p.0 * groups + part.group_of(v).0;
-        let Self { output_arbiters, input_arbiters, scratch, matching, .. } = self;
-        let OutputFirstScratch { vi_taken, output_taken, candidates, out_lines, in_lines, .. } =
-            scratch;
+        let Self { output_arbiters, input_arbiters, matching, .. } = self;
 
-        vi_taken.clear();
-        vi_taken.resize(units, false);
-        output_taken.clear();
-        output_taken.resize(ports, false);
+        let mut vi_taken = vec![false; units];
+        let mut output_taken = vec![false; ports];
 
         for speculative in [false, true] {
             // Stage 1: each free output picks a candidate VC.
-            candidates.clear();
-            candidates.resize(ports, None);
+            let mut candidates: Vec<Option<(PortId, VcId)>> = vec![None; ports];
             for out in 0..ports {
                 if output_taken[out] {
                     continue;
                 }
-                out_lines.clear();
-                out_lines.extend((0..ports * vcs).map(|flat| {
-                    let (p, v) = (PortId(flat / vcs), VcId(flat % vcs));
-                    !vi_taken[vi_of(p, v)]
-                        && requests.get(p, v).is_some_and(|r| {
-                            r.out_port == PortId(out) && r.speculative == speculative
-                        })
-                }));
-                if let Some(flat) = output_arbiters[out].peek(out_lines) {
+                let out_lines: Vec<bool> = (0..ports * vcs)
+                    .map(|flat| {
+                        let (p, v) = (PortId(flat / vcs), VcId(flat % vcs));
+                        !vi_taken[vi_of(p, v)]
+                            && requests.get(p, v).is_some_and(|r| {
+                                r.out_port == PortId(out) && r.speculative == speculative
+                            })
+                    })
+                    .collect();
+                if let Some(flat) = output_arbiters[out].peek(&out_lines) {
                     candidates[out] = Some((PortId(flat / vcs), VcId(flat % vcs)));
                 }
             }
@@ -214,11 +204,10 @@ impl OutputFirstAllocator {
                 if vi_taken[vi] {
                     continue;
                 }
-                in_lines.clear();
-                in_lines.extend(
-                    (0..ports).map(|out| candidates[out].is_some_and(|(p, v)| vi_of(p, v) == vi)),
-                );
-                let Some(out) = input_arbiters[vi].peek(in_lines) else { continue };
+                let in_lines: Vec<bool> = (0..ports)
+                    .map(|out| candidates[out].is_some_and(|(p, v)| vi_of(p, v) == vi))
+                    .collect();
+                let Some(out) = input_arbiters[vi].peek(&in_lines) else { continue };
                 let (p, v) = candidates[out].expect("line implies candidate");
                 input_arbiters[vi].commit(out);
                 output_arbiters[out].commit(p.0 * vcs + v.0);
@@ -240,10 +229,13 @@ impl SwitchAllocator for OutputFirstAllocator {
             "request set VC mismatch"
         );
         grants.clear();
-        match self.cfg.kernel {
-            KernelKind::Bitset => self.allocate_bitset(requests, grants),
-            KernelKind::Scalar => self.allocate_scalar(requests, grants),
-        }
+        self.allocate_bitset(requests, grants);
+    }
+
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        self.allocate_scalar(requests, grants);
     }
 
     fn partition(&self) -> &VixPartition {

@@ -5,10 +5,12 @@
 //! [`VixPartition`] — one sub-group per port for IF, `k` sub-groups for a
 //! 1:k VIX router.
 
-use crate::{mask_to_oldest_bits, AllocatorConfig, KernelKind, PriorityPolicy, SwitchAllocator};
+use crate::{mask_to_oldest_bits, AllocatorConfig, PriorityPolicy, SwitchAllocator};
 use vix_arbiter::Arbiter;
 use vix_core::bits::{any_set, count_ones, extract_range, range_any_set, set_bit, test_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
+#[cfg(test)]
+use vix_core::SwitchRequest;
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
 use vix_telemetry::MatchingStats;
 
 /// Input-first separable switch allocator (Fig. 3 of the paper).
@@ -33,8 +35,6 @@ use vix_telemetry::MatchingStats;
 #[derive(Debug)]
 pub struct SeparableAllocator {
     cfg: AllocatorConfig,
-    /// VCs of each sub-group, precomputed so stage 1 never collects.
-    group_vcs: Vec<Vec<VcId>>,
     /// One per (port × sub-group), each over the sub-group's VCs.
     input_arbiters: Vec<Box<dyn Arbiter>>,
     /// One per output port, each over all `ports × groups` virtual inputs.
@@ -43,7 +43,7 @@ pub struct SeparableAllocator {
     matching: MatchingStats,
 }
 
-/// Stage-1 winner of one virtual input in the bitset kernel. Entries are
+/// Stage-1 winner of one virtual input. Entries are
 /// only ever reached through the bits of `champ_class`, which is rebuilt
 /// every call, so stale ones are never cleared.
 #[derive(Debug, Clone, Copy, Default)]
@@ -56,41 +56,26 @@ struct Champion {
 
 /// Owned per-cycle working state, reused by every
 /// [`SwitchAllocator::allocate_into`] call — the steady-state hot path
-/// never heap-allocates. The bitset kernel's buffers are sized once at
-/// construction and only ever `fill`ed; the scalar reference kernel sizes
-/// its own on use.
-#[derive(Debug, Default)]
+/// never heap-allocates: every buffer is sized once at construction and
+/// only ever `fill`ed.
+#[derive(Debug)]
 struct SeparableScratch {
-    /// Scalar kernel: `champions[vi]` = stage-1 winner `(request, local VC
-    /// index)`.
-    champions: Vec<Option<(SwitchRequest, usize)>>,
-    /// Scalar kernel: `championed[out]` = some stage-1 winner targets `out`.
-    championed: Vec<bool>,
-    output_taken: Vec<bool>,
-    vi_taken: Vec<bool>,
-    /// Scalar kernel: stage-1 request lines / ages (one per VC of a
-    /// sub-group).
-    in_lines: Vec<bool>,
-    in_ages: Vec<u64>,
-    /// Scalar kernel: stage-2 request lines / ages (one per virtual input).
-    out_lines: Vec<bool>,
-    out_ages: Vec<u64>,
-    /// Bitset kernel: stage-1 winner per virtual input.
+    /// Stage-1 winner per virtual input.
     champs: Vec<Champion>,
-    /// Bitset kernel: `[class][out]` → multi-word mask of the champion
-    /// virtual inputs targeting `out` (`[non-speculative, speculative]`),
+    /// `[class][out]` → multi-word mask of the champion virtual inputs
+    /// targeting `out` (`[non-speculative, speculative]`),
     /// `words_for(ports × groups)` words per row.
     champ_class: Vec<u64>,
-    /// Bitset kernel: the current port's non-speculative VC mask
-    /// (`active & !speculative`, assembled for windowing).
+    /// The current port's non-speculative VC mask (`active & !speculative`,
+    /// assembled for windowing).
     nonspec_line: Vec<u64>,
-    /// Bitset kernel: one sub-group's extracted stage-1 request lines.
+    /// One sub-group's extracted stage-1 request lines.
     line_buf: Vec<u64>,
-    /// Bitset kernel: one output's age-masked stage-2 request lines.
+    /// One output's age-masked stage-2 request lines.
     out_line_buf: Vec<u64>,
-    /// Bitset kernel: outputs granted so far this call.
+    /// Outputs granted so far this call.
     output_taken_bits: Vec<u64>,
-    /// Bitset kernel: union of requested outputs (matching record).
+    /// Union of requested outputs (matching record).
     out_union: Vec<u64>,
 }
 
@@ -102,9 +87,6 @@ impl SeparableAllocator {
         let group_size = cfg.partition.group_size();
         let virtual_inputs = cfg.ports * groups;
         let vi_words = words_for(virtual_inputs);
-        let group_vcs = (0..groups)
-            .map(|g| cfg.partition.vcs_in_group(vix_core::VirtualInputId(g)).collect())
-            .collect();
         let input_arbiters = (0..virtual_inputs).map(|_| cfg.arbiter.build(group_size)).collect();
         let output_arbiters = (0..cfg.ports).map(|_| cfg.arbiter.build(virtual_inputs)).collect();
         let scratch = SeparableScratch {
@@ -115,12 +97,9 @@ impl SeparableAllocator {
             out_line_buf: vec![0; vi_words],
             output_taken_bits: vec![0; words_for(cfg.ports)],
             out_union: vec![0; words_for(cfg.ports)],
-            // The scalar reference kernel sizes its buffers on use.
-            ..SeparableScratch::default()
         };
         SeparableAllocator {
             cfg,
-            group_vcs,
             input_arbiters,
             output_arbiters,
             scratch,
@@ -129,20 +108,19 @@ impl SeparableAllocator {
     }
 }
 
-/// Stage 1 for one virtual input: pick a champion VC among requesting VCs
-/// of the sub-group (`vcs`), preferring non-speculative requests.
+/// Scalar reference kernel, stage 1 for one virtual input: pick a champion
+/// VC among requesting VCs of the sub-group (`vcs`), preferring
+/// non-speculative requests.
 ///
 /// Returns the champion's request and its *local* index within the
-/// sub-group (needed for the grant-aware pointer update). `lines`/`ages`
-/// are caller-owned scratch.
+/// sub-group (needed for the grant-aware pointer update).
+#[cfg(test)]
 fn input_stage(
     cfg: &AllocatorConfig,
     vcs: &[VcId],
     arb: &dyn Arbiter,
     requests: &RequestSet,
     port: usize,
-    lines: &mut Vec<bool>,
-    ages: &mut Vec<u64>,
 ) -> Option<(SwitchRequest, usize)> {
     let has_speculative = requests.speculative_len() > 0;
     // Pessimistic masking: non-speculative first. A pass over an empty
@@ -152,16 +130,16 @@ fn input_stage(
         if speculative && !has_speculative {
             continue;
         }
-        lines.clear();
-        lines.extend(vcs.iter().map(|&vc| {
-            requests.get(PortId(port), vc).is_some_and(|r| r.speculative == speculative)
-        }));
+        let mut lines: Vec<bool> = vcs
+            .iter()
+            .map(|&vc| requests.get(PortId(port), vc).is_some_and(|r| r.speculative == speculative))
+            .collect();
         if cfg.priority == PriorityPolicy::OldestFirst {
-            ages.clear();
-            ages.extend(vcs.iter().map(|&vc| requests.get(PortId(port), vc).map_or(0, |r| r.age)));
-            mask_to_oldest(lines, ages);
+            let ages: Vec<u64> =
+                vcs.iter().map(|&vc| requests.get(PortId(port), vc).map_or(0, |r| r.age)).collect();
+            mask_to_oldest(&mut lines, &ages);
         }
-        if let Some(local) = arb.peek(lines) {
+        if let Some(local) = arb.peek(&lines) {
             let req = requests.get(PortId(port), vcs[local]).expect("line implies request");
             return Some((req, local));
         }
@@ -171,6 +149,7 @@ fn input_stage(
 
 /// Clears every asserted line whose age is below the maximum asserted age,
 /// leaving the arbiter to break ties among the oldest.
+#[cfg(test)]
 fn mask_to_oldest(lines: &mut [bool], ages: &[u64]) {
     debug_assert_eq!(lines.len(), ages.len());
     let Some(max) = lines.iter().zip(ages).filter(|(l, _)| **l).map(|(_, a)| *a).max() else {
@@ -189,8 +168,8 @@ impl SeparableAllocator {
     /// (`peek` over a one-asserted-line input can only return that line)
     /// grants it — so both stages collapse to their grant-time pointer
     /// commits. Grants, emission order, and arbiter state are identical to
-    /// the full kernels; the differential twin traces cross-check this
-    /// against [`allocate_scalar`](Self::allocate_scalar).
+    /// the full kernel; the differential twin traces cross-check this
+    /// against the scalar reference.
     fn allocate_single(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.len(), 1);
         let partition = &self.cfg.partition;
@@ -212,9 +191,8 @@ impl SeparableAllocator {
         self.matching.record(1, 1, 1, grants.len());
     }
 
-    /// Word-parallel kernel: identical grants, emission order, and arbiter
-    /// state to [`allocate_scalar`](Self::allocate_scalar). Every buffer it
-    /// touches was sized at construction.
+    /// The word-parallel kernel. Every buffer it touches was sized at
+    /// construction.
     fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         if requests.len() == 1 {
             return self.allocate_single(requests, grants);
@@ -235,7 +213,6 @@ impl SeparableAllocator {
             out_line_buf,
             output_taken_bits,
             out_union,
-            ..
         } = scratch;
 
         // Stage 1: one champion per virtual input with a request. Its bit
@@ -330,30 +307,21 @@ impl SeparableAllocator {
         matching.record(requests.len(), active_vi, count_ones(out_union) as usize, grants.len());
     }
 
-    /// The original scalar loops, kept as the executable specification and
-    /// scalar benchmark baseline.
+    /// The original scalar loops over per-VC [`RequestSet::get`] lookups:
+    /// the executable specification the differential suite holds
+    /// [`allocate_bitset`](Self::allocate_bitset) against.
+    #[cfg(test)]
     fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let groups = self.cfg.partition.groups();
         let virtual_inputs = ports * groups;
-        let Self { cfg, group_vcs, input_arbiters, output_arbiters, scratch, matching } = self;
-        let SeparableScratch {
-            champions,
-            championed,
-            output_taken,
-            vi_taken,
-            in_lines,
-            in_ages,
-            out_lines,
-            out_ages,
-            ..
-        } = scratch;
+        let group_vcs = crate::group_vcs(&self.cfg.partition);
+        let Self { cfg, input_arbiters, output_arbiters, matching, .. } = self;
 
         // Stage 1: champions[vi] = (request, local VC index in sub-group).
         // Ports with no posted request are skipped whole — an all-false
         // line vector can neither elect a champion nor move the arbiter.
-        champions.clear();
-        champions.resize(virtual_inputs, None);
+        let mut champions: Vec<Option<(SwitchRequest, usize)>> = vec![None; virtual_inputs];
         let mut any_speculative_champion = false;
         for port in 0..ports {
             if !requests.port_is_active(PortId(port)) {
@@ -361,33 +329,22 @@ impl SeparableAllocator {
             }
             for (group, vcs) in group_vcs.iter().enumerate() {
                 let vi = port * groups + group;
-                champions[vi] = input_stage(
-                    cfg,
-                    vcs,
-                    &*input_arbiters[vi],
-                    requests,
-                    port,
-                    in_lines,
-                    in_ages,
-                );
+                champions[vi] = input_stage(cfg, vcs, &*input_arbiters[vi], requests, port);
                 any_speculative_champion |=
                     champions[vi].is_some_and(|(r, _)| r.speculative);
             }
         }
 
         // Outputs no champion points at can never be granted this cycle.
-        championed.clear();
-        championed.resize(ports, false);
+        let mut championed = vec![false; ports];
         for champ in champions.iter().flatten() {
             championed[champ.0.out_port.0] = true;
         }
 
         // Stage 2: per-output arbitration among champion virtual inputs,
         // non-speculative pass first.
-        output_taken.clear();
-        output_taken.resize(ports, false);
-        vi_taken.clear();
-        vi_taken.resize(virtual_inputs, false);
+        let mut output_taken = vec![false; ports];
+        let mut vi_taken = vec![false; virtual_inputs];
         for speculative in [false, true] {
             if speculative && !any_speculative_champion {
                 continue;
@@ -396,22 +353,21 @@ impl SeparableAllocator {
                 if output_taken[out] || !championed[out] {
                     continue;
                 }
-                out_lines.clear();
-                out_lines.extend((0..virtual_inputs).map(|vi| {
-                    !vi_taken[vi]
-                        && champions[vi].as_ref().is_some_and(|(r, _)| {
-                            r.out_port == PortId(out) && r.speculative == speculative
-                        })
-                }));
+                let mut out_lines: Vec<bool> = (0..virtual_inputs)
+                    .map(|vi| {
+                        !vi_taken[vi]
+                            && champions[vi].as_ref().is_some_and(|(r, _)| {
+                                r.out_port == PortId(out) && r.speculative == speculative
+                            })
+                    })
+                    .collect();
                 if cfg.priority == PriorityPolicy::OldestFirst {
-                    out_ages.clear();
-                    out_ages.extend(
-                        (0..virtual_inputs)
-                            .map(|vi| champions[vi].as_ref().map_or(0, |(r, _)| r.age)),
-                    );
-                    mask_to_oldest(out_lines, out_ages);
+                    let out_ages: Vec<u64> = (0..virtual_inputs)
+                        .map(|vi| champions[vi].as_ref().map_or(0, |(r, _)| r.age))
+                        .collect();
+                    mask_to_oldest(&mut out_lines, &out_ages);
                 }
-                let Some(winner_vi) = output_arbiters[out].peek(out_lines) else {
+                let Some(winner_vi) = output_arbiters[out].peek(&out_lines) else {
                     continue;
                 };
                 let (req, local) = champions[winner_vi].expect("winner implies champion");
@@ -436,10 +392,13 @@ impl SwitchAllocator for SeparableAllocator {
             "request set VC mismatch"
         );
         grants.clear();
-        match self.cfg.kernel {
-            KernelKind::Bitset => self.allocate_bitset(requests, grants),
-            KernelKind::Scalar => self.allocate_scalar(requests, grants),
-        }
+        self.allocate_bitset(requests, grants);
+    }
+
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        self.allocate_scalar(requests, grants);
     }
 
     fn partition(&self) -> &VixPartition {

@@ -1,6 +1,6 @@
 //! Wavefront switch allocator (Tamir & Chi).
 
-use crate::{AllocatorConfig, KernelKind, SwitchAllocator};
+use crate::{AllocatorConfig, SwitchAllocator};
 use vix_arbiter::Arbiter;
 use vix_core::bits::{
     any_set, clear_bit, extract_range, range_any_set, set_bit, set_low_bits, test_bit, words_for,
@@ -33,8 +33,6 @@ pub struct WavefrontAllocator {
     cfg: AllocatorConfig,
     /// Rotating priority diagonal.
     offset: usize,
-    /// VCs of each sub-group, precomputed so sweeps never collect.
-    group_vcs: Vec<Vec<VcId>>,
     /// Champion VC selection per virtual input.
     vc_selectors: Vec<Box<dyn Arbiter>>,
     scratch: WavefrontScratch,
@@ -45,23 +43,17 @@ pub struct WavefrontAllocator {
 /// [`SwitchAllocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct WavefrontScratch {
-    /// Virtual-input-level request matrix of one speculation class.
-    matrix: Vec<bool>,
-    unit_taken: Vec<bool>,
-    output_taken: Vec<bool>,
-    /// VC request lines of one virtual input.
-    lines: Vec<bool>,
-    /// Bitset kernel: per-virtual-input output mask of one speculation
-    /// class (`rows[vi]` bit `o` ⇔ matrix entry `(vi, o)`), strided
-    /// `words_for(ports)` words per row.
+    /// Per-virtual-input output mask of one speculation class (`rows[vi]`
+    /// bit `o` ⇔ matrix entry `(vi, o)`), strided `words_for(ports)` words
+    /// per row.
     rows: Vec<u64>,
-    /// Bitset kernel: multi-word unit/output masks shared by both
-    /// speculation sweeps of one cycle.
+    /// Multi-word unit/output masks shared by both speculation sweeps of
+    /// one cycle.
     live_units: Vec<u64>,
     sweep_live: Vec<u64>,
     free_units: Vec<u64>,
     free_outputs: Vec<u64>,
-    /// Bitset kernel: one sub-group's extracted VC request lines.
+    /// One sub-group's extracted VC request lines.
     line_buf: Vec<u64>,
 }
 
@@ -70,14 +62,10 @@ impl WavefrontAllocator {
     #[must_use]
     pub fn new(cfg: AllocatorConfig) -> Self {
         let units = cfg.ports * cfg.partition.groups();
-        let group_vcs = (0..cfg.partition.groups())
-            .map(|g| cfg.partition.vcs_in_group(vix_core::VirtualInputId(g)).collect())
-            .collect();
         let vc_selectors = (0..units).map(|_| cfg.arbiter.build(cfg.partition.group_size())).collect();
         WavefrontAllocator {
             cfg,
             offset: 0,
-            group_vcs,
             vc_selectors,
             scratch: WavefrontScratch::default(),
             matching: MatchingStats::new(units),
@@ -94,8 +82,7 @@ impl WavefrontAllocator {
 /// One wavefront sweep on the dense bit-view: each matrix row is a
 /// multi-word output mask, the sweep walks live rows word by word with
 /// `trailing_zeros`, and the diagonal membership test is a word-indexed
-/// bit probe. Visit order — diagonal-major, row-ascending — and arbiter
-/// state match [`sweep`] exactly.
+/// bit probe. Visit order is diagonal-major, row-ascending.
 #[allow(clippy::too_many_arguments)]
 fn sweep_bits(
     cfg: &AllocatorConfig,
@@ -113,7 +100,7 @@ fn sweep_bits(
     let port_words = words_for(ports);
     let unit_words = words_for(units);
     let bits = requests.bits();
-    let WavefrontScratch { rows, live_units, sweep_live, free_units, free_outputs, line_buf, .. } =
+    let WavefrontScratch { rows, live_units, sweep_live, free_units, free_outputs, line_buf } =
         scratch;
     // Virtual-input-level request matrix for this speculation class, one
     // port_words-wide output-mask row per virtual input.
@@ -142,8 +129,7 @@ fn sweep_bits(
     // iterations touch no arbiter state, so the early exits below cannot
     // change observable behaviour. Each diagonal iterates a snapshot of
     // the live mask — a unit appears at most once per diagonal, so
-    // mid-diagonal grants are excluded by the free-output probe alone,
-    // exactly as in the single-word kernel.
+    // mid-diagonal grants are excluded by the free-output probe alone.
     for diag in 0..ports {
         let mut any_live = false;
         sweep_live.clear();
@@ -187,7 +173,10 @@ fn sweep_bits(
     }
 }
 
-/// One wavefront sweep over requests with the given speculation class.
+/// Scalar reference kernel: one wavefront sweep over requests with the
+/// given speculation class — the executable specification the differential
+/// suite holds [`sweep_bits`] against.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn sweep(
     cfg: &AllocatorConfig,
@@ -196,16 +185,15 @@ fn sweep(
     vc_selectors: &mut [Box<dyn Arbiter>],
     requests: &RequestSet,
     speculative: bool,
-    scratch: &mut WavefrontScratch,
+    unit_taken: &mut [bool],
+    output_taken: &mut [bool],
     grants: &mut GrantSet,
 ) {
     let ports = cfg.ports;
     let groups = cfg.partition.groups();
     let units = ports * groups;
-    let WavefrontScratch { matrix, unit_taken, output_taken, lines, .. } = scratch;
     // Virtual-input-level request matrix for this speculation class.
-    matrix.clear();
-    matrix.resize(units * ports, false);
+    let mut matrix = vec![false; units * ports];
     for r in requests.active_requests().filter(|r| r.speculative == speculative) {
         let vi = r.port.0 * groups + cfg.partition.group_of(r.vc).0;
         matrix[vi * ports + r.out_port.0] = true;
@@ -224,14 +212,16 @@ fn sweep(
             let port = PortId(vi / groups);
             // Champion VC within the sub-group.
             let vcs = &group_vcs[vi % groups];
-            lines.clear();
-            lines.extend(vcs.iter().map(|&v| {
-                requests
-                    .get(port, v)
-                    .is_some_and(|r| r.out_port == PortId(o) && r.speculative == speculative)
-            }));
+            let lines: Vec<bool> = vcs
+                .iter()
+                .map(|&v| {
+                    requests
+                        .get(port, v)
+                        .is_some_and(|r| r.out_port == PortId(o) && r.speculative == speculative)
+                })
+                .collect();
             let sel = &mut vc_selectors[vi];
-            let local = sel.peek(lines).expect("matrix entry implies a requesting VC");
+            let local = sel.peek(&lines).expect("matrix entry implies a requesting VC");
             sel.commit(local);
             unit_taken[vi] = true;
             output_taken[o] = true;
@@ -250,29 +240,41 @@ impl SwitchAllocator for WavefrontAllocator {
         );
         grants.clear();
         let units = self.cfg.ports * self.cfg.partition.groups();
-        let Self { cfg, offset, group_vcs, vc_selectors, scratch, matching } = self;
-        match cfg.kernel {
-            KernelKind::Bitset => {
-                scratch.free_units.clear();
-                scratch.free_units.resize(words_for(units), 0);
-                set_low_bits(&mut scratch.free_units, units);
-                scratch.free_outputs.clear();
-                scratch.free_outputs.resize(words_for(cfg.ports), 0);
-                set_low_bits(&mut scratch.free_outputs, cfg.ports);
-                scratch.line_buf.clear();
-                scratch.line_buf.resize(words_for(cfg.partition.group_size()), 0);
-                for speculative in [false, true] {
-                    sweep_bits(cfg, *offset, vc_selectors, requests, speculative, scratch, grants);
-                }
-            }
-            KernelKind::Scalar => {
-                scratch.unit_taken.clear();
-                scratch.unit_taken.resize(units, false);
-                scratch.output_taken.clear();
-                scratch.output_taken.resize(cfg.ports, false);
-                sweep(cfg, *offset, group_vcs, vc_selectors, requests, false, scratch, grants);
-                sweep(cfg, *offset, group_vcs, vc_selectors, requests, true, scratch, grants);
-            }
+        let Self { cfg, offset, vc_selectors, scratch, matching } = self;
+        scratch.free_units.clear();
+        scratch.free_units.resize(words_for(units), 0);
+        set_low_bits(&mut scratch.free_units, units);
+        scratch.free_outputs.clear();
+        scratch.free_outputs.resize(words_for(cfg.ports), 0);
+        set_low_bits(&mut scratch.free_outputs, cfg.ports);
+        scratch.line_buf.clear();
+        scratch.line_buf.resize(words_for(cfg.partition.group_size()), 0);
+        for speculative in [false, true] {
+            sweep_bits(cfg, *offset, vc_selectors, requests, speculative, scratch, grants);
+        }
+        *offset = (*offset + 1) % cfg.ports;
+        matching.record_set(requests, grants, &cfg.partition);
+    }
+
+    #[cfg(test)]
+    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        let group_vcs = crate::group_vcs(&self.cfg.partition);
+        let Self { cfg, offset, vc_selectors, matching, .. } = self;
+        let mut unit_taken = vec![false; cfg.ports * cfg.partition.groups()];
+        let mut output_taken = vec![false; cfg.ports];
+        for speculative in [false, true] {
+            sweep(
+                cfg,
+                *offset,
+                &group_vcs,
+                vc_selectors,
+                requests,
+                speculative,
+                &mut unit_taken,
+                &mut output_taken,
+                grants,
+            );
         }
         *offset = (*offset + 1) % cfg.ports;
         matching.record_set(requests, grants, &cfg.partition);

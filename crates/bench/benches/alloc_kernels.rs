@@ -1,26 +1,25 @@
-//! Kernel benchmark: scalar reference loops vs word-parallel bitset
-//! kernels for every switch allocator, written to
-//! `BENCH_allockernels.json` at the workspace root.
+//! Kernel benchmark: the word-parallel bitset kernel of every switch
+//! allocator, written to `BENCH_allockernels.json` at the workspace root.
 //!
 //! Run with `cargo bench -p vix-bench --bench alloc_kernels`.
-//! Pass `-- --check` to re-measure and compare the bitset timings against
-//! the checked-in JSON instead of overwriting it: any allocator more than
+//! Pass `-- --check` to re-measure and compare the timings against the
+//! checked-in JSON instead of overwriting it: any allocator more than
 //! [`CHECK_TOLERANCE`] slower than its recorded figure fails the run (the
-//! CI perf-regression guard, see `scripts/check_alloc_kernels.sh`).
+//! CI perf-regression guard, run from `scripts/verify.sh`).
 //!
 //! Methodology: three router shapes from the paper's evaluation — the
 //! 5-port 2-D mesh, the 8-port concentrated mesh, and the 16-port
 //! flattened butterfly partitioned into 64 virtual inputs — plus a
 //! 128-virtual-input shape whose request rows span two 64-bit words,
-//! exercising the multi-word paths of the bitset kernels. For each
-//! shape × allocator × kernel the harness replays a fixed pseudo-random
+//! exercising the multi-word paths of the kernels. For each
+//! shape × allocator the harness replays a fixed pseudo-random
 //! request trace (~55 % load, speculative bits and ages included) through
 //! a warmed-up allocator and reports the fastest-sample ns per
 //! `allocate_into` call.
 
 use std::time::Instant;
 use vix_alloc::{
-    AllocatorConfig, IslipAllocator, KernelKind, MaxMatchingAllocator, OutputFirstAllocator,
+    AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
     PacketChainingAllocator, SeparableAllocator, SwitchAllocator, WavefrontAllocator,
 };
 use vix_core::{GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
@@ -82,10 +81,10 @@ fn build_trace(ports: usize, vcs: usize) -> Vec<RequestSet> {
 
 /// Fastest-sample ns per `allocate_into` call over the trace, with
 /// traversal feedback applied so stateful allocators run their real cycle.
-fn measure(build: &dyn Fn(KernelKind) -> Box<dyn SwitchAllocator>, kernel: KernelKind, trace: &[RequestSet]) -> f64 {
+fn measure(build: &dyn Fn() -> Box<dyn SwitchAllocator>, trace: &[RequestSet]) -> f64 {
     let mut per_call_ns: Vec<f64> = (0..SAMPLES)
         .map(|_| {
-            let mut alloc = build(kernel);
+            let mut alloc = build();
             let mut grants = GrantSet::new();
             for i in 0..WARMUP_CALLS {
                 alloc.allocate_into(&trace[i % TRACE_LEN], &mut grants);
@@ -110,7 +109,7 @@ struct Config {
     allocator: &'static str,
     ports: usize,
     vcs: usize,
-    build: Box<dyn Fn(KernelKind) -> Box<dyn SwitchAllocator>>,
+    build: Box<dyn Fn() -> Box<dyn SwitchAllocator>>,
 }
 
 fn config(
@@ -118,7 +117,7 @@ fn config(
     allocator: &'static str,
     ports: usize,
     vcs: usize,
-    build: impl Fn(KernelKind) -> Box<dyn SwitchAllocator> + 'static,
+    build: impl Fn() -> Box<dyn SwitchAllocator> + 'static,
 ) -> Config {
     Config { shape, allocator, ports, vcs, build: Box::new(build) }
 }
@@ -137,64 +136,29 @@ fn configs() -> Vec<Config> {
     let fbfly = AllocatorConfig::new(16, VixPartition::even(4, 4).unwrap());
     let wide = AllocatorConfig::new(16, VixPartition::even(8, 8).unwrap());
     vec![
-        config("mesh-5p", "IF", 5, 6, move |k| {
-            Box::new(SeparableAllocator::new(mesh.with_kernel(k)))
-        }),
-        config("mesh-5p", "VIX", 5, 6, move |k| {
-            Box::new(SeparableAllocator::new(mesh_vix.with_kernel(k)))
-        }),
-        config("mesh-5p", "WF", 5, 6, move |k| {
-            Box::new(WavefrontAllocator::new(mesh.with_kernel(k)))
-        }),
-        config("mesh-5p", "AP", 5, 6, move |k| {
-            Box::new(MaxMatchingAllocator::new(mesh.with_kernel(k)))
-        }),
-        config("mesh-5p", "OF", 5, 6, move |k| {
-            Box::new(OutputFirstAllocator::new(mesh.with_kernel(k)))
-        }),
-        config("mesh-5p", "PC", 5, 6, move |k| {
-            Box::new(PacketChainingAllocator::new(mesh.with_kernel(k)))
-        }),
-        config("mesh-5p", "iSLIP-2", 5, 6, move |k| {
-            Box::new(IslipAllocator::new(mesh.with_kernel(k), 2))
-        }),
-        config("cmesh-8p", "IF", 8, 6, move |k| {
-            Box::new(SeparableAllocator::new(cmesh.with_kernel(k)))
-        }),
-        config("cmesh-8p", "VIX", 8, 6, move |k| {
-            Box::new(SeparableAllocator::new(cmesh_vix.with_kernel(k)))
-        }),
-        config("cmesh-8p", "WF", 8, 6, move |k| {
-            Box::new(WavefrontAllocator::new(cmesh.with_kernel(k)))
-        }),
-        config("cmesh-8p", "AP", 8, 6, move |k| {
-            Box::new(MaxMatchingAllocator::new(cmesh.with_kernel(k)))
-        }),
-        config("fbfly-64vi", "VIX", 16, 4, move |k| {
-            Box::new(SeparableAllocator::new(fbfly.with_kernel(k)))
-        }),
-        config("fbfly-64vi", "WF-VIX", 16, 4, move |k| {
-            Box::new(WavefrontAllocator::new(fbfly.with_kernel(k)))
-        }),
-        config("fbfly-64vi", "Ideal", 16, 4, move |k| {
-            Box::new(MaxMatchingAllocator::new(fbfly.with_kernel(k)))
-        }),
-        config("wide-128vi", "VIX", 16, 8, move |k| {
-            Box::new(SeparableAllocator::new(wide.with_kernel(k)))
-        }),
-        config("wide-128vi", "WF-VIX", 16, 8, move |k| {
-            Box::new(WavefrontAllocator::new(wide.with_kernel(k)))
-        }),
-        config("wide-128vi", "Ideal", 16, 8, move |k| {
-            Box::new(MaxMatchingAllocator::new(wide.with_kernel(k)))
-        }),
+        config("mesh-5p", "IF", 5, 6, move || Box::new(SeparableAllocator::new(mesh))),
+        config("mesh-5p", "VIX", 5, 6, move || Box::new(SeparableAllocator::new(mesh_vix))),
+        config("mesh-5p", "WF", 5, 6, move || Box::new(WavefrontAllocator::new(mesh))),
+        config("mesh-5p", "AP", 5, 6, move || Box::new(MaxMatchingAllocator::new(mesh))),
+        config("mesh-5p", "OF", 5, 6, move || Box::new(OutputFirstAllocator::new(mesh))),
+        config("mesh-5p", "PC", 5, 6, move || Box::new(PacketChainingAllocator::new(mesh))),
+        config("mesh-5p", "iSLIP-2", 5, 6, move || Box::new(IslipAllocator::new(mesh, 2))),
+        config("cmesh-8p", "IF", 8, 6, move || Box::new(SeparableAllocator::new(cmesh))),
+        config("cmesh-8p", "VIX", 8, 6, move || Box::new(SeparableAllocator::new(cmesh_vix))),
+        config("cmesh-8p", "WF", 8, 6, move || Box::new(WavefrontAllocator::new(cmesh))),
+        config("cmesh-8p", "AP", 8, 6, move || Box::new(MaxMatchingAllocator::new(cmesh))),
+        config("fbfly-64vi", "VIX", 16, 4, move || Box::new(SeparableAllocator::new(fbfly))),
+        config("fbfly-64vi", "WF-VIX", 16, 4, move || Box::new(WavefrontAllocator::new(fbfly))),
+        config("fbfly-64vi", "Ideal", 16, 4, move || Box::new(MaxMatchingAllocator::new(fbfly))),
+        config("wide-128vi", "VIX", 16, 8, move || Box::new(SeparableAllocator::new(wide))),
+        config("wide-128vi", "WF-VIX", 16, 8, move || Box::new(WavefrontAllocator::new(wide))),
+        config("wide-128vi", "Ideal", 16, 8, move || Box::new(MaxMatchingAllocator::new(wide))),
     ]
 }
 
 struct KernelResult {
     shape: &'static str,
     allocator: &'static str,
-    scalar_ns: f64,
     bitset_ns: f64,
 }
 
@@ -204,17 +168,9 @@ fn run_matrix() -> Vec<KernelResult> {
         .iter()
         .map(|c| {
             let trace = build_trace(c.ports, c.vcs);
-            let scalar_ns = measure(&c.build, KernelKind::Scalar, &trace);
-            let bitset_ns = measure(&c.build, KernelKind::Bitset, &trace);
-            println!(
-                "{:<11} {:<8} scalar {:>8.1} ns  bitset {:>8.1} ns  ({:.2}x)",
-                c.shape,
-                c.allocator,
-                scalar_ns,
-                bitset_ns,
-                scalar_ns / bitset_ns
-            );
-            KernelResult { shape: c.shape, allocator: c.allocator, scalar_ns, bitset_ns }
+            let bitset_ns = measure(&c.build, &trace);
+            println!("{:<11} {:<8} {:>8.1} ns", c.shape, c.allocator, bitset_ns);
+            KernelResult { shape: c.shape, allocator: c.allocator, bitset_ns }
         })
         .collect()
 }
@@ -233,12 +189,10 @@ fn write_json(results: &[KernelResult]) {
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"allocator\": \"{}\", \"scalar_ns\": {:.1}, \"bitset_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"shape\": \"{}\", \"allocator\": \"{}\", \"bitset_ns\": {:.1}}}{}\n",
             r.shape,
             r.allocator,
-            r.scalar_ns,
             r.bitset_ns,
-            r.scalar_ns / r.bitset_ns,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -248,7 +202,7 @@ fn write_json(results: &[KernelResult]) {
     vix_telemetry::info!("wrote {path}");
 }
 
-/// `--check`: compare a fresh run's bitset timings against the checked-in
+/// `--check`: compare a fresh run's timings against the checked-in
 /// JSON; exit non-zero if any allocator regressed past [`CHECK_TOLERANCE`].
 ///
 /// A configuration over budget is re-measured once before it counts as a
@@ -286,7 +240,7 @@ fn check_against_recorded(results: &[KernelResult]) -> Result<(), String> {
                 .find(|c| c.shape == r.shape && c.allocator == r.allocator)
                 .expect("result came from this matrix");
             let trace = build_trace(cfg.ports, cfg.vcs);
-            let retry_ns = measure(&cfg.build, KernelKind::Bitset, &trace);
+            let retry_ns = measure(&cfg.build, &trace);
             println!(
                 "{:<11} {:<8} over budget ({:.1} ns), retried: {:.1} ns",
                 r.shape, r.allocator, bitset_ns, retry_ns

@@ -5,8 +5,7 @@
 //! Run with `cargo bench -p vix-bench --bench hotpath`. With `--check`
 //! the fresh run is compared against the checked-in JSON instead (any
 //! row more than 25 % slower than its recorded figure fails the run,
-//! after one noise retry) — `scripts/check_hotpath.sh` wires this into
-//! `scripts/verify.sh` and CI.
+//! after one noise retry) — `scripts/verify.sh` and CI run it.
 //!
 //! Every run also measures the engine self-profiler's overhead
 //! (DESIGN.md §7): the headline allocators are re-timed with profiling

@@ -62,9 +62,13 @@ fn measure(kind: AllocatorKind, rate: f64, gating: bool, p: &BenchParams) -> f64
             // Whole measurement inside the sim's warmup window: the bench
             // times the cycle loop, not the statistics pipeline.
             let cfg = SimConfig::new(net, rate)
-                .with_windows(p.warmup_cycles + p.measured_cycles + 1, 1, 1)
-                .with_activity_gating(gating);
-            let mut sim = NetworkSim::build(cfg).expect("valid config");
+                .with_windows(p.warmup_cycles + p.measured_cycles + 1, 1, 1);
+            let built = if gating {
+                NetworkSim::build(cfg)
+            } else {
+                NetworkSim::build_ungated_reference(cfg)
+            };
+            let mut sim = built.expect("valid config");
             for _ in 0..p.warmup_cycles {
                 sim.step();
             }

@@ -6,8 +6,8 @@
 //! Run with `cargo bench -p vix-bench --bench shardscaling`; pass
 //! `--smoke` for a quick CI-sized run (one sample, fewer cycles, no JSON)
 //! and `--check` to re-measure and compare against the checked-in JSON
-//! instead of overwriting it (the CI perf-regression guard, see
-//! `scripts/check_shardscaling.sh`).
+//! instead of overwriting it (the CI perf-regression guard, run from
+//! `scripts/verify.sh`).
 //!
 //! Sharding is a pure performance knob — every shard count produces
 //! bit-identical results (`tests/shard_parity.rs`) — so the only
@@ -126,7 +126,10 @@ struct ShardProfile {
     imbalance_pct: f64,
     /// `BarrierWait` share of all shard-track span time, in percent —
     /// the number the one-barrier, no-idle-thread protocol exists to
-    /// shrink.
+    /// shrink, and where a regression in the calling thread's serial
+    /// duties shows before it shows in wall clock. Read it through
+    /// `host_cores`: with fewer cores than shards it measures the host's
+    /// scheduler, not the protocol.
     barrier_share_pct: f64,
 }
 

@@ -520,15 +520,6 @@ pub struct SimConfig {
     /// is bit-identical for every `jobs` value. A single simulation run
     /// is always sequential — `jobs` only fans out *independent* runs.
     pub jobs: usize,
-    /// Whether the network simulator skips quiescent routers and idle
-    /// channel pipes (activity-gated scheduling, on by default).
-    ///
-    /// Gating is a pure scheduling optimisation: it only elides work whose
-    /// result is provably a no-op, so statistics, activity counters, and
-    /// grant traces are bit-identical with gating on or off (enforced by
-    /// `tests/gating_parity.rs`). Turn it off only to measure its own
-    /// speedup or to debug the scheduler.
-    pub activity_gating: bool,
     /// Shards a *single* simulation run across threads: the router graph
     /// is partitioned into contiguous per-thread shards that exchange
     /// cross-shard flits and credits at cycle boundaries (`0` = all
@@ -561,7 +552,6 @@ impl SimConfig {
             drain: 10_000,
             seed: 0xC0FFEE,
             jobs: 1,
-            activity_gating: true,
             shards: 1,
             telemetry: TelemetrySettings::disabled(),
         }
@@ -628,24 +618,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables activity-gated scheduling (default: enabled).
-    /// Results are bit-identical either way; disable only to measure the
-    /// gating speedup itself or to debug the scheduler.
-    ///
-    /// ```
-    /// use vix_core::{AllocatorKind, NetworkConfig, SimConfig, TopologyKind};
-    ///
-    /// let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
-    /// let cfg = SimConfig::new(net, 0.05);
-    /// assert!(cfg.activity_gating, "gating is on by default");
-    /// assert!(!cfg.with_activity_gating(false).activity_gating);
-    /// ```
-    #[must_use]
-    pub fn with_activity_gating(mut self, on: bool) -> Self {
-        self.activity_gating = on;
-        self
-    }
-
     /// Chooses what the run's telemetry sink records (default: nothing).
     /// Telemetry is pure observation: enabling it never changes grant
     /// order, statistics, or RNG draws.
@@ -673,14 +645,14 @@ impl SimConfig {
     /// Returns the first violated constraint as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.network.router.validate()?;
-        if !(0.0..=1.0).contains(&(self.injection_rate * self.packet_len as f64 / self.packet_len as f64))
-            || self.injection_rate < 0.0
-            || self.injection_rate * self.packet_len as f64 > 1.0 + 1e-9
-        {
-            return Err(ConfigError::BadInjectionRate { rate: self.injection_rate });
-        }
         if self.packet_len == 0 {
             return Err(ConfigError::ZeroPacketLength);
+        }
+        // Both comparisons are false for a NaN rate.
+        let rate = self.injection_rate;
+        let in_range = rate >= 0.0 && rate * self.packet_len as f64 <= 1.0 + 1e-9;
+        if !in_range {
+            return Err(ConfigError::BadInjectionRate { rate });
         }
         Ok(())
     }
@@ -766,9 +738,20 @@ mod tests {
     fn sim_config_validation() {
         let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::InputFirst);
         assert!(SimConfig::new(net, 0.05).validate().is_ok());
-        assert!(SimConfig::new(net, -0.1).validate().is_err());
         assert!(SimConfig::new(net, 0.30).validate().is_err(), "0.30 pkts × 4 flits > 1 flit/cycle");
-        assert!(SimConfig::new(net, 0.1).with_packet_len(0).validate().is_err());
+        for rate in [-1.0, f64::NAN] {
+            assert!(
+                matches!(
+                    SimConfig::new(net, rate).validate(),
+                    Err(ConfigError::BadInjectionRate { .. })
+                ),
+                "rate {rate}"
+            );
+        }
+        assert_eq!(
+            SimConfig::new(net, 0.05).with_packet_len(0).validate(),
+            Err(ConfigError::ZeroPacketLength)
+        );
     }
 
     #[test]
@@ -789,16 +772,6 @@ mod tests {
         assert_eq!(cfg.with_shards(0).shards, 0);
         assert_eq!(cfg.with_shards(8).shards, 8);
         cfg.with_shards(0).validate().unwrap();
-    }
-
-    #[test]
-    fn activity_gating_default_on_and_builder() {
-        let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::InputFirst);
-        let cfg = SimConfig::new(net, 0.05);
-        assert!(cfg.activity_gating, "gating must default on");
-        assert!(!cfg.with_activity_gating(false).activity_gating);
-        assert!(cfg.with_activity_gating(false).with_activity_gating(true).activity_gating);
-        cfg.with_activity_gating(false).validate().unwrap();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! The body is the activity-gated scheduler ([`GatingState`], DESIGN.md
 //! §6c). The ungated sweep survives beside it, sharing the delivery and
-//! fan-out helpers, as the reference `tests/gating_parity.rs` and
-//! `tests/shard_parity.rs` hold the gated scheduler against.
+//! fan-out helpers, as the serial-only reference `tests/gating_parity.rs`
+//! holds the gated scheduler against.
 
 use crate::channel::Pipe;
 use crate::network::{CreditDest, EjectedPacket, RouteTable};
@@ -83,8 +83,10 @@ pub(crate) struct GatingState {
     inject_sched: Vec<u64>,
     flit_sched: Vec<Vec<u64>>,
     credit_sched: Vec<Vec<u64>>,
-    /// Total `Router::step_into` calls over the run (gated and ungated);
-    /// the observable for O(active) scheduling tests.
+    /// Set only by `NetworkSim::build_ungated_reference`: sweep, not schedule.
+    pub(crate) reference_sweep: bool,
+    /// Total `Router::step_into` calls over the run; the observable for
+    /// O(active) scheduling tests.
     pub(crate) router_steps: u64,
     /// Reused router-output buffer: [`vix_router::Router::step_into`]
     /// writes each router's flits and credits here, so the steady-state
@@ -107,6 +109,7 @@ impl GatingState {
             inject_sched: vec![u64::MAX; nodes],
             flit_sched: vec![vec![u64::MAX; radix]; routers],
             credit_sched: vec![vec![u64::MAX; radix]; routers],
+            reference_sweep: false,
             router_steps: 0,
             step_out: RouterOutput::default(),
         }
@@ -264,8 +267,7 @@ impl<'a> NetSlice<'a> {
     /// Heartbeat gauges of this slice: wake-calendar depth and flits
     /// buffered in router inputs.
     pub(crate) fn health_gauges(&self, gating: &GatingState) -> (u64, u64) {
-        let wake = if self.cfg.activity_gating { gating.wake_depth() } else { 0 };
-        (wake, self.routers.iter().map(|r| r.buffered_flits() as u64).sum())
+        (gating.wake_depth(), self.routers.iter().map(|r| r.buffered_flits() as u64).sum())
     }
 
     /// Rebuilds `gating`'s wake calendar from the contents of this slice's
@@ -311,7 +313,7 @@ impl<'a> NetSlice<'a> {
         log: &mut EjectionLog,
         mut span: SpanStart,
     ) -> SpanStart {
-        let gated = self.cfg.activity_gating;
+        let gated = !gating.reference_sweep;
 
         // 2. Sources stream flits toward their routers — all of them,
         // every cycle (an idle source's `try_send` is a pure no-op). Under
@@ -435,6 +437,7 @@ impl<'a> NetSlice<'a> {
         for ri in 0..self.routers.len() {
             self.routers[ri].step_into(now, out, sink);
             gating.router_steps += 1;
+            gating.stepped_until[self.router_off + ri] = now.0 + 1;
             self.fan_out(ri, now, out, gating, sink, log);
         }
         span
@@ -516,7 +519,7 @@ impl<'a> NetSlice<'a> {
         log: &mut EjectionLog,
     ) {
         let r = self.router_off + ri;
-        let gated = self.cfg.activity_gating;
+        let gated = !gating.reference_sweep;
         let in_window = now.0 >= self.cfg.warmup && now.0 < self.cfg.warmup + self.cfg.measure;
         for (p, mut flit) in out.flits.drain(..) {
             if self.topology.is_local_port(p) {

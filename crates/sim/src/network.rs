@@ -229,6 +229,8 @@ pub struct NetworkSim {
     pub(crate) shard_weights: Option<Vec<u64>>,
     /// Per-router VC-occupancy histogram ids (empty when metrics are off).
     vc_occupancy: Vec<HistogramId>,
+    /// Set only by [`NetworkSim::inject_shard_panic`].
+    pub(crate) shard_panic_at: Option<(u64, usize)>,
 }
 
 impl NetworkSim {
@@ -362,7 +364,25 @@ impl NetworkSim {
             telemetry,
             vc_occupancy,
             shard_weights: None,
+            shard_panic_at: None,
         })
+    }
+
+    /// Test oracle: [`NetworkSim::build`], but clocked — always serially —
+    /// by the ungated reference sweep that `tests/gating_parity.rs` holds
+    /// the gated scheduler against.
+    #[doc(hidden)]
+    pub fn build_ungated_reference(cfg: SimConfig) -> Result<Self, ConfigError> {
+        let mut sim = NetworkSim::build(cfg)?;
+        sim.gating.reference_sweep = true;
+        Ok(sim)
+    }
+
+    /// Test fault hook: shard `shard` of a sharded stretch panics at the
+    /// top of cycle `cycle` (`tests/shard_panic.rs`).
+    #[doc(hidden)]
+    pub fn inject_shard_panic(&mut self, cycle: u64, shard: usize) {
+        self.shard_panic_at = Some((cycle, shard));
     }
 
     /// Injects an externally-generated packet (e.g. a cache miss from the
@@ -425,12 +445,12 @@ impl NetworkSim {
     /// into the statistics. The serial path takes no lock and meets no
     /// barrier.
     ///
-    /// With [`SimConfig::activity_gating`] on (the default) the body visits
-    /// only active routers and links with a delivery due; quiescent routers
-    /// are skipped and their idle history replayed on re-activation. The
-    /// ungated reference sweep is bit-identical — same statistics, same
-    /// activity counters, same ejection order (`tests/gating_parity.rs`
-    /// holds them side by side for every allocator).
+    /// The body visits only active routers and links with a delivery due;
+    /// quiescent routers are skipped and their idle history replayed on
+    /// re-activation. The ungated reference sweep is bit-identical — same
+    /// statistics, same activity counters, same ejection order
+    /// (`tests/gating_parity.rs` holds them side by side for every
+    /// allocator).
     pub fn step(&mut self) {
         let now = self.now;
         // Profiling lap chain: one clock read per phase boundary, zero
@@ -445,9 +465,8 @@ impl NetworkSim {
         self.log.replay_into(&mut self.stats);
         self.now = now.plus(1);
 
-        // VC-occupancy sampling is pure observation over *all* routers
-        // (gated or not), so gated and ungated runs report identical
-        // histograms.
+        // VC-occupancy sampling is pure observation over *all* routers,
+        // stepped this cycle or not.
         if !self.vc_occupancy.is_empty() {
             let ports = self.net.topology.radix();
             let vcs = self.cfg.network.router.vcs_per_port();
@@ -481,9 +500,9 @@ impl NetworkSim {
         }
     }
 
-    /// Total [`vix_router::Router::step_into`] calls so far. Under activity
-    /// gating this counts only the routers actually visited — an idle
-    /// network performs zero router steps per cycle.
+    /// Total [`vix_router::Router::step_into`] calls so far: only the
+    /// routers actually visited — an idle network performs zero router
+    /// steps per cycle.
     #[must_use]
     pub fn router_steps(&self) -> u64 {
         self.gating.router_steps
@@ -503,14 +522,13 @@ impl NetworkSim {
                 .all(|p| p.as_ref().is_none_or(Pipe::is_empty))
     }
 
-    /// Activity counters of router `r`, with the cycles a gated run has
-    /// not yet replayed credited back, so gated and ungated runs report
-    /// identical activity (and, through `vix-power`, identical energy).
+    /// Activity counters of router `r`, with the skipped cycles the
+    /// scheduler has not yet replayed credited back, so a run reports the
+    /// activity (and, through `vix-power`, the energy) of stepping every
+    /// router every cycle.
     fn router_activity(&self, r: usize) -> ActivityCounters {
         let mut a = *self.net.routers[r].activity();
-        if self.cfg.activity_gating {
-            a.cycles += self.now.0 - self.gating.stepped_until[r];
-        }
+        a.cycles += self.now.0 - self.gating.stepped_until[r];
         a
     }
 
@@ -624,14 +642,15 @@ impl NetworkSim {
     /// `0` (auto) becomes [`std::thread::available_parallelism`] capped
     /// so that each shard owns at least
     /// [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS) routers (tiny shards
-    /// are barrier-dominated), any explicit count is
-    /// clamped to the router count (a shard must own at least one
-    /// router), and runs with telemetry recording enabled (tracing or
-    /// metrics) fall back to `1` — trace-event order and per-cycle
-    /// scheduler gauges are defined by the serial schedulers.
+    /// are barrier-dominated), any explicit count is clamped to the router
+    /// count (a shard must own at least one router), and runs with
+    /// telemetry recording enabled (tracing or metrics) fall back to `1` —
+    /// trace-event order and per-cycle scheduler gauges are defined by the
+    /// serial scheduler — as does the ungated reference sweep.
     #[must_use]
     pub fn effective_shards(&self) -> usize {
         if self.cfg.shards == 1
+            || self.gating.reference_sweep
             || self.cfg.telemetry.tracing
             || self.cfg.telemetry.metrics
         {
@@ -909,8 +928,8 @@ mod tests {
     fn gated_and_ungated_runs_are_bit_identical() {
         for alloc in [AllocatorKind::Vix, AllocatorKind::PacketChaining] {
             let cfg = small_cfg(alloc, 0.05);
-            let gated = NetworkSim::build(cfg.with_activity_gating(true)).unwrap().run();
-            let ungated = NetworkSim::build(cfg.with_activity_gating(false)).unwrap().run();
+            let gated = NetworkSim::build(cfg).unwrap().run();
+            let ungated = NetworkSim::build_ungated_reference(cfg).unwrap().run();
             assert_eq!(gated.packets_ejected(), ungated.packets_ejected());
             assert_eq!(gated.avg_packet_latency(), ungated.avg_packet_latency());
             assert_eq!(gated.per_source_packets(), ungated.per_source_packets());
@@ -922,7 +941,7 @@ mod tests {
     fn gated_idle_network_steps_no_routers() {
         let cfg = small_cfg(AllocatorKind::InputFirst, 0.0);
         let mut gated = NetworkSim::build(cfg).unwrap();
-        let mut ungated = NetworkSim::build(cfg.with_activity_gating(false)).unwrap();
+        let mut ungated = NetworkSim::build_ungated_reference(cfg).unwrap();
         for _ in 0..100 {
             gated.step();
             ungated.step();
@@ -956,8 +975,8 @@ mod tests {
         // Lockstep, not just end-of-run: per-cycle ejections and activity
         // must agree while packets are still in flight.
         let cfg = small_cfg(AllocatorKind::WavefrontVix, 0.08);
-        let mut gated = NetworkSim::build(cfg.with_activity_gating(true)).unwrap();
-        let mut ungated = NetworkSim::build(cfg.with_activity_gating(false)).unwrap();
+        let mut gated = NetworkSim::build(cfg).unwrap();
+        let mut ungated = NetworkSim::build_ungated_reference(cfg).unwrap();
         for cycle in 0..600 {
             gated.step();
             ungated.step();

@@ -14,12 +14,7 @@
 //! index)` — never from scheduling. Results are therefore bit-identical
 //! regardless of worker count or interleaving: `jobs = 1` and
 //! `jobs = 32` produce byte-for-byte the same statistics, and a crash
-//! report citing a seed can be replayed serially. The same contract
-//! extends to [`SimConfig::activity_gating`] (see DESIGN.md §6c): a
-//! gated simulation is bit-identical to an ungated one, so sweep CSVs
-//! are byte-for-byte stable across gating × job-count combinations —
-//! and low-rate sweep points, whose networks are mostly quiescent,
-//! finish several times sooner.
+//! report citing a seed can be replayed serially.
 //!
 //! # Example
 //!

@@ -71,21 +71,22 @@
 //! * **Interchangeable delivery order** — distinct pipes feed disjoint
 //!   `(port, vc)` buffers and credits are commutative counter
 //!   increments, so draining mailboxes before local pipes is
-//!   indistinguishable from the serial sweep order (the same invariant
+//!   indistinguishable from the serial delivery order (the same invariant
 //!   the activity-gated scheduler already relies on).
 //! * **Ordered merge** — per-shard ejection records are concatenated in
 //!   shard order = global ascending router order, reproducing the serial
 //!   `NetworkStats` accumulation order exactly; all accumulation is
 //!   integer, so no floating-point reassociation can leak in.
 //!
-//! Activity gating runs unchanged inside each shard: the wake calendar,
-//! active set, retention, and idle replay are all per-router state, and a
-//! cross-shard delivery wakes the receiving router the same cycle it
-//! would have in a serial run. On entry and exit the calendars are
-//! rebuilt from pipe contents by one function (`NetSlice::rebuild_calendar`
-//! over [`Pipe::dues`](crate::Pipe::dues) — per shard on entry, over the
-//! whole network on exit), so a simulation can move freely between the
-//! serial and sharded schedulers mid-run.
+//! Activity gating runs unchanged inside each shard (the ungated reference
+//! sweep never gets here): the wake calendar, active set, retention, and
+//! idle replay are all per-router state, and a cross-shard delivery wakes
+//! the receiving router the same cycle it would have in a serial run. On
+//! entry and exit the calendars are rebuilt from pipe contents by one
+//! function (`NetSlice::rebuild_calendar` over
+//! [`Pipe::dues`](crate::Pipe::dues) — per shard on entry, over the whole
+//! network on exit), so a simulation can move freely between the serial
+//! and sharded schedulers mid-run.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::cycle::{EjectionLog, GatingState, NetSlice};
@@ -362,9 +363,8 @@ impl ShardWorker<'_> {
     /// next stretch's pre-scan) delivers straight from the pipes.
     fn run_cycle(&mut self, t: u64, sh: &Stretch<'_>) -> Result<(), BarrierPoisoned> {
         if sh.panic_inject == Some((t, self.idx)) {
-            panic!("injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}", self.idx);
+            panic!("injected shard panic at cycle {t} shard {}", self.idx);
         }
-        let gated = self.net.cfg.activity_gating;
         let parity = (t % 2) as usize;
         // Profiling lap chain: staged/mailbox drains and the boundary
         // scan are `Exchange`; the cycle body laps its own phases.
@@ -385,14 +385,12 @@ impl ShardWorker<'_> {
                     sh.mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
                 for (down, port, flit) in inbox.drain(..) {
                     self.net.routers[down.0 - self.net.router_off].accept_flit(port, flit);
-                    if gated {
-                        GatingState::activate(
-                            &mut self.gating.active_mark,
-                            &mut self.gating.work,
-                            down.0,
-                            t,
-                        );
-                    }
+                    GatingState::activate(
+                        &mut self.gating.active_mark,
+                        &mut self.gating.work,
+                        down.0,
+                        t,
+                    );
                 }
             }
             let mut inbox =
@@ -505,7 +503,8 @@ fn stage_cycle(
 /// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
-/// `2..=routers` and telemetry recording is off.
+/// `2..=routers`, and neither telemetry recording nor the ungated
+/// reference sweep is on.
 pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     if cycles == 0 {
         return;
@@ -516,19 +515,9 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         Some(weights) => ShardPlan::weighted(sim.net.topology.as_ref(), shards, weights),
         None => ShardPlan::new(sim.net.topology.as_ref(), shards),
     };
-    // Test-only fault hook: `VIX_SHARD_PANIC_AT=cycle:shard` makes that
-    // shard panic at the top of that cycle, exercising the barrier
-    // poisoning path end-to-end (tests/shard_panic.rs).
-    let panic_inject: Option<(u64, usize)> = std::env::var("VIX_SHARD_PANIC_AT")
-        .ok()
-        .and_then(|spec| {
-            let (t, s) = spec.split_once(':')?;
-            Some((t.parse().ok()?, s.parse().ok()?))
-        });
     let radix = sim.net.topology.radix();
     let routers_total = sim.net.routers.len();
     let nodes_total = sim.cfg.network.nodes;
-    let gated = sim.cfg.activity_gating;
 
     // Classify every link once; boundary lists are grouped by the shard
     // that owns (and therefore drains) the pipe.
@@ -590,13 +579,11 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         let (net, tail) = rest.split_at(plan.router_range(s).len(), plan.node_range(s).len());
         rest = tail;
         let mut gating = GatingState::new(nodes_total, routers_total, radix);
-        if gated {
-            gating.active_mark.copy_from_slice(&sim.gating.active_mark);
-            gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
-            let range = plan.router_range(s);
-            gating.work.extend(sim.gating.work.iter().filter(|&&r| range.contains(&r)));
-            net.rebuild_calendar(&mut gating);
-        }
+        gating.active_mark.copy_from_slice(&sim.gating.active_mark);
+        gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
+        let range = plan.router_range(s);
+        gating.work.extend(sim.gating.work.iter().filter(|&&r| range.contains(&r)));
+        net.rebuild_calendar(&mut gating);
         workers.push(ShardWorker {
             idx: s,
             net,
@@ -632,7 +619,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     let barrier = SpinBarrier::new(shards);
     let sh = Stretch {
         end,
-        panic_inject,
+        panic_inject: sim.shard_panic_at,
         barrier: &barrier,
         mail: &mail,
         staged: &staged,
@@ -752,19 +739,15 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         if let (Some(p), Some(engine)) = (w.sink.into_profiler(), sim.telemetry.profiler_mut()) {
             engine.absorb(*p);
         }
-        if gated {
-            let range = plan.router_range(w.idx);
-            sim.gating.stepped_until[range.clone()].copy_from_slice(&w.gating.stepped_until[range]);
-            // Retention already put every non-quiescent router in its
-            // shard's work list; re-activate them for cycle `end`.
-            for &r in &w.gating.work {
-                GatingState::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
-            }
+        let range = plan.router_range(w.idx);
+        sim.gating.stepped_until[range.clone()].copy_from_slice(&w.gating.stepped_until[range]);
+        // Retention already put every non-quiescent router in its
+        // shard's work list; re-activate them for cycle `end`.
+        for &r in &w.gating.work {
+            GatingState::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
         }
     }
-    if gated {
-        sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);
-    }
+    sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);
     sim.now = Cycle(end);
 }
 

@@ -5,11 +5,10 @@
 //! the harness counts how many flits each allocation scheme moves per
 //! cycle, isolated from topology, flow control, and VC allocation.
 //!
-//! The harness drives one allocator directly, with no network around it,
-//! so [`SimConfig::activity_gating`](vix_core::SimConfig) does not apply
-//! here: the single router is saturated by construction and never
-//! quiescent — exactly the regime where the gated network scheduler
-//! degenerates to the full sweep anyway (DESIGN.md §6c).
+//! The harness drives one allocator directly, with no network and no
+//! activity-gated scheduler around it: the single router is saturated by
+//! construction and never quiescent — exactly the regime where the gated
+//! network scheduler degenerates to the full sweep anyway (DESIGN.md §6c).
 
 use vix_rng::rngs::StdRng;
 use vix_rng::{Rng, SeedableRng};

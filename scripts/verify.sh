@@ -42,24 +42,24 @@ test -s target/profile-smoke/health.jsonl
 echo "==> cargo bench -p vix-bench --bench loadsweep -- --smoke"
 cargo bench -p vix-bench --bench loadsweep -- --smoke
 
-# Allocator-kernel perf guard: fresh bitset timings must stay within 25%
+# Allocator-kernel perf guard: fresh kernel timings must stay within 25%
 # of the recorded BENCH_allockernels.json figures.
-echo "==> scripts/check_alloc_kernels.sh"
-scripts/check_alloc_kernels.sh
+echo "==> cargo bench -p vix-bench --bench alloc_kernels -- --check"
+cargo bench -p vix-bench --bench alloc_kernels -- --check
 
 # Sharded-engine perf guard: the serial (shards=1) path must stay within
 # 25% of the recorded BENCH_shardscaling.json figure; hosts with ≥4 cores
 # additionally enforce the ≥2x speedup floor at 4 shards.
-echo "==> scripts/check_shardscaling.sh"
-scripts/check_shardscaling.sh
+echo "==> cargo bench -p vix-bench --bench shardscaling -- --check"
+cargo bench -p vix-bench --bench shardscaling -- --check
 
 # Hot-path perf guard: fresh steady-state cycles/sec must stay within
 # 25% of the recorded BENCH_hotpath.json rates, and the engine
 # self-profiler's measured overhead must stay within its 5% budget;
 # also prints the one-line speedup summary vs the pre-ring-transport
 # BENCH_hotpath_baseline.json.
-echo "==> scripts/check_hotpath.sh"
-scripts/check_hotpath.sh
+echo "==> cargo bench -p vix-bench --bench hotpath -- --check"
+cargo bench -p vix-bench --bench hotpath -- --check
 
 # Bit-identity gate through the repo benchmark: all five workloads must
 # reproduce the recorded seed-2014 sim_digests with no failed run.

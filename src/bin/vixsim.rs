@@ -40,6 +40,7 @@
 //! busy ratios. Both are pure performance knobs: results are
 //! bit-identical for every shard count and weighting (DESIGN.md §8).
 
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use vix::prelude::*;
 use vix::{NodeId, VirtualInputs};
@@ -229,6 +230,46 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opt)
 }
 
+/// An output file created before the run starts, so that a mistyped
+/// directory fails in milliseconds instead of after the simulation.
+struct OutFile<'a> {
+    path: &'a str,
+    w: BufWriter<std::fs::File>,
+}
+
+impl<'a> OutFile<'a> {
+    /// Creates `path`; reports a failure on stderr.
+    fn create(path: &'a str) -> Result<Self, ()> {
+        match std::fs::File::create(path) {
+            Ok(file) => Ok(OutFile { path, w: BufWriter::new(file) }),
+            Err(e) => {
+                eprintln!("error: cannot create {path}: {e}");
+                Err(())
+            }
+        }
+    }
+
+    /// Creates the file behind an output flag, if the flag was given.
+    fn create_if(path: &'a Option<String>) -> Result<Option<Self>, ()> {
+        path.as_deref().map(OutFile::create).transpose()
+    }
+
+    /// Writes the file through `fill` and flushes it; reports a failure on
+    /// stderr.
+    fn finish(
+        mut self,
+        fill: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
+    ) -> Result<&'a str, ()> {
+        match fill(&mut self.w).and_then(|()| self.w.flush()) {
+            Ok(()) => Ok(self.path),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", self.path);
+                Err(())
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opt = match parse(&args) {
@@ -364,6 +405,13 @@ fn main() -> ExitCode {
             eprintln!("error: --heartbeat-out records a single run; drop --sweep-csv");
             return ExitCode::FAILURE;
         }
+        let (Ok(csv), Ok(metrics_out), Ok(profile_out)) = (
+            OutFile::create(path),
+            OutFile::create_if(&opt.metrics_out),
+            OutFile::create_if(&opt.profile_out),
+        ) else {
+            return ExitCode::FAILURE;
+        };
         let sweep = match LoadSweep::new(cfg).with_pattern(opt.pattern.clone()).run() {
             Ok(sweep) => sweep,
             Err(e) => {
@@ -371,18 +419,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = sweep.write_csv(std::io::BufWriter::new(file)) {
-            eprintln!("error: writing {path}: {e}");
+        if csv.finish(|w| sweep.write_csv(w)).is_err() {
             return ExitCode::FAILURE;
         }
-        if let Some(mpath) = &opt.metrics_out {
+        if let Some(out) = metrics_out {
             // Per-rate matching records, in sweep order: deterministic for
             // any --jobs value because each point's stats are.
             let mut doc = String::from("{\"sweep\":[");
@@ -397,19 +437,18 @@ fn main() -> ExitCode {
                 ));
             }
             doc.push_str("]}");
-            if let Err(e) = std::fs::write(mpath, doc) {
-                eprintln!("error: writing {mpath}: {e}");
+            let Ok(mpath) = out.finish(|w| w.write_all(doc.as_bytes())) else {
                 return ExitCode::FAILURE;
-            }
+            };
             println!("wrote per-rate matching metrics to {mpath}");
         }
         if let Some(prof) = sweep.profile() {
             let breakdown = prof.breakdown();
-            if let Some(ppath) = &opt.profile_out {
-                if let Err(e) = std::fs::write(ppath, breakdown.to_json()) {
-                    eprintln!("error: writing {ppath}: {e}");
+            if let Some(out) = profile_out {
+                let Ok(ppath) = out.finish(|w| w.write_all(breakdown.to_json().as_bytes()))
+                else {
                     return ExitCode::FAILURE;
-                }
+                };
                 println!("wrote sweep phase breakdown to {ppath}");
             }
             print!("{}", breakdown.render());
@@ -422,6 +461,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    let (Ok(trace_out), Ok(metrics_out), Ok(profile_out), Ok(heartbeat_out)) = (
+        OutFile::create_if(&opt.trace_out),
+        OutFile::create_if(&opt.metrics_out),
+        OutFile::create_if(&opt.profile_out),
+        OutFile::create_if(&opt.heartbeat_out),
+    ) else {
+        return ExitCode::FAILURE;
+    };
     let mut sim = match NetworkSim::build_with_pattern(cfg, opt.pattern.clone()) {
         Ok(sim) => sim,
         Err(e) => {
@@ -442,21 +489,17 @@ fn main() -> ExitCode {
         k
     );
     let (stats, tel) = sim.run_with_telemetry();
-    if let Some(path) = &opt.trace_out {
-        let write = || -> std::io::Result<()> {
-            let file = std::fs::File::create(path)?;
-            let mut w = std::io::BufWriter::new(file);
-            if path.ends_with(".json") {
-                tel.trace_ring().write_chrome_trace(&mut w)?;
+    if let Some(out) = trace_out {
+        let chrome = out.path.ends_with(".json");
+        let Ok(path) = out.finish(|w| {
+            if chrome {
+                tel.trace_ring().write_chrome_trace(w)
             } else {
-                tel.trace_ring().write_jsonl(&mut w)?;
+                tel.trace_ring().write_jsonl(w)
             }
-            std::io::Write::flush(&mut w)
-        };
-        if let Err(e) = write() {
-            eprintln!("error: writing {path}: {e}");
+        }) else {
             return ExitCode::FAILURE;
-        }
+        };
         println!(
             "wrote {} trace events to {path}{}",
             tel.trace_ring().len(),
@@ -467,34 +510,29 @@ fn main() -> ExitCode {
             }
         );
     }
-    if let Some(path) = &opt.metrics_out {
+    if let Some(out) = metrics_out {
         let doc = format!(
             "{{\"matching\":{},\"registry\":{}}}",
             stats.matching().to_json(),
             tel.registry().to_json()
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {e}");
+        let Ok(path) = out.finish(|w| w.write_all(doc.as_bytes())) else {
             return ExitCode::FAILURE;
-        }
+        };
         println!("wrote metrics to {path}");
     }
     if let Some(prof) = tel.profiler() {
-        if let Some(path) = &opt.profile_out {
-            let write = || -> std::io::Result<()> {
-                let file = std::fs::File::create(path)?;
-                let mut w = std::io::BufWriter::new(file);
-                if path.ends_with(".json") {
-                    prof.write_chrome_trace(&mut w)?;
+        if let Some(out) = profile_out {
+            let chrome = out.path.ends_with(".json");
+            let Ok(path) = out.finish(|w| {
+                if chrome {
+                    prof.write_chrome_trace(w)
                 } else {
-                    prof.write_spans_jsonl(&mut w)?;
+                    prof.write_spans_jsonl(w)
                 }
-                std::io::Write::flush(&mut w)
-            };
-            if let Err(e) = write() {
-                eprintln!("error: writing {path}: {e}");
+            }) else {
                 return ExitCode::FAILURE;
-            }
+            };
             println!(
                 "wrote engine profile to {path}{}",
                 if prof.dropped_spans() > 0 {
@@ -504,17 +542,10 @@ fn main() -> ExitCode {
                 }
             );
         }
-        if let Some(path) = &opt.heartbeat_out {
-            let write = || -> std::io::Result<()> {
-                let file = std::fs::File::create(path)?;
-                let mut w = std::io::BufWriter::new(file);
-                prof.write_health_jsonl(&mut w)?;
-                std::io::Write::flush(&mut w)
-            };
-            if let Err(e) = write() {
-                eprintln!("error: writing {path}: {e}");
+        if let Some(out) = heartbeat_out {
+            let Ok(path) = out.finish(|w| prof.write_health_jsonl(w)) else {
                 return ExitCode::FAILURE;
-            }
+            };
             println!("wrote {} heartbeats to {path}", prof.heartbeats().len());
         }
         print!("{}", prof.breakdown().render());

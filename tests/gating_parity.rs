@@ -1,10 +1,11 @@
 //! Lockstep parity between the activity-gated and ungated network
 //! schedulers.
 //!
-//! The gated scheduler (`SimConfig::activity_gating`, on by default) is a
+//! The gated scheduler — the only one a configuration can reach — is a
 //! pure performance optimisation: it may only skip work whose result is
-//! provably a no-op. These tests hold the two paths side by side — same
-//! config, same seed — for 2,000 cycles across every allocator and assert
+//! provably a no-op. These tests hold it side by side with the ungated
+//! reference sweep (`NetworkSim::build_ungated_reference`, a test-only
+//! entry point) — same config, same seed — for 2,000 cycles across every allocator and assert
 //! that the ejection trace (hashed FNV-1a, the network-level analogue of
 //! the golden grant traces in `tests/determinism.rs`), the measurement
 //! statistics, the activity counters, and the derived energy are all
@@ -40,11 +41,16 @@ fn build(kind: AllocatorKind, gated: bool) -> NetworkSim {
     // Rate in the congested-but-stable band so buffers fill, credits
     // stall, speculation fails, and routers oscillate between active and
     // quiescent — the regime where a gating bug would surface.
-    let cfg = SimConfig::new(network, 0.06)
-        .with_windows(300, 1_200, 500)
-        .with_seed(0xD1CE)
-        .with_activity_gating(gated);
-    NetworkSim::build(cfg).expect("paper-default configs are valid")
+    let cfg = SimConfig::new(network, 0.06).with_windows(300, 1_200, 500).with_seed(0xD1CE);
+    build_sim(cfg, gated)
+}
+
+/// The simulation of `cfg` under the gated scheduler or the ungated
+/// reference sweep.
+fn build_sim(cfg: SimConfig, gated: bool) -> NetworkSim {
+    let built =
+        if gated { NetworkSim::build(cfg) } else { NetworkSim::build_ungated_reference(cfg) };
+    built.expect("paper-default configs are valid")
 }
 
 /// Steps `sim` for 2,000 cycles, folding every ejected packet (cycle,
@@ -99,8 +105,8 @@ fn full_run_protocol_matches_for_every_allocator() {
         let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
         network.nodes = 16;
         let cfg = SimConfig::new(network, 0.05).with_windows(200, 800, 400).with_seed(7);
-        let gated = NetworkSim::build(cfg.with_activity_gating(true)).unwrap().run();
-        let ungated = NetworkSim::build(cfg.with_activity_gating(false)).unwrap().run();
+        let gated = build_sim(cfg, true).run();
+        let ungated = build_sim(cfg, false).run();
         assert_eq!(gated.packets_ejected(), ungated.packets_ejected(), "{kind:?}");
         assert_eq!(gated.avg_packet_latency(), ungated.avg_packet_latency(), "{kind:?}");
         assert_eq!(gated.activity(), ungated.activity(), "{kind:?}: activity diverged");
@@ -124,7 +130,7 @@ fn gated_and_ungated_runs_report_identical_energy() {
         let cfg = SimConfig::new(network, 0.04).with_windows(200, 800, 400).with_seed(3);
         let span = EnergyModel::span_factor(&cfg.network.router);
         let energy = |gating: bool| {
-            let stats = NetworkSim::build(cfg.with_activity_gating(gating)).unwrap().run();
+            let stats = build_sim(cfg, gating).run();
             EnergyBreakdown::from_activity(&model, stats.activity(), span)
         };
         let (gated, ungated) = (energy(true), energy(false));

@@ -9,13 +9,12 @@
 //! thread steps that shard itself), as a re-thrown join failure when it
 //! is a spawned shard's.
 //!
-//! The panic is injected with the test-only `VIX_SHARD_PANIC_AT`
-//! environment variable (`cycle:shard`, read once per sharded stretch).
-//! This file is its own integration-test binary — and therefore its own
-//! process — because the variable (like the panic hook the test installs)
-//! is process-global; keeping it out of the other suites' processes means
-//! it cannot perturb them even though the Rust test harness runs tests
-//! concurrently.
+//! The panic is injected per simulation with the test-only
+//! `NetworkSim::inject_shard_panic(cycle, shard)`. This file is its own
+//! integration-test binary — and therefore its own process — because the
+//! panic hook the test installs is process-global; keeping it out of the
+//! other suites' processes means it cannot perturb them even though the
+//! Rust test harness runs tests concurrently.
 
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
@@ -33,9 +32,8 @@ fn config() -> SimConfig {
         .with_shards(SHARDS)
 }
 
-/// One test, not several: the injection variable and the panic hook are
-/// process-global, so every panic phase and every clean-reuse phase must
-/// run sequentially.
+/// One test, not several: the panic hook is process-global, so every
+/// panic phase and every clean-reuse phase must run sequentially.
 #[test]
 fn worker_panic_propagates_instead_of_deadlocking() {
     let mut serial = NetworkSim::build(config().with_shards(1)).unwrap();
@@ -66,19 +64,18 @@ fn worker_panic_propagates_instead_of_deadlocking() {
     // last one each die at cycle 50, mid-stretch, while the other three
     // are in their own cycle or spinning at the barrier.
     for shard in [0, 2, SHARDS - 1] {
-        std::env::set_var("VIX_SHARD_PANIC_AT", format!("50:{shard}"));
         let result = std::panic::catch_unwind(|| {
             let mut sim = NetworkSim::build(config()).unwrap();
+            sim.inject_shard_panic(50, shard);
             sim.run_cycles(200);
         });
-        std::env::remove_var("VIX_SHARD_PANIC_AT");
         let payload = result.expect_err("injected shard panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_else(|| "<non-string panic payload>".to_owned());
         assert!(
-            msg.contains(&format!("injected shard panic (VIX_SHARD_PANIC_AT) at cycle 50 shard {shard}")),
+            msg.contains(&format!("injected shard panic at cycle 50 shard {shard}")),
             "propagated panic should be shard {shard}'s own payload, got: {msg}"
         );
 
@@ -93,8 +90,8 @@ fn worker_panic_propagates_instead_of_deadlocking() {
             "shard 0 runs on the calling thread, every other shard on a spawned one"
         );
 
-        // Same process, after the variable is gone: the engine must be
-        // fully reusable (each stretch builds a fresh barrier, so the
+        // Same process, a simulation without the injector: the engine must
+        // be fully reusable (each stretch builds a fresh barrier, so the
         // poison cannot leak into later runs) and still bit-identical.
         let mut sim = NetworkSim::build(config()).unwrap();
         sim.run_cycles(200);

@@ -2,12 +2,12 @@
 //! path (DESIGN.md §8).
 //!
 //! `SimConfig::shards` is a pure performance knob: for every shard
-//! count, every allocator, and both schedulers (activity-gated and
-//! ungated), a sharded run must produce byte-for-byte the statistics,
-//! ejection trace, activity counters, and matching record of a serial
-//! run. These tests hold the two engines side by side the same way
-//! `tests/gating_parity.rs` holds the gated and ungated serial
-//! schedulers side by side.
+//! count and every allocator, a sharded run must produce byte-for-byte
+//! the statistics, ejection trace, activity counters, and matching record
+//! of a serial run. These tests hold the two engines side by side the same
+//! way `tests/gating_parity.rs` holds the gated scheduler and the ungated
+//! reference sweep side by side. (The sharded engine is gated-only: the
+//! reference sweep always runs serially.)
 
 use vix::prelude::*;
 
@@ -27,16 +27,13 @@ const ALL_ALLOCATORS: [AllocatorKind; 8] = [
 /// one that does not divide the 16-router mesh evenly.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(kind: AllocatorKind, gating: bool) -> SimConfig {
+fn config(kind: AllocatorKind) -> SimConfig {
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
     network.nodes = 16;
     // Congested-but-stable load: buffers fill, credits stall, and
     // routers oscillate between active and quiescent — the regime where
     // a cross-shard ordering bug would surface.
-    SimConfig::new(network, 0.06)
-        .with_windows(300, 1_200, 500)
-        .with_seed(0xD1CE)
-        .with_activity_gating(gating)
+    SimConfig::new(network, 0.06).with_windows(300, 1_200, 500).with_seed(0xD1CE)
 }
 
 /// FNV-1a over a stream of `u64` words (same construction as the golden
@@ -88,23 +85,14 @@ fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, Ne
 #[test]
 fn sharded_runs_match_serial_for_every_allocator_and_shard_count() {
     for kind in ALL_ALLOCATORS {
-        for gating in [true, false] {
-            let (serial_hash, serial) = trace_and_stats(config(kind, gating));
-            for shards in SHARD_COUNTS {
-                if shards == 1 {
-                    continue;
-                }
-                let (hash, stats) =
-                    trace_and_stats(config(kind, gating).with_shards(shards));
-                assert_eq!(
-                    hash, serial_hash,
-                    "{kind:?} gating={gating} shards={shards}: ejection trace diverged"
-                );
-                assert_eq!(
-                    stats, serial,
-                    "{kind:?} gating={gating} shards={shards}: statistics diverged"
-                );
+        let (serial_hash, serial) = trace_and_stats(config(kind));
+        for shards in SHARD_COUNTS {
+            if shards == 1 {
+                continue;
             }
+            let (hash, stats) = trace_and_stats(config(kind).with_shards(shards));
+            assert_eq!(hash, serial_hash, "{kind:?} shards={shards}: ejection trace diverged");
+            assert_eq!(stats, serial, "{kind:?} shards={shards}: statistics diverged");
         }
     }
 }
@@ -114,10 +102,10 @@ fn sharded_run_protocol_matches_serial_end_to_end() {
     // The plain `run()` protocol (what every experiment binary calls),
     // including activity and matching stamping.
     for kind in [AllocatorKind::Vix, AllocatorKind::Wavefront] {
-        let serial = NetworkSim::build(config(kind, true)).unwrap().run();
+        let serial = NetworkSim::build(config(kind)).unwrap().run();
         for shards in [2, 3, 5, 16] {
             let sharded =
-                NetworkSim::build(config(kind, true).with_shards(shards)).unwrap().run();
+                NetworkSim::build(config(kind).with_shards(shards)).unwrap().run();
             assert_eq!(sharded, serial, "{kind:?} shards={shards}");
             assert_eq!(sharded.activity(), serial.activity(), "{kind:?} shards={shards}");
             assert_eq!(sharded.matching(), serial.matching(), "{kind:?} shards={shards}");
@@ -133,65 +121,68 @@ fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
     // on trial. Stretches of `k` cycles for `k` in 1..=7 start at every
     // phase of the wake-calendar ring; `k` = 1 and 2 are all entry
     // pre-scan and skipped final boundary scan.
-    for gating in [true, false] {
-        let cfg = config(AllocatorKind::Vix, gating);
-        let mut sharded = NetworkSim::build(cfg.with_shards(4)).unwrap();
-        let mut serial = NetworkSim::build(cfg).unwrap();
-        // Load the network first so the hand-offs carry in-flight state.
-        sharded.run_cycles(300);
-        serial.run_cycles(300);
-        assert_eq!(sharded.take_ejections(), serial.take_ejections(), "gating={gating}");
-        let mut seen = 0;
-        for round in 0..12 {
-            for k in 1..=7u64 {
-                let at = sharded.now();
-                sharded.run_cycles(k);
-                let mut expected = Vec::new();
-                for _ in 0..k {
-                    serial.step();
-                    expected.extend(serial.take_ejections());
-                }
+    let cfg = config(AllocatorKind::Vix);
+    let mut sharded = NetworkSim::build(cfg.with_shards(4)).unwrap();
+    let mut serial = NetworkSim::build(cfg).unwrap();
+    // Load the network first so the hand-offs carry in-flight state.
+    sharded.run_cycles(300);
+    serial.run_cycles(300);
+    assert_eq!(sharded.take_ejections(), serial.take_ejections());
+    let mut seen = 0;
+    for round in 0..12 {
+        for k in 1..=7u64 {
+            let at = sharded.now();
+            sharded.run_cycles(k);
+            let mut expected = Vec::new();
+            for _ in 0..k {
+                serial.step();
+                expected.extend(serial.take_ejections());
+            }
+            assert_eq!(
+                sharded.take_ejections(),
+                expected,
+                "round={round}: {k}-cycle stretch from {at} diverged"
+            );
+            for cycle in 0..k {
+                sharded.step();
+                serial.step();
+                let ejected = serial.take_ejections();
+                seen += ejected.len();
                 assert_eq!(
                     sharded.take_ejections(),
-                    expected,
-                    "gating={gating} round={round}: {k}-cycle stretch from {at} diverged"
-                );
-                for cycle in 0..k {
-                    sharded.step();
-                    serial.step();
-                    let ejected = serial.take_ejections();
-                    seen += ejected.len();
-                    assert_eq!(
-                        sharded.take_ejections(),
-                        ejected,
-                        "gating={gating} round={round}: diverged {cycle} cycles after \
-                         the {k}-cycle stretch from {at}"
-                    );
-                }
-                assert_eq!(sharded.router_steps(), serial.router_steps(), "gating={gating}");
-                assert_eq!(
-                    sharded.per_router_activity(),
-                    serial.per_router_activity(),
-                    "gating={gating} k={k}"
+                    ejected,
+                    "round={round}: diverged {cycle} cycles after \
+                     the {k}-cycle stretch from {at}"
                 );
             }
+            assert_eq!(sharded.router_steps(), serial.router_steps());
+            assert_eq!(
+                sharded.per_router_activity(),
+                serial.per_router_activity(),
+                "k={k}"
+            );
         }
-        assert!(seen > 100, "gating={gating}: only {seen} ejections — the test saw no traffic");
     }
+    assert!(seen > 100, "only {seen} ejections — the test saw no traffic");
 }
 
 #[test]
 fn degenerate_shard_counts_clamp_and_stay_identical() {
-    let serial = NetworkSim::build(config(AllocatorKind::Vix, true)).unwrap().run();
+    let serial = NetworkSim::build(config(AllocatorKind::Vix)).unwrap().run();
     // More shards than routers: clamped to one router per shard.
-    let over = NetworkSim::build(config(AllocatorKind::Vix, true).with_shards(1_000)).unwrap();
+    let over = NetworkSim::build(config(AllocatorKind::Vix).with_shards(1_000)).unwrap();
     assert_eq!(over.effective_shards(), 16, "clamp to the router count");
     assert_eq!(over.run(), serial);
     // shards = 0 resolves to available parallelism, still clamped.
-    let auto = NetworkSim::build(config(AllocatorKind::Vix, true).with_shards(0)).unwrap();
+    let auto = NetworkSim::build(config(AllocatorKind::Vix).with_shards(0)).unwrap();
     assert!(auto.effective_shards() >= 1);
     assert!(auto.effective_shards() <= 16);
     assert_eq!(auto.run(), serial);
+    // The ungated reference sweep is never sharded.
+    let reference =
+        NetworkSim::build_ungated_reference(config(AllocatorKind::Vix).with_shards(4)).unwrap();
+    assert_eq!(reference.effective_shards(), 1);
+    assert_eq!(reference.run(), serial);
 }
 
 #[test]
@@ -201,24 +192,18 @@ fn weighted_shard_plans_stay_bit_identical() {
     // must never change a single bit of the results — including across
     // serial↔sharded hand-offs and for cut layouts that leave some
     // shard a single router.
-    let (serial_hash, serial) = trace_and_stats(config(AllocatorKind::Vix, true));
+    let (serial_hash, serial) = trace_and_stats(config(AllocatorKind::Vix));
     let heavy_front: Vec<f64> = (0..16).map(|r| if r < 4 { 50.0 } else { 1.0 }).collect();
     let heavy_back: Vec<f64> = (0..16).map(|r| if r >= 12 { 9.0 } else { 0.25 }).collect();
     let sawtooth: Vec<f64> = (0..16).map(|r| f64::from(1 + (r * 7) % 5)).collect();
     for weights in [&heavy_front, &heavy_back, &sawtooth] {
-        for (shards, gating) in [(2, true), (4, true), (4, false), (8, true)] {
+        for shards in [2, 4, 8] {
             let (hash, stats) = trace_and_stats_weighted(
-                config(AllocatorKind::Vix, gating).with_shards(shards),
+                config(AllocatorKind::Vix).with_shards(shards),
                 Some(weights),
             );
-            assert_eq!(
-                hash, serial_hash,
-                "weights={weights:?} shards={shards} gating={gating}: trace diverged"
-            );
-            assert_eq!(
-                stats, serial,
-                "weights={weights:?} shards={shards} gating={gating}: stats diverged"
-            );
+            assert_eq!(hash, serial_hash, "weights={weights:?} shards={shards}: trace diverged");
+            assert_eq!(stats, serial, "weights={weights:?} shards={shards}: stats diverged");
         }
     }
 }
@@ -228,13 +213,13 @@ fn telemetry_recording_forces_serial_execution() {
     // Trace-event order is a serial-scheduler artifact, so telemetry
     // runs must fall back to one shard rather than record a different
     // (even if statistically identical) trace.
-    let cfg = config(AllocatorKind::Vix, true)
+    let cfg = config(AllocatorKind::Vix)
         .with_shards(4)
         .with_telemetry(TelemetrySettings::enabled());
     let sim = NetworkSim::build(cfg).unwrap();
     assert_eq!(sim.effective_shards(), 1);
     let (stats, telemetry) = sim.run_with_telemetry();
-    let serial = NetworkSim::build(config(AllocatorKind::Vix, true)).unwrap().run();
+    let serial = NetworkSim::build(config(AllocatorKind::Vix)).unwrap().run();
     assert_eq!(stats.packets_ejected(), serial.packets_ejected());
     assert!(telemetry.tracing(), "telemetry stayed on");
 }

@@ -1,0 +1,66 @@
+//! `vixsim` rejects bad input before it simulates anything: an output
+//! path that cannot be created costs milliseconds, not the run, and a bad
+//! value reports the constraint it violates.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// A run this long takes hours; a `vixsim` that starts it is killed at the
+/// deadline and fails the test.
+const ENDLESS: [&str; 2] = ["--measure", "4000000000"];
+const DEADLINE: Duration = Duration::from_secs(20);
+
+/// Runs `vixsim` with `args` on top of [`ENDLESS`] and returns its stderr.
+///
+/// # Panics
+///
+/// Panics if the process succeeds, or is still running at the deadline.
+fn rejected(args: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vixsim"))
+        .args(ENDLESS)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("vixsim starts");
+    let started = Instant::now();
+    while child.try_wait().expect("vixsim can be polled").is_none() {
+        if started.elapsed() > DEADLINE {
+            child.kill().expect("vixsim can be killed");
+            panic!("vixsim {args:?} started simulating instead of failing fast");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let out = child.wait_with_output().expect("vixsim output");
+    assert!(!out.status.success(), "vixsim {args:?} must fail");
+    String::from_utf8(out.stderr).expect("stderr is UTF-8")
+}
+
+#[test]
+fn unwritable_output_paths_fail_before_the_run() {
+    let tmp = env!("CARGO_TARGET_TMPDIR");
+    let bad = format!("{tmp}/no-such-dir/out.json");
+    let csv = format!("{tmp}/vixsim_cli_sweep.csv");
+    let cases: [&[&str]; 7] = [
+        &["--trace-out", &bad],
+        &["--metrics-out", &bad],
+        &["--profile-out", &bad],
+        &["--heartbeat-out", &bad],
+        &["--sweep-csv", &bad],
+        &["--sweep-csv", &csv, "--metrics-out", &bad],
+        &["--sweep-csv", &csv, "--profile-out", &bad],
+    ];
+    for args in cases {
+        let stderr = rejected(args);
+        assert!(
+            stderr.contains(&format!("error: cannot create {bad}")),
+            "vixsim {args:?} printed: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn zero_packet_length_names_its_own_constraint() {
+    let stderr = rejected(&["--packet-len", "0"]);
+    assert!(stderr.contains("packet length must be at least one flit"), "printed: {stderr}");
+}
