@@ -66,19 +66,13 @@ pub trait Arbiter: std::fmt::Debug + Send {
 
     /// The requestor that *would* win among the asserted bits of a request
     /// mask, without updating priority state — the word-parallel companion
-    /// of [`peek`](Arbiter::peek) for arbiters serving at most 64
-    /// requestors. Bit `i` of `mask` corresponds to `requests[i]`; bits at
-    /// or above [`size`](Arbiter::size) must be clear. Must return exactly
-    /// what `peek` would on the equivalent boolean slice.
-    fn peek_mask(&self, mask: u64) -> Option<usize> {
-        self.peek_words(&[mask])
-    }
-
-    /// [`peek_mask`](Arbiter::peek_mask) over a multi-word request mask
-    /// for arbiters wider than 64 requestors (e.g. the `P·v : 1` stage-1
-    /// arbiters of the output-first allocator). `words[w]` holds requestors
-    /// `64·w ..= 64·w + 63`, little-endian; `words.len()` must be
-    /// `size().div_ceil(64)` and stray bits beyond `size()` must be clear.
+    /// of [`peek`](Arbiter::peek), of any width (e.g. the `P·v : 1` stage-1
+    /// arbiters of the output-first allocator span several words). Bit `i`
+    /// of the mask corresponds to `requests[i]`: `words[w]` holds
+    /// requestors `64·w ..= 64·w + 63`, little-endian; `words.len()` must
+    /// be `size().div_ceil(64)` and stray bits at or above
+    /// [`size`](Arbiter::size) must be clear. Must return exactly what
+    /// `peek` would on the equivalent boolean slice.
     fn peek_words(&self, words: &[u64]) -> Option<usize>;
 
     /// Picks a winner and updates priority state: `peek` + `commit`.
@@ -92,31 +86,12 @@ pub trait Arbiter: std::fmt::Debug + Send {
     fn reset(&mut self);
 }
 
-/// First set bit of `mask` at or cyclically after `start`, over a domain of
-/// `width` bits — the rotate-and-`trailing_zeros` round-robin primitive the
-/// bitset allocator kernels share (e.g. iSLIP's grant/accept pointers).
-///
-/// `mask` must have no bits at or above `width`, and `start < width ≤ 64`.
-#[inline]
-#[must_use]
-pub fn first_set_from(mask: u64, start: usize, width: usize) -> Option<usize> {
-    debug_assert!(width <= 64 && start < width, "pointer {start} outside width {width}");
-    debug_assert!(width == 64 || mask >> width == 0, "stray bits beyond arbiter width");
-    if mask == 0 {
-        return None;
-    }
-    let rotated = mask & (!0u64 << start);
-    let pick = if rotated != 0 { rotated } else { mask };
-    Some(pick.trailing_zeros() as usize)
-}
-
-/// [`first_set_from`] over a multi-word mask: first set bit at or
-/// cyclically after `start` over a domain of `width` bits, where
-/// `words[w]` holds bits `64·w ..= 64·w + 63`. `words.len()` must be
-/// `width.div_ceil(64)` and stray bits at or above `width` must be clear.
-///
-/// Returns exactly what `first_set_from` would on the equivalent
-/// single-word mask when `width ≤ 64`.
+/// First set bit at or cyclically after `start` over a domain of `width`
+/// bits — the rotate-and-`trailing_zeros` round-robin primitive the bitset
+/// allocator kernels share (e.g. iSLIP's grant/accept pointers).
+/// `words[w]` holds bits `64·w ..= 64·w + 63`; `words.len()` must be
+/// `width.div_ceil(64)`, stray bits at or above `width` must be clear, and
+/// `start < width`.
 #[inline]
 #[must_use]
 pub fn first_set_from_words(words: &[u64], start: usize, width: usize) -> Option<usize> {
@@ -212,14 +187,13 @@ mod trait_tests {
     }
 
     #[test]
-    fn peek_mask_agrees_with_peek_for_every_kind() {
+    fn peek_words_agrees_with_peek_for_every_kind() {
         for mut arb in boxed_arbiters() {
             for round in 0..64u64 {
                 let mask = (round * 11 + 5) % 16;
                 let reqs: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
                 let scalar = arb.peek(&reqs);
-                assert_eq!(arb.peek_mask(mask), scalar, "mask {mask:#b}");
-                assert_eq!(arb.peek_words(&[mask]), scalar);
+                assert_eq!(arb.peek_words(&[mask]), scalar, "mask {mask:#b}");
                 if let Some(w) = scalar {
                     arb.commit(w);
                 }
@@ -228,38 +202,13 @@ mod trait_tests {
     }
 
     #[test]
-    fn first_set_from_scans_cyclically() {
-        assert_eq!(first_set_from(0, 3, 8), None);
-        assert_eq!(first_set_from(0b0001_0010, 0, 8), Some(1));
-        assert_eq!(first_set_from(0b0001_0010, 2, 8), Some(4));
-        assert_eq!(first_set_from(0b0001_0010, 5, 8), Some(1), "wraps past the top");
-        assert_eq!(first_set_from(1 << 63, 10, 64), Some(63));
-        assert_eq!(first_set_from(1, 63, 64), Some(0));
-    }
-
-    #[test]
-    fn first_set_from_words_matches_single_word() {
-        // For every width ≤ 64 the multi-word scan must agree bit-for-bit
-        // with the single-word primitive.
-        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-        for width in [1usize, 7, 33, 64] {
-            for _ in 0..200 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let mask = x & crate_mask(width);
-                let start = (x >> 32) as usize % width;
-                assert_eq!(
-                    first_set_from_words(&[mask], start, width),
-                    first_set_from(mask, start, width),
-                    "width {width} mask {mask:#x} start {start}"
-                );
-            }
-        }
-    }
-
-    fn crate_mask(width: usize) -> u64 {
-        ((1u128 << width) - 1) as u64
+    fn first_set_from_words_scans_cyclically() {
+        assert_eq!(first_set_from_words(&[0], 3, 8), None);
+        assert_eq!(first_set_from_words(&[0b0001_0010], 0, 8), Some(1));
+        assert_eq!(first_set_from_words(&[0b0001_0010], 2, 8), Some(4));
+        assert_eq!(first_set_from_words(&[0b0001_0010], 5, 8), Some(1), "wraps past the top");
+        assert_eq!(first_set_from_words(&[1 << 63], 10, 64), Some(63));
+        assert_eq!(first_set_from_words(&[1], 63, 64), Some(0));
     }
 
     #[test]

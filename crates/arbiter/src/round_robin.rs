@@ -148,7 +148,6 @@ mod tests {
         for pattern in 0u64..128 {
             let reqs: Vec<bool> = (0..7).map(|i| pattern & (1 << i) != 0).collect();
             assert_eq!(arb.peek_words(&[pattern]), arb.peek(&reqs), "pattern {pattern:#b} pointer {}", arb.pointer());
-            assert_eq!(arb.peek_mask(pattern), arb.peek(&reqs));
             if let Some(w) = arb.peek(&reqs) {
                 arb.commit(w);
             }

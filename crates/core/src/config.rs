@@ -289,8 +289,16 @@ impl RouterConfig {
         if self.ports < 2 {
             return Err(ConfigError::TooFewPorts { ports: self.ports });
         }
+        // A flit packs its port and VC ids into one byte each, 255 being
+        // the "no VC" sentinel (`Flit`'s type-level limits).
+        if self.ports > 256 {
+            return Err(ConfigError::TooManyPorts { ports: self.ports });
+        }
         if self.vcs_per_port == 0 {
             return Err(ConfigError::NoVirtualChannels);
+        }
+        if self.vcs_per_port > 255 {
+            return Err(ConfigError::TooManyVirtualChannels { vcs: self.vcs_per_port });
         }
         if self.buffer_depth == 0 {
             return Err(ConfigError::ZeroBufferDepth);
@@ -300,9 +308,10 @@ impl RouterConfig {
             return Err(ConfigError::BadVirtualInputs { virtual_inputs: vi, vcs: self.vcs_per_port });
         }
         self.partition()?;
-        // No width cap: the word-parallel allocator kernels store
-        // ceil(width / 64) words per request row (DESIGN.md §6d), so any
-        // radix, VC count, or virtual-input product is representable.
+        // No cap on the crossbar width: the word-parallel allocator kernels
+        // store ceil(width / 64) words per request row (DESIGN.md §6d), so
+        // any product of the radix and VC counts accepted above is
+        // representable.
         Ok(())
     }
 }
@@ -717,6 +726,16 @@ mod tests {
         assert!(RouterConfig::new(1, 6, 5).validate().is_err());
         assert!(RouterConfig::new(5, 0, 5).validate().is_err());
         assert!(RouterConfig::new(5, 6, 0).validate().is_err());
+        // The widest router a flit's packed port and VC ids can address.
+        assert_eq!(RouterConfig::new(256, 255, 5).validate(), Ok(()));
+        assert_eq!(
+            RouterConfig::new(257, 6, 5).validate(),
+            Err(ConfigError::TooManyPorts { ports: 257 })
+        );
+        assert_eq!(
+            RouterConfig::new(5, 256, 5).validate(),
+            Err(ConfigError::TooManyVirtualChannels { vcs: 256 })
+        );
     }
 
     #[test]

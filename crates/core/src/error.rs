@@ -11,8 +11,19 @@ pub enum ConfigError {
         /// Offending port count.
         ports: usize,
     },
+    /// Flits address ports with one byte: at most 256 ports per router.
+    TooManyPorts {
+        /// Offending port count.
+        ports: usize,
+    },
     /// There must be at least one VC per port.
     NoVirtualChannels,
+    /// Flits address VCs with one byte, one value of which means "no VC":
+    /// at most 255 VCs per port.
+    TooManyVirtualChannels {
+        /// Offending VC count.
+        vcs: usize,
+    },
     /// Buffers must hold at least one flit.
     ZeroBufferDepth,
     /// The number of virtual inputs per port must be in `1 ..= vcs_per_port`.
@@ -51,7 +62,13 @@ impl fmt::Display for ConfigError {
             ConfigError::TooFewPorts { ports } => {
                 write!(f, "router needs at least 2 ports, got {ports}")
             }
+            ConfigError::TooManyPorts { ports } => {
+                write!(f, "router supports at most 256 ports, got {ports}")
+            }
             ConfigError::NoVirtualChannels => write!(f, "at least one virtual channel per port is required"),
+            ConfigError::TooManyVirtualChannels { vcs } => {
+                write!(f, "at most 255 virtual channels per port are supported, got {vcs}")
+            }
             ConfigError::ZeroBufferDepth => write!(f, "buffer depth must be at least one flit"),
             ConfigError::BadVirtualInputs { virtual_inputs, vcs } => write!(
                 f,
@@ -97,7 +114,9 @@ mod tests {
     fn all_variants_display_nonempty() {
         let variants = [
             ConfigError::TooFewPorts { ports: 1 },
+            ConfigError::TooManyPorts { ports: 257 },
             ConfigError::NoVirtualChannels,
+            ConfigError::TooManyVirtualChannels { vcs: 256 },
             ConfigError::ZeroBufferDepth,
             ConfigError::BadVirtualInputs { virtual_inputs: 3, vcs: 2 },
             ConfigError::UnevenPartition { vcs: 5, virtual_inputs: 2 },

@@ -106,9 +106,10 @@ const NO_VC: u8 = u8::MAX;
 /// The per-hop fields are packed into narrow integers so a flit fills
 /// exactly one 64-byte cache line: flit buffers and link pipes store flits
 /// by value in flat slabs, and the slot size decides how many slots each
-/// cache fill covers. The limits the packing imposes — ≤ 255 ports, ≤ 254
-/// VCs, ≤ 2³² flits per packet — are far beyond any configuration the
-/// simulator accepts.
+/// cache fill covers. The packing limits port ids to ≤ 255 and VC ids to
+/// ≤ 254 (255 means "no VC") — hence the 256-port and 255-VC caps in
+/// [`RouterConfig::validate`](crate::RouterConfig::validate) — and a
+/// packet to ≤ 2³² flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// The packet this flit belongs to.

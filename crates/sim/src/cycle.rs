@@ -14,19 +14,18 @@
 //!   its shard's slice, between the cross-shard exchange and the barrier.
 //!
 //! The body is the activity-gated scheduler ([`GatingState`], DESIGN.md
-//! §6c). The ungated sweep survives beside it, sharing the delivery and
-//! fan-out helpers, as the serial-only reference `tests/gating_parity.rs`
-//! holds the gated scheduler against.
+//! §6c). The ungated sweep survives beside it, sharing the delivery
+//! helpers and the router step, as the serial-only reference
+//! `tests/gating_parity.rs` holds the gated scheduler against.
 
 use crate::channel::Pipe;
-use crate::network::{CreditDest, EjectedPacket, RouteTable};
-use crate::source::SourceQueue;
+use crate::network::{EjectedPacket, Far, RouterRecord, TerminalRecord, Wiring};
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
-use vix_core::{Cycle, Flit, NodeId, PortId, RouterId, SimConfig, VcId};
-use vix_router::{Router, RouterOutput};
+use vix_core::bits::{count_ones, set_bit};
+use vix_core::{Cycle, Flit, NodeId, PortId, SimConfig};
+use vix_router::RouterOutput;
 use vix_telemetry::{SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID};
-use vix_topology::Topology;
 
 /// Size of the wake-calendar ring. Must exceed every pipe latency in the
 /// network (flit links, credit links, and the 1-cycle injection link) so a
@@ -58,31 +57,22 @@ pub(crate) enum WakeEvent {
 /// run — skipped cycles are replayed through
 /// [`vix_router::Router::note_idle_cycles`] before a router steps again.
 ///
-/// Every index is global, so a shard's private state is addressed exactly
-/// like the whole network's (only its own entries are ever touched).
+/// This is the part of the scheduler that belongs to whoever steps a
+/// slice — the whole network's, or one shard's, sized for what it steps.
+/// What belongs to a router or a pipe (replay horizon, scheduled stamps)
+/// lives in its record.
 #[derive(Debug)]
 pub(crate) struct GatingState {
-    /// `calendar[t % WAKE_RING]` — deliveries due at cycle `t`.
+    /// `calendar[t % WAKE_RING]` — deliveries due at cycle `t` (global
+    /// router and terminal indices).
     pub(crate) calendar: [Vec<WakeEvent>; WAKE_RING],
-    /// Routers to step this cycle (sorted ascending before phase 5 so that
-    /// stats accumulation and ejection order match the ungated sweep).
-    pub(crate) work: Vec<usize>,
+    /// Routers to step this cycle, one bit per router of the slice: a set
+    /// absorbs repeated wakeups, and reads out in ascending order — the
+    /// order stats accumulation and ejection share with the ungated sweep.
+    pub(crate) work: Vec<u64>,
     /// Routers pre-activated for the next cycle (retention: a router only
     /// leaves the active set after a step that begins *and* ends quiescent).
-    pub(crate) pending: Vec<usize>,
-    /// `active_mark[r]` — last cycle router `r` was queued for; dedups
-    /// multiple wakeups in one cycle.
-    pub(crate) active_mark: Vec<u64>,
-    /// `stepped_until[r]` — cycles of router `r`'s history that have been
-    /// executed or replayed; the gap to `now` is replayed lazily via
-    /// `note_idle_cycles` when the router re-activates.
-    pub(crate) stepped_until: Vec<u64>,
-    /// Per-pipe scheduled-stamp dedup: the due cycle already scheduled, so
-    /// multiple same-cycle pushes (e.g. VIX multi-grant credits) enqueue
-    /// one event.
-    inject_sched: Vec<u64>,
-    flit_sched: Vec<Vec<u64>>,
-    credit_sched: Vec<Vec<u64>>,
+    pub(crate) pending: Vec<u64>,
     /// Set only by `NetworkSim::build_ungated_reference`: sweep, not schedule.
     pub(crate) reference_sweep: bool,
     /// Total `Router::step_into` calls over the run; the observable for
@@ -95,6 +85,8 @@ pub(crate) struct GatingState {
 }
 
 impl GatingState {
+    /// Scheduler state for a slice of `nodes` terminals and `routers`
+    /// routers of `radix` ports.
     pub(crate) fn new(nodes: usize, routers: usize, radix: usize) -> Self {
         // Worst-case slot population: every injection link plus every flit
         // and credit link delivers on the same cycle. Reserving it up front
@@ -102,38 +94,19 @@ impl GatingState {
         let slot_cap = nodes + 2 * routers * radix;
         GatingState {
             calendar: std::array::from_fn(|_| Vec::with_capacity(slot_cap)),
-            work: Vec::with_capacity(routers),
-            pending: Vec::with_capacity(routers),
-            active_mark: vec![u64::MAX; routers],
-            stepped_until: vec![0; routers],
-            inject_sched: vec![u64::MAX; nodes],
-            flit_sched: vec![vec![u64::MAX; radix]; routers],
-            credit_sched: vec![vec![u64::MAX; radix]; routers],
+            work: vec![0; routers.div_ceil(64)],
+            pending: vec![0; routers.div_ceil(64)],
             reference_sweep: false,
             router_steps: 0,
             step_out: RouterOutput::default(),
         }
     }
 
-    /// Marks router `r` active for cycle `at`, queueing it in `queue`
-    /// unless already queued for that cycle.
-    #[inline]
-    pub(crate) fn activate(active_mark: &mut [u64], queue: &mut Vec<usize>, r: usize, at: u64) {
-        if active_mark[r] != at {
-            active_mark[r] = at;
-            queue.push(r);
-        }
-    }
-
     /// Puts `ev`'s pipe on the calendar for cycle `due`, once per pipe and
-    /// due cycle. (`inline(always)`: see the note at `deliver_injection`.)
+    /// due cycle: `stamp` is that pipe's scheduled stamp, in its record.
+    /// (`inline(always)`: see the note at `deliver_injection`.)
     #[inline(always)]
-    fn schedule(&mut self, ev: WakeEvent, due: u64) {
-        let stamp = match ev {
-            WakeEvent::Inject(n) => &mut self.inject_sched[n],
-            WakeEvent::FlitLink(r, p) => &mut self.flit_sched[r][p],
-            WakeEvent::CreditLink(r, p) => &mut self.credit_sched[r][p],
-        };
+    fn schedule(&mut self, stamp: &mut u64, ev: WakeEvent, due: u64) {
         if *stamp != due {
             *stamp = due;
             self.calendar[(due % WAKE_RING as u64) as usize].push(ev);
@@ -177,11 +150,11 @@ impl EjectionLog {
     }
 }
 
-/// A borrowed view of a contiguous slice of the network: routers
-/// `router_off..router_off + routers.len()`, the terminals attached to
-/// them, and every pipe those own. Router, pipe, and source indices
-/// arriving from shared structures (routes, credit destinations, wake
-/// events) are global; the offsets translate them into the slices.
+/// A borrowed view of a contiguous slice of the network: the records of
+/// routers `router_off..router_off + routers.len()` and of the terminals
+/// attached to them. Router and terminal indices arriving from shared
+/// structures (the wiring, wake events) are global; the offsets translate
+/// them into the slices.
 ///
 /// A link is *local* when its far end lies in the same slice. The body
 /// delivers and schedules local links only; the sharded engine's boundary
@@ -189,18 +162,11 @@ impl EjectionLog {
 /// pipe never has anything due mid-cycle.
 pub(crate) struct NetSlice<'a> {
     pub(crate) cfg: &'a SimConfig,
-    pub(crate) topology: &'a dyn Topology,
-    pub(crate) routes: &'a RouteTable,
+    pub(crate) wiring: &'a Wiring,
     pub(crate) router_off: usize,
     pub(crate) node_off: usize,
-    pub(crate) routers: &'a mut [Router],
-    /// `flit_pipes[r][p]` — link leaving router `r` through port `p`.
-    pub(crate) flit_pipes: &'a mut [Vec<Option<Pipe<Flit>>>],
-    /// `credit_pipes[r][p]` — credits leaving router `r`'s *input* port `p`.
-    pub(crate) credit_pipes: &'a mut [Vec<Pipe<VcId>>],
-    pub(crate) credit_dests: &'a [Vec<CreditDest>],
-    pub(crate) inject_pipes: &'a mut [Pipe<Flit>],
-    pub(crate) sources: &'a mut [SourceQueue],
+    pub(crate) routers: &'a mut [RouterRecord],
+    pub(crate) terminals: &'a mut [TerminalRecord],
 }
 
 /// The trace record of `flit` seen at (`router`, `port`).
@@ -220,29 +186,13 @@ impl<'a> NetSlice<'a> {
     /// their own slice; the second slice is the rest.
     pub(crate) fn split_at(self, routers: usize, nodes: usize) -> (Self, Self) {
         let (routers_a, routers_b) = self.routers.split_at_mut(routers);
-        let (flits_a, flits_b) = self.flit_pipes.split_at_mut(routers);
-        let (credits_a, credits_b) = self.credit_pipes.split_at_mut(routers);
-        let (dests_a, dests_b) = self.credit_dests.split_at(routers);
-        let (inject_a, inject_b) = self.inject_pipes.split_at_mut(nodes);
-        let (sources_a, sources_b) = self.sources.split_at_mut(nodes);
-        let head = NetSlice {
-            routers: routers_a,
-            flit_pipes: flits_a,
-            credit_pipes: credits_a,
-            credit_dests: dests_a,
-            inject_pipes: inject_a,
-            sources: sources_a,
-            ..self
-        };
+        let (terminals_a, terminals_b) = self.terminals.split_at_mut(nodes);
+        let head = NetSlice { routers: routers_a, terminals: terminals_a, ..self };
         let tail = NetSlice {
             router_off: self.router_off + routers,
             node_off: self.node_off + nodes,
             routers: routers_b,
-            flit_pipes: flits_b,
-            credit_pipes: credits_b,
-            credit_dests: dests_b,
-            inject_pipes: inject_b,
-            sources: sources_b,
+            terminals: terminals_b,
             ..self
         };
         (head, tail)
@@ -254,20 +204,20 @@ impl<'a> NetSlice<'a> {
         r.wrapping_sub(self.router_off) < self.routers.len()
     }
 
-    /// True when the links through port `p` of this slice's router `ri` —
-    /// the flit link leaving it and the credit link of its input side —
-    /// end in this slice: at the router's own terminal, or at a neighbour
-    /// this slice owns.
+    /// True when links with far end `far` end in this slice: at a terminal
+    /// (always its own router's), or at a router this slice owns.
     #[inline]
-    fn port_is_local(&self, ri: usize, p: usize) -> bool {
-        let far = self.routes.neighbor(RouterId(self.router_off + ri), PortId(p));
-        far.is_none_or(|(router, _)| self.owns(router.0))
+    fn is_local(&self, far: Far) -> bool {
+        match far {
+            Far::Router(r, _) => self.owns(r as usize),
+            Far::Terminal(_) | Far::Open => true,
+        }
     }
 
     /// Heartbeat gauges of this slice: wake-calendar depth and flits
     /// buffered in router inputs.
     pub(crate) fn health_gauges(&self, gating: &GatingState) -> (u64, u64) {
-        (gating.wake_depth(), self.routers.iter().map(|r| r.buffered_flits() as u64).sum())
+        (gating.wake_depth(), self.routers.iter().map(|r| r.router.buffered_flits() as u64).sum())
     }
 
     /// Rebuilds `gating`'s wake calendar from the contents of this slice's
@@ -275,27 +225,31 @@ impl<'a> NetSlice<'a> {
     /// sharded scheduler mid-run, in either direction. Every in-flight
     /// item's due cycle lies within `WAKE_RING` of `now`, so slots never
     /// alias.
-    pub(crate) fn rebuild_calendar(&self, gating: &mut GatingState) {
+    pub(crate) fn rebuild_calendar(&mut self, gating: &mut GatingState) {
         for slot in &mut gating.calendar {
             slot.clear();
         }
-        gating.inject_sched.fill(u64::MAX);
-        for row in gating.flit_sched.iter_mut().chain(&mut gating.credit_sched) {
-            row.fill(u64::MAX);
-        }
-        for (i, pipe) in self.inject_pipes.iter().enumerate() {
-            for due in pipe.dues() {
-                gating.schedule(WakeEvent::Inject(self.node_off + i), due);
+        for (i, t) in self.terminals.iter_mut().enumerate() {
+            t.inject_sched = u64::MAX;
+            for due in t.inject.dues() {
+                gating.schedule(&mut t.inject_sched, WakeEvent::Inject(self.node_off + i), due);
             }
         }
         for ri in 0..self.routers.len() {
             let r = self.router_off + ri;
-            for p in (0..self.credit_pipes[ri].len()).filter(|&p| self.port_is_local(ri, p)) {
-                for due in self.flit_pipes[ri][p].iter().flat_map(Pipe::dues) {
-                    gating.schedule(WakeEvent::FlitLink(r, p), due);
+            for p in 0..self.wiring.radix {
+                let local = self.is_local(self.wiring.far(r, p));
+                let port = &mut self.routers[ri].ports[p];
+                port.flit_sched = u64::MAX;
+                port.credit_sched = u64::MAX;
+                if !local {
+                    continue;
                 }
-                for due in self.credit_pipes[ri][p].dues() {
-                    gating.schedule(WakeEvent::CreditLink(r, p), due);
+                for due in port.flits.iter().flat_map(Pipe::dues) {
+                    gating.schedule(&mut port.flit_sched, WakeEvent::FlitLink(r, p), due);
+                }
+                for due in port.credits.dues() {
+                    gating.schedule(&mut port.credit_sched, WakeEvent::CreditLink(r, p), due);
                 }
             }
         }
@@ -319,14 +273,14 @@ impl<'a> NetSlice<'a> {
         // every cycle (an idle source's `try_send` is a pure no-op). Under
         // gating a push schedules the injection link's delivery one cycle
         // out.
-        for i in 0..self.sources.len() {
+        let wiring = self.wiring;
+        for (i, t) in self.terminals.iter_mut().enumerate() {
             let n = self.node_off + i;
-            let router = self.topology.router_of(NodeId(n));
-            let routes = self.routes;
-            if let Some(flit) = self.sources[i].try_send(now, |dest| routes.resolve(router, dest)) {
-                self.inject_pipes[i].push(now, flit);
+            let (router, _) = wiring.attachment(n);
+            if let Some(flit) = t.source.try_send(now, |dest| wiring.resolve(router, dest)) {
+                t.inject.push(now, flit);
                 if gated {
-                    gating.schedule(WakeEvent::Inject(n), now.0 + 1);
+                    gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
                 }
             }
         }
@@ -352,12 +306,12 @@ impl<'a> NetSlice<'a> {
         for &ev in &events {
             match ev {
                 WakeEvent::Inject(n) => {
-                    let router = self.deliver_injection(n - self.node_off, now, sink);
-                    GatingState::activate(&mut gating.active_mark, &mut gating.work, router, now.0);
+                    let ri = self.deliver_injection(n - self.node_off, now, sink);
+                    set_bit(&mut gating.work, ri);
                 }
                 WakeEvent::FlitLink(r, p) => {
                     let down = self.deliver_flits(r - self.router_off, p, now);
-                    GatingState::activate(&mut gating.active_mark, &mut gating.work, down, now.0);
+                    set_bit(&mut gating.work, down);
                 }
                 // Credit deliveries never wake a router: a credit only
                 // increments an output-side counter, and output state is
@@ -379,26 +333,26 @@ impl<'a> NetSlice<'a> {
         // set only after a step that begins and ends quiescent, so its last
         // executed cycle before a skip is always a real empty cycle.
         let mut work = std::mem::take(&mut gating.work);
-        work.sort_unstable();
-        sink.gauge(sink.ids.sched_active_routers, work.len() as u64);
-        for &r in &work {
-            let ri = r - self.router_off;
-            let was_quiescent = self.routers[ri].is_quiescent();
-            let gap = now.0 - gating.stepped_until[r];
-            if gap > 0 {
-                self.routers[ri].note_idle_cycles(gap);
-            }
-            self.routers[ri].step_into(now, &mut out, sink);
-            gating.router_steps += 1;
-            gating.stepped_until[r] = now.0 + 1;
-            self.fan_out(ri, now, &mut out, gating, sink, log);
-            if !(was_quiescent && self.routers[ri].is_quiescent()) {
-                GatingState::activate(&mut gating.active_mark, &mut gating.pending, r, now.0 + 1);
+        sink.gauge(sink.ids.sched_active_routers, u64::from(count_ones(&work)));
+        for (w, word) in work.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let ri = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let rec = &mut self.routers[ri];
+                let was_quiescent = rec.router.is_quiescent();
+                let gap = now.0 - rec.stepped_until;
+                if gap > 0 {
+                    rec.router.note_idle_cycles(gap);
+                }
+                self.step_router(ri, now, &mut out, gating, sink, log);
+                if !(was_quiescent && self.routers[ri].router.is_quiescent()) {
+                    set_bit(&mut gating.pending, ri);
+                }
             }
         }
-        work.clear();
-        gating.work = work;
-        std::mem::swap(&mut gating.work, &mut gating.pending);
+        // `work` is all zeros again: it becomes next cycle's `pending`.
+        gating.work = std::mem::replace(&mut gating.pending, work);
         gating.step_out = out;
         sink.span_lap(SpanKind::RouterStep, now.0, span)
     }
@@ -415,101 +369,105 @@ impl<'a> NetSlice<'a> {
         out: &mut RouterOutput,
         mut span: SpanStart,
     ) -> SpanStart {
-        for i in 0..self.inject_pipes.len() {
+        for i in 0..self.terminals.len() {
             self.deliver_injection(i, now, sink);
         }
         for ri in 0..self.routers.len() {
-            for p in 0..self.flit_pipes[ri].len() {
-                if self.flit_pipes[ri][p].as_ref().is_some_and(|pipe| pipe.has_ready(now)) {
+            for p in 0..self.wiring.radix {
+                if self.routers[ri].ports[p].flits.as_ref().is_some_and(|pipe| pipe.has_ready(now)) {
                     self.deliver_flits(ri, p, now);
                 }
             }
         }
         span = sink.span_lap(SpanKind::Deliver, now.0, span);
         for ri in 0..self.routers.len() {
-            for p in 0..self.credit_pipes[ri].len() {
-                if self.credit_pipes[ri][p].has_ready(now) {
+            for p in 0..self.wiring.radix {
+                if self.routers[ri].ports[p].credits.has_ready(now) {
                     self.deliver_credits(ri, p, now);
                 }
             }
         }
         span = sink.span_lap(SpanKind::CreditDeliver, now.0, span);
         for ri in 0..self.routers.len() {
-            self.routers[ri].step_into(now, out, sink);
-            gating.router_steps += 1;
-            gating.stepped_until[self.router_off + ri] = now.0 + 1;
-            self.fan_out(ri, now, out, gating, sink, log);
+            self.step_router(ri, now, out, gating, sink, log);
         }
         span
     }
 
-    // The delivery helpers and the fan-out below are shared by the gated
-    // body and the ungated reference, so each has two call sites and LLVM
-    // leaves them out of line by default — measured at −9 % on `mesh64-low`
-    // against the hand-duplicated loops they replace. `inline(always)`
-    // gives the gated body back its straight-line code.
+    // The helpers below are shared by the gated body and the ungated
+    // reference, so each has two call sites and LLVM leaves them out of
+    // line by default — measured at −9 % on `mesh64-low` against the
+    // hand-duplicated loops they replace. `inline(always)` gives the gated
+    // body back its straight-line code.
 
     /// Moves what is due on terminal `i`'s injection link into its
-    /// router's local input port; returns that router's global index.
+    /// router's local input port; returns that router's index in the slice.
     #[inline(always)]
     fn deliver_injection(&mut self, i: usize, now: Cycle, sink: &mut TelemetrySink) -> usize {
-        let node = NodeId(self.node_off + i);
-        let router = self.topology.router_of(node).0;
-        let port = self.topology.local_port_of(node);
-        while let Some(flit) = self.inject_pipes[i].pop_ready(now) {
+        let (router, port) = self.wiring.attachment(self.node_off + i);
+        let ri = router - self.router_off;
+        let dst = &mut self.routers[ri].router;
+        let inject = &mut self.terminals[i].inject;
+        while let Some(flit) = inject.pop_ready(now) {
             if sink.tracing() {
                 sink.trace(flit_event(TraceEventKind::Inject, now, router, port, &flit));
             }
-            self.routers[router - self.router_off].accept_flit(port, flit);
+            dst.accept_flit(port, flit);
         }
-        router
+        ri
     }
 
     /// Moves what is due on the flit link leaving this slice's router `ri`
     /// through port `p` into the downstream router's input buffer; returns
-    /// that router's global index.
+    /// that router's index in the slice.
     #[inline(always)]
     fn deliver_flits(&mut self, ri: usize, p: usize, now: Cycle) -> usize {
-        let (down, down_port) = self
-            .routes
-            .neighbor(RouterId(self.router_off + ri), PortId(p))
-            .expect("flit pipe exists only on connected ports");
-        debug_assert!(self.owns(down.0), "boundary pipe had a delivery due mid-cycle");
-        let pipe = self.flit_pipes[ri][p].as_mut().expect("connected port has a pipe");
-        while let Some(flit) = pipe.pop_ready(now) {
-            self.routers[down.0 - self.router_off].accept_flit(down_port, flit);
+        let Far::Router(down, down_port) = self.wiring.far(self.router_off + ri, p) else {
+            unreachable!("flit pipe exists only on router-to-router ports")
+        };
+        debug_assert!(self.owns(down as usize), "boundary pipe had a delivery due mid-cycle");
+        let (down, down_port) = (down as usize - self.router_off, PortId(down_port as usize));
+        // Sender and receiver are records of one slice, so the pipe is
+        // re-borrowed per flit (a link delivers at most one per cycle).
+        while let Some(flit) =
+            self.routers[ri].ports[p].flits.as_mut().expect("connected port has a pipe").pop_ready(now)
+        {
+            self.routers[down].router.accept_flit(down_port, flit);
         }
-        down.0
+        down
     }
 
     /// Returns the credits due on the link leaving input port `p` of this
     /// slice's router `ri` to the upstream router or source.
     #[inline(always)]
     fn deliver_credits(&mut self, ri: usize, p: usize, now: Cycle) {
-        let pipe = &mut self.credit_pipes[ri][p];
-        match self.credit_dests[ri][p] {
-            CreditDest::Upstream(up, up_port) => {
-                while let Some(vc) = pipe.pop_ready(now) {
-                    self.routers[up.0 - self.router_off].credit_return(up_port, vc);
+        match self.wiring.far(self.router_off + ri, p) {
+            Far::Router(up, up_port) => {
+                let (up, up_port) = (up as usize - self.router_off, PortId(up_port as usize));
+                while let Some(vc) = self.routers[ri].ports[p].credits.pop_ready(now) {
+                    self.routers[up].router.credit_return(up_port, vc);
                 }
             }
-            CreditDest::Source(node) => {
+            Far::Terminal(node) => {
+                let source = &mut self.terminals[node as usize - self.node_off].source;
+                let pipe = &mut self.routers[ri].ports[p].credits;
                 while let Some(vc) = pipe.pop_ready(now) {
-                    self.sources[node.0 - self.node_off].credit_return(vc);
+                    source.credit_return(vc);
                 }
             }
-            CreditDest::Unconnected => {
+            Far::Open => {
                 unreachable!("credit on unconnected port {p} of router {}", self.router_off + ri)
             }
         }
     }
 
-    /// Fans the step outputs of this slice's router `ri` out to the
-    /// ejection log and the link pipes. Under gating a push onto a local
-    /// link schedules its delivery; a push onto a non-local link schedules
-    /// nothing — the boundary scan visits those pipes unconditionally.
+    /// Clocks this slice's router `ri` (its idle history already replayed)
+    /// and fans its outputs out to the ejection log and the link pipes.
+    /// Under gating a push onto a local link schedules its delivery; a push
+    /// onto a non-local link schedules nothing — the boundary scan visits
+    /// those pipes unconditionally.
     #[inline(always)]
-    fn fan_out(
+    fn step_router(
         &mut self,
         ri: usize,
         now: Cycle,
@@ -521,44 +479,52 @@ impl<'a> NetSlice<'a> {
         let r = self.router_off + ri;
         let gated = !gating.reference_sweep;
         let in_window = now.0 >= self.cfg.warmup && now.0 < self.cfg.warmup + self.cfg.measure;
+        let rec = &mut self.routers[ri];
+        rec.router.step_into(now, out, sink);
+        gating.router_steps += 1;
+        rec.stepped_until = now.0 + 1;
         for (p, mut flit) in out.flits.drain(..) {
-            if self.topology.is_local_port(p) {
-                debug_assert_eq!(
-                    self.topology.node_at(RouterId(r), p),
-                    Some(flit.packet.dest),
-                    "flit ejected at the wrong terminal"
-                );
-                if sink.tracing() {
-                    sink.trace(flit_event(TraceEventKind::Eject, now, r, p, &flit));
+            let far = self.wiring.far(r, p.0);
+            let local = self.is_local(far);
+            match far {
+                Far::Terminal(node) => {
+                    debug_assert_eq!(
+                        NodeId(node as usize),
+                        flit.packet.dest,
+                        "flit ejected at the wrong terminal"
+                    );
+                    if sink.tracing() {
+                        sink.trace(flit_event(TraceEventKind::Eject, now, r, p, &flit));
+                    }
+                    if in_window {
+                        log.recs.push(StatRecord {
+                            source: flit.packet.source,
+                            is_tail: flit.is_tail(),
+                            created_at: flit.packet.created_at,
+                            at: now,
+                        });
+                    }
+                    if flit.is_tail() {
+                        log.ejects.push(EjectedPacket { packet: flit.packet, at: now });
+                    }
                 }
-                if in_window {
-                    log.recs.push(StatRecord {
-                        source: flit.packet.source,
-                        is_tail: flit.is_tail(),
-                        created_at: flit.packet.created_at,
-                        at: now,
-                    });
+                Far::Router(down, _) => {
+                    // Lookahead routing: rewrite the routing fields for the
+                    // downstream router before the flit enters the link.
+                    let (out_port, lookahead, _) =
+                        self.wiring.resolve(down as usize, flit.packet.dest);
+                    flit.set_route(out_port, lookahead);
+                    if sink.tracing() {
+                        sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
+                    }
+                    let port = &mut self.routers[ri].ports[p.0];
+                    port.flits.as_mut().expect("connected port has a pipe").push(now, flit);
+                    if gated && local {
+                        let ev = WakeEvent::FlitLink(r, p.0);
+                        gating.schedule(&mut port.flit_sched, ev, now.0 + FLIT_LATENCY);
+                    }
                 }
-                if flit.is_tail() {
-                    log.ejects.push(EjectedPacket { packet: flit.packet, at: now });
-                }
-            } else {
-                // Lookahead routing: rewrite the routing fields for the
-                // downstream router before the flit enters the link.
-                let (down, _) =
-                    self.routes.neighbor(RouterId(r), p).expect("route uses connected ports");
-                let (out_port, lookahead, _) = self.routes.resolve(down, flit.packet.dest);
-                flit.set_route(out_port, lookahead);
-                if sink.tracing() {
-                    sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
-                }
-                self.flit_pipes[ri][p.0]
-                    .as_mut()
-                    .expect("connected port has a pipe")
-                    .push(now, flit);
-                if gated && self.owns(down.0) {
-                    gating.schedule(WakeEvent::FlitLink(r, p.0), now.0 + FLIT_LATENCY);
-                }
+                Far::Open => unreachable!("route through unconnected port {p} of router {r}"),
             }
         }
         for (p, vc) in out.credits.drain(..) {
@@ -570,9 +536,12 @@ impl<'a> NetSlice<'a> {
                     ..TraceEvent::at(now, TraceEventKind::CreditReturn)
                 });
             }
-            self.credit_pipes[ri][p.0].push(now, vc);
-            if gated && self.port_is_local(ri, p.0) {
-                gating.schedule(WakeEvent::CreditLink(r, p.0), now.0 + CREDIT_LATENCY);
+            let local = self.is_local(self.wiring.far(r, p.0));
+            let port = &mut self.routers[ri].ports[p.0];
+            port.credits.push(now, vc);
+            if gated && local {
+                let ev = WakeEvent::CreditLink(r, p.0);
+                gating.schedule(&mut port.credit_sched, ev, now.0 + CREDIT_LATENCY);
             }
         }
     }

@@ -24,83 +24,95 @@ use vix_telemetry::{HistogramId, MatchingSummary, SpanKind, TelemetrySink};
 use vix_topology::{build_topology, Topology};
 use vix_traffic::{BernoulliInjector, TrafficPattern};
 
-/// Routing resolution shared by sources and lookahead rewriting: the
-/// output port at `router`, the output port at the next router, and the
-/// dimension of the first port.
-pub(crate) fn resolve_route(
-    topology: &dyn Topology,
-    router: RouterId,
-    dest: NodeId,
-) -> (PortId, PortId, usize) {
-    let out = topology.route(router, dest);
-    let lookahead = if topology.is_local_port(out) {
-        out
-    } else {
-        let (next, _) = topology.neighbor(router, out).expect("route uses connected ports");
-        topology.route(next, dest)
-    };
-    (out, lookahead, topology.port_dimension(out))
+/// The far end of the two links through one router port: the flit link
+/// leaving the router through it, and the credit link leaving its input
+/// side. Links are bidirectional, so both end at the same place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Far {
+    /// Router `.0`: flits enter its input port `.1`, credits return to its
+    /// output port `.1`.
+    Router(u32, u8),
+    /// A terminal: flits eject to it, credits return to its source queue.
+    Terminal(u32),
+    /// Unconnected (mesh edge); nothing ever flows.
+    Open,
 }
 
-/// Precomputed [`resolve_route`] and [`Topology::neighbor`] over the whole
-/// (static) topology: entry `router * nodes + dest` packs the three routing
-/// results into three bytes, entry `router * radix + port` holds the far end
-/// of a link. Routing is deterministic and the topology never changes after
-/// build, so the hot per-flit lookahead rewrite and link fan-out become table
-/// loads instead of virtual topology calls (a mesh's `neighbor` divides by
-/// the mesh side to recover coordinates).
+/// Everything static about the network, read off the [`Topology`] once at
+/// build: routes, link ends and terminal attachments. Routing is
+/// deterministic and the topology never changes, so the cycle body does
+/// table loads where it would otherwise make virtual topology calls (a
+/// mesh's `neighbor` divides by the mesh side to recover coordinates).
 #[derive(Debug, Clone)]
-pub(crate) struct RouteTable {
+pub(crate) struct Wiring {
     nodes: usize,
-    radix: usize,
+    pub(crate) radix: usize,
     /// `(out_port, lookahead_port, dimension)` per `(router, dest)` pair.
-    entries: Vec<(u8, u8, u8)>,
-    /// `(downstream router, its input port)` per `(router, port)` pair;
-    /// `None` on local and unconnected ports.
-    links: Vec<Option<(u32, u8)>>,
+    routes: Vec<(u8, u8, u8)>,
+    /// Far end per `(router, port)` pair.
+    far: Vec<Far>,
+    /// `(router, local port)` per terminal.
+    attach: Vec<(u32, u8)>,
 }
 
-impl RouteTable {
+impl Wiring {
     fn build(topology: &dyn Topology) -> Self {
-        let nodes = topology.nodes();
-        let mut entries = Vec::with_capacity(topology.routers() * nodes);
-        for r in 0..topology.routers() {
-            for d in 0..nodes {
-                let (out, la, dim) = resolve_route(topology, RouterId(r), NodeId(d));
-                entries.push((
-                    u8::try_from(out.0).expect("port id fits a byte"),
-                    u8::try_from(la.0).expect("port id fits a byte"),
-                    u8::try_from(dim).expect("dimension fits a byte"),
-                ));
+        let (routers, nodes, radix) = (topology.routers(), topology.nodes(), topology.radix());
+        let port = |p: PortId| u8::try_from(p.0).expect("validated: port ids fit a byte");
+        let id = |i: usize| u32::try_from(i).expect("router and node ids fit 32 bits");
+        let mut routes = Vec::with_capacity(routers * nodes);
+        for r in (0..routers).map(RouterId) {
+            for d in (0..nodes).map(NodeId) {
+                let out = topology.route(r, d);
+                let lookahead = if topology.is_local_port(out) {
+                    out
+                } else {
+                    let (next, _) = topology.neighbor(r, out).expect("route uses connected ports");
+                    topology.route(next, d)
+                };
+                let dim = u8::try_from(topology.port_dimension(out)).expect("dimension fits a byte");
+                routes.push((port(out), port(lookahead), dim));
             }
         }
-        let radix = topology.radix();
-        let links = (0..topology.routers() * radix)
+        let far = (0..routers * radix)
             .map(|i| {
-                let (next, port) = topology.neighbor(RouterId(i / radix), PortId(i % radix))?;
-                Some((
-                    u32::try_from(next.0).expect("router id fits 32 bits"),
-                    u8::try_from(port.0).expect("port id fits a byte"),
-                ))
+                let (r, p) = (RouterId(i / radix), PortId(i % radix));
+                if let Some(node) = topology.node_at(r, p) {
+                    Far::Terminal(id(node.0))
+                } else if let Some((next, next_port)) = topology.neighbor(r, p) {
+                    Far::Router(id(next.0), port(next_port))
+                } else {
+                    Far::Open
+                }
             })
             .collect();
-        RouteTable { nodes, radix, entries, links }
+        let attach = (0..nodes)
+            .map(NodeId)
+            .map(|n| (id(topology.router_of(n).0), port(topology.local_port_of(n))))
+            .collect();
+        Wiring { nodes, radix, routes, far, attach }
     }
 
-    /// The table form of [`Topology::neighbor`] — identical results by
-    /// construction.
+    /// The output port a packet for `dest` takes at `router`, the port it
+    /// takes at the router after that (lookahead routing), and the
+    /// dimension of the first.
     #[inline]
-    pub(crate) fn neighbor(&self, router: RouterId, port: PortId) -> Option<(RouterId, PortId)> {
-        let (next, next_port) = self.links[router.0 * self.radix + port.0]?;
-        Some((RouterId(next as usize), PortId(next_port as usize)))
-    }
-
-    /// The table form of [`resolve_route`] — identical results by
-    /// construction.
-    #[inline]
-    pub(crate) fn resolve(&self, router: RouterId, dest: NodeId) -> (PortId, PortId, usize) {
-        let (out, la, dim) = self.entries[router.0 * self.nodes + dest.0];
+    pub(crate) fn resolve(&self, router: usize, dest: NodeId) -> (PortId, PortId, usize) {
+        let (out, la, dim) = self.routes[router * self.nodes + dest.0];
         (PortId(out as usize), PortId(la as usize), dim as usize)
+    }
+
+    /// Where the links through port `port` of `router` end.
+    #[inline]
+    pub(crate) fn far(&self, router: usize, port: usize) -> Far {
+        self.far[router * self.radix + port]
+    }
+
+    /// The router terminal `node` attaches to, and the local port it uses.
+    #[inline]
+    pub(crate) fn attachment(&self, node: usize) -> (usize, PortId) {
+        let (router, port) = self.attach[node];
+        (router as usize, PortId(port as usize))
     }
 }
 
@@ -114,32 +126,47 @@ pub struct EjectedPacket {
     pub at: Cycle,
 }
 
-/// Where credits leaving a router input port are returned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CreditDest {
-    /// Upstream router's output port.
-    Upstream(RouterId, PortId),
-    /// A terminal's source queue.
-    Source(NodeId),
-    /// Unconnected port (mesh edge); no credit ever flows.
-    Unconnected,
+/// The links through one router port, with their wake-calendar stamps: the
+/// due cycle each pipe is already scheduled for, so several same-cycle
+/// pushes (e.g. VIX multi-grant credits) enqueue one event.
+#[derive(Debug)]
+pub(crate) struct PortLinks {
+    /// Flit link leaving through this port; `None` unless [`Far::Router`].
+    pub(crate) flits: Option<Pipe<Flit>>,
+    /// Credits leaving this *input* port.
+    pub(crate) credits: Pipe<VcId>,
+    pub(crate) flit_sched: u64,
+    pub(crate) credit_sched: u64,
 }
 
-/// The network itself: routers, the links between them, and the
-/// terminals' sources, over a static topology.
+/// One router with everything it alone owns: the links through its ports
+/// and its share of the scheduler's bookkeeping (DESIGN.md §6c).
+#[derive(Debug)]
+pub(crate) struct RouterRecord {
+    pub(crate) router: Router,
+    pub(crate) ports: Vec<PortLinks>,
+    /// Cycles of this router's history that have been executed or
+    /// replayed; the gap to `now` is replayed lazily via
+    /// `note_idle_cycles` when the router re-activates.
+    pub(crate) stepped_until: u64,
+}
+
+/// One terminal's injection side: its source queue, the 1-cycle link into
+/// its router's local port, and that link's wake-calendar stamp.
+#[derive(Debug)]
+pub(crate) struct TerminalRecord {
+    pub(crate) source: SourceQueue,
+    pub(crate) inject: Pipe<Flit>,
+    pub(crate) inject_sched: u64,
+}
+
+/// The network itself: the static wiring, one record per router and one
+/// per terminal.
 #[derive(Debug)]
 pub(crate) struct Fabric {
-    pub(crate) topology: Box<dyn Topology>,
-    /// Precomputed routing table (see [`RouteTable`]).
-    pub(crate) routes: RouteTable,
-    pub(crate) routers: Vec<Router>,
-    /// `flit_pipes[r][p]` — link leaving router `r` through port `p`.
-    pub(crate) flit_pipes: Vec<Vec<Option<Pipe<Flit>>>>,
-    /// `credit_pipes[r][p]` — credits leaving router `r`'s *input* port `p`.
-    pub(crate) credit_pipes: Vec<Vec<Pipe<VcId>>>,
-    pub(crate) credit_dests: Vec<Vec<CreditDest>>,
-    pub(crate) inject_pipes: Vec<Pipe<Flit>>,
-    pub(crate) sources: Vec<SourceQueue>,
+    pub(crate) wiring: Wiring,
+    pub(crate) routers: Vec<RouterRecord>,
+    pub(crate) terminals: Vec<TerminalRecord>,
 }
 
 impl Fabric {
@@ -147,16 +174,11 @@ impl Fabric {
     pub(crate) fn slice<'a>(&'a mut self, cfg: &'a SimConfig) -> NetSlice<'a> {
         NetSlice {
             cfg,
-            topology: self.topology.as_ref(),
-            routes: &self.routes,
+            wiring: &self.wiring,
             router_off: 0,
             node_off: 0,
             routers: &mut self.routers,
-            flit_pipes: &mut self.flit_pipes,
-            credit_pipes: &mut self.credit_pipes,
-            credit_dests: &self.credit_dests,
-            inject_pipes: &mut self.inject_pipes,
-            sources: &mut self.sources,
+            terminals: &mut self.terminals,
         }
     }
 }
@@ -211,6 +233,9 @@ impl TrafficGen {
 #[derive(Debug)]
 pub struct NetworkSim {
     pub(crate) cfg: SimConfig,
+    /// What the network was built from; the cycle body reads only the
+    /// [`Wiring`] derived from it.
+    pub(crate) topology: Box<dyn Topology>,
     pub(crate) net: Fabric,
     pub(crate) traffic: TrafficGen,
     pub(crate) now: Cycle,
@@ -263,70 +288,47 @@ impl NetworkSim {
             (0..radix).map(|p| topology.port_dimension(PortId(p))).collect(),
             (0..radix).map(|p| topology.is_local_port(PortId(p))).collect(),
         );
-        let routers: Vec<Router> = (0..topology.routers())
-            .map(|r| {
-                Router::new(
+        let wiring = Wiring::build(topology.as_ref());
+        // A VIX router lifts the one-grant-per-input-port constraint, so a
+        // single input port can free up to `vcs` buffer slots in one cycle;
+        // the credit rings are sized for that burst rate.
+        let routers = (0..topology.routers())
+            .map(|r| RouterRecord {
+                router: Router::new(
                     RouterId(r),
                     router_cfg,
                     build_allocator(run_cfg.network.allocator, &router_cfg),
                     // Build-time only: two radix-sized Vecs per router,
                     // never cloned again after construction.
                     env.clone(),
-                )
-            })
-            .collect();
-
-        let flit_pipes = (0..topology.routers())
-            .map(|r| {
-                (0..radix)
-                    .map(|p| {
-                        topology
-                            .neighbor(RouterId(r), PortId(p))
-                            .map(|_| Pipe::new(FLIT_LATENCY))
+                ),
+                ports: (0..radix)
+                    .map(|p| PortLinks {
+                        flits: matches!(wiring.far(r, p), Far::Router(..))
+                            .then(|| Pipe::new(FLIT_LATENCY)),
+                        credits: Pipe::with_rate(CREDIT_LATENCY, router_cfg.vcs_per_port()),
+                        flit_sched: u64::MAX,
+                        credit_sched: u64::MAX,
                     })
-                    .collect()
-            })
-            .collect();
-        // A VIX router lifts the one-grant-per-input-port constraint, so a
-        // single input port can free up to `vcs` buffer slots in one cycle;
-        // size the credit rings for that burst rate.
-        let credit_pipes = (0..topology.routers())
-            .map(|_| {
-                (0..radix)
-                    .map(|_| Pipe::with_rate(CREDIT_LATENCY, router_cfg.vcs_per_port()))
-                    .collect()
-            })
-            .collect();
-        let credit_dests = (0..topology.routers())
-            .map(|r| {
-                (0..radix)
-                    .map(|p| {
-                        let (r, p) = (RouterId(r), PortId(p));
-                        if let Some(node) = topology.node_at(r, p) {
-                            CreditDest::Source(node)
-                        } else if let Some((ur, up)) = topology.neighbor(r, p) {
-                            CreditDest::Upstream(ur, up)
-                        } else {
-                            CreditDest::Unconnected
-                        }
-                    })
-                    .collect()
+                    .collect(),
+                stepped_until: 0,
             })
             .collect();
 
         let groups = router_cfg.virtual_inputs_per_port();
-        let sources = (0..cfg.network.nodes)
-            .map(|n| {
-                SourceQueue::new(
+        let terminals = (0..cfg.network.nodes)
+            .map(|n| TerminalRecord {
+                source: SourceQueue::new(
                     NodeId(n),
                     router_cfg.vcs_per_port(),
                     router_cfg.buffer_depth(),
                     groups,
                     router_cfg.dimension_aware_va,
-                )
+                ),
+                inject: Pipe::new(1),
+                inject_sched: u64::MAX,
             })
             .collect();
-        let inject_pipes = (0..cfg.network.nodes).map(|_| Pipe::new(1)).collect();
 
         let injector = BernoulliInjector::new(cfg.injection_rate)?;
         let stats = NetworkStats::new(cfg.network.nodes, cfg.measure, cfg.packet_len);
@@ -338,19 +340,10 @@ impl NetworkSim {
                 telemetry.register_histogram(&format!("router{r}.vc_occupancy"), &occupancy_bounds)
             })
             .collect();
-        let routes = RouteTable::build(topology.as_ref());
         Ok(NetworkSim {
             cfg: run_cfg,
-            net: Fabric {
-                topology,
-                routes,
-                routers,
-                flit_pipes,
-                credit_pipes,
-                credit_dests,
-                inject_pipes,
-                sources,
-            },
+            topology,
+            net: Fabric { wiring, routers, terminals },
             traffic: TrafficGen {
                 pattern,
                 injector,
@@ -402,7 +395,7 @@ impl NetworkSim {
         let id = PacketId(self.traffic.next_packet);
         self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
-        self.net.sources[source.0].enqueue(packet);
+        self.net.terminals[source.0].source.enqueue(packet);
         id
     }
 
@@ -436,7 +429,7 @@ impl NetworkSim {
     /// The topology under simulation.
     #[must_use]
     pub fn topology(&self) -> &dyn Topology {
-        self.net.topology.as_ref()
+        self.topology.as_ref()
     }
 
     /// Runs one cycle of the whole network: phase 1 from the run's traffic
@@ -456,9 +449,9 @@ impl NetworkSim {
         // Profiling lap chain: one clock read per phase boundary, zero
         // reads (one branch per lap) when profiling is off.
         let mut span = self.telemetry.span_start();
-        let sources = &mut self.net.sources;
+        let terminals = &mut self.net.terminals;
         self.traffic.generate(now.0, &self.cfg, &mut self.stats, |packet| {
-            sources[packet.source.0].enqueue(packet);
+            terminals[packet.source.0].source.enqueue(packet);
         });
         span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
         self.net.slice(&self.cfg).step(now, &mut self.gating, &mut self.telemetry, &mut self.log, span);
@@ -468,12 +461,11 @@ impl NetworkSim {
         // VC-occupancy sampling is pure observation over *all* routers,
         // stepped this cycle or not.
         if !self.vc_occupancy.is_empty() {
-            let ports = self.net.topology.radix();
             let vcs = self.cfg.network.router.vcs_per_port();
             for (r, &hist) in self.vc_occupancy.iter().enumerate() {
-                for p in 0..ports {
+                for p in 0..self.net.wiring.radix {
                     for v in 0..vcs {
-                        let occ = self.net.routers[r].buffer_occupancy(PortId(p), VcId(v));
+                        let occ = self.net.routers[r].router.buffer_occupancy(PortId(p), VcId(v));
                         self.telemetry.observe(hist, occ as u64);
                     }
                 }
@@ -511,15 +503,10 @@ impl NetworkSim {
     /// True when no flit remains anywhere (buffers, links, sources).
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.net.routers.iter().all(Router::is_empty)
-            && self.net.sources.iter().all(SourceQueue::is_idle)
-            && self.net.inject_pipes.iter().all(Pipe::is_empty)
-            && self
-                .net
-                .flit_pipes
-                .iter()
-                .flatten()
-                .all(|p| p.as_ref().is_none_or(Pipe::is_empty))
+        self.net.terminals.iter().all(|t| t.source.is_idle() && t.inject.is_empty())
+            && self.net.routers.iter().all(|r| {
+                r.router.is_empty() && r.ports.iter().flat_map(|p| &p.flits).all(Pipe::is_empty)
+            })
     }
 
     /// Activity counters of router `r`, with the skipped cycles the
@@ -527,8 +514,9 @@ impl NetworkSim {
     /// activity (and, through `vix-power`, the energy) of stepping every
     /// router every cycle.
     fn router_activity(&self, r: usize) -> ActivityCounters {
-        let mut a = *self.net.routers[r].activity();
-        a.cycles += self.now.0 - self.gating.stepped_until[r];
+        let rec = &self.net.routers[r];
+        let mut a = *rec.router.activity();
+        a.cycles += self.now.0 - rec.stepped_until;
         a
     }
 
@@ -544,7 +532,7 @@ impl NetworkSim {
     /// (values in `[0, 1]`).
     #[must_use]
     pub fn utilization_map(&self) -> Vec<f64> {
-        let ports = self.net.topology.radix() as f64;
+        let ports = self.net.wiring.radix as f64;
         (0..self.net.routers.len())
             .map(|r| {
                 let a = self.router_activity(r);
@@ -574,7 +562,7 @@ impl NetworkSim {
     pub fn matching_summary(&self) -> MatchingSummary {
         let mut total = MatchingSummary::default();
         for r in &self.net.routers {
-            total.merge(&r.matching_summary());
+            total.merge(&r.router.matching_summary());
         }
         total
     }
@@ -749,6 +737,41 @@ mod tests {
         let mut net = NetworkConfig::paper_default(TopologyKind::Mesh, alloc);
         net.nodes = 16;
         SimConfig::new(net, rate).with_windows(200, 800, 400)
+    }
+
+    #[test]
+    fn wiring_matches_topology() {
+        let kinds = [TopologyKind::Mesh, TopologyKind::CMesh, TopologyKind::FlattenedButterfly];
+        let sizes = kinds.iter().flat_map(|&k| [16, 64, 256].map(|n| (k, n)));
+        for (kind, nodes) in sizes.chain([(TopologyKind::Mesh, 36)]) {
+            let t = build_topology(kind, nodes).unwrap();
+            let w = Wiring::build(t.as_ref());
+            assert_eq!(w.radix, t.radix());
+            for n in (0..nodes).map(NodeId) {
+                let attached = (t.router_of(n).0, t.local_port_of(n));
+                assert_eq!(w.attachment(n.0), attached, "{kind:?}/{nodes}: attachment of {n}");
+            }
+            for r in (0..t.routers()).map(RouterId) {
+                for p in (0..t.radix()).map(PortId) {
+                    let far = match (t.node_at(r, p), t.neighbor(r, p)) {
+                        (Some(node), None) => Far::Terminal(node.0 as u32),
+                        (None, Some((next, port))) => Far::Router(next.0 as u32, port.0 as u8),
+                        (None, None) => Far::Open,
+                        (Some(_), Some(_)) => panic!("{kind:?}/{nodes}: {r} {p} has two far ends"),
+                    };
+                    assert_eq!(w.far(r.0, p.0), far, "{kind:?}/{nodes}: far end of {r} {p}");
+                }
+                for d in (0..nodes).map(NodeId) {
+                    let out = t.route(r, d);
+                    let lookahead = t.neighbor(r, out).map_or(out, |(next, _)| t.route(next, d));
+                    assert_eq!(
+                        w.resolve(r.0, d),
+                        (out, lookahead, t.port_dimension(out)),
+                        "{kind:?}/{nodes}: route at {r} to {d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,9 +90,11 @@
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::cycle::{EjectionLog, GatingState, NetSlice};
-use crate::network::{CreditDest, NetworkSim, TrafficGen};
+use crate::channel::Pipe;
+use crate::network::{Far, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
+use vix_core::bits::{set_bit, test_bit};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
 use vix_telemetry::{HealthBoard, SpanKind, TelemetrySink};
 use vix_topology::Topology;
@@ -254,24 +256,14 @@ impl ShardPlan {
     }
 }
 
-/// A flit link whose downstream router lives in another shard: drained
-/// by the owning shard's boundary scan instead of its wake calendar.
+/// A router port whose far end lives in another shard. Both links through
+/// it — flits leaving the router, credits leaving its input side — are
+/// drained by the owning shard's boundary scan instead of its wake
+/// calendar, toward the [`Far`] entry the wiring holds for the port.
 #[derive(Debug, Clone, Copy)]
-struct FlitBoundary {
+struct BoundaryPort {
     from: usize,
     port: usize,
-    down: RouterId,
-    down_port: PortId,
-    dst_shard: usize,
-}
-
-/// A credit link whose upstream router lives in another shard.
-#[derive(Debug, Clone, Copy)]
-struct CreditBoundary {
-    from: usize,
-    port: usize,
-    up: RouterId,
-    up_port: PortId,
     dst_shard: usize,
 }
 
@@ -320,10 +312,8 @@ struct Stretch<'a> {
 struct ShardWorker<'a> {
     idx: usize,
     net: NetSlice<'a>,
-    flit_boundary: Vec<FlitBoundary>,
-    credit_boundary: Vec<CreditBoundary>,
-    /// Shard-local gating state (globally indexed; only this shard's
-    /// entries are ever touched).
+    boundary: Vec<BoundaryPort>,
+    /// Shard-local scheduler state, sized for this shard's slice.
     gating: GatingState,
     /// Recording is off — telemetry-recording runs never reach the sharded
     /// engine (see [`NetworkSim::effective_shards`]) — but the sink
@@ -373,7 +363,7 @@ impl ShardWorker<'_> {
         // 0. Packets generated for this cycle one cycle ago (phase 1).
         let staged = &sh.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
-            self.net.sources[packet.source.0 - self.net.node_off].enqueue(packet);
+            self.net.terminals[packet.source.0 - self.net.node_off].source.enqueue(packet);
         }
 
         // 1. Inbound cross-shard deliveries due this cycle. Flit
@@ -384,19 +374,15 @@ impl ShardWorker<'_> {
                 let mut inbox =
                     sh.mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
                 for (down, port, flit) in inbox.drain(..) {
-                    self.net.routers[down.0 - self.net.router_off].accept_flit(port, flit);
-                    GatingState::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        down.0,
-                        t,
-                    );
+                    let down = down.0 - self.net.router_off;
+                    self.net.routers[down].router.accept_flit(port, flit);
+                    set_bit(&mut self.gating.work, down);
                 }
             }
             let mut inbox =
                 sh.mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
             for (up, port, vc) in inbox.drain(..) {
-                self.net.routers[up.0 - self.net.router_off].credit_return(port, vc);
+                self.net.routers[up.0 - self.net.router_off].router.credit_return(port, vc);
             }
         }
         span = self.sink.span_lap(SpanKind::Exchange, t, span);
@@ -433,32 +419,31 @@ impl ShardWorker<'_> {
     /// due ≥ `due + 1`, since every inter-router pipe has ≥ 2 cycles of
     /// latency.
     fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) {
-        let parity = (due % 2) as usize;
-        for b in &self.flit_boundary {
-            let pipe = self.net.flit_pipes[b.from - self.net.router_off][b.port]
-                .as_mut()
-                .expect("boundary port is connected");
-            if !pipe.has_ready(Cycle(due)) {
-                continue;
+        /// Moves what `pipe` delivers at `due` into `outbox`, addressed `to`.
+        fn forward<T: Copy>(
+            pipe: &mut Pipe<T>,
+            due: Cycle,
+            to: (RouterId, PortId),
+            outbox: &Mutex<Vec<(RouterId, PortId, T)>>,
+        ) {
+            if !pipe.has_ready(due) {
+                return;
             }
-            let mut outbox = mail.flits[parity][b.dst_shard][self.idx]
-                .lock()
-                .expect("receiver not panicked");
-            while let Some(flit) = pipe.pop_ready(Cycle(due)) {
-                outbox.push((b.down, b.down_port, flit));
+            let mut outbox = outbox.lock().expect("receiver not panicked");
+            while let Some(item) = pipe.pop_ready(due) {
+                outbox.push((to.0, to.1, item));
             }
         }
-        for b in &self.credit_boundary {
-            let pipe = &mut self.net.credit_pipes[b.from - self.net.router_off][b.port];
-            if !pipe.has_ready(Cycle(due)) {
-                continue;
-            }
-            let mut outbox = mail.credits[parity][b.dst_shard][self.idx]
-                .lock()
-                .expect("receiver not panicked");
-            while let Some(vc) = pipe.pop_ready(Cycle(due)) {
-                outbox.push((b.up, b.up_port, vc));
-            }
+        let parity = (due % 2) as usize;
+        for b in &self.boundary {
+            let Far::Router(far, far_port) = self.net.wiring.far(b.from, b.port) else {
+                unreachable!("boundary port leads to a router")
+            };
+            let to = (RouterId(far as usize), PortId(far_port as usize));
+            let links = &mut self.net.routers[b.from - self.net.router_off].ports[b.port];
+            let flits = links.flits.as_mut().expect("boundary port is connected");
+            forward(flits, Cycle(due), to, &mail.flits[parity][b.dst_shard][self.idx]);
+            forward(&mut links.credits, Cycle(due), to, &mail.credits[parity][b.dst_shard][self.idx]);
         }
     }
 }
@@ -512,47 +497,21 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     let start = sim.now.0;
     let end = start + cycles;
     let plan = match sim.shard_weights.as_deref() {
-        Some(weights) => ShardPlan::weighted(sim.net.topology.as_ref(), shards, weights),
-        None => ShardPlan::new(sim.net.topology.as_ref(), shards),
+        Some(weights) => ShardPlan::weighted(sim.topology.as_ref(), shards, weights),
+        None => ShardPlan::new(sim.topology.as_ref(), shards),
     };
-    let radix = sim.net.topology.radix();
-    let routers_total = sim.net.routers.len();
-    let nodes_total = sim.cfg.network.nodes;
+    let radix = sim.net.wiring.radix;
 
-    // Classify every link once; boundary lists are grouped by the shard
-    // that owns (and therefore drains) the pipe.
-    let mut flit_boundary: Vec<Vec<FlitBoundary>> = vec![Vec::new(); shards];
-    let mut credit_boundary: Vec<Vec<CreditBoundary>> = vec![Vec::new(); shards];
-    for r in 0..routers_total {
+    // Classify every port once; boundary lists are grouped by the shard
+    // that owns (and therefore drains) the port's pipes.
+    let mut boundary: Vec<Vec<BoundaryPort>> = vec![Vec::new(); shards];
+    for r in 0..sim.net.routers.len() {
         let s = plan.shard_of_router(r);
         for p in 0..radix {
-            if sim.net.flit_pipes[r][p].is_some() {
-                let (down, down_port) = sim
-                    .net
-                    .routes
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                let dst_shard = plan.shard_of_router(down.0);
+            if let Far::Router(far, _) = sim.net.wiring.far(r, p) {
+                let dst_shard = plan.shard_of_router(far as usize);
                 if dst_shard != s {
-                    flit_boundary[s].push(FlitBoundary {
-                        from: r,
-                        port: p,
-                        down,
-                        down_port,
-                        dst_shard,
-                    });
-                }
-            }
-            if let CreditDest::Upstream(up, up_port) = sim.net.credit_dests[r][p] {
-                let dst_shard = plan.shard_of_router(up.0);
-                if dst_shard != s {
-                    credit_boundary[s].push(CreditBoundary {
-                        from: r,
-                        port: p,
-                        up,
-                        up_port,
-                        dst_shard,
-                    });
+                    boundary[s].push(BoundaryPort { from: r, port: p, dst_shard });
                 }
             }
         }
@@ -575,20 +534,19 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // calendar is rebuilt from its own pipe contents instead of split.
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
     let mut rest = sim.net.slice(&sim.cfg);
-    for s in 0..shards {
-        let (net, tail) = rest.split_at(plan.router_range(s).len(), plan.node_range(s).len());
+    for (s, boundary) in boundary.into_iter().enumerate() {
+        let (range, nodes) = (plan.router_range(s), plan.node_range(s).len());
+        let (mut net, tail) = rest.split_at(range.len(), nodes);
         rest = tail;
-        let mut gating = GatingState::new(nodes_total, routers_total, radix);
-        gating.active_mark.copy_from_slice(&sim.gating.active_mark);
-        gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
-        let range = plan.router_range(s);
-        gating.work.extend(sim.gating.work.iter().filter(|&&r| range.contains(&r)));
+        let mut gating = GatingState::new(nodes, range.len(), radix);
+        for r in range.clone().filter(|&r| test_bit(&sim.gating.work, r)) {
+            set_bit(&mut gating.work, r - range.start);
+        }
         net.rebuild_calendar(&mut gating);
         workers.push(ShardWorker {
             idx: s,
             net,
-            flit_boundary: std::mem::take(&mut flit_boundary[s]),
-            credit_boundary: std::mem::take(&mut credit_boundary[s]),
+            boundary,
             gating,
             sink: sim.telemetry.for_shard(s as u32, span_cap),
             log: EjectionLog::default(),
@@ -732,19 +690,16 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // later `run_cycles`) can continue from cycle `end` seamlessly. Each
     // worker is consumed as it hands its state over — they hold the
     // mutable borrows of the network, which the rebuild below needs back.
-    sim.gating.work.clear();
-    sim.gating.pending.clear();
+    sim.gating.work.fill(0);
     for w in finished {
         sim.gating.router_steps += w.gating.router_steps;
         if let (Some(p), Some(engine)) = (w.sink.into_profiler(), sim.telemetry.profiler_mut()) {
             engine.absorb(*p);
         }
-        let range = plan.router_range(w.idx);
-        sim.gating.stepped_until[range.clone()].copy_from_slice(&w.gating.stepped_until[range]);
-        // Retention already put every non-quiescent router in its
-        // shard's work list; re-activate them for cycle `end`.
-        for &r in &w.gating.work {
-            GatingState::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
+        // Retention already put every non-quiescent router in its shard's
+        // work set for cycle `end`.
+        for ri in (0..w.net.routers.len()).filter(|&ri| test_bit(&w.gating.work, ri)) {
+            set_bit(&mut sim.gating.work, w.net.router_off + ri);
         }
     }
     sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);

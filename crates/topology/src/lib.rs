@@ -1,11 +1,15 @@
 //! Network topologies for the VIX simulator.
 //!
-//! Implements the three 64-terminal topologies of the paper (§3, Table 1):
+//! Implements the three 64-terminal topologies of the paper (§3, Table 1)
+//! as two types:
 //!
-//! * [`Mesh`] — 8×8 mesh, one terminal per router, radix-5 routers;
-//! * [`CMesh`] — 4×4 concentrated mesh, 4 terminals per router, radix-8;
+//! * [`Mesh`] — a router grid with nearest-neighbour links and `c`
+//!   terminals per router: [`Mesh::new`] is the 8×8 mesh (`c = 1`, radix-5
+//!   routers), [`CMesh::new`] the 4×4 concentrated mesh (`c = 4`, radix-8);
 //! * [`FlattenedButterfly`] — 4×4 router array with full row/column
-//!   connectivity, 4 terminals per router, radix-10.
+//!   connectivity, 4 terminals per router, radix-10. Its links, routes,
+//!   port dimensions and hop counts all differ from the grid's, so it is
+//!   its own implementation.
 //!
 //! All three use deterministic dimension-order routing, exposed through the
 //! [`Topology`] trait in *lookahead* style: [`Topology::route`] computes
@@ -31,13 +35,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cmesh;
 pub mod fbfly;
 pub mod mesh;
 
-pub use cmesh::CMesh;
 pub use fbfly::FlattenedButterfly;
-pub use mesh::Mesh;
+pub use mesh::{CMesh, Mesh};
 
 use vix_core::{ConfigError, NodeId, PortId, RouterId, TopologyKind};
 

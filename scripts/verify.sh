@@ -78,4 +78,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# Informational: total / production (non-`#[cfg(test)]`) lines per crate,
+# the table CHANGES.md and ROADMAP quote for simplicity PRs.
+echo "==> scripts/loc.sh"
+scripts/loc.sh
+
 echo "==> all checks passed"

@@ -1,73 +1,85 @@
-// Gated: `proptest` comes from crates.io, which offline build
-// environments cannot reach. Enable the `proptest` feature (and
-// re-add the dev-dependency) to run this suite; see Cargo.toml.
-#![cfg(feature = "proptest")]
-
-//! Workspace-level property tests: arbitrary (small) configurations must
+//! Workspace-level randomized tests: arbitrary (small) configurations must
 //! simulate cleanly and respect conservation invariants.
+//!
+//! Each case is a pure function of its seed — a failure message names the
+//! seed to replay.
 
-use proptest::prelude::*;
 use vix::prelude::*;
+use vix_rng::rngs::StdRng;
+use vix_rng::{Rng, SeedableRng};
 
-fn allocator_strategy() -> impl Strategy<Value = AllocatorKind> {
-    prop_oneof![
-        Just(AllocatorKind::InputFirst),
-        Just(AllocatorKind::Vix),
-        Just(AllocatorKind::Wavefront),
-        Just(AllocatorKind::AugmentingPath),
-        Just(AllocatorKind::PacketChaining),
-        Just(AllocatorKind::Islip(2)),
-    ]
+const ALLOCATORS: [AllocatorKind; 6] = [
+    AllocatorKind::InputFirst,
+    AllocatorKind::Vix,
+    AllocatorKind::Wavefront,
+    AllocatorKind::AugmentingPath,
+    AllocatorKind::PacketChaining,
+    AllocatorKind::Islip(2),
+];
+
+/// Any sane configuration runs to completion, drains, and conserves flits
+/// — on every topology, stepped serially and across shard boundaries.
+#[test]
+fn random_configs_conserve_flits() {
+    let topologies = [
+        (TopologyKind::Mesh, 16),
+        (TopologyKind::CMesh, 36),
+        (TopologyKind::FlattenedButterfly, 36),
+    ];
+    for (t, &(topology, nodes)) in topologies.iter().enumerate() {
+        for case in 0..8u64 {
+            let seed = case * 100 + t as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let allocator = ALLOCATORS[rng.gen_range(0..ALLOCATORS.len())];
+            let mut network = NetworkConfig::paper_default(topology, allocator);
+            network.nodes = nodes;
+            network.router = network
+                .router
+                .with_vcs([2, 4, 6][rng.gen_range(0..3usize)])
+                .with_buffer_depth(rng.gen_range(2..6usize));
+            let packet_len = rng.gen_range(1..5usize);
+            let rate = (rng.gen_range(5..80u64) as f64 / 1000.0).min(0.9 / packet_len as f64);
+            let cfg = SimConfig::new(network, rate)
+                .with_packet_len(packet_len)
+                .with_windows(100, 600, 1_200)
+                .with_seed(rng.gen_range(0..1000u64));
+            let ctx = format!("seed {seed}: {topology:?}/{nodes}, {}, rate {rate}", allocator.label());
+
+            let mut activity = Vec::new();
+            for shards in [1, 3] {
+                let mut sim = NetworkSim::build(cfg.with_shards(shards)).expect("valid config");
+                sim.run_cycles(1_900);
+                assert!(sim.is_drained(), "{ctx}, shards {shards}: network failed to drain");
+                let a = sim.aggregate_activity();
+                assert_eq!(a.buffer_writes, a.buffer_reads, "{ctx}, shards {shards}: flits lost");
+                assert_eq!(
+                    a.crossbar_traversals,
+                    a.link_traversals + a.ejections,
+                    "{ctx}, shards {shards}: a crossed flit neither left on a link nor ejected"
+                );
+                assert!(a.ejections > 0, "{ctx}, shards {shards}: nothing moved");
+                activity.push(a);
+            }
+            assert_eq!(activity[0], activity[1], "{ctx}: sharded run diverged from serial");
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Any sane configuration runs to completion, drains, and conserves
-    /// flits.
-    #[test]
-    fn random_configs_conserve_flits(
-        allocator in allocator_strategy(),
-        vcs in prop_oneof![Just(2usize), Just(4), Just(6)],
-        depth in 2usize..6,
-        rate_milli in 5u64..80,
-        packet_len in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, allocator);
-        network.nodes = 16;
-        network.router = network.router.with_vcs(vcs).with_buffer_depth(depth);
-        if allocator == AllocatorKind::Vix {
-            network.router = network.router.with_virtual_inputs(vix::VirtualInputs::PerPort(2));
-        }
-        let rate = (rate_milli as f64 / 1000.0).min(0.9 / packet_len as f64);
-        let cfg = SimConfig::new(network, rate)
-            .with_packet_len(packet_len)
-            .with_windows(100, 600, 1_200)
-            .with_seed(seed);
-        prop_assume!(cfg.validate().is_ok());
-
-        let mut sim = NetworkSim::build(cfg).expect("validated config");
-        for _ in 0..1_900 {
-            sim.step();
-        }
-        prop_assert!(sim.is_drained(), "network failed to drain");
-        let a = sim.aggregate_activity();
-        prop_assert_eq!(a.buffer_writes, a.buffer_reads, "flit conservation violated");
-        prop_assert_eq!(a.crossbar_traversals, a.link_traversals + a.ejections);
-    }
-
-    /// Offered and accepted traffic agree at low load for every allocator.
-    #[test]
-    fn low_load_work_conservation(allocator in allocator_strategy(), seed in 0u64..100) {
-        let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, allocator);
+/// Offered and accepted traffic agree at low load for every allocator.
+#[test]
+fn low_load_work_conservation() {
+    for (seed, allocator) in (0..12u64).zip(ALLOCATORS.iter().cycle()) {
+        let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, *allocator);
         network.nodes = 16;
         let cfg = SimConfig::new(network, 0.02).with_windows(200, 1_500, 1_200).with_seed(seed);
         let stats = NetworkSim::build(cfg).expect("valid").run();
         let offered = stats.offered_packets_per_node_cycle();
         let accepted = stats.accepted_packets_per_node_cycle();
-        prop_assume!(offered > 0.0);
-        prop_assert!((offered - accepted).abs() / offered < 0.2,
-            "{}: offered {offered} accepted {accepted}", allocator.label());
+        assert!(offered > 0.0, "seed {seed}: nothing offered");
+        assert!(
+            (offered - accepted).abs() / offered < 0.2,
+            "seed {seed}, {}: offered {offered} accepted {accepted}",
+            allocator.label()
+        );
     }
 }

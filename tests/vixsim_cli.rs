@@ -64,3 +64,15 @@ fn zero_packet_length_names_its_own_constraint() {
     let stderr = rejected(&["--packet-len", "0"]);
     assert!(stderr.contains("packet length must be at least one flit"), "printed: {stderr}");
 }
+
+#[test]
+fn vc_count_beyond_the_flit_encoding_is_a_config_error() {
+    // 256 VCs used to be accepted and panic mid-run, when VC id 255 first
+    // collided with the flit's packed "no VC" value.
+    let stderr =
+        rejected(&["--nodes", "16", "--vcs", "256", "--allocator", "if", "--rate", "0.9", "--packet-len", "1"]);
+    assert!(
+        stderr.contains("error: invalid configuration: at most 255 virtual channels per port"),
+        "printed: {stderr}"
+    );
+}

@@ -219,3 +219,23 @@ fn idle_network_cycles_are_constant_time_and_heap_free() {
     assert_eq!(total.routers, 64);
     assert_eq!(total.crossbar_traversals, 0);
 }
+
+#[test]
+fn network_build_footprint_is_pinned() {
+    // The build-time footprint counter (ROADMAP item 2(a)): heap blocks
+    // `NetworkSim::build` requests for the paper's 8×8 VIX mesh. The build
+    // is deterministic, so the count is exact; it stood at 5 016 (78.4 per
+    // router) while every (router, port) table was its own nested `Vec`.
+    const BUILD_ALLOCATIONS: u64 = 4_752;
+    let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
+    let before = alloc_calls();
+    let sim = NetworkSim::build(cfg).expect("valid config");
+    let allocs = alloc_calls() - before;
+    drop(sim);
+    assert_eq!(
+        allocs, BUILD_ALLOCATIONS,
+        "NetworkSim::build for mesh-64 VIX made {allocs} heap allocations; a lower \
+         count is progress — re-pin it — a higher one is a footprint regression"
+    );
+}
