@@ -654,8 +654,14 @@ impl SimConfig {
     /// Returns the first violated constraint as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.network.router.validate()?;
+        if self.network.nodes > 1 << 16 {
+            return Err(ConfigError::TooManyNodes { nodes: self.network.nodes });
+        }
         if self.packet_len == 0 {
             return Err(ConfigError::ZeroPacketLength);
+        }
+        if self.packet_len > u16::MAX as usize {
+            return Err(ConfigError::PacketTooLong { flits: self.packet_len });
         }
         // Both comparisons are false for a NaN rate.
         let rate = self.injection_rate;
@@ -771,6 +777,16 @@ mod tests {
             SimConfig::new(net, 0.05).with_packet_len(0).validate(),
             Err(ConfigError::ZeroPacketLength)
         );
+        // The widest shapes a flit's 16-bit destination and index address.
+        let rate = 1e-6;
+        assert_eq!(SimConfig::new(net, rate).with_packet_len(65_535).validate(), Ok(()));
+        assert_eq!(
+            SimConfig::new(net, rate).with_packet_len(65_536).validate(),
+            Err(ConfigError::PacketTooLong { flits: 65_536 })
+        );
+        let wide = |nodes| SimConfig::new(NetworkConfig { nodes, ..net }, 0.05);
+        assert_eq!(wide(65_536).validate(), Ok(()));
+        assert_eq!(wide(65_537).validate(), Err(ConfigError::TooManyNodes { nodes: 65_537 }));
     }
 
     #[test]

@@ -47,6 +47,11 @@ pub enum ConfigError {
         /// Human-readable constraint, e.g. "must be a perfect square".
         requirement: &'static str,
     },
+    /// Flits address their destination with 16 bits: at most 65 536 nodes.
+    TooManyNodes {
+        /// Requested node count.
+        nodes: usize,
+    },
     /// An injection rate outside `0.0 ..= 1.0` flits/cycle/node.
     BadInjectionRate {
         /// Offending rate.
@@ -54,6 +59,11 @@ pub enum ConfigError {
     },
     /// Packet length must be at least one flit.
     ZeroPacketLength,
+    /// Flits number their position with 16 bits: at most 65 535 per packet.
+    PacketTooLong {
+        /// Offending packet length.
+        flits: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -81,10 +91,12 @@ impl fmt::Display for ConfigError {
             ConfigError::BadNodeCount { nodes, requirement } => {
                 write!(f, "unsupported node count {nodes}: {requirement}")
             }
+            ConfigError::TooManyNodes { nodes } => write!(f, "at most 65536 nodes are supported, got {nodes}"),
             ConfigError::BadInjectionRate { rate } => {
                 write!(f, "injection rate must lie in [0, 1] flits/cycle/node, got {rate}")
             }
             ConfigError::ZeroPacketLength => write!(f, "packet length must be at least one flit"),
+            ConfigError::PacketTooLong { flits } => write!(f, "packet length must be at most 65535 flits, got {flits}"),
         }
     }
 }
@@ -121,8 +133,10 @@ mod tests {
             ConfigError::BadVirtualInputs { virtual_inputs: 3, vcs: 2 },
             ConfigError::UnevenPartition { vcs: 5, virtual_inputs: 2 },
             ConfigError::BadNodeCount { nodes: 63, requirement: "must be a perfect square" },
+            ConfigError::TooManyNodes { nodes: 65_537 },
             ConfigError::BadInjectionRate { rate: -0.5 },
             ConfigError::ZeroPacketLength,
+            ConfigError::PacketTooLong { flits: 65_536 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

@@ -95,7 +95,10 @@ impl PacketDescriptor {
 /// Sentinel for an unassigned output VC in [`Flit`]'s packed field.
 const NO_VC: u8 = u8::MAX;
 
-/// One flow-control unit in flight through the network.
+/// One flow-control unit in flight through the network: a 16-byte handle
+/// holding its packet's id and destination, its position in the packet,
+/// and per-hop routing state. The rest of the [`PacketDescriptor`] stays
+/// with the simulator, once per packet, keyed by [`Flit::packet_id`].
 ///
 /// The routing fields ([`Flit::out_port`], [`Flit::lookahead_port`]) are
 /// *state*, rewritten hop by hop: `out_port` is the output port the flit
@@ -103,36 +106,39 @@ const NO_VC: u8 = u8::MAX;
 /// the port it will request at the next router (computed one hop ahead,
 /// per lookahead routing).
 ///
-/// The per-hop fields are packed into narrow integers so a flit fills
-/// exactly one 64-byte cache line: flit buffers and link pipes store flits
-/// by value in flat slabs, and the slot size decides how many slots each
-/// cache fill covers. The packing limits port ids to ≤ 255 and VC ids to
-/// ≤ 254 (255 means "no VC") — hence the 256-port and 255-VC caps in
-/// [`RouterConfig::validate`](crate::RouterConfig::validate) — and a
-/// packet to ≤ 2³² flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Flit buffers and link pipes store flits by value in flat slabs, so the
+/// slot size decides how many slots each cache fill covers: four flits per
+/// 64-byte line. The packing limits port ids to ≤ 255 and VC ids to ≤ 254
+/// (255 means "no VC") — hence the 256-port and 255-VC caps in
+/// [`RouterConfig::validate`](crate::RouterConfig::validate) — and
+/// destinations and flit indices to 16 bits — hence the 65 536-node and
+/// 65 535-flit caps in [`SimConfig::validate`](crate::SimConfig::validate).
+///
+/// `Default` is an all-zero placeholder that pre-fills buffer slabs; it is
+/// never observable through a correctly-maintained ring cursor.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// The packet this flit belongs to.
-    pub packet: PacketDescriptor,
-    /// Cycle the flit entered the network proper (left the source queue).
-    pub injected_at: Cycle,
-    index: u32,
+    id: u64,
+    dest: u16,
+    index: u16,
     out_port: u8,
     lookahead_port: u8,
     out_vc: u8,
+    tail: bool,
 }
 
-/// The cache-line contract the transport slabs are sized around.
-#[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<Flit>() == 64, "Flit must stay one cache line");
+/// The slot size the transport slabs are sized around.
+const _: () = assert!(std::mem::size_of::<Flit>() == 16, "Flit must stay a 16-byte handle");
 
 impl Flit {
-    /// Creates a flit.
+    /// Creates flit `index` of `packet`. The last argument, the injection
+    /// cycle, is unused: a flit carries no timestamp.
     ///
     /// # Panics
     ///
-    /// Panics if `index`, a port id, or the VC id overflows its packed
-    /// field (see the type-level limits).
+    /// Panics if `index` is not below `packet.len_flits`, or if `index`,
+    /// the destination, a port id, or the VC id overflows its packed field
+    /// (see the type-level limits).
     #[must_use]
     pub fn new(
         packet: PacketDescriptor,
@@ -140,19 +146,33 @@ impl Flit {
         out_port: PortId,
         lookahead_port: PortId,
         out_vc: Option<VcId>,
-        injected_at: Cycle,
+        _injected_at: Cycle,
     ) -> Self {
+        assert!(index < packet.len_flits, "flit index out of range");
         let mut flit = Flit {
-            packet,
-            injected_at,
-            index: u32::try_from(index).expect("flit index overflows the packed field"),
+            id: packet.id.0,
+            dest: u16::try_from(packet.dest.0).expect("destination overflows the packed field"),
+            index: u16::try_from(index).expect("flit index overflows the packed field"),
             out_port: 0,
             lookahead_port: 0,
             out_vc: NO_VC,
+            tail: index + 1 == packet.len_flits,
         };
         flit.set_route(out_port, lookahead_port);
         flit.set_out_vc(out_vc);
         flit
+    }
+
+    /// The packet this flit belongs to.
+    #[must_use]
+    pub fn packet_id(&self) -> PacketId {
+        PacketId(self.id)
+    }
+
+    /// The packet's destination terminal.
+    #[must_use]
+    pub fn dest(&self) -> NodeId {
+        NodeId(self.dest as usize)
     }
 
     /// Position of this flit within the packet, `0 .. len_flits`.
@@ -212,33 +232,16 @@ impl Flit {
         };
     }
 
-    /// Kind of this flit (derived from its index and the packet length).
-    #[must_use]
-    pub fn kind(&self) -> FlitKind {
-        self.packet.flit_kind(self.index as usize)
-    }
-
     /// True if this flit opens its packet.
     #[must_use]
     pub fn is_head(&self) -> bool {
-        self.kind().is_head()
+        self.index == 0
     }
 
     /// True if this flit closes its packet.
     #[must_use]
     pub fn is_tail(&self) -> bool {
-        self.kind().is_tail()
-    }
-}
-
-/// A placeholder flit (single-flit packet 0, all ids zero) used to pre-fill
-/// buffer slabs; it is never observable through a correctly-maintained ring
-/// cursor.
-impl Default for Flit {
-    fn default() -> Self {
-        let packet =
-            PacketDescriptor::new(PacketId(0), NodeId(0), NodeId(0), 1, Cycle(0));
-        Flit::new(packet, 0, PortId(0), PortId(0), None, Cycle(0))
+        self.tail
     }
 }
 
@@ -294,13 +297,14 @@ mod tests {
 
     #[test]
     fn flit_head_tail_predicates() {
-        let d = descr(3);
-        let mk = |i| Flit::new(d, i, PortId(0), PortId(0), None, Cycle(0));
-        assert!(mk(0).is_head());
-        assert!(!mk(0).is_tail());
-        assert!(!mk(1).is_head());
-        assert!(!mk(1).is_tail());
-        assert!(mk(2).is_tail());
+        for len in 1..5 {
+            let d = descr(len);
+            for i in 0..len {
+                let f = Flit::new(d, i, PortId(0), PortId(0), None, Cycle(0));
+                assert_eq!(f.is_head(), d.flit_kind(i).is_head(), "flit {i} of {len}");
+                assert_eq!(f.is_tail(), d.flit_kind(i).is_tail(), "flit {i} of {len}");
+            }
+        }
     }
 
     #[test]
@@ -310,17 +314,13 @@ mod tests {
         assert_eq!(f.out_port(), PortId(3));
         assert_eq!(f.lookahead_port(), PortId(7));
         assert_eq!(f.out_vc(), Some(VcId(5)));
-        assert_eq!(f.injected_at, Cycle(9));
+        assert_eq!(f.packet_id(), PacketId(1));
+        assert_eq!(f.dest(), NodeId(5));
         f.set_route(PortId(254), PortId(0));
         f.set_out_vc(None);
         assert_eq!(f.out_port(), PortId(254));
         assert_eq!(f.lookahead_port(), PortId(0));
         assert_eq!(f.out_vc(), None);
-    }
-
-    #[test]
-    fn flit_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Flit>(), 64);
     }
 
     #[test]
@@ -333,5 +333,26 @@ mod tests {
     #[should_panic(expected = "VC id overflows")]
     fn oversized_vc_rejected() {
         let _ = Flit::new(descr(1), 0, PortId(0), PortId(0), Some(VcId(255)), Cycle(0));
+    }
+
+    #[test]
+    fn widest_packing_round_trips() {
+        let d = PacketDescriptor::new(PacketId(u64::MAX), NodeId(0), NodeId(65_535), 65_535, Cycle(0));
+        let f = Flit::new(d, 65_534, PortId(0), PortId(0), None, Cycle(0));
+        assert_eq!((f.packet_id(), f.dest(), f.index()), (PacketId(u64::MAX), NodeId(65_535), 65_534));
+        assert!(f.is_tail());
+    }
+
+    #[test]
+    #[should_panic(expected = "destination overflows")]
+    fn oversized_dest_rejected() {
+        let d = PacketDescriptor::new(PacketId(1), NodeId(0), NodeId(65_536), 1, Cycle(0));
+        let _ = Flit::new(d, 0, PortId(0), PortId(0), None, Cycle(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "flit index overflows")]
+    fn oversized_index_rejected() {
+        let _ = Flit::new(descr(65_537), 65_536, PortId(0), PortId(0), None, Cycle(0));
     }
 }

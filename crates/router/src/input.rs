@@ -22,6 +22,9 @@
 use vix_core::bits::{clear_bit, set_bit, words_for};
 use vix_core::{Flit, PortId, VcId};
 
+/// Output-VC register value of an unbound VC (validated VC ids are ≤ 254).
+const NO_VC: u8 = u8::MAX;
+
 /// All input virtual channels of a router: scalar registers in
 /// structure-of-arrays layout (flat index `port * vc_count + vc`), FIFO
 /// contents in one contiguous ring-buffer slab.
@@ -42,8 +45,8 @@ pub struct InputVcs {
     /// `bind_out_vc` — the only operations that can change it.
     wants_va: Vec<u64>,
     /// Output VC (at the downstream router) assigned to the head-of-line
-    /// packet by VC allocation; `None` while the HOL head flit awaits VA.
-    out_vc: Vec<Option<VcId>>,
+    /// packet by VC allocation; `NO_VC` while the HOL head flit awaits VA.
+    out_vc: Vec<u8>,
     /// Cycles the current head-of-line flit has waited without
     /// traversing; feeds age-based allocation policies.
     hol_wait: Vec<u64>,
@@ -75,7 +78,7 @@ impl InputVcs {
             len: vec![0; n],
             occupied: vec![0; words_for(n.max(1))],
             wants_va: vec![0; words_for(n.max(1))],
-            out_vc: vec![None; n],
+            out_vc: vec![NO_VC; n],
             hol_wait: vec![0; n],
             rc_done: vec![false; n],
         }
@@ -159,14 +162,20 @@ impl InputVcs {
     /// Output VC bound to the HOL packet.
     #[must_use]
     pub fn out_vc(&self, port: PortId, vc: VcId) -> Option<VcId> {
-        self.out_vc[self.idx(port, vc)]
+        let bound = self.out_vc[self.idx(port, vc)];
+        (bound != NO_VC).then_some(VcId(bound as usize))
     }
 
     /// Binds the HOL packet to a downstream VC (VC allocation result).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` does not fit the one-byte register (VC ids ≤ 254).
     pub fn bind_out_vc(&mut self, port: PortId, vc: VcId, bound: VcId) {
         let i = self.idx(port, vc);
-        debug_assert!(self.out_vc[i].is_none(), "rebinding an already-bound VC");
-        self.out_vc[i] = Some(bound);
+        debug_assert!(self.out_vc[i] == NO_VC, "rebinding an already-bound VC");
+        assert!(bound.0 < NO_VC as usize, "VC id overflows the output-VC register");
+        self.out_vc[i] = bound.0 as u8;
         clear_bit(&mut self.wants_va, i);
     }
 
@@ -175,7 +184,7 @@ impl InputVcs {
     #[must_use]
     pub fn needs_va(&self, port: PortId, vc: VcId) -> bool {
         let i = self.idx(port, vc);
-        self.out_vc[i].is_none()
+        self.out_vc[i] == NO_VC
             && self.len[i] > 0
             && self.slab[self.slot(i, 0)].is_head()
     }
@@ -195,7 +204,7 @@ impl InputVcs {
         self.slab[slot] = flit;
         if len == 0 {
             set_bit(&mut self.occupied, i);
-            if flit.is_head() && self.out_vc[i].is_none() {
+            if flit.is_head() && self.out_vc[i] == NO_VC {
                 set_bit(&mut self.wants_va, i);
             }
         }
@@ -227,7 +236,7 @@ impl InputVcs {
         // candidate.
         clear_bit(&mut self.wants_va, i);
         if flit.is_tail() {
-            self.out_vc[i] = None;
+            self.out_vc[i] = NO_VC;
             self.rc_done[i] = false;
             if self.len[i] > 0 && self.slab[self.slot(i, 0)].is_head() {
                 set_bit(&mut self.wants_va, i);
@@ -316,6 +325,14 @@ mod tests {
         vcs.bind_out_vc(P, V, VcId(3));
         assert!(!vcs.needs_va(P, V));
         assert_eq!(vcs.out_vc(P, V), Some(VcId(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "VC id overflows")]
+    fn oversized_binding_rejected() {
+        let mut vcs = InputVcs::new(1, 1, 5);
+        vcs.push(P, V, flit(1, 0));
+        vcs.bind_out_vc(P, V, VcId(255));
     }
 
     #[test]

@@ -76,9 +76,15 @@ pub struct Router {
     /// each step; the RC and VA sweeps iterate its set bits (VA binds —
     /// and so clears the live bit of — the very VC it is visiting).
     va_scratch: Vec<u64>,
-    /// Flat VC index → `(port, vc)`, so the sweeps never divide by the
-    /// runtime VC count (DESIGN.md §6d).
-    flat_to_vc: Vec<(PortId, VcId)>,
+    /// Flat VC index → `(port, vc)` bytes, so the sweeps never divide by
+    /// the runtime VC count (DESIGN.md §6d).
+    flat_to_vc: Vec<(u8, u8)>,
+}
+
+/// Entry `flat` of a router's `flat_to_vc` table, as ids.
+fn vc_at(flat_to_vc: &[(u8, u8)], flat: usize) -> (PortId, VcId) {
+    let (port, vc) = flat_to_vc[flat];
+    (PortId(port.into()), VcId(vc.into()))
 }
 
 /// Visits the set bits of `words` within index range `[lo, hi)` in
@@ -139,9 +145,10 @@ impl Router {
         let mut activity = ActivityCounters::new();
         activity.routers = 1;
         let total_vcs = cfg.ports() * cfg.vcs_per_port();
+        let byte = |i: usize| u8::try_from(i).expect("validated: port and VC ids fit a byte");
         let mut flat_to_vc = Vec::with_capacity(total_vcs);
-        for port in (0..cfg.ports()).map(PortId) {
-            flat_to_vc.extend((0..cfg.vcs_per_port()).map(|vc| (port, VcId(vc))));
+        for port in 0..cfg.ports() {
+            flat_to_vc.extend((0..cfg.vcs_per_port()).map(|vc| (byte(port), byte(vc))));
         }
         Router {
             id,
@@ -346,7 +353,7 @@ impl Router {
         rc_this_cycle.fill(0);
         if five_stage {
             for_each_set_in(va_scratch, 0, total_vcs, &mut |flat| {
-                let (port, vc) = flat_to_vc[flat];
+                let (port, vc) = vc_at(flat_to_vc, flat);
                 debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
                 if !inputs.rc_done(port, vc) {
                     inputs.mark_rc_done(port, vc);
@@ -361,7 +368,7 @@ impl Router {
         bound_this_cycle.fill(0);
         va_failed_this_cycle.fill(0);
         for_each_set_cyclic(va_scratch, total_vcs, *va_pointer, |flat| {
-            let (port, vc) = flat_to_vc[flat];
+            let (port, vc) = vc_at(flat_to_vc, flat);
             let (p, v) = (port.0, vc.0);
             debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
             if five_stage && test_bit(rc_this_cycle, flat) {
@@ -372,7 +379,7 @@ impl Router {
             // packet id are needed, not a whole-flit copy.
             let (out_port, lookahead_port, packet_id) = {
                 let head = inputs.head(port, vc).expect("needs_va implies a head");
-                (head.out_port(), head.lookahead_port(), head.packet.id.0)
+                (head.out_port(), head.lookahead_port(), head.packet_id().0)
             };
             if outputs.is_sink(out_port) {
                 // Ejection: no downstream VC contention to track.
@@ -431,11 +438,11 @@ impl Router {
         // word-parallel kernels start from ready-made request planes.
         requests.clear();
         for_each_set_in(inputs.occupied_words(), 0, total_vcs, &mut |flat| {
-            let (port, vc) = flat_to_vc[flat];
+            let (port, vc) = vc_at(flat_to_vc, flat);
             let (p, v) = (port.0, vc.0);
             let head = inputs.head(port, vc).expect("occupied VC has a head");
             let out_port = head.out_port();
-            let head_packet = head.packet.id.0;
+            let head_packet = head.packet_id().0;
             match inputs.out_vc(port, vc) {
                 Some(w) if !test_bit(bound_this_cycle, flat) => {
                     // Established packet: request only when a credit
@@ -516,7 +523,7 @@ impl Router {
         traversed.clear();
         for g in grants.iter() {
             if tel.tracing() {
-                let packet = inputs.head(g.port, g.vc).map_or(NO_PACKET, |f| f.packet.id.0);
+                let packet = inputs.head(g.port, g.vc).map_or(NO_PACKET, |f| f.packet_id().0);
                 tel.trace(TraceEvent {
                     router,
                     port: g.port.0 as u32,
@@ -557,7 +564,7 @@ impl Router {
                     port: g.port.0 as u32,
                     vc: g.vc.0 as u32,
                     out_port: g.out_port.0 as u32,
-                    packet: flit.packet.id.0,
+                    packet: flit.packet_id().0,
                     flit: flit.index() as u32,
                     ..TraceEvent::at(now, TraceEventKind::SwitchTraversal)
                 });
@@ -708,9 +715,8 @@ mod tests {
         r.accept_flit(PortId(0), flit_to(PortId(1), 2, 0, VcId(0)));
         let out = r.step(Cycle(0));
         assert_eq!(out.flits.len(), 1, "A's head goes");
-        let mut b = flit_to(PortId(1), 1, 0, VcId(0));
-        b.packet = PacketDescriptor::new(PacketId(9), NodeId(2), NodeId(1), 1, Cycle(0));
-        r.accept_flit(PortId(1), b);
+        let b = PacketDescriptor::new(PacketId(9), NodeId(2), NodeId(1), 1, Cycle(0));
+        r.accept_flit(PortId(1), Flit::new(b, 0, PortId(1), PortId(1), Some(VcId(0)), Cycle(0)));
         // A's tail hasn't arrived yet; B cannot take the allocated VC.
         let out = r.step(Cycle(1));
         assert!(out.flits.is_empty(), "B must wait while A holds the VC");
@@ -718,10 +724,10 @@ mod tests {
         r.accept_flit(PortId(0), flit_to(PortId(1), 2, 1, VcId(0)));
         let out = r.step(Cycle(2));
         assert_eq!(out.flits.len(), 1);
-        assert_eq!(out.flits[0].1.packet.id, PacketId(7), "A's tail first");
+        assert_eq!(out.flits[0].1.packet_id(), PacketId(7), "A's tail first");
         let out = r.step(Cycle(3));
         assert_eq!(out.flits.len(), 1);
-        assert_eq!(out.flits[0].1.packet.id, PacketId(9), "B follows");
+        assert_eq!(out.flits[0].1.packet_id(), PacketId(9), "B follows");
     }
 
     #[test]

@@ -111,11 +111,10 @@ fn age_based_router_prefers_starved_vc() {
     // And a stream of rivals on port 1 (one per cycle).
     let mut winners = Vec::new();
     for c in 0..4u64 {
-        let mut rival = flit_of(packet(100 + c, 1), 0, PortId(3), VcId(0));
-        rival.packet = PacketDescriptor::new(PacketId(100 + c), NodeId(2), NodeId(1), 1, Cycle(c));
-        r.accept_flit(PortId(1), rival);
+        let rival = PacketDescriptor::new(PacketId(100 + c), NodeId(2), NodeId(1), 1, Cycle(c));
+        r.accept_flit(PortId(1), flit_of(rival, 0, PortId(3), VcId(0)));
         for (_, f) in r.step(Cycle(c)).flits {
-            winners.push(f.packet.id);
+            winners.push(f.packet_id());
         }
     }
     assert!(

@@ -8,8 +8,8 @@
 //!
 //! * [`NetworkSim::step`](crate::NetworkSim::step) runs it over the whole
 //!   network — offsets 0, every link local — with its own sink, and
-//!   replays the ejection log into `NetworkStats` straight after. No lock,
-//!   no mailbox, no barrier.
+//!   replays the packet log into the ledger and `NetworkStats` straight
+//!   after. No lock, no mailbox, no barrier.
 //! * `ShardWorker::run_cycle` ([`crate::shard`]) runs the same method over
 //!   its shard's slice, between the cross-shard exchange and the barrier.
 //!
@@ -22,8 +22,10 @@ use crate::channel::Pipe;
 use crate::network::{EjectedPacket, Far, RouterRecord, TerminalRecord, Wiring};
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use vix_core::bits::{count_ones, set_bit};
-use vix_core::{Cycle, Flit, NodeId, PortId, SimConfig};
+use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig};
 use vix_router::RouterOutput;
 use vix_telemetry::{SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID};
 
@@ -119,33 +121,64 @@ impl GatingState {
     }
 }
 
-/// One measurement-window ejection as [`NetworkStats::record_ejection`]
-/// takes it.
-#[derive(Debug, Clone, Copy)]
-struct StatRecord {
-    source: NodeId,
-    is_tail: bool,
-    created_at: Cycle,
-    at: Cycle,
+/// Hashes a packet id with one multiply by an odd constant: ids are dense
+/// and sequential, and the product's low bits are a permutation of theirs.
+#[derive(Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let id = u64::from_ne_bytes(bytes.try_into().expect("packet ids hash as one u64"));
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// What the cycle body observed leaving the network, in ascending router
-/// order: the statistics owner replays `recs` into [`NetworkStats`] (the
-/// serial engine straight after the body, the sharded engine shard by
-/// shard a cycle later), `ejects` feeds
-/// [`NetworkSim::take_ejections`](crate::NetworkSim::take_ejections).
+/// What a packet's flits do not carry of its descriptor — `(source, created_at,
+/// tag, len_flits)` — by packet id, from the cycle its head leaves the source to
+/// the cycle its tail ejects; touched only through [`PacketLog::replay`].
+pub(crate) type PacketLedger = HashMap<u64, (NodeId, Cycle, u64, usize), BuildHasherDefault<IdHasher>>;
+
+/// Packets entering and flits leaving the network in one cycle of the body, in
+/// source and router order, for the run's statistics owner to replay: the
+/// serial engine straight after the body, the sharded engine a cycle later.
 #[derive(Debug, Default)]
-pub(crate) struct EjectionLog {
-    recs: Vec<StatRecord>,
+pub(crate) struct PacketLog {
+    /// Descriptors of the packets whose head flit left its source.
+    injected: Vec<PacketDescriptor>,
+    /// `(flit, cycle, measured)` per flit that left the network at its
+    /// destination: every tail, and every flit inside the measurement window.
+    ejected: Vec<(Flit, Cycle, bool)>,
     /// Packets whose tail flit ejected (every window).
     pub(crate) ejects: Vec<EjectedPacket>,
 }
 
-impl EjectionLog {
-    /// Drains the measurement-window records into `stats` in logged order.
-    pub(crate) fn replay_into(&mut self, stats: &mut NetworkStats) {
-        for rec in self.recs.drain(..) {
-            stats.record_ejection(rec.source, rec.is_tail, rec.created_at, rec.at);
+impl PacketLog {
+    /// Drains the log in order: injected packets enter `ledger`; an ejection is
+    /// recorded in `stats` if measured, and a tail retires its packet from
+    /// `ledger` into `ejects` (loudly, if missing). A head leaves its source a
+    /// cycle or more before its tail ejects, so the entry is always there.
+    pub(crate) fn replay(&mut self, ledger: &mut PacketLedger, stats: &mut NetworkStats) {
+        for p in self.injected.drain(..) {
+            ledger.insert(p.id.0, (p.source, p.created_at, p.tag, p.len_flits));
+        }
+        for (flit, at, measured) in self.ejected.drain(..) {
+            if !flit.is_tail() {
+                // Only a tail's record reads the source and creation cycle.
+                stats.record_ejection(NodeId(0), false, Cycle::ZERO, at);
+                continue;
+            }
+            let (id, dest) = (flit.packet_id(), flit.dest());
+            let (source, created_at, tag, len_flits) =
+                ledger.remove(&id.0).expect("tail ejected for a packet the ledger does not hold");
+            if measured {
+                stats.record_ejection(source, true, created_at, at);
+            }
+            let packet = PacketDescriptor { id, source, dest, len_flits, created_at, tag };
+            self.ejects.push(EjectedPacket { packet, at });
         }
     }
 }
@@ -175,7 +208,7 @@ fn flit_event(kind: TraceEventKind, now: Cycle, router: usize, port: PortId, fli
         router: router as u32,
         port: port.0 as u32,
         vc: flit.out_vc().map_or(NO_ID, |v| v.0 as u32),
-        packet: flit.packet.id.0,
+        packet: flit.packet_id().0,
         flit: flit.index() as u32,
         ..TraceEvent::at(now, kind)
     }
@@ -264,7 +297,7 @@ impl<'a> NetSlice<'a> {
         now: Cycle,
         gating: &mut GatingState,
         sink: &mut TelemetrySink,
-        log: &mut EjectionLog,
+        log: &mut PacketLog,
         mut span: SpanStart,
     ) -> SpanStart {
         let gated = !gating.reference_sweep;
@@ -277,7 +310,8 @@ impl<'a> NetSlice<'a> {
         for (i, t) in self.terminals.iter_mut().enumerate() {
             let n = self.node_off + i;
             let (router, _) = wiring.attachment(n);
-            if let Some(flit) = t.source.try_send(now, |dest| wiring.resolve(router, dest)) {
+            let route = |dest| wiring.resolve(router, dest);
+            if let Some(flit) = t.source.try_send(now, route, &mut log.injected) {
                 t.inject.push(now, flit);
                 if gated {
                     gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
@@ -365,7 +399,7 @@ impl<'a> NetSlice<'a> {
         now: Cycle,
         gating: &mut GatingState,
         sink: &mut TelemetrySink,
-        log: &mut EjectionLog,
+        log: &mut PacketLog,
         out: &mut RouterOutput,
         mut span: SpanStart,
     ) -> SpanStart {
@@ -462,7 +496,7 @@ impl<'a> NetSlice<'a> {
     }
 
     /// Clocks this slice's router `ri` (its idle history already replayed)
-    /// and fans its outputs out to the ejection log and the link pipes.
+    /// and fans its outputs out to the packet log and the link pipes.
     /// Under gating a push onto a local link schedules its delivery; a push
     /// onto a non-local link schedules nothing — the boundary scan visits
     /// those pipes unconditionally.
@@ -474,7 +508,7 @@ impl<'a> NetSlice<'a> {
         out: &mut RouterOutput,
         gating: &mut GatingState,
         sink: &mut TelemetrySink,
-        log: &mut EjectionLog,
+        log: &mut PacketLog,
     ) {
         let r = self.router_off + ri;
         let gated = !gating.reference_sweep;
@@ -490,29 +524,21 @@ impl<'a> NetSlice<'a> {
                 Far::Terminal(node) => {
                     debug_assert_eq!(
                         NodeId(node as usize),
-                        flit.packet.dest,
+                        flit.dest(),
                         "flit ejected at the wrong terminal"
                     );
                     if sink.tracing() {
                         sink.trace(flit_event(TraceEventKind::Eject, now, r, p, &flit));
                     }
-                    if in_window {
-                        log.recs.push(StatRecord {
-                            source: flit.packet.source,
-                            is_tail: flit.is_tail(),
-                            created_at: flit.packet.created_at,
-                            at: now,
-                        });
-                    }
-                    if flit.is_tail() {
-                        log.ejects.push(EjectedPacket { packet: flit.packet, at: now });
+                    if in_window || flit.is_tail() {
+                        log.ejected.push((flit, now, in_window));
                     }
                 }
                 Far::Router(down, _) => {
                     // Lookahead routing: rewrite the routing fields for the
                     // downstream router before the flit enters the link.
                     let (out_port, lookahead, _) =
-                        self.wiring.resolve(down as usize, flit.packet.dest);
+                        self.wiring.resolve(down as usize, flit.dest());
                     flit.set_route(out_port, lookahead);
                     if sink.tracing() {
                         sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));

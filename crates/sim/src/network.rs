@@ -2,13 +2,13 @@
 //! warmup/measure/drain protocol.
 //!
 //! [`NetworkSim`] owns the network ([`Fabric`]), the run's one traffic
-//! generator ([`TrafficGen`], phase 1 of a cycle) and the statistics.
+//! generator ([`TrafficGen`], phase 1 of a cycle), the packet ledger and the statistics.
 //! Phases 2–5 are not written here: [`NetworkSim::step`] runs the one
 //! cycle body, [`NetSlice::step`], over the whole network as a single
 //! slice, and [`crate::shard`] runs the same body over each shard's slice.
 
 use crate::channel::Pipe;
-use crate::cycle::{EjectionLog, GatingState, NetSlice};
+use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog};
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
@@ -240,9 +240,11 @@ pub struct NetworkSim {
     pub(crate) traffic: TrafficGen,
     pub(crate) now: Cycle,
     pub(crate) stats: NetworkStats,
-    /// The cycle body's ejection log; its `ejects` accumulate until
+    /// Descriptors of the packets in flight; see [`PacketLedger`].
+    pub(crate) ledger: PacketLedger,
+    /// The cycle body's packet log; its `ejects` accumulate until
     /// [`NetworkSim::take_ejections`].
-    pub(crate) log: EjectionLog,
+    pub(crate) log: PacketLog,
     /// Scheduler state of the serial cycle body.
     pub(crate) gating: GatingState,
     /// Event/metric sink built from [`SimConfig::telemetry`]; disabled by
@@ -352,7 +354,8 @@ impl NetworkSim {
             },
             now: Cycle::ZERO,
             stats,
-            log: EjectionLog::default(),
+            ledger: PacketLedger::default(),
+            log: PacketLog::default(),
             gating,
             telemetry,
             vc_occupancy,
@@ -388,10 +391,11 @@ impl NetworkSim {
     ///
     /// # Panics
     ///
-    /// Panics if `source`/`dest` are out of range or `len == 0`.
+    /// Panics if `source`/`dest` are out of range or `len` is not in 1..=65535.
     pub fn inject(&mut self, source: NodeId, dest: NodeId, len: usize, tag: u64) -> PacketId {
         assert!(source.0 < self.cfg.network.nodes, "source {source} out of range");
         assert!(dest.0 < self.cfg.network.nodes, "dest {dest} out of range");
+        assert!((1..=u16::MAX as usize).contains(&len), "packet length {len} outside 1..=65535 flits");
         let id = PacketId(self.traffic.next_packet);
         self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
@@ -434,9 +438,9 @@ impl NetworkSim {
 
     /// Runs one cycle of the whole network: phase 1 from the run's traffic
     /// generator, then the cycle body (`NetSlice::step` in `cycle.rs`) over
-    /// the whole network as one slice, then the body's ejection records
-    /// into the statistics. The serial path takes no lock and meets no
-    /// barrier.
+    /// the whole network as one slice, then the body's packet log into the
+    /// ledger and the statistics. The serial path takes no lock and meets
+    /// no barrier.
     ///
     /// The body visits only active routers and links with a delivery due;
     /// quiescent routers are skipped and their idle history replayed on
@@ -455,7 +459,7 @@ impl NetworkSim {
         });
         span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
         self.net.slice(&self.cfg).step(now, &mut self.gating, &mut self.telemetry, &mut self.log, span);
-        self.log.replay_into(&mut self.stats);
+        self.log.replay(&mut self.ledger, &mut self.stats);
         self.now = now.plus(1);
 
         // VC-occupancy sampling is pure observation over *all* routers,
@@ -500,13 +504,14 @@ impl NetworkSim {
         self.gating.router_steps
     }
 
-    /// True when no flit remains anywhere (buffers, links, sources).
+    /// True when no flit remains anywhere (buffers, links, sources) and the ledger is empty.
     #[must_use]
     pub fn is_drained(&self) -> bool {
         self.net.terminals.iter().all(|t| t.source.is_idle() && t.inject.is_empty())
             && self.net.routers.iter().all(|r| {
                 r.router.is_empty() && r.ports.iter().flat_map(|p| &p.flits).all(Pipe::is_empty)
             })
+            && self.ledger.is_empty()
     }
 
     /// Activity counters of router `r`, with the skipped cycles the
@@ -771,6 +776,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Flits in router buffers, on flit links and on injection links.
+    fn flits_in_network(sim: &NetworkSim) -> usize {
+        let links = |r: &RouterRecord| r.ports.iter().flat_map(|p| &p.flits).map(Pipe::in_flight).sum::<usize>();
+        let routers: usize = sim.net.routers.iter().map(|r| r.router.buffered_flits() + links(r)).sum();
+        routers + sim.net.terminals.iter().map(|t| t.inject.in_flight()).sum::<usize>()
+    }
+
+    #[test]
+    fn ledger_holds_only_packets_in_flight() {
+        // Saturated mesh-64 VIX: the source queues back up, the ledger
+        // must not. A ledger entry is a packet with a flit in a buffer or
+        // on a link, or — one per node — a packet whose head has ejected
+        // while its tail still waits at the source.
+        let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+        let cfg = SimConfig::new(net, 0.25).with_windows(0, 500, 0);
+        for shards in [1, 3] {
+            let mut sim = NetworkSim::build(cfg.with_shards(shards)).unwrap();
+            let (mut peak, mut backlog) = (0, 0);
+            loop {
+                sim.run_cycles(if shards == 1 { 1 } else { 20 });
+                let bound = flits_in_network(&sim) + sim.config().network.nodes;
+                let live = sim.ledger.len();
+                assert!(live <= bound, "shards {shards}, {}: {live} packets, bound {bound}", sim.now());
+                peak = peak.max(live);
+                backlog = backlog.max(sim.net.terminals.iter().map(|t| t.source.backlog()).sum());
+                if sim.is_drained() {
+                    break;
+                }
+                assert!(sim.now().0 < 5_000, "shards {shards}: no drain by cycle {}", sim.now());
+            }
+            assert_eq!(sim.ledger.len(), 0, "shards {shards}: drained, yet descriptors remain");
+            assert!(backlog > 2 * peak, "shards {shards}: not saturated (backlog {backlog}, ledger {peak})");
         }
     }
 

@@ -20,9 +20,9 @@
 //! calling thread is the run's sole RNG and stats owner; per cycle `t`,
 //! before it steps shard 0, it does the run's serial duties:
 //!
-//! 1. merges cycle `t − 1`'s ejection records shard-by-shard in ascending
-//!    shard order (which *is* ascending router order, so statistics
-//!    accumulate in exactly the serial order), and
+//! 1. replays cycle `t − 1`'s packet logs into the packet ledger and the
+//!    statistics shard by shard in ascending shard order (which *is*
+//!    ascending router order: statistics accumulate in serial order), and
 //! 2. runs phase 1 traffic generation for cycle `t + 1` in serial node
 //!    order — one cycle ahead, so shards `1..S` never wait for it —
 //!    batching each shard's packets into a caller-owned staging buffer
@@ -42,7 +42,7 @@
 //! (`NetSlice::step` in `cycle.rs`, phases 2–5 — the very method
 //! [`NetworkSim::step`] runs over the whole network) over the shard's
 //! slice, then pop every boundary pipe up to `t + 1` into the destination
-//! shard's mailbox for the next cycle, and publish the cycle's ejection
+//! shard's mailbox for the next cycle, and publish the cycle's packet
 //! log. — *barrier* — This module holds no copy of the cycle: only the
 //! partition, the exchange around the body, and the hand-off of scheduler
 //! state in and out of a sharded stretch.
@@ -73,10 +73,11 @@
 //!   increments, so draining mailboxes before local pipes is
 //!   indistinguishable from the serial delivery order (the same invariant
 //!   the activity-gated scheduler already relies on).
-//! * **Ordered merge** — per-shard ejection records are concatenated in
-//!   shard order = global ascending router order, reproducing the serial
+//! * **Ordered merge** — per-shard packet logs are replayed in shard
+//!   order = global ascending router order, reproducing the serial
 //!   `NetworkStats` accumulation order exactly; all accumulation is
-//!   integer, so no floating-point reassociation can leak in.
+//!   integer, so no floating-point reassociation can leak in. The packet
+//!   ledger, too, has that one owner.
 //!
 //! Activity gating runs unchanged inside each shard (the ungated reference
 //! sweep never gets here): the wake calendar, active set, retention, and
@@ -89,7 +90,7 @@
 //! and sharded schedulers mid-run.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
-use crate::cycle::{EjectionLog, GatingState, NetSlice};
+use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog};
 use crate::channel::Pipe;
 use crate::network::{Far, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
@@ -302,7 +303,7 @@ struct Stretch<'a> {
     barrier: &'a SpinBarrier,
     mail: &'a Mailboxes,
     staged: &'a [Vec<Mutex<Vec<PacketDescriptor>>>; 2],
-    outs: &'a [Vec<Mutex<EjectionLog>>; 2],
+    outs: &'a [Vec<Mutex<PacketLog>>; 2],
     board: Option<&'a HealthBoard>,
     beat_every: u64,
 }
@@ -321,7 +322,7 @@ struct ShardWorker<'a> {
     /// the engine track's epoch) when profiling is on: profiling only
     /// reads the host clock, so it runs fine off the calling thread.
     sink: TelemetrySink,
-    log: EjectionLog,
+    log: PacketLog,
     /// This shard's private sense flag for the cycle barrier.
     waiter: SpinWaiter,
 }
@@ -395,7 +396,7 @@ impl ShardWorker<'_> {
             self.boundary_scan(t + 1, sh.mail);
         }
 
-        // 7. Publish this cycle's ejection log for the calling thread's
+        // 7. Publish this cycle's packet log for the calling thread's
         // merge. The swap gets back the log it drained last cycle, keeping
         // the steady state allocation-free.
         std::mem::swap(
@@ -448,12 +449,17 @@ impl ShardWorker<'_> {
     }
 }
 
-/// Replays one cycle's per-shard ejection logs into the network's
-/// statistics, in shard order = ascending router order = serial order.
-fn merge_cycle(outs: &[Mutex<EjectionLog>], stats: &mut NetworkStats, log: &mut EjectionLog) {
+/// Replays one cycle's per-shard packet logs into the network's ledger
+/// and statistics, in shard order = ascending router order = serial order.
+fn merge_cycle(
+    outs: &[Mutex<PacketLog>],
+    ledger: &mut PacketLedger,
+    stats: &mut NetworkStats,
+    log: &mut PacketLog,
+) {
     for slot in outs {
         let mut out = slot.lock().expect("shard not panicked");
-        out.replay_into(stats);
+        out.replay(ledger, stats);
         log.ejects.append(&mut out.ejects);
     }
 }
@@ -549,7 +555,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             boundary,
             gating,
             sink: sim.telemetry.for_shard(s as u32, span_cap),
-            log: EjectionLog::default(),
+            log: PacketLog::default(),
             waiter: SpinWaiter::new(),
         });
     }
@@ -569,9 +575,9 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
     ];
-    let outs: [Vec<Mutex<EjectionLog>>; 2] = [
-        (0..shards).map(|_| Mutex::new(EjectionLog::default())).collect(),
-        (0..shards).map(|_| Mutex::new(EjectionLog::default())).collect(),
+    let outs: [Vec<Mutex<PacketLog>>; 2] = [
+        (0..shards).map(|_| Mutex::new(PacketLog::default())).collect(),
+        (0..shards).map(|_| Mutex::new(PacketLog::default())).collect(),
     ];
     let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
     let barrier = SpinBarrier::new(shards);
@@ -619,7 +625,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             }));
         }
         // This thread: the stats/RNG owner, and shard 0. Before stepping
-        // cycle `t` it merges cycle `t − 1`'s records and generates cycle
+        // cycle `t` it merges cycle `t − 1`'s packet logs and generates cycle
         // `t + 1`'s traffic with the run's single generator, so the random
         // stream and packet-id sequence are shard-count-invariant. The
         // guard covers duties and shard 0's step alike: either panic
@@ -629,7 +635,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         for t in start..end {
             let mut csp = sim.telemetry.span_start();
             if t > start {
-                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.log);
+                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.ledger, &mut sim.stats, &mut sim.log);
                 csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
             }
             // Stage cycle `t + 1` — except past the end of this sharded
@@ -669,7 +675,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             }
         }
         if !poisoned {
-            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.log);
+            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.ledger, &mut sim.stats, &mut sim.log);
         }
         let mut finished = vec![shard0];
         for h in handles {

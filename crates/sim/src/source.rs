@@ -99,14 +99,17 @@ impl SourceQueue {
 
     /// Tries to emit the next flit at cycle `now`.
     ///
-    /// `route` and `lookahead` are the output port the packet needs at the
-    /// attached router and at the router after that (resolved by the
-    /// network from the topology). `first_hop_dim` is the dimension of
-    /// `route`, used for dimension-aware VC choice.
+    /// `route` maps a destination to the output port the packet needs at
+    /// the attached router, the port it needs at the router after that
+    /// (resolved by the network from the topology), and the dimension of
+    /// the first, used for dimension-aware VC choice.
+    /// A head flit hands its packet's descriptor over on `injected`: flits
+    /// carry only the id and destination, and the network keeps the rest.
     pub fn try_send(
         &mut self,
         now: Cycle,
         route: impl Fn(NodeId) -> (PortId, PortId, usize),
+        injected: &mut Vec<PacketDescriptor>,
     ) -> Option<Flit> {
         // Start a new packet if idle.
         if self.current.is_none() {
@@ -123,6 +126,9 @@ impl SourceQueue {
         let (out_port, lookahead_port, _) = route(packet.dest);
         self.credits[vc.0] -= 1;
         let flit = Flit::new(packet, index, out_port, lookahead_port, Some(vc), now);
+        if index == 0 {
+            injected.push(packet);
+        }
         if index + 1 == packet.len_flits {
             self.current = None;
         } else {
@@ -163,29 +169,52 @@ mod tests {
         (PortId(0), PortId(1), 0)
     }
 
+    /// `try_send` for tests that ignore the handed-over descriptors.
+    fn send(
+        src: &mut SourceQueue,
+        now: Cycle,
+        route: impl Fn(NodeId) -> (PortId, PortId, usize),
+    ) -> Option<Flit> {
+        src.try_send(now, route, &mut Vec::new())
+    }
+
     #[test]
     fn streams_packet_flit_by_flit() {
         let mut src = SourceQueue::new(NodeId(0), 2, 5, 1, false);
         src.enqueue(packet(3));
         for i in 0..3 {
-            let f = src.try_send(Cycle(i as u64), fixed_route).expect("credit available");
+            let f = send(&mut src, Cycle(i as u64), fixed_route).expect("credit available");
             assert_eq!(f.index(), i);
             assert_eq!(f.out_port(), PortId(0));
             assert_eq!(f.out_vc(), Some(VcId(0)));
         }
-        assert!(src.try_send(Cycle(3), fixed_route).is_none(), "queue drained");
+        assert!(send(&mut src, Cycle(3), fixed_route).is_none(), "queue drained");
         assert!(src.is_idle());
+    }
+
+    #[test]
+    fn head_flit_hands_over_its_descriptor() {
+        let mut src = SourceQueue::new(NodeId(0), 2, 5, 1, false);
+        src.enqueue(packet(2));
+        let mut injected = Vec::new();
+        let head = src.try_send(Cycle(0), fixed_route, &mut injected).unwrap();
+        assert_eq!(injected, [packet(2)], "the head hands over the descriptor");
+        let tail = src.try_send(Cycle(1), fixed_route, &mut injected).unwrap();
+        assert_eq!(injected.len(), 1, "later flits hand over nothing");
+        assert_eq!((head.packet_id(), tail.packet_id()), (PacketId(1), PacketId(1)));
+        assert_eq!(tail.dest(), NodeId(5));
+        assert!(tail.is_tail());
     }
 
     #[test]
     fn respects_credits() {
         let mut src = SourceQueue::new(NodeId(0), 1, 2, 1, false);
         src.enqueue(packet(4));
-        assert!(src.try_send(Cycle(0), fixed_route).is_some());
-        assert!(src.try_send(Cycle(1), fixed_route).is_some());
-        assert!(src.try_send(Cycle(2), fixed_route).is_none(), "out of credits");
+        assert!(send(&mut src, Cycle(0), fixed_route).is_some());
+        assert!(send(&mut src, Cycle(1), fixed_route).is_some());
+        assert!(send(&mut src, Cycle(2), fixed_route).is_none(), "out of credits");
         src.credit_return(VcId(0));
-        assert!(src.try_send(Cycle(3), fixed_route).is_some());
+        assert!(send(&mut src, Cycle(3), fixed_route).is_some());
     }
 
     #[test]
@@ -193,7 +222,7 @@ mod tests {
         let mut src = SourceQueue::new(NodeId(0), 3, 5, 1, false);
         src.enqueue(packet(3));
         let vcs: Vec<_> =
-            (0..3).map(|i| src.try_send(Cycle(i), fixed_route).unwrap().out_vc()).collect();
+            (0..3).map(|i| send(&mut src, Cycle(i), fixed_route).unwrap().out_vc()).collect();
         assert!(vcs.iter().all(|&v| v == vcs[0]), "wormhole: one VC per packet");
     }
 
@@ -203,10 +232,10 @@ mod tests {
         // (dim 1) takes group 1.
         let mut src = SourceQueue::new(NodeId(0), 4, 5, 2, true);
         src.enqueue(packet(1));
-        let f = src.try_send(Cycle(0), |_| (PortId(0), PortId(0), 1)).unwrap();
+        let f = send(&mut src, Cycle(0), |_| (PortId(0), PortId(0), 1)).unwrap();
         assert!(f.out_vc().unwrap().0 >= 2, "Y-bound packet must use sub-group 1");
         src.enqueue(packet(1));
-        let f = src.try_send(Cycle(1), |_| (PortId(0), PortId(0), 0)).unwrap();
+        let f = send(&mut src, Cycle(1), |_| (PortId(0), PortId(0), 0)).unwrap();
         assert!(f.out_vc().unwrap().0 < 2, "X-bound packet must use sub-group 0");
     }
 
@@ -234,10 +263,10 @@ mod tests {
         // must pick VC1.
         let mut src = SourceQueue::new(NodeId(0), 2, 1, 1, false);
         src.enqueue(packet(1));
-        let f0 = src.try_send(Cycle(0), fixed_route).unwrap();
+        let f0 = send(&mut src, Cycle(0), fixed_route).unwrap();
         assert_eq!(f0.out_vc(), Some(VcId(0)));
         src.enqueue(packet(1));
-        let f1 = src.try_send(Cycle(1), fixed_route).unwrap();
+        let f1 = send(&mut src, Cycle(1), fixed_route).unwrap();
         assert_eq!(f1.out_vc(), Some(VcId(1)), "second packet avoids the creditless VC");
     }
 }

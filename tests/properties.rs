@@ -18,7 +18,9 @@ const ALLOCATORS: [AllocatorKind; 6] = [
 ];
 
 /// Any sane configuration runs to completion, drains, and conserves flits
-/// — on every topology, stepped serially and across shard boundaries.
+/// — on every topology, stepped serially and across shard boundaries. A
+/// drained network also holds no packet descriptor: every packet that
+/// entered the ledger left it when its tail ejected.
 #[test]
 fn random_configs_conserve_flits() {
     let topologies = [
@@ -49,7 +51,10 @@ fn random_configs_conserve_flits() {
             for shards in [1, 3] {
                 let mut sim = NetworkSim::build(cfg.with_shards(shards)).expect("valid config");
                 sim.run_cycles(1_900);
-                assert!(sim.is_drained(), "{ctx}, shards {shards}: network failed to drain");
+                assert!(
+                    sim.is_drained(),
+                    "{ctx}, shards {shards}: flits or packet descriptors left after the drain"
+                );
                 let a = sim.aggregate_activity();
                 assert_eq!(a.buffer_writes, a.buffer_reads, "{ctx}, shards {shards}: flits lost");
                 assert_eq!(

@@ -76,3 +76,13 @@ fn vc_count_beyond_the_flit_encoding_is_a_config_error() {
         "printed: {stderr}"
     );
 }
+
+#[test]
+fn packet_length_beyond_the_flit_encoding_is_a_config_error() {
+    // A flit numbers its position in the packet with 16 bits.
+    let stderr = rejected(&["--packet-len", "70000", "--rate", "0.00001"]);
+    assert!(
+        stderr.contains("error: invalid configuration: packet length must be at most 65535 flits"),
+        "printed: {stderr}"
+    );
+}

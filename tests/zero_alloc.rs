@@ -22,17 +22,20 @@ use std::cell::Cell;
 use vix::prelude::*;
 
 /// System allocator wrapper that counts every `alloc`/`realloc` call made
-/// by the calling thread.
+/// by the calling thread, and the bytes each one requested.
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates or registers a TLS dtor, so it is safe inside the allocator.
+    // Const-initialised and without a destructor: reading them never
+    // allocates or registers a TLS dtor, so they are safe inside the
+    // allocator.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
+    ALLOC_BYTES.with(|total| total.set(total.get() + bytes as u64));
 }
 
 /// Allocations made so far by the calling thread.
@@ -40,9 +43,15 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.with(Cell::get)
 }
 
+/// Bytes requested so far by the calling thread's allocations (a
+/// `realloc` counts its new size).
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -51,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -222,20 +231,29 @@ fn idle_network_cycles_are_constant_time_and_heap_free() {
 
 #[test]
 fn network_build_footprint_is_pinned() {
-    // The build-time footprint counter (ROADMAP item 2(a)): heap blocks
-    // `NetworkSim::build` requests for the paper's 8×8 VIX mesh. The build
-    // is deterministic, so the count is exact; it stood at 5 016 (78.4 per
-    // router) while every (router, port) table was its own nested `Vec`.
+    // The build-time footprint counters (ROADMAP item 2(a)): heap blocks
+    // and bytes `NetworkSim::build` requests for the paper's 8×8 VIX mesh.
+    // The build is deterministic, so both are exact. The blocks stood at
+    // 5 016 (78.4 per router) while every (router, port) table was its own
+    // nested `Vec`; the bytes at 1 481 085 (23.1 KB per router) while every
+    // buffered flit carried its packet's whole descriptor in 64 bytes.
     const BUILD_ALLOCATIONS: u64 = 4_752;
+    const BUILD_BYTES: u64 = 915_453;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
-    let before = alloc_calls();
+    let (calls, bytes) = (alloc_calls(), alloc_bytes());
     let sim = NetworkSim::build(cfg).expect("valid config");
-    let allocs = alloc_calls() - before;
+    let (allocs, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
     drop(sim);
     assert_eq!(
         allocs, BUILD_ALLOCATIONS,
         "NetworkSim::build for mesh-64 VIX made {allocs} heap allocations; a lower \
          count is progress — re-pin it — a higher one is a footprint regression"
     );
+    assert_eq!(
+        bytes, BUILD_BYTES,
+        "NetworkSim::build for mesh-64 VIX requested {bytes} heap bytes; a lower \
+         count is progress — re-pin it — a higher one is a footprint regression"
+    );
+    assert!(bytes / 64 <= 15_000, "{} bytes per router exceed the 15 KB budget", bytes / 64);
 }
