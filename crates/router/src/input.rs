@@ -2,7 +2,7 @@
 //! over one contiguous slab.
 //!
 //! Every scalar register of a virtual channel — output-VC binding,
-//! head-of-line wait counter, route-computation flag — lives in its own
+//! head-of-line timestamp, route-computation flag — lives in its own
 //! flat array indexed by `(port, vc)`. The FIFO contents of *all* VCs
 //! live in a single `Vec<Flit>` slab of `ports × vcs × depth` slots:
 //! VC `(port, vc)` owns the `depth` consecutive slots starting at
@@ -11,7 +11,7 @@
 //! need not be a power of two). One allocation at construction, zero
 //! pointer chasing per access, and neighbouring VCs share cache lines —
 //! the pipeline's per-stage sweeps (RC scan, VA candidate scan, request
-//! build, HOL aging) each touch one array linearly.
+//! build) each touch one array linearly.
 //!
 //! A parallel occupancy bitset (one bit per VC, multi-word beyond 64 VCs)
 //! lets those sweeps skip empty VCs entirely; at typical loads only a
@@ -20,10 +20,14 @@
 //! visit those alone — about one in eight occupied VCs at saturation.
 
 use vix_core::bits::{clear_bit, set_bit, words_for};
-use vix_core::{Flit, PortId, VcId};
+use vix_core::{Cycle, Flit, PortId, VcId};
 
 /// Output-VC register value of an unbound VC (validated VC ids are ≤ 254).
 const NO_VC: u8 = u8::MAX;
+
+/// Head-of-line timestamp of a VC whose head arrived into an empty buffer
+/// and has not yet been seen by a step.
+const UNSTAMPED: u64 = u64::MAX;
 
 /// All input virtual channels of a router: scalar registers in
 /// structure-of-arrays layout (flat index `port * vc_count + vc`), FIFO
@@ -47,9 +51,10 @@ pub struct InputVcs {
     /// Output VC (at the downstream router) assigned to the head-of-line
     /// packet by VC allocation; `NO_VC` while the HOL head flit awaits VA.
     out_vc: Vec<u8>,
-    /// Cycles the current head-of-line flit has waited without
-    /// traversing; feeds age-based allocation policies.
-    hol_wait: Vec<u64>,
+    /// Cycle the head-of-line flit started waiting: the pop that uncovered
+    /// it, or the first step after it arrived into an empty VC. Its age
+    /// (for age-based allocation) is `now − hol_since`: no sweep ages it.
+    hol_since: Vec<u64>,
     /// Whether route computation has run for the HOL packet (only
     /// meaningful for five-stage pipelines; three-stage routers use
     /// lookahead routing and never consult it).
@@ -79,7 +84,7 @@ impl InputVcs {
             occupied: vec![0; words_for(n.max(1))],
             wants_va: vec![0; words_for(n.max(1))],
             out_vc: vec![NO_VC; n],
-            hol_wait: vec![0; n],
+            hol_since: vec![UNSTAMPED; n],
             rc_done: vec![false; n],
         }
     }
@@ -204,6 +209,7 @@ impl InputVcs {
         self.slab[slot] = flit;
         if len == 0 {
             set_bit(&mut self.occupied, i);
+            self.hol_since[i] = UNSTAMPED;
             if flit.is_head() && self.out_vc[i] == NO_VC {
                 set_bit(&mut self.wants_va, i);
             }
@@ -211,14 +217,14 @@ impl InputVcs {
         self.len[i] += 1;
     }
 
-    /// Removes and returns the HOL flit (switch traversal); clears the
-    /// output-VC binding when the packet's tail leaves and resets the
-    /// head-of-line wait counter.
+    /// Removes and returns the HOL flit (switch traversal at cycle `now`);
+    /// clears the output-VC binding when the packet's tail leaves, and the
+    /// flit left behind starts waiting at `now`.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is empty.
-    pub fn pop(&mut self, port: PortId, vc: VcId) -> Flit {
+    pub fn pop(&mut self, port: PortId, vc: VcId, now: Cycle) -> Flit {
         let i = self.idx(port, vc);
         assert!(self.len[i] > 0, "pop from empty VC");
         let flit = self.slab[self.slot(i, 0)];
@@ -242,7 +248,7 @@ impl InputVcs {
                 set_bit(&mut self.wants_va, i);
             }
         }
-        self.hol_wait[i] = 0;
+        self.hol_since[i] = now.0;
         flit
     }
 
@@ -258,19 +264,17 @@ impl InputVcs {
         self.rc_done[i] = true;
     }
 
-    /// Cycles the current head-of-line flit has waited.
-    #[must_use]
-    pub fn hol_wait(&self, port: PortId, vc: VcId) -> u64 {
-        self.hol_wait[self.idx(port, vc)]
-    }
-
-    /// Ages every non-empty VC's head-of-line flit by one cycle — one
-    /// branch-free linear sweep over the parallel occupancy-count and wait
-    /// arrays.
-    pub fn age_hol_all(&mut self) {
-        for (len, wait) in self.len.iter().zip(self.hol_wait.iter_mut()) {
-            *wait += u64::from(*len > 0);
+    /// Cycles the head-of-line flit of an occupied VC has waited at the
+    /// front by cycle `now`. A head that arrived into an empty VC starts
+    /// waiting at the first call, so the router asks for every occupied
+    /// VC on every step (its request build does).
+    pub fn hol_age(&mut self, port: PortId, vc: VcId, now: Cycle) -> u64 {
+        let i = self.idx(port, vc);
+        debug_assert!(self.len[i] > 0, "age of an empty VC");
+        if self.hol_since[i] == UNSTAMPED {
+            self.hol_since[i] = now.0;
         }
+        now.0 - self.hol_since[i]
     }
 
     /// Total buffered flits in one port's VCs.
@@ -293,7 +297,7 @@ impl InputVcs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vix_core::{Cycle, NodeId, PacketDescriptor, PacketId};
+    use vix_core::{NodeId, PacketDescriptor, PacketId};
 
     fn flit(len: usize, index: usize) -> Flit {
         let packet = PacketDescriptor::new(PacketId(1), NodeId(0), NodeId(1), len, Cycle(0));
@@ -311,7 +315,7 @@ mod tests {
         }
         assert_eq!(vcs.occupancy(P, V), 3);
         for i in 0..3 {
-            assert_eq!(vcs.pop(P, V).index(), i);
+            assert_eq!(vcs.pop(P, V, Cycle(0)).index(), i);
         }
         assert!(vcs.is_empty(P, V));
     }
@@ -341,9 +345,9 @@ mod tests {
         vcs.push(P, V, flit(2, 0));
         vcs.push(P, V, flit(2, 1));
         vcs.bind_out_vc(P, V, VcId(2));
-        vcs.pop(P, V); // head
+        vcs.pop(P, V, Cycle(0)); // head
         assert_eq!(vcs.out_vc(P, V), Some(VcId(2)), "binding persists for body/tail");
-        vcs.pop(P, V); // tail
+        vcs.pop(P, V, Cycle(0)); // tail
         assert_eq!(vcs.out_vc(P, V), None, "tail departure frees the binding");
     }
 
@@ -375,7 +379,7 @@ mod tests {
         assert_eq!(vcs.occupancy(P, V), depth, "exactly full, nothing dropped");
         assert_eq!(vcs.head(P, V).map(Flit::index), Some(0), "head slot not overwritten");
         for i in 0..depth {
-            assert_eq!(vcs.pop(P, V).index(), i, "FIFO order across the full ring");
+            assert_eq!(vcs.pop(P, V, Cycle(0)).index(), i, "FIFO order across the full ring");
         }
     }
 
@@ -391,13 +395,13 @@ mod tests {
             next_push += 1;
         }
         for _ in 0..10 {
-            assert_eq!(vcs.pop(P, V).index(), next_pop);
+            assert_eq!(vcs.pop(P, V, Cycle(0)).index(), next_pop);
             next_pop += 1;
             vcs.push(P, V, flit(64, next_push));
             next_push += 1;
         }
         while !vcs.is_empty(P, V) {
-            assert_eq!(vcs.pop(P, V).index(), next_pop);
+            assert_eq!(vcs.pop(P, V, Cycle(0)).index(), next_pop);
             next_pop += 1;
         }
         assert_eq!(next_pop, next_push, "every pushed flit came back out");
@@ -412,9 +416,9 @@ mod tests {
         assert_eq!(vcs.occupied_words()[0], (1 << 11) | (1 << 1));
         vcs.push(PortId(2), VcId(3), flit(2, 1));
         assert_eq!(vcs.occupied_words()[0], (1 << 11) | (1 << 1), "second flit sets no new bit");
-        vcs.pop(PortId(2), VcId(3));
+        vcs.pop(PortId(2), VcId(3), Cycle(0));
         assert_eq!(vcs.occupied_words()[0], (1 << 11) | (1 << 1), "still one flit left");
-        vcs.pop(PortId(2), VcId(3));
+        vcs.pop(PortId(2), VcId(3), Cycle(0));
         assert_eq!(vcs.occupied_words()[0], 1 << 1, "drained VC clears its bit");
     }
 
@@ -446,7 +450,7 @@ mod tests {
                         *index += 1;
                     }
                     1 if q.needs_va(port, vc) => q.bind_out_vc(port, vc, VcId(0)),
-                    2 if !q.is_empty(port, vc) => drop(q.pop(port, vc)),
+                    2 if !q.is_empty(port, vc) => drop(q.pop(port, vc, Cycle(op as u64))),
                     _ => continue,
                 }
                 let mut expect = vec![0u64; words_for(n)];
@@ -469,21 +473,23 @@ mod tests {
         assert!(!vcs.rc_done(P, V));
         vcs.mark_rc_done(P, V);
         assert!(vcs.rc_done(P, V));
-        vcs.pop(P, V); // head-tail: packet done
+        vcs.pop(P, V, Cycle(0)); // head-tail: packet done
         assert!(!vcs.rc_done(P, V), "next packet needs its own RC");
     }
 
     #[test]
-    fn hol_wait_tracks_stalled_head() {
+    fn hol_age_tracks_stalled_head() {
         let mut vcs = InputVcs::new(1, 1, 5);
-        vcs.age_hol_all();
-        assert_eq!(vcs.hol_wait(P, V), 0, "empty VCs do not age");
         vcs.push(P, V, flit(2, 0));
-        vcs.age_hol_all();
-        vcs.age_hol_all();
-        assert_eq!(vcs.hol_wait(P, V), 2);
-        vcs.pop(P, V);
-        assert_eq!(vcs.hol_wait(P, V), 0, "traversal resets the age");
+        vcs.push(P, V, flit(2, 1));
+        assert_eq!(vcs.hol_age(P, V, Cycle(10)), 0, "an arrival starts waiting at its first step");
+        assert_eq!(vcs.hol_age(P, V, Cycle(12)), 2);
+        vcs.pop(P, V, Cycle(12));
+        assert_eq!(vcs.hol_age(P, V, Cycle(13)), 1, "the uncovered flit waits from the pop");
+        vcs.pop(P, V, Cycle(13));
+        vcs.push(P, V, flit(1, 0));
+        assert_eq!(vcs.hol_age(P, V, Cycle(25)), 0, "a drained VC forgets its last stamp");
+        assert_eq!(vcs.hol_age(P, V, Cycle(26)), 1);
     }
 
     #[test]

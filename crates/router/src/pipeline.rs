@@ -72,10 +72,11 @@ pub struct Router {
     rc_this_cycle: Vec<u64>,
     bound_this_cycle: Vec<u64>,
     va_failed_this_cycle: Vec<u64>,
-    /// Snapshot of the inputs' VA-candidate bitset taken at the top of
-    /// each step; the RC and VA sweeps iterate its set bits (VA binds —
-    /// and so clears the live bit of — the very VC it is visiting).
-    va_scratch: Vec<u64>,
+    /// Snapshot of an input bitset that a sweep iterates while it mutates
+    /// the inputs: the VA candidates for RC and VA (VA binds — and so
+    /// clears the live bit of — the very VC it is visiting), then the
+    /// occupied VCs for the request build (which stamps arrivals' ages).
+    scratch: Vec<u64>,
     /// Flat VC index → `(port, vc)` bytes, so the sweeps never divide by
     /// the runtime VC count (DESIGN.md §6d).
     flat_to_vc: Vec<(u8, u8)>,
@@ -168,7 +169,7 @@ impl Router {
             rc_this_cycle: vec![0; words_for(total_vcs.max(1))],
             bound_this_cycle: vec![0; words_for(total_vcs.max(1))],
             va_failed_this_cycle: vec![0; words_for(total_vcs.max(1))],
-            va_scratch: Vec::with_capacity(words_for(total_vcs.max(1))),
+            scratch: Vec::with_capacity(words_for(total_vcs.max(1))),
             flat_to_vc,
             cfg,
         }
@@ -309,7 +310,8 @@ impl Router {
     /// performs zero heap allocations. `tel` receives the router-level
     /// lifecycle events (`VcAlloc`, `SaRequest`, `SaGrant`,
     /// `SwitchTraversal`) and pipeline-stall counters; a
-    /// [`TelemetrySink::disabled`] sink makes every hook a no-op.
+    /// [`TelemetrySink::disabled`] sink makes every hook a no-op. A router
+    /// holding a flit must be stepped every cycle (ages are cycle counts).
     pub fn step_into(&mut self, now: Cycle, out: &mut RouterOutput, tel: &mut TelemetrySink) {
         out.clear();
         let router = self.id.0 as u32;
@@ -334,7 +336,7 @@ impl Router {
             rc_this_cycle,
             bound_this_cycle,
             va_failed_this_cycle,
-            va_scratch,
+            scratch,
             flat_to_vc,
             ..
         } = self;
@@ -343,8 +345,8 @@ impl Router {
         // at VCs whose head-of-line flit awaits VC allocation, and a VC
         // leaves that set only by being bound on its own visit. Iterating
         // set bits skips the established majority of occupied VCs.
-        va_scratch.clear();
-        va_scratch.extend_from_slice(inputs.wants_va_words());
+        scratch.clear();
+        scratch.extend_from_slice(inputs.wants_va_words());
 
         // ---- Route computation stage (five-stage pipeline only): a head
         // flit reaching the front of its VC spends one cycle in RC before
@@ -352,7 +354,7 @@ impl Router {
         // route arrived with the flit (lookahead).
         rc_this_cycle.fill(0);
         if five_stage {
-            for_each_set_in(va_scratch, 0, total_vcs, &mut |flat| {
+            for_each_set_in(scratch, 0, total_vcs, &mut |flat| {
                 let (port, vc) = vc_at(flat_to_vc, flat);
                 debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
                 if !inputs.rc_done(port, vc) {
@@ -367,7 +369,7 @@ impl Router {
         // exactly as a full `(va_pointer + k) % total_vcs` sweep would.
         bound_this_cycle.fill(0);
         va_failed_this_cycle.fill(0);
-        for_each_set_cyclic(va_scratch, total_vcs, *va_pointer, |flat| {
+        for_each_set_cyclic(scratch, total_vcs, *va_pointer, |flat| {
             let (port, vc) = vc_at(flat_to_vc, flat);
             let (p, v) = (port.0, vc.0);
             debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
@@ -437,9 +439,12 @@ impl Router {
         // bit plane plus the per-VC output/age — so the allocator's
         // word-parallel kernels start from ready-made request planes.
         requests.clear();
-        for_each_set_in(inputs.occupied_words(), 0, total_vcs, &mut |flat| {
+        scratch.clear();
+        scratch.extend_from_slice(inputs.occupied_words());
+        for_each_set_in(scratch, 0, total_vcs, &mut |flat| {
             let (port, vc) = vc_at(flat_to_vc, flat);
             let (p, v) = (port.0, vc.0);
+            let age = inputs.hol_age(port, vc, now);
             let head = inputs.head(port, vc).expect("occupied VC has a head");
             let out_port = head.out_port();
             let head_packet = head.packet_id().0;
@@ -453,7 +458,7 @@ impl Router {
                             vc,
                             out_port,
                             speculative: false,
-                            age: inputs.hol_wait(port, vc),
+                            age,
                         });
                         if tel.tracing() {
                             tel.trace(TraceEvent {
@@ -481,7 +486,7 @@ impl Router {
                             vc,
                             out_port,
                             speculative: true,
-                            age: inputs.hol_wait(port, vc),
+                            age,
                         });
                         if tel.tracing() {
                             tel.trace(TraceEvent {
@@ -543,7 +548,7 @@ impl Router {
                 tel.count(tel.ids.stall_sa_no_credit, 1);
                 continue;
             }
-            let mut flit = inputs.pop(g.port, g.vc);
+            let mut flit = inputs.pop(g.port, g.vc, now);
             *buffered -= 1;
             flit.set_out_vc(Some(w));
             outputs.consume_credit(g.out_port, w);
@@ -574,9 +579,6 @@ impl Router {
             traversed.add(*g);
         }
         allocator.observe_traversals(traversed);
-        // Age the head-of-line flits that did not move this cycle (pop
-        // reset the winners' counters above).
-        inputs.age_hol_all();
         activity.cycles += 1;
     }
 }

@@ -47,7 +47,7 @@ impl<T: Copy> Pipe<T> {
 
     /// Creates a pipe with the given latency, sized for up to `per_cycle`
     /// pushes per cycle (e.g. a credit pipe behind a VIX router, where one
-    /// input port can free up to `vcs` buffer slots in a single cycle).
+    /// input port can free a buffer slot per virtual input in a cycle).
     ///
     /// # Panics
     ///

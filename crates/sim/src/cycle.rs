@@ -24,7 +24,7 @@ use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use vix_core::bits::{count_ones, set_bit};
+use vix_core::bits::{count_ones, set_bit, set_low_bits};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig};
 use vix_router::RouterOutput;
 use vix_telemetry::{SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID};
@@ -71,10 +71,12 @@ pub(crate) struct GatingState {
     /// Routers to step this cycle, one bit per router of the slice: a set
     /// absorbs repeated wakeups, and reads out in ascending order — the
     /// order stats accumulation and ejection share with the ungated sweep.
+    /// Between cycles it holds the routers that still buffer a flit.
     pub(crate) work: Vec<u64>,
-    /// Routers pre-activated for the next cycle (retention: a router only
-    /// leaves the active set after a step that begins *and* ends quiescent).
-    pub(crate) pending: Vec<u64>,
+    /// Terminals whose source may hold a packet (all, at first), one bit
+    /// per terminal of the slice: set wherever a packet is enqueued,
+    /// cleared once phase 2 finds the source idle.
+    pub(crate) sources: Vec<u64>,
     /// Set only by `NetworkSim::build_ungated_reference`: sweep, not schedule.
     pub(crate) reference_sweep: bool,
     /// Total `Router::step_into` calls over the run; the observable for
@@ -94,10 +96,12 @@ impl GatingState {
         // and credit link delivers on the same cycle. Reserving it up front
         // keeps the steady-state gated step allocation-free.
         let slot_cap = nodes + 2 * routers * radix;
+        let mut sources = vec![0; nodes.div_ceil(64)];
+        set_low_bits(&mut sources, nodes);
         GatingState {
             calendar: std::array::from_fn(|_| Vec::with_capacity(slot_cap)),
             work: vec![0; routers.div_ceil(64)],
-            pending: vec![0; routers.div_ceil(64)],
+            sources,
             reference_sweep: false,
             router_steps: 0,
             step_out: RouterOutput::default(),
@@ -302,20 +306,25 @@ impl<'a> NetSlice<'a> {
     ) -> SpanStart {
         let gated = !gating.reference_sweep;
 
-        // 2. Sources stream flits toward their routers — all of them,
-        // every cycle (an idle source's `try_send` is a pure no-op). Under
-        // gating a push schedules the injection link's delivery one cycle
-        // out.
-        let wiring = self.wiring;
-        for (i, t) in self.terminals.iter_mut().enumerate() {
-            let n = self.node_off + i;
-            let (router, _) = wiring.attachment(n);
-            let route = |dest| wiring.resolve(router, dest);
-            if let Some(flit) = t.source.try_send(now, route, &mut log.injected) {
-                t.inject.push(now, flit);
-                if gated {
-                    gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
+        // 2. Sources stream flits toward their routers, in ascending
+        // terminal order: under gating only those that may hold a packet
+        // (an idle source's `try_send` is a pure no-op), each dropped from
+        // the set once idle; the reference polls them all.
+        if gated {
+            for w in 0..gating.sources.len() {
+                let (mut bits, mut backlogged) = (gating.sources[w], 0);
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    bits ^= bit;
+                    if !self.source_send(w * 64 + bit.trailing_zeros() as usize, now, gating, log) {
+                        backlogged |= bit;
+                    }
                 }
+                gating.sources[w] = backlogged;
+            }
+        } else {
+            for i in 0..self.terminals.len() {
+                self.source_send(i, now, gating, log);
             }
         }
         span = sink.span_lap(SpanKind::SourceInject, now.0, span);
@@ -351,9 +360,9 @@ impl<'a> NetSlice<'a> {
                 // increments an output-side counter, and output state is
                 // unread by an empty cycle — a quiescent router has no flit
                 // the credit could release. A non-quiescent receiver is
-                // already in the active set (flit delivery activated it and
-                // retention holds it until it drains), so the credit is
-                // applied before its step either way.
+                // already in the active set (it stays there while it holds
+                // a flit), so the credit is applied before its step either
+                // way.
                 WakeEvent::CreditLink(r, p) => self.deliver_credits(r - self.router_off, p, now),
             }
         }
@@ -363,30 +372,29 @@ impl<'a> NetSlice<'a> {
 
         // 5. Step the active routers in ascending index order (stats
         // accumulation and ejection order must match the ungated sweep).
-        // Skipped quiescent cycles are replayed first; a router leaves the
-        // set only after a step that begins and ends quiescent, so its last
-        // executed cycle before a skip is always a real empty cycle.
-        let mut work = std::mem::take(&mut gating.work);
-        sink.gauge(sink.ids.sched_active_routers, u64::from(count_ones(&work)));
-        for (w, word) in work.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
+        // Skipped cycles are replayed first. An empty step is exactly
+        // `note_idle_cycles(1)`, so only routers a step leaves holding a
+        // flit carry over as next cycle's set.
+        sink.gauge(sink.ids.sched_active_routers, u64::from(count_ones(&gating.work)));
+        for w in 0..gating.work.len() {
+            let (mut bits, mut busy) = (gating.work[w], 0);
             while bits != 0 {
-                let ri = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let ri = w * 64 + bit.trailing_zeros() as usize;
                 let rec = &mut self.routers[ri];
-                let was_quiescent = rec.router.is_quiescent();
+                debug_assert!(!rec.router.is_quiescent(), "woke router {ri} holds no flit");
                 let gap = now.0 - rec.stepped_until;
                 if gap > 0 {
                     rec.router.note_idle_cycles(gap);
                 }
                 self.step_router(ri, now, &mut out, gating, sink, log);
-                if !(was_quiescent && self.routers[ri].router.is_quiescent()) {
-                    set_bit(&mut gating.pending, ri);
+                if !self.routers[ri].router.is_quiescent() {
+                    busy |= bit;
                 }
             }
+            gating.work[w] = busy;
         }
-        // `work` is all zeros again: it becomes next cycle's `pending`.
-        gating.work = std::mem::replace(&mut gating.pending, work);
         gating.step_out = out;
         sink.span_lap(SpanKind::RouterStep, now.0, span)
     }
@@ -433,6 +441,23 @@ impl<'a> NetSlice<'a> {
     // line by default — measured at −9 % on `mesh64-low` against the
     // hand-duplicated loops they replace. `inline(always)` gives the gated
     // body back its straight-line code.
+
+    /// Lets terminal `i`'s source emit its next flit onto the injection
+    /// link (under gating, scheduling the link's delivery one cycle out);
+    /// returns whether the source is idle afterwards.
+    #[inline(always)]
+    fn source_send(&mut self, i: usize, now: Cycle, gating: &mut GatingState, log: &mut PacketLog) -> bool {
+        let n = self.node_off + i;
+        let (router, _) = self.wiring.attachment(n);
+        let t = &mut self.terminals[i];
+        if let Some(flit) = t.source.try_send(now, |dest| self.wiring.resolve(router, dest), &mut log.injected) {
+            t.inject.push(now, flit);
+            if !gating.reference_sweep {
+                gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
+            }
+        }
+        t.source.is_idle()
+    }
 
     /// Moves what is due on terminal `i`'s injection link into its
     /// router's local input port; returns that router's index in the slice.

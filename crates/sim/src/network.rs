@@ -15,6 +15,7 @@ use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use vix_rng::rngs::StdRng;
 use vix_rng::SeedableRng;
 use vix_alloc::build_allocator;
+use vix_core::bits::set_bit;
 use vix_core::{
     ActivityCounters, ConfigError, Cycle, Flit, NodeId, PacketDescriptor, PacketId, PortId,
     RouterId, SimConfig, VcId,
@@ -291,9 +292,9 @@ impl NetworkSim {
             (0..radix).map(|p| topology.is_local_port(PortId(p))).collect(),
         );
         let wiring = Wiring::build(topology.as_ref());
-        // A VIX router lifts the one-grant-per-input-port constraint, so a
-        // single input port can free up to `vcs` buffer slots in one cycle;
-        // the credit rings are sized for that burst rate.
+        // An input port frees at most one buffer slot per virtual input per
+        // cycle, so the credit rings are sized for that rate (`Pipe` grows
+        // past it if ever needed).
         let routers = (0..topology.routers())
             .map(|r| RouterRecord {
                 router: Router::new(
@@ -308,7 +309,7 @@ impl NetworkSim {
                     .map(|p| PortLinks {
                         flits: matches!(wiring.far(r, p), Far::Router(..))
                             .then(|| Pipe::new(FLIT_LATENCY)),
-                        credits: Pipe::with_rate(CREDIT_LATENCY, router_cfg.vcs_per_port()),
+                        credits: Pipe::with_rate(CREDIT_LATENCY, router_cfg.virtual_inputs_per_port()),
                         flit_sched: u64::MAX,
                         credit_sched: u64::MAX,
                     })
@@ -400,6 +401,7 @@ impl NetworkSim {
         self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
         self.net.terminals[source.0].source.enqueue(packet);
+        set_bit(&mut self.gating.sources, source.0);
         id
     }
 
@@ -453,9 +455,10 @@ impl NetworkSim {
         // Profiling lap chain: one clock read per phase boundary, zero
         // reads (one branch per lap) when profiling is off.
         let mut span = self.telemetry.span_start();
-        let terminals = &mut self.net.terminals;
+        let (terminals, sources) = (&mut self.net.terminals, &mut self.gating.sources);
         self.traffic.generate(now.0, &self.cfg, &mut self.stats, |packet| {
             terminals[packet.source.0].source.enqueue(packet);
+            set_bit(sources, packet.source.0);
         });
         span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
         self.net.slice(&self.cfg).step(now, &mut self.gating, &mut self.telemetry, &mut self.log, span);

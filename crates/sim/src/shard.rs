@@ -80,14 +80,14 @@
 //!   ledger, too, has that one owner.
 //!
 //! Activity gating runs unchanged inside each shard (the ungated reference
-//! sweep never gets here): the wake calendar, active set, retention, and
-//! idle replay are all per-router state, and a cross-shard delivery wakes
-//! the receiving router the same cycle it would have in a serial run. On
-//! entry and exit the calendars are rebuilt from pipe contents by one
-//! function (`NetSlice::rebuild_calendar` over
-//! [`Pipe::dues`](crate::Pipe::dues) — per shard on entry, over the whole
-//! network on exit), so a simulation can move freely between the serial
-//! and sharded schedulers mid-run.
+//! sweep never gets here): the wake calendar, active and backlogged-source
+//! sets, and idle replay are per-router or per-terminal state, and a
+//! cross-shard delivery wakes the receiving router the same cycle it would
+//! have in a serial run. On entry and exit the calendars are rebuilt from
+//! pipe contents (`NetSlice::rebuild_calendar` over
+//! [`Pipe::dues`](crate::Pipe::dues)), the active sets are carried over
+//! and every source is marked for polling, so a simulation can move
+//! freely between the serial and sharded schedulers mid-run.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog};
@@ -95,7 +95,7 @@ use crate::channel::Pipe;
 use crate::network::{Far, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
-use vix_core::bits::{set_bit, test_bit};
+use vix_core::bits::{set_bit, set_low_bits, test_bit};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
 use vix_telemetry::{HealthBoard, SpanKind, TelemetrySink};
 use vix_topology::Topology;
@@ -364,7 +364,9 @@ impl ShardWorker<'_> {
         // 0. Packets generated for this cycle one cycle ago (phase 1).
         let staged = &sh.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
-            self.net.terminals[packet.source.0 - self.net.node_off].source.enqueue(packet);
+            let i = packet.source.0 - self.net.node_off;
+            self.net.terminals[i].source.enqueue(packet);
+            set_bit(&mut self.gating.sources, i);
         }
 
         // 1. Inbound cross-shard deliveries due this cycle. Flit
@@ -702,12 +704,13 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         if let (Some(p), Some(engine)) = (w.sink.into_profiler(), sim.telemetry.profiler_mut()) {
             engine.absorb(*p);
         }
-        // Retention already put every non-quiescent router in its shard's
-        // work set for cycle `end`.
+        // Every router still holding a flit is in its shard's work set for
+        // cycle `end`.
         for ri in (0..w.net.routers.len()).filter(|&ri| test_bit(&w.gating.work, ri)) {
             set_bit(&mut sim.gating.work, w.net.router_off + ri);
         }
     }
+    set_low_bits(&mut sim.gating.sources, sim.net.terminals.len());
     sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);
     sim.now = Cycle(end);
 }

@@ -5,14 +5,16 @@
 //! pure performance optimisation: it may only skip work whose result is
 //! provably a no-op. These tests hold it side by side with the ungated
 //! reference sweep (`NetworkSim::build_ungated_reference`, a test-only
-//! entry point) — same config, same seed — for 2,000 cycles across every allocator and assert
-//! that the ejection trace (hashed FNV-1a, the network-level analogue of
-//! the golden grant traces in `tests/determinism.rs`), the measurement
-//! statistics, the activity counters, and the derived energy are all
-//! bit-identical.
+//! entry point) — same config, same seed — for 2,000 cycles across every allocator and
+//! every router configuration the ablations reach, and assert that the
+//! ejection trace (hashed FNV-1a, the network-level analogue of the golden
+//! grant traces in `tests/determinism.rs`), the measurement statistics, the
+//! activity counters, and the derived energy are all bit-identical. One
+//! more test pins the gated scheduler's router-step count.
 
 use vix::power::{EnergyBreakdown, EnergyModel};
 use vix::prelude::*;
+use vix::PipelineKind;
 
 /// FNV-1a over a stream of `u64` words (same construction as the golden
 /// grant-trace hashes in `tests/determinism.rs`).
@@ -35,9 +37,12 @@ const ALL_ALLOCATORS: [AllocatorKind; 8] = [
     AllocatorKind::Islip(2),
 ];
 
-fn build(kind: AllocatorKind, gated: bool) -> NetworkSim {
-    let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
-    network.nodes = 16;
+/// A 4×4 mesh of `kind` routers.
+fn mesh16(kind: AllocatorKind) -> NetworkConfig {
+    NetworkConfig { nodes: 16, ..NetworkConfig::paper_default(TopologyKind::Mesh, kind) }
+}
+
+fn build(network: NetworkConfig, gated: bool) -> NetworkSim {
     // Rate in the congested-but-stable band so buffers fill, credits
     // stall, speculation fails, and routers oscillate between active and
     // quiescent — the regime where a gating bug would surface.
@@ -70,31 +75,80 @@ fn ejection_trace_hash(sim: &mut NetworkSim) -> u64 {
     h
 }
 
+/// Runs `network` gated and ungated side by side and asserts the ejection
+/// trace and the end-of-run state agree.
+fn assert_gating_parity(network: NetworkConfig, what: &str) {
+    let mut gated = build(network, true);
+    let mut ungated = build(network, false);
+    assert_eq!(
+        ejection_trace_hash(&mut gated),
+        ejection_trace_hash(&mut ungated),
+        "{what}: ejection trace diverged between gated and ungated runs"
+    );
+    // End-of-run state, not just the trace: measurement statistics,
+    // per-router and aggregate activity, and the hotspot map.
+    let (gs, us) = (gated.stats(), ungated.stats());
+    assert_eq!(gs.packets_ejected(), us.packets_ejected(), "{what}");
+    assert_eq!(gs.flits_ejected(), us.flits_ejected(), "{what}");
+    assert_eq!(gs.per_source_packets(), us.per_source_packets(), "{what}");
+    assert_eq!(gs.avg_packet_latency(), us.avg_packet_latency(), "{what}");
+    assert_eq!(
+        gated.per_router_activity(),
+        ungated.per_router_activity(),
+        "{what}: per-router activity diverged"
+    );
+    assert_eq!(gated.aggregate_activity(), ungated.aggregate_activity(), "{what}");
+    assert_eq!(gated.utilization_map(), ungated.utilization_map(), "{what}");
+}
+
 #[test]
 fn gated_and_ungated_traces_match_for_every_allocator() {
     for kind in ALL_ALLOCATORS {
-        let mut gated = build(kind, true);
-        let mut ungated = build(kind, false);
-        assert_eq!(
-            ejection_trace_hash(&mut gated),
-            ejection_trace_hash(&mut ungated),
-            "{kind:?}: ejection trace diverged between gated and ungated runs"
-        );
-        // End-of-run state, not just the trace: measurement statistics,
-        // per-router and aggregate activity, and the hotspot map.
-        let (gs, us) = (gated.stats(), ungated.stats());
-        assert_eq!(gs.packets_ejected(), us.packets_ejected(), "{kind:?}");
-        assert_eq!(gs.flits_ejected(), us.flits_ejected(), "{kind:?}");
-        assert_eq!(gs.per_source_packets(), us.per_source_packets(), "{kind:?}");
-        assert_eq!(gs.avg_packet_latency(), us.avg_packet_latency(), "{kind:?}");
-        assert_eq!(
-            gated.per_router_activity(),
-            ungated.per_router_activity(),
-            "{kind:?}: per-router activity diverged"
-        );
-        assert_eq!(gated.aggregate_activity(), ungated.aggregate_activity(), "{kind:?}");
-        assert_eq!(gated.utilization_map(), ungated.utilization_map(), "{kind:?}");
+        assert_gating_parity(mesh16(kind), &format!("{kind:?}"));
     }
+}
+
+#[test]
+fn gated_and_ungated_traces_match_for_ablation_router_configs() {
+    // The gated scheduler replays a router's skipped cycles as
+    // `note_idle_cycles`, so every router configuration an experiment can
+    // reach must hold to "an empty step changes nothing else" — not just
+    // the paper default.
+    let (base, vix) = (mesh16(AllocatorKind::InputFirst), mesh16(AllocatorKind::Vix));
+    let variants = [
+        ("five-stage", base.with_router(base.router.with_pipeline(PipelineKind::FiveStage))),
+        ("non-speculative", vix.with_router(vix.router.with_speculation(false))),
+        ("dimension-oblivious VA", vix.with_router(vix.router.with_dimension_aware_va(false))),
+        ("VIX k = 3", vix.with_router(vix.router.with_virtual_inputs(VirtualInputs::PerPort(3)))),
+        ("oldest-first SA", vix.with_router(vix.router.with_age_based_sa(true))),
+    ];
+    for (what, network) in variants {
+        assert_gating_parity(network, what);
+    }
+}
+
+#[test]
+fn router_steps_are_pinned() {
+    // A deterministic work counter: the exact number of router steps the
+    // gated scheduler takes on a fixed-seed, fixed-window light-load run
+    // of the paper's 8×8 VIX mesh. A scheduling regression (a router
+    // stepped with nothing to do) fails here instead of hiding in
+    // wall-clock noise; a lower count is progress — re-pin it. It stood at
+    // 29 296 while a drained router stayed active for one more, empty,
+    // step. The ungated reference steps every router every cycle.
+    const GATED_ROUTER_STEPS: u64 = 23_739;
+    const CYCLES: u64 = 4_000;
+    let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    let cfg = SimConfig::new(network, 0.005).with_windows(1_000, 2_000, 1_000).with_seed(2014);
+    let steps = |gated| {
+        let mut sim = build_sim(cfg, gated);
+        for _ in 0..CYCLES {
+            sim.step();
+        }
+        sim.router_steps()
+    };
+    assert_eq!(steps(false), 64 * CYCLES, "the reference must step every router every cycle");
+    assert_eq!(steps(true), GATED_ROUTER_STEPS, "gated router steps moved");
 }
 
 #[test]

@@ -236,9 +236,11 @@ fn network_build_footprint_is_pinned() {
     // The build is deterministic, so both are exact. The blocks stood at
     // 5 016 (78.4 per router) while every (router, port) table was its own
     // nested `Vec`; the bytes at 1 481 085 (23.1 KB per router) while every
-    // buffered flit carried its packet's whole descriptor in 64 bytes.
+    // buffered flit carried its packet's whole descriptor in 64 bytes, and
+    // at 915 453 while credit rings were sized for a grant per VC rather
+    // than per virtual input.
     const BUILD_ALLOCATIONS: u64 = 4_752;
-    const BUILD_BYTES: u64 = 915_453;
+    const BUILD_BYTES: u64 = 792_573;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
