@@ -28,19 +28,19 @@ use vix_rng::{rngs::StdRng, Rng, SeedableRng};
 /// One allocator flavour under test: a display label plus a factory; the
 /// suite builds two and runs one through each kernel.
 struct Flavour {
-    label: &'static str,
+    label: String,
     ports: usize,
     vcs: usize,
     build: Box<dyn Fn() -> Box<dyn SwitchAllocator>>,
 }
 
 fn flavour(
-    label: &'static str,
+    label: impl Into<String>,
     ports: usize,
     vcs: usize,
     build: impl Fn() -> Box<dyn SwitchAllocator> + 'static,
 ) -> Flavour {
-    Flavour { label, ports, vcs, build: Box::new(build) }
+    Flavour { label: label.into(), ports, vcs, build: Box::new(build) }
 }
 
 /// Every allocator × partition × arbiter × priority combination with a
@@ -153,6 +153,40 @@ fn wide_flavours() -> Vec<Flavour> {
     ]
 }
 
+/// Separable shapes with a row at exactly one word and just past it, each
+/// under every arbiter kind and under oldest-first priority: the separable
+/// allocator picks its one-word kernel from the shape at construction, so
+/// these hold both row widths × every arbiter kind to the scalar oracle.
+///
+/// * 32 ports × k = 2 is 64 virtual inputs (one word), 33 × 2 is 66;
+/// * IF with 64 VCs per port has one-word VC lines, with 65 two-word ones.
+fn boundary_flavours() -> Vec<Flavour> {
+    let shapes = [
+        ("VIX-32x4x2", 32, 4, VixPartition::even(4, 2).unwrap()),
+        ("VIX-33x4x2", 33, 4, VixPartition::even(4, 2).unwrap()),
+        ("IF-5x64", 5, 64, VixPartition::baseline(64)),
+        ("IF-5x65", 5, 65, VixPartition::baseline(65)),
+    ];
+    let variants = [
+        ("rr", ArbiterKind::RoundRobin, PriorityPolicy::Rotating),
+        ("matrix", ArbiterKind::Matrix, PriorityPolicy::Rotating),
+        ("static", ArbiterKind::Static, PriorityPolicy::Rotating),
+        ("oldest", ArbiterKind::RoundRobin, PriorityPolicy::OldestFirst),
+    ];
+    let mut flavours = Vec::new();
+    for (shape, ports, vcs, partition) in shapes {
+        for (variant, arbiter, priority) in variants {
+            let cfg = AllocatorConfig::new(ports, partition)
+                .with_arbiter(arbiter)
+                .with_priority(priority);
+            flavours.push(flavour(format!("{shape}/{variant}"), ports, vcs, move || {
+                Box::new(SeparableAllocator::new(cfg))
+            }));
+        }
+    }
+    flavours
+}
+
 fn random_requests(rng: &mut StdRng, ports: usize, vcs: usize, load_pct: u64) -> RequestSet {
     let mut rs = RequestSet::new(ports, vcs);
     for port in 0..ports {
@@ -205,7 +239,7 @@ fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
         }
     }
     // The scalar kernels scan the request set for the matching record; the
-    // separable bitset kernel hands over counts from its own sweep.
+    // separable one-word kernel hands over counts from its own sweep.
     assert_eq!(
         scalar.matching_summary(),
         bitset.matching_summary(),
@@ -242,6 +276,15 @@ fn wide_shapes_bitset_kernels_match_scalar_across_seeds() {
     for f in wide_flavours() {
         for seed in [2_u64, 0xFACE] {
             assert_twins_agree(&f, seed, 120);
+        }
+    }
+}
+
+#[test]
+fn word_boundary_separable_kernels_match_scalar() {
+    for f in boundary_flavours() {
+        for (seed, cycles) in [(0xB0_0DA7, 400), (3_u64, 120)] {
+            assert_twins_agree(&f, seed, cycles);
         }
     }
 }

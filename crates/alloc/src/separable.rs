@@ -6,8 +6,11 @@
 //! 1:k VIX router.
 
 use crate::{mask_to_oldest_bits, AllocatorConfig, PriorityPolicy, SwitchAllocator};
-use vix_arbiter::Arbiter;
-use vix_core::bits::{any_set, count_ones, extract_range, range_any_set, set_bit, test_bit, words_for};
+use std::slice::{from_mut, from_ref};
+use vix_arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter, StaticArbiter};
+use vix_core::bits::{
+    any_set, extract_range, mask_up_to, range_any_set, set_bit, test_bit, words_for,
+};
 #[cfg(test)]
 use vix_core::SwitchRequest;
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
@@ -34,18 +37,47 @@ use vix_telemetry::MatchingStats;
 /// fairness end to end.
 #[derive(Debug)]
 pub struct SeparableAllocator {
-    cfg: AllocatorConfig,
-    /// One per (port × sub-group), each over the sub-group's VCs.
-    input_arbiters: Vec<Box<dyn Arbiter>>,
-    /// One per output port, each over all `ports × groups` virtual inputs.
-    output_arbiters: Vec<Box<dyn Arbiter>>,
-    scratch: SeparableScratch,
-    matching: MatchingStats,
+    arbiters: Arbiters,
+    kernel: Kernel,
 }
 
-/// Stage-1 winner of one virtual input. Entries are
-/// only ever reached through the bits of `champ_class`, which is rebuilt
-/// every call, so stale ones are never cleared.
+/// The arbiters by kind: a call matches once, then runs a kernel generic
+/// over the concrete type, so `peek_words` and `commit` inline.
+#[derive(Debug)]
+enum Arbiters {
+    RoundRobin(Bank<RoundRobinArbiter>),
+    Matrix(Bank<MatrixArbiter>),
+    Static(Bank<StaticArbiter>),
+}
+
+#[derive(Debug)]
+struct Bank<A> {
+    /// One per (port × sub-group), each over the sub-group's VCs.
+    inputs: Vec<A>,
+    /// One per output port, each over all `ports × groups` virtual inputs.
+    outputs: Vec<A>,
+}
+
+impl<A: Arbiter> Bank<A> {
+    fn new(new: fn(usize) -> A, cfg: AllocatorConfig) -> Self {
+        let virtual_inputs = cfg.ports * cfg.partition.groups();
+        Bank {
+            inputs: (0..virtual_inputs).map(|_| new(cfg.partition.group_size())).collect(),
+            outputs: (0..cfg.ports).map(|_| new(virtual_inputs)).collect(),
+        }
+    }
+
+    /// Grants `out` to `champ`, virtual input `vi`'s champion; both commit.
+    #[inline]
+    fn grant(&mut self, out: usize, vi: usize, champ: Champion, grants: &mut GrantSet) {
+        self.outputs[out].commit(vi);
+        self.inputs[vi].commit(champ.local);
+        grants.add(Grant { port: champ.port, vc: champ.vc, out_port: PortId(out) });
+    }
+}
+
+/// Stage-1 winner of one virtual input, only ever reached through the bits
+/// of `champ_class`, so stale entries are never cleared.
 #[derive(Debug, Clone, Copy, Default)]
 struct Champion {
     port: PortId,
@@ -54,57 +86,50 @@ struct Champion {
     local: usize,
 }
 
-/// Owned per-cycle working state, reused by every
-/// [`SwitchAllocator::allocate_into`] call — the steady-state hot path
-/// never heap-allocates: every buffer is sized once at construction and
-/// only ever `fill`ed.
+/// Everything but the arbiters: the shape, the matching record and the
+/// per-call working state, sized once at construction.
 #[derive(Debug)]
-struct SeparableScratch {
+struct Kernel {
+    cfg: AllocatorConfig,
+    /// `vcs`, `ports` and `ports × groups` are all ≤ 64 (every paper shape):
+    /// [`Kernel::word`] runs, and `nonspec_line`, `line_buf`, `taken` idle.
+    one_word: bool,
     /// Stage-1 winner per virtual input.
     champs: Vec<Champion>,
-    /// `[class][out]` → multi-word mask of the champion virtual inputs
-    /// targeting `out` (`[non-speculative, speculative]`),
-    /// `words_for(ports × groups)` words per row.
+    /// `[class][out]` → the champion virtual inputs targeting `out`, class 0
+    /// non-speculative, `words_for(ports × groups)` words per row.
     champ_class: Vec<u64>,
-    /// The current port's non-speculative VC mask (`active & !speculative`,
-    /// assembled for windowing).
+    /// The current port's `active & !speculative` VC mask.
     nonspec_line: Vec<u64>,
     /// One sub-group's extracted stage-1 request lines.
     line_buf: Vec<u64>,
-    /// One output's age-masked stage-2 request lines.
-    out_line_buf: Vec<u64>,
     /// Outputs granted so far this call.
-    output_taken_bits: Vec<u64>,
-    /// Union of requested outputs (matching record).
-    out_union: Vec<u64>,
+    taken: Vec<u64>,
+    matching: MatchingStats,
 }
 
 impl SeparableAllocator {
     /// Creates the allocator for `cfg.ports` ports and the given partition.
     #[must_use]
     pub fn new(cfg: AllocatorConfig) -> Self {
-        let groups = cfg.partition.groups();
-        let group_size = cfg.partition.group_size();
-        let virtual_inputs = cfg.ports * groups;
-        let vi_words = words_for(virtual_inputs);
-        let input_arbiters = (0..virtual_inputs).map(|_| cfg.arbiter.build(group_size)).collect();
-        let output_arbiters = (0..cfg.ports).map(|_| cfg.arbiter.build(virtual_inputs)).collect();
-        let scratch = SeparableScratch {
-            champs: vec![Champion::default(); virtual_inputs],
-            champ_class: vec![0; 2 * cfg.ports * vi_words],
-            nonspec_line: vec![0; words_for(cfg.partition.vcs())],
-            line_buf: vec![0; words_for(group_size)],
-            out_line_buf: vec![0; vi_words],
-            output_taken_bits: vec![0; words_for(cfg.ports)],
-            out_union: vec![0; words_for(cfg.ports)],
+        let vcs = cfg.partition.vcs();
+        let virtual_inputs = cfg.ports * cfg.partition.groups();
+        let arbiters = match cfg.arbiter {
+            ArbiterKind::RoundRobin => Arbiters::RoundRobin(Bank::new(RoundRobinArbiter::new, cfg)),
+            ArbiterKind::Matrix => Arbiters::Matrix(Bank::new(MatrixArbiter::new, cfg)),
+            ArbiterKind::Static => Arbiters::Static(Bank::new(StaticArbiter::new, cfg)),
         };
-        SeparableAllocator {
+        let kernel = Kernel {
             cfg,
-            input_arbiters,
-            output_arbiters,
-            scratch,
+            one_word: vcs <= 64 && cfg.ports <= 64 && virtual_inputs <= 64,
+            champs: vec![Champion::default(); virtual_inputs],
+            champ_class: vec![0; 2 * cfg.ports * words_for(virtual_inputs)],
+            nonspec_line: vec![0; words_for(vcs)],
+            line_buf: vec![0; words_for(cfg.partition.group_size())],
+            taken: vec![0; words_for(cfg.ports)],
             matching: MatchingStats::new(virtual_inputs),
-        }
+        };
+        SeparableAllocator { arbiters, kernel }
     }
 }
 
@@ -162,161 +187,187 @@ fn mask_to_oldest(lines: &mut [bool], ages: &[u64]) {
     }
 }
 
-impl SeparableAllocator {
-    /// Single-request fast path: the lone requester is its sub-group's
-    /// champion and its output's only contender, and every arbiter kind
-    /// (`peek` over a one-asserted-line input can only return that line)
-    /// grants it — so both stages collapse to their grant-time pointer
-    /// commits. Grants, emission order, and arbiter state are identical to
-    /// the full kernel; the differential twin traces cross-check this
-    /// against the scalar reference.
-    fn allocate_single(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.len(), 1);
+impl Kernel {
+    /// One call, with the arbiter kind resolved and the body picked by width.
+    fn run(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+        if reqs.len() == 1 {
+            self.single(bank, reqs, grants);
+        } else if self.one_word {
+            self.word(bank, reqs, grants);
+        } else {
+            self.words(bank, reqs, grants);
+        }
+    }
+
+    /// Single-request fast path: every arbiter kind grants a lone asserted
+    /// line, so both stages collapse to their grant-time pointer commits —
+    /// the same grants and arbiter state as the full kernels.
+    fn single(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         let partition = &self.cfg.partition;
         for port in (0..self.cfg.ports).map(PortId) {
-            let active = requests.bits().active_vcs(port);
+            let active = reqs.bits().active_vcs(port);
             let Some(w) = active.iter().position(|&word| word != 0) else {
                 continue;
             };
             let vc = VcId(w * 64 + active[w].trailing_zeros() as usize);
-            let out_port = requests.get(port, vc).expect("bit implies request").out_port;
+            let out_port = reqs.get(port, vc).expect("bit implies request").out_port;
             let group = partition.group_of(vc);
             let vi = port.0 * partition.groups() + group.0;
-            self.output_arbiters[out_port.0].commit(vi);
-            // Grant-aware input pointer update.
-            self.input_arbiters[vi].commit(vc.0 - partition.group_start(group));
-            grants.add(Grant { port, vc, out_port });
+            let local = vc.0 - partition.group_start(group);
+            bank.grant(out_port.0, vi, Champion { port, vc, local }, grants);
             break;
         }
         self.matching.record(1, 1, 1, grants.len());
     }
 
-    /// The word-parallel kernel. Every buffer it touches was sized at
-    /// construction.
-    fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        if requests.len() == 1 {
-            return self.allocate_single(requests, grants);
-        }
-        let ports = self.cfg.ports;
-        let groups = self.cfg.partition.groups();
+    /// The one-word kernel. Each port's VC lines, each sub-group's line,
+    /// the `(class, output)` champion rows and the taken-output set are
+    /// single `u64`s.
+    fn word(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+        let (ports, groups) = (self.cfg.ports, self.cfg.partition.groups());
         let gsize = self.cfg.partition.group_size();
-        let vi_words = words_for(ports * groups);
+        let group_mask = mask_up_to(gsize);
         let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
-        let age_of = |port: PortId, vc: VcId| requests.get(port, vc).map_or(0, |r| r.age);
-        let bits = requests.bits();
-        let Self { input_arbiters, output_arbiters, scratch, matching, .. } = self;
-        let SeparableScratch {
-            champs,
-            champ_class,
-            nonspec_line,
-            line_buf,
-            out_line_buf,
-            output_taken_bits,
-            out_union,
-        } = scratch;
+        let age_of = |port: PortId, vc: VcId| reqs.get(port, vc).map_or(0, |r| r.age);
+        let bits = reqs.bits();
+        let Self { champs, champ_class, matching, .. } = self;
 
-        // Stage 1: one champion per virtual input with a request. Its bit
-        // goes into the (class, output) row stage 2 arbitrates over. The
-        // same sweep counts the active virtual inputs and ORs up the
-        // requested outputs for the matching record.
-        champ_class.fill(0);
-        out_union.fill(0);
-        let has_speculative = requests.speculative_len() > 0;
-        let mut any_speculative_champion = false;
-        let mut active_vi = 0;
+        // Stage 1: one champion per virtual input with a request, set in the
+        // (class, output) row stage 2 arbitrates over; `targeted[class]`
+        // marks the non-empty rows. The sweep also counts for the record.
+        let (mut targeted, mut out_union, mut active_vi) = ([0u64; 2], 0u64, 0);
         for port in (0..ports).map(PortId) {
-            let active = bits.active_vcs(port);
-            if !any_set(active) {
+            let (active, spec) = (bits.active_vcs(port)[0], bits.spec_vcs(port)[0]);
+            if active == 0 {
                 continue;
             }
-            for (w, word) in out_union.iter_mut().enumerate() {
-                *word |= bits.row_any_word(port, w);
-            }
-            let spec_line = bits.spec_vcs(port);
-            for (w, word) in nonspec_line.iter_mut().enumerate() {
-                *word = active[w] & !spec_line[w];
-            }
+            out_union |= bits.row_any_word(port, 0);
             for group in 0..groups {
-                // A sub-group with no requesting VC can neither elect a
-                // champion nor move its arbiter — skip the virtual dispatch.
-                let gstart = group * gsize;
-                if !range_any_set(active, gstart, gsize) {
+                let (gstart, vi) = (group * gsize, port.0 * groups + group);
+                if (active >> gstart) & group_mask == 0 {
                     continue;
                 }
                 active_vi += 1;
-                let vi = port.0 * groups + group;
-                // Pessimistic masking: non-speculative lines first. A pass
-                // over an empty class can neither win nor move arbiter
-                // state, so the speculative one is skipped outright then.
-                for speculative in [false, true] {
-                    if speculative && !has_speculative {
+                // Pessimistic masking: non-speculative lines first. An empty
+                // sub-group or class can neither win nor move an arbiter.
+                for (class, class_line) in [active & !spec, spec].into_iter().enumerate() {
+                    if class == 1 && reqs.speculative_len() == 0 {
                         break;
                     }
-                    let class_line = if speculative { spec_line } else { &nonspec_line[..] };
-                    extract_range(class_line, gstart, gsize, line_buf);
+                    let mut line = (class_line >> gstart) & group_mask;
                     if oldest_first {
-                        mask_to_oldest_bits(line_buf, |local| age_of(port, VcId(gstart + local)));
+                        let age = |i| age_of(port, VcId(gstart + i));
+                        mask_to_oldest_bits(from_mut(&mut line), age);
                     }
-                    let Some(local) = input_arbiters[vi].peek_words(line_buf) else {
+                    let Some(local) = bank.inputs[vi].peek_words(from_ref(&line)) else {
                         continue;
                     };
                     let vc = VcId(gstart + local);
-                    let out = requests.get(port, vc).expect("bit implies request").out_port;
+                    let out = reqs.get(port, vc).expect("bit implies request").out_port.0;
                     champs[vi] = Champion { port, vc, local };
-                    let row = (usize::from(speculative) * ports + out.0) * vi_words;
-                    set_bit(&mut champ_class[row..row + vi_words], vi);
-                    any_speculative_champion |= speculative;
+                    champ_class[class * ports + out] |= 1 << vi;
+                    targeted[class] |= 1 << out;
                     break;
                 }
             }
         }
 
-        // Stage 2: per-output arbitration among champion virtual inputs,
-        // non-speculative pass first. A virtual input champions exactly one
-        // (class, output) row, so a winner can never reappear in another
-        // row and no per-virtual-input taken mask is needed.
-        output_taken_bits.fill(0);
-        for speculative in [false, true] {
-            if speculative && !any_speculative_champion {
-                continue;
-            }
-            let class = &champ_class[usize::from(speculative) * ports * vi_words..][..ports * vi_words];
-            for (out, arbiter) in output_arbiters.iter_mut().enumerate() {
-                let row = &class[out * vi_words..(out + 1) * vi_words];
-                if test_bit(output_taken_bits, out) || !any_set(row) {
+        // Stage 2: the targeted rows, non-speculative first, in output order.
+        // A virtual input champions one row only, so no winner comes back.
+        // Reading a row clears it, so all rows are zero between calls.
+        let mut taken = 0u64;
+        for (class, mut outs) in targeted.into_iter().enumerate() {
+            while outs != 0 {
+                let out = outs.trailing_zeros() as usize;
+                outs &= outs - 1;
+                let mut line = std::mem::take(&mut champ_class[class * ports + out]);
+                if taken & (1 << out) != 0 {
                     continue;
                 }
-                let lines = if oldest_first {
-                    out_line_buf.copy_from_slice(row);
-                    mask_to_oldest_bits(out_line_buf, |vi| age_of(champs[vi].port, champs[vi].vc));
-                    &out_line_buf[..]
-                } else {
-                    row
-                };
-                let Some(winner_vi) = arbiter.peek_words(lines) else {
+                if oldest_first {
+                    let age = |vi: usize| age_of(champs[vi].port, champs[vi].vc);
+                    mask_to_oldest_bits(from_mut(&mut line), age);
+                }
+                let Some(winner_vi) = bank.outputs[out].peek_words(from_ref(&line)) else {
                     continue;
                 };
-                let champ = champs[winner_vi];
-                set_bit(output_taken_bits, out);
-                arbiter.commit(winner_vi);
-                // Grant-aware input pointer update.
-                input_arbiters[winner_vi].commit(champ.local);
-                grants.add(Grant { port: champ.port, vc: champ.vc, out_port: out.into() });
+                taken |= 1 << out;
+                bank.grant(out, winner_vi, champs[winner_vi], grants);
             }
         }
-        matching.record(requests.len(), active_vi, count_ones(out_union) as usize, grants.len());
+        matching.record(reqs.len(), active_vi, out_union.count_ones() as usize, grants.len());
+    }
+
+    /// The multi-word kernel, for shapes past one word: [`word`](Self::word)'s
+    /// two stages over `&[u64]` rows in the construction-sized buffers.
+    fn words(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+        let (ports, groups) = (self.cfg.ports, self.cfg.partition.groups());
+        let gsize = self.cfg.partition.group_size();
+        let vi_words = words_for(ports * groups);
+        let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
+        let age_of = |port: PortId, vc: VcId| reqs.get(port, vc).map_or(0, |r| r.age);
+        let bits = reqs.bits();
+        let Self { cfg, champs, champ_class, nonspec_line, line_buf, taken, matching, .. } = self;
+
+        champ_class.fill(0);
+        for port in (0..ports).map(PortId) {
+            let (active, spec) = (bits.active_vcs(port), bits.spec_vcs(port));
+            for (w, word) in nonspec_line.iter_mut().enumerate() {
+                *word = active[w] & !spec[w];
+            }
+            for group in 0..groups {
+                let (gstart, vi) = (group * gsize, port.0 * groups + group);
+                if !range_any_set(active, gstart, gsize) {
+                    continue;
+                }
+                for (class, class_line) in [&nonspec_line[..], spec].into_iter().enumerate() {
+                    extract_range(class_line, gstart, gsize, line_buf);
+                    if oldest_first {
+                        mask_to_oldest_bits(line_buf, |i| age_of(port, VcId(gstart + i)));
+                    }
+                    let Some(local) = bank.inputs[vi].peek_words(line_buf) else {
+                        continue;
+                    };
+                    let vc = VcId(gstart + local);
+                    let out = reqs.get(port, vc).expect("bit implies request").out_port.0;
+                    champs[vi] = Champion { port, vc, local };
+                    set_bit(&mut champ_class[(class * ports + out) * vi_words..][..vi_words], vi);
+                    break;
+                }
+            }
+        }
+
+        // Each row is read at most once, so age masking works in place.
+        taken.fill(0);
+        for rows in champ_class.chunks_exact_mut(ports * vi_words) {
+            for (out, row) in rows.chunks_exact_mut(vi_words).enumerate() {
+                if test_bit(taken, out) || !any_set(row) {
+                    continue;
+                }
+                if oldest_first {
+                    mask_to_oldest_bits(row, |vi| age_of(champs[vi].port, champs[vi].vc));
+                }
+                let Some(winner_vi) = bank.outputs[out].peek_words(row) else {
+                    continue;
+                };
+                set_bit(taken, out);
+                bank.grant(out, winner_vi, champs[winner_vi], grants);
+            }
+        }
+        matching.record_set(reqs, grants, &cfg.partition);
     }
 
     /// The original scalar loops over per-VC [`RequestSet::get`] lookups:
     /// the executable specification the differential suite holds
-    /// [`allocate_bitset`](Self::allocate_bitset) against.
+    /// [`word`](Self::word) and [`words`](Self::words) against.
     #[cfg(test)]
-    fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    fn scalar(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let groups = self.cfg.partition.groups();
         let virtual_inputs = ports * groups;
         let group_vcs = crate::group_vcs(&self.cfg.partition);
-        let Self { cfg, input_arbiters, output_arbiters, matching, .. } = self;
+        let Self { cfg, matching, .. } = self;
+        let Bank { inputs: input_arbiters, outputs: output_arbiters } = bank;
 
         // Stage 1: champions[vi] = (request, local VC index in sub-group).
         // Ports with no posted request are skipped whole — an all-false
@@ -324,12 +375,12 @@ impl SeparableAllocator {
         let mut champions: Vec<Option<(SwitchRequest, usize)>> = vec![None; virtual_inputs];
         let mut any_speculative_champion = false;
         for port in 0..ports {
-            if !requests.port_is_active(PortId(port)) {
+            if !reqs.port_is_active(PortId(port)) {
                 continue;
             }
             for (group, vcs) in group_vcs.iter().enumerate() {
                 let vi = port * groups + group;
-                champions[vi] = input_stage(cfg, vcs, &*input_arbiters[vi], requests, port);
+                champions[vi] = input_stage(cfg, vcs, &input_arbiters[vi], reqs, port);
                 any_speculative_champion |=
                     champions[vi].is_some_and(|(r, _)| r.speculative);
             }
@@ -379,34 +430,44 @@ impl SeparableAllocator {
                 grants.add(Grant { port: req.port, vc: req.vc, out_port: out.into() });
             }
         }
-        matching.record_set(requests, grants, &cfg.partition);
+        matching.record_set(reqs, grants, &cfg.partition);
     }
 }
 
 impl SwitchAllocator for SeparableAllocator {
     fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
+        let Self { arbiters, kernel } = self;
+        debug_assert_eq!(requests.ports(), kernel.cfg.ports, "request set port mismatch");
         debug_assert_eq!(
             requests.vcs_per_port(),
-            self.cfg.partition.vcs(),
+            kernel.cfg.partition.vcs(),
             "request set VC mismatch"
         );
         grants.clear();
-        self.allocate_bitset(requests, grants);
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.run(bank, requests, grants),
+            Arbiters::Matrix(bank) => kernel.run(bank, requests, grants),
+            Arbiters::Static(bank) => kernel.run(bank, requests, grants),
+        }
     }
 
     #[cfg(test)]
     fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         grants.clear();
-        self.allocate_scalar(requests, grants);
+        let Self { arbiters, kernel } = self;
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.scalar(bank, requests, grants),
+            Arbiters::Matrix(bank) => kernel.scalar(bank, requests, grants),
+            Arbiters::Static(bank) => kernel.scalar(bank, requests, grants),
+        }
     }
 
     fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
+        &self.kernel.cfg.partition
     }
 
     fn name(&self) -> &'static str {
-        if self.cfg.partition.groups() > 1 {
+        if self.kernel.cfg.partition.groups() > 1 {
             "VIX"
         } else {
             "IF"
@@ -414,7 +475,7 @@ impl SwitchAllocator for SeparableAllocator {
     }
 
     fn matching_stats(&self) -> &MatchingStats {
-        &self.matching
+        &self.kernel.matching
     }
 }
 

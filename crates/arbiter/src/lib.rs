@@ -39,10 +39,11 @@ pub use static_priority::StaticArbiter;
 
 /// A single-winner arbiter over `size()` requestors.
 ///
-/// This trait is object-safe; allocators store arbiters as
-/// `Box<dyn Arbiter>` when the policy is configurable. It requires
-/// `Send` because allocators (and the routers that own them) migrate to
-/// worker threads under the sharded simulation engine (DESIGN.md §8).
+/// This trait is object-safe: most allocators hold the `Box<dyn Arbiter>`s
+/// [`ArbiterKind::build`] makes, while the separable IF/VIX allocator
+/// stores its arbiters by concrete type and dispatches on the kind once
+/// per call. It requires `Send` because allocators (and the routers that
+/// own them) migrate to worker threads under the sharded engine (DESIGN.md §8).
 pub trait Arbiter: std::fmt::Debug + Send {
     /// Number of requestors this arbiter serves.
     fn size(&self) -> usize;

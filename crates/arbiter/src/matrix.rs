@@ -93,6 +93,7 @@ impl Arbiter for MatrixArbiter {
         }
     }
 
+    #[inline]
     fn peek_words(&self, words: &[u64]) -> Option<usize> {
         debug_assert_eq!(words.len(), self.words_per_row, "request mask width mismatch");
         // A requestor wins iff no *other* asserted requestor is outside its

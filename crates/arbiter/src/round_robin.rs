@@ -65,6 +65,7 @@ impl Arbiter for RoundRobinArbiter {
         self.pointer = if next == self.size { 0 } else { next };
     }
 
+    #[inline]
     fn peek_words(&self, words: &[u64]) -> Option<usize> {
         first_set_from_words(words, self.pointer, self.size)
     }

@@ -51,6 +51,7 @@ impl Arbiter for StaticArbiter {
         debug_assert!(winner < self.size, "winner index out of range");
     }
 
+    #[inline]
     fn peek_words(&self, words: &[u64]) -> Option<usize> {
         debug_assert_eq!(words.len(), self.size.div_ceil(64), "request mask width mismatch");
         words

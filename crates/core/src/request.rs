@@ -302,6 +302,7 @@ impl GrantSet {
     /// Adds a grant. Structural invariants are checked lazily by
     /// [`validate_against`](GrantSet::validate_against), not here, so that
     /// intentionally-buggy allocators can be probed in tests.
+    #[inline]
     pub fn add(&mut self, grant: Grant) {
         self.grants.push(grant);
     }

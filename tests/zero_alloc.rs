@@ -238,9 +238,11 @@ fn network_build_footprint_is_pinned() {
     // nested `Vec`; the bytes at 1 481 085 (23.1 KB per router) while every
     // buffered flit carried its packet's whole descriptor in 64 bytes, and
     // at 915 453 while credit rings were sized for a grant per VC rather
-    // than per virtual input.
-    const BUILD_ALLOCATIONS: u64 = 4_752;
-    const BUILD_BYTES: u64 = 792_573;
+    // than per virtual input. The blocks stood at 4 752 (bytes 792 573)
+    // while each separable allocator boxed its 15 arbiters one by one and
+    // kept two scratch rows its kernels no longer need.
+    const BUILD_ALLOCATIONS: u64 = 3_664;
+    const BUILD_BYTES: u64 = 774_141;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
