@@ -232,8 +232,8 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     ///
     /// The activity-gated scheduler skips a router's cycle entirely when it
     /// is quiescent; this hook keeps allocators whose internal state
-    /// advances even on empty cycles bit-identical with the ungated
-    /// schedule. The contract: after `note_idle_cycles(n)` the allocator
+    /// advances even on empty cycles bit-identical with stepping every
+    /// cycle. The contract: after `note_idle_cycles(n)` the allocator
     /// must be in exactly the state `n` empty `allocate_into` + empty
     /// `observe_traversals` calls would have left it in. Allocators whose
     /// state only moves on grants (separable IF/VIX, output-first, iSLIP)
@@ -249,8 +249,8 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     ///
     /// Recording is always on and purely observational: it reads the
     /// request and grant sets after the fact, never touches arbiter
-    /// state, and skips empty cycles so gated and ungated schedules
-    /// report identical numbers.
+    /// state, and skips empty cycles, so a router whose idle cycles are
+    /// skipped reports the numbers it would have stepping through them.
     fn matching_stats(&self) -> &MatchingStats;
 
     /// Convenience snapshot of [`matching_stats`](SwitchAllocator::matching_stats).

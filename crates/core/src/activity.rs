@@ -47,7 +47,9 @@ impl ActivityCounters {
     /// it skipped for a quiescent router (the network sim does this at
     /// reporting time), or idle leakage would be under-counted while
     /// `routers` still summed to the full network. Pinned end-to-end by
-    /// the energy-parity test in `tests/gating_parity.rs`.
+    /// `tests/reference_parity.rs`, which compares the energy of the
+    /// engine's counters with a simulator's that steps every router every
+    /// cycle.
     pub fn merge(&mut self, other: &ActivityCounters) {
         self.cycles = self.cycles.max(other.cycles);
         self.routers += other.routers;

@@ -64,6 +64,15 @@ pub enum ConfigError {
         /// Offending packet length.
         flits: usize,
     },
+    /// A traffic pattern cannot address this network's nodes.
+    BadTrafficPattern {
+        /// The pattern's label, e.g. `"bitrev"`.
+        pattern: &'static str,
+        /// The network's node count.
+        nodes: usize,
+        /// Human-readable constraint, e.g. "needs a power-of-two node count".
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -97,6 +106,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroPacketLength => write!(f, "packet length must be at least one flit"),
             ConfigError::PacketTooLong { flits } => write!(f, "packet length must be at most 65535 flits, got {flits}"),
+            ConfigError::BadTrafficPattern { pattern, nodes, requirement } => {
+                write!(f, "{pattern} traffic cannot run on {nodes} nodes: {requirement}")
+            }
         }
     }
 }
@@ -137,6 +149,11 @@ mod tests {
             ConfigError::BadInjectionRate { rate: -0.5 },
             ConfigError::ZeroPacketLength,
             ConfigError::PacketTooLong { flits: 65_536 },
+            ConfigError::BadTrafficPattern {
+                pattern: "bitrev",
+                nodes: 36,
+                requirement: "needs a power-of-two node count",
+            },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

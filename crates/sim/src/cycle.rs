@@ -14,9 +14,9 @@
 //!   its shard's slice, between the cross-shard exchange and the barrier.
 //!
 //! The body is the activity-gated scheduler ([`GatingState`], DESIGN.md
-//! §6c). The ungated sweep survives beside it, sharing the delivery
-//! helpers and the router step, as the serial-only reference
-//! `tests/gating_parity.rs` holds the gated scheduler against.
+//! §6c), the only one there is: it steps the routers with work and replays
+//! the idle cycles of the rest, and `tests/reference_parity.rs` holds it to
+//! an independent simulator that steps every router every cycle.
 
 use crate::channel::Pipe;
 use crate::network::{EjectedPacket, Far, RouterRecord, TerminalRecord, Wiring};
@@ -53,10 +53,10 @@ pub(crate) enum WakeEvent {
 
 /// Bookkeeping for activity-gated scheduling (see DESIGN.md §6c).
 ///
-/// The gated cycle body touches only *active* routers and pipes with
-/// something due, instead of sweeping every router and every link each
-/// cycle. Correctness contract: a gated run is bit-identical to an ungated
-/// run — skipped cycles are replayed through
+/// The cycle body touches only *active* routers and pipes with something
+/// due, instead of sweeping every router and every link each cycle.
+/// Correctness contract: a run is bit-identical to stepping every router
+/// every cycle — skipped cycles are replayed through
 /// [`vix_router::Router::note_idle_cycles`] before a router steps again.
 ///
 /// This is the part of the scheduler that belongs to whoever steps a
@@ -70,15 +70,13 @@ pub(crate) struct GatingState {
     pub(crate) calendar: [Vec<WakeEvent>; WAKE_RING],
     /// Routers to step this cycle, one bit per router of the slice: a set
     /// absorbs repeated wakeups, and reads out in ascending order — the
-    /// order stats accumulation and ejection share with the ungated sweep.
+    /// order of stats accumulation and ejection.
     /// Between cycles it holds the routers that still buffer a flit.
     pub(crate) work: Vec<u64>,
     /// Terminals whose source may hold a packet (all, at first), one bit
     /// per terminal of the slice: set wherever a packet is enqueued,
     /// cleared once phase 2 finds the source idle.
     pub(crate) sources: Vec<u64>,
-    /// Set only by `NetworkSim::build_ungated_reference`: sweep, not schedule.
-    pub(crate) reference_sweep: bool,
     /// Total `Router::step_into` calls over the run; the observable for
     /// O(active) scheduling tests.
     pub(crate) router_steps: u64,
@@ -102,7 +100,6 @@ impl GatingState {
             calendar: std::array::from_fn(|_| Vec::with_capacity(slot_cap)),
             work: vec![0; routers.div_ceil(64)],
             sources,
-            reference_sweep: false,
             router_steps: 0,
             step_out: RouterOutput::default(),
         }
@@ -304,44 +301,31 @@ impl<'a> NetSlice<'a> {
         log: &mut PacketLog,
         mut span: SpanStart,
     ) -> SpanStart {
-        let gated = !gating.reference_sweep;
-
         // 2. Sources stream flits toward their routers, in ascending
-        // terminal order: under gating only those that may hold a packet
-        // (an idle source's `try_send` is a pure no-op), each dropped from
-        // the set once idle; the reference polls them all.
-        if gated {
-            for w in 0..gating.sources.len() {
-                let (mut bits, mut backlogged) = (gating.sources[w], 0);
-                while bits != 0 {
-                    let bit = bits & bits.wrapping_neg();
-                    bits ^= bit;
-                    if !self.source_send(w * 64 + bit.trailing_zeros() as usize, now, gating, log) {
-                        backlogged |= bit;
-                    }
+        // terminal order: only those that may hold a packet (an idle
+        // source's `try_send` is a pure no-op), each dropped from the set
+        // once idle.
+        for w in 0..gating.sources.len() {
+            let (mut bits, mut backlogged) = (gating.sources[w], 0);
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                if !self.source_send(w * 64 + bit.trailing_zeros() as usize, now, gating, log) {
+                    backlogged |= bit;
                 }
-                gating.sources[w] = backlogged;
             }
-        } else {
-            for i in 0..self.terminals.len() {
-                self.source_send(i, now, gating, log);
-            }
+            gating.sources[w] = backlogged;
         }
         span = sink.span_lap(SpanKind::SourceInject, now.0, span);
 
         // One RouterOutput is reused across every router and every cycle.
         let mut out = std::mem::take(&mut gating.step_out);
-        if !gated {
-            span = self.sweep_ungated(now, gating, sink, log, &mut out, span);
-            gating.step_out = out;
-            return sink.span_lap(SpanKind::RouterStep, now.0, span);
-        }
 
         // 3 + 4. Deliver everything on this cycle's calendar slot (one
         // `Deliver` span for flits and credits together). Distinct events
         // touch disjoint state (each pipe feeds one buffer; credits are
         // counter increments), so calendar order is interchangeable with
-        // the ungated sweep order. Every flit delivery wakes the receiving
+        // any other delivery order. Every flit delivery wakes the receiving
         // router.
         let slot = (now.0 % WAKE_RING as u64) as usize;
         let mut events = std::mem::take(&mut gating.calendar[slot]);
@@ -370,9 +354,9 @@ impl<'a> NetSlice<'a> {
         gating.calendar[slot] = events;
         span = sink.span_lap(SpanKind::Deliver, now.0, span);
 
-        // 5. Step the active routers in ascending index order (stats
-        // accumulation and ejection order must match the ungated sweep).
-        // Skipped cycles are replayed first. An empty step is exactly
+        // 5. Step the active routers in ascending index order, the order
+        // of stats accumulation and ejection, replaying their skipped
+        // cycles first. An empty step is exactly
         // `note_idle_cycles(1)`, so only routers a step leaves holding a
         // flit carry over as next cycle's set.
         sink.gauge(sink.ids.sched_active_routers, u64::from(count_ones(&gating.work)));
@@ -399,52 +383,13 @@ impl<'a> NetSlice<'a> {
         sink.span_lap(SpanKind::RouterStep, now.0, span)
     }
 
-    /// 3–5, ungated — the reference the gated scheduler is held against:
-    /// sweep every injection link, every flit and credit link, and clock
-    /// every router, ascending.
-    fn sweep_ungated(
-        &mut self,
-        now: Cycle,
-        gating: &mut GatingState,
-        sink: &mut TelemetrySink,
-        log: &mut PacketLog,
-        out: &mut RouterOutput,
-        mut span: SpanStart,
-    ) -> SpanStart {
-        for i in 0..self.terminals.len() {
-            self.deliver_injection(i, now, sink);
-        }
-        for ri in 0..self.routers.len() {
-            for p in 0..self.wiring.radix {
-                if self.routers[ri].ports[p].flits.as_ref().is_some_and(|pipe| pipe.has_ready(now)) {
-                    self.deliver_flits(ri, p, now);
-                }
-            }
-        }
-        span = sink.span_lap(SpanKind::Deliver, now.0, span);
-        for ri in 0..self.routers.len() {
-            for p in 0..self.wiring.radix {
-                if self.routers[ri].ports[p].credits.has_ready(now) {
-                    self.deliver_credits(ri, p, now);
-                }
-            }
-        }
-        span = sink.span_lap(SpanKind::CreditDeliver, now.0, span);
-        for ri in 0..self.routers.len() {
-            self.step_router(ri, now, out, gating, sink, log);
-        }
-        span
-    }
-
-    // The helpers below are shared by the gated body and the ungated
-    // reference, so each has two call sites and LLVM leaves them out of
-    // line by default — measured at −9 % on `mesh64-low` against the
-    // hand-duplicated loops they replace. `inline(always)` gives the gated
-    // body back its straight-line code.
+    // The helpers below stay `inline(always)`: left out of line by LLVM,
+    // they measured 9 % slower on `mesh64-low` than the hand-written loops
+    // they replaced. Re-measure before dropping the attribute.
 
     /// Lets terminal `i`'s source emit its next flit onto the injection
-    /// link (under gating, scheduling the link's delivery one cycle out);
-    /// returns whether the source is idle afterwards.
+    /// link, scheduling the link's delivery one cycle out; returns whether
+    /// the source is idle afterwards.
     #[inline(always)]
     fn source_send(&mut self, i: usize, now: Cycle, gating: &mut GatingState, log: &mut PacketLog) -> bool {
         let n = self.node_off + i;
@@ -452,9 +397,7 @@ impl<'a> NetSlice<'a> {
         let t = &mut self.terminals[i];
         if let Some(flit) = t.source.try_send(now, |dest| self.wiring.resolve(router, dest), &mut log.injected) {
             t.inject.push(now, flit);
-            if !gating.reference_sweep {
-                gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
-            }
+            gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
         }
         t.source.is_idle()
     }
@@ -521,10 +464,10 @@ impl<'a> NetSlice<'a> {
     }
 
     /// Clocks this slice's router `ri` (its idle history already replayed)
-    /// and fans its outputs out to the packet log and the link pipes.
-    /// Under gating a push onto a local link schedules its delivery; a push
-    /// onto a non-local link schedules nothing — the boundary scan visits
-    /// those pipes unconditionally.
+    /// and fans its outputs out to the packet log and the link pipes. A
+    /// push onto a local link schedules its delivery; a push onto a
+    /// non-local link schedules nothing — the boundary scan visits those
+    /// pipes unconditionally.
     #[inline(always)]
     fn step_router(
         &mut self,
@@ -536,7 +479,6 @@ impl<'a> NetSlice<'a> {
         log: &mut PacketLog,
     ) {
         let r = self.router_off + ri;
-        let gated = !gating.reference_sweep;
         let in_window = now.0 >= self.cfg.warmup && now.0 < self.cfg.warmup + self.cfg.measure;
         let rec = &mut self.routers[ri];
         rec.router.step_into(now, out, sink);
@@ -570,7 +512,7 @@ impl<'a> NetSlice<'a> {
                     }
                     let port = &mut self.routers[ri].ports[p.0];
                     port.flits.as_mut().expect("connected port has a pipe").push(now, flit);
-                    if gated && local {
+                    if local {
                         let ev = WakeEvent::FlitLink(r, p.0);
                         gating.schedule(&mut port.flit_sched, ev, now.0 + FLIT_LATENCY);
                     }
@@ -590,7 +532,7 @@ impl<'a> NetSlice<'a> {
             let local = self.is_local(self.wiring.far(r, p.0));
             let port = &mut self.routers[ri].ports[p.0];
             port.credits.push(now, vc);
-            if gated && local {
+            if local {
                 let ev = WakeEvent::CreditLink(r, p.0);
                 gating.schedule(&mut port.credit_sched, ev, now.0 + CREDIT_LATENCY);
             }

@@ -279,13 +279,15 @@ impl NetworkSim {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the configuration is structurally
-    /// invalid or the topology cannot host the node count.
+    /// invalid, the topology cannot host the node count, or the pattern
+    /// cannot address it ([`TrafficPattern::validate`]).
     pub fn build_with_pattern(cfg: SimConfig, pattern: TrafficPattern) -> Result<Self, ConfigError> {
         let topology = build_topology(cfg.network.topology, cfg.network.nodes)?;
         let radix = topology.radix();
         let router_cfg = cfg.network.router.with_ports(radix);
         let run_cfg = SimConfig { network: vix_core::NetworkConfig { router: router_cfg, ..cfg.network }, ..cfg };
         run_cfg.validate()?;
+        pattern.validate(cfg.network.nodes)?;
 
         let env = RouterEnv::new(
             (0..radix).map(|p| topology.port_dimension(PortId(p))).collect(),
@@ -365,16 +367,6 @@ impl NetworkSim {
         })
     }
 
-    /// Test oracle: [`NetworkSim::build`], but clocked — always serially —
-    /// by the ungated reference sweep that `tests/gating_parity.rs` holds
-    /// the gated scheduler against.
-    #[doc(hidden)]
-    pub fn build_ungated_reference(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let mut sim = NetworkSim::build(cfg)?;
-        sim.gating.reference_sweep = true;
-        Ok(sim)
-    }
-
     /// Test fault hook: shard `shard` of a sharded stretch panics at the
     /// top of cycle `cycle` (`tests/shard_panic.rs`).
     #[doc(hidden)]
@@ -446,10 +438,10 @@ impl NetworkSim {
     ///
     /// The body visits only active routers and links with a delivery due;
     /// quiescent routers are skipped and their idle history replayed on
-    /// re-activation. The ungated reference sweep is bit-identical — same
-    /// statistics, same activity counters, same ejection order
-    /// (`tests/gating_parity.rs` holds them side by side for every
-    /// allocator).
+    /// re-activation, so statistics, activity counters and ejection order
+    /// are those of stepping every router every cycle
+    /// (`tests/reference_parity.rs` holds them to an independent simulator
+    /// that does).
     pub fn step(&mut self) {
         let now = self.now;
         // Profiling lap chain: one clock read per phase boundary, zero
@@ -642,14 +634,10 @@ impl NetworkSim {
     /// count (a shard must own at least one router), and runs with
     /// telemetry recording enabled (tracing or metrics) fall back to `1` —
     /// trace-event order and per-cycle scheduler gauges are defined by the
-    /// serial scheduler — as does the ungated reference sweep.
+    /// serial scheduler.
     #[must_use]
     pub fn effective_shards(&self) -> usize {
-        if self.cfg.shards == 1
-            || self.gating.reference_sweep
-            || self.cfg.telemetry.tracing
-            || self.cfg.telemetry.metrics
-        {
+        if self.cfg.shards == 1 || self.cfg.telemetry.tracing || self.cfg.telemetry.metrics {
             return 1;
         }
         let requested = if self.cfg.shards == 0 {
@@ -991,32 +979,18 @@ mod tests {
     }
 
     #[test]
-    fn gated_and_ungated_runs_are_bit_identical() {
-        for alloc in [AllocatorKind::Vix, AllocatorKind::PacketChaining] {
-            let cfg = small_cfg(alloc, 0.05);
-            let gated = NetworkSim::build(cfg).unwrap().run();
-            let ungated = NetworkSim::build_ungated_reference(cfg).unwrap().run();
-            assert_eq!(gated.packets_ejected(), ungated.packets_ejected());
-            assert_eq!(gated.avg_packet_latency(), ungated.avg_packet_latency());
-            assert_eq!(gated.per_source_packets(), ungated.per_source_packets());
-            assert_eq!(gated.activity(), ungated.activity(), "{alloc:?} activity differs");
-        }
-    }
-
-    #[test]
     fn gated_idle_network_steps_no_routers() {
-        let cfg = small_cfg(AllocatorKind::InputFirst, 0.0);
-        let mut gated = NetworkSim::build(cfg).unwrap();
-        let mut ungated = NetworkSim::build_ungated_reference(cfg).unwrap();
+        let mut sim = NetworkSim::build(small_cfg(AllocatorKind::InputFirst, 0.0)).unwrap();
         for _ in 0..100 {
-            gated.step();
-            ungated.step();
+            sim.step();
         }
-        assert_eq!(gated.router_steps(), 0, "idle routers must never be visited");
-        assert_eq!(ungated.router_steps(), 100 * 16);
-        assert_eq!(gated.aggregate_activity(), ungated.aggregate_activity());
-        assert_eq!(gated.per_router_activity(), ungated.per_router_activity());
-        assert_eq!(gated.utilization_map(), ungated.utilization_map());
+        assert_eq!(sim.router_steps(), 0, "idle routers must never be visited");
+        // The skipped cycles are credited back: every router reports the
+        // whole run, as if it had been stepped every cycle.
+        let idle = ActivityCounters { cycles: 100, routers: 1, ..ActivityCounters::new() };
+        assert_eq!(sim.per_router_activity(), vec![idle; 16]);
+        assert_eq!(sim.aggregate_activity(), ActivityCounters { routers: 16, ..idle });
+        assert_eq!(sim.utilization_map(), vec![0.0; 16]);
     }
 
     #[test]
@@ -1034,30 +1008,5 @@ mod tests {
             sim.step();
         }
         assert_eq!(sim.router_steps(), busy_steps, "drained network must go fully quiescent");
-    }
-
-    #[test]
-    fn gated_stepping_matches_ungated_at_every_cycle() {
-        // Lockstep, not just end-of-run: per-cycle ejections and activity
-        // must agree while packets are still in flight.
-        let cfg = small_cfg(AllocatorKind::WavefrontVix, 0.08);
-        let mut gated = NetworkSim::build(cfg).unwrap();
-        let mut ungated = NetworkSim::build_ungated_reference(cfg).unwrap();
-        for cycle in 0..600 {
-            gated.step();
-            ungated.step();
-            assert_eq!(
-                gated.take_ejections(),
-                ungated.take_ejections(),
-                "ejections diverge at cycle {cycle}"
-            );
-            if cycle % 97 == 0 {
-                assert_eq!(
-                    gated.aggregate_activity(),
-                    ungated.aggregate_activity(),
-                    "activity diverges at cycle {cycle}"
-                );
-            }
-        }
     }
 }

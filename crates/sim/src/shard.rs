@@ -63,7 +63,9 @@
 //!
 //! A sharded run is **bit-identical** to the serial path for every shard
 //! count (pinned by `tests/shard_parity.rs` across all eight allocator
-//! configurations). The proof obligations, spelled out in DESIGN.md §8:
+//! configurations; `tests/reference_parity.rs` also holds a sharded run to
+//! the independent reference simulator). The proof obligations, spelled
+//! out in DESIGN.md §8:
 //!
 //! * **One RNG, one owner** — traffic generation never leaves the
 //!   calling thread, so the random stream is byte-for-byte the serial one
@@ -79,11 +81,10 @@
 //!   integer, so no floating-point reassociation can leak in. The packet
 //!   ledger, too, has that one owner.
 //!
-//! Activity gating runs unchanged inside each shard (the ungated reference
-//! sweep never gets here): the wake calendar, active and backlogged-source
-//! sets, and idle replay are per-router or per-terminal state, and a
-//! cross-shard delivery wakes the receiving router the same cycle it would
-//! have in a serial run. On entry and exit the calendars are rebuilt from
+//! Activity gating runs unchanged inside each shard: the wake calendar,
+//! active and backlogged-source sets, and idle replay are per-router or
+//! per-terminal state, and a cross-shard delivery wakes the receiving
+//! router the same cycle it would have in a serial run. On entry and exit the calendars are rebuilt from
 //! pipe contents (`NetSlice::rebuild_calendar` over
 //! [`Pipe::dues`](crate::Pipe::dues)), the active sets are carried over
 //! and every source is marked for polling, so a simulation can move
@@ -496,8 +497,7 @@ fn stage_cycle(
 /// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
-/// `2..=routers`, and neither telemetry recording nor the ungated
-/// reference sweep is on.
+/// `2..=routers` and telemetry recording is off.
 pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     if cycles == 0 {
         return;

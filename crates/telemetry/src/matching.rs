@@ -19,13 +19,13 @@
 //!   matching efficiency.
 //!
 //! Only non-empty allocation cycles are counted. That makes the numbers
-//! identical under the activity-gated scheduler, which skips allocator
+//! independent of the activity-gated scheduler, which skips allocator
 //! invocations for quiescent routers: a skipped invocation is exactly an
 //! empty one.
 //!
 //! The instrumentation is pure observation — it never feeds back into
-//! arbiter state or grant order, so determinism goldens and
-//! gated/ungated parity are unaffected. A kernel that already walks the
+//! arbiter state or grant order, so determinism goldens and reference
+//! parity are unaffected. A kernel that already walks the
 //! virtual inputs hands its counts to [`MatchingStats::record`]; the others
 //! call [`MatchingStats::record_set`], which scans the request set's bit
 //! planes ([`vix_core::RequestBits`]) word-parallel. Either way recording
@@ -154,8 +154,8 @@ impl MatchingStats {
     /// Records one allocation cycle from counts the caller already has:
     /// `offered` posted requests, `active_vi` distinct virtual inputs with
     /// a request, `outputs` distinct requested output ports, `grants`
-    /// issued. Empty cycles are ignored so gated and ungated schedules
-    /// observe identical statistics.
+    /// issued. Empty cycles are ignored, so skipping a quiescent router's
+    /// idle cycles leaves the statistics unchanged.
     ///
     /// A kernel that walks the virtual inputs anyway (the separable
     /// allocators) passes what it counted; [`record_set`] derives the same

@@ -49,15 +49,16 @@ pub const ENGINE_TRACK: u32 = u32::MAX;
 
 /// The instrumented engine phases.
 ///
-/// Serial ungated cycles record `TrafficGen`, `SourceInject`, `Deliver`
-/// (flits), `CreditDeliver`, and `RouterStep`. Gated cycles fold flit
-/// and credit delivery into one wake-calendar drain, recorded as
-/// `Deliver`. Sharded runs additionally record `Exchange` (staged
-/// packets, cross-shard mailboxes, boundary scan) and one `BarrierWait`
-/// per cycle on every shard's track (the single end-of-cycle spin
-/// barrier), plus `TrafficGen` (one cycle ahead) and `StatsMerge` — the
-/// calling thread's serial duties, and nothing else — on the engine
-/// track.
+/// Serial cycles record `TrafficGen`, `SourceInject`, `Deliver` and
+/// `RouterStep`. The engine delivers flits and credits in one
+/// wake-calendar drain, recorded as `Deliver`, so it never records
+/// `CreditDeliver`; the kind keeps its slot because the span schema and
+/// the phase-share reports name every kind. Sharded runs additionally
+/// record `Exchange` (staged packets, cross-shard mailboxes, boundary
+/// scan) and one `BarrierWait` per cycle on every shard's track (the
+/// single end-of-cycle spin barrier), plus `TrafficGen` (one cycle ahead)
+/// and `StatsMerge` — the calling thread's serial duties, and nothing
+/// else — on the engine track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -66,10 +67,11 @@ pub enum SpanKind {
     TrafficGen = 0,
     /// Phase 2: source-queue head flits offered to injection links.
     SourceInject = 1,
-    /// Phase 3: flit-link delivery — in gated cycles this single span
-    /// covers the combined flit+credit wake-calendar drain.
+    /// Phases 3 and 4: the wake-calendar drain that delivers flits and
+    /// credits together.
     Deliver = 2,
-    /// Phase 4: credit-link delivery (ungated cycles only).
+    /// Phase 4 on its own: credit-link delivery. The engine folds it into
+    /// `Deliver` and never records this kind.
     CreditDeliver = 3,
     /// Phase 5: router pipeline stepping and output fan-out.
     RouterStep = 4,

@@ -70,14 +70,42 @@ pub enum TrafficPattern {
 }
 
 impl TrafficPattern {
+    /// Checks that the pattern can address a `nodes`-terminal network, so
+    /// that [`TrafficPattern::pick_dest`] never panics on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::BadTrafficPattern`] unless there are at
+    /// least two nodes and: bit complement, bit reverse and shuffle have a
+    /// power-of-two node count; transpose has a square one; a hotspot
+    /// pattern has at least one spot, every spot is a node of the network,
+    /// and its fraction lies in `[0, 1]`.
+    pub fn validate(&self, nodes: usize) -> Result<(), ConfigError> {
+        let requirement = match self {
+            _ if nodes < 2 => "needs at least two nodes",
+            Self::BitComplement | Self::BitReverse | Self::Shuffle if !nodes.is_power_of_two() => {
+                "needs a power-of-two node count"
+            }
+            Self::Transpose if exact_sqrt(nodes).is_none() => "needs a square node count",
+            Self::Hotspot { spots, .. } if spots.is_empty() => "needs at least one hotspot",
+            Self::Hotspot { spots, .. } if spots.iter().any(|s| s.0 >= nodes) => {
+                "every hotspot must be a node of the network"
+            }
+            Self::Hotspot { fraction, .. } if !(0.0..=1.0).contains(fraction) => {
+                "the hotspot fraction must lie in [0, 1]"
+            }
+            _ => return Ok(()),
+        };
+        Err(ConfigError::BadTrafficPattern { pattern: self.label(), nodes, requirement })
+    }
+
     /// Picks a destination for one packet from `src` in a `nodes`-terminal
     /// network.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes < 2`, if `src` is out of range, or — for the
-    /// structured patterns — if `nodes` is not the required power of
-    /// two / perfect square.
+    /// Panics if `src` is out of range, or if
+    /// [`TrafficPattern::validate`] rejects `nodes`.
     pub fn pick_dest<R: Rng>(&self, src: NodeId, nodes: usize, rng: &mut R) -> NodeId {
         assert!(nodes >= 2, "need at least two nodes for traffic");
         assert!(src.0 < nodes, "source {src} out of range");
@@ -353,6 +381,35 @@ mod tests {
                 pattern.pick_dest(NodeId(0), 64, &mut b)
             );
         }
+    }
+
+    #[test]
+    fn validate_names_the_pattern_and_the_violated_requirement() {
+        let rejects = |pattern: TrafficPattern, nodes: usize, requirement: &str| {
+            match pattern.validate(nodes) {
+                Err(ConfigError::BadTrafficPattern { pattern: label, nodes: n, requirement: r }) => {
+                    assert_eq!((label, n, r), (pattern.label(), nodes, requirement));
+                }
+                other => panic!("{pattern:?} on {nodes} nodes: {other:?}"),
+            }
+        };
+        let two = "needs a power-of-two node count";
+        for pattern in [TrafficPattern::BitComplement, TrafficPattern::BitReverse, TrafficPattern::Shuffle] {
+            rejects(pattern.clone(), 36, two);
+            assert_eq!(pattern.validate(64), Ok(()));
+        }
+        rejects(TrafficPattern::Transpose, 32, "needs a square node count");
+        assert_eq!(TrafficPattern::Transpose.validate(36), Ok(()));
+        rejects(TrafficPattern::UniformRandom, 1, "needs at least two nodes");
+        let hotspot = |spots: Vec<usize>, fraction| TrafficPattern::Hotspot {
+            spots: spots.into_iter().map(NodeId).collect(),
+            fraction,
+        };
+        rejects(hotspot(vec![], 0.5), 16, "needs at least one hotspot");
+        rejects(hotspot(vec![0, 16], 0.5), 16, "every hotspot must be a node of the network");
+        rejects(hotspot(vec![0], 1.5), 16, "the hotspot fraction must lie in [0, 1]");
+        rejects(hotspot(vec![0], f64::NAN), 16, "the hotspot fraction must lie in [0, 1]");
+        assert_eq!(hotspot(vec![0, 15], 1.0).validate(16), Ok(()));
     }
 
     #[test]

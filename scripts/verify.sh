@@ -39,9 +39,6 @@ cargo run --release --bin vixsim -- --allocator vix --nodes 256 \
 test -s target/profile-smoke/profile.json
 test -s target/profile-smoke/health.jsonl
 
-echo "==> cargo bench -p vix-bench --bench loadsweep -- --smoke"
-cargo bench -p vix-bench --bench loadsweep -- --smoke
-
 # Allocator-kernel perf guard: fresh kernel timings must stay within 25%
 # of the recorded BENCH_allockernels.json figures.
 echo "==> cargo bench -p vix-bench --bench alloc_kernels -- --check"

@@ -4,10 +4,9 @@
 //! `SimConfig::shards` is a pure performance knob: for every shard
 //! count and every allocator, a sharded run must produce byte-for-byte
 //! the statistics, ejection trace, activity counters, and matching record
-//! of a serial run. These tests hold the two engines side by side the same
-//! way `tests/gating_parity.rs` holds the gated scheduler and the ungated
-//! reference sweep side by side. (The sharded engine is gated-only: the
-//! reference sweep always runs serially.)
+//! of a serial run. These tests hold the two engines side by side; the
+//! serial engine itself is held to an independent reference simulator by
+//! `tests/reference_parity.rs`.
 
 use vix::prelude::*;
 
@@ -178,11 +177,6 @@ fn degenerate_shard_counts_clamp_and_stay_identical() {
     assert!(auto.effective_shards() >= 1);
     assert!(auto.effective_shards() <= 16);
     assert_eq!(auto.run(), serial);
-    // The ungated reference sweep is never sharded.
-    let reference =
-        NetworkSim::build_ungated_reference(config(AllocatorKind::Vix).with_shards(4)).unwrap();
-    assert_eq!(reference.effective_shards(), 1);
-    assert_eq!(reference.run(), serial);
 }
 
 #[test]

@@ -86,3 +86,22 @@ fn packet_length_beyond_the_flit_encoding_is_a_config_error() {
         "printed: {stderr}"
     );
 }
+
+#[test]
+fn patterns_that_cannot_address_the_nodes_are_config_errors() {
+    // A 6×6 mesh builds, but the bit permutations need a power-of-two node
+    // count: these used to panic mid-run, inside the sweep's worker threads
+    // under --sweep-csv.
+    let csv = format!("{}/vixsim_cli_pattern.csv", env!("CARGO_TARGET_TMPDIR"));
+    for pattern in ["bitcomp", "bitrev", "shuffle"] {
+        let single: &[&str] = &["--nodes", "36", "--pattern", pattern];
+        for args in [single.to_vec(), [single, &["--sweep-csv", &csv]].concat()] {
+            let stderr = rejected(&args);
+            let expected = format!(
+                "error: invalid configuration: {pattern} traffic cannot run on 36 nodes: \
+                 needs a power-of-two node count"
+            );
+            assert!(stderr.contains(&expected), "vixsim {args:?} printed: {stderr}");
+        }
+    }
+}
