@@ -378,9 +378,8 @@ pub struct TelemetrySettings {
     pub trace_capacity: usize,
     /// Record engine self-profiling phase spans (wall-clock timers around
     /// the pipeline phases, traffic gen, stats merges, and shard barrier
-    /// waits). Unlike `tracing`/`metrics`, profiling observes only the
-    /// host clock — never simulation state — so it composes with the
-    /// sharded engine and cannot perturb results.
+    /// waits). Profiling observes only the host clock — never simulation
+    /// state — so it cannot perturb results.
     pub profiling: bool,
     /// Capacity of the preallocated span ring per profiled track; once
     /// full, the oldest spans are overwritten (and counted as dropped).
@@ -459,9 +458,8 @@ impl TelemetrySettings {
     /// capacity (or setting the default if none was chosen yet).
     ///
     /// Profiling only reads the host's monotonic clock: it never touches
-    /// simulation state, so results stay bit-identical and — unlike a
-    /// recording trace/metrics sink — it does *not* force a multi-shard
-    /// run down to the serial engine.
+    /// simulation state, so results stay bit-identical. A sharded run
+    /// records one span track per shard.
     #[must_use]
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profiling = on;
@@ -540,8 +538,8 @@ pub struct SimConfig {
     /// bit-identical to the serial path for every shard count — same
     /// statistics, same ejection order, same activity counters (enforced by
     /// `tests/shard_parity.rs`; see DESIGN.md §8 for the determinism
-    /// argument). The count is clamped to the router count, and runs with
-    /// telemetry recording enabled fall back to serial.
+    /// argument), and so is everything [`SimConfig::telemetry`] records.
+    /// The count is clamped to the router count.
     pub shards: usize,
     /// What the run's telemetry sink records (default: nothing).
     pub telemetry: TelemetrySettings,

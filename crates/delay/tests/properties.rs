@@ -1,54 +1,80 @@
-// Gated: `proptest` comes from crates.io, which offline build
-// environments cannot reach. Enable the `proptest` feature (and
-// re-add the dev-dependency) to run this suite; see Cargo.toml.
-#![cfg(feature = "proptest")]
+//! Seeded randomized properties of the delay models: structural
+//! monotonicity.
+//!
+//! Each case is a pure function of its seed, drawn from `vix-rng`; a
+//! failing assertion names the seed that reproduces it.
 
-//! Property tests for the delay models: structural monotonicity.
-
-use proptest::prelude::*;
-use vix_delay::{allocator_delay, crossbar_delay, sa_delay, va_delay, RouterDesign};
 use vix_core::AllocatorKind;
+use vix_delay::{allocator_delay, crossbar_delay, sa_delay, va_delay, RouterDesign};
+use vix_rng::rngs::StdRng;
+use vix_rng::{Rng, SeedableRng};
 
-proptest! {
-    /// Crossbar delay grows monotonically in each dimension.
-    #[test]
-    fn crossbar_monotone(i in 2usize..32, o in 2usize..32) {
-        prop_assert!(crossbar_delay(i + 1, o) > crossbar_delay(i, o));
-        prop_assert!(crossbar_delay(i, o + 1) > crossbar_delay(i, o));
+/// Seeded cases per property.
+const CASES: u64 = 256;
+
+/// Runs `check` on [`CASES`] seeded generators starting at `base`.
+fn for_each_seed(base: u64, mut check: impl FnMut(u64, &mut StdRng)) {
+    for seed in base..base + CASES {
+        check(seed, &mut StdRng::seed_from_u64(seed));
     }
+}
 
-    /// Allocation stage delays grow with the problem size.
-    #[test]
-    fn va_sa_monotone(ports in 2usize..16, vcs in 2usize..12) {
-        prop_assert!(va_delay(ports + 1, vcs) > va_delay(ports, vcs));
-        prop_assert!(va_delay(ports, vcs + 1) > va_delay(ports, vcs));
-        prop_assert!(sa_delay(ports + 1, vcs, 1) > sa_delay(ports, vcs, 1));
-    }
+/// Crossbar delay grows monotonically in each dimension.
+#[test]
+fn crossbar_monotone() {
+    for_each_seed(0x100, |seed, rng| {
+        let (i, o) = (rng.gen_range(2..32usize), rng.gen_range(2..32usize));
+        assert!(crossbar_delay(i + 1, o) > crossbar_delay(i, o), "seed {seed}: {i}x{o}");
+        assert!(crossbar_delay(i, o + 1) > crossbar_delay(i, o), "seed {seed}: {i}x{o}");
+    });
+}
 
-    /// VIX's SA overhead is a fixed mux term: independent of radix.
-    #[test]
-    fn vix_sa_overhead_is_constant(ports in 2usize..16) {
-        let base = sa_delay(ports, 6, 1);
-        let vix = sa_delay(ports, 6, 2);
-        prop_assert!((vix.0 - base.0 - 10.0).abs() < 1e-9);
-    }
+/// Allocation stage delays grow with the problem size.
+#[test]
+fn va_sa_monotone() {
+    for_each_seed(0x200, |seed, rng| {
+        let (ports, vcs) = (rng.gen_range(2..16usize), rng.gen_range(2..12usize));
+        assert!(va_delay(ports + 1, vcs) > va_delay(ports, vcs), "seed {seed}: {ports} ports");
+        assert!(va_delay(ports, vcs + 1) > va_delay(ports, vcs), "seed {seed}: {vcs} VCs");
+        assert!(sa_delay(ports + 1, vcs, 1) > sa_delay(ports, vcs, 1), "seed {seed}: {ports} ports");
+    });
+}
 
-    /// Wavefront is always slower than separable, at any radix.
-    #[test]
-    fn wavefront_always_slower(ports in 3usize..16) {
-        // (At radix 2 the log-depth separable stage is actually the
-        // slower circuit; the paper only considers radix >= 5.)
+/// VIX's SA overhead is a fixed mux term: independent of radix.
+#[test]
+fn vix_sa_overhead_is_constant() {
+    for_each_seed(0x300, |seed, rng| {
+        let ports = rng.gen_range(2..16usize);
+        let (base, vix) = (sa_delay(ports, 6, 1), sa_delay(ports, 6, 2));
+        assert!((vix.0 - base.0 - 10.0).abs() < 1e-9, "seed {seed}: {ports} ports");
+    });
+}
+
+/// Wavefront is always slower than separable, at any radix from 3. (At
+/// radix 2 the log-depth separable stage is actually the slower circuit;
+/// the paper only considers radix ≥ 5.)
+#[test]
+fn wavefront_always_slower() {
+    for_each_seed(0x400, |seed, rng| {
+        let ports = rng.gen_range(3..16usize);
         let sep = allocator_delay(AllocatorKind::InputFirst, ports, 6, 1).picoseconds().unwrap();
         let wf = allocator_delay(AllocatorKind::Wavefront, ports, 6, 1).picoseconds().unwrap();
-        prop_assert!(wf > sep);
-    }
+        assert!(wf > sep, "seed {seed}: radix {ports}: wavefront {wf} vs separable {sep}");
+    });
+}
 
-    /// In the paper's radix range (≤ 10), a 1:2 VIX crossbar never becomes
-    /// the critical pipeline stage.
-    #[test]
-    fn vix_feasible_through_radix_ten(radix in 2usize..=10) {
+/// In the paper's radix range (≤ 10), a 1:2 VIX crossbar never becomes
+/// the critical pipeline stage.
+#[test]
+fn vix_feasible_through_radix_ten() {
+    for_each_seed(0x500, |seed, rng| {
+        let radix = rng.gen_range(2..11usize);
         let d = RouterDesign { name: "sweep", radix, vcs: 6, virtual_inputs: 2 }.stage_delays();
-        prop_assert!(d.crossbar_off_critical_path(),
-            "radix {radix}: crossbar {} vs VA {}", d.crossbar, d.va);
-    }
+        assert!(
+            d.crossbar_off_critical_path(),
+            "seed {seed}: radix {radix}: crossbar {} vs VA {}",
+            d.crossbar,
+            d.va
+        );
+    });
 }

@@ -1,13 +1,22 @@
-// Gated: `proptest` comes from crates.io, which offline build
-// environments cannot reach. Enable the `proptest` feature (and
-// re-add the dev-dependency) to run this suite; see Cargo.toml.
-#![cfg(feature = "proptest")]
+//! Seeded randomized properties of the energy model.
+//!
+//! Each case is a pure function of its seed, drawn from `vix-rng`; a
+//! failing assertion names the seed that reproduces it.
 
-//! Property tests for the energy model.
-
-use proptest::prelude::*;
 use vix_core::ActivityCounters;
 use vix_power::{EnergyBreakdown, EnergyModel};
+use vix_rng::rngs::StdRng;
+use vix_rng::{Rng, SeedableRng};
+
+/// Seeded cases per property.
+const CASES: u64 = 256;
+
+/// Runs `check` on [`CASES`] seeded generators starting at `base`.
+fn for_each_seed(base: u64, mut check: impl FnMut(u64, &mut StdRng)) {
+    for seed in base..base + CASES {
+        check(seed, &mut StdRng::seed_from_u64(seed));
+    }
+}
 
 fn activity(flits: u64, cycles: u64) -> ActivityCounters {
     ActivityCounters {
@@ -24,41 +33,50 @@ fn activity(flits: u64, cycles: u64) -> ActivityCounters {
     }
 }
 
-proptest! {
-    /// Total energy grows with traffic; energy per bit falls (static
-    /// energy amortises).
-    #[test]
-    fn energy_scales_sanely(flits in 1u64..100_000, cycles in 1_000u64..50_000) {
-        let m = EnergyModel::cmos45();
+/// Total energy grows with traffic; energy per bit falls (static energy
+/// amortises).
+#[test]
+fn energy_scales_sanely() {
+    let m = EnergyModel::cmos45();
+    for_each_seed(0x100, |seed, rng| {
+        let (flits, cycles) = (rng.gen_range(1..100_000u64), rng.gen_range(1_000..50_000u64));
         let small = EnergyBreakdown::from_activity(&m, &activity(flits, cycles), 1.0);
         let big = EnergyBreakdown::from_activity(&m, &activity(flits * 2, cycles), 1.0);
-        prop_assert!(big.total_pj() > small.total_pj());
-        prop_assert!(big.energy_per_bit().unwrap() < small.energy_per_bit().unwrap(),
-            "more traffic must amortise static energy");
-    }
+        assert!(big.total_pj() > small.total_pj(), "seed {seed}");
+        assert!(
+            big.energy_per_bit().unwrap() < small.energy_per_bit().unwrap(),
+            "seed {seed}: more traffic must amortise static energy"
+        );
+    });
+}
 
-    /// A larger crossbar span can only increase energy, and only through
-    /// the crossbar and leakage components.
-    #[test]
-    fn span_factor_isolated(flits in 1u64..10_000, span_tenths in 10u64..30) {
-        let m = EnergyModel::cmos45();
-        let span = span_tenths as f64 / 10.0;
+/// A larger crossbar span can only increase energy, and only through the
+/// crossbar and leakage components.
+#[test]
+fn span_factor_isolated() {
+    let m = EnergyModel::cmos45();
+    for_each_seed(0x200, |seed, rng| {
+        let (flits, span) = (rng.gen_range(1..10_000u64), rng.gen_range(10..30u64) as f64 / 10.0);
         let a = activity(flits, 10_000);
         let base = EnergyBreakdown::from_activity(&m, &a, 1.0);
         let wide = EnergyBreakdown::from_activity(&m, &a, span);
-        prop_assert!(wide.total_pj() >= base.total_pj());
-        prop_assert_eq!(wide.buffer_pj, base.buffer_pj);
-        prop_assert_eq!(wide.link_pj, base.link_pj);
-        prop_assert_eq!(wide.clock_pj, base.clock_pj);
-        prop_assert!(wide.crossbar_pj >= base.crossbar_pj);
-        prop_assert!(wide.leakage_pj >= base.leakage_pj);
-    }
+        assert!(wide.total_pj() >= base.total_pj(), "seed {seed}");
+        assert_eq!(wide.buffer_pj, base.buffer_pj, "seed {seed}");
+        assert_eq!(wide.link_pj, base.link_pj, "seed {seed}");
+        assert_eq!(wide.clock_pj, base.clock_pj, "seed {seed}");
+        assert!(wide.crossbar_pj >= base.crossbar_pj, "seed {seed}");
+        assert!(wide.leakage_pj >= base.leakage_pj, "seed {seed}");
+    });
+}
 
-    /// Components always sum to the total.
-    #[test]
-    fn components_sum(flits in 0u64..10_000, cycles in 1u64..10_000) {
-        let b = EnergyBreakdown::from_activity(&EnergyModel::cmos45(), &activity(flits, cycles), 1.5);
+/// Components always sum to the total.
+#[test]
+fn components_sum() {
+    let m = EnergyModel::cmos45();
+    for_each_seed(0x300, |seed, rng| {
+        let (flits, cycles) = (rng.gen_range(0..10_000u64), rng.gen_range(1..10_000u64));
+        let b = EnergyBreakdown::from_activity(&m, &activity(flits, cycles), 1.5);
         let sum: f64 = b.components().iter().map(|(_, pj)| pj).sum();
-        prop_assert!((sum - b.total_pj()).abs() < 1e-6);
-    }
+        assert!((sum - b.total_pj()).abs() < 1e-6, "seed {seed}");
+    });
 }

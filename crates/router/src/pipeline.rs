@@ -11,7 +11,7 @@ use vix_core::{
     ActivityCounters, Cycle, Flit, GrantSet, PipelineKind, PortId, RequestSet, RouterConfig,
     RouterId, SwitchRequest, VcId, VixPartition,
 };
-use vix_telemetry::{MatchingSummary, TelemetrySink, TraceEvent, TraceEventKind, NO_PACKET};
+use vix_telemetry::{MatchingSummary, TelemetrySink, TraceEvent, TraceEventKind, NO_ID, NO_PACKET};
 
 /// Flits and credits leaving a router in one cycle.
 #[derive(Debug, Clone, Default)]
@@ -315,6 +315,13 @@ impl Router {
     pub fn step_into(&mut self, now: Cycle, out: &mut RouterOutput, tel: &mut TelemetrySink) {
         out.clear();
         let router = self.id.0 as u32;
+        // The trace record of `kind` at input VC (`port`, `vc`) of this
+        // router, toward `out_port`, for `packet`; `extra` as
+        // [`TraceEvent::extra`].
+        let vc_event = |kind, (port, vc): (PortId, VcId), out_port: PortId, packet, extra| {
+            let (port, vc, out_port) = (port.0 as u32, vc.0 as u32, out_port.0 as u32);
+            TraceEvent { router, port, vc, out_port, packet, extra, ..TraceEvent::at(now, kind) }
+        };
         let total_vcs = self.flat_to_vc.len();
 
         let five_stage = self.cfg.pipeline == PipelineKind::FiveStage;
@@ -371,7 +378,6 @@ impl Router {
         va_failed_this_cycle.fill(0);
         for_each_set_cyclic(scratch, total_vcs, *va_pointer, |flat| {
             let (port, vc) = vc_at(flat_to_vc, flat);
-            let (p, v) = (port.0, vc.0);
             debug_assert!(inputs.needs_va(port, vc), "stale VA-candidate bit");
             if five_stage && test_bit(rc_this_cycle, flat) {
                 return; // RC occupied this cycle; VA starts next cycle
@@ -387,17 +393,7 @@ impl Router {
                 // Ejection: no downstream VC contention to track.
                 inputs.bind_out_vc(port, vc, VcId(0));
                 set_bit(bound_this_cycle, flat);
-                if tel.tracing() {
-                    tel.trace(TraceEvent {
-                        router,
-                        port: p as u32,
-                        vc: v as u32,
-                        out_port: out_port.0 as u32,
-                        packet: packet_id,
-                        extra: 0,
-                        ..TraceEvent::at(now, TraceEventKind::VcAlloc)
-                    });
-                }
+                tel.trace(vc_event(TraceEventKind::VcAlloc, (port, vc), out_port, packet_id, 0));
                 return;
             }
             let policy = if cfg.dimension_aware_va && partition.groups() > 1 {
@@ -411,17 +407,8 @@ impl Router {
                     outputs.allocate(out_port, w);
                     inputs.bind_out_vc(port, vc, w);
                     set_bit(bound_this_cycle, flat);
-                    if tel.tracing() {
-                        tel.trace(TraceEvent {
-                            router,
-                            port: p as u32,
-                            vc: v as u32,
-                            out_port: out_port.0 as u32,
-                            packet: packet_id,
-                            extra: w.0 as u32,
-                            ..TraceEvent::at(now, TraceEventKind::VcAlloc)
-                        });
-                    }
+                    let out_vc = w.0 as u32;
+                    tel.trace(vc_event(TraceEventKind::VcAlloc, (port, vc), out_port, packet_id, out_vc));
                 }
                 None => {
                     set_bit(va_failed_this_cycle, flat);
@@ -443,7 +430,6 @@ impl Router {
         scratch.extend_from_slice(inputs.occupied_words());
         for_each_set_in(scratch, 0, total_vcs, &mut |flat| {
             let (port, vc) = vc_at(flat_to_vc, flat);
-            let (p, v) = (port.0, vc.0);
             let age = inputs.hol_age(port, vc, now);
             let head = inputs.head(port, vc).expect("occupied VC has a head");
             let out_port = head.out_port();
@@ -460,17 +446,7 @@ impl Router {
                             speculative: false,
                             age,
                         });
-                        if tel.tracing() {
-                            tel.trace(TraceEvent {
-                                router,
-                                port: p as u32,
-                                vc: v as u32,
-                                out_port: out_port.0 as u32,
-                                packet: head_packet,
-                                extra: 0,
-                                ..TraceEvent::at(now, TraceEventKind::SaRequest)
-                            });
-                        }
+                        tel.trace(vc_event(TraceEventKind::SaRequest, (port, vc), out_port, head_packet, 0));
                     }
                 }
                 Some(_) | None => {
@@ -488,17 +464,7 @@ impl Router {
                             speculative: true,
                             age,
                         });
-                        if tel.tracing() {
-                            tel.trace(TraceEvent {
-                                router,
-                                port: p as u32,
-                                vc: v as u32,
-                                out_port: out_port.0 as u32,
-                                packet: head_packet,
-                                extra: 1,
-                                ..TraceEvent::at(now, TraceEventKind::SaRequest)
-                            });
-                        }
+                        tel.trace(vc_event(TraceEventKind::SaRequest, (port, vc), out_port, head_packet, 1));
                     }
                 }
             }
@@ -529,14 +495,7 @@ impl Router {
         for g in grants.iter() {
             if tel.tracing() {
                 let packet = inputs.head(g.port, g.vc).map_or(NO_PACKET, |f| f.packet_id().0);
-                tel.trace(TraceEvent {
-                    router,
-                    port: g.port.0 as u32,
-                    vc: g.vc.0 as u32,
-                    out_port: g.out_port.0 as u32,
-                    packet,
-                    ..TraceEvent::at(now, TraceEventKind::SaGrant)
-                });
+                tel.trace(vc_event(TraceEventKind::SaGrant, (g.port, g.vc), g.out_port, packet, NO_ID));
             }
             let Some(w) = inputs.out_vc(g.port, g.vc) else {
                 // Failed speculation: the grant is wasted.
@@ -563,17 +522,9 @@ impl Router {
             } else {
                 activity.link_traversals += 1;
             }
-            if tel.tracing() {
-                tel.trace(TraceEvent {
-                    router,
-                    port: g.port.0 as u32,
-                    vc: g.vc.0 as u32,
-                    out_port: g.out_port.0 as u32,
-                    packet: flit.packet_id().0,
-                    flit: flit.index() as u32,
-                    ..TraceEvent::at(now, TraceEventKind::SwitchTraversal)
-                });
-            }
+            let packet = flit.packet_id().0;
+            let ev = vc_event(TraceEventKind::SwitchTraversal, (g.port, g.vc), g.out_port, packet, NO_ID);
+            tel.trace(TraceEvent { flit: flit.index() as u32, ..ev });
             out.credits.push((g.port, g.vc));
             out.flits.push((g.out_port, flit));
             traversed.add(*g);

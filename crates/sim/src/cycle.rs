@@ -8,10 +8,11 @@
 //!
 //! * [`NetworkSim::step`](crate::NetworkSim::step) runs it over the whole
 //!   network — offsets 0, every link local — with its own sink, and
-//!   replays the packet log into the ledger and `NetworkStats` straight
-//!   after. No lock, no mailbox, no barrier.
+//!   replays the packet log into the ledger, `NetworkStats` and the
+//!   scheduler gauges straight after. No lock, no mailbox, no barrier.
 //! * `ShardWorker::run_cycle` ([`crate::shard`]) runs the same method over
-//!   its shard's slice, between the cross-shard exchange and the barrier.
+//!   its shard's slice with the shard's sink, between the cross-shard
+//!   exchange and the barrier.
 //!
 //! The body is the activity-gated scheduler ([`GatingState`], DESIGN.md
 //! §6c), the only one there is: it steps the routers with work and replays
@@ -25,9 +26,11 @@ use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use vix_core::bits::{count_ones, set_bit, set_low_bits};
-use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig};
+use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig, VcId};
 use vix_router::RouterOutput;
-use vix_telemetry::{SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID};
+use vix_telemetry::{
+    HistogramId, SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
+};
 
 /// Size of the wake-calendar ring. Must exceed every pipe latency in the
 /// network (flit links, credit links, and the 1-cycle injection link) so a
@@ -155,6 +158,13 @@ pub(crate) struct PacketLog {
     ejected: Vec<(Flit, Cycle, bool)>,
     /// Packets whose tail flit ejected (every window).
     pub(crate) ejects: Vec<EjectedPacket>,
+    /// A shard's trace events of the cycle (the serial body records
+    /// straight into the run's ring).
+    pub(crate) trace: Vec<TraceEvent>,
+    /// The slice's parts of the two scheduler gauges, which the
+    /// statistics owner sums and records.
+    pub(crate) active_routers: u64,
+    pub(crate) wake_events: u64,
 }
 
 impl PacketLog {
@@ -197,6 +207,9 @@ impl PacketLog {
 pub(crate) struct NetSlice<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) wiring: &'a Wiring,
+    /// VC-occupancy histogram per router of the whole network (global
+    /// index); empty when metrics are off.
+    pub(crate) vc_occupancy: &'a [HistogramId],
     pub(crate) router_off: usize,
     pub(crate) node_off: usize,
     pub(crate) routers: &'a mut [RouterRecord],
@@ -213,6 +226,13 @@ fn flit_event(kind: TraceEventKind, now: Cycle, router: usize, port: PortId, fli
         flit: flit.index() as u32,
         ..TraceEvent::at(now, kind)
     }
+}
+
+/// The trace record of a credit for VC `vc` leaving input port `port` of
+/// `router`.
+fn credit_event(now: Cycle, router: usize, port: PortId, vc: VcId) -> TraceEvent {
+    let (router, port, vc) = (router as u32, port.0 as u32, vc.0 as u32);
+    TraceEvent { router, port, vc, ..TraceEvent::at(now, TraceEventKind::CreditReturn) }
 }
 
 impl<'a> NetSlice<'a> {
@@ -329,7 +349,7 @@ impl<'a> NetSlice<'a> {
         // router.
         let slot = (now.0 % WAKE_RING as u64) as usize;
         let mut events = std::mem::take(&mut gating.calendar[slot]);
-        sink.gauge(sink.ids.sched_wake_events, events.len() as u64);
+        log.wake_events = events.len() as u64;
         for &ev in &events {
             match ev {
                 WakeEvent::Inject(n) => {
@@ -359,7 +379,7 @@ impl<'a> NetSlice<'a> {
         // cycles first. An empty step is exactly
         // `note_idle_cycles(1)`, so only routers a step leaves holding a
         // flit carry over as next cycle's set.
-        sink.gauge(sink.ids.sched_active_routers, u64::from(count_ones(&gating.work)));
+        log.active_routers = u64::from(count_ones(&gating.work));
         for w in 0..gating.work.len() {
             let (mut bits, mut busy) = (gating.work[w], 0);
             while bits != 0 {
@@ -380,6 +400,20 @@ impl<'a> NetSlice<'a> {
             gating.work[w] = busy;
         }
         gating.step_out = out;
+
+        // VC-occupancy sampling: every router of the slice, stepped this
+        // cycle or not, as the body leaves it.
+        if !self.vc_occupancy.is_empty() {
+            let vcs = self.cfg.network.router.vcs_per_port();
+            for (ri, rec) in self.routers.iter().enumerate() {
+                let hist = self.vc_occupancy[self.router_off + ri];
+                for p in (0..self.wiring.radix).map(PortId) {
+                    for v in (0..vcs).map(VcId) {
+                        sink.observe(hist, rec.router.buffer_occupancy(p, v) as u64);
+                    }
+                }
+            }
+        }
         sink.span_lap(SpanKind::RouterStep, now.0, span)
     }
 
@@ -411,9 +445,7 @@ impl<'a> NetSlice<'a> {
         let dst = &mut self.routers[ri].router;
         let inject = &mut self.terminals[i].inject;
         while let Some(flit) = inject.pop_ready(now) {
-            if sink.tracing() {
-                sink.trace(flit_event(TraceEventKind::Inject, now, router, port, &flit));
-            }
+            sink.trace(flit_event(TraceEventKind::Inject, now, router, port, &flit));
             dst.accept_flit(port, flit);
         }
         ri
@@ -494,9 +526,7 @@ impl<'a> NetSlice<'a> {
                         flit.dest(),
                         "flit ejected at the wrong terminal"
                     );
-                    if sink.tracing() {
-                        sink.trace(flit_event(TraceEventKind::Eject, now, r, p, &flit));
-                    }
+                    sink.trace(flit_event(TraceEventKind::Eject, now, r, p, &flit));
                     if in_window || flit.is_tail() {
                         log.ejected.push((flit, now, in_window));
                     }
@@ -507,9 +537,7 @@ impl<'a> NetSlice<'a> {
                     let (out_port, lookahead, _) =
                         self.wiring.resolve(down as usize, flit.dest());
                     flit.set_route(out_port, lookahead);
-                    if sink.tracing() {
-                        sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
-                    }
+                    sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
                     let port = &mut self.routers[ri].ports[p.0];
                     port.flits.as_mut().expect("connected port has a pipe").push(now, flit);
                     if local {
@@ -521,14 +549,7 @@ impl<'a> NetSlice<'a> {
             }
         }
         for (p, vc) in out.credits.drain(..) {
-            if sink.tracing() {
-                sink.trace(TraceEvent {
-                    router: r as u32,
-                    port: p.0 as u32,
-                    vc: vc.0 as u32,
-                    ..TraceEvent::at(now, TraceEventKind::CreditReturn)
-                });
-            }
+            sink.trace(credit_event(now, r, p, vc));
             let local = self.is_local(self.wiring.far(r, p.0));
             let port = &mut self.routers[ri].ports[p.0];
             port.credits.push(now, vc);

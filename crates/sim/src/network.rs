@@ -172,10 +172,11 @@ pub(crate) struct Fabric {
 
 impl Fabric {
     /// The whole network as one [`NetSlice`]: offsets 0, every link local.
-    pub(crate) fn slice<'a>(&'a mut self, cfg: &'a SimConfig) -> NetSlice<'a> {
+    pub(crate) fn slice<'a>(&'a mut self, cfg: &'a SimConfig, vc_occupancy: &'a [HistogramId]) -> NetSlice<'a> {
         NetSlice {
             cfg,
             wiring: &self.wiring,
+            vc_occupancy,
             router_off: 0,
             node_off: 0,
             routers: &mut self.routers,
@@ -256,7 +257,7 @@ pub struct NetworkSim {
     /// the uniform equal split. Set via [`NetworkSim::set_shard_weights`].
     pub(crate) shard_weights: Option<Vec<u64>>,
     /// Per-router VC-occupancy histogram ids (empty when metrics are off).
-    vc_occupancy: Vec<HistogramId>,
+    pub(crate) vc_occupancy: Vec<HistogramId>,
     /// Set only by [`NetworkSim::inject_shard_panic`].
     pub(crate) shard_panic_at: Option<(u64, usize)>,
 }
@@ -433,8 +434,8 @@ impl NetworkSim {
     /// Runs one cycle of the whole network: phase 1 from the run's traffic
     /// generator, then the cycle body (`NetSlice::step` in `cycle.rs`) over
     /// the whole network as one slice, then the body's packet log into the
-    /// ledger and the statistics. The serial path takes no lock and meets
-    /// no barrier.
+    /// ledger, the statistics and the scheduler gauges. The serial path
+    /// takes no lock and meets no barrier.
     ///
     /// The body visits only active routers and links with a delivery due;
     /// quiescent routers are skipped and their idle history replayed on
@@ -453,23 +454,12 @@ impl NetworkSim {
             set_bit(sources, packet.source.0);
         });
         span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
-        self.net.slice(&self.cfg).step(now, &mut self.gating, &mut self.telemetry, &mut self.log, span);
+        let tel = &mut self.telemetry;
+        self.net.slice(&self.cfg, &self.vc_occupancy).step(now, &mut self.gating, tel, &mut self.log, span);
         self.log.replay(&mut self.ledger, &mut self.stats);
+        tel.gauge(tel.ids.sched_active_routers, self.log.active_routers);
+        tel.gauge(tel.ids.sched_wake_events, self.log.wake_events);
         self.now = now.plus(1);
-
-        // VC-occupancy sampling is pure observation over *all* routers,
-        // stepped this cycle or not.
-        if !self.vc_occupancy.is_empty() {
-            let vcs = self.cfg.network.router.vcs_per_port();
-            for (r, &hist) in self.vc_occupancy.iter().enumerate() {
-                for p in 0..self.net.wiring.radix {
-                    for v in 0..vcs {
-                        let occ = self.net.routers[r].router.buffer_occupancy(PortId(p), VcId(v));
-                        self.telemetry.observe(hist, occ as u64);
-                    }
-                }
-            }
-        }
         if self.telemetry.profiling() {
             self.maybe_heartbeat();
         }
@@ -484,7 +474,7 @@ impl NetworkSim {
         if every == 0 || cycle == 0 || !cycle.is_multiple_of(every) {
             return;
         }
-        let (wake_depth, buffered) = self.net.slice(&self.cfg).health_gauges(&self.gating);
+        let (wake_depth, buffered) = self.net.slice(&self.cfg, &[]).health_gauges(&self.gating);
         let steps = self.gating.router_steps;
         if let Some(p) = self.telemetry.profiler_mut() {
             p.heartbeat(cycle, steps, wake_depth, buffered, &[]);
@@ -630,14 +620,11 @@ impl NetworkSim {
     /// `0` (auto) becomes [`std::thread::available_parallelism`] capped
     /// so that each shard owns at least
     /// [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS) routers (tiny shards
-    /// are barrier-dominated), any explicit count is clamped to the router
-    /// count (a shard must own at least one router), and runs with
-    /// telemetry recording enabled (tracing or metrics) fall back to `1` —
-    /// trace-event order and per-cycle scheduler gauges are defined by the
-    /// serial scheduler.
+    /// are barrier-dominated), and any explicit count is clamped to the
+    /// router count (a shard must own at least one router).
     #[must_use]
     pub fn effective_shards(&self) -> usize {
-        if self.cfg.shards == 1 || self.cfg.telemetry.tracing || self.cfg.telemetry.metrics {
+        if self.cfg.shards == 1 {
             return 1;
         }
         let requested = if self.cfg.shards == 0 {
@@ -661,30 +648,13 @@ impl NetworkSim {
     /// otherwise.
     ///
     /// The sharded engine is bit-identical to serial stepping for every
-    /// shard count (`tests/shard_parity.rs`; DESIGN.md §8), and the
-    /// simulation can be handed back and forth between the two paths:
-    /// after a sharded stretch, serial `step()` calls continue from a
-    /// fully reconstructed scheduler state.
+    /// shard count, recordings included (`tests/shard_parity.rs`; DESIGN.md
+    /// §8), and the simulation can be handed back and forth between the two
+    /// paths: after a sharded stretch, serial `step()` calls continue from
+    /// a fully reconstructed scheduler state.
     pub fn run_cycles(&mut self, cycles: u64) {
         let shards = self.effective_shards();
         if shards <= 1 {
-            if self.cfg.shards != 1
-                && (self.cfg.telemetry.tracing || self.cfg.telemetry.metrics)
-            {
-                // A loud warning, not an info line: the user explicitly
-                // asked for a multi-shard run and is silently getting a
-                // serial one. Trace-event order and per-cycle scheduler
-                // gauges are defined by the serial schedulers (DESIGN.md
-                // §8); engine self-profiling does NOT force this fallback.
-                vix_telemetry::warn!(
-                    "shards={} requested but flit tracing/metrics recording is on: \
-                     falling back to the serial engine (recording sinks are \
-                     serial-only, DESIGN.md §8); results are bit-identical, only \
-                     wall-clock differs. Engine profiling (--profile-out/--heartbeat) \
-                     does not force this fallback.",
-                    self.cfg.shards,
-                );
-            }
             for _ in 0..cycles {
                 self.step();
             }

@@ -38,8 +38,8 @@ use vix_core::{ConfigError, SimConfig};
 use vix_traffic::TrafficPattern;
 
 /// Resolves a `jobs` setting to a concrete worker count:
-/// `0` becomes [`std::thread::available_parallelism`] (falling back to 1
-/// if the platform cannot report it), anything else is taken as-is.
+/// `0` becomes [`std::thread::available_parallelism`] (or 1 if the
+/// platform cannot report it), anything else is taken as-is.
 ///
 /// ```
 /// assert!(vix_sim::runner::resolve_jobs(0) >= 1);

@@ -15,80 +15,47 @@
 //!
 //! # Cycle protocol
 //!
-//! **One barrier per cycle** (a [`SpinBarrier`] over `shards`
-//! participants — `S` shards run on `S` threads, never `S + 1`). The
-//! calling thread is the run's sole RNG and stats owner; per cycle `t`,
-//! before it steps shard 0, it does the run's serial duties:
+//! **One barrier per cycle** (a [`SpinBarrier`] over `S` participants, on
+//! `S` threads). The calling thread is the run's sole RNG and stats owner;
+//! per cycle `t`, before it steps shard 0, it
 //!
-//! 1. replays cycle `t − 1`'s packet logs into the packet ledger and the
-//!    statistics shard by shard in ascending shard order (which *is*
-//!    ascending router order: statistics accumulate in serial order), and
-//! 2. runs phase 1 traffic generation for cycle `t + 1` in serial node
-//!    order — one cycle ahead, so shards `1..S` never wait for it —
-//!    batching each shard's packets into a caller-owned staging buffer
-//!    that is swapped into the shared slot with **one** lock acquisition
-//!    per shard per cycle.
+//! 1. replays cycle `t − 1`'s packet logs into the packet ledger, the
+//!    statistics and the run's telemetry sink in ascending shard order,
+//!    which *is* ascending router order — the serial order — and
+//! 2. generates cycle `t + 1`'s traffic in serial node order, one cycle
+//!    ahead so the other shards never wait for it, staging each shard's
+//!    packets with one lock acquisition per shard.
 //!
-//! Then everybody meets at the single end-of-cycle barrier and the next
-//! cycle begins. The lookahead is safe because the inputs of cycle `t`
-//! were fully staged before `t` started: cycle `start`'s packets are
-//! generated before the other shards are spawned, and cycle `t + 1`'s are
-//! final at the barrier that closes `t` — a shard never observes a
-//! staging buffer mid-write.
-//!
-//! Every shard, per cycle `t` (`ShardWorker::run_cycle`, run alike by
-//! the calling thread and the spawned ones): drain staged packets and
-//! inbound cross-shard mailboxes, run the cycle body
-//! (`NetSlice::step` in `cycle.rs`, phases 2–5 — the very method
-//! [`NetworkSim::step`] runs over the whole network) over the shard's
-//! slice, then pop every boundary pipe up to `t + 1` into the destination
-//! shard's mailbox for the next cycle, and publish the cycle's packet
-//! log. — *barrier* — This module holds no copy of the cycle: only the
-//! partition, the exchange around the body, and the hand-off of scheduler
-//! state in and out of a sharded stretch.
-//!
-//! Mailboxes, staging slots, and record slots are all double-buffered by
-//! cycle parity, so the side that fills a cycle-`t + 1` buffer never
-//! contends with the side draining the cycle-`t` one: every `Mutex` in
-//! the protocol is uncontended by construction and acquired at most once
-//! per shard per cycle.
-//!
-//! A panicking participant poisons the barrier through a `PoisonOnPanic`
-//! guard instead of leaving everyone else blocked; survivors observe the
-//! poison at their next wait and unwind. A shard-0 (or duties) panic
-//! unwinds straight out of the scope on the calling thread; a spawned
-//! shard's comes back through its `join` and is re-thrown there.
+//! Every shard (`ShardWorker::run_cycle`) drains its staged packets and
+//! inbound mailboxes, runs the cycle body (`NetSlice::step` in `cycle.rs`,
+//! the very method [`NetworkSim::step`] runs over the whole network) over
+//! its slice, pops every boundary pipe up to `t + 1` into the destination
+//! shard's mailbox, and publishes its packet log, trace events and gauge
+//! counts included. — *barrier* — This module holds no copy of the cycle:
+//! only the partition, the exchange around the body, and the hand-off of
+//! scheduler state in and out of a sharded stretch. Every cross-thread
+//! slot is double-buffered by cycle parity, so each `Mutex` is uncontended
+//! by construction; a panicking participant poisons the barrier instead of
+//! leaving the others blocked.
 //!
 //! # Determinism
 //!
 //! A sharded run is **bit-identical** to the serial path for every shard
-//! count (pinned by `tests/shard_parity.rs` across all eight allocator
-//! configurations; `tests/reference_parity.rs` also holds a sharded run to
-//! the independent reference simulator). The proof obligations, spelled
-//! out in DESIGN.md §8:
+//! count, recorded trace and metrics included (`tests/shard_parity.rs`;
+//! `tests/reference_parity.rs` also holds a sharded run to the independent
+//! reference simulator). The proof obligations, spelled out in DESIGN.md
+//! §8: one RNG with one owner; interchangeable delivery order (distinct
+//! pipes feed disjoint buffers, credits are commutative increments); and
+//! an ordered merge of integer statistics, one packet ledger, and trace
+//! events — each shard records into its own [`TelemetrySink::for_shard`]
+//! sink, whose events the merge pushes in serial order and whose counters
+//! and histograms the run's sink absorbs as sums.
 //!
-//! * **One RNG, one owner** — traffic generation never leaves the
-//!   calling thread, so the random stream is byte-for-byte the serial one
-//!   regardless of shard count; shard seeds are never derived.
-//! * **Interchangeable delivery order** — distinct pipes feed disjoint
-//!   `(port, vc)` buffers and credits are commutative counter
-//!   increments, so draining mailboxes before local pipes is
-//!   indistinguishable from the serial delivery order (the same invariant
-//!   the activity-gated scheduler already relies on).
-//! * **Ordered merge** — per-shard packet logs are replayed in shard
-//!   order = global ascending router order, reproducing the serial
-//!   `NetworkStats` accumulation order exactly; all accumulation is
-//!   integer, so no floating-point reassociation can leak in. The packet
-//!   ledger, too, has that one owner.
-//!
-//! Activity gating runs unchanged inside each shard: the wake calendar,
-//! active and backlogged-source sets, and idle replay are per-router or
-//! per-terminal state, and a cross-shard delivery wakes the receiving
-//! router the same cycle it would have in a serial run. On entry and exit the calendars are rebuilt from
-//! pipe contents (`NetSlice::rebuild_calendar` over
-//! [`Pipe::dues`](crate::Pipe::dues)), the active sets are carried over
-//! and every source is marked for polling, so a simulation can move
-//! freely between the serial and sharded schedulers mid-run.
+//! Activity gating runs unchanged inside each shard, and a cross-shard
+//! delivery wakes the receiving router the same cycle it would serially.
+//! On entry and exit the calendars are rebuilt from pipe contents
+//! (`NetSlice::rebuild_calendar` over [`Pipe::dues`](crate::Pipe::dues)),
+//! so a simulation moves freely between the serial and sharded engines.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog};
@@ -98,7 +65,7 @@ use crate::stats::NetworkStats;
 use std::sync::Mutex;
 use vix_core::bits::{set_bit, set_low_bits, test_bit};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
-use vix_telemetry::{HealthBoard, SpanKind, TelemetrySink};
+use vix_telemetry::{HealthBoard, SpanKind, TelemetrySink, TraceEvent, TraceEventKind};
 use vix_topology::Topology;
 
 /// A partition of the router graph into contiguous, balanced shards.
@@ -317,11 +284,11 @@ struct ShardWorker<'a> {
     boundary: Vec<BoundaryPort>,
     /// Shard-local scheduler state, sized for this shard's slice.
     gating: GatingState,
-    /// Recording is off — telemetry-recording runs never reach the sharded
-    /// engine (see [`NetworkSim::effective_shards`]) — but the sink
-    /// carries this shard's engine self-profiler (its own flame track on
-    /// the engine track's epoch) when profiling is on: profiling only
-    /// reads the host clock, so it runs fine off the calling thread.
+    /// Boundary pipes that deliver in the coming cycle: their wake events,
+    /// which the serial calendar would hold.
+    boundary_due: u64,
+    /// This shard's sink ([`TelemetrySink::for_shard`]), absorbed into the
+    /// run's when the stretch ends; its trace travels in the packet log.
     sink: TelemetrySink,
     log: PacketLog,
     /// This shard's private sense flag for the cycle barrier.
@@ -393,15 +360,17 @@ impl ShardWorker<'_> {
 
         // 2–5. The cycle body, over this shard's slice.
         span = self.net.step(Cycle(t), &mut self.gating, &mut self.sink, &mut self.log, span);
+        self.log.wake_events += self.boundary_due;
 
         // 6. Boundary scan — skipped on the stretch's final cycle.
         if t + 1 < sh.end {
-            self.boundary_scan(t + 1, sh.mail);
+            self.boundary_due = self.boundary_scan(t + 1, sh.mail);
         }
 
-        // 7. Publish this cycle's packet log for the calling thread's
-        // merge. The swap gets back the log it drained last cycle, keeping
-        // the steady state allocation-free.
+        // 7. Publish this cycle's packet log and trace events for the
+        // calling thread's merge. The swap gets back the log it drained
+        // last cycle, keeping the steady state allocation-free.
+        self.sink.take_trace(&mut self.log.trace);
         std::mem::swap(
             &mut *sh.outs[parity][self.idx].lock().expect("merger not panicked"),
             &mut self.log,
@@ -418,27 +387,30 @@ impl ShardWorker<'_> {
     }
 
     /// Hands everything this shard's cross-shard pipes deliver at cycle
-    /// `due` to the destination shards' mailboxes for that cycle. It is
-    /// final at the end of cycle `due − 1`: that cycle's own pushes are
-    /// due ≥ `due + 1`, since every inter-router pipe has ≥ 2 cycles of
-    /// latency.
-    fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) {
-        /// Moves what `pipe` delivers at `due` into `outbox`, addressed `to`.
+    /// `due` to the destination shards' mailboxes for that cycle, and
+    /// returns how many pipes deliver. It is final at the end of cycle
+    /// `due − 1`: that cycle's own pushes are due ≥ `due + 1`, since every
+    /// inter-router pipe has ≥ 2 cycles of latency.
+    fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) -> u64 {
+        /// Moves what `pipe` delivers at `due` into `outbox`, addressed
+        /// `to`; returns 1 if it delivers anything, else 0.
         fn forward<T: Copy>(
             pipe: &mut Pipe<T>,
             due: Cycle,
             to: (RouterId, PortId),
             outbox: &Mutex<Vec<(RouterId, PortId, T)>>,
-        ) {
+        ) -> u64 {
             if !pipe.has_ready(due) {
-                return;
+                return 0;
             }
             let mut outbox = outbox.lock().expect("receiver not panicked");
             while let Some(item) = pipe.pop_ready(due) {
                 outbox.push((to.0, to.1, item));
             }
+            1
         }
         let parity = (due % 2) as usize;
+        let mut delivering = 0;
         for b in &self.boundary {
             let Far::Router(far, far_port) = self.net.wiring.far(b.from, b.port) else {
                 unreachable!("boundary port leads to a router")
@@ -446,25 +418,42 @@ impl ShardWorker<'_> {
             let to = (RouterId(far as usize), PortId(far_port as usize));
             let links = &mut self.net.routers[b.from - self.net.router_off].ports[b.port];
             let flits = links.flits.as_mut().expect("boundary port is connected");
-            forward(flits, Cycle(due), to, &mail.flits[parity][b.dst_shard][self.idx]);
-            forward(&mut links.credits, Cycle(due), to, &mail.credits[parity][b.dst_shard][self.idx]);
+            delivering += forward(flits, Cycle(due), to, &mail.flits[parity][b.dst_shard][self.idx]);
+            delivering +=
+                forward(&mut links.credits, Cycle(due), to, &mail.credits[parity][b.dst_shard][self.idx]);
         }
+        delivering
     }
 }
 
-/// Replays one cycle's per-shard packet logs into the network's ledger
-/// and statistics, in shard order = ascending router order = serial order.
+/// Replays one cycle's per-shard packet logs into the network's ledger,
+/// statistics and sink, in shard order = ascending router order = serial
+/// order — except that a serial cycle traces every `Inject` before any
+/// router event, so each shard's leading `Inject`s go first.
 fn merge_cycle(
     outs: &[Mutex<PacketLog>],
     ledger: &mut PacketLedger,
     stats: &mut NetworkStats,
     log: &mut PacketLog,
+    sink: &mut TelemetrySink,
 ) {
+    let inject = |ev: &TraceEvent| ev.kind == TraceEventKind::Inject;
+    if sink.tracing() {
+        for slot in outs {
+            let out = slot.lock().expect("shard not panicked");
+            out.trace.iter().take_while(|ev| inject(ev)).for_each(|&ev| sink.trace(ev));
+        }
+    }
+    let (mut active, mut wake) = (0, 0);
     for slot in outs {
         let mut out = slot.lock().expect("shard not panicked");
         out.replay(ledger, stats);
         log.ejects.append(&mut out.ejects);
+        out.trace.drain(..).skip_while(inject).for_each(|ev| sink.trace(ev));
+        (active, wake) = (active + out.active_routers, wake + out.wake_events);
     }
+    sink.gauge(sink.ids.sched_active_routers, active);
+    sink.gauge(sink.ids.sched_wake_events, wake);
 }
 
 /// Phase 1 for cycle `u`, run by the calling thread one cycle ahead of
@@ -497,7 +486,7 @@ fn stage_cycle(
 /// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
-/// `2..=routers` and telemetry recording is off.
+/// `2..=routers`.
 pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     if cycles == 0 {
         return;
@@ -541,7 +530,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // interleaves shards and references boundary pipes, so each shard's
     // calendar is rebuilt from its own pipe contents instead of split.
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
-    let mut rest = sim.net.slice(&sim.cfg);
+    let mut rest = sim.net.slice(&sim.cfg, &sim.vc_occupancy);
     for (s, boundary) in boundary.into_iter().enumerate() {
         let (range, nodes) = (plan.router_range(s), plan.node_range(s).len());
         let (mut net, tail) = rest.split_at(range.len(), nodes);
@@ -556,6 +545,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             net,
             boundary,
             gating,
+            boundary_due: 0,
             sink: sim.telemetry.for_shard(s as u32, span_cap),
             log: PacketLog::default(),
             waiter: SpinWaiter::new(),
@@ -565,7 +555,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // would normally have been exchanged at the end of cycle `start − 1`
     // (which ran under a different scheduler), so stage them now.
     for w in &mut workers {
-        w.boundary_scan(start, &mail);
+        w.boundary_due = w.boundary_scan(start, &mail);
     }
 
     // Staging and record slots are double-buffered by cycle parity, like
@@ -637,7 +627,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         for t in start..end {
             let mut csp = sim.telemetry.span_start();
             if t > start {
-                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.ledger, &mut sim.stats, &mut sim.log);
+                let out = &outs[((t - 1) % 2) as usize];
+                merge_cycle(out, &mut sim.ledger, &mut sim.stats, &mut sim.log, &mut sim.telemetry);
                 csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
             }
             // Stage cycle `t + 1` — except past the end of this sharded
@@ -677,7 +668,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             }
         }
         if !poisoned {
-            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.ledger, &mut sim.stats, &mut sim.log);
+            let out = &outs[((end - 1) % 2) as usize];
+            merge_cycle(out, &mut sim.ledger, &mut sim.stats, &mut sim.log, &mut sim.telemetry);
         }
         let mut finished = vec![shard0];
         for h in handles {
@@ -701,9 +693,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     sim.gating.work.fill(0);
     for w in finished {
         sim.gating.router_steps += w.gating.router_steps;
-        if let (Some(p), Some(engine)) = (w.sink.into_profiler(), sim.telemetry.profiler_mut()) {
-            engine.absorb(*p);
-        }
+        sim.telemetry.absorb(w.sink);
         // Every router still holding a flit is in its shard's work set for
         // cycle `end`.
         for ri in (0..w.net.routers.len()).filter(|&ri| test_bit(&w.gating.work, ri)) {
@@ -711,7 +701,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         }
     }
     set_low_bits(&mut sim.gating.sources, sim.net.terminals.len());
-    sim.net.slice(&sim.cfg).rebuild_calendar(&mut sim.gating);
+    sim.net.slice(&sim.cfg, &[]).rebuild_calendar(&mut sim.gating);
     sim.now = Cycle(end);
 }
 

@@ -25,8 +25,7 @@
 //!   periodic [`SimHealth`] heartbeats (cycles/sec, active routers,
 //!   wake-calendar depth, VC-slab occupancy, per-shard busy/barrier
 //!   split). Profiling observes only the host clock — never simulation
-//!   state — so it is the one recording facility that composes with the
-//!   sharded engine.
+//!   state — so it cannot perturb results.
 //!
 //! Everything funnels through a [`TelemetrySink`]: the simulator owns one
 //! sink, built from [`vix_core::config::TelemetrySettings`], and threads

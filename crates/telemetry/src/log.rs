@@ -7,8 +7,8 @@
 //!
 //! The level comes from the `VIX_LOG` environment variable
 //! (`off`, `warn`, `info` or `debug`; default `warn`), read once on
-//! first use. Use the [`warn!`](crate::warn), [`info!`](crate::info)
-//! and [`debug!`](crate::debug) macros:
+//! first use. Use the [`info!`](crate::info) and [`debug!`](crate::debug)
+//! macros:
 //!
 //! ```
 //! vix_telemetry::info!("wrote {} sweep points", 12);
@@ -84,16 +84,6 @@ pub fn log(level: LogLevel, args: fmt::Arguments<'_>) {
     if enabled(level) {
         eprintln!("[vix {}] {args}", level.tag());
     }
-}
-
-/// Logs at [`LogLevel::Warn`].
-#[macro_export]
-macro_rules! warn {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::log::LogLevel::Warn) {
-            $crate::log::log($crate::log::LogLevel::Warn, ::core::format_args!($($arg)*));
-        }
-    };
 }
 
 /// Logs at [`LogLevel::Info`].

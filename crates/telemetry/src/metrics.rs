@@ -134,6 +134,33 @@ impl MetricsRegistry {
         h.total += 1;
     }
 
+    /// This registry's metrics under the same ids, every value zero: the
+    /// registry of a shard's sink, for [`absorb`](MetricsRegistry::absorb).
+    #[must_use]
+    pub fn zeroed(&self) -> Self {
+        let mut copy = self.clone();
+        copy.counters.iter_mut().for_each(|(_, c)| *c = 0);
+        copy.gauges.iter_mut().for_each(|(_, g)| *g = GaugeSnapshot::default());
+        for (_, h) in &mut copy.histograms {
+            h.counts.fill(0);
+            (h.sum, h.total) = (0, 0);
+        }
+        copy
+    }
+
+    /// Adds the counters and histograms of `other`, a
+    /// [`zeroed`](MetricsRegistry::zeroed) copy of this registry. Gauges
+    /// are left alone: the max of a sum is lost in per-part gauges.
+    pub fn absorb(&mut self, other: &MetricsRegistry) {
+        for ((_, c), (_, o)) in self.counters.iter_mut().zip(&other.counters) {
+            *c += o;
+        }
+        for ((_, h), (_, o)) in self.histograms.iter_mut().zip(&other.histograms) {
+            h.counts.iter_mut().zip(&o.counts).for_each(|(c, o)| *c += o);
+            (h.sum, h.total) = (h.sum + o.sum, h.total + o.total);
+        }
+    }
+
     /// True when nothing has been registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -250,6 +277,27 @@ mod tests {
         let (counts, total) = reg.histogram("h").unwrap();
         assert_eq!(counts, vec![2, 2, 2]); // <=1, <=4, overflow
         assert_eq!(total, 6);
+    }
+
+    #[test]
+    fn zeroed_copies_absorb_as_sums_and_leave_gauges_alone() {
+        let mut reg = MetricsRegistry::new();
+        let (c, g) = (reg.register_counter("c"), reg.register_gauge("g"));
+        let h = reg.register_histogram("h", &[1]);
+        reg.add(c, 5);
+        reg.set(g, 4);
+        reg.observe(h, 0);
+        let mut part = reg.zeroed();
+        assert_eq!(part.counter("c"), Some(0));
+        assert_eq!(part.gauge("g"), Some(GaugeSnapshot::default()));
+        assert_eq!(part.histogram("h"), Some((vec![0, 0], 0)));
+        part.add(c, 2);
+        part.set(g, 9);
+        part.observe(h, 3);
+        reg.absorb(&part);
+        assert_eq!(reg.counter("c"), Some(7));
+        assert_eq!(reg.histogram("h"), Some((vec![1, 1], 2)));
+        assert_eq!(reg.gauge("g").unwrap().samples, 1, "gauges are the merger's to record");
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! Everything in this module observes the *host* — monotonic wall-clock
 //! time around the simulator's pipeline phases — and never simulation
 //! state, so profiling cannot perturb results: a profiled run is
-//! bit-identical to an unprofiled one, and (unlike a recording
-//! trace/metrics sink) profiling composes with the sharded engine. That
-//! is the point: the per-shard flame track is exactly what the serial
-//! fallback would destroy.
+//! bit-identical to an unprofiled one. Each shard of a sharded run
+//! profiles on its own track.
 //!
 //! The layer has three parts:
 //!

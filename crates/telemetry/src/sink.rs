@@ -6,14 +6,19 @@
 //! * The simulator owns exactly one sink, built from
 //!   [`TelemetrySettings`] at network-construction time; routers and the
 //!   scheduler receive `&mut TelemetrySink` per step.
+//! * A sharded run gives each shard a [`for_shard`](TelemetrySink::for_shard)
+//!   sink; the run's sink takes in their trace events every cycle, in
+//!   serial order, and [`absorb`](TelemetrySink::absorb)s the rest when
+//!   the stretch ends (DESIGN.md §7).
 //! * Every recording method is a no-op behind a single branch when its
 //!   facility is off. A fully disabled sink ([`TelemetrySink::disabled`])
 //!   never allocates — its trace ring has zero capacity and its registry
 //!   is empty — so handing it through the hot path preserves the
 //!   zero-allocation and determinism guarantees.
-//! * Hot call sites guard event *construction* behind
-//!   [`tracing`](TelemetrySink::tracing) so a disabled run does not even
-//!   assemble the event payload.
+//! * Hot call sites hand [`trace`](TelemetrySink::trace) an event built by
+//!   a plain constructor, which the inlined check discards unbuilt; only a
+//!   payload that needs a lookup (one that may panic, so it cannot be
+//!   sunk) is guarded behind [`tracing`](TelemetrySink::tracing) itself.
 //!
 //! # Overhead budget
 //!
@@ -114,24 +119,46 @@ impl TelemetrySink {
         }
     }
 
-    /// The sink for shard `shard` of a sharded run of this sink's
-    /// simulation: recording off (trace order and per-cycle gauges are
-    /// defined by the serial engine), but carrying a shard-track profiler
-    /// on this sink's epoch when this sink profiles — profiling only reads
-    /// the host clock. Hand the profiler back with
-    /// [`into_profiler`](TelemetrySink::into_profiler) for
-    /// [`Profiler::absorb`].
+    /// The sink for shard `shard` of this sink's simulation. It records
+    /// what this sink records: trace events into an unbounded ring the
+    /// shard empties every cycle ([`take_trace`](TelemetrySink::take_trace)),
+    /// metrics into a [`zeroed`](MetricsRegistry::zeroed) registry copy,
+    /// spans on a shard track of this sink's profiler epoch.
     #[must_use]
     pub fn for_shard(&self, shard: u32, span_capacity: usize) -> Self {
         let prof = self
             .prof
             .as_ref()
             .map(|p| Box::new(Profiler::for_shard(shard, p.epoch(), span_capacity, 0, false)));
-        TelemetrySink { prof, ..TelemetrySink::disabled() }
+        let ring = if self.tracing { TraceRing::unbounded() } else { TraceRing::disabled() };
+        TelemetrySink {
+            tracing: self.tracing,
+            metrics: self.metrics,
+            ring,
+            registry: self.registry.zeroed(),
+            prof,
+            ids: self.ids,
+        }
     }
 
-    /// True when flit-lifecycle tracing is on. Callers should guard
-    /// event construction behind this.
+    /// Takes in `shard`, a [`for_shard`](TelemetrySink::for_shard) sink of
+    /// this one: its counters, histograms and profiler track. Its trace
+    /// events and gauge counts travel per cycle instead.
+    pub fn absorb(&mut self, shard: TelemetrySink) {
+        self.registry.absorb(&shard.registry);
+        if let (Some(p), Some(engine)) = (shard.prof, self.prof.as_deref_mut()) {
+            engine.absorb(*p);
+        }
+    }
+
+    /// Moves the trace events recorded since the last call, oldest first,
+    /// onto the end of `out`.
+    pub fn take_trace(&mut self, out: &mut Vec<TraceEvent>) {
+        self.ring.take_into(out);
+    }
+
+    /// True when flit-lifecycle tracing is on. Guard an event payload that
+    /// needs a lookup behind this; [`trace`](TelemetrySink::trace) checks.
     #[inline]
     #[must_use]
     pub fn tracing(&self) -> bool {
@@ -305,6 +332,24 @@ mod tests {
         on.span_lap(SpanKind::RouterStep, 0, t);
         let b = on.profiler().unwrap().breakdown();
         assert_eq!(b.totals[SpanKind::RouterStep as usize].count, 1);
+    }
+
+    #[test]
+    fn shard_sinks_record_and_the_run_sink_absorbs_their_sums() {
+        let mut run = TelemetrySink::new(TelemetrySettings::enabled().with_trace_capacity(4));
+        run.count(run.ids.stall_sa_no_grant, 1);
+        let mut shard = run.for_shard(1, 16);
+        assert!(shard.tracing() && shard.metrics_enabled());
+        for c in 0..6 {
+            shard.trace(TraceEvent::at(Cycle(c), TraceEventKind::Eject));
+        }
+        shard.count(shard.ids.stall_sa_no_grant, 2);
+        let mut events = Vec::new();
+        shard.take_trace(&mut events);
+        assert_eq!(events.len(), 6, "a shard's ring never wraps");
+        run.absorb(shard);
+        assert_eq!(run.registry().counter("stall.sa_no_grant"), Some(3));
+        assert!(run.trace_ring().is_empty(), "trace events travel per cycle, not by absorb");
     }
 
     #[test]

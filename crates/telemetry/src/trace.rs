@@ -146,8 +146,9 @@ impl TraceEvent {
 
 /// A preallocated ring of [`TraceEvent`]s.
 ///
-/// The ring never grows: once `capacity` events are held, each new event
-/// overwrites the oldest and bumps [`dropped`](TraceRing::dropped).
+/// The ring never grows (unless [`unbounded`](TraceRing::unbounded)): once
+/// `capacity` events are held, each new event overwrites the oldest and
+/// bumps [`dropped`](TraceRing::dropped).
 /// Iteration order is always chronological (oldest surviving event
 /// first), so exports stay sorted even after wrap-around.
 #[derive(Debug, Clone)]
@@ -173,6 +174,21 @@ impl TraceRing {
     #[must_use]
     pub fn disabled() -> Self {
         TraceRing::with_capacity(0)
+    }
+
+    /// A ring that grows instead of wrapping, emptied by
+    /// [`take_into`](TraceRing::take_into): a shard's per-cycle buffer.
+    #[must_use]
+    pub fn unbounded() -> Self {
+        TraceRing { buf: Vec::new(), cap: usize::MAX, start: 0, dropped: 0 }
+    }
+
+    /// Moves the retained events, oldest first, onto the end of `out` and
+    /// leaves the ring empty, its storage kept.
+    pub fn take_into(&mut self, out: &mut Vec<TraceEvent>) {
+        self.buf.rotate_left(self.start);
+        self.start = 0;
+        out.append(&mut self.buf);
     }
 
     /// Records an event, overwriting the oldest once full.
@@ -365,6 +381,24 @@ mod tests {
         assert_eq!(ring.dropped(), 6);
         let cycles: Vec<u64> = ring.iter().map(|e| e.cycle.0).collect();
         assert_eq!(cycles, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn take_into_moves_events_oldest_first_and_empties_the_ring() {
+        let mut out = Vec::new();
+        let mut wrapped = TraceRing::with_capacity(3);
+        for c in 0..5 {
+            wrapped.push(ev(c, TraceEventKind::Eject));
+        }
+        wrapped.take_into(&mut out);
+        let mut grown = TraceRing::unbounded();
+        for c in 5..9 {
+            grown.push(ev(c, TraceEventKind::Eject));
+        }
+        grown.take_into(&mut out);
+        assert_eq!(out.iter().map(|e| e.cycle.0).collect::<Vec<_>>(), vec![2, 3, 4, 5, 6, 7, 8]);
+        assert!(wrapped.is_empty() && grown.is_empty());
+        assert_eq!((wrapped.dropped(), grown.dropped()), (2, 0));
     }
 
     #[test]

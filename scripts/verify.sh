@@ -16,15 +16,20 @@ echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
 # Traced smoke sim: a short instrumented run must produce a loadable
-# Chrome trace and a metrics JSON end to end (CI uploads both).
-echo "==> vixsim traced smoke run"
-mkdir -p target/telemetry-smoke
-cargo run --release --bin vixsim -- --allocator vix --rate 0.08 \
-    --warmup 200 --measure 500 --drain 300 \
-    --trace-out target/telemetry-smoke/trace.json \
-    --metrics-out target/telemetry-smoke/metrics.json
-test -s target/telemetry-smoke/trace.json
-test -s target/telemetry-smoke/metrics.json
+# Chrome trace and a metrics JSON end to end, and the same bytes at
+# --shards 1 and --shards 4 (CI uploads the sharded pair).
+echo "==> vixsim traced smoke run (serial and sharded)"
+for shards in 1 4; do
+    out=target/telemetry-smoke-$shards
+    mkdir -p $out
+    cargo run --release --bin vixsim -- --allocator vix --rate 0.08 \
+        --warmup 200 --measure 500 --drain 300 --shards $shards \
+        --trace-out $out/trace.json --metrics-out $out/metrics.json
+    test -s $out/trace.json
+    test -s $out/metrics.json
+done
+cmp target/telemetry-smoke-1/trace.json target/telemetry-smoke-4/trace.json
+cmp target/telemetry-smoke-1/metrics.json target/telemetry-smoke-4/metrics.json
 
 # Profiled smoke sim: a short sharded run with engine self-profiling on
 # must produce a Perfetto-loadable per-shard trace and a heartbeat JSONL

@@ -26,9 +26,13 @@
 //! the merged phase-breakdown JSON. `--heartbeat N` samples a
 //! [`SimHealth`](vix::telemetry::SimHealth) snapshot every `N` cycles
 //! and streams it to stderr live; `--heartbeat-out` writes the snapshots
-//! as JSON lines instead (both imply profiling). Unlike `--trace-out`,
-//! profiling composes with `--shards`: that is where the per-shard
-//! busy/barrier balance comes from.
+//! as JSON lines instead (both imply profiling).
+//!
+//! Every output composes with `--shards`. The trace and metrics files are
+//! byte-identical for any shard count: each shard records into its own
+//! sink and the run merges them in serial order. A profile gets one track
+//! per shard, which is where the per-shard busy/barrier balance comes
+//! from.
 //!
 //! `--shards N` runs one simulation on `N` threads, the calling one
 //! included; `auto` picks `N` from the host's available parallelism
@@ -37,8 +41,8 @@
 //! router (whitespace-separated floats, `#` comments) and cuts the
 //! contiguous shard partition so per-shard weight — not router count —
 //! is balanced; feed it per-router utilization or a prior run's profiler
-//! busy ratios. Both are pure performance knobs: results are
-//! bit-identical for every shard count and weighting (DESIGN.md §8).
+//! busy ratios. Both are pure performance knobs: results and recordings
+//! are bit-identical for every shard count and weighting (DESIGN.md §8).
 
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -122,8 +126,9 @@ const USAGE: &str = "usage: vixsim [options]
   --shards <n|auto>                threads inside each simulation, the
                                    calling one included; auto (= 0) is one
                                    per core, split between the --jobs
-                                   workers of a sweep (default 1; results
-                                   identical for any value — DESIGN.md §8)
+                                   workers of a sweep (default 1; results,
+                                   traces and metrics identical for any
+                                   value — DESIGN.md §8)
   --shard-weights <file>           per-router cost weights for the shard
                                    partition, one float per router
                                    (whitespace-separated, # comments);
@@ -133,8 +138,10 @@ const USAGE: &str = "usage: vixsim [options]
   --sweep-csv <file>               run a 10-point rate sweep, write CSV
   --trace-out <file>               record the flit-lifecycle trace (single
                                    run only): .json = Chrome trace-event
-                                   (Perfetto), otherwise JSON lines
-  --metrics-out <file>             write metrics + matching efficiency JSON
+                                   (Perfetto), otherwise JSON lines.
+                                   Composes with --shards.
+  --metrics-out <file>             write metrics + matching efficiency JSON.
+                                   Composes with --shards.
   --profile-out <file>             engine self-profile: .json = Chrome
                                    trace-event with one track per shard
                                    (Perfetto), otherwise span JSON lines;

@@ -3,8 +3,9 @@
 //!
 //! `SimConfig::shards` is a pure performance knob: for every shard
 //! count and every allocator, a sharded run must produce byte-for-byte
-//! the statistics, ejection trace, activity counters, and matching record
-//! of a serial run. These tests hold the two engines side by side; the
+//! the statistics, ejection trace, activity counters, matching record,
+//! recorded flit trace and metrics of a serial run. These tests hold the
+//! two engines side by side; the
 //! serial engine itself is held to an independent reference simulator by
 //! `tests/reference_parity.rs`.
 
@@ -44,15 +45,29 @@ fn fnv1a(h: &mut u64, word: u64) {
     }
 }
 
+/// What a run's sink recorded: the flit trace as JSON lines, the metrics
+/// registry as JSON, and the events the trace ring dropped.
+struct Recording {
+    trace: Vec<u8>,
+    metrics: String,
+    dropped: u64,
+}
+
+/// Telemetry recording on, with a ring of `capacity` events.
+fn recorded(cfg: SimConfig, capacity: usize) -> SimConfig {
+    cfg.with_telemetry(TelemetrySettings::enabled().with_trace_capacity(capacity))
+}
+
 /// Runs the full protocol plus an ejection-trace hash folded over
 /// chunked `run_cycles` calls, exercising serial↔sharded hand-off.
 fn trace_and_stats(cfg: SimConfig) -> (u64, NetworkStats) {
-    trace_and_stats_weighted(cfg, None)
+    let (hash, stats, _) = trace_and_stats_weighted(cfg, None);
+    (hash, stats)
 }
 
 /// As [`trace_and_stats`], with optional per-router cost weights for the
-/// sharded partition.
-fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, NetworkStats) {
+/// sharded partition, also handing back what the run's sink recorded.
+fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, NetworkStats, Recording) {
     let mut sim = NetworkSim::build(cfg).expect("paper-default configs are valid");
     if let Some(w) = weights {
         sim.set_shard_weights(w);
@@ -78,7 +93,11 @@ fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, Ne
     let mut stats = sim.stats().clone();
     stats.set_activity(sim.aggregate_activity());
     stats.set_matching(sim.matching_summary());
-    (h, stats)
+    let tel = sim.telemetry();
+    let mut trace = Vec::new();
+    tel.trace_ring().write_jsonl(&mut trace).expect("write to Vec cannot fail");
+    let recording = Recording { trace, metrics: tel.registry().to_json(), dropped: tel.trace_ring().dropped() };
+    (h, stats, recording)
 }
 
 #[test]
@@ -185,37 +204,59 @@ fn weighted_shard_plans_stay_bit_identical() {
     // skewing the cut points (the `--shard-weights` load-balance knob)
     // must never change a single bit of the results — including across
     // serial↔sharded hand-offs and for cut layouts that leave some
-    // shard a single router.
-    let (serial_hash, serial) = trace_and_stats(config(AllocatorKind::Vix));
+    // shard a single router — and neither may the recorded trace.
+    let cfg = recorded(config(AllocatorKind::Vix), 1 << 16);
+    let (serial_hash, serial, serial_rec) = trace_and_stats_weighted(cfg, None);
     let heavy_front: Vec<f64> = (0..16).map(|r| if r < 4 { 50.0 } else { 1.0 }).collect();
     let heavy_back: Vec<f64> = (0..16).map(|r| if r >= 12 { 9.0 } else { 0.25 }).collect();
     let sawtooth: Vec<f64> = (0..16).map(|r| f64::from(1 + (r * 7) % 5)).collect();
     for weights in [&heavy_front, &heavy_back, &sawtooth] {
         for shards in [2, 4, 8] {
-            let (hash, stats) = trace_and_stats_weighted(
-                config(AllocatorKind::Vix).with_shards(shards),
-                Some(weights),
-            );
-            assert_eq!(hash, serial_hash, "weights={weights:?} shards={shards}: trace diverged");
+            let (hash, stats, rec) = trace_and_stats_weighted(cfg.with_shards(shards), Some(weights));
+            assert_eq!(hash, serial_hash, "weights={weights:?} shards={shards}: ejections diverged");
             assert_eq!(stats, serial, "weights={weights:?} shards={shards}: stats diverged");
+            assert!(rec.trace == serial_rec.trace, "weights={weights:?} shards={shards}: trace diverged");
         }
     }
 }
 
+/// Records `cfg` serially and at each of `shard_counts`, through the
+/// chunked schedule of [`trace_and_stats`], and holds every sharded
+/// recording to the serial one byte for byte.
+fn assert_recording_is_shard_invariant(what: &str, cfg: SimConfig, shard_counts: &[usize]) {
+    let (_, _, serial) = trace_and_stats_weighted(cfg, None);
+    assert!(!serial.trace.is_empty(), "{what}: nothing was traced");
+    for &shards in shard_counts {
+        let cfg = cfg.with_shards(shards);
+        assert_eq!(NetworkSim::build(cfg).unwrap().effective_shards(), shards, "{what}");
+        let (_, _, rec) = trace_and_stats_weighted(cfg, None);
+        assert!(rec.trace == serial.trace, "{what} shards={shards}: trace JSONL diverged");
+        assert_eq!(rec.metrics, serial.metrics, "{what} shards={shards}: metrics diverged");
+        assert_eq!(rec.dropped, serial.dropped, "{what} shards={shards}: ring drops diverged");
+    }
+}
+
 #[test]
-fn telemetry_recording_forces_serial_execution() {
-    // Trace-event order is a serial-scheduler artifact, so telemetry
-    // runs must fall back to one shard rather than record a different
-    // (even if statistically identical) trace.
-    let cfg = config(AllocatorKind::Vix)
-        .with_shards(4)
-        .with_telemetry(TelemetrySettings::enabled());
-    let sim = NetworkSim::build(cfg).unwrap();
-    assert_eq!(sim.effective_shards(), 1);
-    let (stats, telemetry) = sim.run_with_telemetry();
-    let serial = NetworkSim::build(config(AllocatorKind::Vix)).unwrap().run();
-    assert_eq!(stats.packets_ejected(), serial.packets_ejected());
-    assert!(telemetry.tracing(), "telemetry stayed on");
+fn recorded_telemetry_does_not_depend_on_the_shard_count() {
+    // Each shard records into its own sink; the run's sink takes the
+    // trace events in serial order every cycle and the counters and
+    // histograms as sums when a stretch ends. So recording never changes
+    // the engine, and what it records is the serial engine's, byte for
+    // byte — across serial↔sharded hand-offs mid-run too.
+    for kind in ALL_ALLOCATORS {
+        let cfg = recorded(config(kind), 1 << 16);
+        assert_recording_is_shard_invariant(&format!("{kind:?}"), cfg, &SHARD_COUNTS[1..]);
+    }
+    // Four terminals per router, and the fbfly's long-range links.
+    for topo in [TopologyKind::CMesh, TopologyKind::FlattenedButterfly] {
+        let network = NetworkConfig::paper_default(topo, AllocatorKind::Vix);
+        let cfg = SimConfig::new(network, 0.05).with_windows(200, 800, 400).with_seed(42);
+        assert_recording_is_shard_invariant(&format!("{topo:?}"), recorded(cfg, 1 << 16), &[4]);
+    }
+    // A ring that holds a few cycles: it wraps many times, across every
+    // stretch boundary of the chunked schedule.
+    let cfg = recorded(config(AllocatorKind::Vix), 1_000);
+    assert_recording_is_shard_invariant("1000-event ring", cfg, &[4]);
 }
 
 #[test]

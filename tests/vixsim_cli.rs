@@ -105,3 +105,29 @@ fn patterns_that_cannot_address_the_nodes_are_config_errors() {
         }
     }
 }
+
+#[test]
+fn sharded_recording_writes_the_serial_runs_bytes() {
+    // Recording does not choose the engine: a traced, metered run at
+    // --shards 4 runs sharded and writes exactly the serial run's files.
+    let tmp = env!("CARGO_TARGET_TMPDIR");
+    let run = |shards: &str| {
+        let (trace, metrics) =
+            (format!("{tmp}/vixsim_cli_s{shards}.jsonl"), format!("{tmp}/vixsim_cli_s{shards}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_vixsim"))
+            .args(["--nodes", "64", "--rate", "0.08", "--warmup", "100", "--measure", "300"])
+            .args(["--drain", "100", "--shards", shards, "--trace-out", &trace, "--metrics-out", &metrics])
+            .output()
+            .expect("vixsim runs");
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(out.status.success(), "vixsim --shards {shards} failed: {stderr}");
+        assert!(!stderr.contains("falling back"), "vixsim --shards {shards} printed: {stderr}");
+        let files = (std::fs::read(&trace).expect("trace"), std::fs::read(&metrics).expect("metrics"));
+        std::fs::remove_file(trace).and_then(|()| std::fs::remove_file(metrics)).expect("cleanup");
+        files
+    };
+    let (serial, sharded) = (run("1"), run("4"));
+    assert!(!serial.0.is_empty(), "nothing was traced");
+    assert!(sharded.0 == serial.0, "--shards 4 wrote a different trace");
+    assert!(sharded.1 == serial.1, "--shards 4 wrote different metrics");
+}
