@@ -20,10 +20,10 @@ fn sat(dimension_aware: bool, pattern: TrafficPattern, jobs: usize) -> f64 {
     };
     let base = SimConfig::new(network, 0.0)
         .with_windows(WARMUP, MEASURE, DRAIN)
-        .with_seed(7)
-        .with_jobs(jobs);
+        .with_seed(7);
     LoadSweep::new(base)
         .with_pattern(pattern)
+        .with_jobs(jobs)
         .run()
         .expect("valid")
         .saturation_throughput()

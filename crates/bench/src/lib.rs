@@ -119,10 +119,10 @@ pub fn sweep_network(
     let base = SimConfig::new(network, 0.0)
         .with_packet_len(packet_len)
         .with_windows(WARMUP, MEASURE, DRAIN)
-        .with_seed(seed)
-        .with_jobs(jobs);
+        .with_seed(seed);
     LoadSweep::new(base)
         .with_rates(rates)
+        .with_jobs(jobs)
         .run()
         .expect("experiment configs are valid")
         .points()
@@ -147,9 +147,8 @@ pub fn saturation_throughput(
     let base = SimConfig::new(network, 0.0)
         .with_packet_len(packet_len)
         .with_windows(WARMUP, MEASURE, DRAIN)
-        .with_seed(0xFEED)
-        .with_jobs(jobs);
-    LoadSweep::new(base).run().expect("experiment configs are valid").saturation_throughput()
+        .with_seed(0xFEED);
+    LoadSweep::new(base).with_jobs(jobs).run().expect("experiment configs are valid").saturation_throughput()
 }
 
 /// Formats a relative difference as `+x.x %`.

@@ -381,9 +381,6 @@ pub struct TelemetrySettings {
     /// waits). Profiling observes only the host clock — never simulation
     /// state — so it cannot perturb results.
     pub profiling: bool,
-    /// Capacity of the preallocated span ring per profiled track; once
-    /// full, the oldest spans are overwritten (and counted as dropped).
-    pub profile_span_capacity: usize,
     /// Emit a health heartbeat snapshot (cycles/sec, active routers,
     /// wake-calendar depth, buffered flits, per-shard busy/barrier split)
     /// every this many cycles (`0` = never). Requires `profiling`.
@@ -398,8 +395,10 @@ impl TelemetrySettings {
     /// Default ring capacity when tracing is enabled (events, not bytes).
     pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
-    /// Default span-ring capacity when profiling is enabled (spans per
-    /// track, not bytes).
+    /// Capacity of the preallocated span ring a profiled run records into
+    /// (spans, not bytes), shared out among the shards of a sharded run;
+    /// once full, the oldest spans are overwritten (and counted as
+    /// dropped).
     pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
     /// Everything off (the default).
@@ -410,7 +409,6 @@ impl TelemetrySettings {
             metrics: false,
             trace_capacity: 0,
             profiling: false,
-            profile_span_capacity: 0,
             heartbeat_every: 0,
             heartbeat_stream: false,
         }
@@ -454,8 +452,8 @@ impl TelemetrySettings {
         self
     }
 
-    /// Enables or disables engine self-profiling, keeping the span-ring
-    /// capacity (or setting the default if none was chosen yet).
+    /// Enables or disables engine self-profiling, with span rings of
+    /// [`TelemetrySettings::DEFAULT_SPAN_CAPACITY`] spans in all.
     ///
     /// Profiling only reads the host's monotonic clock: it never touches
     /// simulation state, so results stay bit-identical. A sharded run
@@ -463,16 +461,6 @@ impl TelemetrySettings {
     #[must_use]
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profiling = on;
-        if on && self.profile_span_capacity == 0 {
-            self.profile_span_capacity = Self::DEFAULT_SPAN_CAPACITY;
-        }
-        self
-    }
-
-    /// Sets the per-track span ring capacity in spans.
-    #[must_use]
-    pub fn with_profile_span_capacity(mut self, capacity: usize) -> Self {
-        self.profile_span_capacity = capacity;
         self
     }
 
@@ -519,22 +507,15 @@ pub struct SimConfig {
     pub drain: u64,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
-    /// Worker threads used when this configuration seeds a sweep or
-    /// replication batch (`0` = all available parallelism, `1` = serial).
-    ///
-    /// Parallelism never affects results: each sweep point derives its
-    /// own seed from `(seed, rate index, replication index)`, so a sweep
-    /// is bit-identical for every `jobs` value. A single simulation run
-    /// is always sequential — `jobs` only fans out *independent* runs.
-    pub jobs: usize,
     /// Shards a *single* simulation run across threads: the router graph
     /// is partitioned into contiguous per-thread shards that exchange
     /// cross-shard flits and credits at cycle boundaries (`0` = all
     /// available parallelism, `1` = serial, the default). The count
     /// includes the calling thread, which steps shard 0 itself.
     ///
-    /// Unlike [`SimConfig::jobs`], which fans out *independent* sweep
-    /// points, `shards` parallelises one run. The sharded engine is
+    /// Unlike a sweep's worker count (`LoadSweep::with_jobs` in
+    /// `vix-sim`), which fans out *independent* runs, `shards`
+    /// parallelises one run. The sharded engine is
     /// bit-identical to the serial path for every shard count — same
     /// statistics, same ejection order, same activity counters (enforced by
     /// `tests/shard_parity.rs`; see DESIGN.md §8 for the determinism
@@ -558,7 +539,6 @@ impl SimConfig {
             measure: 50_000,
             drain: 10_000,
             seed: 0xC0FFEE,
-            jobs: 1,
             shards: 1,
             telemetry: TelemetrySettings::disabled(),
         }
@@ -584,24 +564,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count for sweeps and replication batches
-    /// seeded from this configuration: `0` uses all available
-    /// parallelism, `1` (the default) runs serially. Results are
-    /// bit-identical for every value.
-    ///
-    /// ```
-    /// use vix_core::{AllocatorKind, NetworkConfig, SimConfig, TopologyKind};
-    ///
-    /// let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
-    /// let cfg = SimConfig::new(net, 0.05).with_jobs(0); // all cores
-    /// assert_eq!(cfg.jobs, 0);
-    /// ```
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
         self
     }
 
@@ -785,16 +747,6 @@ mod tests {
         let wide = |nodes| SimConfig::new(NetworkConfig { nodes, ..net }, 0.05);
         assert_eq!(wide(65_536).validate(), Ok(()));
         assert_eq!(wide(65_537).validate(), Err(ConfigError::TooManyNodes { nodes: 65_537 }));
-    }
-
-    #[test]
-    fn jobs_default_serial_and_builder() {
-        let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
-        let cfg = SimConfig::new(net, 0.05);
-        assert_eq!(cfg.jobs, 1, "library default must stay serial");
-        assert_eq!(cfg.with_jobs(0).jobs, 0);
-        assert_eq!(cfg.with_jobs(4).jobs, 4);
-        cfg.with_jobs(0).validate().unwrap();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! * [`NetworkSim::step`](crate::NetworkSim::step) runs it over the whole
 //!   network — offsets 0, every link local — with its own sink, and
-//!   replays the packet log into the ledger, `NetworkStats` and the
-//!   scheduler gauges straight after. No lock, no mailbox, no barrier.
+//!   replays the packet log into the ledger, `NetworkStats`, the
+//!   scheduler gauges and the heartbeat straight after. No lock, no
+//!   mailbox, no barrier.
 //! * `ShardWorker::run_cycle` ([`crate::shard`]) runs the same method over
 //!   its shard's slice with the shard's sink, between the cross-shard
 //!   exchange and the barrier.
@@ -165,6 +166,43 @@ pub(crate) struct PacketLog {
     /// statistics owner sums and records.
     pub(crate) active_routers: u64,
     pub(crate) wake_events: u64,
+    /// The slice's part of a heartbeat, on a cycle that closes a
+    /// heartbeat interval; the statistics owner sums the parts.
+    pub(crate) beat: Option<SliceBeat>,
+}
+
+/// One slice's heartbeat gauges at the end of a cycle. The body fills the
+/// first three; a shard adds its boundary pipes' wake events and its
+/// track's wall-clock split.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SliceBeat {
+    /// Router steps since the run began (a sharded stretch's shard 0
+    /// carries the steps taken before the stretch).
+    pub(crate) router_steps: u64,
+    /// Wake events pending: what the serial calendar would hold for
+    /// this slice's pipes.
+    pub(crate) wake_depth: u64,
+    /// Flits buffered in the slice's router inputs.
+    pub(crate) buffered_flits: u64,
+    /// The shard track's cumulative busy and barrier-wait nanoseconds.
+    pub(crate) busy_ns: u64,
+    pub(crate) barrier_ns: u64,
+}
+
+impl SliceBeat {
+    /// Records the heartbeat that `cycle` closes in `sink`: the sum of the
+    /// slices' `beats`, which are in shard order, with each shard's
+    /// wall-clock split when `per_shard` (the serial engine's one track
+    /// counts as busy for the whole interval).
+    pub(crate) fn record(beats: &[SliceBeat], per_shard: bool, cycle: u64, sink: &mut TelemetrySink) {
+        let Some(prof) = sink.profiler_mut() else { return };
+        let sum = |field: fn(&SliceBeat) -> u64| beats.iter().map(field).sum();
+        let split: Vec<(u64, u64)> =
+            if per_shard { beats.iter().map(|b| (b.busy_ns, b.barrier_ns)).collect() } else { Vec::new() };
+        let (steps, wake, buffered) =
+            (sum(|b| b.router_steps), sum(|b| b.wake_depth), sum(|b| b.buffered_flits));
+        prof.heartbeat(cycle, steps, wake, buffered, &split);
+    }
 }
 
 impl PacketLog {
@@ -214,6 +252,12 @@ pub(crate) struct NetSlice<'a> {
     pub(crate) node_off: usize,
     pub(crate) routers: &'a mut [RouterRecord],
     pub(crate) terminals: &'a mut [TerminalRecord],
+}
+
+/// True when the cycle before `cycle` closes a heartbeat interval.
+#[inline]
+fn beat_due(sink: &TelemetrySink, cycle: u64) -> bool {
+    sink.profiler().is_some_and(|p| p.beat_every() > 0 && cycle.is_multiple_of(p.beat_every()))
 }
 
 /// The trace record of `flit` seen at (`router`, `port`).
@@ -268,10 +312,16 @@ impl<'a> NetSlice<'a> {
         }
     }
 
-    /// Heartbeat gauges of this slice: wake-calendar depth and flits
-    /// buffered in router inputs.
-    pub(crate) fn health_gauges(&self, gating: &GatingState) -> (u64, u64) {
-        (gating.wake_depth(), self.routers.iter().map(|r| r.router.buffered_flits() as u64).sum())
+    /// This slice's heartbeat gauges as cycle `now` leaves them.
+    #[cold]
+    #[inline(never)]
+    fn beat(&self, gating: &GatingState) -> SliceBeat {
+        SliceBeat {
+            router_steps: gating.router_steps,
+            wake_depth: gating.wake_depth(),
+            buffered_flits: self.routers.iter().map(|r| r.router.buffered_flits() as u64).sum(),
+            ..SliceBeat::default()
+        }
     }
 
     /// Rebuilds `gating`'s wake calendar from the contents of this slice's
@@ -413,6 +463,9 @@ impl<'a> NetSlice<'a> {
                     }
                 }
             }
+        }
+        if beat_due(sink, now.0 + 1) {
+            log.beat = Some(self.beat(gating));
         }
         sink.span_lap(SpanKind::RouterStep, now.0, span)
     }

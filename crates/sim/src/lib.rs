@@ -50,7 +50,6 @@ mod sweep;
 pub use barrier::{BarrierPoisoned, SpinBarrier, SpinWaiter};
 pub use channel::Pipe;
 pub use network::{EjectedPacket, NetworkSim};
-pub use shard::ShardPlan;
 pub use runner::{derive_seed, parallel_map, resolve_jobs, SweepJob};
 pub use single_router::{SingleRouterHarness, SingleRouterResult};
 pub use source::SourceQueue;

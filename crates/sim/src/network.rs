@@ -8,7 +8,7 @@
 //! slice, and [`crate::shard`] runs the same body over each shard's slice.
 
 use crate::channel::Pipe;
-use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog};
+use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog, SliceBeat};
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
@@ -252,10 +252,6 @@ pub struct NetworkSim {
     /// Event/metric sink built from [`SimConfig::telemetry`]; disabled by
     /// default, in which case every hook compiles to a cheap branch.
     pub(crate) telemetry: TelemetrySink,
-    /// Per-router cost weights for the sharded engine's partition
-    /// ([`ShardPlan::weighted`](crate::ShardPlan::weighted)); `None` means
-    /// the uniform equal split. Set via [`NetworkSim::set_shard_weights`].
-    pub(crate) shard_weights: Option<Vec<u64>>,
     /// Per-router VC-occupancy histogram ids (empty when metrics are off).
     pub(crate) vc_occupancy: Vec<HistogramId>,
     /// Set only by [`NetworkSim::inject_shard_panic`].
@@ -363,7 +359,6 @@ impl NetworkSim {
             gating,
             telemetry,
             vc_occupancy,
-            shard_weights: None,
             shard_panic_at: None,
         })
     }
@@ -434,8 +429,9 @@ impl NetworkSim {
     /// Runs one cycle of the whole network: phase 1 from the run's traffic
     /// generator, then the cycle body (`NetSlice::step` in `cycle.rs`) over
     /// the whole network as one slice, then the body's packet log into the
-    /// ledger, the statistics and the scheduler gauges. The serial path
-    /// takes no lock and meets no barrier.
+    /// ledger, the statistics, the scheduler gauges and, on a heartbeat
+    /// cycle, the heartbeat. The serial path takes no lock and meets no
+    /// barrier.
     ///
     /// The body visits only active routers and links with a delivery due;
     /// quiescent routers are skipped and their idle history replayed on
@@ -459,26 +455,10 @@ impl NetworkSim {
         self.log.replay(&mut self.ledger, &mut self.stats);
         tel.gauge(tel.ids.sched_active_routers, self.log.active_routers);
         tel.gauge(tel.ids.sched_wake_events, self.log.wake_events);
+        if let Some(beat) = self.log.beat.take() {
+            SliceBeat::record(&[beat], false, now.0 + 1, tel);
+        }
         self.now = now.plus(1);
-        if self.telemetry.profiling() {
-            self.maybe_heartbeat();
-        }
-    }
-
-    /// Samples a serial-engine health heartbeat when the just-finished
-    /// cycle lands on the configured interval. (The sharded engine
-    /// samples from its calling thread instead — see `shard::run_sharded`.)
-    fn maybe_heartbeat(&mut self) {
-        let cycle = self.now.0;
-        let every = self.telemetry.profiler().map_or(0, vix_telemetry::Profiler::beat_every);
-        if every == 0 || cycle == 0 || !cycle.is_multiple_of(every) {
-            return;
-        }
-        let (wake_depth, buffered) = self.net.slice(&self.cfg, &[]).health_gauges(&self.gating);
-        let steps = self.gating.router_steps;
-        if let Some(p) = self.telemetry.profiler_mut() {
-            p.heartbeat(cycle, steps, wake_depth, buffered, &[]);
-        }
     }
 
     /// Total [`vix_router::Router::step_into`] calls so far: only the
@@ -569,49 +549,6 @@ impl NetworkSim {
     #[must_use]
     pub fn into_telemetry(self) -> TelemetrySink {
         self.telemetry
-    }
-
-    /// Sets per-router cost weights for the sharded engine's partition:
-    /// the next sharded [`NetworkSim::run_cycles`] uses
-    /// [`ShardPlan::weighted`](crate::ShardPlan::weighted) over these
-    /// instead of the uniform equal split. Weights are relative (only
-    /// ratios matter) — e.g. per-router utilization from a prior run, or
-    /// a prior run's per-shard busy ratios spread over each shard's
-    /// routers (`vixsim --shard-weights`).
-    ///
-    /// Any contiguous partition is bit-identical to serial, so this is
-    /// purely a load-balance knob; results never change.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is exactly one weight per router and every
-    /// weight is finite, non-negative, and at least one is positive.
-    pub fn set_shard_weights(&mut self, weights: &[f64]) {
-        assert_eq!(
-            weights.len(),
-            self.net.routers.len(),
-            "need exactly one shard weight per router"
-        );
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "shard weights must be finite and non-negative"
-        );
-        let max = weights.iter().cloned().fold(0.0f64, f64::max);
-        assert!(max > 0.0, "at least one shard weight must be positive");
-        // Fixed-point scale: the heaviest router costs 65536, everything
-        // else proportional, floors clamped to 1 so no router is free.
-        self.shard_weights = Some(
-            weights
-                .iter()
-                .map(|w| ((w / max * 65536.0).round() as u64).max(1))
-                .collect(),
-        );
-    }
-
-    /// Clears weights set by [`NetworkSim::set_shard_weights`], restoring
-    /// the uniform equal-split partition.
-    pub fn clear_shard_weights(&mut self) {
-        self.shard_weights = None;
     }
 
     /// Resolves [`SimConfig::shards`] to the thread count a

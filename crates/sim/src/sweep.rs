@@ -48,8 +48,8 @@ pub struct LoadSweep {
 impl LoadSweep {
     /// Creates a sweep from a base configuration (its `injection_rate` is
     /// overridden point by point) with uniform-random traffic and ten
-    /// evenly-spaced rates up to the flit-bandwidth limit. The worker
-    /// count starts from the base configuration's `jobs` setting.
+    /// evenly-spaced rates up to the flit-bandwidth limit, run on one
+    /// worker unless [`LoadSweep::with_jobs`] says otherwise.
     #[must_use]
     pub fn new(base: SimConfig) -> Self {
         let max = 1.0 / base.packet_len as f64;
@@ -59,7 +59,7 @@ impl LoadSweep {
             pattern: TrafficPattern::UniformRandom,
             rates,
             replications: 1,
-            jobs: base.jobs,
+            jobs: 1,
             points: Vec::new(),
             profile: None,
         }
@@ -93,8 +93,8 @@ impl LoadSweep {
         self
     }
 
-    /// Overrides the worker-thread count used by [`LoadSweep::run`]:
-    /// `0` uses all available parallelism, `1` runs serially. Results
+    /// Sets the worker-thread count used by [`LoadSweep::run`]: `0` uses
+    /// all available parallelism, `1` (the default) runs serially. Results
     /// are bit-identical for every value — see [`runner`].
     ///
     /// ```
@@ -327,10 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_default_comes_from_config() {
-        let sweep = LoadSweep::new(base(AllocatorKind::Vix).with_jobs(3));
-        assert_eq!(sweep.jobs, 3);
-        assert_eq!(sweep.with_jobs(1).jobs, 1);
+    fn jobs_default_to_one_worker() {
+        let sweep = LoadSweep::new(base(AllocatorKind::Vix));
+        assert_eq!(sweep.jobs, 1, "library default must stay serial");
+        assert_eq!(sweep.with_jobs(3).jobs, 3);
     }
 
     #[test]

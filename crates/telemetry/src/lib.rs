@@ -24,8 +24,11 @@
 //!   ([`Profiler`], exported as per-shard Perfetto flame tracks) and
 //!   periodic [`SimHealth`] heartbeats (cycles/sec, active routers,
 //!   wake-calendar depth, VC-slab occupancy, per-shard busy/barrier
-//!   split). Profiling observes only the host clock — never simulation
-//!   state — so it cannot perturb results.
+//!   split). The simulator samples a heartbeat where it merges a cycle's
+//!   records, from gauges every shard hands over with them, so its
+//!   simulation columns do not depend on the shard count. Profiling
+//!   observes only the host clock — never simulation state — so it
+//!   cannot perturb results.
 //!
 //! Everything funnels through a [`TelemetrySink`]: the simulator owns one
 //! sink, built from [`vix_core::config::TelemetrySettings`], and threads
@@ -66,8 +69,7 @@ pub use log::LogLevel;
 pub use matching::{MatchingStats, MatchingSummary};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use prof::{
-    HealthBoard, PhaseBreakdown, Profiler, ShardBeat, SimHealth, SpanKind, SpanRecord, SpanStart,
-    ENGINE_TRACK,
+    PhaseBreakdown, Profiler, ShardBeat, SimHealth, SpanKind, SpanRecord, SpanStart, ENGINE_TRACK,
 };
 pub use sink::{TelemetrySink, WellKnownMetrics};
 pub use trace::{TraceEvent, TraceEventKind, TraceRing, NO_FLIT, NO_ID, NO_PACKET};

@@ -19,9 +19,9 @@
 //! - **Health snapshots** ([`SimHealth`], [`Profiler::heartbeat`]):
 //!   cycles/sec, active-router count, wake-calendar depth, aggregate VC
 //!   occupancy, and the per-shard busy/barrier split, sampled on a
-//!   configurable cycle interval. [`HealthBoard`] is the lock-free
-//!   mailbox shard workers publish their counters through (writes are
-//!   ordered by the cycle barrier, so `Relaxed` atomics suffice).
+//!   configurable cycle interval. The simulator gathers each sample
+//!   where it merges a cycle's records, so it describes exactly the
+//!   cycle it names, for any shard count.
 //! - **Exporters**: span JSONL, heartbeat JSONL, a Chrome trace-event
 //!   file (one `tid` per shard — Perfetto renders a per-shard flame
 //!   track), and a human-readable end-of-run [`PhaseBreakdown`].
@@ -33,7 +33,6 @@
 //! every hook is a single `Option` branch.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of log₂-nanosecond histogram buckets per phase slot. Bucket
@@ -375,60 +374,6 @@ impl SimHealth {
     }
 }
 
-/// Lock-free publication board for sharded health sampling: shards
-/// store cumulative counters before the end-of-cycle barrier, the
-/// calling thread reads them after it. The barrier provides the ordering,
-/// so `Relaxed` atomics are sufficient — the board never synchronizes
-/// anything itself.
-#[derive(Debug)]
-pub struct HealthBoard {
-    /// Cumulative busy nanoseconds per shard.
-    pub busy_ns: Vec<AtomicU64>,
-    /// Cumulative barrier-wait nanoseconds per shard.
-    pub barrier_ns: Vec<AtomicU64>,
-    /// Cumulative router pipeline steps per shard.
-    pub router_steps: Vec<AtomicU64>,
-    /// Wake-calendar depth per shard at the last heartbeat cycle.
-    pub wake_depth: Vec<AtomicU64>,
-    /// Buffered flits per shard at the last heartbeat cycle.
-    pub buffered_flits: Vec<AtomicU64>,
-}
-
-impl HealthBoard {
-    /// A zeroed board for `shards` workers.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let zeroed = || (0..shards).map(|_| AtomicU64::new(0)).collect();
-        HealthBoard {
-            busy_ns: zeroed(),
-            barrier_ns: zeroed(),
-            router_steps: zeroed(),
-            wake_depth: zeroed(),
-            buffered_flits: zeroed(),
-        }
-    }
-
-    /// Worker `shard` publishes its cumulative busy/barrier split.
-    pub fn publish_time(&self, shard: usize, busy_ns: u64, barrier_ns: u64) {
-        self.busy_ns[shard].store(busy_ns, Ordering::Relaxed);
-        self.barrier_ns[shard].store(barrier_ns, Ordering::Relaxed);
-    }
-
-    /// Worker `shard` publishes its heartbeat-cycle gauges.
-    pub fn publish_gauges(&self, shard: usize, steps: u64, wake_depth: u64, buffered: u64) {
-        self.router_steps[shard].store(steps, Ordering::Relaxed);
-        self.wake_depth[shard].store(wake_depth, Ordering::Relaxed);
-        self.buffered_flits[shard].store(buffered, Ordering::Relaxed);
-    }
-
-    /// Reads one column of the board (heartbeat side, after the
-    /// cycle barrier).
-    #[must_use]
-    pub fn read(v: &[AtomicU64]) -> Vec<u64> {
-        v.iter().map(|a| a.load(Ordering::Relaxed)).collect()
-    }
-}
-
 /// The engine self-profiler: one instance per execution track, merged
 /// into the engine track's instance when a sharded run finishes.
 ///
@@ -600,8 +545,8 @@ impl Profiler {
     }
 
     /// Cumulative `(busy_ns, barrier_ns)` of this profiler's own track —
-    /// what a shard worker publishes to the [`HealthBoard`] each cycle
-    /// (a handful of integer adds, no allocation).
+    /// what a shard reports for a heartbeat (a handful of integer adds,
+    /// no allocation).
     #[must_use]
     pub fn own_busy_barrier_ns(&self) -> (u64, u64) {
         self.own.busy_barrier_ns()

@@ -91,7 +91,7 @@ impl TelemetrySink {
         let prof = settings.profiling.then(|| {
             Box::new(Profiler::new(
                 ENGINE_TRACK,
-                settings.profile_span_capacity,
+                TelemetrySettings::DEFAULT_SPAN_CAPACITY,
                 settings.heartbeat_every,
                 settings.heartbeat_stream,
             ))
@@ -123,13 +123,13 @@ impl TelemetrySink {
     /// what this sink records: trace events into an unbounded ring the
     /// shard empties every cycle ([`take_trace`](TelemetrySink::take_trace)),
     /// metrics into a [`zeroed`](MetricsRegistry::zeroed) registry copy,
-    /// spans on a shard track of this sink's profiler epoch.
+    /// spans on a shard track of this sink's profiler epoch, whose
+    /// heartbeat interval it shares (the run's sink samples the beats).
     #[must_use]
     pub fn for_shard(&self, shard: u32, span_capacity: usize) -> Self {
-        let prof = self
-            .prof
-            .as_ref()
-            .map(|p| Box::new(Profiler::for_shard(shard, p.epoch(), span_capacity, 0, false)));
+        let prof = self.prof.as_ref().map(|p| {
+            Box::new(Profiler::for_shard(shard, p.epoch(), span_capacity, p.beat_every(), false))
+        });
         let ring = if self.tracing { TraceRing::unbounded() } else { TraceRing::disabled() };
         TelemetrySink {
             tracing: self.tracing,

@@ -31,18 +31,26 @@ done
 cmp target/telemetry-smoke-1/trace.json target/telemetry-smoke-4/trace.json
 cmp target/telemetry-smoke-1/metrics.json target/telemetry-smoke-4/metrics.json
 
-# Profiled smoke sim: a short sharded run with engine self-profiling on
-# must produce a Perfetto-loadable per-shard trace and a heartbeat JSONL
-# end to end (CI uploads both; schema pinned by tests/telemetry_schema.rs).
-echo "==> vixsim profiled smoke run (sharded)"
-mkdir -p target/profile-smoke
-cargo run --release --bin vixsim -- --allocator vix --nodes 256 \
-    --rate 0.05 --shards 4 --warmup 200 --measure 600 --drain 300 \
-    --heartbeat 200 \
-    --profile-out target/profile-smoke/profile.json \
-    --heartbeat-out target/profile-smoke/health.jsonl
-test -s target/profile-smoke/profile.json
-test -s target/profile-smoke/health.jsonl
+# Profiled smoke sim: a short run with engine self-profiling on must
+# produce a Perfetto-loadable per-shard trace and a heartbeat JSONL end to
+# end (CI uploads the sharded pair; schema pinned by
+# tests/telemetry_schema.rs), and its heartbeats' simulation gauges must
+# be the same at --shards 1 and --shards 4 once the wall-clock keys go.
+echo "==> vixsim profiled smoke run (serial and sharded)"
+for shards in 1 4; do
+    out=target/profile-smoke-$shards
+    mkdir -p $out
+    cargo run --release --bin vixsim -- --allocator vix --nodes 256 \
+        --rate 0.05 --shards $shards --warmup 200 --measure 600 --drain 300 \
+        --heartbeat 200 \
+        --profile-out $out/profile.json \
+        --heartbeat-out $out/health.jsonl
+    test -s $out/profile.json
+    test -s $out/health.jsonl
+    sed -E 's/,"(wall_ns|cycles_per_sec|imbalance_pct|shards)":(\[.*\]|[0-9.]+)//g' \
+        $out/health.jsonl > $out/gauges.jsonl
+done
+cmp target/profile-smoke-1/gauges.jsonl target/profile-smoke-4/gauges.jsonl
 
 # Allocator-kernel perf guard: fresh kernel timings must stay within 25%
 # of the recorded BENCH_allockernels.json figures.

@@ -5,7 +5,7 @@
 //!        [--nodes N] [--rate R] [--packet-len N] [--vcs V] [--virtual-inputs K]
 //!        [--pattern uniform|transpose|bitcomp|bitrev|shuffle|neighbor]
 //!        [--warmup N] [--measure N] [--drain N] [--seed S] [--jobs N]
-//!        [--shards N|auto] [--shard-weights FILE]
+//!        [--shards N|auto]
 //!        [--no-speculation] [--no-dimension-aware] [--age-based-sa]
 //!        [--trace-out FILE] [--metrics-out FILE]
 //!        [--profile-out FILE] [--heartbeat N] [--heartbeat-out FILE]
@@ -37,12 +37,11 @@
 //! `--shards N` runs one simulation on `N` threads, the calling one
 //! included; `auto` picks `N` from the host's available parallelism
 //! (capped so each shard owns enough routers to amortize the cycle
-//! barrier; inside a `--jobs J` sweep, each point's share `cores / J`). `--shard-weights FILE` reads one relative cost per
-//! router (whitespace-separated floats, `#` comments) and cuts the
-//! contiguous shard partition so per-shard weight — not router count —
-//! is balanced; feed it per-router utilization or a prior run's profiler
-//! busy ratios. Both are pure performance knobs: results and recordings
-//! are bit-identical for every shard count and weighting (DESIGN.md §8).
+//! barrier; inside a `--jobs J` sweep, each point's share `cores / J`).
+//! The shards are contiguous router ranges of near-equal size. Both
+//! `--jobs` and `--shards` are pure performance knobs: results,
+//! recordings and the heartbeats' simulation gauges are bit-identical
+//! for every value (DESIGN.md §8).
 
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -68,7 +67,6 @@ struct Options {
     dimension_aware: bool,
     age_based_sa: bool,
     five_stage: bool,
-    shard_weights: Option<String>,
     sweep_csv: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -98,7 +96,6 @@ impl Default for Options {
             dimension_aware: true,
             age_based_sa: false,
             five_stage: false,
-            shard_weights: None,
             sweep_csv: None,
             trace_out: None,
             metrics_out: None,
@@ -129,11 +126,6 @@ const USAGE: &str = "usage: vixsim [options]
                                    workers of a sweep (default 1; results,
                                    traces and metrics identical for any
                                    value — DESIGN.md §8)
-  --shard-weights <file>           per-router cost weights for the shard
-                                   partition, one float per router
-                                   (whitespace-separated, # comments);
-                                   single run only. Pure load-balance
-                                   knob: results never change
   --no-speculation  --no-dimension-aware  --age-based-sa  --five-stage
   --sweep-csv <file>               run a 10-point rate sweep, write CSV
   --trace-out <file>               record the flit-lifecycle trace (single
@@ -217,7 +209,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     n => n.parse().map_err(|e| format!("bad shards: {e}"))?,
                 }
             }
-            "--shard-weights" => opt.shard_weights = Some(value()?.clone()),
             "--no-speculation" => opt.speculation = false,
             "--five-stage" => opt.five_stage = true,
             "--sweep-csv" => opt.sweep_csv = Some(value()?.clone()),
@@ -309,56 +300,11 @@ fn main() -> ExitCode {
     // Derive the router radix from an actual topology instance so
     // `--nodes` works for any valid terminal count, not just the paper's
     // 64 (the fbfly radix grows with the mesh side).
-    let (radix, routers) = match vix::topology::build_topology(opt.topology, opt.nodes) {
-        Ok(t) => (t.radix(), t.routers()),
+    let radix = match vix::topology::build_topology(opt.topology, opt.nodes) {
+        Ok(t) => t.radix(),
         Err(e) => {
             eprintln!("error: invalid configuration: {e}");
             return ExitCode::FAILURE;
-        }
-    };
-    // Per-router cost weights for the sharded engine's partition: one
-    // finite non-negative float per router, `#`-comments allowed.
-    let shard_weights: Option<Vec<f64>> = match &opt.shard_weights {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut weights = Vec::with_capacity(routers);
-            for token in text
-                .lines()
-                .map(|l| l.split('#').next().unwrap_or(""))
-                .flat_map(str::split_whitespace)
-            {
-                match token.parse::<f64>() {
-                    Ok(w) if w.is_finite() && w >= 0.0 => weights.push(w),
-                    _ => {
-                        eprintln!(
-                            "error: {path}: bad weight {token:?} (need a finite float ≥ 0)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            if weights.len() != routers {
-                eprintln!(
-                    "error: {path}: {} weights for {routers} routers \
-                     ({:?} with {} nodes)",
-                    weights.len(),
-                    opt.topology,
-                    opt.nodes
-                );
-                return ExitCode::FAILURE;
-            }
-            if weights.iter().all(|&w| w == 0.0) {
-                eprintln!("error: {path}: at least one weight must be positive");
-                return ExitCode::FAILURE;
-            }
-            Some(weights)
         }
     };
     let router = vix::RouterConfig::paper_default(radix)
@@ -395,17 +341,12 @@ fn main() -> ExitCode {
         .with_packet_len(opt.packet_len)
         .with_windows(opt.warmup, opt.measure, opt.drain)
         .with_seed(opt.seed)
-        .with_jobs(opt.jobs)
         .with_shards(opt.shards)
         .with_telemetry(telemetry);
 
     if let Some(path) = &opt.sweep_csv {
         if opt.trace_out.is_some() {
             eprintln!("error: --trace-out records a single run; drop --sweep-csv");
-            return ExitCode::FAILURE;
-        }
-        if shard_weights.is_some() {
-            eprintln!("error: --shard-weights shapes a single run; drop --sweep-csv");
             return ExitCode::FAILURE;
         }
         if opt.heartbeat_out.is_some() {
@@ -419,7 +360,8 @@ fn main() -> ExitCode {
         ) else {
             return ExitCode::FAILURE;
         };
-        let sweep = match LoadSweep::new(cfg).with_pattern(opt.pattern.clone()).run() {
+        let sweep = LoadSweep::new(cfg).with_pattern(opt.pattern.clone()).with_jobs(opt.jobs);
+        let sweep = match sweep.run() {
             Ok(sweep) => sweep,
             Err(e) => {
                 eprintln!("error: invalid configuration: {e}");
@@ -476,16 +418,13 @@ fn main() -> ExitCode {
     ) else {
         return ExitCode::FAILURE;
     };
-    let mut sim = match NetworkSim::build_with_pattern(cfg, opt.pattern.clone()) {
+    let sim = match NetworkSim::build_with_pattern(cfg, opt.pattern.clone()) {
         Ok(sim) => sim,
         Err(e) => {
             eprintln!("error: invalid configuration: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(weights) = &shard_weights {
-        sim.set_shard_weights(weights);
-    }
     vix::telemetry::info!(
         "vixsim: {:?} / {} / {} traffic @ {} pkt/cycle/node, {} VCs, {} virtual input(s)",
         opt.topology,

@@ -23,9 +23,9 @@ const ALL_ALLOCATORS: [AllocatorKind; 8] = [
     AllocatorKind::Islip(2),
 ];
 
-/// Shard counts the acceptance criteria pin: serial, even splits, and
-/// one that does not divide the 16-router mesh evenly.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Shard counts the acceptance criteria pin on the 16-router mesh:
+/// serial, even splits, an uneven 6/5/5 cut, and one router per shard.
+const SHARD_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 16];
 
 fn config(kind: AllocatorKind) -> SimConfig {
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
@@ -59,19 +59,10 @@ fn recorded(cfg: SimConfig, capacity: usize) -> SimConfig {
 }
 
 /// Runs the full protocol plus an ejection-trace hash folded over
-/// chunked `run_cycles` calls, exercising serial↔sharded hand-off.
-fn trace_and_stats(cfg: SimConfig) -> (u64, NetworkStats) {
-    let (hash, stats, _) = trace_and_stats_weighted(cfg, None);
-    (hash, stats)
-}
-
-/// As [`trace_and_stats`], with optional per-router cost weights for the
-/// sharded partition, also handing back what the run's sink recorded.
-fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, NetworkStats, Recording) {
+/// chunked `run_cycles` calls, exercising serial↔sharded hand-off, and
+/// hands back what the run's sink recorded too.
+fn trace_and_stats(cfg: SimConfig) -> (u64, NetworkStats, Recording) {
     let mut sim = NetworkSim::build(cfg).expect("paper-default configs are valid");
-    if let Some(w) = weights {
-        sim.set_shard_weights(w);
-    }
     let total = cfg.warmup + cfg.measure + cfg.drain;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut at = 0;
@@ -103,12 +94,12 @@ fn trace_and_stats_weighted(cfg: SimConfig, weights: Option<&[f64]>) -> (u64, Ne
 #[test]
 fn sharded_runs_match_serial_for_every_allocator_and_shard_count() {
     for kind in ALL_ALLOCATORS {
-        let (serial_hash, serial) = trace_and_stats(config(kind));
+        let (serial_hash, serial, _) = trace_and_stats(config(kind));
         for shards in SHARD_COUNTS {
             if shards == 1 {
                 continue;
             }
-            let (hash, stats) = trace_and_stats(config(kind).with_shards(shards));
+            let (hash, stats, _) = trace_and_stats(config(kind).with_shards(shards));
             assert_eq!(hash, serial_hash, "{kind:?} shards={shards}: ejection trace diverged");
             assert_eq!(stats, serial, "{kind:?} shards={shards}: statistics diverged");
         }
@@ -198,38 +189,16 @@ fn degenerate_shard_counts_clamp_and_stay_identical() {
     assert_eq!(auto.run(), serial);
 }
 
-#[test]
-fn weighted_shard_plans_stay_bit_identical() {
-    // Any contiguous partition merges in ascending router order, so
-    // skewing the cut points (the `--shard-weights` load-balance knob)
-    // must never change a single bit of the results — including across
-    // serial↔sharded hand-offs and for cut layouts that leave some
-    // shard a single router — and neither may the recorded trace.
-    let cfg = recorded(config(AllocatorKind::Vix), 1 << 16);
-    let (serial_hash, serial, serial_rec) = trace_and_stats_weighted(cfg, None);
-    let heavy_front: Vec<f64> = (0..16).map(|r| if r < 4 { 50.0 } else { 1.0 }).collect();
-    let heavy_back: Vec<f64> = (0..16).map(|r| if r >= 12 { 9.0 } else { 0.25 }).collect();
-    let sawtooth: Vec<f64> = (0..16).map(|r| f64::from(1 + (r * 7) % 5)).collect();
-    for weights in [&heavy_front, &heavy_back, &sawtooth] {
-        for shards in [2, 4, 8] {
-            let (hash, stats, rec) = trace_and_stats_weighted(cfg.with_shards(shards), Some(weights));
-            assert_eq!(hash, serial_hash, "weights={weights:?} shards={shards}: ejections diverged");
-            assert_eq!(stats, serial, "weights={weights:?} shards={shards}: stats diverged");
-            assert!(rec.trace == serial_rec.trace, "weights={weights:?} shards={shards}: trace diverged");
-        }
-    }
-}
-
 /// Records `cfg` serially and at each of `shard_counts`, through the
 /// chunked schedule of [`trace_and_stats`], and holds every sharded
 /// recording to the serial one byte for byte.
 fn assert_recording_is_shard_invariant(what: &str, cfg: SimConfig, shard_counts: &[usize]) {
-    let (_, _, serial) = trace_and_stats_weighted(cfg, None);
+    let (_, _, serial) = trace_and_stats(cfg);
     assert!(!serial.trace.is_empty(), "{what}: nothing was traced");
     for &shards in shard_counts {
         let cfg = cfg.with_shards(shards);
         assert_eq!(NetworkSim::build(cfg).unwrap().effective_shards(), shards, "{what}");
-        let (_, _, rec) = trace_and_stats_weighted(cfg, None);
+        let (_, _, rec) = trace_and_stats(cfg);
         assert!(rec.trace == serial.trace, "{what} shards={shards}: trace JSONL diverged");
         assert_eq!(rec.metrics, serial.metrics, "{what} shards={shards}: metrics diverged");
         assert_eq!(rec.dropped, serial.dropped, "{what} shards={shards}: ring drops diverged");

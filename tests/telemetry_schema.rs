@@ -324,6 +324,44 @@ fn heartbeat_jsonl_matches_documented_schema_serial_and_sharded() {
 }
 
 #[test]
+fn heartbeat_gauges_do_not_depend_on_the_shard_count() {
+    // Each shard writes its slice's gauges into its packet log on a
+    // heartbeat cycle and the stats owner sums them, so every column
+    // that reads simulation state — not the wall clock — is the serial
+    // run's, boundary pipes' wake events included.
+    let gauges = |tel: TelemetrySink| {
+        let beats = tel.profiler().expect("profiling was enabled").heartbeats().to_vec();
+        beats
+            .iter()
+            .map(|h| {
+                let avg = h.active_routers_avg.to_bits();
+                (h.cycle, h.interval_cycles, h.router_steps, avg, h.wake_depth, h.buffered_flits)
+            })
+            .collect::<Vec<_>>()
+    };
+    let serial = gauges(profiled_sharded_run(1));
+    assert_eq!(serial.len(), 3, "a 300-cycle run beats at 100, 200 and 300");
+    for shards in [2, 4] {
+        let sharded = gauges(profiled_sharded_run(shards));
+        assert_eq!(sharded, serial, "shards={shards}: heartbeat gauges diverged");
+    }
+    // Serial steps first, then a sharded stretch: the stretch's beats
+    // carry the router steps taken before it.
+    let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    network.nodes = 256;
+    let cfg = SimConfig::new(network, 0.05)
+        .with_windows(100, 150, 50)
+        .with_shards(4)
+        .with_telemetry(TelemetrySettings::disabled().with_heartbeat(100));
+    let mut sim = NetworkSim::build(cfg).expect("valid config");
+    for _ in 0..150 {
+        sim.step();
+    }
+    sim.run_cycles(150);
+    assert_eq!(gauges(sim.into_telemetry()), serial, "serial-then-sharded heartbeat gauges diverged");
+}
+
+#[test]
 fn profiled_sharded_chrome_trace_has_per_shard_tracks() {
     let tel = profiled_sharded_run(2);
     let prof = tel.profiler().expect("profiling was enabled");

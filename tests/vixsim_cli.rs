@@ -60,6 +60,16 @@ fn unwritable_output_paths_fail_before_the_run() {
 }
 
 #[test]
+fn shard_weights_is_an_unknown_option() {
+    // A sharded run has one plan, the balanced contiguous cut; the old
+    // per-router weighting flag must not be silently accepted.
+    let weights = format!("{}/vixsim_cli_weights.txt", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&weights, "1\n".repeat(16)).expect("weights file is writable");
+    let stderr = rejected(&["--nodes", "16", "--shards", "2", "--shard-weights", &weights]);
+    assert!(stderr.contains("error: unknown flag --shard-weights"), "printed: {stderr}");
+}
+
+#[test]
 fn zero_packet_length_names_its_own_constraint() {
     let stderr = rejected(&["--packet-len", "0"]);
     assert!(stderr.contains("packet length must be at least one flit"), "printed: {stderr}");
