@@ -210,3 +210,73 @@ fn single_router_harness_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Runs mesh-16 under `router` and `allocator` with tracing on and hashes
+/// the recorded trace: every byte of its JSON lines, then the event count.
+fn recorded_trace_hash(allocator: AllocatorKind, router: RouterConfig) -> (u64, usize) {
+    let mut network =
+        NetworkConfig::paper_default(TopologyKind::Mesh, allocator).with_router(router);
+    network.nodes = 16;
+    let telemetry = TelemetrySettings::enabled().with_trace_capacity(1 << 20);
+    let cfg = SimConfig::new(network, 0.06)
+        .with_windows(200, 600, 400)
+        .with_seed(0x7A_CE)
+        .with_telemetry(telemetry);
+    let mut sim = NetworkSim::build(cfg).expect("valid config");
+    sim.run_cycles(cfg.warmup + cfg.measure + cfg.drain);
+    let ring = sim.telemetry().trace_ring();
+    assert_eq!(ring.dropped(), 0, "the ring must hold the whole run");
+    let mut bytes = Vec::new();
+    ring.write_jsonl(&mut bytes).expect("write to Vec cannot fail");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        fnv1a(&mut h, u64::from_le_bytes(word));
+    }
+    fnv1a(&mut h, bytes.len() as u64);
+    (h, ring.len())
+}
+
+/// Golden network-level traces: every `VcAlloc`, `SaRequest`, `SaGrant`
+/// and `SwitchTraversal` event the routers record, byte for byte, under
+/// four pipeline configurations that between them take every branch of
+/// the router step (speculative and non-speculative requests, five-stage
+/// RC, age-based SA, dimension-aware and max-credit VA, packet chaining).
+/// A mismatch means the simulated behaviour or its trace order changed.
+#[test]
+fn recorded_traces_match_goldens() {
+    let paper = RouterConfig::paper_default(5);
+    let cases: [(&str, AllocatorKind, RouterConfig, u64, usize); 4] = [
+        (
+            "VIX k=2, speculative",
+            AllocatorKind::Vix,
+            paper.with_virtual_inputs(VirtualInputs::PerPort(2)),
+            0x85CF_6AAA_6E6F_F5FC,
+            62_038,
+        ),
+        (
+            "IF five-stage",
+            AllocatorKind::InputFirst,
+            paper.with_pipeline(vix::PipelineKind::FiveStage),
+            0xA65F_24A4_3056_0904,
+            63_593,
+        ),
+        (
+            "VIX k=3, no speculation, age-based SA, max-credit VA",
+            AllocatorKind::Vix,
+            paper
+                .with_virtual_inputs(VirtualInputs::PerPort(3))
+                .with_speculation(false)
+                .with_age_based_sa(true)
+                .with_dimension_aware_va(false),
+            0x583F_98DD_3658_F762,
+            63_107,
+        ),
+        ("packet chaining", AllocatorKind::PacketChaining, paper, 0xCFD3_F4DE_F3B4_CBB7, 61_683),
+    ];
+    for (what, allocator, router, hash, events) in cases {
+        let got = recorded_trace_hash(allocator, router);
+        assert_eq!(got, (hash, events), "{what}: recorded trace diverged from its golden");
+    }
+}
