@@ -210,6 +210,7 @@ impl Flit {
     /// # Panics
     ///
     /// Panics if either port id overflows the packed field.
+    #[inline]
     pub fn set_route(&mut self, out_port: PortId, lookahead_port: PortId) {
         self.out_port = u8::try_from(out_port.0).expect("port id overflows the packed field");
         self.lookahead_port =
@@ -221,6 +222,7 @@ impl Flit {
     /// # Panics
     ///
     /// Panics if the VC id overflows the packed field.
+    #[inline]
     pub fn set_out_vc(&mut self, out_vc: Option<VcId>) {
         self.out_vc = match out_vc {
             None => NO_VC,

@@ -104,6 +104,7 @@ impl RequestSet {
     /// Panics if the request's port, VC or output port is out of range: the
     /// planes share one allocation, so a stray index would land in a
     /// neighbouring plane instead of past the end.
+    #[inline(always)]
     pub fn push(&mut self, req: SwitchRequest) {
         assert!(
             req.port.0 < self.ports && req.vc.0 < self.vcs && req.out_port.0 < self.ports,
@@ -136,6 +137,7 @@ impl RequestSet {
     /// bit planes, whatever the number of posted requests. An empty set is
     /// already all-zero (every mutator keeps the planes in lockstep with
     /// `active`), so it is left alone.
+    #[inline]
     pub fn clear(&mut self) {
         if self.active != 0 {
             self.bits.clear();

@@ -69,6 +69,7 @@ impl OutputVcs {
     }
 
     /// True for terminal ejection ports.
+    #[inline]
     #[must_use]
     pub fn is_sink(&self, port: PortId) -> bool {
         self.sink[port.0]
@@ -80,6 +81,14 @@ impl OutputVcs {
         self.credits[self.idx(port, vc)]
     }
 
+    /// The credit and allocation registers of every downstream VC of
+    /// `port`, indexed by VC.
+    #[inline]
+    pub(crate) fn port_registers(&self, port: PortId) -> (&[usize], &[bool]) {
+        let vcs = port.0 * self.vcs..(port.0 + 1) * self.vcs;
+        (&self.credits[vcs.clone()], &self.allocated[vcs])
+    }
+
     /// True while a packet holds `(port, vc)`.
     #[must_use]
     pub fn is_allocated(&self, port: PortId, vc: VcId) -> bool {
@@ -88,6 +97,7 @@ impl OutputVcs {
 
     /// True when a flit may be sent into downstream VC `(port, vc)` right
     /// now.
+    #[inline]
     #[must_use]
     pub fn can_send(&self, port: PortId, vc: VcId) -> bool {
         self.sink[port.0] || self.credits[self.idx(port, vc)] > 0
@@ -100,6 +110,7 @@ impl OutputVcs {
     ///
     /// Panics if the VC is already allocated (double allocation is a VA
     /// protocol bug).
+    #[inline]
     pub fn allocate(&mut self, port: PortId, vc: VcId) {
         if self.sink[port.0] {
             return;
@@ -111,6 +122,7 @@ impl OutputVcs {
 
     /// Releases `(port, vc)` when the holding packet's tail traverses.
     /// No-op on sinks.
+    #[inline]
     pub fn release(&mut self, port: PortId, vc: VcId) {
         if self.sink[port.0] {
             return;
@@ -125,6 +137,7 @@ impl OutputVcs {
     /// # Panics
     ///
     /// Panics if no credit is available (flow-control bug).
+    #[inline]
     pub fn consume_credit(&mut self, port: PortId, vc: VcId) {
         if self.sink[port.0] {
             return;
@@ -140,6 +153,7 @@ impl OutputVcs {
     /// # Panics
     ///
     /// Panics if the VC already holds `depth` credits (flow-control bug).
+    #[inline]
     pub fn return_credit(&mut self, port: PortId, vc: VcId, depth: usize) {
         if self.sink[port.0] {
             return;

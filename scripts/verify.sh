@@ -15,21 +15,29 @@ cargo test -q
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
-# Traced smoke sim: a short instrumented run must produce a loadable
+# Traced smoke sim: short instrumented runs must produce a loadable
 # Chrome trace and a metrics JSON end to end, and the same bytes at
-# --shards 1 and --shards 4 (CI uploads the sharded pair).
-echo "==> vixsim traced smoke run (serial and sharded)"
-for shards in 1 4; do
-    out=target/telemetry-smoke-$shards
-    mkdir -p $out
-    cargo run --release --bin vixsim -- --allocator vix --rate 0.08 \
-        --warmup 200 --measure 500 --drain 300 --shards $shards \
-        --trace-out $out/trace.json --metrics-out $out/metrics.json
-    test -s $out/trace.json
-    test -s $out/metrics.json
+# --shards 1 and --shards 4 (CI uploads the sharded VIX pair). Besides
+# the default VIX router, a five-stage IF router and a non-speculative
+# VIX router with age-based SA take the router step's other branches.
+echo "==> vixsim traced smoke runs (serial and sharded)"
+for config in "telemetry-smoke:--allocator vix" \
+    "telemetry-smoke-five-stage:--allocator if --five-stage" \
+    "telemetry-smoke-no-spec:--allocator vix --no-speculation --age-based-sa"; do
+    name=${config%%:*}
+    flags=${config#*:}
+    for shards in 1 4; do
+        out=target/$name-$shards
+        mkdir -p $out
+        cargo run --release --bin vixsim -- $flags --rate 0.08 \
+            --warmup 200 --measure 500 --drain 300 --shards $shards \
+            --trace-out $out/trace.json --metrics-out $out/metrics.json
+        test -s $out/trace.json
+        test -s $out/metrics.json
+    done
+    cmp target/$name-1/trace.json target/$name-4/trace.json
+    cmp target/$name-1/metrics.json target/$name-4/metrics.json
 done
-cmp target/telemetry-smoke-1/trace.json target/telemetry-smoke-4/trace.json
-cmp target/telemetry-smoke-1/metrics.json target/telemetry-smoke-4/metrics.json
 
 # Profiled smoke sim: a short run with engine self-profiling on must
 # produce a Perfetto-loadable per-shard trace and a heartbeat JSONL end to

@@ -240,9 +240,11 @@ fn network_build_footprint_is_pinned() {
     // at 915 453 while credit rings were sized for a grant per VC rather
     // than per virtual input. The blocks stood at 4 752 (bytes 792 573)
     // while each separable allocator boxed its 15 arbiters one by one and
-    // kept two scratch rows its kernels no longer need.
-    const BUILD_ALLOCATIONS: u64 = 3_664;
-    const BUILD_BYTES: u64 = 774_141;
+    // kept two scratch rows its kernels no longer need, and at 3 664
+    // (bytes 774 141) while each router kept two more per-step outcome
+    // bitsets (VA bound, VA failed) between its VA and request sweeps.
+    const BUILD_ALLOCATIONS: u64 = 3_536;
+    const BUILD_BYTES: u64 = 770_045;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
