@@ -15,6 +15,17 @@ cargo test -q
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
+# Paper driver smoke: the analytic tables plus two quick simulated
+# figures through the `paper` driver must print the same bytes at
+# --jobs 1 and --jobs 2.
+echo "==> paper driver smoke (--jobs 1 and --jobs 2)"
+for jobs in 1 2; do
+    cargo run --release -p vix-bench --bin paper -- \
+        table1 table3 fig4_fig5 fig7 fig9 --jobs $jobs > target/paper-smoke-$jobs.txt
+    test -s target/paper-smoke-$jobs.txt
+done
+cmp target/paper-smoke-1.txt target/paper-smoke-2.txt
+
 # Traced smoke sim: short instrumented runs must produce a loadable
 # Chrome trace and a metrics JSON end to end, and the same bytes at
 # --shards 1 and --shards 4 (CI uploads the sharded VIX pair). Besides
