@@ -211,15 +211,21 @@ fn single_router_harness_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Runs mesh-16 under `router` and `allocator` with tracing on and hashes
-/// the recorded trace: every byte of its JSON lines, then the event count.
-fn recorded_trace_hash(allocator: AllocatorKind, router: RouterConfig) -> (u64, usize) {
+/// Runs mesh-16 under `router` and `allocator` at `rate` with tracing on,
+/// for a `measure`-cycle window, and hashes the recorded trace: every byte
+/// of its JSON lines, then the event count.
+fn recorded_trace_hash(
+    allocator: AllocatorKind,
+    router: RouterConfig,
+    rate: f64,
+    measure: u64,
+) -> (u64, usize) {
     let mut network =
         NetworkConfig::paper_default(TopologyKind::Mesh, allocator).with_router(router);
     network.nodes = 16;
     let telemetry = TelemetrySettings::enabled().with_trace_capacity(1 << 20);
-    let cfg = SimConfig::new(network, 0.06)
-        .with_windows(200, 600, 400)
+    let cfg = SimConfig::new(network, rate)
+        .with_windows(200, measure, 400)
         .with_seed(0x7A_CE)
         .with_telemetry(telemetry);
     let mut sim = NetworkSim::build(cfg).expect("valid config");
@@ -242,23 +248,22 @@ fn recorded_trace_hash(allocator: AllocatorKind, router: RouterConfig) -> (u64, 
 /// and `SwitchTraversal` event the routers record, byte for byte, under
 /// four pipeline configurations that between them take every branch of
 /// the router step (speculative and non-speculative requests, five-stage
-/// RC, age-based SA, dimension-aware and max-credit VA, packet chaining).
-/// A mismatch means the simulated behaviour or its trace order changed.
+/// RC, age-based SA, dimension-aware and max-credit VA, packet chaining),
+/// plus a light-load run in which most router steps find a single occupied
+/// input VC. A mismatch means the simulated behaviour or its trace order
+/// changed.
 #[test]
 fn recorded_traces_match_goldens() {
     let paper = RouterConfig::paper_default(5);
-    let cases: [(&str, AllocatorKind, RouterConfig, u64, usize); 4] = [
-        (
-            "VIX k=2, speculative",
-            AllocatorKind::Vix,
-            paper.with_virtual_inputs(VirtualInputs::PerPort(2)),
-            0x85CF_6AAA_6E6F_F5FC,
-            62_038,
-        ),
+    let vix2 = paper.with_virtual_inputs(VirtualInputs::PerPort(2));
+    let cases: [(&str, AllocatorKind, RouterConfig, f64, u64, u64, usize); 5] = [
+        ("VIX k=2, speculative", AllocatorKind::Vix, vix2, 0.06, 600, 0x85CF_6AAA_6E6F_F5FC, 62_038),
         (
             "IF five-stage",
             AllocatorKind::InputFirst,
             paper.with_pipeline(vix::PipelineKind::FiveStage),
+            0.06,
+            600,
             0xA65F_24A4_3056_0904,
             63_593,
         ),
@@ -270,13 +275,16 @@ fn recorded_traces_match_goldens() {
                 .with_speculation(false)
                 .with_age_based_sa(true)
                 .with_dimension_aware_va(false),
+            0.06,
+            600,
             0x583F_98DD_3658_F762,
             63_107,
         ),
-        ("packet chaining", AllocatorKind::PacketChaining, paper, 0xCFD3_F4DE_F3B4_CBB7, 61_683),
+        ("packet chaining", AllocatorKind::PacketChaining, paper, 0.06, 600, 0xCFD3_F4DE_F3B4_CBB7, 61_683),
+        ("VIX k=2, light load", AllocatorKind::Vix, vix2, 0.005, 2_400, 0x8809_4E77_FF5C_3B44, 15_239),
     ];
-    for (what, allocator, router, hash, events) in cases {
-        let got = recorded_trace_hash(allocator, router);
+    for (what, allocator, router, rate, measure, hash, events) in cases {
+        let got = recorded_trace_hash(allocator, router, rate, measure);
         assert_eq!(got, (hash, events), "{what}: recorded trace diverged from its golden");
     }
 }
