@@ -187,21 +187,35 @@ fn boundary_flavours() -> Vec<Flavour> {
     flavours
 }
 
+/// A random request from `(port, vc)`: any output, speculative one time in
+/// four, any age below 16.
+fn random_request(rng: &mut StdRng, ports: usize, port: usize, vc: usize) -> SwitchRequest {
+    SwitchRequest {
+        port: PortId(port),
+        vc: VcId(vc),
+        out_port: PortId(rng.gen_range(0..ports)),
+        speculative: rng.gen_range(0..4_u64) == 0,
+        age: rng.gen_range(0..16_u64),
+    }
+}
+
 fn random_requests(rng: &mut StdRng, ports: usize, vcs: usize, load_pct: u64) -> RequestSet {
     let mut rs = RequestSet::new(ports, vcs);
     for port in 0..ports {
         for vc in 0..vcs {
             if rng.gen_range(0..100_u64) < load_pct {
-                rs.push(SwitchRequest {
-                    port: PortId(port),
-                    vc: VcId(vc),
-                    out_port: PortId(rng.gen_range(0..ports)),
-                    speculative: rng.gen_range(0..4_u64) == 0,
-                    age: rng.gen_range(0..16_u64),
-                });
+                rs.push(random_request(rng, ports, port, vc));
             }
         }
     }
+    rs
+}
+
+/// A set holding one random request, from any VC of any port.
+fn lone_request(rng: &mut StdRng, ports: usize, vcs: usize) -> RequestSet {
+    let mut rs = RequestSet::new(ports, vcs);
+    let (port, vc) = (rng.gen_range(0..ports), rng.gen_range(0..vcs));
+    rs.push(random_request(rng, ports, port, vc));
     rs
 }
 
@@ -209,18 +223,26 @@ fn random_requests(rng: &mut StdRng, ports: usize, vcs: usize, load_pct: u64) ->
 /// seeded traffic and asserts the grant traces never diverge. Traversal
 /// feedback and idle-cycle fast-forwards are applied to both twins so the
 /// comparison covers stateful behaviour (pointers, chains, offsets), not
-/// just single-shot allocation.
+/// just single-shot allocation. The bitset twin takes every one-request
+/// cycle through [`SwitchAllocator::allocate_one`], the lone entry a
+/// lightly loaded router calls.
 fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
     let mut scalar = (f.build)();
     let mut bitset = (f.build)();
     let (mut sg, mut bg) = (GrantSet::new(), GrantSet::new());
+    let mut scratch = RequestSet::new(f.ports, f.vcs);
     let mut rng = StdRng::seed_from_u64(seed);
     for cycle in 0..cycles {
-        // Mix of loads, including empty cycles and saturation.
-        let load = [0, 15, 55, 85, 100][rng.gen_range(0..5_usize)];
-        let requests = random_requests(&mut rng, f.ports, f.vcs, load);
+        // Mix of loads: empty cycles, a lone request, up to saturation.
+        let requests = match rng.gen_range(0..6_usize) {
+            0 => lone_request(&mut rng, f.ports, f.vcs),
+            level => random_requests(&mut rng, f.ports, f.vcs, [0, 15, 55, 85, 100][level - 1]),
+        };
         scalar.allocate_scalar_into(&requests, &mut sg);
-        bitset.allocate_into(&requests, &mut bg);
+        match requests.active_requests().collect::<Vec<_>>()[..] {
+            [lone] => bitset.allocate_one(lone, &mut scratch, &mut bg),
+            _ => bitset.allocate_into(&requests, &mut bg),
+        }
         sg.validate_against(&requests, scalar.partition())
             .unwrap_or_else(|v| panic!("{}: scalar grants invalid at cycle {cycle}: {v}", f.label));
         let sv: Vec<_> = sg.iter().collect();

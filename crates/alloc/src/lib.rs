@@ -58,7 +58,7 @@ pub use separable::SeparableAllocator;
 pub use wavefront::WavefrontAllocator;
 
 use vix_arbiter::ArbiterKind;
-use vix_core::{AllocatorKind, GrantSet, RequestSet, RouterConfig, VixPartition};
+use vix_core::{AllocatorKind, GrantSet, RequestSet, RouterConfig, SwitchRequest, VixPartition};
 use vix_telemetry::{MatchingStats, MatchingSummary};
 
 /// Bitset analogue of the scalar `mask_to_oldest` line masking: clears every
@@ -195,6 +195,16 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     /// must push grants in the same order as the equivalent
     /// [`allocate`](SwitchAllocator::allocate) always has.
     fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet);
+
+    /// [`allocate_into`](SwitchAllocator::allocate_into) on a set holding
+    /// `request` alone: same grants, state evolution and matching record.
+    /// The default builds that set in `scratch` (any set of this shape; its
+    /// contents are overwritten); an override may leave `scratch` alone.
+    fn allocate_one(&mut self, request: SwitchRequest, scratch: &mut RequestSet, grants: &mut GrantSet) {
+        scratch.clear();
+        scratch.push(request);
+        self.allocate_into(scratch, grants);
+    }
 
     /// [`allocate_into`](SwitchAllocator::allocate_into) through the scalar
     /// reference kernel — the plain per-VC loops each word-parallel kernel

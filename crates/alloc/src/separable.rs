@@ -11,9 +11,7 @@ use vix_arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter, Static
 use vix_core::bits::{
     any_set, extract_range, mask_up_to, range_any_set, set_bit, test_bit, words_for,
 };
-#[cfg(test)]
-use vix_core::SwitchRequest;
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
 use vix_telemetry::MatchingStats;
 
 /// Input-first separable switch allocator (Fig. 3 of the paper).
@@ -191,7 +189,12 @@ impl Kernel {
     /// One call, with the arbiter kind resolved and the body picked by width.
     fn run(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         if reqs.len() == 1 {
-            self.single(bank, reqs, grants);
+            let lone = (0..self.cfg.ports).map(PortId).find_map(|port| {
+                let active = reqs.bits().active_vcs(port);
+                let w = active.iter().position(|&word| word != 0)?;
+                reqs.get(port, VcId(w * 64 + active[w].trailing_zeros() as usize))
+            });
+            self.single(bank, lone.expect("one request posted"), grants);
         } else if self.one_word {
             self.word(bank, reqs, grants);
         } else {
@@ -202,22 +205,14 @@ impl Kernel {
     /// Single-request fast path: every arbiter kind grants a lone asserted
     /// line, so both stages collapse to their grant-time pointer commits —
     /// the same grants and arbiter state as the full kernels.
-    fn single(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+    #[inline]
+    fn single(&mut self, bank: &mut Bank<impl Arbiter>, req: SwitchRequest, grants: &mut GrantSet) {
         let partition = &self.cfg.partition;
-        for port in (0..self.cfg.ports).map(PortId) {
-            let active = reqs.bits().active_vcs(port);
-            let Some(w) = active.iter().position(|&word| word != 0) else {
-                continue;
-            };
-            let vc = VcId(w * 64 + active[w].trailing_zeros() as usize);
-            let out_port = reqs.get(port, vc).expect("bit implies request").out_port;
-            let group = partition.group_of(vc);
-            let vi = port.0 * partition.groups() + group.0;
-            let local = vc.0 - partition.group_start(group);
-            bank.grant(out_port.0, vi, Champion { port, vc, local }, grants);
-            break;
-        }
-        self.matching.record(1, 1, 1, grants.len());
+        let group = partition.group_of(req.vc);
+        let vi = req.port.0 * partition.groups() + group.0;
+        let local = req.vc.0 - partition.group_start(group);
+        bank.grant(req.out_port.0, vi, Champion { port: req.port, vc: req.vc, local }, grants);
+        self.matching.record(1, 1, 1, 1);
     }
 
     /// The one-word kernel. Each port's VC lines, each sub-group's line,
@@ -448,6 +443,16 @@ impl SwitchAllocator for SeparableAllocator {
             Arbiters::RoundRobin(bank) => kernel.run(bank, requests, grants),
             Arbiters::Matrix(bank) => kernel.run(bank, requests, grants),
             Arbiters::Static(bank) => kernel.run(bank, requests, grants),
+        }
+    }
+
+    fn allocate_one(&mut self, request: SwitchRequest, _: &mut RequestSet, grants: &mut GrantSet) {
+        let Self { arbiters, kernel } = self;
+        grants.clear();
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.single(bank, request, grants),
+            Arbiters::Matrix(bank) => kernel.single(bank, request, grants),
+            Arbiters::Static(bank) => kernel.single(bank, request, grants),
         }
     }
 

@@ -30,18 +30,20 @@ cmp target/paper-smoke-1.txt target/paper-smoke-2.txt
 # Chrome trace and a metrics JSON end to end, and the same bytes at
 # --shards 1 and --shards 4 (CI uploads the sharded VIX pair). Besides
 # the default VIX router, a five-stage IF router and a non-speculative
-# VIX router with age-based SA take the router step's other branches.
+# VIX router with age-based SA take the router step's other branches,
+# and a long light-load VIX run is mostly one-VC light router steps.
 echo "==> vixsim traced smoke runs (serial and sharded)"
-for config in "telemetry-smoke:--allocator vix" \
-    "telemetry-smoke-five-stage:--allocator if --five-stage" \
-    "telemetry-smoke-no-spec:--allocator vix --no-speculation --age-based-sa"; do
+for config in "telemetry-smoke:--allocator vix --rate 0.08 --measure 500" \
+    "telemetry-smoke-five-stage:--allocator if --five-stage --rate 0.08 --measure 500" \
+    "telemetry-smoke-no-spec:--allocator vix --no-speculation --age-based-sa --rate 0.08 --measure 500" \
+    "telemetry-smoke-light:--allocator vix --rate 0.005 --measure 4000"; do
     name=${config%%:*}
     flags=${config#*:}
     for shards in 1 4; do
         out=target/$name-$shards
         mkdir -p $out
-        cargo run --release --bin vixsim -- $flags --rate 0.08 \
-            --warmup 200 --measure 500 --drain 300 --shards $shards \
+        cargo run --release --bin vixsim -- $flags \
+            --warmup 200 --drain 300 --shards $shards \
             --trace-out $out/trace.json --metrics-out $out/metrics.json
         test -s $out/trace.json
         test -s $out/metrics.json

@@ -12,7 +12,7 @@
 mod lockstep;
 mod reference;
 
-use lockstep::{assert_lockstep, mesh16, total_cycles, ALL_ALLOCATORS};
+use lockstep::{ablation_variants, assert_lockstep, mesh16, total_cycles, ALL_ALLOCATORS};
 use reference::ReferenceNet;
 use vix::power::{EnergyBreakdown, EnergyModel};
 use vix::prelude::*;
@@ -21,10 +21,21 @@ use vix::prelude::*;
 fn gated_and_ungated_traces_match_for_every_allocator() {
     // Light load: most routers sit quiescent most cycles, so the engine
     // skips them and replays their idle cycles while the model clocks
-    // every one of them — the regime where a gating bug would surface.
-    for kind in ALL_ALLOCATORS {
-        let cfg = SimConfig { injection_rate: 0.01, ..mesh16(kind) };
-        assert_lockstep(cfg, TrafficPattern::UniformRandom, &format!("{kind:?} at light load"));
+    // every one of them — the regime where a gating bug would surface. A
+    // woken router mostly holds one occupied VC and takes the light step,
+    // so every router variant runs here too; the five-stage one keeps the
+    // general step. In a non-speculative wavefront router a VA-only light
+    // step must replay the allocator's empty-cycle drift, which no other
+    // input exercises.
+    let defaults = ALL_ALLOCATORS.map(|kind| (format!("{kind:?}"), mesh16(kind)));
+    let variants = ablation_variants().map(|(what, cfg)| (what.to_string(), cfg));
+    let wf = mesh16(AllocatorKind::Wavefront);
+    let wf_router = wf.network.router.with_speculation(false);
+    let wf = SimConfig { network: wf.network.with_router(wf_router), ..wf };
+    let extra = [("non-speculative Wavefront".to_string(), wf)];
+    for (what, cfg) in defaults.into_iter().chain(variants).chain(extra) {
+        let cfg = SimConfig { injection_rate: 0.01, ..cfg };
+        assert_lockstep(cfg, TrafficPattern::UniformRandom, &format!("{what} at light load"));
     }
 }
 

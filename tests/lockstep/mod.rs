@@ -5,7 +5,7 @@
 use crate::reference::ReferenceNet;
 use vix::power::{EnergyBreakdown, EnergyModel};
 use vix::prelude::*;
-use vix::{Cycle, PacketDescriptor};
+use vix::{Cycle, PacketDescriptor, PipelineKind};
 
 /// All eight allocator configurations exercised by the golden traces.
 pub const ALL_ALLOCATORS: [AllocatorKind; 8] = [
@@ -28,6 +28,24 @@ pub const CHECK_EVERY: u64 = 97;
 pub fn mesh16(kind: AllocatorKind) -> SimConfig {
     let network = NetworkConfig { nodes: 16, ..NetworkConfig::paper_default(TopologyKind::Mesh, kind) };
     SimConfig::new(network, 0.06).with_windows(300, 1_200, 500).with_seed(0xD1CE)
+}
+
+/// [`mesh16`] under each router variant the ablations reach: every router
+/// step branch the default IF and VIX routers leave untaken.
+pub fn ablation_variants() -> [(&'static str, SimConfig); 5] {
+    let (base, vix) = (mesh16(AllocatorKind::InputFirst), mesh16(AllocatorKind::Vix));
+    let with = |cfg: SimConfig, router: RouterConfig| SimConfig {
+        network: cfg.network.with_router(router),
+        ..cfg
+    };
+    let (base_router, vix_router) = (base.network.router, vix.network.router);
+    [
+        ("five-stage", with(base, base_router.with_pipeline(PipelineKind::FiveStage))),
+        ("non-speculative", with(vix, vix_router.with_speculation(false))),
+        ("dimension-oblivious VA", with(vix, vix_router.with_dimension_aware_va(false))),
+        ("VIX k = 3", with(vix, vix_router.with_virtual_inputs(VirtualInputs::PerPort(3)))),
+        ("oldest-first SA", with(vix, vix_router.with_age_based_sa(true))),
+    ]
 }
 
 pub fn total_cycles(cfg: &SimConfig) -> u64 {

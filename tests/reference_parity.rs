@@ -16,11 +16,11 @@ mod lockstep;
 mod reference;
 
 use lockstep::{
-    assert_lockstep, assert_same_state, ejections, mesh16, total_cycles, ALL_ALLOCATORS, CHECK_EVERY,
+    ablation_variants, assert_lockstep, assert_same_state, ejections, mesh16, total_cycles,
+    ALL_ALLOCATORS, CHECK_EVERY,
 };
 use reference::ReferenceNet;
 use vix::prelude::*;
-use vix::PipelineKind;
 
 #[test]
 fn every_allocator_matches_the_reference_cycle_by_cycle() {
@@ -31,20 +31,7 @@ fn every_allocator_matches_the_reference_cycle_by_cycle() {
 
 #[test]
 fn ablation_router_configs_match_the_reference() {
-    let (base, vix) = (mesh16(AllocatorKind::InputFirst), mesh16(AllocatorKind::Vix));
-    let with = |cfg: SimConfig, router: RouterConfig| SimConfig {
-        network: cfg.network.with_router(router),
-        ..cfg
-    };
-    let (base_router, vix_router) = (base.network.router, vix.network.router);
-    let variants = [
-        ("five-stage", with(base, base_router.with_pipeline(PipelineKind::FiveStage))),
-        ("non-speculative", with(vix, vix_router.with_speculation(false))),
-        ("dimension-oblivious VA", with(vix, vix_router.with_dimension_aware_va(false))),
-        ("VIX k = 3", with(vix, vix_router.with_virtual_inputs(VirtualInputs::PerPort(3)))),
-        ("oldest-first SA", with(vix, vix_router.with_age_based_sa(true))),
-    ];
-    for (what, cfg) in variants {
+    for (what, cfg) in ablation_variants() {
         assert_lockstep(cfg, TrafficPattern::UniformRandom, what);
     }
 }
