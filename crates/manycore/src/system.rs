@@ -108,7 +108,8 @@ pub struct ManycoreSystem {
     /// The memory controllers, in [`MC_NODES`] order — a fixed visiting
     /// order, so packet ids and tags are assigned identically on every run.
     mcs: Vec<MemoryController>,
-    /// Reused buffer the network's ejections are drained into each cycle.
+    /// Packets the network delivered in the last cycle (`step_into`), handled
+    /// at the start of the next; the buffer is reused every cycle.
     ejected: Vec<EjectedPacket>,
     /// Transaction table: txn id → requesting core.
     txns: HashMap<u64, NodeId>,
@@ -220,7 +221,6 @@ impl ManycoreSystem {
 
         // 1. Deliver network ejections and due local messages.
         let mut ejected = std::mem::take(&mut self.ejected);
-        self.net.take_ejections_into(&mut ejected);
         for e in ejected.drain(..) {
             let msg = self.messages.remove(&e.packet.tag).expect("ejected packet has a message");
             self.handle(now, e.packet.dest, msg);
@@ -272,7 +272,7 @@ impl ManycoreSystem {
         }
 
         // 5. Clock the network.
-        self.net.step();
+        self.net.step_into(&mut self.ejected);
     }
 
     /// Runs `warmup` unmeasured cycles then `measure` measured cycles and

@@ -157,8 +157,6 @@ pub(crate) struct PacketLog {
     /// `(flit, cycle, measured)` per flit that left the network at its
     /// destination: every tail, and every flit inside the measurement window.
     ejected: Vec<(Flit, Cycle, bool)>,
-    /// Packets whose tail flit ejected (every window).
-    pub(crate) ejects: Vec<EjectedPacket>,
     /// A shard's trace events of the cycle (the serial body records
     /// straight into the run's ring).
     pub(crate) trace: Vec<TraceEvent>,
@@ -208,9 +206,15 @@ impl SliceBeat {
 impl PacketLog {
     /// Drains the log in order: injected packets enter `ledger`; an ejection is
     /// recorded in `stats` if measured, and a tail retires its packet from
-    /// `ledger` into `ejects` (loudly, if missing). A head leaves its source a
-    /// cycle or more before its tail ejects, so the entry is always there.
-    pub(crate) fn replay(&mut self, ledger: &mut PacketLedger, stats: &mut NetworkStats) {
+    /// `ledger` (loudly, if missing) into `delivered`, if the caller keeps
+    /// deliveries. A head leaves its source a cycle or more before its tail
+    /// ejects, so the entry is always there.
+    pub(crate) fn replay(
+        &mut self,
+        ledger: &mut PacketLedger,
+        stats: &mut NetworkStats,
+        mut delivered: Option<&mut Vec<EjectedPacket>>,
+    ) {
         for p in self.injected.drain(..) {
             ledger.insert(p.id.0, (p.source, p.created_at, p.tag, p.len_flits));
         }
@@ -226,8 +230,10 @@ impl PacketLog {
             if measured {
                 stats.record_ejection(source, true, created_at, at);
             }
-            let packet = PacketDescriptor { id, source, dest, len_flits, created_at, tag };
-            self.ejects.push(EjectedPacket { packet, at });
+            if let Some(out) = delivered.as_deref_mut() {
+                let packet = PacketDescriptor { id, source, dest, len_flits, created_at, tag };
+                out.push(EjectedPacket { packet, at });
+            }
         }
     }
 }

@@ -60,7 +60,7 @@
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog, SliceBeat};
 use crate::channel::Pipe;
-use crate::network::{Far, NetworkSim, TrafficGen};
+use crate::network::{EjectedPacket, Far, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
 use vix_core::bits::{set_bit, set_low_bits, test_bit};
@@ -352,15 +352,16 @@ impl ShardWorker<'_> {
 }
 
 /// Replays cycle `t`'s per-shard packet logs into the network's ledger,
-/// statistics and sink, in shard order = ascending router order = serial
-/// order — except that a serial cycle traces every `Inject` before any
-/// router event, so each shard's leading `Inject`s go first.
+/// statistics, sink and the caller's delivery buffer (if any), in shard
+/// order = ascending router order = serial order — except that a serial
+/// cycle traces every `Inject` before any router event, so each shard's
+/// leading `Inject`s go first.
 fn merge_cycle(
     t: u64,
     outs: &[Mutex<PacketLog>],
     ledger: &mut PacketLedger,
     stats: &mut NetworkStats,
-    log: &mut PacketLog,
+    mut delivered: Option<&mut Vec<EjectedPacket>>,
     sink: &mut TelemetrySink,
 ) {
     let inject = |ev: &TraceEvent| ev.kind == TraceEventKind::Inject;
@@ -375,8 +376,7 @@ fn merge_cycle(
     let mut beats = Vec::new();
     for slot in outs {
         let mut out = slot.lock().expect("shard not panicked");
-        out.replay(ledger, stats);
-        log.ejects.append(&mut out.ejects);
+        out.replay(ledger, stats, delivered.as_deref_mut());
         out.trace.drain(..).skip_while(inject).for_each(|ev| sink.trace(ev));
         (active, wake) = (active + out.active_routers, wake + out.wake_events);
         beats.extend(out.beat.take());
@@ -415,11 +415,17 @@ fn stage_cycle(
 
 /// Advances `sim` by `cycles` cycles across `shards` threads — this one,
 /// which steps shard 0, plus `shards − 1` spawned ones —
-/// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
+/// bit-identically to `cycles` serial [`NetworkSim::step_into`] calls
+/// (`delivered` receives the same packets in the same order).
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
 /// `2..=routers`.
-pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
+pub(crate) fn run_sharded(
+    sim: &mut NetworkSim,
+    cycles: u64,
+    shards: usize,
+    mut delivered: Option<&mut Vec<EjectedPacket>>,
+) {
     if cycles == 0 {
         return;
     }
@@ -555,7 +561,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             let mut csp = sim.telemetry.span_start();
             if t > start {
                 let out = &outs[((t - 1) % 2) as usize];
-                merge_cycle(t - 1, out, &mut sim.ledger, &mut sim.stats, &mut sim.log, &mut sim.telemetry);
+                let ejected = delivered.as_deref_mut();
+                merge_cycle(t - 1, out, &mut sim.ledger, &mut sim.stats, ejected, &mut sim.telemetry);
                 csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
             }
             // Stage cycle `t + 1` — except past the end of this sharded
@@ -580,7 +587,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         }
         if !poisoned {
             let out = &outs[((end - 1) % 2) as usize];
-            merge_cycle(end - 1, out, &mut sim.ledger, &mut sim.stats, &mut sim.log, &mut sim.telemetry);
+            merge_cycle(end - 1, out, &mut sim.ledger, &mut sim.stats, delivered, &mut sim.telemetry);
         }
         let mut finished = vec![shard0];
         for h in handles {

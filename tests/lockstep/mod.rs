@@ -73,9 +73,12 @@ pub fn assert_same_state(sim: &NetworkSim, model: &ReferenceNet, what: &str) {
     );
 }
 
-/// The engine's ejections, in the model's terms.
-pub fn ejections(sim: &mut NetworkSim) -> Vec<(PacketDescriptor, Cycle)> {
-    sim.take_ejections().into_iter().map(|e| (e.packet, e.at)).collect()
+/// Advances the engine by `cycles` cycles and returns the packets they
+/// delivered, in the model's terms.
+pub fn ejections(sim: &mut NetworkSim, cycles: u64) -> Vec<(PacketDescriptor, Cycle)> {
+    let mut delivered = Vec::new();
+    sim.run_cycles_into(cycles, &mut delivered);
+    delivered.into_iter().map(|e| (e.packet, e.at)).collect()
 }
 
 /// Runs `cfg` on both simulators in lockstep, one cycle at a time, for
@@ -86,10 +89,9 @@ pub fn assert_lockstep(cfg: SimConfig, pattern: TrafficPattern, what: &str) {
     let cycles = total_cycles(&cfg);
     let mut delivered = 0;
     for cycle in 1..=cycles {
-        sim.step();
         let expected = model.step();
         delivered += expected.len();
-        assert_eq!(ejections(&mut sim), expected, "{what}: ejections diverge at cycle {}", cycle - 1);
+        assert_eq!(ejections(&mut sim, 1), expected, "{what}: ejections diverge at cycle {}", cycle - 1);
         if cycle % CHECK_EVERY == 0 || cycle == cycles {
             assert_same_state(&sim, &model, what);
         }

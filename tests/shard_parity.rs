@@ -66,12 +66,13 @@ fn trace_and_stats(cfg: SimConfig) -> (u64, NetworkStats, Recording) {
     let total = cfg.warmup + cfg.measure + cfg.drain;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut at = 0;
+    let mut delivered = Vec::new();
     // Uneven chunks so runs start and stop at odd cycle offsets.
     for chunk in [171, 503, 97, 1_229, u64::MAX] {
         let n = chunk.min(total - at);
-        sim.run_cycles(n);
+        sim.run_cycles_into(n, &mut delivered);
         at += n;
-        for e in sim.take_ejections() {
+        for e in delivered.drain(..) {
             fnv1a(&mut h, e.at.0);
             fnv1a(&mut h, e.packet.id.0);
             fnv1a(&mut h, e.packet.source.0 as u64);
@@ -134,32 +135,30 @@ fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
     let mut sharded = NetworkSim::build(cfg.with_shards(4)).unwrap();
     let mut serial = NetworkSim::build(cfg).unwrap();
     // Load the network first so the hand-offs carry in-flight state.
-    sharded.run_cycles(300);
-    serial.run_cycles(300);
-    assert_eq!(sharded.take_ejections(), serial.take_ejections());
+    let (mut got, mut expected) = (Vec::new(), Vec::new());
+    sharded.run_cycles_into(300, &mut got);
+    serial.run_cycles_into(300, &mut expected);
+    assert_eq!(got, expected);
     let mut seen = 0;
     for round in 0..12 {
         for k in 1..=7u64 {
             let at = sharded.now();
-            sharded.run_cycles(k);
-            let mut expected = Vec::new();
+            got.clear();
+            expected.clear();
+            sharded.run_cycles_into(k, &mut got);
             for _ in 0..k {
-                serial.step();
-                expected.extend(serial.take_ejections());
+                serial.step_into(&mut expected);
             }
-            assert_eq!(
-                sharded.take_ejections(),
-                expected,
-                "round={round}: {k}-cycle stretch from {at} diverged"
-            );
+            assert_eq!(got, expected, "round={round}: {k}-cycle stretch from {at} diverged");
             for cycle in 0..k {
-                sharded.step();
-                serial.step();
-                let ejected = serial.take_ejections();
-                seen += ejected.len();
+                got.clear();
+                expected.clear();
+                sharded.step_into(&mut got);
+                serial.step_into(&mut expected);
+                seen += expected.len();
                 assert_eq!(
-                    sharded.take_ejections(),
-                    ejected,
+                    got,
+                    expected,
                     "round={round}: diverged {cycle} cycles after \
                      the {k}-cycle stretch from {at}"
                 );
@@ -173,6 +172,38 @@ fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
         }
     }
     assert!(seen > 100, "only {seen} ejections — the test saw no traffic");
+}
+
+#[test]
+fn collecting_deliveries_leaves_the_run_unchanged() {
+    // `run_cycles_into` is `run_cycles` plus a caller-owned buffer: a twin
+    // that collects its deliveries must end with the statistics, activity,
+    // matching record and step count of one that does not, on either
+    // engine.
+    for shards in [1, 4] {
+        let cfg = config(AllocatorKind::Vix).with_shards(shards);
+        let total = cfg.warmup + cfg.measure + cfg.drain;
+        let mut plain = NetworkSim::build(cfg).unwrap();
+        let mut collecting = NetworkSim::build(cfg).unwrap();
+        plain.run_cycles(total);
+        let mut delivered = Vec::new();
+        collecting.run_cycles_into(total, &mut delivered);
+        assert_eq!(collecting.stats(), plain.stats(), "shards={shards}: statistics");
+        assert_eq!(collecting.per_router_activity(), plain.per_router_activity(), "shards={shards}");
+        assert_eq!(collecting.matching_summary(), plain.matching_summary(), "shards={shards}");
+        assert_eq!(collecting.router_steps(), plain.router_steps(), "shards={shards}");
+        // Every window's deliveries, each packet once.
+        let mut ids: Vec<u64> = delivered.iter().map(|e| e.packet.id.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), delivered.len(), "shards={shards}: a packet delivered twice");
+        assert!(
+            delivered.len() as u64 > plain.stats().packets_ejected(),
+            "shards={shards}: {} deliveries, {} in the window alone",
+            delivered.len(),
+            plain.stats().packets_ejected()
+        );
+    }
 }
 
 #[test]
