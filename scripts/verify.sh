@@ -73,6 +73,19 @@ for shards in 1 4; do
 done
 cmp target/profile-smoke-1/gauges.jsonl target/profile-smoke-4/gauges.jsonl
 
+# Bounded-memory smoke: a run keeps nothing per delivered packet, so a
+# 50x longer measurement window may not cost more than 2 MiB of peak RSS
+# (ru_maxrss of the one child each python3 process waits for, in KiB).
+echo "==> vixsim bounded-memory smoke (--measure 20000 vs 1000000)"
+rss_kib() {
+    python3 -c 'import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+        target/release/vixsim --allocator vix --rate 0.005 --measure "$1"
+}
+short=$(rss_kib 20000)
+long=$(rss_kib 1000000)
+echo "peak RSS: --measure 20000 ${short} KiB, --measure 1000000 ${long} KiB"
+test $((long - short)) -le 2048
+
 # Allocator-kernel perf guard: fresh kernel timings must stay within 25%
 # of the recorded BENCH_allockernels.json figures.
 echo "==> cargo bench -p vix-bench --bench alloc_kernels -- --check"
