@@ -1,10 +1,15 @@
-//! Fixed-latency pipelined channels for flits and credits.
+//! A fixed-latency pipelined channel.
 //!
 //! [`Pipe`] is a flat ring buffer in structure-of-arrays layout: delivery
 //! cycles and payloads live in two parallel `Vec`s sized once from the
 //! pipe's latency and push rate, so steady-state traffic recirculates
-//! through preallocated slots and the due-cycle scans the schedulers run
-//! every cycle never touch payload cache lines.
+//! through preallocated slots and due-cycle scans never touch payload
+//! cache lines.
+//!
+//! The engine no longer uses it: every link of the network has the same
+//! flit or credit latency, so what is in flight rides the scheduler's two
+//! timing wheels instead (DESIGN.md §6b). It stays public for the
+//! benchmark's channel probe.
 
 use vix_core::Cycle;
 
@@ -159,9 +164,7 @@ impl<T: Copy> Pipe<T> {
 
     /// Cycle at which the earliest in-flight item becomes deliverable, or
     /// `None` when nothing is in flight. Pushes are time-ordered, so this
-    /// is the pipe's next event — the activity-gated scheduler aggregates
-    /// it into a per-router earliest-event cycle so idle pipes are never
-    /// polled.
+    /// is the pipe's next event.
     #[must_use]
     pub fn next_due(&self) -> Option<u64> {
         if self.len > 0 {
@@ -173,9 +176,7 @@ impl<T: Copy> Pipe<T> {
 
     /// Distinct delivery cycles of the in-flight items, in ascending
     /// order. Pushes are time-ordered, so consecutive deduplication is
-    /// exact. The sharded engine uses this to rebuild a wake calendar
-    /// from pipe contents when handing a network between the serial and
-    /// sharded schedulers (DESIGN.md §8).
+    /// exact.
     pub fn dues(&self) -> impl Iterator<Item = u64> + '_ {
         let mask = self.cap - 1;
         let mut last = None;
@@ -303,8 +304,7 @@ mod tests {
     fn growth_with_interleaved_pops_preserves_order_and_dues() {
         // The linearize-and-double path with a wrapped head and pops
         // interleaved between growths: FIFO delivery order and the
-        // ascending `dues()` contract (the sharded engine rebuilds wake
-        // calendars from it, DESIGN.md §8) must survive every rotation.
+        // ascending `dues()` contract must survive every rotation.
         let mut pipe = Pipe::new(2);
         let cap = pipe.capacity();
         let mut popped = Vec::new();

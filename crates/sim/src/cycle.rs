@@ -20,12 +20,13 @@
 //! the idle cycles of the rest, and `tests/reference_parity.rs` holds it to
 //! an independent simulator that steps every router every cycle.
 
-use crate::channel::Pipe;
-use crate::network::{EjectedPacket, Far, RouterRecord, TerminalRecord, Wiring};
+use crate::network::{EjectedPacket, Far, RouterRecord, Wiring};
+use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use vix_core::bits::{count_ones, set_bit, set_low_bits};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig, VcId};
 use vix_router::RouterOutput;
@@ -33,45 +34,90 @@ use vix_telemetry::{
     HistogramId, SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
 };
 
-/// Size of the wake-calendar ring. Must exceed every pipe latency in the
-/// network (flit links, credit links, and the 1-cycle injection link) so a
-/// slot is always fully drained before an event can be scheduled back into
-/// it.
+/// Slots of a timing wheel. Must exceed every link latency (flit links,
+/// credit links, and the 1-cycle injection link) so a slot is always fully
+/// drained before anything can be filed back into it.
 pub(crate) const WAKE_RING: usize = 4;
 const _: () = {
     assert!(WAKE_RING as u64 > FLIT_LATENCY);
     assert!(WAKE_RING as u64 > CREDIT_LATENCY);
 };
 
-/// A deferred delivery: drain this pipe when its due cycle arrives and wake
-/// the receiving router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WakeEvent {
-    /// Injection link of node `n` has a flit due.
-    Inject(usize),
-    /// Flit link leaving router `r` through port `p` has flits due.
-    FlitLink(usize, usize),
-    /// Credit link leaving router `r`'s input port `p` has credits due.
-    CreditLink(usize, usize),
+/// A flit on its way into input port `.1` of router `.0` (global index),
+/// over a router link or a terminal's 1-cycle injection link.
+pub(crate) type Arrival = (u32, u8, Flit);
+
+/// A credit for VC `.1` on its way back to `.0`: an upstream router's
+/// output port, or a terminal's source.
+pub(crate) type Return = (Far, VcId);
+
+/// A timing wheel: `slots[t % WAKE_RING]` holds what is due at cycle `t`,
+/// in the order it was filed.
+#[derive(Debug)]
+pub(crate) struct Wheel<T> {
+    pub(crate) slots: [Vec<T>; WAKE_RING],
+}
+
+impl<T> Wheel<T> {
+    /// A wheel whose every slot holds `cap` entries without growing.
+    fn with_capacity(cap: usize) -> Self {
+        Wheel { slots: std::array::from_fn(|_| Vec::with_capacity(cap)) }
+    }
+
+    /// Files `item` for cycle `due`. (`inline(always)`: see the note at
+    /// `source_send`.)
+    #[inline(always)]
+    pub(crate) fn push(&mut self, due: u64, item: T) {
+        self.slots[(due % WAKE_RING as u64) as usize].push(item);
+    }
+
+    /// Entries on the wheel.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum()
+    }
+}
+
+/// What one shard sent in one cycle to routers of one other shard, each
+/// entry with its due cycle: the entries the receiver files on its wheels.
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    pub(crate) arrivals: Vec<(u64, Arrival)>,
+    pub(crate) returns: Vec<(u64, Return)>,
+}
+
+impl Outbox {
+    /// Entries in the outbox.
+    pub(crate) fn len(&self) -> usize {
+        self.arrivals.len() + self.returns.len()
+    }
 }
 
 /// Bookkeeping for activity-gated scheduling (see DESIGN.md §6c).
 ///
-/// The cycle body touches only *active* routers and pipes with something
-/// due, instead of sweeping every router and every link each cycle.
+/// The cycle body touches only *active* routers and the deliveries due,
+/// instead of sweeping every router and every link each cycle.
 /// Correctness contract: a run is bit-identical to stepping every router
 /// every cycle — skipped cycles are replayed through
 /// [`vix_router::Router::note_idle_cycles`] before a router steps again.
 ///
 /// This is the part of the scheduler that belongs to whoever steps a
 /// slice — the whole network's, or one shard's, sized for what it steps.
-/// What belongs to a router or a pipe (replay horizon, scheduled stamps)
-/// lives in its record.
+/// What belongs to a router (its replay horizon) lives in its record.
 #[derive(Debug)]
 pub(crate) struct GatingState {
-    /// `calendar[t % WAKE_RING]` — deliveries due at cycle `t` (global
-    /// router and terminal indices).
-    pub(crate) calendar: [Vec<WakeEvent>; WAKE_RING],
+    /// Flits in flight to this slice's routers, by due cycle (global
+    /// router indices). The links are the calendar: a flit is filed at
+    /// `now + FLIT_LATENCY` (`now + 1` off an injection link) and
+    /// delivered when its slot comes round.
+    pub(crate) arrivals: Wheel<Arrival>,
+    /// Credits in flight to this slice's routers and sources, filed at
+    /// `now + CREDIT_LATENCY`.
+    pub(crate) returns: Wheel<Return>,
+    /// A shard's sends of this cycle to other shards' routers, by
+    /// destination shard; empty when one slice is the whole network.
+    pub(crate) outboxes: Vec<Outbox>,
+    /// The shards' first routers, which route a send to its outbox.
+    pub(crate) fences: Vec<usize>,
     /// Routers to step this cycle, one bit per router of the slice: a set
     /// absorbs repeated wakeups, and reads out in ascending order — the
     /// order of stats accumulation and ejection.
@@ -91,38 +137,41 @@ pub(crate) struct GatingState {
 }
 
 impl GatingState {
-    /// Scheduler state for a slice of `nodes` terminals and `routers`
-    /// routers of `radix` ports.
-    pub(crate) fn new(nodes: usize, routers: usize, radix: usize) -> Self {
-        // Worst-case slot population: every injection link plus every flit
-        // and credit link delivers on the same cycle. Reserving it up front
-        // keeps the steady-state gated step allocation-free.
-        let slot_cap = nodes + 2 * routers * radix;
+    /// Scheduler state for the slice of `routers` and its `nodes`
+    /// terminals, whose input ports each free up to `credits_per_port`
+    /// buffer slots a cycle.
+    pub(crate) fn new(wiring: &Wiring, routers: Range<usize>, nodes: usize, credits_per_port: usize) -> Self {
+        // Worst-case slot populations, reserved up front so the steady-state
+        // gated step stays allocation-free: a flit off every injection link
+        // and every router link into the slice due on the same cycle, and a
+        // credit from every virtual input whose credits end in the slice.
+        let links = routers.clone().flat_map(|r| (0..wiring.radix).map(move |p| wiring.far(r, p)));
+        let links = links.filter(|far| matches!(far, Far::Router(..))).count();
         let mut sources = vec![0; nodes.div_ceil(64)];
         set_low_bits(&mut sources, nodes);
         GatingState {
-            calendar: std::array::from_fn(|_| Vec::with_capacity(slot_cap)),
-            work: vec![0; routers.div_ceil(64)],
+            arrivals: Wheel::with_capacity(nodes + links),
+            returns: Wheel::with_capacity(routers.len() * wiring.radix * credits_per_port),
+            outboxes: Vec::new(),
+            fences: Vec::new(),
+            work: vec![0; routers.len().div_ceil(64)],
             sources,
             router_steps: 0,
             step_out: RouterOutput::default(),
         }
     }
 
-    /// Puts `ev`'s pipe on the calendar for cycle `due`, once per pipe and
-    /// due cycle: `stamp` is that pipe's scheduled stamp, in its record.
-    /// (`inline(always)`: see the note at `deliver_injection`.)
-    #[inline(always)]
-    fn schedule(&mut self, stamp: &mut u64, ev: WakeEvent, due: u64) {
-        if *stamp != due {
-            *stamp = due;
-            self.calendar[(due % WAKE_RING as u64) as usize].push(ev);
-        }
+    /// The outbox toward the shard that owns router `r`.
+    fn outbox(&mut self, r: usize) -> &mut Outbox {
+        let shard = self.fences.partition_point(|&start| start <= r) - 1;
+        &mut self.outboxes[shard]
     }
 
-    /// Pending wake events over the whole calendar (a heartbeat gauge).
-    pub(crate) fn wake_depth(&self) -> u64 {
-        self.calendar.iter().map(|slot| slot.len() as u64).sum()
+    /// Deliveries in flight (a heartbeat gauge): the wheels' entries and
+    /// this cycle's sends still in an outbox.
+    pub(crate) fn in_flight(&self) -> u64 {
+        let outboxes: usize = self.outboxes.iter().map(Outbox::len).sum();
+        (self.arrivals.len() + self.returns.len() + outboxes) as u64
     }
 }
 
@@ -170,15 +219,14 @@ pub(crate) struct PacketLog {
 }
 
 /// One slice's heartbeat gauges at the end of a cycle. The body fills the
-/// first three; a shard adds its boundary pipes' wake events and its
-/// track's wall-clock split.
+/// first three; a shard adds its track's wall-clock split.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SliceBeat {
     /// Router steps since the run began (a sharded stretch's shard 0
     /// carries the steps taken before the stretch).
     pub(crate) router_steps: u64,
-    /// Wake events pending: what the serial calendar would hold for
-    /// this slice's pipes.
+    /// Deliveries in flight toward the slice: its wheels' entries and
+    /// its outboxes' (see [`GatingState::in_flight`]).
     pub(crate) wake_depth: u64,
     /// Flits buffered in the slice's router inputs.
     pub(crate) buffered_flits: u64,
@@ -241,13 +289,14 @@ impl PacketLog {
 /// A borrowed view of a contiguous slice of the network: the records of
 /// routers `router_off..router_off + routers.len()` and of the terminals
 /// attached to them. Router and terminal indices arriving from shared
-/// structures (the wiring, wake events) are global; the offsets translate
+/// structures (the wiring, wheel entries) are global; the offsets translate
 /// them into the slices.
 ///
 /// A link is *local* when its far end lies in the same slice. The body
-/// delivers and schedules local links only; the sharded engine's boundary
-/// scan carries the rest, and drains each one cycle ahead, so a non-local
-/// pipe never has anything due mid-cycle.
+/// files what it sends over local links on its own wheels, and what it
+/// sends over the rest in the outbox of the shard that owns the far end,
+/// which files it on that shard's wheels a cycle later — before it is due,
+/// since every router link has ≥ 2 cycles of latency.
 pub(crate) struct NetSlice<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) wiring: &'a Wiring,
@@ -257,7 +306,7 @@ pub(crate) struct NetSlice<'a> {
     pub(crate) router_off: usize,
     pub(crate) node_off: usize,
     pub(crate) routers: &'a mut [RouterRecord],
-    pub(crate) terminals: &'a mut [TerminalRecord],
+    pub(crate) terminals: &'a mut [SourceQueue],
 }
 
 /// True when the cycle before `cycle` closes a heartbeat interval.
@@ -308,60 +357,15 @@ impl<'a> NetSlice<'a> {
         r.wrapping_sub(self.router_off) < self.routers.len()
     }
 
-    /// True when links with far end `far` end in this slice: at a terminal
-    /// (always its own router's), or at a router this slice owns.
-    #[inline]
-    fn is_local(&self, far: Far) -> bool {
-        match far {
-            Far::Router(r, _) => self.owns(r as usize),
-            Far::Terminal(_) | Far::Open => true,
-        }
-    }
-
     /// This slice's heartbeat gauges as cycle `now` leaves them.
     #[cold]
     #[inline(never)]
     fn beat(&self, gating: &GatingState) -> SliceBeat {
         SliceBeat {
             router_steps: gating.router_steps,
-            wake_depth: gating.wake_depth(),
+            wake_depth: gating.in_flight(),
             buffered_flits: self.routers.iter().map(|r| r.router.buffered_flits() as u64).sum(),
             ..SliceBeat::default()
-        }
-    }
-
-    /// Rebuilds `gating`'s wake calendar from the contents of this slice's
-    /// local pipes — how a network moves between the serial and the
-    /// sharded scheduler mid-run, in either direction. Every in-flight
-    /// item's due cycle lies within `WAKE_RING` of `now`, so slots never
-    /// alias.
-    pub(crate) fn rebuild_calendar(&mut self, gating: &mut GatingState) {
-        for slot in &mut gating.calendar {
-            slot.clear();
-        }
-        for (i, t) in self.terminals.iter_mut().enumerate() {
-            t.inject_sched = u64::MAX;
-            for due in t.inject.dues() {
-                gating.schedule(&mut t.inject_sched, WakeEvent::Inject(self.node_off + i), due);
-            }
-        }
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            for p in 0..self.wiring.radix {
-                let local = self.is_local(self.wiring.far(r, p));
-                let port = &mut self.routers[ri].ports[p];
-                port.flit_sched = u64::MAX;
-                port.credit_sched = u64::MAX;
-                if !local {
-                    continue;
-                }
-                for due in port.flits.iter().flat_map(Pipe::dues) {
-                    gating.schedule(&mut port.flit_sched, WakeEvent::FlitLink(r, p), due);
-                }
-                for due in port.credits.dues() {
-                    gating.schedule(&mut port.credit_sched, WakeEvent::CreditLink(r, p), due);
-                }
-            }
         }
     }
 
@@ -397,37 +401,42 @@ impl<'a> NetSlice<'a> {
         // One RouterOutput is reused across every router and every cycle.
         let mut out = std::mem::take(&mut gating.step_out);
 
-        // 3 + 4. Deliver everything on this cycle's calendar slot (one
-        // `Deliver` span for flits and credits together). Distinct events
-        // touch disjoint state (each pipe feeds one buffer; credits are
-        // counter increments), so calendar order is interchangeable with
-        // any other delivery order. Every flit delivery wakes the receiving
-        // router.
+        // 3 + 4. Deliver everything due this cycle (one `Deliver` span for
+        // flits and credits together). Distinct entries touch disjoint state
+        // (a link carries one flit a cycle into its own input port; credits
+        // are counter increments), so wheel order is interchangeable with any
+        // other delivery order. Every flit wakes its router; one off an
+        // injection link is traced here, and those were filed in ascending
+        // terminal order by the previous cycle's phase 2.
         let slot = (now.0 % WAKE_RING as u64) as usize;
-        let mut events = std::mem::take(&mut gating.calendar[slot]);
-        log.wake_events = events.len() as u64;
-        for &ev in &events {
-            match ev {
-                WakeEvent::Inject(n) => {
-                    let ri = self.deliver_injection(n - self.node_off, now, sink);
-                    set_bit(&mut gating.work, ri);
+        let (arrivals, returns) = (&mut gating.arrivals.slots[slot], &mut gating.returns.slots[slot]);
+        log.wake_events = (arrivals.len() + returns.len()) as u64;
+        for &(r, p, flit) in arrivals.iter() {
+            let (r, ri, port) = (r as usize, r as usize - self.router_off, PortId(p as usize));
+            if sink.tracing() && matches!(self.wiring.far(r, port.0), Far::Terminal(_)) {
+                sink.trace(flit_event(TraceEventKind::Inject, now, r, port, &flit));
+            }
+            self.routers[ri].router.accept_flit(port, flit);
+            set_bit(&mut gating.work, ri);
+        }
+        // Credit deliveries never wake a router: a credit only increments an
+        // output-side counter, and output state is unread by an empty cycle —
+        // a quiescent router has no flit the credit could release. A
+        // non-quiescent receiver is already in the active set (it stays there
+        // while it holds a flit), so the credit is applied before its step
+        // either way.
+        for &(far, vc) in returns.iter() {
+            match far {
+                Far::Router(up, port) => {
+                    let up = &mut self.routers[up as usize - self.router_off].router;
+                    up.credit_return(PortId(port as usize), vc);
                 }
-                WakeEvent::FlitLink(r, p) => {
-                    let down = self.deliver_flits(r - self.router_off, p, now);
-                    set_bit(&mut gating.work, down);
-                }
-                // Credit deliveries never wake a router: a credit only
-                // increments an output-side counter, and output state is
-                // unread by an empty cycle — a quiescent router has no flit
-                // the credit could release. A non-quiescent receiver is
-                // already in the active set (it stays there while it holds
-                // a flit), so the credit is applied before its step either
-                // way.
-                WakeEvent::CreditLink(r, p) => self.deliver_credits(r - self.router_off, p, now),
+                Far::Terminal(node) => self.terminals[node as usize - self.node_off].credit_return(vc),
+                Far::Open => unreachable!("credit returned through an unconnected port"),
             }
         }
-        events.clear();
-        gating.calendar[slot] = events;
+        arrivals.clear();
+        returns.clear();
         span = sink.span_lap(SpanKind::Deliver, now.0, span);
 
         // 5. Step the active routers in ascending index order, the order
@@ -481,84 +490,21 @@ impl<'a> NetSlice<'a> {
     // they replaced. Re-measure before dropping the attribute.
 
     /// Lets terminal `i`'s source emit its next flit onto the injection
-    /// link, scheduling the link's delivery one cycle out; returns whether
-    /// the source is idle afterwards.
+    /// link, filing its arrival one cycle out; returns whether the source
+    /// is idle afterwards.
     #[inline(always)]
     fn source_send(&mut self, i: usize, now: Cycle, gating: &mut GatingState, log: &mut PacketLog) -> bool {
-        let n = self.node_off + i;
-        let (router, _) = self.wiring.attachment(n);
-        let t = &mut self.terminals[i];
-        if let Some(flit) = t.source.try_send(now, |dest| self.wiring.resolve(router, dest), &mut log.injected) {
-            t.inject.push(now, flit);
-            gating.schedule(&mut t.inject_sched, WakeEvent::Inject(n), now.0 + 1);
-        }
-        t.source.is_idle()
-    }
-
-    /// Moves what is due on terminal `i`'s injection link into its
-    /// router's local input port; returns that router's index in the slice.
-    #[inline(always)]
-    fn deliver_injection(&mut self, i: usize, now: Cycle, sink: &mut TelemetrySink) -> usize {
         let (router, port) = self.wiring.attachment(self.node_off + i);
-        let ri = router - self.router_off;
-        let dst = &mut self.routers[ri].router;
-        let inject = &mut self.terminals[i].inject;
-        while let Some(flit) = inject.pop_ready(now) {
-            sink.trace(flit_event(TraceEventKind::Inject, now, router, port, &flit));
-            dst.accept_flit(port, flit);
+        let source = &mut self.terminals[i];
+        if let Some(flit) = source.try_send(now, |dest| self.wiring.resolve(router, dest), &mut log.injected) {
+            gating.arrivals.push(now.0 + 1, (router as u32, port.0 as u8, flit));
         }
-        ri
-    }
-
-    /// Moves what is due on the flit link leaving this slice's router `ri`
-    /// through port `p` into the downstream router's input buffer; returns
-    /// that router's index in the slice.
-    #[inline(always)]
-    fn deliver_flits(&mut self, ri: usize, p: usize, now: Cycle) -> usize {
-        let Far::Router(down, down_port) = self.wiring.far(self.router_off + ri, p) else {
-            unreachable!("flit pipe exists only on router-to-router ports")
-        };
-        debug_assert!(self.owns(down as usize), "boundary pipe had a delivery due mid-cycle");
-        let (down, down_port) = (down as usize - self.router_off, PortId(down_port as usize));
-        // Sender and receiver are records of one slice, so the pipe is
-        // re-borrowed per flit (a link delivers at most one per cycle).
-        while let Some(flit) =
-            self.routers[ri].ports[p].flits.as_mut().expect("connected port has a pipe").pop_ready(now)
-        {
-            self.routers[down].router.accept_flit(down_port, flit);
-        }
-        down
-    }
-
-    /// Returns the credits due on the link leaving input port `p` of this
-    /// slice's router `ri` to the upstream router or source.
-    #[inline(always)]
-    fn deliver_credits(&mut self, ri: usize, p: usize, now: Cycle) {
-        match self.wiring.far(self.router_off + ri, p) {
-            Far::Router(up, up_port) => {
-                let (up, up_port) = (up as usize - self.router_off, PortId(up_port as usize));
-                while let Some(vc) = self.routers[ri].ports[p].credits.pop_ready(now) {
-                    self.routers[up].router.credit_return(up_port, vc);
-                }
-            }
-            Far::Terminal(node) => {
-                let source = &mut self.terminals[node as usize - self.node_off].source;
-                let pipe = &mut self.routers[ri].ports[p].credits;
-                while let Some(vc) = pipe.pop_ready(now) {
-                    source.credit_return(vc);
-                }
-            }
-            Far::Open => {
-                unreachable!("credit on unconnected port {p} of router {}", self.router_off + ri)
-            }
-        }
+        source.is_idle()
     }
 
     /// Clocks this slice's router `ri` (its idle history already replayed)
-    /// and fans its outputs out to the packet log and the link pipes. A
-    /// push onto a local link schedules its delivery; a push onto a
-    /// non-local link schedules nothing — the boundary scan visits those
-    /// pipes unconditionally.
+    /// and fans its outputs out to the packet log and the wheels: its own
+    /// for a local link, an outbox for a link into another shard.
     #[inline(always)]
     fn step_router(
         &mut self,
@@ -576,9 +522,7 @@ impl<'a> NetSlice<'a> {
         gating.router_steps += 1;
         rec.stepped_until = now.0 + 1;
         for (p, mut flit) in out.flits.drain(..) {
-            let far = self.wiring.far(r, p.0);
-            let local = self.is_local(far);
-            match far {
+            match self.wiring.far(r, p.0) {
                 Far::Terminal(node) => {
                     debug_assert_eq!(
                         NodeId(node as usize),
@@ -590,18 +534,18 @@ impl<'a> NetSlice<'a> {
                         log.ejected.push((flit, now, in_window));
                     }
                 }
-                Far::Router(down, _) => {
+                Far::Router(down, down_port) => {
                     // Lookahead routing: rewrite the routing fields for the
                     // downstream router before the flit enters the link.
                     let (out_port, lookahead, _) =
                         self.wiring.resolve(down as usize, flit.dest());
                     flit.set_route(out_port, lookahead);
                     sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
-                    let port = &mut self.routers[ri].ports[p.0];
-                    port.flits.as_mut().expect("connected port has a pipe").push(now, flit);
-                    if local {
-                        let ev = WakeEvent::FlitLink(r, p.0);
-                        gating.schedule(&mut port.flit_sched, ev, now.0 + FLIT_LATENCY);
+                    let (due, arrival) = (now.0 + FLIT_LATENCY, (down, down_port, flit));
+                    if self.owns(down as usize) {
+                        gating.arrivals.push(due, arrival);
+                    } else {
+                        gating.outbox(down as usize).arrivals.push((due, arrival));
                     }
                 }
                 Far::Open => unreachable!("route through unconnected port {p} of router {r}"),
@@ -609,12 +553,12 @@ impl<'a> NetSlice<'a> {
         }
         for (p, vc) in out.credits.drain(..) {
             sink.trace(credit_event(now, r, p, vc));
-            let local = self.is_local(self.wiring.far(r, p.0));
-            let port = &mut self.routers[ri].ports[p.0];
-            port.credits.push(now, vc);
-            if local {
-                let ev = WakeEvent::CreditLink(r, p.0);
-                gating.schedule(&mut port.credit_sched, ev, now.0 + CREDIT_LATENCY);
+            let (far, due) = (self.wiring.far(r, p.0), now.0 + CREDIT_LATENCY);
+            match far {
+                Far::Router(up, _) if !self.owns(up as usize) => {
+                    gating.outbox(up as usize).returns.push((due, (far, vc)));
+                }
+                _ => gating.returns.push(due, (far, vc)),
             }
         }
     }

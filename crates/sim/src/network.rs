@@ -7,18 +7,16 @@
 //! cycle body, [`NetSlice::step`], over the whole network as a single
 //! slice, and [`crate::shard`] runs the same body over each shard's slice.
 
-use crate::channel::Pipe;
 use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog, SliceBeat};
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
-use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use vix_rng::rngs::StdRng;
 use vix_rng::SeedableRng;
 use vix_alloc::build_allocator;
 use vix_core::bits::set_bit;
 use vix_core::{
-    ActivityCounters, ConfigError, Cycle, Flit, NodeId, PacketDescriptor, PacketId, PortId,
-    RouterId, SimConfig, VcId,
+    ActivityCounters, ConfigError, Cycle, NodeId, PacketDescriptor, PacketId, PortId, RouterId,
+    SimConfig,
 };
 use vix_router::{Router, RouterEnv};
 use vix_telemetry::{HistogramId, MatchingSummary, SpanKind, TelemetrySink};
@@ -129,47 +127,24 @@ pub struct EjectedPacket {
     pub at: Cycle,
 }
 
-/// The links through one router port, with their wake-calendar stamps: the
-/// due cycle each pipe is already scheduled for, so several same-cycle
-/// pushes (e.g. VIX multi-grant credits) enqueue one event.
-#[derive(Debug)]
-pub(crate) struct PortLinks {
-    /// Flit link leaving through this port; `None` unless [`Far::Router`].
-    pub(crate) flits: Option<Pipe<Flit>>,
-    /// Credits leaving this *input* port.
-    pub(crate) credits: Pipe<VcId>,
-    pub(crate) flit_sched: u64,
-    pub(crate) credit_sched: u64,
-}
-
-/// One router with everything it alone owns: the links through its ports
-/// and its share of the scheduler's bookkeeping (DESIGN.md §6c).
+/// One router with its share of the scheduler's bookkeeping (DESIGN.md
+/// §6c). What is in flight on its links rides the stepping slice's wheels.
 #[derive(Debug)]
 pub(crate) struct RouterRecord {
     pub(crate) router: Router,
-    pub(crate) ports: Vec<PortLinks>,
     /// Cycles of this router's history that have been executed or
     /// replayed; the gap to `now` is replayed lazily via
     /// `note_idle_cycles` when the router re-activates.
     pub(crate) stepped_until: u64,
 }
 
-/// One terminal's injection side: its source queue, the 1-cycle link into
-/// its router's local port, and that link's wake-calendar stamp.
-#[derive(Debug)]
-pub(crate) struct TerminalRecord {
-    pub(crate) source: SourceQueue,
-    pub(crate) inject: Pipe<Flit>,
-    pub(crate) inject_sched: u64,
-}
-
 /// The network itself: the static wiring, one record per router and one
-/// per terminal.
+/// source queue per terminal.
 #[derive(Debug)]
 pub(crate) struct Fabric {
     pub(crate) wiring: Wiring,
     pub(crate) routers: Vec<RouterRecord>,
-    pub(crate) terminals: Vec<TerminalRecord>,
+    pub(crate) terminals: Vec<SourceQueue>,
 }
 
 impl Fabric {
@@ -293,9 +268,6 @@ impl NetworkSim {
             (0..radix).map(|p| topology.is_local_port(PortId(p))).collect(),
         );
         let wiring = Wiring::build(topology.as_ref());
-        // An input port frees at most one buffer slot per virtual input per
-        // cycle, so the credit rings are sized for that rate (`Pipe` grows
-        // past it if ever needed).
         let routers = (0..topology.routers())
             .map(|r| RouterRecord {
                 router: Router::new(
@@ -306,37 +278,23 @@ impl NetworkSim {
                     // never cloned again after construction.
                     env.clone(),
                 ),
-                ports: (0..radix)
-                    .map(|p| PortLinks {
-                        flits: matches!(wiring.far(r, p), Far::Router(..))
-                            .then(|| Pipe::new(FLIT_LATENCY)),
-                        credits: Pipe::with_rate(CREDIT_LATENCY, router_cfg.virtual_inputs_per_port()),
-                        flit_sched: u64::MAX,
-                        credit_sched: u64::MAX,
-                    })
-                    .collect(),
                 stepped_until: 0,
             })
             .collect();
 
         let groups = router_cfg.virtual_inputs_per_port();
         let terminals = (0..cfg.network.nodes)
-            .map(|n| TerminalRecord {
-                source: SourceQueue::new(
-                    NodeId(n),
-                    router_cfg.vcs_per_port(),
-                    router_cfg.buffer_depth(),
-                    groups,
-                    router_cfg.dimension_aware_va,
-                ),
-                inject: Pipe::new(1),
-                inject_sched: u64::MAX,
+            .map(|n| {
+                let (vcs, depth) = (router_cfg.vcs_per_port(), router_cfg.buffer_depth());
+                SourceQueue::new(NodeId(n), vcs, depth, groups, router_cfg.dimension_aware_va)
             })
             .collect();
 
         let injector = BernoulliInjector::new(cfg.injection_rate)?;
         let stats = NetworkStats::new(cfg.network.nodes, cfg.measure, cfg.packet_len);
-        let gating = GatingState::new(cfg.network.nodes, topology.routers(), radix);
+        // An input port frees at most one buffer slot per virtual input a
+        // cycle.
+        let gating = GatingState::new(&wiring, 0..topology.routers(), cfg.network.nodes, groups);
         let mut telemetry = TelemetrySink::new(run_cfg.telemetry);
         let occupancy_bounds: Vec<u64> = (0..=router_cfg.buffer_depth() as u64).collect();
         let vc_occupancy = (0..topology.routers())
@@ -390,7 +348,7 @@ impl NetworkSim {
         let id = PacketId(self.traffic.next_packet);
         self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
-        self.net.terminals[source.0].source.enqueue(packet);
+        self.net.terminals[source.0].enqueue(packet);
         set_bit(&mut self.gating.sources, source.0);
         id
     }
@@ -448,7 +406,7 @@ impl NetworkSim {
         let mut span = self.telemetry.span_start();
         let (terminals, sources) = (&mut self.net.terminals, &mut self.gating.sources);
         self.traffic.generate(now.0, &self.cfg, &mut self.stats, |packet| {
-            terminals[packet.source.0].source.enqueue(packet);
+            terminals[packet.source.0].enqueue(packet);
             set_bit(sources, packet.source.0);
         });
         span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
@@ -474,10 +432,9 @@ impl NetworkSim {
     /// True when no flit remains anywhere (buffers, links, sources) and the ledger is empty.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.net.terminals.iter().all(|t| t.source.is_idle() && t.inject.is_empty())
-            && self.net.routers.iter().all(|r| {
-                r.router.is_empty() && r.ports.iter().flat_map(|p| &p.flits).all(Pipe::is_empty)
-            })
+        self.net.terminals.iter().all(SourceQueue::is_idle)
+            && self.net.routers.iter().all(|r| r.router.is_empty())
+            && self.gating.arrivals.len() == 0
             && self.ledger.is_empty()
     }
 
@@ -648,6 +605,7 @@ impl NetworkSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FLIT_LATENCY;
     use vix_core::{AllocatorKind, NetworkConfig, TopologyKind};
 
     fn small_cfg(alloc: AllocatorKind, rate: f64) -> SimConfig {
@@ -693,9 +651,8 @@ mod tests {
 
     /// Flits in router buffers, on flit links and on injection links.
     fn flits_in_network(sim: &NetworkSim) -> usize {
-        let links = |r: &RouterRecord| r.ports.iter().flat_map(|p| &p.flits).map(Pipe::in_flight).sum::<usize>();
-        let routers: usize = sim.net.routers.iter().map(|r| r.router.buffered_flits() + links(r)).sum();
-        routers + sim.net.terminals.iter().map(|t| t.inject.in_flight()).sum::<usize>()
+        let buffered: usize = sim.net.routers.iter().map(|r| r.router.buffered_flits()).sum();
+        buffered + sim.gating.arrivals.len()
     }
 
     #[test]
@@ -715,7 +672,7 @@ mod tests {
                 let live = sim.ledger.len();
                 assert!(live <= bound, "shards {shards}, {}: {live} packets, bound {bound}", sim.now());
                 peak = peak.max(live);
-                backlog = backlog.max(sim.net.terminals.iter().map(|t| t.source.backlog()).sum());
+                backlog = backlog.max(sim.net.terminals.iter().map(SourceQueue::backlog).sum());
                 if sim.is_drained() {
                     break;
                 }
@@ -723,6 +680,24 @@ mod tests {
             }
             assert_eq!(sim.ledger.len(), 0, "shards {shards}: drained, yet descriptors remain");
             assert!(backlog > 2 * peak, "shards {shards}: not saturated (backlog {backlog}, ledger {peak})");
+        }
+    }
+
+    #[test]
+    fn serial_heartbeat_wake_depth_is_the_wheels_length() {
+        // A heartbeat's `wake_depth` counts the deliveries in flight as the
+        // beat's cycle ends; serially, every one of them is on a wheel.
+        let telemetry = vix_core::config::TelemetrySettings::disabled().with_heartbeat(50);
+        let cfg = small_cfg(AllocatorKind::Vix, 0.1).with_telemetry(telemetry);
+        let mut sim = NetworkSim::build(cfg).unwrap();
+        for _ in 0..10 {
+            sim.run_cycles(50);
+            let beats = sim.telemetry().profiler().expect("heartbeats run the profiler").heartbeats();
+            let beat = beats.last().expect("a beat every 50 cycles");
+            let wheels = (sim.gating.arrivals.len() + sim.gating.returns.len()) as u64;
+            assert_eq!(beat.cycle, sim.now().0);
+            assert!(wheels > 0, "{}: nothing in flight", sim.now());
+            assert_eq!(beat.wake_depth, wheels, "{}", sim.now());
         }
     }
 

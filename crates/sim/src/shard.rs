@@ -7,10 +7,10 @@
 //! [`NetworkSim::run_cycles`], shards `1..S` by a [`std::thread::scope`]
 //! pool — and the `S` threads advance in lockstep one cycle at a time.
 //! Cross-shard traffic rides the ≥ 2-cycle link latency as conservative
-//! lookahead: everything a boundary pipe will deliver at cycle `t + 1` is
-//! already in flight (and final) by the end of cycle `t`, so a single
-//! end-of-cycle exchange per neighbour pair is enough and no rollback is
-//! ever needed.
+//! lookahead: what a shard sends another at cycle `t` is due at `t + 2`
+//! or later, so a single end-of-cycle exchange per shard pair, filed on
+//! the receiver's timing wheels at the start of cycle `t + 1`, is enough
+//! and no rollback is ever needed.
 //!
 //! # Cycle protocol
 //!
@@ -25,12 +25,14 @@
 //!    ahead so the other shards never wait for it, staging each shard's
 //!    packets with one lock acquisition per shard.
 //!
-//! Every shard (`ShardWorker::run_cycle`) drains its staged packets and
-//! inbound mailboxes, runs the cycle body (`NetSlice::step` in `cycle.rs`,
-//! the very method [`NetworkSim::step`] runs over the whole network) over
-//! its slice, pops every boundary pipe up to `t + 1` into the destination
-//! shard's mailbox, and publishes its packet log, trace events, gauge
-//! counts and heartbeat gauges included. — *barrier* — This module holds
+//! Every shard (`ShardWorker::run_cycle`) drains its staged packets,
+//! files the entries of its inbound mailboxes on its wheels, runs the cycle
+//! body (`NetSlice::step` in `cycle.rs`, the very method
+//! [`NetworkSim::step`] runs over the whole network) over its slice —
+//! which puts each send to another shard's router in the outbox for that
+//! shard, with its due cycle — swaps its outboxes into the mailboxes, and
+//! publishes its packet log, trace events, gauge counts and heartbeat
+//! gauges included. — *barrier* — This module holds
 //! no copy of the cycle:
 //! only the partition, the exchange around the body, and the hand-off of
 //! scheduler state in and out of a sharded stretch. Every cross-thread
@@ -45,7 +47,7 @@
 //! `tests/reference_parity.rs` also holds a sharded run to the independent
 //! reference simulator). The proof obligations, spelled out in DESIGN.md
 //! §8: one RNG with one owner; interchangeable delivery order (distinct
-//! pipes feed disjoint buffers, credits are commutative increments); and
+//! links feed disjoint buffers, credits are commutative increments); and
 //! an ordered merge of integer statistics, one packet ledger, and trace
 //! events — each shard records into its own [`TelemetrySink::for_shard`]
 //! sink, whose events the merge pushes in serial order and whose counters
@@ -53,18 +55,18 @@
 //!
 //! Activity gating runs unchanged inside each shard, and a cross-shard
 //! delivery wakes the receiving router the same cycle it would serially.
-//! On entry and exit the calendars are rebuilt from pipe contents
-//! (`NetSlice::rebuild_calendar` over [`Pipe::dues`](crate::Pipe::dues)),
-//! so a simulation moves freely between the serial and sharded engines.
+//! On entry the serial wheels are split by the shard that owns each
+//! entry's destination; on exit the shard wheels and the final cycle's
+//! mailboxes are merged back in shard order, so a simulation moves freely
+//! between the serial and sharded engines.
 
 use crate::barrier::{BarrierPoisoned, PoisonOnPanic, SpinBarrier, SpinWaiter};
-use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog, SliceBeat};
-use crate::channel::Pipe;
+use crate::cycle::{GatingState, NetSlice, Outbox, PacketLedger, PacketLog, SliceBeat, WAKE_RING};
 use crate::network::{EjectedPacket, Far, NetworkSim, TrafficGen};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
 use vix_core::bits::{set_bit, set_low_bits, test_bit};
-use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
+use vix_core::{Cycle, NodeId, PacketDescriptor, SimConfig};
 use vix_core::config::TelemetrySettings;
 use vix_telemetry::{Profiler, SpanKind, TelemetrySink, TraceEvent, TraceEventKind};
 use vix_topology::Topology;
@@ -117,8 +119,9 @@ impl ShardPlan {
             .collect();
         let plan = ShardPlan { router_start, node_start };
         // Shards must own their terminals: a node staged to shard `s`
-        // is enqueued on a source slice owned by `s`, and a source's
-        // credit pipe lives on the router it is attached to.
+        // is enqueued on a source slice owned by `s`, and its flits and
+        // credits travel over its router's local port, never between
+        // shards.
         for n in 0..nodes {
             let owner = plan.shard_of_router(topology.router_of(NodeId(n)).0);
             assert!(
@@ -151,53 +154,36 @@ impl ShardPlan {
     fn shard_of_node(&self, n: usize) -> usize {
         self.node_start.partition_point(|&start| start <= n) - 1
     }
-}
 
-/// A router port whose far end lives in another shard. Both links through
-/// it — flits leaving the router, credits leaving its input side — are
-/// drained by the owning shard's boundary scan instead of its wake
-/// calendar, toward the [`Far`] entry the wiring holds for the port.
-#[derive(Debug, Clone, Copy)]
-struct BoundaryPort {
-    from: usize,
-    port: usize,
-    dst_shard: usize,
-}
-
-/// `grid[dst][src]`: one locked delivery queue per ordered shard pair.
-/// The `Mutex` is uncontended by construction — each (dst, src, parity)
-/// slot is filled and drained in barrier-separated windows.
-type MailGrid<T> = Vec<Vec<Mutex<Vec<T>>>>;
-
-/// Per-pair cross-shard delivery queues, double-buffered by cycle
-/// parity: `flits[t % 2][dst][src]` holds deliveries due at cycle `t`.
-#[derive(Debug)]
-struct Mailboxes {
-    flits: [MailGrid<(RouterId, PortId, Flit)>; 2],
-    credits: [MailGrid<(RouterId, PortId, VcId)>; 2],
-}
-
-impl Mailboxes {
-    fn new(shards: usize) -> Self {
-        fn grid<T>(shards: usize) -> MailGrid<T> {
-            (0..shards)
-                .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
-                .collect()
-        }
-        Mailboxes {
-            flits: [grid(shards), grid(shards)],
-            credits: [grid(shards), grid(shards)],
+    /// The shard owning the far end `far` of a link.
+    fn shard_of(&self, far: Far) -> usize {
+        match far {
+            Far::Router(r, _) => self.shard_of_router(r as usize),
+            Far::Terminal(n) => self.shard_of_node(n as usize),
+            Far::Open => unreachable!("nothing travels to an unconnected port"),
         }
     }
+}
+
+/// `grid[dst][src]`: one locked outbox per ordered shard pair. The
+/// `Mutex` is uncontended by construction — each (dst, src, parity) slot
+/// is filled and drained in barrier-separated windows.
+type MailGrid = Vec<Vec<Mutex<Outbox>>>;
+
+/// Cross-shard mailboxes, double-buffered by cycle parity: `mail[t % 2]`
+/// holds what the shards sent at cycle `t`, which the receivers file on
+/// their wheels at the start of cycle `t + 1`.
+fn mailboxes(shards: usize) -> [MailGrid; 2] {
+    let grid = || (0..shards).map(|_| (0..shards).map(|_| Mutex::default()).collect()).collect();
+    [grid(), grid()]
 }
 
 /// What the shards of one sharded stretch share: the rendezvous and the
 /// parity-double-buffered exchange slots.
 struct Stretch<'a> {
-    end: u64,
     panic_inject: Option<(u64, usize)>,
     barrier: &'a SpinBarrier,
-    mail: &'a Mailboxes,
+    mail: &'a [MailGrid; 2],
     staged: &'a [Vec<Mutex<Vec<PacketDescriptor>>>; 2],
     outs: &'a [Vec<Mutex<PacketLog>>; 2],
 }
@@ -207,13 +193,9 @@ struct Stretch<'a> {
 struct ShardWorker<'a> {
     idx: usize,
     net: NetSlice<'a>,
-    boundary: Vec<BoundaryPort>,
-    /// Shard-local scheduler state, sized for this shard's slice.
+    /// Shard-local scheduler state, sized for this shard's slice, with an
+    /// outbox per shard.
     gating: GatingState,
-    /// Boundary pipes that deliver in the coming cycle (none past the
-    /// stretch's end): their wake events, which the serial calendar would
-    /// hold.
-    boundary_due: u64,
     /// This shard's sink ([`TelemetrySink::for_shard`]), absorbed into the
     /// run's when the stretch ends; its trace travels in the packet log.
     sink: TelemetrySink,
@@ -223,80 +205,63 @@ struct ShardWorker<'a> {
 }
 
 impl ShardWorker<'_> {
-    /// Wake events the serial calendar would hold for this shard's
-    /// boundary pipes between cycles: one per pipe and due cycle, for the
-    /// pipes the boundary scan just forwarded and for what they still
-    /// carry.
-    fn boundary_wake_depth(&self) -> u64 {
-        let pending = self.boundary.iter().map(|b| {
-            let links = &self.net.routers[b.from - self.net.router_off].ports[b.port];
-            links.flits.iter().flat_map(Pipe::dues).chain(links.credits.dues()).count() as u64
-        });
-        self.boundary_due + pending.sum::<u64>()
-    }
-
     /// One participant's whole cycle `t` — this shard's part of it, then
     /// the end-of-cycle barrier — run alike by the calling thread (shard
     /// 0) and the spawned ones. The cycle-`t` parity slots are never
-    /// contended: `staged` was filled before cycle `t` began and `outs` is
-    /// drained during cycle `t + 1`. The stretch's final cycle skips the
-    /// boundary scan: there is no cycle `t + 1` in this run to drain the
-    /// mailboxes, and whichever engine continues (serial stepping or the
-    /// next stretch's pre-scan) delivers straight from the pipes.
+    /// contended: `staged` was filled before cycle `t` began, `mail[t % 2]`
+    /// is drained during cycle `t + 1` (or by the hand-off, after the
+    /// stretch's final cycle) and `outs` is drained during cycle `t + 1`.
     fn run_cycle(&mut self, t: u64, sh: &Stretch<'_>) -> Result<(), BarrierPoisoned> {
         if sh.panic_inject == Some((t, self.idx)) {
             panic!("injected shard panic at cycle {t} shard {}", self.idx);
         }
         let parity = (t % 2) as usize;
-        // Profiling lap chain: staged/mailbox drains and the boundary
-        // scan are `Exchange`; the cycle body laps its own phases.
+        // Profiling lap chain: the staged and mailbox drains and the
+        // outbox posts are `Exchange`; the cycle body laps its own phases.
         let mut span = self.sink.span_start();
 
         // 0. Packets generated for this cycle one cycle ago (phase 1).
         let staged = &sh.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
             let i = packet.source.0 - self.net.node_off;
-            self.net.terminals[i].source.enqueue(packet);
+            self.net.terminals[i].enqueue(packet);
             set_bit(&mut self.gating.sources, i);
         }
 
-        // 1. Inbound cross-shard deliveries due this cycle. Flit
-        // deliveries wake the receiving router exactly as a calendar
-        // event would; credits follow the credit-no-wake rule.
-        for src in (0..sh.staged[parity].len()).filter(|&src| src != self.idx) {
-            {
-                let mut inbox =
-                    sh.mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
-                for (down, port, flit) in inbox.drain(..) {
-                    let down = down.0 - self.net.router_off;
-                    self.net.routers[down].router.accept_flit(port, flit);
-                    set_bit(&mut self.gating.work, down);
+        // 1. File what the other shards sent this shard last cycle. All of
+        // it is due at `t + 1` or later: every router link has ≥ 2 cycles
+        // of latency.
+        for (src, slot) in sh.mail[1 - parity][self.idx].iter().enumerate() {
+            if src != self.idx {
+                let mut inbox = slot.lock().expect("sender not panicked");
+                for (due, arrival) in inbox.arrivals.drain(..) {
+                    self.gating.arrivals.push(due, arrival);
                 }
-            }
-            let mut inbox =
-                sh.mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
-            for (up, port, vc) in inbox.drain(..) {
-                self.net.routers[up.0 - self.net.router_off].router.credit_return(port, vc);
+                for (due, credit) in inbox.returns.drain(..) {
+                    self.gating.returns.push(due, credit);
+                }
             }
         }
         span = self.sink.span_lap(SpanKind::Exchange, t, span);
 
         // 2–5. The cycle body, over this shard's slice.
         span = self.net.step(Cycle(t), &mut self.gating, &mut self.sink, &mut self.log, span);
-        self.log.wake_events += self.boundary_due;
 
-        // 6. Boundary scan — skipped on the stretch's final cycle.
-        self.boundary_due = if t + 1 < sh.end { self.boundary_scan(t + 1, sh.mail) } else { 0 };
+        // 6. Post this cycle's sends to the other shards. The swap gets
+        // back the outbox the receiver drained last cycle, keeping the
+        // steady state allocation-free.
+        for (dst, outbox) in self.gating.outboxes.iter_mut().enumerate() {
+            if outbox.len() > 0 {
+                let mut slot = sh.mail[parity][dst][self.idx].lock().expect("receiver not panicked");
+                std::mem::swap(&mut *slot, outbox);
+            }
+        }
 
         // 7. Publish this cycle's packet log, trace events and heartbeat
-        // gauges for the calling thread's merge. The swap gets back the
-        // log it drained last cycle, keeping the steady state
-        // allocation-free.
-        if let Some(mut beat) = self.log.beat {
-            beat.wake_depth += self.boundary_wake_depth();
+        // gauges for the calling thread's merge, swapped like the outboxes.
+        if let Some(beat) = &mut self.log.beat {
             (beat.busy_ns, beat.barrier_ns) =
                 self.sink.profiler().map_or((0, 0), Profiler::own_busy_barrier_ns);
-            self.log.beat = Some(beat);
         }
         self.sink.take_trace(&mut self.log.trace);
         std::mem::swap(
@@ -309,45 +274,6 @@ impl ShardWorker<'_> {
         sh.barrier.wait(&mut self.waiter)?;
         self.sink.span_lap(SpanKind::BarrierWait, t, span);
         Ok(())
-    }
-
-    /// Hands everything this shard's cross-shard pipes deliver at cycle
-    /// `due` to the destination shards' mailboxes for that cycle, and
-    /// returns how many pipes deliver. It is final at the end of cycle
-    /// `due − 1`: that cycle's own pushes are due ≥ `due + 1`, since every
-    /// inter-router pipe has ≥ 2 cycles of latency.
-    fn boundary_scan(&mut self, due: u64, mail: &Mailboxes) -> u64 {
-        /// Moves what `pipe` delivers at `due` into `outbox`, addressed
-        /// `to`; returns 1 if it delivers anything, else 0.
-        fn forward<T: Copy>(
-            pipe: &mut Pipe<T>,
-            due: Cycle,
-            to: (RouterId, PortId),
-            outbox: &Mutex<Vec<(RouterId, PortId, T)>>,
-        ) -> u64 {
-            if !pipe.has_ready(due) {
-                return 0;
-            }
-            let mut outbox = outbox.lock().expect("receiver not panicked");
-            while let Some(item) = pipe.pop_ready(due) {
-                outbox.push((to.0, to.1, item));
-            }
-            1
-        }
-        let parity = (due % 2) as usize;
-        let mut delivering = 0;
-        for b in &self.boundary {
-            let Far::Router(far, far_port) = self.net.wiring.far(b.from, b.port) else {
-                unreachable!("boundary port leads to a router")
-            };
-            let to = (RouterId(far as usize), PortId(far_port as usize));
-            let links = &mut self.net.routers[b.from - self.net.router_off].ports[b.port];
-            let flits = links.flits.as_mut().expect("boundary port is connected");
-            delivering += forward(flits, Cycle(due), to, &mail.flits[parity][b.dst_shard][self.idx]);
-            delivering +=
-                forward(&mut links.credits, Cycle(due), to, &mail.credits[parity][b.dst_shard][self.idx]);
-        }
-        delivering
     }
 }
 
@@ -432,40 +358,24 @@ pub(crate) fn run_sharded(
     let start = sim.now.0;
     let end = start + cycles;
     let plan = ShardPlan::new(sim.topology.as_ref(), shards);
-    let radix = sim.net.wiring.radix;
-
-    // Classify every port once; boundary lists are grouped by the shard
-    // that owns (and therefore drains) the port's pipes.
-    let mut boundary: Vec<Vec<BoundaryPort>> = vec![Vec::new(); shards];
-    for r in 0..sim.net.routers.len() {
-        let s = plan.shard_of_router(r);
-        for p in 0..radix {
-            if let Far::Router(far, _) = sim.net.wiring.far(r, p) {
-                let dst_shard = plan.shard_of_router(far as usize);
-                if dst_shard != s {
-                    boundary[s].push(BoundaryPort { from: r, port: p, dst_shard });
-                }
-            }
-        }
-    }
-
-    let mail = Mailboxes::new(shards);
+    let credits_per_port = sim.cfg.network.router.virtual_inputs_per_port();
+    let mut mail = mailboxes(shards);
 
     // Engine self-profiling: each shard's sink carries its own span track
     // (no sharing, no locks on the hot path), with its share of the span
     // capacity.
     let span_cap = (TelemetrySettings::DEFAULT_SPAN_CAPACITY / shards).max(1024);
 
-    // Split the network into per-shard slices. The serial calendar
-    // interleaves shards and references boundary pipes, so each shard's
-    // calendar is rebuilt from its own pipe contents instead of split.
+    // Split the network into per-shard slices.
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
     let mut rest = sim.net.slice(&sim.cfg, &sim.vc_occupancy);
-    for (s, boundary) in boundary.into_iter().enumerate() {
+    for s in 0..shards {
         let (range, nodes) = (plan.router_range(s), plan.node_range(s).len());
-        let (mut net, tail) = rest.split_at(range.len(), nodes);
+        let (net, tail) = rest.split_at(range.len(), nodes);
         rest = tail;
-        let mut gating = GatingState::new(nodes, range.len(), radix);
+        let mut gating = GatingState::new(net.wiring, range.clone(), nodes, credits_per_port);
+        gating.outboxes = (0..shards).map(|_| Outbox::default()).collect();
+        gating.fences.clone_from(&plan.router_start);
         if s == 0 {
             // The shards' step counts then sum to the run's, as a
             // heartbeat reports it.
@@ -474,27 +384,28 @@ pub(crate) fn run_sharded(
         for r in range.clone().filter(|&r| test_bit(&sim.gating.work, r)) {
             set_bit(&mut gating.work, r - range.start);
         }
-        net.rebuild_calendar(&mut gating);
         workers.push(ShardWorker {
             idx: s,
             net,
-            boundary,
             gating,
-            boundary_due: 0,
             sink: sim.telemetry.for_shard(s as u32, span_cap),
             log: PacketLog::default(),
             waiter: SpinWaiter::new(),
         });
     }
-    // Pre-scan: deliveries already due at `start` on boundary pipes
-    // would normally have been exchanged at the end of cycle `start − 1`
-    // (which ran under a different scheduler), so stage them now.
-    for w in &mut workers {
-        w.boundary_due = w.boundary_scan(start, &mail);
+    // Split the serial wheels: each entry goes, in order, to the same slot
+    // of the wheel of the shard that owns its destination.
+    for slot in 0..WAKE_RING {
+        for arrival in sim.gating.arrivals.slots[slot].drain(..) {
+            workers[plan.shard_of_router(arrival.0 as usize)].gating.arrivals.slots[slot].push(arrival);
+        }
+        for credit in sim.gating.returns.slots[slot].drain(..) {
+            workers[plan.shard_of(credit.0)].gating.returns.slots[slot].push(credit);
+        }
     }
 
-    // Staging and record slots are double-buffered by cycle parity, like
-    // the mailboxes: during cycle `t` the calling thread's duties fill
+    // Staging and record slots are double-buffered by cycle parity too:
+    // during cycle `t` the calling thread's duties fill
     // `staged[(t + 1) % 2]` and drain `outs[(t - 1) % 2]` while the shards
     // touch only the `t % 2` slots, so every lock is uncontended and
     // taken once per cycle.
@@ -509,7 +420,6 @@ pub(crate) fn run_sharded(
     let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
     let barrier = SpinBarrier::new(shards);
     let sh = Stretch {
-        end,
         panic_inject: sim.shard_panic_at,
         barrier: &barrier,
         mail: &mail,
@@ -604,13 +514,13 @@ pub(crate) fn run_sharded(
         finished
     });
 
-    // Reassemble a serial-scheduler view of the world so `step()` (or a
-    // later `run_cycles`) can continue from cycle `end` seamlessly. Each
-    // worker is consumed as it hands its state over — they hold the
-    // mutable borrows of the network, which the rebuild below needs back.
+    // Reassemble the serial scheduler's state so `step()` (or a later
+    // `run_cycles`) can continue from cycle `end` seamlessly: merge the
+    // shard wheels slot by slot in shard order, then file the final cycle's
+    // sends, still in their mailboxes.
     sim.gating.work.fill(0);
     sim.gating.router_steps = 0;
-    for w in finished {
+    for mut w in finished {
         sim.gating.router_steps += w.gating.router_steps;
         sim.telemetry.absorb(w.sink);
         // Every router still holding a flit is in its shard's work set for
@@ -618,9 +528,21 @@ pub(crate) fn run_sharded(
         for ri in (0..w.net.routers.len()).filter(|&ri| test_bit(&w.gating.work, ri)) {
             set_bit(&mut sim.gating.work, w.net.router_off + ri);
         }
+        for slot in 0..WAKE_RING {
+            sim.gating.arrivals.slots[slot].append(&mut w.gating.arrivals.slots[slot]);
+            sim.gating.returns.slots[slot].append(&mut w.gating.returns.slots[slot]);
+        }
+    }
+    for slot in mail[((end - 1) % 2) as usize].iter_mut().flatten() {
+        let outbox = slot.get_mut().expect("every shard joined cleanly");
+        for (due, arrival) in outbox.arrivals.drain(..) {
+            sim.gating.arrivals.push(due, arrival);
+        }
+        for (due, credit) in outbox.returns.drain(..) {
+            sim.gating.returns.push(due, credit);
+        }
     }
     set_low_bits(&mut sim.gating.sources, sim.net.terminals.len());
-    sim.net.slice(&sim.cfg, &[]).rebuild_calendar(&mut sim.gating);
     sim.now = Cycle(end);
 }
 

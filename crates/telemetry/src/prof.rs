@@ -325,7 +325,10 @@ pub struct SimHealth {
     /// Mean routers stepped per cycle over the interval — under
     /// activity gating this is the live active-router count.
     pub active_routers_avg: f64,
-    /// Wake-calendar depth (pending wake events) at the snapshot.
+    /// Deliveries in flight at the snapshot: every flit and credit on a
+    /// link, whether on the scheduler's timing wheels or, in a sharded
+    /// run, among a cycle's cross-shard sends not yet filed on the
+    /// receiver's wheels. The same for every shard count.
     pub wake_depth: u64,
     /// Aggregate VC-slab occupancy: flits buffered in router inputs at
     /// the snapshot.
@@ -473,7 +476,8 @@ impl Profiler {
     }
 
     /// Samples a heartbeat at `cycle`. `router_steps_cum`, `wake_depth`
-    /// and `buffered_flits` are engine-wide values; `shard_cum` carries
+    /// (deliveries in flight, see [`SimHealth::wake_depth`]) and
+    /// `buffered_flits` are engine-wide values; `shard_cum` carries
     /// each shard's *cumulative* `(busy_ns, barrier_ns)` split (empty
     /// for the serial engine, which accounts the whole interval to one
     /// busy track).

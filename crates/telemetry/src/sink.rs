@@ -47,7 +47,8 @@ pub struct WellKnownMetrics {
     pub stall_sa_no_credit: CounterId,
     /// Active-router set size per gated-scheduler cycle.
     pub sched_active_routers: GaugeId,
-    /// Wake events drained from the calendar per gated-scheduler cycle.
+    /// Deliveries (flits and credits) due per gated-scheduler cycle: the
+    /// timing-wheel entries the cycle drains.
     pub sched_wake_events: GaugeId,
 }
 

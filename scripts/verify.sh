@@ -28,7 +28,8 @@ cmp target/paper-smoke-1.txt target/paper-smoke-2.txt
 
 # Traced smoke sim: short instrumented runs must produce a loadable
 # Chrome trace and a metrics JSON end to end, and the same bytes at
-# --shards 1 and --shards 4 (CI uploads the sharded VIX pair). Besides
+# --shards 1, 3 and 4 (CI uploads the 4-shard VIX pair; the odd split
+# leaves asymmetric boundary links). Besides
 # the default VIX router, a five-stage IF router and a non-speculative
 # VIX router with age-based SA take the router step's other branches,
 # and a long light-load VIX run is mostly one-VC light router steps.
@@ -39,7 +40,7 @@ for config in "telemetry-smoke:--allocator vix --rate 0.08 --measure 500" \
     "telemetry-smoke-light:--allocator vix --rate 0.005 --measure 4000"; do
     name=${config%%:*}
     flags=${config#*:}
-    for shards in 1 4; do
+    for shards in 1 3 4; do
         out=target/$name-$shards
         mkdir -p $out
         cargo run --release --bin vixsim -- $flags \
@@ -48,8 +49,10 @@ for config in "telemetry-smoke:--allocator vix --rate 0.08 --measure 500" \
         test -s $out/trace.json
         test -s $out/metrics.json
     done
-    cmp target/$name-1/trace.json target/$name-4/trace.json
-    cmp target/$name-1/metrics.json target/$name-4/metrics.json
+    for shards in 3 4; do
+        cmp target/$name-1/trace.json target/$name-$shards/trace.json
+        cmp target/$name-1/metrics.json target/$name-$shards/metrics.json
+    done
 done
 
 # Profiled smoke sim: a short run with engine self-profiling on must

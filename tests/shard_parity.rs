@@ -129,49 +129,54 @@ fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
     // `step()`s must show the exact per-cycle ejections of an all-serial
     // twin — the scheduler-state hand-off, in both directions, is what's
     // on trial. Stretches of `k` cycles for `k` in 1..=7 start at every
-    // phase of the wake-calendar ring; `k` = 1 and 2 are all entry
-    // pre-scan and skipped final boundary scan.
-    let cfg = config(AllocatorKind::Vix);
-    let mut sharded = NetworkSim::build(cfg.with_shards(4)).unwrap();
-    let mut serial = NetworkSim::build(cfg).unwrap();
-    // Load the network first so the hand-offs carry in-flight state.
-    let (mut got, mut expected) = (Vec::new(), Vec::new());
-    sharded.run_cycles_into(300, &mut got);
-    serial.run_cycles_into(300, &mut expected);
-    assert_eq!(got, expected);
-    let mut seen = 0;
-    for round in 0..12 {
-        for k in 1..=7u64 {
-            let at = sharded.now();
-            got.clear();
-            expected.clear();
-            sharded.run_cycles_into(k, &mut got);
-            for _ in 0..k {
-                serial.step_into(&mut expected);
-            }
-            assert_eq!(got, expected, "round={round}: {k}-cycle stretch from {at} diverged");
-            for cycle in 0..k {
+    // phase of the timing wheels; `k` = 1 and 2 are almost all hand-off:
+    // the split of the serial wheels going in, and the final cycle's
+    // cross-shard sends, still in their mailboxes, coming out. Three
+    // shards cut the mesh 6/5/5 (asymmetric boundaries), sixteen put every
+    // router link across one.
+    for shards in [3, 4, 16] {
+        let cfg = config(AllocatorKind::Vix);
+        let mut sharded = NetworkSim::build(cfg.with_shards(shards)).unwrap();
+        let mut serial = NetworkSim::build(cfg).unwrap();
+        // Load the network first so the hand-offs carry in-flight state.
+        let (mut got, mut expected) = (Vec::new(), Vec::new());
+        sharded.run_cycles_into(300, &mut got);
+        serial.run_cycles_into(300, &mut expected);
+        assert_eq!(got, expected, "shards={shards}");
+        let mut seen = 0;
+        for round in 0..12 {
+            for k in 1..=7u64 {
+                let at = sharded.now();
                 got.clear();
                 expected.clear();
-                sharded.step_into(&mut got);
-                serial.step_into(&mut expected);
-                seen += expected.len();
+                sharded.run_cycles_into(k, &mut got);
+                for _ in 0..k {
+                    serial.step_into(&mut expected);
+                }
+                assert_eq!(got, expected, "shards={shards} round={round}: {k}-cycle stretch from {at} diverged");
+                for cycle in 0..k {
+                    got.clear();
+                    expected.clear();
+                    sharded.step_into(&mut got);
+                    serial.step_into(&mut expected);
+                    seen += expected.len();
+                    assert_eq!(
+                        got,
+                        expected,
+                        "shards={shards} round={round}: diverged {cycle} cycles after \
+                         the {k}-cycle stretch from {at}"
+                    );
+                }
+                assert_eq!(sharded.router_steps(), serial.router_steps(), "shards={shards}");
                 assert_eq!(
-                    got,
-                    expected,
-                    "round={round}: diverged {cycle} cycles after \
-                     the {k}-cycle stretch from {at}"
+                    sharded.per_router_activity(),
+                    serial.per_router_activity(),
+                    "shards={shards} k={k}"
                 );
             }
-            assert_eq!(sharded.router_steps(), serial.router_steps());
-            assert_eq!(
-                sharded.per_router_activity(),
-                serial.per_router_activity(),
-                "k={k}"
-            );
         }
+        assert!(seen > 100, "shards={shards}: only {seen} ejections — the test saw no traffic");
     }
-    assert!(seen > 100, "only {seen} ejections — the test saw no traffic");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! A counting `GlobalAlloc` wraps the system allocator; after a warmup
 //! phase that grows every reusable buffer (router request/grant sets,
-//! allocator scratch, link pipes, source queues, the packet ledger) to its
+//! allocator scratch, source queues, the packet ledger) to its
 //! steady-state size, clocking the network must stay off the heap: exactly
 //! zero allocations over 1,000 cycles. A run keeps nothing per delivered
 //! packet — deliveries go only into a buffer the caller passes in, and
@@ -72,17 +72,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn allocations_in_steady_state(kind: AllocatorKind, telemetry: TelemetrySettings) -> u64 {
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
     network.nodes = 64; // 8×8 mesh
-    allocations_in_steady_state_for(network, telemetry)
+    allocations_in_steady_state_for(network, 0.08, telemetry)
 }
 
-fn allocations_in_steady_state_for(network: NetworkConfig, telemetry: TelemetrySettings) -> u64 {
+fn allocations_in_steady_state_for(network: NetworkConfig, rate: f64, telemetry: TelemetrySettings) -> u64 {
     const WARMUP_CYCLES: usize = 500;
     const MEASURED_CYCLES: usize = 1_000;
 
     // Keep the whole run inside the sim's warmup window: traffic flows the
     // entire time and the measurement stats never record, so nothing may
     // grow at all (the measured window has its own, byte-counted gate).
-    let cfg = SimConfig::new(network, 0.08)
+    let cfg = SimConfig::new(network, rate)
         .with_windows((WARMUP_CYCLES + MEASURED_CYCLES + 1) as u64, 1, 1)
         .with_telemetry(telemetry);
     let mut sim = NetworkSim::build(cfg).expect("valid config");
@@ -110,11 +110,28 @@ fn wide_config_steady_state_stays_off_the_heap() {
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     network.nodes = 64;
     network.router = network.router.with_vcs(16).with_virtual_inputs(VirtualInputs::Ideal);
-    let allocs = allocations_in_steady_state_for(network, TelemetrySettings::disabled());
+    let allocs = allocations_in_steady_state_for(network, 0.08, TelemetrySettings::disabled());
     assert_eq!(
         allocs, 0,
         "{allocs} heap allocations in 1,000 steady-state cycles of an 8×8 mesh \
          with 80 crossbar inputs per router (gate: exactly 0)"
+    );
+}
+
+#[test]
+fn three_credit_bursts_stay_off_the_heap() {
+    // VIX with three virtual inputs per port near saturation: an input
+    // port can free three buffer slots in one cycle, so up to three
+    // credits leave it together and land in one slot of the credit
+    // wheel, which is reserved for that worst case at build.
+    let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    network.nodes = 64;
+    network.router = network.router.with_virtual_inputs(VirtualInputs::PerPort(3));
+    let allocs = allocations_in_steady_state_for(network, 0.11, TelemetrySettings::disabled());
+    assert_eq!(
+        allocs, 0,
+        "{allocs} heap allocations in 1,000 steady-state cycles of an 8×8 VIX k = 3 mesh \
+         near saturation (gate: exactly 0)"
     );
 }
 
@@ -132,11 +149,11 @@ fn steady_state_network_steps_stay_off_the_heap() {
 
 #[test]
 fn ring_transport_recirculates_with_zero_allocations() {
-    // The gate with deliveries collected, proving the slab/ring transport
+    // The gate with deliveries collected, proving the slab/wheel transport
     // is fully preallocated: with every cycle's delivered packets appended
     // to one reused caller-owned buffer (`step_into`), 1,000 steady-state
-    // cycles — thousands of VC-slab pushes/pops and ring-pipe
-    // wrap-arounds — must perform exactly ZERO heap allocations. The run
+    // cycles — thousands of VC-slab pushes/pops and timing-wheel slot
+    // refills — must perform exactly ZERO heap allocations. The run
     // is seeded and deterministic, so the assertion cannot flake.
     const WARMUP_CYCLES: usize = 500;
     const MEASURED_CYCLES: usize = 1_000;
@@ -242,9 +259,13 @@ fn network_build_footprint_is_pinned() {
     // while each separable allocator boxed its 15 arbiters one by one and
     // kept two scratch rows its kernels no longer need, and at 3 664
     // (bytes 774 141) while each router kept two more per-step outcome
-    // bitsets (VA bound, VA failed) between its VA and request sweeps.
-    const BUILD_ALLOCATIONS: u64 = 3_536;
-    const BUILD_BYTES: u64 = 770_045;
+    // bitsets (VA bound, VA failed) between its VA and request sweeps, and
+    // at 3 536 (bytes 770 045) while every link had its own pipe ring (two
+    // blocks each for 224 flit, 320 credit and 64 injection links) and
+    // every router a `Vec` of them, before in-flight items moved onto the
+    // scheduler's two timing wheels.
+    const BUILD_ALLOCATIONS: u64 = 2_260;
+    const BUILD_BYTES: u64 = 642_045;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
