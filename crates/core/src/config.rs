@@ -508,15 +508,16 @@ pub struct SimConfig {
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
     /// Shards a *single* simulation run across threads: the router graph
-    /// is partitioned into contiguous per-thread shards that exchange
-    /// cross-shard flits and credits at cycle boundaries (`0` = all
-    /// available parallelism, `1` = serial, the default). The count
-    /// includes the calling thread, which steps shard 0 itself.
+    /// is cut at build into contiguous slices that exchange cross-slice
+    /// flits and credits at cycle boundaries, and `run_cycles` steps each
+    /// on its own thread (`0` = all available parallelism, `1` = one
+    /// slice, the default). The count includes the calling thread, which
+    /// steps slice 0 itself.
     ///
     /// Unlike a sweep's worker count (`LoadSweep::with_jobs` in
     /// `vix-sim`), which fans out *independent* runs, `shards`
-    /// parallelises one run. The sharded engine is
-    /// bit-identical to the serial path for every shard count — same
+    /// parallelises one run. A sharded run is
+    /// bit-identical to a one-slice run for every shard count — same
     /// statistics, same ejection order, same activity counters (enforced by
     /// `tests/shard_parity.rs`; see DESIGN.md §8 for the determinism
     /// argument), and so is everything [`SimConfig::telemetry`] records.

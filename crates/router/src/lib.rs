@@ -36,20 +36,23 @@ mod output;
 mod pipeline;
 mod vc_alloc;
 
+use std::sync::Arc;
+
 pub use input::InputVcs;
 pub use output::OutputVcs;
 pub use pipeline::{Router, RouterOutput};
 pub use vc_alloc::{preferred_group, select_output_vc, VcAllocPolicy};
 
-/// Static per-router environment derived from the topology.
+/// Static per-router environment derived from the topology. Every router
+/// of a network has the same one, so a clone shares the tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterEnv {
     /// `dims[p]` — dimension port `p` moves a packet along (0 = X, 1 = Y,
     /// 2 = local). Drives dimension-aware VC assignment.
-    pub port_dims: Vec<usize>,
+    pub port_dims: Arc<[usize]>,
     /// `sinks[p]` — true when output port `p` ejects to a terminal
     /// (infinite downstream credit).
-    pub sink_ports: Vec<bool>,
+    pub sink_ports: Arc<[bool]>,
 }
 
 impl RouterEnv {
@@ -61,7 +64,7 @@ impl RouterEnv {
     #[must_use]
     pub fn new(port_dims: Vec<usize>, sink_ports: Vec<bool>) -> Self {
         assert_eq!(port_dims.len(), sink_ports.len(), "environment tables must align");
-        RouterEnv { port_dims, sink_ports }
+        RouterEnv { port_dims: port_dims.into(), sink_ports: sink_ports.into() }
     }
 
     /// A uniform environment for tests: all ports dimension 0, the last
@@ -70,6 +73,6 @@ impl RouterEnv {
     pub fn uniform(ports: usize, locals: usize) -> Self {
         assert!(locals <= ports, "more local ports than ports");
         let sink_ports = (0..ports).map(|p| p >= ports - locals).collect();
-        RouterEnv { port_dims: vec![0; ports], sink_ports }
+        RouterEnv { port_dims: vec![0; ports].into(), sink_ports }
     }
 }

@@ -182,8 +182,8 @@ impl SpinBarrier {
     }
 
     /// Whether [`SpinBarrier::poison`] has been called.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
+    #[cfg(test)]
+    fn is_poisoned(&self) -> bool {
         self.poisoned.0.load(Ordering::Relaxed)
     }
 }

@@ -57,8 +57,7 @@ impl<T: Copy> Pipe<T> {
     /// # Panics
     ///
     /// Panics if `latency` is zero.
-    #[must_use]
-    pub fn with_rate(latency: u64, per_cycle: usize) -> Self {
+    fn with_rate(latency: u64, per_cycle: usize) -> Self {
         assert!(latency >= 1, "channel latency must be at least one cycle");
         // Items pushed at cycle `t` leave at `t + latency`, so at most
         // `(latency + 1) × rate` can coexist within one delivery window.
@@ -155,40 +154,6 @@ impl<T: Copy> Pipe<T> {
         }
         Some(item)
     }
-
-    /// True when at least one item is due at or before cycle `now`.
-    #[must_use]
-    pub fn has_ready(&self, now: Cycle) -> bool {
-        self.len > 0 && self.dues[self.head] <= now.0
-    }
-
-    /// Cycle at which the earliest in-flight item becomes deliverable, or
-    /// `None` when nothing is in flight. Pushes are time-ordered, so this
-    /// is the pipe's next event.
-    #[must_use]
-    pub fn next_due(&self) -> Option<u64> {
-        if self.len > 0 {
-            Some(self.dues[self.head])
-        } else {
-            None
-        }
-    }
-
-    /// Distinct delivery cycles of the in-flight items, in ascending
-    /// order. Pushes are time-ordered, so consecutive deduplication is
-    /// exact.
-    pub fn dues(&self) -> impl Iterator<Item = u64> + '_ {
-        let mask = self.cap - 1;
-        let mut last = None;
-        (0..self.len).map(move |k| self.dues[(self.head + k) & mask]).filter(move |t| {
-            if last == Some(*t) {
-                false
-            } else {
-                last = Some(*t);
-                true
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -231,30 +196,6 @@ mod tests {
         pipe.push(Cycle(0), 'x');
         pipe.push(Cycle(5), 'y');
         assert_eq!(drain(&mut pipe, Cycle(100)), vec!['x', 'y']);
-    }
-
-    #[test]
-    fn next_due_tracks_the_earliest_in_flight_item() {
-        let mut pipe = Pipe::new(3);
-        assert_eq!(pipe.next_due(), None);
-        pipe.push(Cycle(4), 'a');
-        pipe.push(Cycle(6), 'b');
-        assert_eq!(pipe.next_due(), Some(7), "first push due at 4 + 3");
-        assert_eq!(pipe.pop_ready(Cycle(7)), Some('a'));
-        assert_eq!(pipe.next_due(), Some(9));
-        assert_eq!(pipe.pop_ready(Cycle(9)), Some('b'));
-        assert_eq!(pipe.next_due(), None);
-    }
-
-    #[test]
-    fn dues_deduplicates_same_cycle_batches() {
-        let mut pipe = Pipe::new(2);
-        assert_eq!(pipe.dues().count(), 0);
-        pipe.push(Cycle(0), 1);
-        pipe.push(Cycle(0), 2);
-        pipe.push(Cycle(1), 3);
-        pipe.push(Cycle(3), 4);
-        assert_eq!(pipe.dues().collect::<Vec<_>>(), vec![2, 3, 5]);
     }
 
     #[test]
@@ -301,10 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn growth_with_interleaved_pops_preserves_order_and_dues() {
+    fn growth_with_interleaved_pops_preserves_order() {
         // The linearize-and-double path with a wrapped head and pops
-        // interleaved between growths: FIFO delivery order and the
-        // ascending `dues()` contract must survive every rotation.
+        // interleaved between growths: FIFO delivery order must survive
+        // every rotation.
         let mut pipe = Pipe::new(2);
         let cap = pipe.capacity();
         let mut popped = Vec::new();
@@ -322,8 +263,6 @@ mod tests {
         for _ in 0..3 * cap {
             pipe.push(Cycle(t), t);
             t += 1;
-            let dues: Vec<u64> = pipe.dues().collect();
-            assert!(dues.windows(2).all(|w| w[0] < w[1]), "dues must stay ascending: {dues:?}");
             if pipe.in_flight() == cap + 1 {
                 popped.push(pipe.pop_ready(Cycle(t + 2)).expect("all items due by now"));
             }

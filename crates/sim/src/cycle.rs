@@ -1,19 +1,14 @@
-//! The cycle body: phases 2–5 of one simulated cycle over a contiguous
-//! slice of the network, written once.
+//! A slice of the network and the cycle body: phases 2–5 of one
+//! simulated cycle over it, written once.
 //!
 //! A cycle is generate → source inject → deliver → router step → fan-out.
 //! Phase 1 (generation) draws from the run's single RNG and belongs to
-//! whoever owns it ([`TrafficGen`](crate::network::TrafficGen)); the rest
-//! is [`NetSlice::step`], and it has exactly two callers:
-//!
-//! * [`NetworkSim::step`](crate::NetworkSim::step) runs it over the whole
-//!   network — offsets 0, every link local — with its own sink, and
-//!   replays the packet log into the ledger, `NetworkStats`, the
-//!   scheduler gauges and the heartbeat straight after. No lock, no
-//!   mailbox, no barrier.
-//! * `ShardWorker::run_cycle` ([`crate::shard`]) runs the same method over
-//!   its shard's slice with the shard's sink, between the cross-shard
-//!   exchange and the barrier.
+//! the run ([`TrafficGen`](crate::network::TrafficGen)); the rest is
+//! [`Slice::run_cycle`], which [`crate::shard`]'s cycle protocol runs over
+//! every slice, on the calling thread or on one thread per slice. A
+//! [`NetworkSim`](crate::NetworkSim) is its slices from build on: each
+//! owns its routers, terminals, scheduler state, packet log and sink, and
+//! nothing is cut, split or merged back between cycles.
 //!
 //! The body is the activity-gated scheduler ([`GatingState`], DESIGN.md
 //! §6c), the only one there is: it steps the routers with work and replays
@@ -21,17 +16,18 @@
 //! an independent simulator that steps every router every cycle.
 
 use crate::network::{EjectedPacket, Far, RouterRecord, Wiring};
+use crate::shard::ShardPlan;
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use crate::{CREDIT_LATENCY, FLIT_LATENCY};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
+use std::sync::{Mutex, MutexGuard};
 use vix_core::bits::{count_ones, set_bit, set_low_bits};
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, SimConfig, VcId};
 use vix_router::RouterOutput;
 use vix_telemetry::{
-    HistogramId, SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
+    HistogramId, Profiler, SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
 };
 
 /// Slots of a timing wheel. Must exceed every link latency (flit links,
@@ -86,6 +82,17 @@ pub(crate) struct Outbox {
 }
 
 impl Outbox {
+    /// An outbox that holds one cycle of what slice `src` can send slice
+    /// `dst` without growing: a flit per router link from the one into the
+    /// other, and a credit per virtual input behind each such link.
+    fn between(wiring: &Wiring, plan: ShardPlan, src: usize, dst: usize, credits_per_port: usize) -> Self {
+        let routers = plan.router_range(src);
+        let fars = routers.flat_map(|r| (0..wiring.radix).map(move |p| wiring.far(r, p)));
+        let links = fars.filter(|&far| matches!(far, Far::Router(r, _) if plan.shard_of_router(r as usize) == dst));
+        let links = links.count();
+        Outbox { arrivals: Vec::with_capacity(links), returns: Vec::with_capacity(links * credits_per_port) }
+    }
+
     /// Entries in the outbox.
     pub(crate) fn len(&self) -> usize {
         self.arrivals.len() + self.returns.len()
@@ -100,9 +107,8 @@ impl Outbox {
 /// every cycle — skipped cycles are replayed through
 /// [`vix_router::Router::note_idle_cycles`] before a router steps again.
 ///
-/// This is the part of the scheduler that belongs to whoever steps a
-/// slice — the whole network's, or one shard's, sized for what it steps.
-/// What belongs to a router (its replay horizon) lives in its record.
+/// Each [`Slice`] owns one, sized for what it steps. What belongs to a
+/// router (its replay horizon) lives in its record.
 #[derive(Debug)]
 pub(crate) struct GatingState {
     /// Flits in flight to this slice's routers, by due cycle (global
@@ -113,11 +119,10 @@ pub(crate) struct GatingState {
     /// Credits in flight to this slice's routers and sources, filed at
     /// `now + CREDIT_LATENCY`.
     pub(crate) returns: Wheel<Return>,
-    /// A shard's sends of this cycle to other shards' routers, by
-    /// destination shard; empty when one slice is the whole network.
+    /// This cycle's sends to the other slices' routers, one outbox per
+    /// other slice in slice order; none when one slice is the whole
+    /// network.
     pub(crate) outboxes: Vec<Outbox>,
-    /// The shards' first routers, which route a send to its outbox.
-    pub(crate) fences: Vec<usize>,
     /// Routers to step this cycle, one bit per router of the slice: a set
     /// absorbs repeated wakeups, and reads out in ascending order — the
     /// order of stats accumulation and ejection.
@@ -137,10 +142,11 @@ pub(crate) struct GatingState {
 }
 
 impl GatingState {
-    /// Scheduler state for the slice of `routers` and its `nodes`
+    /// Scheduler state for slice `me` of `plan` and its `nodes`
     /// terminals, whose input ports each free up to `credits_per_port`
     /// buffer slots a cycle.
-    pub(crate) fn new(wiring: &Wiring, routers: Range<usize>, nodes: usize, credits_per_port: usize) -> Self {
+    pub(crate) fn new(wiring: &Wiring, plan: ShardPlan, me: usize, nodes: usize, credits_per_port: usize) -> Self {
+        let routers = plan.router_range(me);
         // Worst-case slot populations, reserved up front so the steady-state
         // gated step stays allocation-free: a flit off every injection link
         // and every router link into the slice due on the same cycle, and a
@@ -152,19 +158,15 @@ impl GatingState {
         GatingState {
             arrivals: Wheel::with_capacity(nodes + links),
             returns: Wheel::with_capacity(routers.len() * wiring.radix * credits_per_port),
-            outboxes: Vec::new(),
-            fences: Vec::new(),
+            outboxes: (0..plan.shards())
+                .filter(|&dst| dst != me)
+                .map(|dst| Outbox::between(wiring, plan, me, dst, credits_per_port))
+                .collect(),
             work: vec![0; routers.len().div_ceil(64)],
             sources,
             router_steps: 0,
             step_out: RouterOutput::default(),
         }
-    }
-
-    /// The outbox toward the shard that owns router `r`.
-    fn outbox(&mut self, r: usize) -> &mut Outbox {
-        let shard = self.fences.partition_point(|&start| start <= r) - 1;
-        &mut self.outboxes[shard]
     }
 
     /// Deliveries in flight (a heartbeat gauge): the wheels' entries and
@@ -196,9 +198,10 @@ impl Hasher for IdHasher {
 /// the cycle its tail ejects; touched only through [`PacketLog::replay`].
 pub(crate) type PacketLedger = HashMap<u64, (NodeId, Cycle, u64, usize), BuildHasherDefault<IdHasher>>;
 
-/// Packets entering and flits leaving the network in one cycle of the body, in
-/// source and router order, for the run's statistics owner to replay: the
-/// serial engine straight after the body, the sharded engine a cycle later.
+/// Packets entering and flits leaving the network in one cycle of a slice, in
+/// source and router order, for the run's statistics owner to replay
+/// (`merge_cycle` in [`crate::shard`]): at the end of the cycle on one
+/// thread, during the next one on S threads.
 #[derive(Debug, Default)]
 pub(crate) struct PacketLog {
     /// Descriptors of the packets whose head flit left its source.
@@ -206,8 +209,7 @@ pub(crate) struct PacketLog {
     /// `(flit, cycle, measured)` per flit that left the network at its
     /// destination: every tail, and every flit inside the measurement window.
     ejected: Vec<(Flit, Cycle, bool)>,
-    /// A shard's trace events of the cycle (the serial body records
-    /// straight into the run's ring).
+    /// The slice's trace events of the cycle.
     pub(crate) trace: Vec<TraceEvent>,
     /// The slice's parts of the two scheduler gauges, which the
     /// statistics owner sums and records.
@@ -219,32 +221,29 @@ pub(crate) struct PacketLog {
 }
 
 /// One slice's heartbeat gauges at the end of a cycle. The body fills the
-/// first three; a shard adds its track's wall-clock split.
+/// first three; [`Slice::run_cycle`] adds its track's wall-clock split.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SliceBeat {
-    /// Router steps since the run began (a sharded stretch's shard 0
-    /// carries the steps taken before the stretch).
+    /// The slice's router steps since the run began.
     pub(crate) router_steps: u64,
     /// Deliveries in flight toward the slice: its wheels' entries and
     /// its outboxes' (see [`GatingState::in_flight`]).
     pub(crate) wake_depth: u64,
     /// Flits buffered in the slice's router inputs.
     pub(crate) buffered_flits: u64,
-    /// The shard track's cumulative busy and barrier-wait nanoseconds.
+    /// The slice track's cumulative busy and barrier-wait nanoseconds.
     pub(crate) busy_ns: u64,
     pub(crate) barrier_ns: u64,
 }
 
 impl SliceBeat {
     /// Records the heartbeat that `cycle` closes in `sink`: the sum of the
-    /// slices' `beats`, which are in shard order, with each shard's
-    /// wall-clock split when `per_shard` (the serial engine's one track
-    /// counts as busy for the whole interval).
-    pub(crate) fn record(beats: &[SliceBeat], per_shard: bool, cycle: u64, sink: &mut TelemetrySink) {
+    /// slices' `beats`, which are in slice order, with each slice's
+    /// wall-clock split.
+    pub(crate) fn record(beats: &[SliceBeat], cycle: u64, sink: &mut TelemetrySink) {
         let Some(prof) = sink.profiler_mut() else { return };
         let sum = |field: fn(&SliceBeat) -> u64| beats.iter().map(field).sum();
-        let split: Vec<(u64, u64)> =
-            if per_shard { beats.iter().map(|b| (b.busy_ns, b.barrier_ns)).collect() } else { Vec::new() };
+        let split: Vec<(u64, u64)> = beats.iter().map(|b| (b.busy_ns, b.barrier_ns)).collect();
         let (steps, wake, buffered) =
             (sum(|b| b.router_steps), sum(|b| b.wake_depth), sum(|b| b.buffered_flits));
         prof.heartbeat(cycle, steps, wake, buffered, &split);
@@ -286,27 +285,96 @@ impl PacketLog {
     }
 }
 
-/// A borrowed view of a contiguous slice of the network: the records of
-/// routers `router_off..router_off + routers.len()` and of the terminals
-/// attached to them. Router and terminal indices arriving from shared
-/// structures (the wiring, wheel entries) are global; the offsets translate
-/// them into the slices.
+/// What every slice reads and none writes: the run's configuration, the
+/// wiring, the per-router histogram ids (global index; empty when metrics
+/// are off) and the plan that names the slice owning each router.
+#[derive(Clone, Copy)]
+pub(crate) struct Env<'a> {
+    pub(crate) cfg: &'a SimConfig,
+    pub(crate) wiring: &'a Wiring,
+    pub(crate) vc_occupancy: &'a [HistogramId],
+    pub(crate) plan: ShardPlan,
+}
+
+/// Cross-slice mailboxes, one per ordered pair of distinct slices and
+/// cycle parity: `mail[(t % 2, dst, src)]` holds what slice `src` sent
+/// slice `dst`'s routers at cycle `t`, each entry with its due cycle, and
+/// `dst` files it on its wheels at the start of cycle `t + 1` — before it
+/// is due, since every router link has ≥ 2 cycles of latency. Each
+/// `Mutex` is uncontended by construction: its sender fills it in cycle
+/// `t`, its receiver drains it in cycle `t + 1`, and the other parity's
+/// slot is the one in use meanwhile. With one slice there are none.
+#[derive(Debug)]
+pub(crate) struct Mail {
+    slices: usize,
+    slots: Vec<Mutex<Outbox>>,
+}
+
+impl Mail {
+    /// The mailboxes between the slices of `plan`, each reserved like the
+    /// outbox its sender swaps into it.
+    pub(crate) fn new(wiring: &Wiring, plan: ShardPlan, credits_per_port: usize) -> Self {
+        let slices = plan.shards();
+        let pairs = (0..slices)
+            .flat_map(|dst| (0..slices).filter(move |&src| src != dst).map(move |src| (dst, src)));
+        let slots = [pairs.clone(), pairs]
+            .into_iter()
+            .flatten()
+            .map(|(dst, src)| Mutex::new(Outbox::between(wiring, plan, src, dst, credits_per_port)))
+            .collect();
+        Mail { slices, slots }
+    }
+
+    /// The mailbox of the sends from slice `src` to slice `dst` in the
+    /// cycles of parity `parity`.
+    fn slot(&self, parity: usize, dst: usize, src: usize) -> MutexGuard<'_, Outbox> {
+        let others = self.slices - 1;
+        let i = (parity * self.slices + dst) * others + other(dst, src);
+        self.slots[i].lock().expect("no slice panicked holding a mailbox")
+    }
+}
+
+#[cfg(test)]
+impl Mail {
+    /// Flits waiting in a mailbox.
+    pub(crate) fn arrivals(&self) -> usize {
+        self.slots.iter().map(|m| m.lock().expect("no slice panicked").arrivals.len()).sum()
+    }
+}
+
+/// Index of slice `s` among the slices other than `me`.
+#[inline]
+fn other(me: usize, s: usize) -> usize {
+    s - usize::from(s > me)
+}
+
+/// A contiguous slice of the network — routers
+/// `router_off..router_off + routers.len()` and the terminals attached to
+/// them — with everything that steps it: its scheduler state, packet log
+/// and telemetry sink. Router and terminal indices arriving from shared
+/// structures (the wiring, wheel entries) are global; the offsets
+/// translate them into the slice.
 ///
 /// A link is *local* when its far end lies in the same slice. The body
 /// files what it sends over local links on its own wheels, and what it
-/// sends over the rest in the outbox of the shard that owns the far end,
-/// which files it on that shard's wheels a cycle later — before it is due,
-/// since every router link has ≥ 2 cycles of latency.
-pub(crate) struct NetSlice<'a> {
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) wiring: &'a Wiring,
-    /// VC-occupancy histogram per router of the whole network (global
-    /// index); empty when metrics are off.
-    pub(crate) vc_occupancy: &'a [HistogramId],
+/// sends over the rest in the outbox of the slice that owns the far end.
+#[derive(Debug)]
+pub(crate) struct Slice {
+    /// Position among the network's slices, which names its outboxes
+    /// and mailboxes.
+    pub(crate) idx: usize,
     pub(crate) router_off: usize,
     pub(crate) node_off: usize,
-    pub(crate) routers: &'a mut [RouterRecord],
-    pub(crate) terminals: &'a mut [SourceQueue],
+    pub(crate) routers: Vec<RouterRecord>,
+    pub(crate) terminals: Vec<SourceQueue>,
+    pub(crate) gating: GatingState,
+    /// This cycle's packet log; the cycle protocol replays it.
+    pub(crate) log: PacketLog,
+    /// This slice's sink ([`TelemetrySink::for_shard`]), absorbed into the
+    /// run's when a stepping call returns; its trace travels in the log.
+    pub(crate) sink: TelemetrySink,
+    /// Set only by [`NetworkSim::inject_shard_panic`](crate::NetworkSim::inject_shard_panic).
+    pub(crate) panic_at: Option<u64>,
 }
 
 /// True when the cycle before `cycle` closes a heartbeat interval.
@@ -334,27 +402,90 @@ fn credit_event(now: Cycle, router: usize, port: PortId, vc: VcId) -> TraceEvent
     TraceEvent { router, port, vc, ..TraceEvent::at(now, TraceEventKind::CreditReturn) }
 }
 
-impl<'a> NetSlice<'a> {
-    /// Splits the first `routers` routers and `nodes` terminals off as
-    /// their own slice; the second slice is the rest.
-    pub(crate) fn split_at(self, routers: usize, nodes: usize) -> (Self, Self) {
-        let (routers_a, routers_b) = self.routers.split_at_mut(routers);
-        let (terminals_a, terminals_b) = self.terminals.split_at_mut(nodes);
-        let head = NetSlice { routers: routers_a, terminals: terminals_a, ..self };
-        let tail = NetSlice {
-            router_off: self.router_off + routers,
-            node_off: self.node_off + nodes,
-            routers: routers_b,
-            terminals: terminals_b,
-            ..self
-        };
-        (head, tail)
+impl Slice {
+    /// Enqueues `packet` at its source, which this slice owns.
+    pub(crate) fn enqueue(&mut self, packet: PacketDescriptor) {
+        let i = packet.source.0 - self.node_off;
+        self.terminals[i].enqueue(packet);
+        set_bit(&mut self.gating.sources, i);
     }
 
+    /// This slice's part of cycle `t`: files what the other slices sent
+    /// it at `t − 1` (all of it due at `t + 1` or later), runs the body,
+    /// posts this cycle's sends to the other slices, and closes its packet
+    /// log — trace events and heartbeat split included — for the merge.
+    /// With one slice nothing crosses, so this takes no lock. `span` is
+    /// the open profiling lap chain on this slice's sink; the chain is
+    /// handed back open, for the caller to close as `Exchange` once the
+    /// log is where the merge reads it.
+    pub(crate) fn run_cycle(&mut self, env: Env<'_>, t: u64, mail: &Mail, mut span: SpanStart) -> SpanStart {
+        if self.panic_at == Some(t) {
+            panic!("injected shard panic at cycle {t} shard {}", self.idx);
+        }
+        let (me, parity) = (self.idx, (t % 2) as usize);
+        for src in (0..mail.slices).filter(|&src| src != me) {
+            let mut inbox = mail.slot(1 - parity, me, src);
+            for (due, arrival) in inbox.arrivals.drain(..) {
+                self.gating.arrivals.push(due, arrival);
+            }
+            for (due, credit) in inbox.returns.drain(..) {
+                self.gating.returns.push(due, credit);
+            }
+        }
+        span = self.sink.span_lap(SpanKind::Exchange, t, span);
+        let mut body = Body {
+            env,
+            me,
+            router_off: self.router_off,
+            node_off: self.node_off,
+            routers: &mut self.routers,
+            terminals: &mut self.terminals,
+        };
+        span = body.step(Cycle(t), &mut self.gating, &mut self.sink, &mut self.log, span);
+        // The swap gets back the outbox the receiver drained last cycle,
+        // keeping the steady state allocation-free.
+        for (i, outbox) in self.gating.outboxes.iter_mut().enumerate() {
+            if outbox.len() > 0 {
+                let dst = i + usize::from(i >= me);
+                std::mem::swap(&mut *mail.slot(parity, dst, me), outbox);
+            }
+        }
+        if let Some(beat) = &mut self.log.beat {
+            (beat.busy_ns, beat.barrier_ns) = self.sink.profiler().map_or((0, 0), Profiler::own_busy_barrier_ns);
+        }
+        if self.sink.tracing() {
+            self.sink.take_trace(&mut self.log.trace);
+        }
+        span
+    }
+}
+
+/// The cycle body's view of a slice: its records as plain slices, with
+/// the scheduler state, sink and log handed to [`Body::step`] as
+/// arguments of their own. Kept apart, none of them can alias another,
+/// so the compiler holds the slice's bookkeeping in registers across every
+/// router step instead of reloading it after each call that is handed the
+/// sink or the log.
+struct Body<'a> {
+    env: Env<'a>,
+    /// The slice's index, which names its outboxes.
+    me: usize,
+    router_off: usize,
+    node_off: usize,
+    routers: &'a mut [RouterRecord],
+    terminals: &'a mut [SourceQueue],
+}
+
+impl Body<'_> {
     /// True when router `r` (global index) is in this slice.
     #[inline]
     fn owns(&self, r: usize) -> bool {
         r.wrapping_sub(self.router_off) < self.routers.len()
+    }
+
+    /// The outbox in `gating` toward the slice that owns router `r`.
+    fn outbox<'g>(&self, gating: &'g mut GatingState, r: usize) -> &'g mut Outbox {
+        &mut gating.outboxes[other(self.me, self.env.plan.shard_of_router(r))]
     }
 
     /// This slice's heartbeat gauges as cycle `now` leaves them.
@@ -373,7 +504,7 @@ impl<'a> NetSlice<'a> {
     /// open profiling lap chain (one clock read per phase boundary, one
     /// branch per lap when profiling is off); the chain is handed back
     /// after the `RouterStep` lap.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         now: Cycle,
         gating: &mut GatingState,
@@ -381,6 +512,7 @@ impl<'a> NetSlice<'a> {
         log: &mut PacketLog,
         mut span: SpanStart,
     ) -> SpanStart {
+        let env = self.env;
         // 2. Sources stream flits toward their routers, in ascending
         // terminal order: only those that may hold a packet (an idle
         // source's `try_send` is a pure no-op), each dropped from the set
@@ -413,7 +545,7 @@ impl<'a> NetSlice<'a> {
         log.wake_events = (arrivals.len() + returns.len()) as u64;
         for &(r, p, flit) in arrivals.iter() {
             let (r, ri, port) = (r as usize, r as usize - self.router_off, PortId(p as usize));
-            if sink.tracing() && matches!(self.wiring.far(r, port.0), Far::Terminal(_)) {
+            if sink.tracing() && matches!(env.wiring.far(r, port.0), Far::Terminal(_)) {
                 sink.trace(flit_event(TraceEventKind::Inject, now, r, port, &flit));
             }
             self.routers[ri].router.accept_flit(port, flit);
@@ -468,11 +600,11 @@ impl<'a> NetSlice<'a> {
 
         // VC-occupancy sampling: every router of the slice, stepped this
         // cycle or not, as the body leaves it.
-        if !self.vc_occupancy.is_empty() {
-            let vcs = self.cfg.network.router.vcs_per_port();
+        if !env.vc_occupancy.is_empty() {
+            let vcs = env.cfg.network.router.vcs_per_port();
             for (ri, rec) in self.routers.iter().enumerate() {
-                let hist = self.vc_occupancy[self.router_off + ri];
-                for p in (0..self.wiring.radix).map(PortId) {
+                let hist = env.vc_occupancy[self.router_off + ri];
+                for p in (0..env.wiring.radix).map(PortId) {
                     for v in (0..vcs).map(VcId) {
                         sink.observe(hist, rec.router.buffer_occupancy(p, v) as u64);
                     }
@@ -494,9 +626,10 @@ impl<'a> NetSlice<'a> {
     /// is idle afterwards.
     #[inline(always)]
     fn source_send(&mut self, i: usize, now: Cycle, gating: &mut GatingState, log: &mut PacketLog) -> bool {
-        let (router, port) = self.wiring.attachment(self.node_off + i);
+        let wiring = self.env.wiring;
+        let (router, port) = wiring.attachment(self.node_off + i);
         let source = &mut self.terminals[i];
-        if let Some(flit) = source.try_send(now, |dest| self.wiring.resolve(router, dest), &mut log.injected) {
+        if let Some(flit) = source.try_send(now, |dest| wiring.resolve(router, dest), &mut log.injected) {
             gating.arrivals.push(now.0 + 1, (router as u32, port.0 as u8, flit));
         }
         source.is_idle()
@@ -504,7 +637,7 @@ impl<'a> NetSlice<'a> {
 
     /// Clocks this slice's router `ri` (its idle history already replayed)
     /// and fans its outputs out to the packet log and the wheels: its own
-    /// for a local link, an outbox for a link into another shard.
+    /// for a local link, an outbox for a link into another slice.
     #[inline(always)]
     fn step_router(
         &mut self,
@@ -515,14 +648,15 @@ impl<'a> NetSlice<'a> {
         sink: &mut TelemetrySink,
         log: &mut PacketLog,
     ) {
+        let (cfg, wiring) = (self.env.cfg, self.env.wiring);
         let r = self.router_off + ri;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < self.cfg.warmup + self.cfg.measure;
+        let in_window = now.0 >= cfg.warmup && now.0 < cfg.warmup + cfg.measure;
         let rec = &mut self.routers[ri];
         rec.router.step_into(now, out, sink);
         gating.router_steps += 1;
         rec.stepped_until = now.0 + 1;
         for (p, mut flit) in out.flits.drain(..) {
-            match self.wiring.far(r, p.0) {
+            match wiring.far(r, p.0) {
                 Far::Terminal(node) => {
                     debug_assert_eq!(
                         NodeId(node as usize),
@@ -537,15 +671,14 @@ impl<'a> NetSlice<'a> {
                 Far::Router(down, down_port) => {
                     // Lookahead routing: rewrite the routing fields for the
                     // downstream router before the flit enters the link.
-                    let (out_port, lookahead, _) =
-                        self.wiring.resolve(down as usize, flit.dest());
+                    let (out_port, lookahead, _) = wiring.resolve(down as usize, flit.dest());
                     flit.set_route(out_port, lookahead);
                     sink.trace(flit_event(TraceEventKind::LinkTraversal, now, r, p, &flit));
                     let (due, arrival) = (now.0 + FLIT_LATENCY, (down, down_port, flit));
                     if self.owns(down as usize) {
                         gating.arrivals.push(due, arrival);
                     } else {
-                        gating.outbox(down as usize).arrivals.push((due, arrival));
+                        self.outbox(gating, down as usize).arrivals.push((due, arrival));
                     }
                 }
                 Far::Open => unreachable!("route through unconnected port {p} of router {r}"),
@@ -553,12 +686,13 @@ impl<'a> NetSlice<'a> {
         }
         for (p, vc) in out.credits.drain(..) {
             sink.trace(credit_event(now, r, p, vc));
-            let (far, due) = (self.wiring.far(r, p.0), now.0 + CREDIT_LATENCY);
+            let (far, due) = (wiring.far(r, p.0), now.0 + CREDIT_LATENCY);
+            let credit = (far, vc);
             match far {
                 Far::Router(up, _) if !self.owns(up as usize) => {
-                    gating.outbox(up as usize).returns.push((due, (far, vc)));
+                    self.outbox(gating, up as usize).returns.push((due, credit));
                 }
-                _ => gating.returns.push(due, (far, vc)),
+                _ => gating.returns.push(due, credit),
             }
         }
     }

@@ -14,9 +14,9 @@
 //! Sweeps over offered load ([`LoadSweep`]) execute their points across
 //! a worker pool — see [`runner`] for the parallel execution engine and
 //! its determinism guarantees. A *single* large run can additionally be
-//! sharded across threads with [`SimConfig::shards`] — see [`shard`] for
-//! the deterministic parallel-stepping engine (bit-identical to serial
-//! for every shard count).
+//! cut into slices stepped on their own threads with
+//! [`SimConfig::shards`] — see [`shard`] for the cycle protocol and its
+//! parallel driver (bit-identical for every shard count).
 //!
 //! [`SimConfig::shards`]: vix_core::SimConfig::shards
 //!
@@ -50,7 +50,7 @@ mod sweep;
 pub use barrier::{BarrierPoisoned, SpinBarrier, SpinWaiter};
 pub use channel::Pipe;
 pub use network::{EjectedPacket, NetworkSim};
-pub use runner::{derive_seed, parallel_map, resolve_jobs, SweepJob};
+pub use runner::{derive_seed, parallel_map, resolve_jobs};
 pub use single_router::{SingleRouterHarness, SingleRouterResult};
 pub use source::SourceQueue;
 pub use stats::NetworkStats;

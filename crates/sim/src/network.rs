@@ -1,25 +1,26 @@
 //! Whole-network simulation: routers, links, sources, and the
 //! warmup/measure/drain protocol.
 //!
-//! [`NetworkSim`] owns the network ([`Fabric`]), the run's one traffic
-//! generator ([`TrafficGen`], phase 1 of a cycle), the packet ledger and the statistics.
-//! Phases 2–5 are not written here: [`NetworkSim::step`] runs the one
-//! cycle body, [`NetSlice::step`], over the whole network as a single
-//! slice, and [`crate::shard`] runs the same body over each shard's slice.
+//! [`NetworkSim`] owns the network — the static [`Wiring`] and the slices
+//! it is cut into at build (`Slice` in `cycle.rs`) — the run's one traffic
+//! generator ([`TrafficGen`], phase 1 of a cycle), the packet ledger and
+//! the statistics. No cycle is written here: every stepping method runs
+//! [`crate::shard`]'s cycle protocol over the slices.
 
-use crate::cycle::{GatingState, NetSlice, PacketLedger, PacketLog, SliceBeat};
+use crate::cycle::{GatingState, PacketLedger, PacketLog, Slice};
+use crate::shard::{Exchange, ShardPlan};
 use crate::source::SourceQueue;
 use crate::stats::NetworkStats;
 use vix_rng::rngs::StdRng;
 use vix_rng::SeedableRng;
 use vix_alloc::build_allocator;
-use vix_core::bits::set_bit;
+use vix_core::config::TelemetrySettings;
 use vix_core::{
     ActivityCounters, ConfigError, Cycle, NodeId, PacketDescriptor, PacketId, PortId, RouterId,
     SimConfig,
 };
 use vix_router::{Router, RouterEnv};
-use vix_telemetry::{HistogramId, MatchingSummary, SpanKind, TelemetrySink};
+use vix_telemetry::{HistogramId, MatchingSummary, TelemetrySink, ENGINE_TRACK};
 use vix_topology::{build_topology, Topology};
 use vix_traffic::{BernoulliInjector, TrafficPattern};
 
@@ -128,7 +129,7 @@ pub struct EjectedPacket {
 }
 
 /// One router with its share of the scheduler's bookkeeping (DESIGN.md
-/// §6c). What is in flight on its links rides the stepping slice's wheels.
+/// §6c). What is in flight on its links rides its slice's wheels.
 #[derive(Debug)]
 pub(crate) struct RouterRecord {
     pub(crate) router: Router,
@@ -136,30 +137,6 @@ pub(crate) struct RouterRecord {
     /// replayed; the gap to `now` is replayed lazily via
     /// `note_idle_cycles` when the router re-activates.
     pub(crate) stepped_until: u64,
-}
-
-/// The network itself: the static wiring, one record per router and one
-/// source queue per terminal.
-#[derive(Debug)]
-pub(crate) struct Fabric {
-    pub(crate) wiring: Wiring,
-    pub(crate) routers: Vec<RouterRecord>,
-    pub(crate) terminals: Vec<SourceQueue>,
-}
-
-impl Fabric {
-    /// The whole network as one [`NetSlice`]: offsets 0, every link local.
-    pub(crate) fn slice<'a>(&'a mut self, cfg: &'a SimConfig, vc_occupancy: &'a [HistogramId]) -> NetSlice<'a> {
-        NetSlice {
-            cfg,
-            wiring: &self.wiring,
-            vc_occupancy,
-            router_off: 0,
-            node_off: 0,
-            routers: &mut self.routers,
-            terminals: &mut self.terminals,
-        }
-    }
 }
 
 /// Phase 1 of a cycle, and the run's single RNG: open-loop traffic
@@ -215,24 +192,34 @@ pub struct NetworkSim {
     /// What the network was built from; the cycle body reads only the
     /// [`Wiring`] derived from it.
     pub(crate) topology: Box<dyn Topology>,
-    pub(crate) net: Fabric,
+    pub(crate) wiring: Wiring,
+    /// How the routers are cut into slices, once, at build.
+    pub(crate) plan: ShardPlan,
+    /// The network, slice by slice in router order.
+    pub(crate) slices: Vec<Slice>,
+    /// The slots the slices exchange through.
+    pub(crate) exchange: Exchange,
     pub(crate) traffic: TrafficGen,
     pub(crate) now: Cycle,
     pub(crate) stats: NetworkStats,
     /// Descriptors of the packets in flight; see [`PacketLedger`].
     pub(crate) ledger: PacketLedger,
-    /// The serial cycle body's packet log, emptied into the ledger, the
-    /// statistics and the caller's delivery buffer (if any) every cycle.
-    pub(crate) log: PacketLog,
-    /// Scheduler state of the serial cycle body.
-    pub(crate) gating: GatingState,
     /// Event/metric sink built from [`SimConfig::telemetry`]; disabled by
-    /// default, in which case every hook compiles to a cheap branch.
+    /// default, in which case every hook compiles to a cheap branch. It
+    /// takes in the slices' sinks whenever a stepping call returns.
     pub(crate) telemetry: TelemetrySink,
     /// Per-router VC-occupancy histogram ids (empty when metrics are off).
     pub(crate) vc_occupancy: Vec<HistogramId>,
-    /// Set only by [`NetworkSim::inject_shard_panic`].
-    pub(crate) shard_panic_at: Option<(u64, usize)>,
+}
+
+/// Resolves [`SimConfig::shards`] to a slice count for `routers` routers;
+/// see [`NetworkSim::effective_shards`].
+fn resolve_shards(shards: usize, routers: usize) -> usize {
+    let requested = match shards {
+        0 => crate::runner::resolve_jobs(0).min((routers / NetworkSim::MIN_AUTO_ROUTERS).max(1)),
+        n => n,
+    };
+    requested.clamp(1, routers)
 }
 
 impl NetworkSim {
@@ -268,44 +255,70 @@ impl NetworkSim {
             (0..radix).map(|p| topology.is_local_port(PortId(p))).collect(),
         );
         let wiring = Wiring::build(topology.as_ref());
-        let routers = (0..topology.routers())
+        let mut routers = (0..topology.routers())
             .map(|r| RouterRecord {
                 router: Router::new(
                     RouterId(r),
                     router_cfg,
                     build_allocator(run_cfg.network.allocator, &router_cfg),
-                    // Build-time only: two radix-sized Vecs per router,
-                    // never cloned again after construction.
                     env.clone(),
                 ),
                 stepped_until: 0,
-            })
-            .collect();
+            });
 
         let groups = router_cfg.virtual_inputs_per_port();
-        let terminals = (0..cfg.network.nodes)
-            .map(|n| {
-                let (vcs, depth) = (router_cfg.vcs_per_port(), router_cfg.buffer_depth());
-                SourceQueue::new(NodeId(n), vcs, depth, groups, router_cfg.dimension_aware_va)
-            })
-            .collect();
+        let mut terminals = (0..cfg.network.nodes).map(|n| {
+            let (vcs, depth) = (router_cfg.vcs_per_port(), router_cfg.buffer_depth());
+            SourceQueue::new(NodeId(n), vcs, depth, groups, router_cfg.dimension_aware_va)
+        });
 
         let injector = BernoulliInjector::new(cfg.injection_rate)?;
         let stats = NetworkStats::new(cfg.network.nodes, cfg.measure, cfg.packet_len);
-        // An input port frees at most one buffer slot per virtual input a
-        // cycle.
-        let gating = GatingState::new(&wiring, 0..topology.routers(), cfg.network.nodes, groups);
         let mut telemetry = TelemetrySink::new(run_cfg.telemetry);
-        let occupancy_bounds: Vec<u64> = (0..=router_cfg.buffer_depth() as u64).collect();
-        let vc_occupancy = (0..topology.routers())
+        let occupancy_bounds: Vec<u64> = if telemetry.metrics_enabled() {
+            (0..=router_cfg.buffer_depth() as u64).collect()
+        } else {
+            Vec::new()
+        };
+        let vc_occupancy: Vec<HistogramId> = (0..topology.routers())
             .filter_map(|r| {
                 telemetry.register_histogram(&format!("router{r}.vc_occupancy"), &occupancy_bounds)
             })
             .collect();
+
+        // The slices, cut once. Each records on its own profiling track
+        // with its share of the span capacity; a lone slice's track is
+        // the engine's, as the run has only the one thread.
+        let shards = resolve_shards(cfg.shards, topology.routers());
+        let plan = ShardPlan::new(topology.as_ref(), shards);
+        let span_cap = (TelemetrySettings::DEFAULT_SPAN_CAPACITY / shards).max(1024);
+        let slices: Vec<Slice> = (0..shards)
+            .map(|s| {
+                let (range, nodes) = (plan.router_range(s), plan.node_range(topology.as_ref(), s));
+                let track = if shards == 1 { ENGINE_TRACK } else { s as u32 };
+                Slice {
+                    idx: s,
+                    router_off: range.start,
+                    node_off: nodes.start,
+                    routers: routers.by_ref().take(range.len()).collect(),
+                    terminals: terminals.by_ref().take(nodes.len()).collect(),
+                    // An input port frees at most one buffer slot per
+                    // virtual input a cycle.
+                    gating: GatingState::new(&wiring, plan, s, nodes.len(), groups),
+                    log: PacketLog::default(),
+                    sink: telemetry.for_shard(track, span_cap),
+                    panic_at: None,
+                }
+            })
+            .collect();
+        let exchange = Exchange::new(&slices, &wiring, plan, groups);
         Ok(NetworkSim {
             cfg: run_cfg,
             topology,
-            net: Fabric { wiring, routers, terminals },
+            wiring,
+            plan,
+            slices,
+            exchange,
             traffic: TrafficGen {
                 pattern,
                 injector,
@@ -315,19 +328,16 @@ impl NetworkSim {
             now: Cycle::ZERO,
             stats,
             ledger: PacketLedger::default(),
-            log: PacketLog::default(),
-            gating,
             telemetry,
             vc_occupancy,
-            shard_panic_at: None,
         })
     }
 
-    /// Test fault hook: shard `shard` of a sharded stretch panics at the
-    /// top of cycle `cycle` (`tests/shard_panic.rs`).
+    /// Test fault hook: slice `shard` panics at the top of cycle `cycle`
+    /// (`tests/shard_panic.rs`). A run that panicked is not resumable.
     #[doc(hidden)]
     pub fn inject_shard_panic(&mut self, cycle: u64, shard: usize) {
-        self.shard_panic_at = Some((cycle, shard));
+        self.slices[shard].panic_at = Some(cycle);
     }
 
     /// Injects an externally-generated packet (e.g. a cache miss from the
@@ -348,8 +358,8 @@ impl NetworkSim {
         let id = PacketId(self.traffic.next_packet);
         self.traffic.next_packet += 1;
         let packet = PacketDescriptor::new(id, source, dest, len, self.now).with_tag(tag);
-        self.net.terminals[source.0].enqueue(packet);
-        set_bit(&mut self.gating.sources, source.0);
+        let (router, _) = self.wiring.attachment(source.0);
+        self.slices[self.plan.shard_of_router(router)].enqueue(packet);
         id
     }
 
@@ -372,12 +382,13 @@ impl NetworkSim {
         self.topology.as_ref()
     }
 
-    /// Runs one cycle of the whole network: phase 1 from the run's traffic
-    /// generator, then the cycle body (`NetSlice::step` in `cycle.rs`) over
-    /// the whole network as one slice, then the body's packet log into the
-    /// ledger, the statistics, the scheduler gauges and, on a heartbeat
-    /// cycle, the heartbeat. The serial path takes no lock and meets no
-    /// barrier.
+    /// Runs one cycle of the whole network on the calling thread:
+    /// [`crate::shard`]'s cycle protocol — phase 1 from the run's traffic
+    /// generator, then the cycle body over each slice in order, then the
+    /// slices' packet logs into the ledger, the statistics, the scheduler
+    /// gauges and, on a heartbeat cycle, the heartbeat. It spawns no
+    /// thread and meets no barrier; with one slice (the default) it takes
+    /// no lock either.
     ///
     /// The body visits only active routers and links with a delivery due;
     /// quiescent routers are skipped and their idle history replayed on
@@ -387,38 +398,14 @@ impl NetworkSim {
     /// that does). The cycle's delivered packets are not kept; see
     /// [`NetworkSim::step_into`].
     pub fn step(&mut self) {
-        self.step_delivering(None);
+        self.drive(1, false, None);
     }
 
     /// Like [`NetworkSim::step`], and appends the packets this cycle
     /// delivers (in every window) to `delivered`, in ejection order:
     /// ascending router, and each router's ejections in output order.
     pub fn step_into(&mut self, delivered: &mut Vec<EjectedPacket>) {
-        self.step_delivering(Some(delivered));
-    }
-
-    /// The one serial cycle behind [`NetworkSim::step`] and
-    /// [`NetworkSim::step_into`].
-    fn step_delivering(&mut self, delivered: Option<&mut Vec<EjectedPacket>>) {
-        let now = self.now;
-        // Profiling lap chain: one clock read per phase boundary, zero
-        // reads (one branch per lap) when profiling is off.
-        let mut span = self.telemetry.span_start();
-        let (terminals, sources) = (&mut self.net.terminals, &mut self.gating.sources);
-        self.traffic.generate(now.0, &self.cfg, &mut self.stats, |packet| {
-            terminals[packet.source.0].enqueue(packet);
-            set_bit(sources, packet.source.0);
-        });
-        span = self.telemetry.span_lap(SpanKind::TrafficGen, now.0, span);
-        let tel = &mut self.telemetry;
-        self.net.slice(&self.cfg, &self.vc_occupancy).step(now, &mut self.gating, tel, &mut self.log, span);
-        self.log.replay(&mut self.ledger, &mut self.stats, delivered);
-        tel.gauge(tel.ids.sched_active_routers, self.log.active_routers);
-        tel.gauge(tel.ids.sched_wake_events, self.log.wake_events);
-        if let Some(beat) = self.log.beat.take() {
-            SliceBeat::record(&[beat], false, now.0 + 1, tel);
-        }
-        self.now = now.plus(1);
+        self.drive(1, false, Some(delivered));
     }
 
     /// Total [`vix_router::Router::step_into`] calls so far: only the
@@ -426,24 +413,29 @@ impl NetworkSim {
     /// steps per cycle.
     #[must_use]
     pub fn router_steps(&self) -> u64 {
-        self.gating.router_steps
+        self.slices.iter().map(|s| s.gating.router_steps).sum()
     }
 
-    /// True when no flit remains anywhere (buffers, links, sources) and the ledger is empty.
+    /// Every router record, in router order.
+    fn routers(&self) -> impl Iterator<Item = &RouterRecord> {
+        self.slices.iter().flat_map(|s| &s.routers)
+    }
+
+    /// True when no flit remains anywhere (buffers, links, sources) and the
+    /// ledger is empty. A flit on a link is part of a packet the ledger
+    /// holds, so the ledger speaks for the links.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.net.terminals.iter().all(SourceQueue::is_idle)
-            && self.net.routers.iter().all(|r| r.router.is_empty())
-            && self.gating.arrivals.len() == 0
+        self.slices.iter().all(|s| s.terminals.iter().all(SourceQueue::is_idle))
+            && self.routers().all(|r| r.router.is_empty())
             && self.ledger.is_empty()
     }
 
-    /// Activity counters of router `r`, with the skipped cycles the
+    /// Activity counters of `rec`'s router, with the skipped cycles the
     /// scheduler has not yet replayed credited back, so a run reports the
     /// activity (and, through `vix-power`, the energy) of stepping every
     /// router every cycle.
-    fn router_activity(&self, r: usize) -> ActivityCounters {
-        let rec = &self.net.routers[r];
+    fn router_activity(&self, rec: &RouterRecord) -> ActivityCounters {
         let mut a = *rec.router.activity();
         a.cycles += self.now.0 - rec.stepped_until;
         a
@@ -453,33 +445,15 @@ impl NetworkSim {
     /// or hotspot maps.
     #[must_use]
     pub fn per_router_activity(&self) -> Vec<ActivityCounters> {
-        (0..self.net.routers.len()).map(|r| self.router_activity(r)).collect()
-    }
-
-    /// Per-router crossbar utilisation over the run so far: flits
-    /// traversed / (cycles × output ports) — a hotspot map of the network
-    /// (values in `[0, 1]`).
-    #[must_use]
-    pub fn utilization_map(&self) -> Vec<f64> {
-        let ports = self.net.wiring.radix as f64;
-        (0..self.net.routers.len())
-            .map(|r| {
-                let a = self.router_activity(r);
-                if a.cycles == 0 {
-                    0.0
-                } else {
-                    a.crossbar_traversals as f64 / (a.cycles as f64 * ports)
-                }
-            })
-            .collect()
+        self.routers().map(|rec| self.router_activity(rec)).collect()
     }
 
     /// Sum of activity counters across all routers.
     #[must_use]
     pub fn aggregate_activity(&self) -> ActivityCounters {
         let mut total = ActivityCounters::new();
-        for r in 0..self.net.routers.len() {
-            total.merge(&self.router_activity(r));
+        for rec in self.routers() {
+            total.merge(&self.router_activity(rec));
         }
         total
     }
@@ -490,7 +464,7 @@ impl NetworkSim {
     #[must_use]
     pub fn matching_summary(&self) -> MatchingSummary {
         let mut total = MatchingSummary::default();
-        for r in &self.net.routers {
+        for r in self.routers() {
             total.merge(&r.router.matching_summary());
         }
         total
@@ -510,26 +484,17 @@ impl NetworkSim {
         self.telemetry
     }
 
-    /// Resolves [`SimConfig::shards`] to the thread count a
-    /// [`NetworkSim::run_cycles`] call will actually use — the calling
-    /// thread steps shard 0, so `S` shards are `S` threads, not `S + 1`:
-    /// `0` (auto) becomes [`std::thread::available_parallelism`] capped
-    /// so that each shard owns at least
-    /// [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS) routers (tiny shards
-    /// are barrier-dominated), and any explicit count is clamped to the
-    /// router count (a shard must own at least one router).
+    /// The number of slices the network was cut into at build, which is
+    /// the thread count a [`NetworkSim::run_cycles`] call uses — the
+    /// calling thread steps slice 0, so `S` slices are `S` threads, not
+    /// `S + 1`. [`SimConfig::shards`] resolves to it: `0` (auto) becomes
+    /// [`std::thread::available_parallelism`] capped so that each slice
+    /// owns at least [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS) routers
+    /// (tiny slices are barrier-dominated), and any explicit count is
+    /// clamped to the router count (a slice must own at least one router).
     #[must_use]
     pub fn effective_shards(&self) -> usize {
-        if self.cfg.shards == 1 {
-            return 1;
-        }
-        let requested = if self.cfg.shards == 0 {
-            let cap = (self.net.routers.len() / Self::MIN_AUTO_ROUTERS).max(1);
-            crate::runner::resolve_jobs(0).min(cap)
-        } else {
-            self.cfg.shards
-        };
-        requested.clamp(1, self.net.routers.len())
+        self.slices.len()
     }
 
     /// Minimum routers per shard the `--shards auto` heuristic will
@@ -538,37 +503,36 @@ impl NetworkSim {
     /// counts are not constrained (parity tests drive 1-router shards).
     pub const MIN_AUTO_ROUTERS: usize = 4;
 
-    /// Advances the simulation by `cycles` cycles, using the sharded
-    /// parallel engine when [`NetworkSim::effective_shards`] resolves to
-    /// more than one shard and plain [`NetworkSim::step`] calls
-    /// otherwise.
+    /// Advances the simulation by `cycles` cycles: with more than one
+    /// slice ([`NetworkSim::effective_shards`]) on one thread per slice,
+    /// and with one on the calling thread alone.
     ///
-    /// The sharded engine is bit-identical to serial stepping for every
-    /// shard count, recordings included (`tests/shard_parity.rs`; DESIGN.md
-    /// §8), and the simulation can be handed back and forth between the two
-    /// paths: after a sharded stretch, serial `step()` calls continue from
-    /// a fully reconstructed scheduler state.
+    /// Either way the run is bit-identical to `cycles` [`NetworkSim::step`]
+    /// calls, recordings included (`tests/shard_parity.rs`; DESIGN.md §8),
+    /// and the two mix freely: `step()` and `run_cycles` run the same cycle
+    /// protocol over the same slices.
     pub fn run_cycles(&mut self, cycles: u64) {
-        self.run_delivering(cycles, None);
+        self.drive(cycles, true, None);
     }
 
     /// Like [`NetworkSim::run_cycles`], and appends the packets the
     /// `cycles` cycles deliver to `delivered`, cycle by cycle in
-    /// [`NetworkSim::step_into`]'s order, whichever engine runs them.
+    /// [`NetworkSim::step_into`]'s order.
     pub fn run_cycles_into(&mut self, cycles: u64, delivered: &mut Vec<EjectedPacket>) {
-        self.run_delivering(cycles, Some(delivered));
+        self.drive(cycles, true, Some(delivered));
     }
 
-    /// The one stretch behind [`NetworkSim::run_cycles`] and
-    /// [`NetworkSim::run_cycles_into`].
-    fn run_delivering(&mut self, cycles: u64, mut delivered: Option<&mut Vec<EjectedPacket>>) {
-        let shards = self.effective_shards();
-        if shards <= 1 {
-            for _ in 0..cycles {
-                self.step_delivering(delivered.as_deref_mut());
-            }
+    /// The one driver behind every stepping method: `cycles` cycles on one
+    /// thread per slice if `threads` and there is more than one slice, on
+    /// the calling thread otherwise; then the slices' sinks into the run's.
+    fn drive(&mut self, cycles: u64, threads: bool, delivered: Option<&mut Vec<EjectedPacket>>) {
+        if threads && self.slices.len() > 1 {
+            crate::shard::run_threads(self, cycles, delivered);
         } else {
-            crate::shard::run_sharded(self, cycles, shards, delivered);
+            crate::shard::step_cycles(self, cycles, delivered);
+        }
+        for (s, slice) in self.slices.iter_mut().enumerate() {
+            self.telemetry.absorb(s, &mut slice.sink);
         }
     }
 
@@ -649,10 +613,12 @@ mod tests {
         }
     }
 
-    /// Flits in router buffers, on flit links and on injection links.
+    /// Flits in router buffers, on flit links and on injection links:
+    /// on the slices' wheels, or in a mailbox between two slices.
     fn flits_in_network(sim: &NetworkSim) -> usize {
-        let buffered: usize = sim.net.routers.iter().map(|r| r.router.buffered_flits()).sum();
-        buffered + sim.gating.arrivals.len()
+        let buffered: usize = sim.routers().map(|r| r.router.buffered_flits()).sum();
+        let wheels: usize = sim.slices.iter().map(|s| s.gating.arrivals.len()).sum();
+        buffered + wheels + sim.exchange.mail_len()
     }
 
     #[test]
@@ -672,7 +638,8 @@ mod tests {
                 let live = sim.ledger.len();
                 assert!(live <= bound, "shards {shards}, {}: {live} packets, bound {bound}", sim.now());
                 peak = peak.max(live);
-                backlog = backlog.max(sim.net.terminals.iter().map(SourceQueue::backlog).sum());
+                let terminals = sim.slices.iter().flat_map(|s| &s.terminals);
+                backlog = backlog.max(terminals.map(SourceQueue::backlog).sum());
                 if sim.is_drained() {
                     break;
                 }
@@ -686,7 +653,7 @@ mod tests {
     #[test]
     fn serial_heartbeat_wake_depth_is_the_wheels_length() {
         // A heartbeat's `wake_depth` counts the deliveries in flight as the
-        // beat's cycle ends; serially, every one of them is on a wheel.
+        // beat's cycle ends; with one slice, every one of them is on a wheel.
         let telemetry = vix_core::config::TelemetrySettings::disabled().with_heartbeat(50);
         let cfg = small_cfg(AllocatorKind::Vix, 0.1).with_telemetry(telemetry);
         let mut sim = NetworkSim::build(cfg).unwrap();
@@ -694,11 +661,28 @@ mod tests {
             sim.run_cycles(50);
             let beats = sim.telemetry().profiler().expect("heartbeats run the profiler").heartbeats();
             let beat = beats.last().expect("a beat every 50 cycles");
-            let wheels = (sim.gating.arrivals.len() + sim.gating.returns.len()) as u64;
+            let gating = &sim.slices[0].gating;
+            let wheels = (gating.arrivals.len() + gating.returns.len()) as u64;
             assert_eq!(beat.cycle, sim.now().0);
             assert!(wheels > 0, "{}: nothing in flight", sim.now());
             assert_eq!(beat.wake_depth, wheels, "{}", sim.now());
         }
+    }
+
+    #[test]
+    fn zero_cycle_calls_step_nothing() {
+        // Not even phase 1: a zero-cycle call must leave the random stream
+        // where it was, on either driver.
+        let cfg = small_cfg(AllocatorKind::Vix, 0.05).with_shards(3);
+        let (mut sim, mut twin) = (NetworkSim::build(cfg).unwrap(), NetworkSim::build(cfg).unwrap());
+        for _ in 0..20 {
+            sim.run_cycles(0);
+            sim.run_cycles(7);
+            twin.run_cycles(7);
+        }
+        assert_eq!(sim.now(), twin.now());
+        assert_eq!(sim.stats(), twin.stats());
+        assert_eq!(sim.per_router_activity(), twin.per_router_activity());
     }
 
     #[test]
@@ -839,21 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_map_is_bounded_and_loaded() {
-        let mut sim = NetworkSim::build(small_cfg(AllocatorKind::InputFirst, 0.08)).unwrap();
-        for _ in 0..1500 {
-            sim.step();
-        }
-        let map = sim.utilization_map();
-        assert_eq!(map.len(), 16);
-        assert!(map.iter().all(|&u| (0.0..=1.0).contains(&u)));
-        assert!(map.iter().any(|&u| u > 0.01), "traffic must register in the map");
-        // Centre routers carry through-traffic: busier than corner 0.
-        let centre = map[5].max(map[6]).max(map[9]).max(map[10]);
-        assert!(centre >= map[0], "centre {centre} vs corner {}", map[0]);
-    }
-
-    #[test]
     fn per_router_activity_sums_to_aggregate() {
         let mut sim = NetworkSim::build(small_cfg(AllocatorKind::InputFirst, 0.05)).unwrap();
         for _ in 0..500 {
@@ -884,7 +853,7 @@ mod tests {
         let idle = ActivityCounters { cycles: 100, routers: 1, ..ActivityCounters::new() };
         assert_eq!(sim.per_router_activity(), vec![idle; 16]);
         assert_eq!(sim.aggregate_activity(), ActivityCounters { routers: 16, ..idle });
-        assert_eq!(sim.utilization_map(), vec![0.0; 16]);
+        assert_eq!(sim.aggregate_activity().crossbar_traversals, 0);
     }
 
     #[test]

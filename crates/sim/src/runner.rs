@@ -2,7 +2,7 @@
 //!
 //! An injection-rate sweep is embarrassingly parallel: every
 //! `(rate, replication)` point is an independent simulation with its own
-//! seed. This module expands a sweep into [`SweepJob`] work items,
+//! seed. This module expands a sweep into work items,
 //! executes them across a scoped worker pool ([`parallel_map`], built on
 //! [`std::thread::scope`] — no external dependencies), and reassembles
 //! the results in deterministic order.
@@ -84,7 +84,7 @@ pub fn derive_seed(base_seed: u64, rate_index: usize, replication: u64) -> u64 {
 /// One expanded unit of sweep work: a single simulation at one rate
 /// under one replication's seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepJob {
+pub(crate) struct SweepJob {
     /// Index of the rate in the sweep's rate list.
     pub rate_index: usize,
     /// Replication number at this rate (0-based).
@@ -98,16 +98,7 @@ pub struct SweepJob {
 /// Expands a sweep definition into its independent work items, in the
 /// deterministic order results are later reported in: rates in sweep
 /// order, replications within each rate.
-///
-/// ```
-/// let jobs = vix_sim::runner::expand_sweep(7, &[0.01, 0.02], 2);
-/// assert_eq!(jobs.len(), 4);
-/// assert_eq!((jobs[3].rate_index, jobs[3].replication), (1, 1));
-/// let seeds: std::collections::HashSet<u64> = jobs.iter().map(|j| j.seed).collect();
-/// assert_eq!(seeds.len(), 4, "every item gets its own seed");
-/// ```
-#[must_use]
-pub fn expand_sweep(base_seed: u64, rates: &[f64], replications: usize) -> Vec<SweepJob> {
+fn expand_sweep(base_seed: u64, rates: &[f64], replications: usize) -> Vec<SweepJob> {
     let mut items = Vec::with_capacity(rates.len() * replications);
     for (rate_index, &rate) in rates.iter().enumerate() {
         for replication in 0..replications {
@@ -188,31 +179,6 @@ where
         .collect()
 }
 
-/// Expands and executes a full sweep: every rate in `rates` times
-/// `replications`, each under its [`derive_seed`] seed, across `jobs`
-/// workers. Points come back in deterministic `(rate, replication)`
-/// order regardless of scheduling.
-///
-/// This is the engine behind [`LoadSweep::run`]; call it directly when
-/// you have a rate grid but no use for the `LoadSweep` accessors.
-///
-/// # Errors
-///
-/// Returns the first configuration error in work-item order (e.g. a
-/// rate exceeding the flit bandwidth). The other items still execute —
-/// the pool does not cancel — but their results are discarded.
-///
-/// [`LoadSweep::run`]: crate::LoadSweep::run
-pub fn run_sweep(
-    base: SimConfig,
-    pattern: &TrafficPattern,
-    rates: &[f64],
-    replications: usize,
-    jobs: usize,
-) -> Result<Vec<SweepPoint>, ConfigError> {
-    run_sweep_with_profile(base, pattern, rates, replications, jobs).map(|(points, _)| points)
-}
-
 /// The `shards` setting each of `workers` concurrent sweep jobs runs
 /// with. Left to itself every job would resolve `0` (auto) to the whole
 /// host, `workers` times over; resolved here, once, to one job's share
@@ -227,10 +193,14 @@ fn shards_per_job(shards: usize, cores: usize, workers: usize) -> usize {
     }
 }
 
-/// Like [`run_sweep`], but also returns the merged engine profile when
-/// `base.telemetry.profiling` is on: every point's profiler is absorbed
-/// into one, in deterministic work-item order, so the phase breakdown
-/// covers the whole sweep. `None` when profiling is off.
+/// Expands and executes a full sweep — the engine behind
+/// [`LoadSweep::run`]: every rate in `rates` times `replications`, each
+/// under its [`derive_seed`] seed, across `jobs` workers. Points come back
+/// in deterministic `(rate, replication)` order regardless of scheduling,
+/// with the merged engine profile when `base.telemetry.profiling` is on:
+/// every point's profiler is absorbed into one, in deterministic
+/// work-item order, so the phase breakdown covers the whole sweep. `None`
+/// when profiling is off.
 ///
 /// Work items are *dispatched* longest first — descending rate, ties in
 /// work-item order: a point's cost grows with its load, and a pool that
@@ -239,7 +209,11 @@ fn shards_per_job(shards: usize, cores: usize, workers: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Same contract as [`run_sweep`].
+/// Returns the first configuration error in work-item order (e.g. a
+/// rate exceeding the flit bandwidth). The other items still execute —
+/// the pool does not cancel — but their results are discarded.
+///
+/// [`LoadSweep::run`]: crate::LoadSweep::run
 pub fn run_sweep_with_profile(
     base: SimConfig,
     pattern: &TrafficPattern,
@@ -368,6 +342,26 @@ mod tests {
     /// is by descending rate, results must come back in list order.
     const RATE_ORDERS: [[f64; 4]; 3] =
         [[0.02, 0.05, 0.1, 0.15], [0.15, 0.1, 0.05, 0.02], [0.05, 0.15, 0.02, 0.1]];
+
+    #[test]
+    fn expand_sweep_orders_rates_then_replications_with_own_seeds() {
+        let jobs = expand_sweep(7, &[0.01, 0.02], 2);
+        assert_eq!(jobs.len(), 4);
+        assert_eq!((jobs[3].rate_index, jobs[3].replication), (1, 1));
+        let seeds: std::collections::HashSet<u64> = jobs.iter().map(|j| j.seed).collect();
+        assert_eq!(seeds.len(), 4, "every item gets its own seed");
+    }
+
+    /// The points of a sweep, without its profile.
+    fn run_sweep(
+        base: SimConfig,
+        pattern: &TrafficPattern,
+        rates: &[f64],
+        replications: usize,
+        jobs: usize,
+    ) -> Result<Vec<SweepPoint>, ConfigError> {
+        run_sweep_with_profile(base, pattern, rates, replications, jobs).map(|(points, _)| points)
+    }
 
     #[test]
     fn run_sweep_is_jobs_and_rate_order_invariant() {

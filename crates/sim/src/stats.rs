@@ -181,12 +181,6 @@ impl NetworkStats {
         }
     }
 
-    /// Network-aggregate accepted throughput in flits/cycle.
-    #[must_use]
-    pub fn accepted_flits_per_cycle(&self) -> f64 {
-        self.accepted_flits_per_node_cycle() * self.nodes as f64
-    }
-
     /// Offered load actually generated during the window, packets/cycle/node.
     #[must_use]
     pub fn offered_packets_per_node_cycle(&self) -> f64 {

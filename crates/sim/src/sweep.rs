@@ -137,31 +137,6 @@ impl LoadSweep {
         Ok(self)
     }
 
-    /// Mean and sample standard deviation of accepted throughput at each
-    /// distinct rate, in sweep order: `(rate, mean, stddev)`.
-    #[must_use]
-    pub fn throughput_summary(&self) -> Vec<(f64, f64, f64)> {
-        self.rates
-            .iter()
-            .map(|&rate| {
-                let values: Vec<f64> = self
-                    .points
-                    .iter()
-                    .filter(|p| p.rate == rate)
-                    .map(|p| p.stats.accepted_packets_per_node_cycle())
-                    .collect();
-                let n = values.len() as f64;
-                let mean = values.iter().sum::<f64>() / n.max(1.0);
-                let var = if values.len() > 1 {
-                    values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
-                } else {
-                    0.0
-                };
-                (rate, mean, var.sqrt())
-            })
-            .collect()
-    }
-
     /// Writes the sweep as CSV (`rate,accepted_pkt_node_cycle,avg_latency,
     /// p50,p99,fairness`) for external plotting.
     ///
@@ -295,18 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn replications_multiply_points_and_summarise() {
+    fn replications_multiply_points() {
         let sweep = LoadSweep::new(base(AllocatorKind::InputFirst))
             .with_rates(&[0.02, 0.05])
             .with_replications(3)
             .run()
             .unwrap();
         assert_eq!(sweep.len(), 6);
-        let summary = sweep.throughput_summary();
-        assert_eq!(summary.len(), 2);
-        for (rate, mean, std) in summary {
-            assert!(mean > 0.0, "rate {rate} moved nothing");
-            assert!(std < mean, "replication noise must be small: {std} vs {mean}");
+        for (rate, points) in [0.02, 0.05].into_iter().zip(sweep.points().chunks(3)) {
+            assert!(points.iter().all(|p| p.rate == rate), "replications sit together in rate order");
+            assert!(points.iter().all(|p| p.stats.packets_ejected() > 0), "rate {rate} moved nothing");
+            assert_ne!(points[0].stats, points[1].stats, "rate {rate}: each replication has its own seed");
         }
     }
 

@@ -148,16 +148,18 @@ impl MetricsRegistry {
         copy
     }
 
-    /// Adds the counters and histograms of `other`, a
-    /// [`zeroed`](MetricsRegistry::zeroed) copy of this registry. Gauges
-    /// are left alone: the max of a sum is lost in per-part gauges.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for ((_, c), (_, o)) in self.counters.iter_mut().zip(&other.counters) {
-            *c += o;
+    /// Moves the counters and histograms of `other`, a
+    /// [`zeroed`](MetricsRegistry::zeroed) copy of this registry, into
+    /// this one as sums, leaving `other`'s zero. Gauges are left alone:
+    /// the max of a sum is lost in per-part gauges.
+    pub fn absorb(&mut self, other: &mut MetricsRegistry) {
+        for ((_, c), (_, o)) in self.counters.iter_mut().zip(&mut other.counters) {
+            *c += std::mem::take(o);
         }
-        for ((_, h), (_, o)) in self.histograms.iter_mut().zip(&other.histograms) {
-            h.counts.iter_mut().zip(&o.counts).for_each(|(c, o)| *c += o);
-            (h.sum, h.total) = (h.sum + o.sum, h.total + o.total);
+        for ((_, h), (_, o)) in self.histograms.iter_mut().zip(&mut other.histograms) {
+            h.counts.iter_mut().zip(&mut o.counts).for_each(|(c, o)| *c += std::mem::take(o));
+            h.sum += std::mem::take(&mut o.sum);
+            h.total += std::mem::take(&mut o.total);
         }
     }
 
@@ -294,10 +296,14 @@ mod tests {
         part.add(c, 2);
         part.set(g, 9);
         part.observe(h, 3);
-        reg.absorb(&part);
+        reg.absorb(&mut part);
         assert_eq!(reg.counter("c"), Some(7));
         assert_eq!(reg.histogram("h"), Some((vec![1, 1], 2)));
         assert_eq!(reg.gauge("g").unwrap().samples, 1, "gauges are the merger's to record");
+        assert_eq!(part.counter("c"), Some(0), "absorbed values leave the part");
+        assert_eq!(part.histogram("h"), Some((vec![0, 0], 0)));
+        reg.absorb(&mut part);
+        assert_eq!(reg.counter("c"), Some(7), "absorbing twice counts once");
     }
 
     #[test]

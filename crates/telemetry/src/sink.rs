@@ -6,10 +6,11 @@
 //! * The simulator owns exactly one sink, built from
 //!   [`TelemetrySettings`] at network-construction time; routers and the
 //!   scheduler receive `&mut TelemetrySink` per step.
-//! * A sharded run gives each shard a [`for_shard`](TelemetrySink::for_shard)
-//!   sink; the run's sink takes in their trace events every cycle, in
-//!   serial order, and [`absorb`](TelemetrySink::absorb)s the rest when
-//!   the stretch ends (DESIGN.md §7).
+//! * Each slice of the simulated network records into its own
+//!   [`for_shard`](TelemetrySink::for_shard) sink; the run's sink takes
+//!   in their trace events every cycle, in serial order, and
+//!   [`absorb`](TelemetrySink::absorb)s the rest when a stepping call
+//!   returns (DESIGN.md §7).
 //! * Every recording method is a no-op behind a single branch when its
 //!   facility is off. A fully disabled sink ([`TelemetrySink::disabled`])
 //!   never allocates — its trace ring has zero capacity and its registry
@@ -142,13 +143,15 @@ impl TelemetrySink {
         }
     }
 
-    /// Takes in `shard`, a [`for_shard`](TelemetrySink::for_shard) sink of
-    /// this one: its counters, histograms and profiler track. Its trace
-    /// events and gauge counts travel per cycle instead.
-    pub fn absorb(&mut self, shard: TelemetrySink) {
-        self.registry.absorb(&shard.registry);
-        if let (Some(p), Some(engine)) = (shard.prof, self.prof.as_deref_mut()) {
-            engine.absorb(*p);
+    /// Takes in what `shard`, the [`for_shard`](TelemetrySink::for_shard)
+    /// sink of shard `index`, recorded since the last call: its counters
+    /// and histograms as sums (leaving its own zero), and its profiler
+    /// track as this profiler's copy of it ([`Profiler::mirror`]). Its
+    /// trace events and gauge counts travel per cycle instead.
+    pub fn absorb(&mut self, index: usize, shard: &mut TelemetrySink) {
+        self.registry.absorb(&mut shard.registry);
+        if let (Some(p), Some(engine)) = (shard.prof.as_deref_mut(), self.prof.as_deref_mut()) {
+            engine.mirror(index, p);
         }
     }
 
@@ -348,8 +351,9 @@ mod tests {
         let mut events = Vec::new();
         shard.take_trace(&mut events);
         assert_eq!(events.len(), 6, "a shard's ring never wraps");
-        run.absorb(shard);
-        assert_eq!(run.registry().counter("stall.sa_no_grant"), Some(3));
+        run.absorb(0, &mut shard);
+        run.absorb(0, &mut shard);
+        assert_eq!(run.registry().counter("stall.sa_no_grant"), Some(3), "each count absorbed once");
         assert!(run.trace_ring().is_empty(), "trace events travel per cycle, not by absorb");
     }
 

@@ -119,6 +119,9 @@ scripts/check_benchmark_identity.sh
 echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> scripts/unused_pub.sh"
+scripts/unused_pub.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

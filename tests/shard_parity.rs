@@ -1,12 +1,13 @@
-//! Bit-identity of the sharded single-run engine against the serial
-//! path (DESIGN.md §8).
+//! Bit-identity of a run cut into several slices against the same run in
+//! one (DESIGN.md §8).
 //!
 //! `SimConfig::shards` is a pure performance knob: for every shard
 //! count and every allocator, a sharded run must produce byte-for-byte
 //! the statistics, ejection trace, activity counters, matching record,
-//! recorded flit trace and metrics of a serial run. These tests hold the
-//! two engines side by side; the
-//! serial engine itself is held to an independent reference simulator by
+//! recorded flit trace and metrics of a one-slice run, whether its
+//! cycles run on one thread per slice (`run_cycles`) or on the calling
+//! thread (`step`). These tests hold the slice counts side by side; the
+//! one-slice run itself is held to an independent reference simulator by
 //! `tests/reference_parity.rs`.
 
 use vix::prelude::*;
@@ -59,8 +60,8 @@ fn recorded(cfg: SimConfig, capacity: usize) -> SimConfig {
 }
 
 /// Runs the full protocol plus an ejection-trace hash folded over
-/// chunked `run_cycles` calls, exercising serial↔sharded hand-off, and
-/// hands back what the run's sink recorded too.
+/// chunked `run_cycles` calls, so calls start and stop at odd cycles,
+/// and hands back what the run's sink recorded too.
 fn trace_and_stats(cfg: SimConfig) -> (u64, NetworkStats, Recording) {
     let mut sim = NetworkSim::build(cfg).expect("paper-default configs are valid");
     let total = cfg.warmup + cfg.measure + cfg.drain;
@@ -125,15 +126,14 @@ fn sharded_run_protocol_matches_serial_end_to_end() {
 
 #[test]
 fn serial_stepping_resumes_cleanly_after_a_sharded_stretch() {
-    // Lockstep: a sim that ping-pongs between sharded stretches and serial
-    // `step()`s must show the exact per-cycle ejections of an all-serial
-    // twin — the scheduler-state hand-off, in both directions, is what's
-    // on trial. Stretches of `k` cycles for `k` in 1..=7 start at every
-    // phase of the timing wheels; `k` = 1 and 2 are almost all hand-off:
-    // the split of the serial wheels going in, and the final cycle's
-    // cross-shard sends, still in their mailboxes, coming out. Three
-    // shards cut the mesh 6/5/5 (asymmetric boundaries), sixteen put every
-    // router link across one.
+    // Lockstep: a sliced sim that alternates threaded `run_cycles` calls
+    // with `step()`s — the same cycle protocol over the same slices, on
+    // the calling thread — must show the exact per-cycle ejections of a
+    // one-slice twin. Calls of `k` cycles for `k` in 1..=7 start at every
+    // phase of the timing wheels; at `k` = 1 and 2 nearly every cycle
+    // files the previous call's last cross-slice sends, still in their
+    // mailboxes, under the other driver. Three slices cut the mesh 6/5/5
+    // (asymmetric boundaries), sixteen put every router link across one.
     for shards in [3, 4, 16] {
         let cfg = config(AllocatorKind::Vix);
         let mut sharded = NetworkSim::build(cfg.with_shards(shards)).unwrap();
@@ -243,11 +243,11 @@ fn assert_recording_is_shard_invariant(what: &str, cfg: SimConfig, shard_counts:
 
 #[test]
 fn recorded_telemetry_does_not_depend_on_the_shard_count() {
-    // Each shard records into its own sink; the run's sink takes the
+    // Each slice records into its own sink; the run's sink takes the
     // trace events in serial order every cycle and the counters and
-    // histograms as sums when a stretch ends. So recording never changes
-    // the engine, and what it records is the serial engine's, byte for
-    // byte — across serial↔sharded hand-offs mid-run too.
+    // histograms as sums when a call returns. So recording never changes
+    // the engine, and what it records is the one-slice run's, byte for
+    // byte — across the chunked calls' boundaries too.
     for kind in ALL_ALLOCATORS {
         let cfg = recorded(config(kind), 1 << 16);
         assert_recording_is_shard_invariant(&format!("{kind:?}"), cfg, &SHARD_COUNTS[1..]);

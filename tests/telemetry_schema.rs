@@ -304,7 +304,7 @@ fn assert_heartbeat_schema(text: &str, expect_shards: usize) {
 
 #[test]
 fn heartbeat_jsonl_matches_documented_schema_serial_and_sharded() {
-    // Serial: the engine publishes one synthetic shard beat per interval.
+    // One slice: one shard beat per interval.
     let tel = profiled_sharded_run(1);
     let mut out = Vec::new();
     tel.profiler()
@@ -313,7 +313,7 @@ fn heartbeat_jsonl_matches_documented_schema_serial_and_sharded() {
         .expect("write to Vec cannot fail");
     assert_heartbeat_schema(&String::from_utf8(out).expect("UTF-8"), 1);
 
-    // Sharded: one real beat per shard, sampled off the health board.
+    // Two slices: one beat per slice, summed from their packet logs.
     let tel = profiled_sharded_run(2);
     let mut out = Vec::new();
     tel.profiler()
@@ -325,10 +325,10 @@ fn heartbeat_jsonl_matches_documented_schema_serial_and_sharded() {
 
 #[test]
 fn heartbeat_gauges_do_not_depend_on_the_shard_count() {
-    // Each shard writes its slice's gauges into its packet log on a
-    // heartbeat cycle and the stats owner sums them, so every column
-    // that reads simulation state — not the wall clock — is the serial
-    // run's, boundary pipes' wake events included.
+    // Each slice writes its gauges into its packet log on a heartbeat
+    // cycle and the stats owner sums them, so every column that reads
+    // simulation state — not the wall clock — is the one-slice run's,
+    // the sends still in an outbox included.
     let gauges = |tel: TelemetrySink| {
         let beats = tel.profiler().expect("profiling was enabled").heartbeats().to_vec();
         beats
@@ -345,8 +345,8 @@ fn heartbeat_gauges_do_not_depend_on_the_shard_count() {
         let sharded = gauges(profiled_sharded_run(shards));
         assert_eq!(sharded, serial, "shards={shards}: heartbeat gauges diverged");
     }
-    // Serial steps first, then a sharded stretch: the stretch's beats
-    // carry the router steps taken before it.
+    // `step()`s on the calling thread first, then a threaded
+    // `run_cycles`: its beats carry the router steps taken before it.
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     network.nodes = 256;
     let cfg = SimConfig::new(network, 0.05)

@@ -13,9 +13,9 @@
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` attribute is process-wide. The *counter* is
 //! per-thread: the test harness runs the tests of one binary on parallel
-//! threads, and every measured region here is single-threaded (`shards`
-//! defaults to 1), so a thread-local count bills each test only its own
-//! allocations.
+//! threads, and a thread-local count bills each test only its own
+//! allocations. Every measured region runs on the test's thread, except
+//! a threaded `run_cycles`, whose count is its calling thread's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -76,6 +76,15 @@ fn allocations_in_steady_state(kind: AllocatorKind, telemetry: TelemetrySettings
 }
 
 fn allocations_in_steady_state_for(network: NetworkConfig, rate: f64, telemetry: TelemetrySettings) -> u64 {
+    allocations_in_steady_state_sharded(network, rate, telemetry, 1)
+}
+
+fn allocations_in_steady_state_sharded(
+    network: NetworkConfig,
+    rate: f64,
+    telemetry: TelemetrySettings,
+    shards: usize,
+) -> u64 {
     const WARMUP_CYCLES: usize = 500;
     const MEASURED_CYCLES: usize = 1_000;
 
@@ -84,6 +93,7 @@ fn allocations_in_steady_state_for(network: NetworkConfig, rate: f64, telemetry:
     // grow at all (the measured window has its own, byte-counted gate).
     let cfg = SimConfig::new(network, rate)
         .with_windows((WARMUP_CYCLES + MEASURED_CYCLES + 1) as u64, 1, 1)
+        .with_shards(shards)
         .with_telemetry(telemetry);
     let mut sim = NetworkSim::build(cfg).expect("valid config");
 
@@ -145,6 +155,49 @@ fn steady_state_network_steps_stay_off_the_heap() {
              of an 8×8 mesh (gate: exactly 0)"
         );
     }
+}
+
+#[test]
+fn sliced_network_steps_on_one_thread_stay_off_the_heap() {
+    // Four slices clocked by `step()`: the calling thread runs the cycle
+    // protocol over every slice in turn, cross-slice sends travelling
+    // through the mailboxes, and must stay as allocation-free as one slice.
+    let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    network.nodes = 64;
+    let allocs = allocations_in_steady_state_sharded(network, 0.08, TelemetrySettings::disabled(), 4);
+    assert_eq!(
+        allocs, 0,
+        "{allocs} heap allocations in 1,000 steady-state cycles of an 8×8 VIX mesh in \
+         four slices stepped on one thread (gate: exactly 0)"
+    );
+}
+
+#[test]
+fn a_threaded_stretch_allocates_only_its_thread_spawns() {
+    // `run_cycles` on four slices spawns three threads per call, and that
+    // is all it may allocate on the calling thread: the slots the slices
+    // exchange through are the engine's, built once, so a stretch ten
+    // times longer costs exactly as much. (Before the slices were cut at
+    // build, a stretch rebuilt them and their scheduler state each time:
+    // 126 allocations for 1,000 cycles, 134 for 10,000.)
+    const SPAWNS_GATE: u64 = 126;
+    let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+    network.nodes = 64;
+    let cfg = SimConfig::new(network, 0.08)
+        .with_windows(500 + 1_000 + 10_000 + 1, 1, 1)
+        .with_shards(4)
+        .with_telemetry(TelemetrySettings::disabled());
+    let mut sim = NetworkSim::build(cfg).expect("valid config");
+    sim.run_cycles(500);
+    let stretch = |sim: &mut NetworkSim, cycles: u64| {
+        let before = alloc_calls();
+        sim.run_cycles(cycles);
+        alloc_calls() - before
+    };
+    let short = stretch(&mut sim, 1_000);
+    let long = stretch(&mut sim, 10_000);
+    assert_eq!(short, long, "a stretch's allocations grew with its length: {short} vs {long}");
+    assert!(short <= SPAWNS_GATE, "{short} allocations per stretch (gate: ≤ {SPAWNS_GATE})");
 }
 
 #[test]
@@ -263,9 +316,10 @@ fn network_build_footprint_is_pinned() {
     // at 3 536 (bytes 770 045) while every link had its own pipe ring (two
     // blocks each for 224 flit, 320 credit and 64 injection links) and
     // every router a `Vec` of them, before in-flight items moved onto the
-    // scheduler's two timing wheels.
-    const BUILD_ALLOCATIONS: u64 = 2_260;
-    const BUILD_BYTES: u64 = 642_045;
+    // scheduler's two timing wheels, and at 2 260 (bytes 642 045) while
+    // every router kept its own copy of the network's two port tables.
+    const BUILD_ALLOCATIONS: u64 = 2_134;
+    const BUILD_BYTES: u64 = 638_901;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
