@@ -2,10 +2,10 @@
 //! et al., MICRO-44, as described in §4.4 of the VIX paper.
 
 use crate::separable::SeparableAllocator;
-use crate::{AllocatorConfig, SwitchAllocator};
+use crate::AllocatorConfig;
 use vix_arbiter::Arbiter;
 use vix_core::bits::{set_bit, test_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
 /// Packet-chaining switch allocator ("PC").
@@ -22,12 +22,12 @@ use vix_telemetry::MatchingStats;
 /// non-conflicting requests. PC inherits the input-port constraint: at most
 /// one flit per input port per cycle.
 ///
-/// Call [`SwitchAllocator::observe_traversals`] with the flits that
+/// Call [`crate::Allocator::observe_traversals`] with the flits that
 /// actually crossed the switch each cycle; chains form only from real
 /// traversals.
 #[derive(Debug)]
 pub struct PacketChainingAllocator {
-    cfg: AllocatorConfig,
+    pub(crate) cfg: AllocatorConfig,
     inner: SeparableAllocator,
     /// `held[out] = Some(input)`: the connection that carried a flit last
     /// cycle and is eligible for inheritance.
@@ -41,11 +41,11 @@ pub struct PacketChainingAllocator {
     scratch: ChainingScratch,
     /// PC's own matching record over the *full* request set (the inner
     /// separable allocator only ever sees the residual).
-    matching: MatchingStats,
+    pub(crate) matching: MatchingStats,
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls.
+/// [`crate::Allocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct ChainingScratch {
     /// Inherited inputs, one bit per port.
@@ -72,19 +72,13 @@ impl PacketChainingAllocator {
         }
     }
 
-    /// Number of currently-held connections (exposed for tests).
-    #[must_use]
-    pub fn held_connections(&self) -> usize {
-        self.held.iter().filter(|h| h.is_some()).count()
-    }
-}
-
-impl PacketChainingAllocator {
     /// The word-parallel kernel: inherited-chain champion lines come
     /// straight from the request bit-view's VC planes, and the taken flags
     /// are word arrays of one bit per port. Phase 2 delegates to the inner
     /// separable allocator.
-    fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
+        grants.clear();
         let ports = self.cfg.ports;
         let port_words = words_for(ports);
         let Self { cfg, inner, held, vc_selectors, residual, inner_grants, scratch, matching } =
@@ -139,10 +133,10 @@ impl PacketChainingAllocator {
     }
 
     /// The original scalar loops: the executable specification the
-    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// differential suite holds [`allocate_into`](Self::allocate_into)
     /// against. Phase 2 goes through the inner allocator's scalar kernel.
     #[cfg(test)]
-    fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
         let Self { cfg, inner, held, vc_selectors, residual, inner_grants, matching, .. } = self;
@@ -191,41 +185,20 @@ impl PacketChainingAllocator {
                 residual.push(r);
             }
         }
+        inner_grants.clear();
         inner.allocate_scalar_into(residual, inner_grants);
         grants.extend(inner_grants.iter().copied());
         matching.record_set(requests, grants, &cfg.partition);
     }
-}
 
-impl SwitchAllocator for PacketChainingAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
-        grants.clear();
-        self.allocate_bitset(requests, grants);
-    }
-
-    #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
-        self.allocate_scalar(requests, grants);
-    }
-
-    fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        "PC"
-    }
-
-    fn observe_traversals(&mut self, traversed: &GrantSet) {
+    pub(crate) fn observe_traversals(&mut self, traversed: &GrantSet) {
         self.held.iter_mut().for_each(|h| *h = None);
         for g in traversed {
             self.held[g.out_port.0] = Some(g.port);
         }
     }
 
-    fn note_idle_cycles(&mut self, n: u64) {
+    pub(crate) fn note_idle_cycles(&mut self, n: u64) {
         // The first empty cycle breaks every chain (no VC of the held input
         // requests the held output, and the empty traversal feedback clears
         // the history); further empty cycles are no-ops. The arbiters and
@@ -233,18 +206,23 @@ impl SwitchAllocator for PacketChainingAllocator {
         debug_assert!(n > 0);
         self.held.iter_mut().for_each(|h| *h = None);
     }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.matching
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
 
-    fn pc(ports: usize, vcs: usize) -> PacketChainingAllocator {
-        PacketChainingAllocator::new(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
+    fn pc(ports: usize, vcs: usize) -> Allocator {
+        let cfg = AllocatorConfig::new(ports, VixPartition::baseline(vcs));
+        Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(cfg)))
+    }
+
+    /// Number of currently-held connections.
+    fn held_connections(alloc: &Allocator) -> usize {
+        let Allocator::PacketChaining(pc) = alloc else { unreachable!("not packet chaining") };
+        pc.held.iter().flatten().count()
     }
 
     #[test]
@@ -267,7 +245,7 @@ mod tests {
         let g1 = alloc.allocate(&reqs);
         alloc.observe_traversals(&g1);
         let winner = g1.iter().next().unwrap().port;
-        assert_eq!(alloc.held_connections(), 1);
+        assert_eq!(held_connections(&alloc), 1);
 
         // Next cycle both still request; the chain keeps the same winner
         // even though round-robin would have rotated.
@@ -298,7 +276,7 @@ mod tests {
         reqs.request(PortId(0), VcId(0), PortId(2));
         let g1 = alloc.allocate(&reqs);
         alloc.observe_traversals(&g1);
-        assert_eq!(alloc.held_connections(), 1);
+        assert_eq!(held_connections(&alloc), 1);
 
         // Input 0 has nothing this cycle: connection must be released and
         // the output becomes available to input 1.
@@ -337,9 +315,9 @@ mod tests {
         reqs.request(PortId(0), VcId(0), PortId(2));
         let g = alloc.allocate(&reqs);
         alloc.observe_traversals(&g);
-        assert_eq!(alloc.held_connections(), 1);
+        assert_eq!(held_connections(&alloc), 1);
         alloc.observe_traversals(&GrantSet::new());
-        assert_eq!(alloc.held_connections(), 0);
+        assert_eq!(held_connections(&alloc), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! micro-architecture change: for every allocator, every partition, every
 //! arbiter flavour, and every cycle of a stateful trace they must emit the
 //! *exact* grant sequence of the scalar reference kernels
-//! ([`SwitchAllocator::allocate_scalar_into`], compiled for tests only) —
+//! ([`Allocator::allocate_scalar_into`], compiled for tests only) —
 //! same grants, same order. The first half of this module drives twins of
 //! one allocator flavour — one through each kernel — over seeded random
 //! traffic (speculative bits, ages, traversal feedback, idle gaps) and
@@ -17,9 +17,8 @@
 //! instance by instance. Every failure names the seed that reproduces it.
 
 use crate::{
-    AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
-    PacketChainingAllocator, PriorityPolicy, SeparableAllocator, SwitchAllocator,
-    WavefrontAllocator,
+    Allocator, AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
+    PacketChainingAllocator, PriorityPolicy, SeparableAllocator, WavefrontAllocator,
 };
 use vix_arbiter::ArbiterKind;
 use vix_core::{GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
@@ -31,14 +30,14 @@ struct Flavour {
     label: String,
     ports: usize,
     vcs: usize,
-    build: Box<dyn Fn() -> Box<dyn SwitchAllocator>>,
+    build: Box<dyn Fn() -> Allocator>,
 }
 
 fn flavour(
     label: impl Into<String>,
     ports: usize,
     vcs: usize,
-    build: impl Fn() -> Box<dyn SwitchAllocator> + 'static,
+    build: impl Fn() -> Allocator + 'static,
 ) -> Flavour {
     Flavour { label: label.into(), ports, vcs, build: Box::new(build) }
 }
@@ -55,44 +54,44 @@ fn flavours() -> Vec<Flavour> {
     let base16 = AllocatorConfig::new(16, VixPartition::baseline(6));
     let vix16 = AllocatorConfig::new(16, VixPartition::even(4, 4).unwrap());
     vec![
-        flavour("IF", 5, 6, move || Box::new(SeparableAllocator::new(base5))),
-        flavour("VIX-2", 5, 6, move || Box::new(SeparableAllocator::new(vix2))),
+        flavour("IF", 5, 6, move || Allocator::Separable(SeparableAllocator::new(base5))),
+        flavour("VIX-2", 5, 6, move || Allocator::Separable(SeparableAllocator::new(vix2))),
         flavour("VIX-2/oldest", 5, 6, move || {
-            Box::new(SeparableAllocator::new(
+            Allocator::Separable(SeparableAllocator::new(
                 vix2.with_priority(PriorityPolicy::OldestFirst),
             ))
         }),
         flavour("VIX-2/matrix", 5, 6, move || {
-            Box::new(SeparableAllocator::new(vix2.with_arbiter(ArbiterKind::Matrix)))
+            Allocator::Separable(SeparableAllocator::new(vix2.with_arbiter(ArbiterKind::Matrix)))
         }),
         flavour("VIX-3/static", 5, 6, move || {
-            Box::new(SeparableAllocator::new(vix3.with_arbiter(ArbiterKind::Static)))
+            Allocator::Separable(SeparableAllocator::new(vix3.with_arbiter(ArbiterKind::Static)))
         }),
         flavour("VIX-4x16", 16, 4, move || {
-            Box::new(SeparableAllocator::new(vix16))
+            Allocator::Separable(SeparableAllocator::new(vix16))
         }),
-        flavour("WF", 5, 6, move || Box::new(WavefrontAllocator::new(base5))),
-        flavour("WF-VIX2", 5, 6, move || Box::new(WavefrontAllocator::new(vix2))),
+        flavour("WF", 5, 6, move || Allocator::Wavefront(WavefrontAllocator::new(base5))),
+        flavour("WF-VIX2", 5, 6, move || Allocator::Wavefront(WavefrontAllocator::new(vix2))),
         flavour("WF-VIX4x16", 16, 4, move || {
-            Box::new(WavefrontAllocator::new(vix16))
+            Allocator::Wavefront(WavefrontAllocator::new(vix16))
         }),
-        flavour("AP", 5, 6, move || Box::new(MaxMatchingAllocator::new(base5))),
-        flavour("Ideal", 5, 6, move || Box::new(MaxMatchingAllocator::new(ideal5))),
+        flavour("AP", 5, 6, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(base5)))),
+        flavour("Ideal", 5, 6, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(ideal5)))),
         flavour("Ideal-4x16", 16, 4, move || {
-            Box::new(MaxMatchingAllocator::new(vix16))
+            Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(vix16)))
         }),
-        flavour("OF", 5, 6, move || Box::new(OutputFirstAllocator::new(base5))),
+        flavour("OF", 5, 6, move || Allocator::OutputFirst(OutputFirstAllocator::new(base5))),
         flavour("OF-16x6", 16, 6, move || {
-            Box::new(OutputFirstAllocator::new(base16))
+            Allocator::OutputFirst(OutputFirstAllocator::new(base16))
         }),
-        flavour("PC", 5, 6, move || Box::new(PacketChainingAllocator::new(base5))),
+        flavour("PC", 5, 6, move || Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(base5)))),
         flavour("PC/matrix", 5, 6, move || {
-            Box::new(PacketChainingAllocator::new(
+            Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(
                 base5.with_arbiter(ArbiterKind::Matrix),
-            ))
+            )))
         }),
-        flavour("iSLIP-1", 5, 6, move || Box::new(IslipAllocator::new(base5, 1))),
-        flavour("iSLIP-2", 5, 6, move || Box::new(IslipAllocator::new(base5, 2))),
+        flavour("iSLIP-1", 5, 6, move || Allocator::Islip(Box::new(IslipAllocator::new(base5, 1)))),
+        flavour("iSLIP-2", 5, 6, move || Allocator::Islip(Box::new(IslipAllocator::new(base5, 2)))),
     ]
 }
 
@@ -115,40 +114,40 @@ fn wide_flavours() -> Vec<Flavour> {
     let wide68_vix2 = AllocatorConfig::new(68, VixPartition::even(4, 2).unwrap());
     vec![
         flavour("VIX-16x8x8", 16, 8, move || {
-            Box::new(SeparableAllocator::new(mesh16x8_ideal))
+            Allocator::Separable(SeparableAllocator::new(mesh16x8_ideal))
         }),
         flavour("WF-16x8x4", 16, 8, move || {
-            Box::new(WavefrontAllocator::new(mesh16x8_vix4))
+            Allocator::Wavefront(WavefrontAllocator::new(mesh16x8_vix4))
         }),
         flavour("Ideal-16x8", 16, 8, move || {
-            Box::new(MaxMatchingAllocator::new(mesh16x8_ideal))
+            Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(mesh16x8_ideal)))
         }),
         flavour("OF-16x8", 16, 8, move || {
-            Box::new(OutputFirstAllocator::new(mesh16x8))
+            Allocator::OutputFirst(OutputFirstAllocator::new(mesh16x8))
         }),
         flavour("VIX-fbfly32x8x4", 32, 8, move || {
-            Box::new(SeparableAllocator::new(fbfly32x8_vix4))
+            Allocator::Separable(SeparableAllocator::new(fbfly32x8_vix4))
         }),
         flavour("WF-fbfly32x8x4", 32, 8, move || {
-            Box::new(WavefrontAllocator::new(fbfly32x8_vix4))
+            Allocator::Wavefront(WavefrontAllocator::new(fbfly32x8_vix4))
         }),
         flavour("IF-68x2", 68, 2, move || {
-            Box::new(SeparableAllocator::new(wide68))
+            Allocator::Separable(SeparableAllocator::new(wide68))
         }),
         flavour("VIX-68x4x2", 68, 4, move || {
-            Box::new(SeparableAllocator::new(wide68_vix2))
+            Allocator::Separable(SeparableAllocator::new(wide68_vix2))
         }),
         flavour("AP-68", 68, 2, move || {
-            Box::new(MaxMatchingAllocator::new(wide68))
+            Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(wide68)))
         }),
         flavour("OF-68x2", 68, 2, move || {
-            Box::new(OutputFirstAllocator::new(wide68))
+            Allocator::OutputFirst(OutputFirstAllocator::new(wide68))
         }),
         flavour("PC-68x2", 68, 2, move || {
-            Box::new(PacketChainingAllocator::new(wide68))
+            Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(wide68)))
         }),
         flavour("iSLIP-68x2", 68, 2, move || {
-            Box::new(IslipAllocator::new(wide68, 2))
+            Allocator::Islip(Box::new(IslipAllocator::new(wide68, 2)))
         }),
     ]
 }
@@ -180,7 +179,7 @@ fn boundary_flavours() -> Vec<Flavour> {
                 .with_arbiter(arbiter)
                 .with_priority(priority);
             flavours.push(flavour(format!("{shape}/{variant}"), ports, vcs, move || {
-                Box::new(SeparableAllocator::new(cfg))
+                Allocator::Separable(SeparableAllocator::new(cfg))
             }));
         }
     }
@@ -224,7 +223,7 @@ fn lone_request(rng: &mut StdRng, ports: usize, vcs: usize) -> RequestSet {
 /// feedback and idle-cycle fast-forwards are applied to both twins so the
 /// comparison covers stateful behaviour (pointers, chains, offsets), not
 /// just single-shot allocation. The bitset twin takes every one-request
-/// cycle through [`SwitchAllocator::allocate_one`], the lone entry a
+/// cycle through [`Allocator::allocate_one`], the lone entry a
 /// lightly loaded router calls.
 fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
     let mut scalar = (f.build)();
@@ -263,8 +262,8 @@ fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
     // The scalar kernels scan the request set for the matching record; the
     // separable one-word kernel hands over counts from its own sweep.
     assert_eq!(
-        scalar.matching_summary(),
-        bitset.matching_summary(),
+        scalar.matching_stats().summary(),
+        bitset.matching_stats().summary(),
         "{}: matching records diverged (seed {seed:#x})",
         f.label
     );
@@ -336,20 +335,20 @@ fn for_each_seed(base: u64, mut check: impl FnMut(u64, &mut StdRng)) {
     }
 }
 
-fn all_allocators() -> Vec<Box<dyn SwitchAllocator>> {
+fn all_allocators() -> Vec<Allocator> {
     let baseline = AllocatorConfig::new(PORTS, VixPartition::baseline(VCS));
     let vix2 = AllocatorConfig::new(PORTS, VixPartition::even(VCS, 2).unwrap());
     let ideal = AllocatorConfig::new(PORTS, VixPartition::even(VCS, VCS).unwrap());
     vec![
-        Box::new(SeparableAllocator::new(baseline)),
-        Box::new(SeparableAllocator::new(vix2)),
-        Box::new(SeparableAllocator::new(vix2.with_priority(PriorityPolicy::OldestFirst))),
-        Box::new(WavefrontAllocator::new(baseline)),
-        Box::new(WavefrontAllocator::new(vix2)),
-        Box::new(MaxMatchingAllocator::new(baseline)),
-        Box::new(MaxMatchingAllocator::new(ideal)),
-        Box::new(PacketChainingAllocator::new(baseline)),
-        Box::new(IslipAllocator::new(baseline, 2)),
+        Allocator::Separable(SeparableAllocator::new(baseline)),
+        Allocator::Separable(SeparableAllocator::new(vix2)),
+        Allocator::Separable(SeparableAllocator::new(vix2.with_priority(PriorityPolicy::OldestFirst))),
+        Allocator::Wavefront(WavefrontAllocator::new(baseline)),
+        Allocator::Wavefront(WavefrontAllocator::new(vix2)),
+        Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(baseline))),
+        Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(ideal))),
+        Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(baseline))),
+        Allocator::Islip(Box::new(IslipAllocator::new(baseline, 2))),
     ]
 }
 

@@ -1,10 +1,10 @@
 //! Iterative separable allocator (iSLIP-style), included as an extension
 //! baseline beyond the paper's evaluated schemes.
 
-use crate::{AllocatorConfig, SwitchAllocator};
+use crate::AllocatorConfig;
 use vix_arbiter::{first_set_from_words, Arbiter};
 use vix_core::bits::{any_set, clear_bit, set_bit, set_low_bits, test_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
 /// Iterative grant–accept allocator after McKeown's iSLIP.
@@ -24,18 +24,18 @@ use vix_telemetry::MatchingStats;
 /// paper proposes VIX instead.
 #[derive(Debug)]
 pub struct IslipAllocator {
-    cfg: AllocatorConfig,
+    pub(crate) cfg: AllocatorConfig,
     iterations: usize,
     grant_pointers: Vec<usize>,
     accept_pointers: Vec<usize>,
     /// Champion VC selection per input port.
     vc_selectors: Vec<Box<dyn Arbiter>>,
     scratch: IslipScratch,
-    matching: MatchingStats,
+    pub(crate) matching: MatchingStats,
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls.
+/// [`crate::Allocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct IslipScratch {
     matched_out_of_in: Vec<Option<usize>>,
@@ -72,17 +72,17 @@ impl IslipAllocator {
     }
 
     /// Configured iteration count.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn iterations(&self) -> usize {
         self.iterations
     }
-}
 
-impl IslipAllocator {
     /// The word-parallel kernel: both pointer scans collapse to
     /// [`first_set_from_words`] over the request-bit-view's per-output
     /// requester masks.
-    fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
+        grants.clear();
         let ports = self.cfg.ports;
         let iterations = self.iterations;
         let port_words = words_for(ports);
@@ -163,10 +163,10 @@ impl IslipAllocator {
     }
 
     /// The original scalar loops: the executable specification the
-    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// differential suite holds [`allocate_into`](Self::allocate_into)
     /// against.
     #[cfg(test)]
-    fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
         let iterations = self.iterations;
@@ -248,38 +248,15 @@ impl IslipAllocator {
     }
 }
 
-impl SwitchAllocator for IslipAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
-        grants.clear();
-        self.allocate_bitset(requests, grants);
-    }
-
-    #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
-        self.allocate_scalar(requests, grants);
-    }
-
-    fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        "iSLIP"
-    }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.matching
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
 
-    fn islip(ports: usize, vcs: usize, iters: usize) -> IslipAllocator {
-        IslipAllocator::new(AllocatorConfig::new(ports, VixPartition::baseline(vcs)), iters)
+    fn islip(ports: usize, vcs: usize, iters: usize) -> Allocator {
+        let cfg = AllocatorConfig::new(ports, VixPartition::baseline(vcs));
+        Allocator::Islip(Box::new(IslipAllocator::new(cfg, iters)))
     }
 
     #[test]
@@ -327,7 +304,7 @@ mod tests {
 
     #[test]
     fn pointer_update_only_first_iteration() {
-        let alloc = islip(4, 2, 3);
+        let alloc = IslipAllocator::new(AllocatorConfig::new(4, VixPartition::baseline(2)), 3);
         assert_eq!(alloc.iterations(), 3);
         // Behavioural check: repeated contention alternates fairly.
         let mut alloc = islip(2, 1, 3);

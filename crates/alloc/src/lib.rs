@@ -13,6 +13,10 @@
 //! | [`PacketChainingAllocator`] | *SameInput, anyVC* chaining ("PC") | §4.4 comparison |
 //! | [`IslipAllocator`] | iterative separable (iSLIP) | extension baseline |
 //!
+//! Each scheme's struct is one variant of the [`Allocator`] enum that a
+//! router holds inline; [`build_allocator`] picks it from an
+//! [`AllocatorKind`].
+//!
 //! The unification at the heart of the crate: *a baseline router is a VIX
 //! router with one virtual input per port.* Every allocator therefore works
 //! on the [`VixPartition`] granularity — at most one grant per VC sub-group
@@ -21,18 +25,20 @@
 //! # Example
 //!
 //! ```
-//! use vix_alloc::{AllocatorConfig, SwitchAllocator, SeparableAllocator};
-//! use vix_core::{PortId, VcId, RequestSet, VixPartition};
+//! use vix_alloc::{Allocator, AllocatorConfig, SeparableAllocator};
+//! use vix_core::{GrantSet, PortId, VcId, RequestSet, VixPartition};
 //!
 //! // A 5-port VIX router: 6 VCs in 2 sub-groups of 3.
 //! let cfg = AllocatorConfig::new(5, VixPartition::even(6, 2)?);
-//! let mut alloc = SeparableAllocator::new(cfg);
+//! let mut alloc = Allocator::Separable(SeparableAllocator::new(cfg));
 //!
 //! let mut reqs = RequestSet::new(5, 6);
 //! reqs.request(PortId(0), VcId(0), PortId(1)); // sub-group 0
 //! reqs.request(PortId(0), VcId(3), PortId(2)); // sub-group 1
-//! let grants = alloc.allocate(&reqs);
+//! let mut grants = GrantSet::new();
+//! alloc.allocate_into(&reqs, &mut grants);
 //! assert_eq!(grants.len(), 2, "VIX sends two flits from one port");
+//! assert_eq!(alloc.name(), "VIX");
 //! # Ok::<(), vix_core::ConfigError>(())
 //! ```
 
@@ -59,7 +65,7 @@ pub use wavefront::WavefrontAllocator;
 
 use vix_arbiter::ArbiterKind;
 use vix_core::{AllocatorKind, GrantSet, RequestSet, RouterConfig, SwitchRequest, VixPartition};
-use vix_telemetry::{MatchingStats, MatchingSummary};
+use vix_telemetry::MatchingStats;
 
 /// Bitset analogue of the scalar `mask_to_oldest` line masking: clears every
 /// set bit whose age is below the maximum age among set bits, leaving the
@@ -170,90 +176,151 @@ impl AllocatorConfig {
 }
 
 /// A switch allocator: turns one cycle's [`RequestSet`] into a conflict-free
-/// [`GrantSet`].
+/// [`GrantSet`]. One variant per scheme, built from the closed
+/// [`AllocatorKind`] by [`build_allocator`] and dispatched by `match`.
 ///
-/// Implementations must uphold the crossbar invariants checked by
+/// Every variant upholds the crossbar invariants checked by
 /// [`GrantSet::validate_against`]: one grant per output port, one per input
 /// VC, one per virtual-input sub-group.
 ///
-/// The trait requires `Send` (but not `Sync`): every allocator is owned by
-/// exactly one router, and the sharded simulation engine (DESIGN.md §8)
-/// moves whole routers — allocator included — onto worker threads.
-pub trait SwitchAllocator: std::fmt::Debug + Send {
+/// A router holds its allocator inline. The variants larger than the
+/// separable kernel are boxed, so the enum stays the size of the largest
+/// unboxed one and IF, VIX, WF and OF routers need no allocator block of
+/// their own.
+#[derive(Debug)]
+pub enum Allocator {
+    /// Input-first separable: IF with one sub-group, VIX with more.
+    Separable(SeparableAllocator),
+    /// Wavefront: WF, or WF-VIX over sub-groups.
+    Wavefront(WavefrontAllocator),
+    /// Output-first separable: OF.
+    OutputFirst(OutputFirstAllocator),
+    /// Augmenting-path maximum matching: AP, and the ideal allocator at
+    /// the granularity of one VC per sub-group.
+    MaxMatching(Box<MaxMatchingAllocator>),
+    /// Packet chaining: PC.
+    PacketChaining(Box<PacketChainingAllocator>),
+    /// Iterative separable: iSLIP.
+    Islip(Box<IslipAllocator>),
+}
+
+impl Allocator {
     /// Allocates the switch for one cycle, writing the winning grants into
     /// a caller-owned set.
     ///
-    /// This is the hot-path entry point: `grants` is cleared and refilled,
-    /// never reallocated once it has reached its steady-state capacity, and
-    /// implementations keep their working arrays as owned scratch fields
-    /// sized at construction or on first use. After warmup a call performs
-    /// **zero** heap allocations (enforced by the counting-allocator
-    /// regression test in `tests/zero_alloc.rs`).
+    /// `grants` is cleared and refilled, never reallocated once it has
+    /// reached its steady-state capacity, and every allocator keeps its
+    /// working arrays as owned scratch sized at construction or on first
+    /// use. After warmup a call performs **zero** heap allocations
+    /// (enforced by the counting-allocator regression test in
+    /// `tests/zero_alloc.rs`).
     ///
     /// Grant emission order is part of each allocator's observable
-    /// behaviour (downstream consumers hash the trace), so implementations
-    /// must push grants in the same order as the equivalent
-    /// [`allocate`](SwitchAllocator::allocate) always has.
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet);
+    /// behaviour (downstream consumers hash the trace).
+    pub fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        match self {
+            Allocator::Separable(a) => a.allocate_into(requests, grants),
+            Allocator::Wavefront(a) => a.allocate_into(requests, grants),
+            Allocator::OutputFirst(a) => a.allocate_into(requests, grants),
+            Allocator::MaxMatching(a) => a.allocate_into(requests, grants),
+            Allocator::PacketChaining(a) => a.allocate_into(requests, grants),
+            Allocator::Islip(a) => a.allocate_into(requests, grants),
+        }
+    }
 
-    /// [`allocate_into`](SwitchAllocator::allocate_into) on a set holding
+    /// [`allocate_into`](Allocator::allocate_into) on a set holding
     /// `request` alone: same grants, state evolution and matching record.
-    /// The default builds that set in `scratch` (any set of this shape; its
-    /// contents are overwritten); an override may leave `scratch` alone.
-    fn allocate_one(&mut self, request: SwitchRequest, scratch: &mut RequestSet, grants: &mut GrantSet) {
-        scratch.clear();
-        scratch.push(request);
-        self.allocate_into(scratch, grants);
+    /// The separable kernel grants it directly; the others build that set
+    /// in `scratch` (any set of this shape; its contents are overwritten).
+    pub fn allocate_one(
+        &mut self,
+        request: SwitchRequest,
+        scratch: &mut RequestSet,
+        grants: &mut GrantSet,
+    ) {
+        match self {
+            Allocator::Separable(a) => a.allocate_one(request, grants),
+            other => {
+                scratch.clear();
+                scratch.push(request);
+                other.allocate_into(scratch, grants);
+            }
+        }
     }
-
-    /// [`allocate_into`](SwitchAllocator::allocate_into) through the scalar
-    /// reference kernel — the plain per-VC loops each word-parallel kernel
-    /// replaced, kept as the oracle of the in-crate differential suite:
-    /// same grants, same emission order, same arbiter state evolution.
-    #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet);
-
-    /// Allocates the switch for one cycle into a fresh [`GrantSet`].
-    ///
-    /// Convenience shim over [`allocate_into`](SwitchAllocator::allocate_into)
-    /// for tests and one-shot callers; the per-cycle loops in `vix-router`
-    /// and `vix-sim` use `allocate_into` with a reused set instead.
-    fn allocate(&mut self, requests: &RequestSet) -> GrantSet {
-        let mut grants = GrantSet::new();
-        self.allocate_into(requests, &mut grants);
-        grants
-    }
-
-    /// The VC → virtual-input partition this allocator enforces.
-    fn partition(&self) -> &VixPartition;
-
-    /// Short display name (matches the paper's figure legends).
-    fn name(&self) -> &'static str;
 
     /// Hook called at the end of every router cycle with the grants that
     /// actually traversed the switch (some grants may be dropped, e.g.
-    /// failed speculation). Stateful allocators — packet chaining — use it;
-    /// the default is a no-op.
-    fn observe_traversals(&mut self, _traversed: &GrantSet) {}
+    /// failed speculation). Only packet chaining keeps state from it.
+    #[inline]
+    pub fn observe_traversals(&mut self, traversed: &GrantSet) {
+        if let Allocator::PacketChaining(a) = self {
+            a.observe_traversals(traversed);
+        }
+    }
 
     /// Fast-forwards the allocator over `n` cycles in which it would have
     /// been called with an **empty** request set (followed by an empty
-    /// [`observe_traversals`](SwitchAllocator::observe_traversals)).
+    /// [`observe_traversals`](Allocator::observe_traversals)).
     ///
     /// The activity-gated scheduler skips a router's cycle entirely when it
     /// is quiescent; this hook keeps allocators whose internal state
     /// advances even on empty cycles bit-identical with stepping every
-    /// cycle. The contract: after `note_idle_cycles(n)` the allocator
-    /// must be in exactly the state `n` empty `allocate_into` + empty
-    /// `observe_traversals` calls would have left it in. Allocators whose
-    /// state only moves on grants (separable IF/VIX, output-first, iSLIP)
-    /// keep the default no-op; rotating-offset allocators (wavefront,
-    /// augmenting-path) advance their offsets, and packet chaining drops
-    /// its held connections.
-    fn note_idle_cycles(&mut self, _n: u64) {}
+    /// cycle. After `note_idle_cycles(n)` the allocator is in exactly the
+    /// state `n` empty `allocate_into` + empty `observe_traversals` calls
+    /// would have left it in. Allocators whose state only moves on grants
+    /// (separable IF/VIX, output-first, iSLIP) do nothing; rotating-offset
+    /// allocators (wavefront, augmenting-path) advance their offsets, and
+    /// packet chaining drops its held connections.
+    #[inline]
+    pub fn note_idle_cycles(&mut self, n: u64) {
+        match self {
+            Allocator::Wavefront(a) => a.note_idle_cycles(n),
+            Allocator::MaxMatching(a) => a.note_idle_cycles(n),
+            Allocator::PacketChaining(a) => a.note_idle_cycles(n),
+            Allocator::Separable(_) | Allocator::OutputFirst(_) | Allocator::Islip(_) => {}
+        }
+    }
+
+    /// The configuration and matching record of the allocator.
+    fn parts(&self) -> (&AllocatorConfig, &MatchingStats) {
+        match self {
+            Allocator::Separable(a) => (&a.kernel.cfg, &a.kernel.matching),
+            Allocator::Wavefront(a) => (&a.cfg, &a.matching),
+            Allocator::OutputFirst(a) => (&a.cfg, &a.matching),
+            Allocator::MaxMatching(a) => (&a.cfg, &a.match_stats),
+            Allocator::PacketChaining(a) => (&a.cfg, &a.matching),
+            Allocator::Islip(a) => (&a.cfg, &a.matching),
+        }
+    }
+
+    /// The VC → virtual-input partition this allocator enforces.
+    #[must_use]
+    pub fn partition(&self) -> &VixPartition {
+        &self.parts().0.partition
+    }
+
+    /// Short display name (matches the paper's figure legends).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        let partition = self.partition();
+        let (groups, vcs) = (partition.groups(), partition.vcs());
+        match (self, groups > 1) {
+            (Allocator::Separable(_), false) => "IF",
+            (Allocator::Separable(_), true) => "VIX",
+            (Allocator::Wavefront(_), false) => "WF",
+            (Allocator::Wavefront(_), true) => "WF-VIX",
+            (Allocator::OutputFirst(_), false) => "OF",
+            (Allocator::OutputFirst(_), true) => "OF-VIX",
+            (Allocator::MaxMatching(_), _) if groups == vcs => "Ideal",
+            (Allocator::MaxMatching(_), false) => "AP",
+            (Allocator::MaxMatching(_), true) => "AP-VIX",
+            (Allocator::PacketChaining(_), _) => "PC",
+            (Allocator::Islip(_), _) => "iSLIP",
+        }
+    }
 
     /// Matching-efficiency counters accumulated by every non-empty
-    /// [`allocate_into`](SwitchAllocator::allocate_into) call — requests
+    /// [`allocate_into`](Allocator::allocate_into) call — requests
     /// offered, requests surviving input arbitration, grants issued, and
     /// the per-cycle matching bound (the paper's §4 metric).
     ///
@@ -261,26 +328,66 @@ pub trait SwitchAllocator: std::fmt::Debug + Send {
     /// request and grant sets after the fact, never touches arbiter
     /// state, and skips empty cycles, so a router whose idle cycles are
     /// skipped reports the numbers it would have stepping through them.
-    fn matching_stats(&self) -> &MatchingStats;
+    #[must_use]
+    pub fn matching_stats(&self) -> &MatchingStats {
+        self.parts().1
+    }
 
-    /// Convenience snapshot of [`matching_stats`](SwitchAllocator::matching_stats).
-    fn matching_summary(&self) -> MatchingSummary {
-        self.matching_stats().summary()
+    /// [`allocate_into`](Allocator::allocate_into) through the scalar
+    /// reference kernel — the plain per-VC loops each word-parallel kernel
+    /// replaced, kept as the oracle of the in-crate differential suite:
+    /// same grants, same emission order, same arbiter state evolution.
+    #[cfg(test)]
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        grants.clear();
+        match self {
+            Allocator::Separable(a) => a.allocate_scalar_into(requests, grants),
+            Allocator::Wavefront(a) => a.allocate_scalar_into(requests, grants),
+            Allocator::OutputFirst(a) => a.allocate_scalar_into(requests, grants),
+            Allocator::MaxMatching(a) => a.allocate_scalar_into(requests, grants),
+            Allocator::PacketChaining(a) => a.allocate_scalar_into(requests, grants),
+            Allocator::Islip(a) => a.allocate_scalar_into(requests, grants),
+        }
     }
 }
+
+/// The unit tests' shorthand, `allocate(&requests)`: one cycle into a fresh
+/// [`GrantSet`], on the enum or on a scheme's own struct.
+#[cfg(test)]
+macro_rules! allocate_shorthand {
+    ($($allocator:ty),*) => {$(
+        impl $allocator {
+            pub(crate) fn allocate(&mut self, requests: &RequestSet) -> GrantSet {
+                let mut grants = GrantSet::new();
+                self.allocate_into(requests, &mut grants);
+                grants
+            }
+        }
+    )*};
+}
+#[cfg(test)]
+allocate_shorthand!(
+    Allocator,
+    SeparableAllocator,
+    WavefrontAllocator,
+    MaxMatchingAllocator,
+    IslipAllocator
+);
 
 /// Builds the allocator named by `kind` for a router described by `router`.
 ///
 /// For [`AllocatorKind::Vix`] the router's own virtual-input setting
 /// determines the partition; for every other kind the partition is forced to
 /// the baseline single-group layout, matching the paper's configurations
-/// (only VIX routers have virtual inputs).
+/// (only VIX routers have virtual inputs). The ideal allocator of Figs. 7
+/// and 12 is [`Allocator::MaxMatching`] over
+/// [`AllocatorConfig::from_router`].
 ///
 /// # Panics
 ///
 /// Panics if the router configuration is invalid.
 #[must_use]
-pub fn build_allocator(kind: AllocatorKind, router: &RouterConfig) -> Box<dyn SwitchAllocator> {
+pub fn build_allocator(kind: AllocatorKind, router: &RouterConfig) -> Allocator {
     router.validate().expect("router config must be valid");
     let vcs = router.vcs_per_port();
     let priority =
@@ -289,28 +396,19 @@ pub fn build_allocator(kind: AllocatorKind, router: &RouterConfig) -> Box<dyn Sw
         AllocatorConfig::new(router.ports(), VixPartition::baseline(vcs)).with_priority(priority);
     let vix_cfg = AllocatorConfig::from_router(router).with_priority(priority);
     match kind {
-        AllocatorKind::InputFirst => Box::new(SeparableAllocator::new(baseline)),
-        AllocatorKind::Vix => Box::new(SeparableAllocator::new(vix_cfg)),
-        AllocatorKind::WavefrontVix => Box::new(WavefrontAllocator::new(vix_cfg)),
-        AllocatorKind::OutputFirst => Box::new(OutputFirstAllocator::new(baseline)),
-        AllocatorKind::Wavefront => Box::new(WavefrontAllocator::new(baseline)),
-        AllocatorKind::AugmentingPath => Box::new(MaxMatchingAllocator::new(baseline)),
-        AllocatorKind::PacketChaining => Box::new(PacketChainingAllocator::new(baseline)),
-        AllocatorKind::Islip(iters) => Box::new(IslipAllocator::new(baseline, iters)),
+        AllocatorKind::InputFirst => Allocator::Separable(SeparableAllocator::new(baseline)),
+        AllocatorKind::Vix => Allocator::Separable(SeparableAllocator::new(vix_cfg)),
+        AllocatorKind::WavefrontVix => Allocator::Wavefront(WavefrontAllocator::new(vix_cfg)),
+        AllocatorKind::OutputFirst => Allocator::OutputFirst(OutputFirstAllocator::new(baseline)),
+        AllocatorKind::Wavefront => Allocator::Wavefront(WavefrontAllocator::new(baseline)),
+        AllocatorKind::AugmentingPath => {
+            Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(baseline)))
+        }
+        AllocatorKind::PacketChaining => {
+            Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(baseline)))
+        }
+        AllocatorKind::Islip(iters) => Allocator::Islip(Box::new(IslipAllocator::new(baseline, iters))),
     }
-}
-
-/// Builds the *ideal* allocator for a router: maximum matching at the
-/// granularity of the router's own partition (used for the "ideal VIX"
-/// series of Figs. 7 and 12).
-///
-/// # Panics
-///
-/// Panics if the router configuration is invalid.
-#[must_use]
-pub fn build_ideal_allocator(router: &RouterConfig) -> Box<dyn SwitchAllocator> {
-    router.validate().expect("router config must be valid");
-    Box::new(MaxMatchingAllocator::new(AllocatorConfig::from_router(router)))
 }
 
 #[cfg(test)]
@@ -322,12 +420,31 @@ mod tests {
     fn factory_builds_every_kind() {
         let router = RouterConfig::paper_default(5);
         let vix_router = router.with_virtual_inputs(VirtualInputs::PerPort(2));
-        assert_eq!(build_allocator(AllocatorKind::InputFirst, &router).name(), "IF");
-        assert_eq!(build_allocator(AllocatorKind::Vix, &vix_router).name(), "VIX");
-        assert_eq!(build_allocator(AllocatorKind::Wavefront, &router).name(), "WF");
-        assert_eq!(build_allocator(AllocatorKind::AugmentingPath, &router).name(), "AP");
-        assert_eq!(build_allocator(AllocatorKind::PacketChaining, &router).name(), "PC");
-        assert_eq!(build_allocator(AllocatorKind::Islip(2), &router).name(), "iSLIP");
+        let cases = [
+            (AllocatorKind::InputFirst, &router, "IF", 1),
+            (AllocatorKind::OutputFirst, &router, "OF", 1),
+            (AllocatorKind::Wavefront, &router, "WF", 1),
+            (AllocatorKind::AugmentingPath, &router, "AP", 1),
+            (AllocatorKind::Vix, &vix_router, "VIX", 2),
+            (AllocatorKind::WavefrontVix, &vix_router, "WF-VIX", 2),
+            (AllocatorKind::PacketChaining, &router, "PC", 1),
+            (AllocatorKind::Islip(2), &router, "iSLIP", 1),
+        ];
+        for (kind, router, name, groups) in cases {
+            let alloc = build_allocator(kind, router);
+            let variant_ok = match (kind, &alloc) {
+                (AllocatorKind::InputFirst | AllocatorKind::Vix, Allocator::Separable(_))
+                | (AllocatorKind::OutputFirst, Allocator::OutputFirst(_))
+                | (AllocatorKind::Wavefront | AllocatorKind::WavefrontVix, Allocator::Wavefront(_))
+                | (AllocatorKind::AugmentingPath, Allocator::MaxMatching(_))
+                | (AllocatorKind::PacketChaining, Allocator::PacketChaining(_)) => true,
+                (AllocatorKind::Islip(iters), Allocator::Islip(a)) => a.iterations() == iters,
+                _ => false,
+            };
+            assert!(variant_ok, "{kind:?} built {}", alloc.name());
+            assert_eq!(alloc.name(), name, "{kind:?}");
+            assert_eq!(alloc.partition().groups(), groups, "{kind:?}");
+        }
     }
 
     #[test]
@@ -347,7 +464,9 @@ mod tests {
     #[test]
     fn ideal_allocator_matches_at_vc_level() {
         let router = RouterConfig::paper_default(5).with_virtual_inputs(VirtualInputs::Ideal);
-        let alloc = build_ideal_allocator(&router);
+        let alloc = Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(
+            AllocatorConfig::from_router(&router),
+        )));
         assert_eq!(alloc.partition().groups(), 6);
     }
 

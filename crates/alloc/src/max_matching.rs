@@ -1,10 +1,10 @@
 //! Maximum-matching allocators: the paper's "AP" scheme and the ideal
 //! VC-level matcher, unified over the virtual-input partition.
 
-use crate::{AllocatorConfig, SwitchAllocator};
+use crate::AllocatorConfig;
 use vix_arbiter::Arbiter;
 use vix_core::bits::{extract_range, set_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
 /// Augmented-path maximum-matching allocator.
@@ -30,7 +30,7 @@ use vix_telemetry::MatchingStats;
 /// do not starve internally.
 #[derive(Debug)]
 pub struct MaxMatchingAllocator {
-    cfg: AllocatorConfig,
+    pub(crate) cfg: AllocatorConfig,
     /// `partition.group_of(vc)` for every VC, hoisted out of the per-edge
     /// loop.
     vc_group: Vec<usize>,
@@ -40,11 +40,11 @@ pub struct MaxMatchingAllocator {
     /// while keeping the greedy maximum-matching structure.
     offset: usize,
     scratch: MaxMatchingScratch,
-    match_stats: MatchingStats,
+    pub(crate) match_stats: MatchingStats,
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls.
+/// [`crate::Allocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct MaxMatchingScratch {
     /// Outputs requested by each sub-group as an output mask per row,
@@ -77,10 +77,9 @@ impl MaxMatchingAllocator {
             match_stats,
         }
     }
-}
 
-impl SwitchAllocator for MaxMatchingAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    /// One cycle of [`crate::Allocator::allocate_into`].
+    pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
         debug_assert_eq!(
             requests.vcs_per_port(),
@@ -146,8 +145,7 @@ impl SwitchAllocator for MaxMatchingAllocator {
     /// per-VC [`RequestSet::get`] lookups into the list-based matcher —
     /// which tries them in the order the bit-mask rows are scanned.
     #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let groups = self.cfg.partition.groups();
         let group_size = self.cfg.partition.group_size();
@@ -192,46 +190,31 @@ impl SwitchAllocator for MaxMatchingAllocator {
         match_stats.record_set(requests, grants, &cfg.partition);
     }
 
-    fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        if self.cfg.partition.groups() == self.cfg.partition.vcs() {
-            "Ideal"
-        } else if self.cfg.partition.groups() > 1 {
-            "AP-VIX"
-        } else {
-            "AP"
-        }
-    }
-
-    fn note_idle_cycles(&mut self, n: u64) {
+    pub(crate) fn note_idle_cycles(&mut self, n: u64) {
         // An empty allocate_into produces an empty matching (no arbiter
         // commits) but still rotates the scan-start offset; replay just the
         // rotations.
         let units = self.cfg.ports * self.cfg.partition.groups();
         self.offset = (self.offset + (n % units as u64) as usize) % units;
     }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.match_stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
 
-    fn ap(ports: usize, vcs: usize) -> MaxMatchingAllocator {
-        MaxMatchingAllocator::new(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
+    fn ap(ports: usize, vcs: usize) -> Allocator {
+        max_matching(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
     }
 
-    fn ideal(ports: usize, vcs: usize) -> MaxMatchingAllocator {
-        MaxMatchingAllocator::new(AllocatorConfig::new(
-            ports,
-            VixPartition::even(vcs, vcs).unwrap(),
-        ))
+    fn ideal(ports: usize, vcs: usize) -> Allocator {
+        max_matching(AllocatorConfig::new(ports, VixPartition::even(vcs, vcs).unwrap()))
+    }
+
+    fn max_matching(cfg: AllocatorConfig) -> Allocator {
+        Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(cfg)))
     }
 
     #[test]
@@ -305,10 +288,8 @@ mod tests {
                 reqs.request(PortId(p), VcId(v), PortId(o));
             }
             let mut ap_alloc = ap(3, 2);
-            let mut sep = SeparableAllocator::new(AllocatorConfig::new(
-                3,
-                VixPartition::baseline(2),
-            ));
+            let cfg = AllocatorConfig::new(3, VixPartition::baseline(2));
+            let mut sep = Allocator::Separable(SeparableAllocator::new(cfg));
             assert!(
                 ap_alloc.allocate(&reqs).len() >= sep.allocate(&reqs).len(),
                 "AP must never under-match separable on {pat:?}"
@@ -349,10 +330,7 @@ mod tests {
     fn names_reflect_partition() {
         assert_eq!(ap(5, 6).name(), "AP");
         assert_eq!(ideal(5, 6).name(), "Ideal");
-        let hybrid = MaxMatchingAllocator::new(AllocatorConfig::new(
-            5,
-            VixPartition::even(6, 2).unwrap(),
-        ));
+        let hybrid = max_matching(AllocatorConfig::new(5, VixPartition::even(6, 2).unwrap()));
         assert_eq!(hybrid.name(), "AP-VIX");
     }
 }

@@ -2,10 +2,10 @@
 //! included to complete the separable design space of Becker & Dally's
 //! allocator study (which the paper builds on).
 
-use crate::{AllocatorConfig, SwitchAllocator};
+use crate::AllocatorConfig;
 use vix_arbiter::Arbiter;
 use vix_core::bits::{any_set, clear_range, deposit_range, set_bit, set_low_bits, test_bit, words_for};
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VirtualInputId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VirtualInputId};
 use vix_telemetry::MatchingStats;
 
 /// Output-first separable switch allocator.
@@ -25,17 +25,17 @@ use vix_telemetry::MatchingStats;
 /// Non-speculative requests win both stages over speculative ones.
 #[derive(Debug)]
 pub struct OutputFirstAllocator {
-    cfg: AllocatorConfig,
+    pub(crate) cfg: AllocatorConfig,
     /// One per output port, over all `ports × vcs` VCs.
     output_arbiters: Vec<Box<dyn Arbiter>>,
     /// One per virtual input, over the output ports.
     input_arbiters: Vec<Box<dyn Arbiter>>,
     scratch: OutputFirstScratch,
-    matching: MatchingStats,
+    pub(crate) matching: MatchingStats,
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls.
+/// [`crate::Allocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct OutputFirstScratch {
     /// Stage-1 winners, one slot per output port.
@@ -69,15 +69,20 @@ impl OutputFirstAllocator {
             matching: MatchingStats::new(units),
         }
     }
-}
 
-impl OutputFirstAllocator {
     /// The word-parallel kernel. Stage 1's `P·v : 1` arbiter domain is the
     /// widest in the crate, so its lines are a multi-word mask assembled
     /// by depositing each port's masked VC line at its flat offset
     /// ([`deposit_range`] handles word-boundary straddles of any width);
     /// stage 2 works on multi-word output masks.
-    fn allocate_bitset(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
+        debug_assert_eq!(
+            requests.vcs_per_port(),
+            self.cfg.partition.vcs(),
+            "request set VC mismatch"
+        );
+        grants.clear();
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
         let groups = self.cfg.partition.groups();
@@ -162,10 +167,10 @@ impl OutputFirstAllocator {
     }
 
     /// The original scalar loops: the executable specification the
-    /// differential suite holds [`allocate_bitset`](Self::allocate_bitset)
+    /// differential suite holds [`allocate_into`](Self::allocate_into)
     /// against.
     #[cfg(test)]
-    fn allocate_scalar(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
         let vcs = self.cfg.partition.vcs();
         let groups = self.cfg.partition.groups();
@@ -220,50 +225,15 @@ impl OutputFirstAllocator {
     }
 }
 
-impl SwitchAllocator for OutputFirstAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
-        debug_assert_eq!(
-            requests.vcs_per_port(),
-            self.cfg.partition.vcs(),
-            "request set VC mismatch"
-        );
-        grants.clear();
-        self.allocate_bitset(requests, grants);
-    }
-
-    #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
-        self.allocate_scalar(requests, grants);
-    }
-
-    fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        if self.cfg.partition.groups() > 1 {
-            "OF-VIX"
-        } else {
-            "OF"
-        }
-    }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.matching
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
 
-    fn of(ports: usize, vcs: usize, groups: usize) -> OutputFirstAllocator {
-        OutputFirstAllocator::new(AllocatorConfig::new(
-            ports,
-            VixPartition::even(vcs, groups).unwrap(),
-        ))
+    fn of(ports: usize, vcs: usize, groups: usize) -> Allocator {
+        let cfg = AllocatorConfig::new(ports, VixPartition::even(vcs, groups).unwrap());
+        Allocator::OutputFirst(OutputFirstAllocator::new(cfg))
     }
 
     #[test]

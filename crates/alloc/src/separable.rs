@@ -2,16 +2,16 @@
 //!
 //! This single implementation covers both the paper's baseline "IF"
 //! allocator and the VIX allocator of Fig. 3: the only difference is the
-//! [`VixPartition`] — one sub-group per port for IF, `k` sub-groups for a
+//! [`VixPartition`](vix_core::VixPartition) — one sub-group per port for IF, `k` sub-groups for a
 //! 1:k VIX router.
 
-use crate::{mask_to_oldest_bits, AllocatorConfig, PriorityPolicy, SwitchAllocator};
+use crate::{mask_to_oldest_bits, AllocatorConfig, PriorityPolicy};
 use std::slice::{from_mut, from_ref};
 use vix_arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter, StaticArbiter};
 use vix_core::bits::{
     any_set, extract_range, mask_up_to, range_any_set, set_bit, test_bit, words_for,
 };
-use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId};
 use vix_telemetry::MatchingStats;
 
 /// Input-first separable switch allocator (Fig. 3 of the paper).
@@ -36,7 +36,7 @@ use vix_telemetry::MatchingStats;
 #[derive(Debug)]
 pub struct SeparableAllocator {
     arbiters: Arbiters,
-    kernel: Kernel,
+    pub(crate) kernel: Kernel,
 }
 
 /// The arbiters by kind: a call matches once, then runs a kernel generic
@@ -87,8 +87,8 @@ struct Champion {
 /// Everything but the arbiters: the shape, the matching record and the
 /// per-call working state, sized once at construction.
 #[derive(Debug)]
-struct Kernel {
-    cfg: AllocatorConfig,
+pub(crate) struct Kernel {
+    pub(crate) cfg: AllocatorConfig,
     /// `vcs`, `ports` and `ports × groups` are all ≤ 64 (every paper shape):
     /// [`Kernel::word`] runs, and `nonspec_line`, `line_buf`, `taken` idle.
     one_word: bool,
@@ -103,7 +103,7 @@ struct Kernel {
     line_buf: Vec<u64>,
     /// Outputs granted so far this call.
     taken: Vec<u64>,
-    matching: MatchingStats,
+    pub(crate) matching: MatchingStats,
 }
 
 impl SeparableAllocator {
@@ -429,8 +429,10 @@ impl Kernel {
     }
 }
 
-impl SwitchAllocator for SeparableAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+impl SeparableAllocator {
+    /// One cycle of [`crate::Allocator::allocate_into`], on this scheme
+    /// alone.
+    pub fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let Self { arbiters, kernel } = self;
         debug_assert_eq!(requests.ports(), kernel.cfg.ports, "request set port mismatch");
         debug_assert_eq!(
@@ -446,7 +448,8 @@ impl SwitchAllocator for SeparableAllocator {
         }
     }
 
-    fn allocate_one(&mut self, request: SwitchRequest, _: &mut RequestSet, grants: &mut GrantSet) {
+    /// One cycle on a set holding `request` alone, without building it.
+    pub(crate) fn allocate_one(&mut self, request: SwitchRequest, grants: &mut GrantSet) {
         let Self { arbiters, kernel } = self;
         grants.clear();
         match arbiters {
@@ -457,8 +460,7 @@ impl SwitchAllocator for SeparableAllocator {
     }
 
     #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let Self { arbiters, kernel } = self;
         match arbiters {
             Arbiters::RoundRobin(bank) => kernel.scalar(bank, requests, grants),
@@ -466,38 +468,25 @@ impl SwitchAllocator for SeparableAllocator {
             Arbiters::Static(bank) => kernel.scalar(bank, requests, grants),
         }
     }
-
-    fn partition(&self) -> &VixPartition {
-        &self.kernel.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        if self.kernel.cfg.partition.groups() > 1 {
-            "VIX"
-        } else {
-            "IF"
-        }
-    }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.kernel.matching
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
     use vix_core::VcId;
 
-    fn baseline(ports: usize, vcs: usize) -> SeparableAllocator {
-        SeparableAllocator::new(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
+    fn baseline(ports: usize, vcs: usize) -> Allocator {
+        separable(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
     }
 
-    fn vix(ports: usize, vcs: usize, groups: usize) -> SeparableAllocator {
-        SeparableAllocator::new(AllocatorConfig::new(
-            ports,
-            VixPartition::even(vcs, groups).unwrap(),
-        ))
+    fn vix(ports: usize, vcs: usize, groups: usize) -> Allocator {
+        separable(AllocatorConfig::new(ports, VixPartition::even(vcs, groups).unwrap()))
+    }
+
+    fn separable(cfg: AllocatorConfig) -> Allocator {
+        Allocator::Separable(SeparableAllocator::new(cfg))
     }
 
     #[test]
@@ -686,7 +675,7 @@ mod tests {
         use crate::PriorityPolicy;
         let cfg = AllocatorConfig::new(3, VixPartition::baseline(2))
             .with_priority(PriorityPolicy::OldestFirst);
-        let mut alloc = SeparableAllocator::new(cfg);
+        let mut alloc = separable(cfg);
         for _ in 0..4 {
             let mut reqs = RequestSet::new(3, 2);
             reqs.push(aged_request(0, 0, 2, 1));
@@ -701,7 +690,7 @@ mod tests {
         use crate::PriorityPolicy;
         let cfg = AllocatorConfig::new(3, VixPartition::baseline(3))
             .with_priority(PriorityPolicy::OldestFirst);
-        let mut alloc = SeparableAllocator::new(cfg);
+        let mut alloc = separable(cfg);
         let mut reqs = RequestSet::new(3, 3);
         reqs.push(aged_request(0, 0, 1, 2));
         reqs.push(aged_request(0, 2, 2, 40)); // older VC of the same port
@@ -715,7 +704,7 @@ mod tests {
         use crate::PriorityPolicy;
         let cfg = AllocatorConfig::new(3, VixPartition::baseline(2))
             .with_priority(PriorityPolicy::OldestFirst);
-        let mut alloc = SeparableAllocator::new(cfg);
+        let mut alloc = separable(cfg);
         let mut winners = Vec::new();
         for _ in 0..4 {
             let mut reqs = RequestSet::new(3, 2);
@@ -734,7 +723,7 @@ mod tests {
         // one: speculation masking is the outer priority.
         let cfg = AllocatorConfig::new(3, VixPartition::baseline(2))
             .with_priority(PriorityPolicy::OldestFirst);
-        let mut alloc = SeparableAllocator::new(cfg);
+        let mut alloc = separable(cfg);
         let mut reqs = RequestSet::new(3, 2);
         reqs.push(SwitchRequest {
             port: PortId(0), vc: VcId(0), out_port: PortId(2), speculative: true, age: 99,

@@ -1,11 +1,11 @@
 //! Wavefront switch allocator (Tamir & Chi).
 
-use crate::{AllocatorConfig, SwitchAllocator};
+use crate::AllocatorConfig;
 use vix_arbiter::Arbiter;
 use vix_core::bits::{
     any_set, clear_bit, extract_range, range_any_set, set_bit, set_low_bits, test_bit, words_for,
 };
-use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VixPartition};
+use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
 /// Wavefront allocator ("WF" in the paper), generalised to virtual inputs.
@@ -30,17 +30,17 @@ use vix_telemetry::MatchingStats;
 /// requests fill leftover resources in a second sweep.
 #[derive(Debug)]
 pub struct WavefrontAllocator {
-    cfg: AllocatorConfig,
+    pub(crate) cfg: AllocatorConfig,
     /// Rotating priority diagonal.
     offset: usize,
     /// Champion VC selection per virtual input.
     vc_selectors: Vec<Box<dyn Arbiter>>,
     scratch: WavefrontScratch,
-    matching: MatchingStats,
+    pub(crate) matching: MatchingStats,
 }
 
 /// Owned per-cycle working state reused across
-/// [`SwitchAllocator::allocate_into`] calls.
+/// [`crate::Allocator::allocate_into`] calls.
 #[derive(Debug, Default)]
 struct WavefrontScratch {
     /// Per-virtual-input output mask of one speculation class (`rows[vi]`
@@ -72,9 +72,9 @@ impl WavefrontAllocator {
         }
     }
 
-    /// Current priority-diagonal offset (exposed for tests).
-    #[must_use]
-    pub fn offset(&self) -> usize {
+    /// Current priority-diagonal offset.
+    #[cfg(test)]
+    fn offset(&self) -> usize {
         self.offset
     }
 }
@@ -230,8 +230,9 @@ fn sweep(
     }
 }
 
-impl SwitchAllocator for WavefrontAllocator {
-    fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+impl WavefrontAllocator {
+    /// One cycle of [`crate::Allocator::allocate_into`].
+    pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
         debug_assert_eq!(
             requests.vcs_per_port(),
@@ -257,8 +258,7 @@ impl SwitchAllocator for WavefrontAllocator {
     }
 
     #[cfg(test)]
-    fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        grants.clear();
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let group_vcs = crate::group_vcs(&self.cfg.partition);
         let Self { cfg, offset, vc_selectors, matching, .. } = self;
         let mut unit_taken = vec![false; cfg.ports * cfg.partition.groups()];
@@ -280,42 +280,29 @@ impl SwitchAllocator for WavefrontAllocator {
         matching.record_set(requests, grants, &cfg.partition);
     }
 
-    fn partition(&self) -> &VixPartition {
-        &self.cfg.partition
-    }
-
-    fn name(&self) -> &'static str {
-        if self.cfg.partition.groups() > 1 {
-            "WF-VIX"
-        } else {
-            "WF"
-        }
-    }
-
-    fn note_idle_cycles(&mut self, n: u64) {
+    pub(crate) fn note_idle_cycles(&mut self, n: u64) {
         // An empty allocate_into touches nothing but the rotating priority
         // diagonal (the VC selectors only commit on a grant), so n empty
         // cycles are exactly n offset rotations.
         self.offset = (self.offset + (n % self.cfg.ports as u64) as usize) % self.cfg.ports;
-    }
-
-    fn matching_stats(&self) -> &MatchingStats {
-        &self.matching
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vix_core::VixPartition;
+    use crate::Allocator;
 
-    fn wf(ports: usize, vcs: usize) -> WavefrontAllocator {
-        WavefrontAllocator::new(AllocatorConfig::new(ports, VixPartition::baseline(vcs)))
+    fn wf(ports: usize, vcs: usize) -> Allocator {
+        let cfg = AllocatorConfig::new(ports, VixPartition::baseline(vcs));
+        Allocator::Wavefront(WavefrontAllocator::new(cfg))
     }
 
     #[test]
     fn grants_are_conflict_free() {
-        let mut alloc = wf(5, 6);
-        let (ports, vcs) = (alloc.cfg.ports, alloc.cfg.partition.vcs());
+        let (ports, vcs) = (5, 6);
+        let mut alloc = wf(ports, vcs);
         let mut reqs = RequestSet::new(ports, vcs);
         for p in 0..ports {
             for v in 0..vcs {
@@ -353,8 +340,10 @@ mod tests {
         reqs.request(PortId(0), VcId(0), PortId(2));
         reqs.request(PortId(0), VcId(1), PortId(1));
         reqs.request(PortId(1), VcId(0), PortId(2));
-        let mut sep =
-            SeparableAllocator::new(AllocatorConfig::new(3, VixPartition::baseline(2)));
+        let mut sep = Allocator::Separable(SeparableAllocator::new(AllocatorConfig::new(
+            3,
+            VixPartition::baseline(2),
+        )));
         let mut wf_alloc = wf(3, 2);
         assert!(wf_alloc.allocate(&reqs).len() >= sep.allocate(&reqs).len());
         assert_eq!(wf_alloc.allocate(&reqs).len(), 2);
@@ -386,12 +375,13 @@ mod tests {
 
     #[test]
     fn offset_rotates_every_cycle() {
-        let mut alloc = wf(4, 1);
+        let mut alloc = WavefrontAllocator::new(AllocatorConfig::new(4, VixPartition::baseline(1)));
+        let mut g = GrantSet::new();
         assert_eq!(alloc.offset(), 0);
-        alloc.allocate(&RequestSet::new(4, 1));
+        alloc.allocate_into(&RequestSet::new(4, 1), &mut g);
         assert_eq!(alloc.offset(), 1);
         for _ in 0..3 {
-            alloc.allocate(&RequestSet::new(4, 1));
+            alloc.allocate_into(&RequestSet::new(4, 1), &mut g);
         }
         assert_eq!(alloc.offset(), 0);
     }
@@ -430,11 +420,9 @@ mod tests {
         assert!(alloc.allocate(&RequestSet::new(5, 6)).is_empty());
     }
 
-    fn wf_vix(ports: usize, vcs: usize, groups: usize) -> WavefrontAllocator {
-        WavefrontAllocator::new(AllocatorConfig::new(
-            ports,
-            VixPartition::even(vcs, groups).unwrap(),
-        ))
+    fn wf_vix(ports: usize, vcs: usize, groups: usize) -> Allocator {
+        let cfg = AllocatorConfig::new(ports, VixPartition::even(vcs, groups).unwrap());
+        Allocator::Wavefront(WavefrontAllocator::new(cfg))
     }
 
     #[test]
@@ -464,8 +452,8 @@ mod tests {
 
     #[test]
     fn wf_vix_grants_stay_valid_under_full_load() {
-        let mut alloc = wf_vix(5, 6, 3);
-        let (ports, vcs) = (alloc.cfg.ports, alloc.cfg.partition.vcs());
+        let (ports, vcs) = (5, 6);
+        let mut alloc = wf_vix(ports, vcs, 3);
         for cycle in 0..12 {
             let mut reqs = RequestSet::new(ports, vcs);
             for p in 0..ports {

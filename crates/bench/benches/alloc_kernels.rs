@@ -19,8 +19,8 @@
 
 use std::time::Instant;
 use vix_alloc::{
-    AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
-    PacketChainingAllocator, SeparableAllocator, SwitchAllocator, WavefrontAllocator,
+    Allocator, AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
+    PacketChainingAllocator, SeparableAllocator, WavefrontAllocator,
 };
 use vix_core::{GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
 use vix_telemetry::json;
@@ -81,7 +81,7 @@ fn build_trace(ports: usize, vcs: usize) -> Vec<RequestSet> {
 
 /// Fastest-sample ns per `allocate_into` call over the trace, with
 /// traversal feedback applied so stateful allocators run their real cycle.
-fn measure(build: &dyn Fn() -> Box<dyn SwitchAllocator>, trace: &[RequestSet]) -> f64 {
+fn measure(build: &dyn Fn() -> Allocator, trace: &[RequestSet]) -> f64 {
     let mut per_call_ns: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let mut alloc = build();
@@ -109,7 +109,7 @@ struct Config {
     allocator: &'static str,
     ports: usize,
     vcs: usize,
-    build: Box<dyn Fn() -> Box<dyn SwitchAllocator>>,
+    build: Box<dyn Fn() -> Allocator>,
 }
 
 fn config(
@@ -117,7 +117,7 @@ fn config(
     allocator: &'static str,
     ports: usize,
     vcs: usize,
-    build: impl Fn() -> Box<dyn SwitchAllocator> + 'static,
+    build: impl Fn() -> Allocator + 'static,
 ) -> Config {
     Config { shape, allocator, ports, vcs, build: Box::new(build) }
 }
@@ -136,23 +136,23 @@ fn configs() -> Vec<Config> {
     let fbfly = AllocatorConfig::new(16, VixPartition::even(4, 4).unwrap());
     let wide = AllocatorConfig::new(16, VixPartition::even(8, 8).unwrap());
     vec![
-        config("mesh-5p", "IF", 5, 6, move || Box::new(SeparableAllocator::new(mesh))),
-        config("mesh-5p", "VIX", 5, 6, move || Box::new(SeparableAllocator::new(mesh_vix))),
-        config("mesh-5p", "WF", 5, 6, move || Box::new(WavefrontAllocator::new(mesh))),
-        config("mesh-5p", "AP", 5, 6, move || Box::new(MaxMatchingAllocator::new(mesh))),
-        config("mesh-5p", "OF", 5, 6, move || Box::new(OutputFirstAllocator::new(mesh))),
-        config("mesh-5p", "PC", 5, 6, move || Box::new(PacketChainingAllocator::new(mesh))),
-        config("mesh-5p", "iSLIP-2", 5, 6, move || Box::new(IslipAllocator::new(mesh, 2))),
-        config("cmesh-8p", "IF", 8, 6, move || Box::new(SeparableAllocator::new(cmesh))),
-        config("cmesh-8p", "VIX", 8, 6, move || Box::new(SeparableAllocator::new(cmesh_vix))),
-        config("cmesh-8p", "WF", 8, 6, move || Box::new(WavefrontAllocator::new(cmesh))),
-        config("cmesh-8p", "AP", 8, 6, move || Box::new(MaxMatchingAllocator::new(cmesh))),
-        config("fbfly-64vi", "VIX", 16, 4, move || Box::new(SeparableAllocator::new(fbfly))),
-        config("fbfly-64vi", "WF-VIX", 16, 4, move || Box::new(WavefrontAllocator::new(fbfly))),
-        config("fbfly-64vi", "Ideal", 16, 4, move || Box::new(MaxMatchingAllocator::new(fbfly))),
-        config("wide-128vi", "VIX", 16, 8, move || Box::new(SeparableAllocator::new(wide))),
-        config("wide-128vi", "WF-VIX", 16, 8, move || Box::new(WavefrontAllocator::new(wide))),
-        config("wide-128vi", "Ideal", 16, 8, move || Box::new(MaxMatchingAllocator::new(wide))),
+        config("mesh-5p", "IF", 5, 6, move || Allocator::Separable(SeparableAllocator::new(mesh))),
+        config("mesh-5p", "VIX", 5, 6, move || Allocator::Separable(SeparableAllocator::new(mesh_vix))),
+        config("mesh-5p", "WF", 5, 6, move || Allocator::Wavefront(WavefrontAllocator::new(mesh))),
+        config("mesh-5p", "AP", 5, 6, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(mesh)))),
+        config("mesh-5p", "OF", 5, 6, move || Allocator::OutputFirst(OutputFirstAllocator::new(mesh))),
+        config("mesh-5p", "PC", 5, 6, move || Allocator::PacketChaining(Box::new(PacketChainingAllocator::new(mesh)))),
+        config("mesh-5p", "iSLIP-2", 5, 6, move || Allocator::Islip(Box::new(IslipAllocator::new(mesh, 2)))),
+        config("cmesh-8p", "IF", 8, 6, move || Allocator::Separable(SeparableAllocator::new(cmesh))),
+        config("cmesh-8p", "VIX", 8, 6, move || Allocator::Separable(SeparableAllocator::new(cmesh_vix))),
+        config("cmesh-8p", "WF", 8, 6, move || Allocator::Wavefront(WavefrontAllocator::new(cmesh))),
+        config("cmesh-8p", "AP", 8, 6, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(cmesh)))),
+        config("fbfly-64vi", "VIX", 16, 4, move || Allocator::Separable(SeparableAllocator::new(fbfly))),
+        config("fbfly-64vi", "WF-VIX", 16, 4, move || Allocator::Wavefront(WavefrontAllocator::new(fbfly))),
+        config("fbfly-64vi", "Ideal", 16, 4, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(fbfly)))),
+        config("wide-128vi", "VIX", 16, 8, move || Allocator::Separable(SeparableAllocator::new(wide))),
+        config("wide-128vi", "WF-VIX", 16, 8, move || Allocator::Wavefront(WavefrontAllocator::new(wide))),
+        config("wide-128vi", "Ideal", 16, 8, move || Allocator::MaxMatching(Box::new(MaxMatchingAllocator::new(wide)))),
     ]
 }
 

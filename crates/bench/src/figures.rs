@@ -2,12 +2,10 @@
 //! figure to stdout, asking the shared [`Paper`] for results.
 
 use crate::{network, pct, router_for, run, Paper};
-use vix_alloc::{
-    build_allocator, build_ideal_allocator, AllocatorConfig, SeparableAllocator, SwitchAllocator,
-};
+use vix_alloc::{build_allocator, Allocator, AllocatorConfig, MaxMatchingAllocator, SeparableAllocator};
 use vix_arbiter::ArbiterKind;
 use vix_core::{
-    AllocatorKind, PipelineKind, PortId, RequestSet, TopologyKind, VcId, VirtualInputs,
+    AllocatorKind, GrantSet, PipelineKind, PortId, RequestSet, TopologyKind, VcId, VirtualInputs,
     VixPartition,
 };
 use vix_delay::{allocator_delay, RouterDesign};
@@ -75,8 +73,9 @@ pub(crate) fn table3(_: &mut Paper) {
     }
 }
 
-fn show(label: &str, alloc: &mut dyn SwitchAllocator, reqs: &RequestSet) {
-    let grants = alloc.allocate(reqs);
+fn show(label: &str, alloc: &mut SeparableAllocator, reqs: &RequestSet) {
+    let mut grants = GrantSet::new();
+    alloc.allocate_into(reqs, &mut grants);
     print!("  {label}: {} flit(s) —", grants.len());
     for g in &grants {
         print!(" [{}:{} -> {}]", g.port, g.vc, g.out_port);
@@ -123,7 +122,8 @@ fn fig7_cell(topo: TopologyKind, kind: Option<AllocatorKind>) -> f64 {
         Some(kind) => build_allocator(kind, &router_for(topo, VCS, 1)),
         None => {
             let router = router_for(topo, VCS, 1).with_virtual_inputs(VirtualInputs::Ideal);
-            build_ideal_allocator(&router)
+            let ideal = MaxMatchingAllocator::new(AllocatorConfig::from_router(&router));
+            Allocator::MaxMatching(Box::new(ideal))
         }
     };
     SingleRouterHarness::new(alloc, radix, VCS, 2024).run(20_000).flits_per_cycle()
@@ -458,7 +458,7 @@ pub(crate) fn ablation_arbiter(paper: &mut Paper) {
     }
     let rates = parallel_map(paper.jobs, &grid, |_, &(groups, _, arb)| {
         let cfg = AllocatorConfig::new(5, VixPartition::even(6, groups).unwrap()).with_arbiter(arb);
-        let mut h = SingleRouterHarness::new(Box::new(SeparableAllocator::new(cfg)), 5, 6, 99);
+        let mut h = SingleRouterHarness::new(Allocator::Separable(SeparableAllocator::new(cfg)), 5, 6, 99);
         h.run(20_000).flits_per_cycle()
     });
     for (&(_, label, arb), t) in grid.iter().zip(&rates) {

@@ -358,9 +358,8 @@ impl RequestBits {
     ///
     /// Panics in debug builds if `out` is out of range (hot-accessor
     /// `debug_assert` convention).
-    #[inline]
-    #[must_use]
-    pub fn requesters(&self, speculative: bool, out: PortId) -> &[u64] {
+    #[cfg(test)]
+    fn requesters(&self, speculative: bool, out: PortId) -> &[u64] {
         debug_assert!(out.0 < self.ports, "out {out} out of range (ports = {})", self.ports);
         let start = self.requesters_at + self.row_start(speculative, out.0);
         &self.words[start..start + self.port_words]

@@ -615,6 +615,9 @@ impl SimConfig {
     /// Returns the first violated constraint as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.network.router.validate()?;
+        if self.network.allocator == AllocatorKind::Islip(0) {
+            return Err(ConfigError::ZeroIslipIterations);
+        }
         if self.network.nodes > 1 << 16 {
             return Err(ConfigError::TooManyNodes { nodes: self.network.nodes });
         }
@@ -738,6 +741,8 @@ mod tests {
             SimConfig::new(net, 0.05).with_packet_len(0).validate(),
             Err(ConfigError::ZeroPacketLength)
         );
+        let islip0 = NetworkConfig { allocator: AllocatorKind::Islip(0), ..net };
+        assert_eq!(SimConfig::new(islip0, 0.05).validate(), Err(ConfigError::ZeroIslipIterations));
         // The widest shapes a flit's 16-bit destination and index address.
         let rate = 1e-6;
         assert_eq!(SimConfig::new(net, rate).with_packet_len(65_535).validate(), Ok(()));

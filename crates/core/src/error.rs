@@ -59,6 +59,8 @@ pub enum ConfigError {
     },
     /// Packet length must be at least one flit.
     ZeroPacketLength,
+    /// An iSLIP allocator must run at least one iteration.
+    ZeroIslipIterations,
     /// Flits number their position with 16 bits: at most 65 535 per packet.
     PacketTooLong {
         /// Offending packet length.
@@ -105,6 +107,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "injection rate must lie in [0, 1] flits/cycle/node, got {rate}")
             }
             ConfigError::ZeroPacketLength => write!(f, "packet length must be at least one flit"),
+            ConfigError::ZeroIslipIterations => write!(f, "iSLIP needs at least one iteration"),
             ConfigError::PacketTooLong { flits } => write!(f, "packet length must be at most 65535 flits, got {flits}"),
             ConfigError::BadTrafficPattern { pattern, nodes, requirement } => {
                 write!(f, "{pattern} traffic cannot run on {nodes} nodes: {requirement}")

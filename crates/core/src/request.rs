@@ -178,7 +178,7 @@ impl RequestSet {
     }
 
     /// Iterator over the requests from one input port, in VC order.
-    pub fn requests_from(&self, port: PortId) -> impl Iterator<Item = SwitchRequest> + '_ {
+    fn requests_from(&self, port: PortId) -> impl Iterator<Item = SwitchRequest> + '_ {
         (0..self.vcs).filter_map(move |v| self.get(port, VcId(v)))
     }
 
@@ -293,10 +293,8 @@ impl GrantSet {
     }
 
     /// Empties the set, retaining its allocation. Pairing `clear` with
-    /// [`SwitchAllocator::allocate_into`]-style refills is the hot loop's
+    /// refills like `vix_alloc::Allocator::allocate_into` is the hot loop's
     /// reuse contract: after warmup the backing `Vec` never grows again.
-    ///
-    /// [`SwitchAllocator::allocate_into`]: ../../vix_alloc/trait.SwitchAllocator.html#method.allocate_into
     pub fn clear(&mut self) {
         self.grants.clear();
     }

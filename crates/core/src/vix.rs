@@ -135,7 +135,8 @@ impl VixPartition {
     }
 
     /// Iterator over all sub-group ids.
-    pub fn group_ids(&self) -> impl Iterator<Item = VirtualInputId> {
+    #[cfg(test)]
+    fn group_ids(&self) -> impl Iterator<Item = VirtualInputId> {
         (0..self.groups).map(VirtualInputId)
     }
 }

@@ -32,8 +32,8 @@ impl Benchmark {
     }
 
     /// L2 misses per kilo-instruction (requests that continue to memory).
-    #[must_use]
-    pub fn l2_mpki(&self) -> f64 {
+    #[cfg(test)]
+    fn l2_mpki(&self) -> f64 {
         self.total_mpki - self.l1_mpki()
     }
 

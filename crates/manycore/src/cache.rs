@@ -44,8 +44,8 @@ impl SetAssocCache {
     }
 
     /// Number of sets.
-    #[must_use]
-    pub fn num_sets(&self) -> usize {
+    #[cfg(test)]
+    fn num_sets(&self) -> usize {
         self.sets.len()
     }
 
@@ -53,12 +53,6 @@ impl SetAssocCache {
     #[must_use]
     pub fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// Total accesses so far.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Total misses so far.

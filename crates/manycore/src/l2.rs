@@ -52,7 +52,7 @@ impl L2Bank {
     /// Creates a bank with explicit geometry (capacity in bytes, ways,
     /// lookup latency in cycles, MSHR entries).
     #[must_use]
-    pub fn with_geometry(node: NodeId, capacity: usize, ways: usize, latency: u64, mshrs: usize) -> Self {
+    fn with_geometry(node: NodeId, capacity: usize, ways: usize, latency: u64, mshrs: usize) -> Self {
         L2Bank {
             node,
             cache: SetAssocCache::new(capacity, ways, 64),

@@ -38,7 +38,7 @@ impl MemoryController {
     ///
     /// Panics if `max_outstanding` is zero.
     #[must_use]
-    pub fn with_parameters(node: NodeId, latency: u64, max_outstanding: usize, reply_gap: u64) -> Self {
+    fn with_parameters(node: NodeId, latency: u64, max_outstanding: usize, reply_gap: u64) -> Self {
         assert!(max_outstanding > 0, "controller needs at least one slot");
         MemoryController {
             node,
@@ -65,8 +65,8 @@ impl MemoryController {
     }
 
     /// Requests currently queued or in flight.
-    #[must_use]
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.in_flight.len() + self.backlog.len()
     }
 

@@ -44,8 +44,8 @@ impl MshrFile {
     }
 
     /// True when no fill can be started for a new block.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
+    #[cfg(test)]
+    fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
 

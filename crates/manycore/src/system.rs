@@ -75,8 +75,8 @@ impl SystemResult {
 
     /// Mean IPC per benchmark, in first-appearance order — the per-app
     /// view behind Table 4's system speedups.
-    #[must_use]
-    pub fn ipc_by_benchmark(&self) -> Vec<(&'static str, f64)> {
+    #[cfg(test)]
+    fn ipc_by_benchmark(&self) -> Vec<(&'static str, f64)> {
         let mut order: Vec<&'static str> = Vec::new();
         let mut sums: std::collections::HashMap<&'static str, (f64, usize)> = Default::default();
         for (name, ipc) in self.per_core_benchmark.iter().zip(&self.per_core_ipc) {

@@ -284,8 +284,8 @@ impl InputVcs {
     }
 
     /// Total buffered flits in one port's VCs.
-    #[must_use]
-    pub fn port_occupancy(&self, port: PortId) -> usize {
+    #[cfg(test)]
+    fn port_occupancy(&self, port: PortId) -> usize {
         debug_assert!(port.0 < self.ports, "input port {port} out of range");
         self.len[port.0 * self.vcs..(port.0 + 1) * self.vcs]
             .iter()

@@ -76,8 +76,8 @@ impl OutputVcs {
     }
 
     /// Free flit slots in the downstream buffer behind `(port, vc)`.
-    #[must_use]
-    pub fn credits(&self, port: PortId, vc: VcId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn credits(&self, port: PortId, vc: VcId) -> usize {
         self.credits[self.idx(port, vc)]
     }
 

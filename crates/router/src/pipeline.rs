@@ -5,7 +5,7 @@ use crate::input::InputVcs;
 use crate::output::OutputVcs;
 use crate::vc_alloc::{select_output_vc, VcAllocPolicy};
 use crate::RouterEnv;
-use vix_alloc::SwitchAllocator;
+use vix_alloc::Allocator;
 use vix_core::bits::{set_bit, test_bit, words_for};
 use vix_core::{
     ActivityCounters, Cycle, Flit, Grant, GrantSet, PipelineKind, PortId, RequestSet, RouterConfig,
@@ -48,7 +48,7 @@ pub struct Router {
     /// `cfg.partition()`, derived once (building it divides).
     partition: VixPartition,
     env: RouterEnv,
-    allocator: Box<dyn SwitchAllocator>,
+    allocator: Allocator,
     /// Input-side VC state, structure-of-arrays over `(port, vc)`.
     inputs: InputVcs,
     /// Output-side credit/allocation state, structure-of-arrays over
@@ -136,12 +136,7 @@ impl Router {
     /// Panics if the configuration is invalid or the environment tables do
     /// not match the port count.
     #[must_use]
-    pub fn new(
-        id: RouterId,
-        cfg: RouterConfig,
-        allocator: Box<dyn SwitchAllocator>,
-        env: RouterEnv,
-    ) -> Self {
+    pub fn new(id: RouterId, cfg: RouterConfig, allocator: Allocator, env: RouterEnv) -> Self {
         cfg.validate().expect("router config must be valid");
         assert_eq!(env.port_dims.len(), cfg.ports(), "dimension table size mismatch");
         assert_eq!(env.sink_ports.len(), cfg.ports(), "sink table size mismatch");
@@ -190,12 +185,6 @@ impl Router {
         &self.cfg
     }
 
-    /// Name of the switch allocation scheme in use.
-    #[must_use]
-    pub fn allocator_name(&self) -> &'static str {
-        self.allocator.name()
-    }
-
     /// Activity counters accumulated since construction.
     #[must_use]
     pub fn activity(&self) -> &ActivityCounters {
@@ -203,10 +192,10 @@ impl Router {
     }
 
     /// Matching-efficiency record of the switch allocator (see
-    /// [`vix_alloc::SwitchAllocator::matching_stats`]).
+    /// [`Allocator::matching_stats`]).
     #[must_use]
     pub fn matching_summary(&self) -> MatchingSummary {
-        self.allocator.matching_summary()
+        self.allocator.matching_stats().summary()
     }
 
     /// Buffered flits in input VC `(port, vc)`.
@@ -216,8 +205,8 @@ impl Router {
     }
 
     /// Credits available on output `(port, vc)`.
-    #[must_use]
-    pub fn output_credits(&self, port: PortId, vc: VcId) -> usize {
+    #[cfg(test)]
+    fn output_credits(&self, port: PortId, vc: VcId) -> usize {
         self.outputs.credits(port, vc)
     }
 
@@ -257,7 +246,7 @@ impl Router {
     /// it in exactly the state `n` empty [`Router::step_into`] calls would
     /// have produced: the VA fairness pointer rotates, the cycle counter
     /// advances, and the allocator replays its own empty-cycle drift via
-    /// [`vix_alloc::SwitchAllocator::note_idle_cycles`]. Everything else an
+    /// [`Allocator::note_idle_cycles`]. Everything else an
     /// empty step touches (request/grant scratch, RC bitset) is
     /// rebuilt from scratch at the start of the next real step.
     pub fn note_idle_cycles(&mut self, n: u64) {
@@ -316,7 +305,7 @@ impl Router {
     /// credit allows. A three-stage router holding exactly one occupied VC
     /// takes the light step instead: it visits that VC alone and hands its
     /// request, if any, straight to
-    /// [`SwitchAllocator::allocate_one`] (DESIGN.md §6d).
+    /// [`Allocator::allocate_one`] (DESIGN.md §6d).
     ///
     /// All per-cycle working state (request/grant sets, RC bitset, the
     /// allocator's scratch) is owned and reused, so a steady-state call

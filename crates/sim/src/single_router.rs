@@ -12,7 +12,7 @@
 
 use vix_rng::rngs::StdRng;
 use vix_rng::{Rng, SeedableRng};
-use vix_alloc::SwitchAllocator;
+use vix_alloc::Allocator;
 use vix_core::{GrantSet, PortId, RequestSet, VcId};
 
 /// Result of one harness run.
@@ -39,7 +39,7 @@ impl SingleRouterResult {
 /// A saturated single router driving one switch allocator.
 #[derive(Debug)]
 pub struct SingleRouterHarness {
-    allocator: Box<dyn SwitchAllocator>,
+    allocator: Allocator,
     ports: usize,
     vcs: usize,
     /// Head-of-line output request per (port, vc).
@@ -55,17 +55,11 @@ impl SingleRouterHarness {
     ///
     /// Panics if `ports < 2` or `vcs == 0`.
     #[must_use]
-    pub fn new(allocator: Box<dyn SwitchAllocator>, ports: usize, vcs: usize, seed: u64) -> Self {
+    pub fn new(allocator: Allocator, ports: usize, vcs: usize, seed: u64) -> Self {
         assert!(ports >= 2 && vcs >= 1, "harness needs a real router shape");
         let mut rng = StdRng::seed_from_u64(seed);
         let hol = (0..ports * vcs).map(|_| PortId(rng.gen_range(0..ports))).collect();
         SingleRouterHarness { allocator, ports, vcs, hol, rng }
-    }
-
-    /// Name of the allocation scheme under test.
-    #[must_use]
-    pub fn allocator_name(&self) -> &'static str {
-        self.allocator.name()
     }
 
     /// Runs `cycles` saturated cycles and returns the flit count.
@@ -102,7 +96,7 @@ impl SingleRouterHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vix_alloc::{build_allocator, build_ideal_allocator};
+    use vix_alloc::{build_allocator, AllocatorConfig, MaxMatchingAllocator};
     use vix_core::{AllocatorKind, RouterConfig, VirtualInputs};
 
     fn throughput(kind: AllocatorKind, radix: usize) -> f64 {
@@ -139,7 +133,8 @@ mod tests {
     #[test]
     fn ideal_tops_everything() {
         let cfg = RouterConfig::paper_default(5).with_virtual_inputs(VirtualInputs::Ideal);
-        let mut ideal = SingleRouterHarness::new(build_ideal_allocator(&cfg), 5, 6, 11);
+        let alloc = MaxMatchingAllocator::new(AllocatorConfig::from_router(&cfg));
+        let mut ideal = SingleRouterHarness::new(Allocator::MaxMatching(Box::new(alloc)), 5, 6, 11);
         let ideal_t = ideal.run(4000).flits_per_cycle();
         for kind in [AllocatorKind::InputFirst, AllocatorKind::Wavefront, AllocatorKind::Vix] {
             let t = throughput(kind, 5);

@@ -66,9 +66,10 @@ fn current_level() -> u8 {
     LEVEL.load(Ordering::Relaxed)
 }
 
-/// Overrides the level programmatically (tests, `--verbose`-style
-/// flags). Takes precedence over `VIX_LOG` from then on.
-pub fn set_level(level: Option<LogLevel>) {
+/// Overrides the level programmatically. Takes precedence over `VIX_LOG`
+/// from then on.
+#[cfg(test)]
+fn set_level(level: Option<LogLevel>) {
     LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
 }
 

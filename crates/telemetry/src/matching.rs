@@ -67,7 +67,7 @@ impl MatchingSummary {
 
     /// Fraction of offered requests that survive input arbitration.
     #[must_use]
-    pub fn survival_rate(&self) -> f64 {
+    fn survival_rate(&self) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
@@ -77,7 +77,7 @@ impl MatchingSummary {
 
     /// Mean grants per non-empty allocation cycle.
     #[must_use]
-    pub fn grants_per_cycle(&self) -> f64 {
+    fn grants_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
@@ -88,7 +88,7 @@ impl MatchingSummary {
     /// Fraction of virtual inputs granted per non-empty cycle — the
     /// VIX-specific virtual-input utilization.
     #[must_use]
-    pub fn virtual_input_utilization(&self) -> f64 {
+    fn virtual_input_utilization(&self) -> f64 {
         let slots = self.cycles * self.virtual_inputs;
         if slots == 0 {
             0.0

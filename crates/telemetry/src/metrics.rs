@@ -109,8 +109,8 @@ impl MetricsRegistry {
     }
 
     /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
+    #[cfg(test)]
+    fn inc(&mut self, id: CounterId) {
         self.add(id, 1);
     }
 

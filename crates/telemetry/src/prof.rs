@@ -166,7 +166,7 @@ impl PhaseSlot {
 
     /// Mean span duration in nanoseconds (0 when empty).
     #[must_use]
-    pub fn mean_ns(&self) -> f64 {
+    fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -283,7 +283,7 @@ impl TrackProf {
 
 /// Human-readable name for a track id.
 #[must_use]
-pub fn track_name(track: u32) -> String {
+fn track_name(track: u32) -> String {
     if track == ENGINE_TRACK {
         "engine".to_string()
     } else {
@@ -357,7 +357,7 @@ impl SimHealth {
     /// The snapshot as one JSONL line (no trailing newline). The key
     /// set is pinned by `tests/telemetry_schema.rs`.
     #[must_use]
-    pub fn to_jsonl_line(&self) -> String {
+    fn to_jsonl_line(&self) -> String {
         let mut line = format!(
             "{{\"cycle\":{},\"wall_ns\":{},\"interval_cycles\":{},\"cycles_per_sec\":{:.1},\
              \"router_steps\":{},\"active_routers_avg\":{:.2},\"wake_depth\":{},\
@@ -647,7 +647,8 @@ impl Profiler {
         Ok(())
     }
 
-    /// Writes every heartbeat as JSONL (see [`SimHealth::to_jsonl_line`]).
+    /// Writes every heartbeat as JSONL, one line per heartbeat; the key set
+    /// is pinned by `tests/telemetry_schema.rs`.
     ///
     /// # Errors
     ///
@@ -786,7 +787,7 @@ pub struct PhaseBreakdown {
 impl PhaseBreakdown {
     /// Total nanoseconds across every phase and track.
     #[must_use]
-    pub fn accounted_ns(&self) -> u64 {
+    fn accounted_ns(&self) -> u64 {
         self.totals.iter().map(|s| s.total_ns).sum()
     }
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example allocator_showdown`
 
-use vix::alloc::{build_allocator, build_ideal_allocator};
+use vix::alloc::{AllocatorConfig, MaxMatchingAllocator};
 use vix::delay::allocator_delay;
 use vix::prelude::*;
 use vix::{RouterConfig, VirtualInputs};
@@ -33,7 +33,8 @@ fn main() -> Result<(), ConfigError> {
         println!("  {:<6} {:>5.2} flits/cycle   circuit: {}", kind.label(), flits, delay);
     }
     let ideal_router = RouterConfig::paper_default(5).with_virtual_inputs(VirtualInputs::Ideal);
-    let mut ideal = SingleRouterHarness::new(build_ideal_allocator(&ideal_router), 5, 6, 7);
+    let ideal_alloc = MaxMatchingAllocator::new(AllocatorConfig::from_router(&ideal_router));
+    let mut ideal = SingleRouterHarness::new(Allocator::MaxMatching(Box::new(ideal_alloc)), 5, 6, 7);
     println!("  {:<6} {:>5.2} flits/cycle   circuit: n/a (upper bound)", "Ideal", ideal.run(10_000).flits_per_cycle());
 
     // --- Level 2: the full 64-node mesh at high load.

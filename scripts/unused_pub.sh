@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Unused public surface of the simulator: fails when a `pub fn` under
-# crates/sim/src is named in no Rust file outside the one defining it.
+# Unused public surface of the crates: fails when a `pub fn` under
+# crates/*/src is named in no Rust file outside the one defining it.
 # The search covers every .rs file under crates, src, tests, examples and
 # benchmark/src, so a function only its own file (or its own unit tests)
 # calls is reported. Names are matched as whole words, so a namesake
@@ -24,7 +24,7 @@ while read -r name reason; do
 done < <(grep -vE '^[[:space:]]*(#|$)' "$allow")
 
 unused=()
-for file in $(find crates/sim/src -name '*.rs' | sort); do
+for file in $(find crates/*/src -name '*.rs' | sort); do
     for name in $(grep -oE '^[[:space:]]*pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' "$file" \
         | sed -E 's/.*fn //' | sort -u); do
         if ! grep -rlw --include='*.rs' -e "$name" crates src tests examples benchmark/src \
@@ -46,6 +46,6 @@ while read -r name _; do
 done < <(grep -vE '^[[:space:]]*(#|$)' "$allow")
 
 if [[ $status -eq 0 ]]; then
-    echo "unused pub: every pub fn in crates/sim/src is used outside its file (${#unused[@]} allowlisted)"
+    echo "unused pub: every pub fn in crates/*/src is used outside its file (${#unused[@]} allowlisted)"
 fi
 exit $status

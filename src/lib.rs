@@ -61,7 +61,7 @@ pub use vix_core::{
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
-    pub use vix_alloc::{build_allocator, SwitchAllocator};
+    pub use vix_alloc::{build_allocator, Allocator};
     pub use vix_core::{
         AllocatorKind, ConfigError, NetworkConfig, RouterConfig, SimConfig, TelemetrySettings,
         TopologyKind, VirtualInputs,

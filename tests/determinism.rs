@@ -145,6 +145,7 @@ fn grant_trace_hash(kind: vix::AllocatorKind) -> u64 {
     let mut alloc = build_allocator(kind, &router);
     let mut rng = StdRng::seed_from_u64(0x51C4_B0A7);
     let mut requests = RequestSet::new(PORTS, VCS);
+    let mut grants = vix::core::GrantSet::new();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for cycle in 0..500u64 {
         requests.clear();
@@ -161,7 +162,7 @@ fn grant_trace_hash(kind: vix::AllocatorKind) -> u64 {
                 }
             }
         }
-        let grants = alloc.allocate(&requests);
+        alloc.allocate_into(&requests, &mut grants);
         grants.validate_against(&requests, alloc.partition()).expect("grants must be legal");
         fnv1a(&mut h, cycle);
         for g in grants.iter() {

@@ -19,8 +19,7 @@
 //!   and its output unmatched.
 
 use vix::alloc::{
-    build_ideal_allocator, AllocatorConfig, MaxMatchingAllocator, SeparableAllocator, SwitchAllocator,
-    WavefrontAllocator,
+    Allocator, AllocatorConfig, MaxMatchingAllocator, SeparableAllocator, WavefrontAllocator,
 };
 use vix::core::{GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
 use vix::{RouterConfig, VirtualInputs};
@@ -122,7 +121,7 @@ fn separable_allocators_serve_every_championed_output_on_every_3x2_request_set()
 /// each set's grants validated against `partition` and handed to `check`
 /// with a context string for its failure messages.
 fn for_every_set(
-    alloc: &mut dyn SwitchAllocator,
+    alloc: &mut Allocator,
     partition: &VixPartition,
     mut check: impl FnMut(&RequestSet, &GrantSet, &str),
 ) {
@@ -160,7 +159,8 @@ fn vc_masks(set: &RequestSet) -> Vec<u32> {
 #[test]
 fn augmenting_path_grants_a_maximum_port_matching_on_every_3x2_request_set() {
     let partition = VixPartition::baseline(VCS);
-    let mut ap = MaxMatchingAllocator::new(AllocatorConfig::new(PORTS, partition));
+    let ap = MaxMatchingAllocator::new(AllocatorConfig::new(PORTS, partition));
+    let mut ap = Allocator::MaxMatching(Box::new(ap));
     for_every_set(&mut ap, &partition, |set, grants, ctx| {
         // A port may take any output one of its VCs requests.
         let ports: Vec<u32> = vc_masks(set).chunks(VCS).map(|vcs| vcs.iter().fold(0, |m, v| m | v)).collect();
@@ -172,8 +172,9 @@ fn augmenting_path_grants_a_maximum_port_matching_on_every_3x2_request_set() {
 fn ideal_allocator_grants_a_maximum_vc_matching_on_every_3x2_request_set() {
     let router = RouterConfig::new(PORTS, VCS, 5).with_virtual_inputs(VirtualInputs::Ideal);
     let partition = router.partition().expect("valid router");
-    let mut ideal = build_ideal_allocator(&router);
-    for_every_set(ideal.as_mut(), &partition, |set, grants, ctx| {
+    let ideal = MaxMatchingAllocator::new(AllocatorConfig::from_router(&router));
+    let mut ideal = Allocator::MaxMatching(Box::new(ideal));
+    for_every_set(&mut ideal, &partition, |set, grants, ctx| {
         assert_eq!(grants.len(), max_matching(&vc_masks(set), 0), "{ctx}");
     });
 }
@@ -181,7 +182,7 @@ fn ideal_allocator_grants_a_maximum_vc_matching_on_every_3x2_request_set() {
 #[test]
 fn wavefront_matching_is_maximal_on_every_3x2_request_set() {
     let partition = VixPartition::baseline(VCS);
-    let mut wf = WavefrontAllocator::new(AllocatorConfig::new(PORTS, partition));
+    let mut wf = Allocator::Wavefront(WavefrontAllocator::new(AllocatorConfig::new(PORTS, partition)));
     for_every_set(&mut wf, &partition, |set, grants, ctx| {
         for r in set.active_requests() {
             let input_free = grants.count_for_input(r.port) == 0;

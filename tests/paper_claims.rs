@@ -2,7 +2,7 @@
 //! network runs: circuit delays (Tables 1 and 3), single-router
 //! allocation efficiency (Fig. 7), and the energy model (Fig. 11).
 
-use vix::alloc::{build_allocator, build_ideal_allocator};
+use vix::alloc::{build_allocator, Allocator, AllocatorConfig, MaxMatchingAllocator};
 use vix::delay::{allocator_delay, RouterDesign};
 use vix::power::{EnergyBreakdown, EnergyModel};
 use vix::prelude::*;
@@ -57,7 +57,8 @@ fn fig7_single_router_efficiency_ordering() {
         assert!(ap > fi * 1.30, "radix {radix}: AP {ap:.2} vs IF {fi:.2}");
 
         let ideal_router = RouterConfig::paper_default(radix).with_virtual_inputs(VirtualInputs::Ideal);
-        let ideal = SingleRouterHarness::new(build_ideal_allocator(&ideal_router), radix, 6, 1)
+        let ideal_alloc = MaxMatchingAllocator::new(AllocatorConfig::from_router(&ideal_router));
+        let ideal = SingleRouterHarness::new(Allocator::MaxMatching(Box::new(ideal_alloc)), radix, 6, 1)
             .run(8_000)
             .flits_per_cycle();
         assert!(ideal >= ap * 0.995, "ideal must top AP");

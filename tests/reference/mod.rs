@@ -30,7 +30,7 @@
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-use vix::alloc::{build_allocator, SwitchAllocator};
+use vix::alloc::{build_allocator, Allocator};
 use vix::core::{GrantSet, RequestSet, SwitchRequest};
 use vix::sim::{CREDIT_LATENCY, FLIT_LATENCY};
 use vix::telemetry::MatchingSummary;
@@ -143,7 +143,7 @@ struct RefRouter {
     sink: Vec<bool>,
     /// Where the next cycle's VC allocation starts its cyclic scan.
     va_start: usize,
-    alloc: Box<dyn SwitchAllocator>,
+    alloc: Allocator,
     activity: ActivityCounters,
 }
 
@@ -152,7 +152,7 @@ struct RefRouter {
 type Sent = (Vec<(usize, FatFlit)>, Vec<(usize, usize)>);
 
 impl RefRouter {
-    fn new(shape: &Shape, sink: Vec<bool>, alloc: Box<dyn SwitchAllocator>) -> Self {
+    fn new(shape: &Shape, sink: Vec<bool>, alloc: Allocator) -> Self {
         let n = shape.ports * shape.vcs;
         RefRouter {
             inputs: (0..n).map(|_| InputVc::default()).collect(),
@@ -588,7 +588,7 @@ impl ReferenceNet {
     pub fn matching_summary(&self) -> MatchingSummary {
         let mut total = MatchingSummary::default();
         for r in &self.routers {
-            total.merge(&r.alloc.matching_summary());
+            total.merge(&r.alloc.matching_stats().summary());
         }
         total
     }

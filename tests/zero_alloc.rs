@@ -316,10 +316,11 @@ fn network_build_footprint_is_pinned() {
     // at 3 536 (bytes 770 045) while every link had its own pipe ring (two
     // blocks each for 224 flit, 320 credit and 64 injection links) and
     // every router a `Vec` of them, before in-flight items moved onto the
-    // scheduler's two timing wheels, and at 2 260 (bytes 642 045) while
-    // every router kept its own copy of the network's two port tables.
-    const BUILD_ALLOCATIONS: u64 = 2_134;
-    const BUILD_BYTES: u64 = 638_901;
+    // scheduler's two timing wheels, at 2 260 (bytes 642 045) while
+    // every router kept its own copy of the network's two port tables, and
+    // at 2 134 (bytes 638 901) while every router boxed its allocator.
+    const BUILD_ALLOCATIONS: u64 = 2_070;
+    const BUILD_BYTES: u64 = 638_389;
     let network = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
     let cfg = SimConfig::new(network, 0.05).with_telemetry(TelemetrySettings::disabled());
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
