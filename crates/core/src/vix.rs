@@ -103,7 +103,7 @@ impl VixPartition {
 
     /// First flat VC index of one sub-group — the start of the
     /// `group_size()`-bit window the bitset allocator kernels carve out of
-    /// a [`RequestBits`](crate::bits::RequestBits) VC row with
+    /// a [`RequestSet`](crate::RequestSet) VC row with
     /// [`extract_range`](crate::bits::extract_range), which works for any
     /// VC width.
     ///

@@ -17,7 +17,10 @@
 //! lets those sweeps skip empty VCs entirely; at typical loads only a
 //! handful of a router's VCs hold flits. A second bitset marks the VCs
 //! whose head-of-line flit awaits VC allocation, so RC and VA run for
-//! those alone — about one in eight occupied VCs at saturation.
+//! those alone — about one in eight occupied VCs at saturation. A third,
+//! `ready`, marks the VCs bound to a downstream VC that holds a credit:
+//! `occupied & ready` is a step's non-speculative switch requests, with
+//! no per-VC visit (DESIGN.md §6d).
 
 use vix_core::bits::{clear_bit, set_bit, words_for};
 use vix_core::{Cycle, Flit, PortId, VcId};
@@ -28,6 +31,11 @@ const NO_VC: u8 = u8::MAX;
 /// Head-of-line timestamp of a VC whose head arrived into an empty buffer
 /// and has not yet been seen by a step.
 const UNSTAMPED: u64 = u64::MAX;
+
+/// Rows of [`InputVcs`]'s bitset allocation.
+const OCCUPIED: usize = 0;
+const WANTS_VA: usize = 1;
+const READY: usize = 2;
 
 /// All input virtual channels of a router: scalar registers in
 /// structure-of-arrays layout (flat index `port * vc_count + vc`), FIFO
@@ -43,11 +51,14 @@ pub struct InputVcs {
     head: Vec<u32>,
     /// Buffered flit count of each VC, `0 ..= depth`.
     len: Vec<u32>,
-    /// Occupancy bitset over flat VC indices: bit set ⇔ `len > 0`.
-    occupied: Vec<u64>,
-    /// Bit set ⇔ [`InputVcs::needs_va`], kept by `push` / `pop` /
-    /// `bind_out_vc` — the only operations that can change it.
-    wants_va: Vec<u64>,
+    /// Three bitsets over flat VC indices, `row_words` words each:
+    /// * occupied — bit set ⇔ `len > 0`;
+    /// * wants_va — bit set ⇔ [`InputVcs::needs_va`], kept by `push` /
+    ///   `pop` / `bind_out_vc`, the only operations that can change it;
+    /// * ready — bit set ⇔ the VC is bound and its downstream VC holds a
+    ///   credit, kept by `bind_out_vc`, `set_ready` and a tail's `pop`.
+    bits: Vec<u64>,
+    row_words: usize,
     /// Output VC (at the downstream router) assigned to the head-of-line
     /// packet by VC allocation; `NO_VC` while the HOL head flit awaits VA.
     out_vc: Vec<u8>,
@@ -81,8 +92,8 @@ impl InputVcs {
             slab: vec![Flit::default(); n * depth],
             head: vec![0; n],
             len: vec![0; n],
-            occupied: vec![0; words_for(n.max(1))],
-            wants_va: vec![0; words_for(n.max(1))],
+            bits: vec![0; 3 * words_for(n.max(1))],
+            row_words: words_for(n.max(1)),
             out_vc: vec![NO_VC; n],
             hol_since: vec![UNSTAMPED; n],
             rc_done: vec![false; n],
@@ -126,19 +137,57 @@ impl InputVcs {
         i * self.depth + pos
     }
 
+    /// Bitset row `row` (`OCCUPIED`, `WANTS_VA` or `READY`).
+    #[inline]
+    fn row(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.row_words..][..self.row_words]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        &mut self.bits[row * self.row_words..][..self.row_words]
+    }
+
     /// The occupancy bitset: bit `port * vc_count + vc` is set exactly
     /// when that VC buffers at least one flit. Sweeps over candidate VCs
     /// iterate its set bits instead of probing every `(port, vc)` pair.
+    #[inline]
     #[must_use]
     pub fn occupied_words(&self) -> &[u64] {
-        &self.occupied
+        self.row(OCCUPIED)
     }
 
     /// The VA-candidate bitset: bit `port * vc_count + vc` is set exactly
-    /// when [`InputVcs::needs_va`] holds for that VC.
+    /// when [`InputVcs::needs_va`] holds for that VC. Every candidate is
+    /// occupied.
+    #[inline]
     #[must_use]
     pub fn wants_va_words(&self) -> &[u64] {
-        &self.wants_va
+        self.row(WANTS_VA)
+    }
+
+    /// The ready bitset: bit `port * vc_count + vc` is set exactly when
+    /// the VC is bound ([`InputVcs::out_vc`]) and the downstream VC it is
+    /// bound to can take a flit — the router keeps it with
+    /// [`InputVcs::set_ready`] as credits cross zero. No VA candidate is
+    /// ready; an empty bound VC may be.
+    #[inline]
+    #[must_use]
+    pub fn ready_words(&self) -> &[u64] {
+        self.row(READY)
+    }
+
+    /// Sets or clears flat VC `flat`'s ready bit: the credit state of the
+    /// downstream VC it is bound to changed.
+    #[inline]
+    pub fn set_ready(&mut self, flat: usize, ready: bool) {
+        debug_assert!(!ready || self.out_vc[flat] != NO_VC, "an unbound VC cannot be ready");
+        let row = self.row_mut(READY);
+        if ready {
+            set_bit(row, flat);
+        } else {
+            clear_bit(row, flat);
+        }
     }
 
     /// Buffered flit count of one VC.
@@ -173,18 +222,20 @@ impl InputVcs {
         (bound != NO_VC).then_some(VcId(bound as usize))
     }
 
-    /// Binds the HOL packet to a downstream VC (VC allocation result).
+    /// Binds the HOL packet to a downstream VC (VC allocation result);
+    /// `ready` says whether that VC can take a flit now.
     ///
     /// # Panics
     ///
     /// Panics if `bound` does not fit the one-byte register (VC ids ≤ 254).
     #[inline]
-    pub fn bind_out_vc(&mut self, port: PortId, vc: VcId, bound: VcId) {
+    pub fn bind_out_vc(&mut self, port: PortId, vc: VcId, bound: VcId, ready: bool) {
         let i = self.idx(port, vc);
         debug_assert!(self.out_vc[i] == NO_VC, "rebinding an already-bound VC");
         assert!(bound.0 < NO_VC as usize, "VC id overflows the output-VC register");
         self.out_vc[i] = bound.0 as u8;
-        clear_bit(&mut self.wants_va, i);
+        clear_bit(self.row_mut(WANTS_VA), i);
+        self.set_ready(i, ready);
     }
 
     /// True when the HOL flit is a head awaiting VC allocation. The
@@ -212,18 +263,19 @@ impl InputVcs {
         let slot = self.slot(i, len);
         self.slab[slot] = flit;
         if len == 0 {
-            set_bit(&mut self.occupied, i);
+            set_bit(self.row_mut(OCCUPIED), i);
             self.hol_since[i] = UNSTAMPED;
             if flit.is_head() && self.out_vc[i] == NO_VC {
-                set_bit(&mut self.wants_va, i);
+                set_bit(self.row_mut(WANTS_VA), i);
             }
         }
         self.len[i] += 1;
     }
 
     /// Removes and returns the HOL flit (switch traversal at cycle `now`);
-    /// clears the output-VC binding when the packet's tail leaves, and the
-    /// flit left behind starts waiting at `now`.
+    /// clears the output-VC binding (and with it `ready`) when the
+    /// packet's tail leaves, and the flit left behind starts waiting at
+    /// `now`.
     ///
     /// # Panics
     ///
@@ -240,17 +292,18 @@ impl InputVcs {
         self.head[i] = head;
         self.len[i] -= 1;
         if self.len[i] == 0 {
-            clear_bit(&mut self.occupied, i);
+            clear_bit(self.row_mut(OCCUPIED), i);
         }
         // The flit left behind a tail is the next packet's head, unbound;
         // behind anything else sits the same packet's body, never a
         // candidate.
-        clear_bit(&mut self.wants_va, i);
+        clear_bit(self.row_mut(WANTS_VA), i);
         if flit.is_tail() {
             self.out_vc[i] = NO_VC;
             self.rc_done[i] = false;
+            clear_bit(self.row_mut(READY), i);
             if self.len[i] > 0 && self.slab[self.slot(i, 0)].is_head() {
-                set_bit(&mut self.wants_va, i);
+                set_bit(self.row_mut(WANTS_VA), i);
             }
         }
         self.hol_since[i] = now.0;
@@ -271,8 +324,8 @@ impl InputVcs {
 
     /// Cycles the head-of-line flit of an occupied VC has waited at the
     /// front by cycle `now`. A head that arrived into an empty VC starts
-    /// waiting at the first call, so the router asks for every occupied
-    /// VC on every step (its VA/request pass does).
+    /// waiting at the first call, so a router whose allocator reads ages
+    /// asks for every occupied VC on every step.
     #[inline]
     pub fn hol_age(&mut self, port: PortId, vc: VcId, now: Cycle) -> u64 {
         let i = self.idx(port, vc);
@@ -332,7 +385,7 @@ mod tests {
         assert!(!vcs.needs_va(P, V), "empty VC needs no VA");
         vcs.push(P, V, flit(2, 0));
         assert!(vcs.needs_va(P, V));
-        vcs.bind_out_vc(P, V, VcId(3));
+        vcs.bind_out_vc(P, V, VcId(3), true);
         assert!(!vcs.needs_va(P, V));
         assert_eq!(vcs.out_vc(P, V), Some(VcId(3)));
     }
@@ -342,7 +395,7 @@ mod tests {
     fn oversized_binding_rejected() {
         let mut vcs = InputVcs::new(1, 1, 5);
         vcs.push(P, V, flit(1, 0));
-        vcs.bind_out_vc(P, V, VcId(255));
+        vcs.bind_out_vc(P, V, VcId(255), true);
     }
 
     #[test]
@@ -350,7 +403,7 @@ mod tests {
         let mut vcs = InputVcs::new(1, 1, 5);
         vcs.push(P, V, flit(2, 0));
         vcs.push(P, V, flit(2, 1));
-        vcs.bind_out_vc(P, V, VcId(2));
+        vcs.bind_out_vc(P, V, VcId(2), true);
         vcs.pop(P, V, Cycle(0)); // head
         assert_eq!(vcs.out_vc(P, V), Some(VcId(2)), "binding persists for body/tail");
         vcs.pop(P, V, Cycle(0)); // tail
@@ -455,7 +508,7 @@ mod tests {
                         q.push(port, vc, flit(*len, *index));
                         *index += 1;
                     }
-                    1 if q.needs_va(port, vc) => q.bind_out_vc(port, vc, VcId(0)),
+                    1 if q.needs_va(port, vc) => q.bind_out_vc(port, vc, VcId(0), op % 2 == 0),
                     2 if !q.is_empty(port, vc) => drop(q.pop(port, vc, Cycle(op as u64))),
                     _ => continue,
                 }
@@ -505,7 +558,7 @@ mod tests {
         let mut vcs = InputVcs::new(3, 4, 5);
         vcs.push(PortId(2), VcId(3), flit(2, 0));
         vcs.push(PortId(1), VcId(0), flit(1, 0));
-        vcs.bind_out_vc(PortId(2), VcId(3), VcId(1));
+        vcs.bind_out_vc(PortId(2), VcId(3), VcId(1), false);
         vcs.mark_rc_done(PortId(1), VcId(0));
         assert_eq!(vcs.out_vc(PortId(2), VcId(3)), Some(VcId(1)));
         assert_eq!(vcs.out_vc(PortId(1), VcId(0)), None);

@@ -1,26 +1,32 @@
 //! Output-side state: downstream VC credit and allocation tracking in
 //! structure-of-arrays layout.
 //!
-//! Credits and allocation flags for every `(output port, downstream VC)`
+//! Credits and owner registers for every `(output port, downstream VC)`
 //! pair live in two flat parallel arrays; the per-port sink flag is its
 //! own array. The VC-allocation policy scans and the credit checks on the
 //! traversal path walk these arrays directly instead of chasing per-VC
-//! structs.
+//! structs. The owner register names the input VC a downstream VC is
+//! bound to, so a credit that crosses zero tells the router whose
+//! `ready` bit to flip (DESIGN.md §6d).
 
 use vix_core::{PortId, VcId};
+
+/// Owner register value of a downstream VC no packet holds.
+pub(crate) const NO_OWNER: u16 = u16::MAX;
 
 /// Credit/allocation state of every downstream virtual channel reachable
 /// from this router's output ports, structure-of-arrays: flat index
 /// `port * vc_count + vc` in each parallel array. A *sink* port (terminal
-/// ejection) always allocates and never exhausts credit.
+/// ejection) always allocates, never exhausts credit and records no owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputVcs {
     ports: usize,
     vcs: usize,
     /// Free flit slots in each downstream buffer.
     credits: Vec<usize>,
-    /// True while a packet holds the VC (head granted, tail not yet sent).
-    allocated: Vec<bool>,
+    /// The flat input VC (`port * vcs + vc`) whose packet holds the VC
+    /// (head bound, tail not yet sent), or `NO_OWNER`.
+    owner: Vec<u16>,
     /// Per-port: true for terminal ejection ports.
     sink: Vec<bool>,
 }
@@ -44,7 +50,7 @@ impl OutputVcs {
             ports,
             vcs,
             credits,
-            allocated: vec![false; ports * vcs],
+            owner: vec![NO_OWNER; ports * vcs],
             sink: sink_ports.to_vec(),
         }
     }
@@ -81,18 +87,25 @@ impl OutputVcs {
         self.credits[self.idx(port, vc)]
     }
 
-    /// The credit and allocation registers of every downstream VC of
-    /// `port`, indexed by VC.
+    /// The credit and owner registers of every downstream VC of `port`,
+    /// indexed by VC (`NO_OWNER` for a free VC).
     #[inline]
-    pub(crate) fn port_registers(&self, port: PortId) -> (&[usize], &[bool]) {
+    pub(crate) fn port_registers(&self, port: PortId) -> (&[usize], &[u16]) {
         let vcs = port.0 * self.vcs..(port.0 + 1) * self.vcs;
-        (&self.credits[vcs.clone()], &self.allocated[vcs])
+        (&self.credits[vcs.clone()], &self.owner[vcs])
+    }
+
+    /// The flat input VC whose packet holds `(port, vc)`, if any.
+    #[must_use]
+    pub fn owner(&self, port: PortId, vc: VcId) -> Option<usize> {
+        let owner = self.owner[self.idx(port, vc)];
+        (owner != NO_OWNER).then_some(owner.into())
     }
 
     /// True while a packet holds `(port, vc)`.
-    #[must_use]
-    pub fn is_allocated(&self, port: PortId, vc: VcId) -> bool {
-        self.allocated[self.idx(port, vc)]
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self, port: PortId, vc: VcId) -> bool {
+        self.owner(port, vc).is_some()
     }
 
     /// True when a flit may be sent into downstream VC `(port, vc)` right
@@ -103,21 +116,22 @@ impl OutputVcs {
         self.sink[port.0] || self.credits[self.idx(port, vc)] > 0
     }
 
-    /// Marks `(port, vc)` as held by a packet (VC allocation). No-op on
-    /// sinks.
+    /// Marks `(port, vc)` as held by the packet of flat input VC `owner`
+    /// (VC allocation). No-op on sinks.
     ///
     /// # Panics
     ///
     /// Panics if the VC is already allocated (double allocation is a VA
-    /// protocol bug).
+    /// protocol bug) or `owner` does not fit the register.
     #[inline]
-    pub fn allocate(&mut self, port: PortId, vc: VcId) {
+    pub fn allocate(&mut self, port: PortId, vc: VcId, owner: usize) {
         if self.sink[port.0] {
             return;
         }
         let i = self.idx(port, vc);
-        assert!(!self.allocated[i], "output VC {vc} double-allocated");
-        self.allocated[i] = true;
+        assert!(self.owner[i] == NO_OWNER, "output VC {vc} double-allocated");
+        assert!(owner < NO_OWNER.into(), "input VC {owner} overflows the owner register");
+        self.owner[i] = owner as u16;
     }
 
     /// Releases `(port, vc)` when the holding packet's tail traverses.
@@ -128,39 +142,41 @@ impl OutputVcs {
             return;
         }
         let i = self.idx(port, vc);
-        self.allocated[i] = false;
+        self.owner[i] = NO_OWNER;
     }
 
-    /// Consumes one credit as a flit departs through `(port, vc)`. No-op
-    /// on sinks.
+    /// Consumes one credit as a flit departs through `(port, vc)`, and
+    /// returns the owner when that was its last credit. No-op on sinks.
     ///
     /// # Panics
     ///
     /// Panics if no credit is available (flow-control bug).
     #[inline]
-    pub fn consume_credit(&mut self, port: PortId, vc: VcId) {
+    pub fn consume_credit(&mut self, port: PortId, vc: VcId) -> Option<usize> {
         if self.sink[port.0] {
-            return;
+            return None;
         }
         let i = self.idx(port, vc);
         assert!(self.credits[i] > 0, "credit underflow on output VC {vc}");
         self.credits[i] -= 1;
+        (self.credits[i] == 0 && self.owner[i] != NO_OWNER).then_some(self.owner[i].into())
     }
 
-    /// Returns one credit as the downstream buffer slot frees. No-op on
-    /// sinks.
+    /// Returns one credit as the downstream buffer slot frees, and returns
+    /// the owner when the VC had none left. No-op on sinks.
     ///
     /// # Panics
     ///
     /// Panics if the VC already holds `depth` credits (flow-control bug).
     #[inline]
-    pub fn return_credit(&mut self, port: PortId, vc: VcId, depth: usize) {
+    pub fn return_credit(&mut self, port: PortId, vc: VcId, depth: usize) -> Option<usize> {
         if self.sink[port.0] {
-            return;
+            return None;
         }
         let i = self.idx(port, vc);
         assert!(self.credits[i] < depth, "credit overflow on output VC {vc}");
         self.credits[i] += 1;
+        (self.credits[i] == 1 && self.owner[i] != NO_OWNER).then_some(self.owner[i].into())
     }
 }
 
@@ -170,6 +186,19 @@ mod tests {
 
     fn port_state(ports: usize, vcs: usize, depth: usize) -> OutputVcs {
         OutputVcs::new(ports, vcs, depth, &vec![false; ports])
+    }
+
+    #[test]
+    fn credits_crossing_zero_name_the_owner() {
+        let mut out = port_state(1, 2, 2);
+        let (p, v) = (PortId(0), VcId(1));
+        assert_eq!(out.consume_credit(p, v), None, "credits left");
+        assert_eq!(out.consume_credit(p, v), None, "no owner to tell");
+        assert_eq!(out.return_credit(p, v, 2), None, "no owner to tell");
+        out.allocate(p, v, 5);
+        assert_eq!(out.consume_credit(p, v), Some(5), "the last credit went");
+        assert_eq!(out.return_credit(p, v, 2), Some(5), "the first credit came back");
+        assert_eq!(out.return_credit(p, v, 2), None, "already sendable");
     }
 
     #[test]
@@ -206,8 +235,9 @@ mod tests {
         let mut out = port_state(1, 2, 3);
         let (p, v) = (PortId(0), VcId(1));
         assert!(!out.is_allocated(p, v));
-        out.allocate(p, v);
+        out.allocate(p, v, 7);
         assert!(out.is_allocated(p, v));
+        assert_eq!(out.owner(p, v), Some(7));
         out.release(p, v);
         assert!(!out.is_allocated(p, v));
     }
@@ -216,8 +246,8 @@ mod tests {
     #[should_panic(expected = "double-allocated")]
     fn double_allocation_detected() {
         let mut out = port_state(1, 1, 3);
-        out.allocate(PortId(0), VcId(0));
-        out.allocate(PortId(0), VcId(0));
+        out.allocate(PortId(0), VcId(0), 0);
+        out.allocate(PortId(0), VcId(0), 1);
     }
 
     #[test]
@@ -226,7 +256,7 @@ mod tests {
         // not alias across the flat arrays.
         let mut out = port_state(3, 2, 4);
         out.consume_credit(PortId(1), VcId(1));
-        out.allocate(PortId(2), VcId(0));
+        out.allocate(PortId(2), VcId(0), 3);
         assert_eq!(out.credits(PortId(1), VcId(1)), 3);
         assert_eq!(out.credits(PortId(1), VcId(0)), 4);
         assert_eq!(out.credits(PortId(2), VcId(1)), 4);
@@ -245,8 +275,8 @@ mod tests {
             out.consume_credit(p, v);
         }
         // Allocation on a sink is a no-op and never conflicts.
-        out.allocate(p, v);
-        out.allocate(p, v);
+        out.allocate(p, v, 0);
+        out.allocate(p, v, 1);
         assert!(!out.is_allocated(p, v));
     }
 }

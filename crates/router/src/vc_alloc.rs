@@ -1,7 +1,7 @@
 //! VC allocation policy, including the VIX dimension-aware sub-group
 //! assignment with load balancing (§2.3 of the paper).
 
-use crate::output::OutputVcs;
+use crate::output::{OutputVcs, NO_OWNER};
 use std::cmp::Reverse;
 use vix_core::{PortId, VcId, VixPartition};
 
@@ -50,7 +50,7 @@ pub fn select_output_vc(
     partition: &VixPartition,
     downstream_dim: usize,
 ) -> Option<VcId> {
-    let (credits, allocated) = outputs.port_registers(out);
+    let (credits, owners) = outputs.port_registers(out);
     // MaxCredits ranks the whole port as one sub-group with no preference.
     let (groups, size, preferred) = match policy {
         VcAllocPolicy::MaxCredits => (1, credits.len(), None),
@@ -70,7 +70,7 @@ pub fn select_output_vc(
         let mut load = 0; // allocated VCs of the sub-group
         let mut pick: Option<usize> = None;
         for v in group * size..(group + 1) * size {
-            if allocated[v] {
+            if owners[v] != NO_OWNER {
                 load += 1;
             } else if pick.is_none_or(|p| credits[v] > credits[p]) {
                 pick = Some(v);
@@ -128,13 +128,13 @@ mod tests {
     #[test]
     fn allocated_vcs_never_selected() {
         let mut port = port_with(2, 5);
-        port.allocate(OUT, VcId(0));
+        port.allocate(OUT, VcId(0), 0);
         let part = VixPartition::baseline(2);
         assert_eq!(
             select_output_vc(VcAllocPolicy::MaxCredits, &port, OUT, &part, 0),
             Some(VcId(1))
         );
-        port.allocate(OUT, VcId(1));
+        port.allocate(OUT, VcId(1), 1);
         assert_eq!(select_output_vc(VcAllocPolicy::MaxCredits, &port, OUT, &part, 0), None);
     }
 
@@ -154,8 +154,8 @@ mod tests {
     fn dimension_aware_falls_back_when_preferred_full() {
         let mut port = port_with(4, 5);
         let part = VixPartition::even(4, 2).unwrap();
-        port.allocate(OUT, VcId(0));
-        port.allocate(OUT, VcId(1)); // sub-group 0 exhausted
+        port.allocate(OUT, VcId(0), 0);
+        port.allocate(OUT, VcId(1), 1); // sub-group 0 exhausted
         let vc = select_output_vc(VcAllocPolicy::DimensionAware, &port, OUT, &part, 0).unwrap();
         assert_eq!(part.group_of(vc).0, 1, "must fall back to the other sub-group");
     }
@@ -164,7 +164,7 @@ mod tests {
     fn local_traffic_balances_load() {
         let mut port = port_with(4, 5);
         let part = VixPartition::even(4, 2).unwrap();
-        port.allocate(OUT, VcId(0)); // sub-group 0 carries one packet
+        port.allocate(OUT, VcId(0), 0); // sub-group 0 carries one packet
         let vc = select_output_vc(VcAllocPolicy::DimensionAware, &port, OUT, &part, 2).unwrap();
         assert_eq!(part.group_of(vc).0, 1, "local packet goes to the lighter sub-group");
     }
@@ -209,7 +209,7 @@ mod tests {
             let mut port = port_with(vcs, depth);
             for v in (0..vcs).map(VcId) {
                 if rng.gen_bool(0.4) {
-                    port.allocate(OUT, v);
+                    port.allocate(OUT, v, v.0);
                 }
                 for _ in 0..rng.gen_range(0..depth + 1) {
                     port.consume_credit(OUT, v);

@@ -202,7 +202,12 @@ pub struct SpanRing {
 
 impl SpanRing {
     fn new(cap: usize) -> Self {
-        SpanRing { buf: Vec::with_capacity(cap), cap, start: 0, dropped: 0 }
+        SpanRing { buf: Vec::with_capacity(cap), ..SpanRing::unallocated(cap) }
+    }
+
+    /// A ring of capacity `cap` that allocates as it fills.
+    fn unallocated(cap: usize) -> Self {
+        SpanRing { buf: Vec::new(), cap, start: 0, dropped: 0 }
     }
 
     fn push(&mut self, rec: SpanRecord) {
@@ -491,15 +496,21 @@ impl Profiler {
     /// with `shard`, that shard's live profiler: the copy takes its phase
     /// totals and the spans it retained since the last call. Shards are
     /// mirrored in index order from 0, the first call for each adding
-    /// its track; `shard` keeps counting, so its cumulative busy and
-    /// barrier time stays its own to report.
+    /// its track by adopting the shard's span ring whole (the shard
+    /// records on into an empty ring of the same capacity that grows only
+    /// as far as the spans of one interval between calls), so a track
+    /// keeps one full ring, not two. `shard` keeps counting, so its
+    /// cumulative busy and barrier time stays its own to report.
     ///
     /// # Panics
     ///
     /// Panics if `index` skips a shard that was never mirrored.
     pub fn mirror(&mut self, index: usize, shard: &mut Profiler) {
         if index == self.absorbed.len() {
-            self.absorbed.push(TrackProf::new(shard.own.track, shard.own.ring.cap));
+            let empty = SpanRing::unallocated(shard.own.ring.cap);
+            let ring = std::mem::replace(&mut shard.own.ring, empty);
+            self.absorbed.push(TrackProf { track: shard.own.track, slots: shard.own.slots, ring });
+            return;
         }
         let copy = &mut self.absorbed[index];
         copy.slots = shard.own.slots;
@@ -985,6 +996,33 @@ mod tests {
         assert_eq!(out.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count(), 4, "the latest spans");
         assert_eq!(engine.dropped_spans(), 5);
         assert_eq!(shard.own_busy_barrier_ns(), (b.per_track[0].busy_ns, b.per_track[0].barrier_ns));
+    }
+
+    #[test]
+    fn a_mirrored_track_keeps_one_full_ring() {
+        const CAP: usize = 64;
+        let mut engine = Profiler::new(ENGINE_TRACK, 16, 0, false);
+        let mut shard = Profiler::for_shard(0, engine.epoch(), CAP, 0, false);
+        let lap = |shard: &mut Profiler, cycles: std::ops::Range<u64>| {
+            for cycle in cycles {
+                let t = shard.start();
+                shard.lap(SpanKind::RouterStep, cycle, t);
+            }
+        };
+        lap(&mut shard, 0..100);
+        engine.mirror(0, &mut shard);
+        let retained = |p: &Profiler| p.own.ring.buf.capacity();
+        assert_eq!(engine.absorbed[0].ring.buf.capacity(), CAP, "the copy adopts the shard's ring");
+        assert_eq!(retained(&shard), 0, "the shard keeps no second full ring");
+        for round in 1..4 {
+            lap(&mut shard, round * 100..round * 100 + 5);
+            engine.mirror(0, &mut shard);
+            assert!(retained(&shard) < CAP, "the shard's ring grows only to one interval's spans");
+        }
+        assert_eq!(engine.absorbed[0].ring.len(), CAP);
+        assert_eq!(engine.dropped_spans(), 115 - CAP as u64);
+        let last: Vec<u64> = engine.absorbed[0].ring.iter().map(|r| r.cycle).skip(CAP - 5).collect();
+        assert_eq!(last, [300, 301, 302, 303, 304], "oldest first, newest last");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 # crates/*/src is named in no Rust file outside the one defining it.
 # The search covers every .rs file under crates, src, tests, examples and
 # benchmark/src, so a function only its own file (or its own unit tests)
-# calls is reported. Names are matched as whole words, so a namesake
-# elsewhere counts as a use: the check finds dead API, it does not prove
-# a name live.
+# calls is reported. Names are matched as whole words; a line elsewhere
+# that defines a namesake (`fn <name>`) is not a use, but a namesake
+# called elsewhere still counts as one: the check finds dead API, it does
+# not prove a name live.
 #
 # scripts/unused_pub.allow lists the deliberate exceptions, one per line:
 # the function name, whitespace, and why it stays public. An entry
@@ -27,8 +28,9 @@ unused=()
 for file in $(find crates/*/src -name '*.rs' | sort); do
     for name in $(grep -oE '^[[:space:]]*pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' "$file" \
         | sed -E 's/.*fn //' | sort -u); do
-        if ! grep -rlw --include='*.rs' -e "$name" crates src tests examples benchmark/src \
-            | grep -qvxF "$file"; then
+        if ! grep -rnw --include='*.rs' -e "$name" crates src tests examples benchmark/src \
+            | awk -v own="$file:" 'index($0, own) != 1' \
+            | grep -vE "^[^:]+:[0-9]+:.*\bfn[[:space:]]+$name\b" >/dev/null; then
             unused+=("$name")
             if ! grep -qE "^$name[[:space:]]" "$allow"; then
                 echo "unused pub: $file: pub fn $name is named in no other file" >&2

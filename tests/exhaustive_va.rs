@@ -50,7 +50,7 @@ impl PortState {
         let mut out = OutputVcs::new(1, VCS, DEPTH, &[false]);
         for v in 0..VCS {
             if self.allocated[v] {
-                out.allocate(OUT, VcId(v));
+                out.allocate(OUT, VcId(v), v);
             }
             for _ in self.credits[v]..DEPTH {
                 out.consume_credit(OUT, VcId(v));
