@@ -95,7 +95,7 @@ fn flavours() -> Vec<Flavour> {
     ]
 }
 
-/// Shapes that overflow a single 64-bit word somewhere in the bit-view —
+/// Shapes that overflow a single 64-bit word somewhere in the request rows —
 /// the configurations the bitset kernels used to reject outright:
 ///
 /// * radix-16 × 8 VC mesh shapes, up to the ideal partition's 128 virtual

@@ -679,7 +679,7 @@ mod tests {
 
     #[test]
     fn shapes_wider_than_one_word_validate() {
-        // The bit-view stores ceil(width / 64) words per row, so shapes
+        // Request rows store ceil(width / 64) words each, so shapes
         // past 64 ports, VCs, or crossbar inputs are all legal now.
         RouterConfig::new(65, 2, 5).validate().unwrap();
         // 33 ports × 2 virtual inputs = 66 crossbar inputs.
