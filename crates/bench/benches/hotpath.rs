@@ -7,6 +7,11 @@
 //! row more than 25 % slower than its recorded figure fails the run,
 //! after one noise retry) — `scripts/verify.sh` and CI run it.
 //!
+//! The figure `--check` judges is each row's `anchor_ratio`: its median
+//! ns per cycle over the median of the [`vix_bench::anchor_ns`]
+//! calibration loops timed between its samples, so a host's slow phase
+//! slows both sides alike (the `alloc_kernels` guard does the same).
+//!
 //! Every run also measures the engine self-profiler's overhead
 //! (DESIGN.md §7): the headline allocators are re-timed with profiling
 //! on in alternating slices against a profiler-off twin, the one-line
@@ -47,13 +52,18 @@ struct HotpathResult {
     nodes: usize,
     cycles_per_sec: f64,
     ns_per_cycle: f64,
+    /// `ns_per_cycle` over the median anchor timed between the samples.
+    anchor_ratio: f64,
 }
 
 /// Times `MEASURED_CYCLES` steady-state cycles of one configuration and
-/// returns the median cycles/sec across `SAMPLES` runs.
+/// returns the median cycles/sec across `SAMPLES` runs, each sample after
+/// one [`vix_bench::anchor_ns`].
 fn measure(kind: AllocatorKind, nodes: usize) -> HotpathResult {
+    let mut anchors = [0.0; SAMPLES];
     let mut per_cycle_ns: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
+        .map(|sample| {
+            anchors[sample] = vix_bench::anchor_ns();
             let mut net = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
             net.nodes = nodes;
             // Windows sized so the whole measurement stays in warmup: the
@@ -74,12 +84,14 @@ fn measure(kind: AllocatorKind, nodes: usize) -> HotpathResult {
         })
         .collect();
     per_cycle_ns.sort_by(|a, b| a.total_cmp(b));
+    anchors.sort_by(|a, b| a.total_cmp(b));
     let ns_per_cycle = per_cycle_ns[SAMPLES / 2];
     HotpathResult {
         allocator: kind.label(),
         nodes,
         cycles_per_sec: 1e9 / ns_per_cycle,
         ns_per_cycle,
+        anchor_ratio: ns_per_cycle / anchors[SAMPLES / 2],
     }
 }
 
@@ -227,8 +239,8 @@ fn run_matrix() -> Vec<HotpathResult> {
         .map(|&(kind, nodes)| {
             let r = measure(kind, nodes);
             println!(
-                "{:<14} nodes={:<3} {:>12.0} cycles/sec  ({:.0} ns/cycle)",
-                r.allocator, r.nodes, r.cycles_per_sec, r.ns_per_cycle
+                "{:<14} nodes={:<3} {:>12.0} cycles/sec  ({:.0} ns/cycle, {:.0}x anchor)",
+                r.allocator, r.nodes, r.cycles_per_sec, r.ns_per_cycle, r.anchor_ratio
             );
             r
         })
@@ -253,14 +265,16 @@ fn write_json(results: &[HotpathResult], overhead: &[OverheadRow]) {
     out.push_str(&format!("  \"warmup_cycles\": {WARMUP_CYCLES},\n"));
     out.push_str(&format!("  \"measured_cycles\": {MEASURED_CYCLES},\n"));
     out.push_str(&format!("  \"samples\": {SAMPLES},\n"));
+    out.push_str(&format!("  \"host\": \"{}\",\n", vix_bench::host()));
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"allocator\": \"{}\", \"mesh_nodes\": {}, \"cycles_per_sec\": {:.1}, \"ns_per_cycle\": {:.1}}}{}\n",
+            "    {{\"allocator\": \"{}\", \"mesh_nodes\": {}, \"cycles_per_sec\": {:.1}, \"ns_per_cycle\": {:.1}, \"anchor_ratio\": {:.1}}}{}\n",
             r.allocator,
             r.nodes,
             r.cycles_per_sec,
             r.ns_per_cycle,
+            r.anchor_ratio,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -283,9 +297,9 @@ fn write_json(results: &[HotpathResult], overhead: &[OverheadRow]) {
     vix_telemetry::info!("wrote {path}");
 }
 
-/// Reads `(allocator, mesh_nodes) -> cycles_per_sec` rows out of one of
-/// the two recorded-figure files.
-fn read_recorded(path: &str) -> Result<Vec<(String, usize, f64)>, String> {
+/// Reads `(allocator, mesh_nodes) -> field` rows out of one of the two
+/// recorded-figure files.
+fn read_recorded(path: &str, field: &str) -> Result<Vec<(String, usize, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let rows = doc
@@ -302,11 +316,11 @@ fn read_recorded(path: &str) -> Result<Vec<(String, usize, f64)>, String> {
                 .get("mesh_nodes")
                 .and_then(|n| n.as_f64())
                 .ok_or_else(|| format!("{path}: row without mesh_nodes"))?;
-            let rate = v
-                .get("cycles_per_sec")
+            let value = v
+                .get(field)
                 .and_then(|n| n.as_f64())
-                .ok_or_else(|| format!("{path}: row without cycles_per_sec"))?;
-            Ok((allocator.to_string(), nodes as usize, rate))
+                .ok_or_else(|| format!("{path}: row without {field}"))?;
+            Ok((allocator.to_string(), nodes as usize, value))
         })
         .collect()
 }
@@ -314,7 +328,7 @@ fn read_recorded(path: &str) -> Result<Vec<(String, usize, f64)>, String> {
 /// One-line speedup summary of `results` against the pre-ring-transport
 /// figures in `BENCH_hotpath_baseline.json`, if that file exists.
 fn print_baseline_delta(results: &[HotpathResult]) {
-    let Ok(baseline) = read_recorded(&baseline_json_path()) else {
+    let Ok(baseline) = read_recorded(&baseline_json_path(), "cycles_per_sec") else {
         return;
     };
     let mut deltas = Vec::new();
@@ -330,20 +344,20 @@ fn print_baseline_delta(results: &[HotpathResult]) {
     }
 }
 
-/// `--check`: compare a fresh run's rates against the checked-in JSON;
-/// exit non-zero if any row regressed past [`CHECK_TOLERANCE`].
+/// `--check`: compare a fresh run's anchor ratios against the checked-in
+/// JSON; exit non-zero if any row regressed past [`CHECK_TOLERANCE`].
 ///
-/// A row under budget is re-measured once before it counts as a failure —
+/// A row over budget is re-measured once before it counts as a failure —
 /// a shared CI machine can hand one run a noisy slice of the clock, and
 /// the retry keeps a transient stall from failing the guard while a
 /// genuine slowdown still reproduces.
 fn check_against_recorded(results: &[HotpathResult]) -> Result<(), String> {
     let path = workspace_json_path();
-    let recorded = read_recorded(&path)
+    let recorded = read_recorded(&path, "anchor_ratio")
         .map_err(|e| format!("{e} (run the bench without --check first)"))?;
     let mut failures = Vec::new();
     for r in results {
-        let Some((_, _, recorded_rate)) =
+        let Some((_, _, recorded_ratio)) =
             recorded.iter().find(|(a, n, _)| a == r.allocator && *n == r.nodes)
         else {
             // A new configuration has no recorded figure yet; the next
@@ -351,29 +365,29 @@ fn check_against_recorded(results: &[HotpathResult]) -> Result<(), String> {
             println!("{:<14} nodes={:<3} no recorded baseline, skipping", r.allocator, r.nodes);
             continue;
         };
-        let mut rate = r.cycles_per_sec;
-        if recorded_rate / rate > CHECK_TOLERANCE {
+        let mut ratio = r.anchor_ratio;
+        if ratio / recorded_ratio > CHECK_TOLERANCE {
             let (kind, nodes) = *CONFIGS
                 .iter()
                 .find(|(k, n)| k.label() == r.allocator && *n == r.nodes)
                 .expect("result came from this matrix");
             let retry = measure(kind, nodes);
             println!(
-                "{:<14} nodes={:<3} over budget ({:.0} cycles/sec), retried: {:.0} cycles/sec",
-                r.allocator, r.nodes, rate, retry.cycles_per_sec
+                "{:<14} nodes={:<3} over budget ({:.0}x anchor), retried: {:.0}x anchor",
+                r.allocator, r.nodes, ratio, retry.anchor_ratio
             );
-            rate = rate.max(retry.cycles_per_sec);
+            ratio = ratio.min(retry.anchor_ratio);
         }
-        let ratio = recorded_rate / rate;
-        if ratio > CHECK_TOLERANCE {
+        let growth = ratio / recorded_ratio;
+        if growth > CHECK_TOLERANCE {
             failures.push(format!(
-                "{}@{}: {:.0} cycles/sec vs recorded {:.0} ({:.2}x slower > {:.2}x budget)",
-                r.allocator, r.nodes, rate, recorded_rate, ratio, CHECK_TOLERANCE
+                "{}@{}: {:.0}x anchor vs recorded {:.0}x ({:.2}x slower > {:.2}x budget)",
+                r.allocator, r.nodes, ratio, recorded_ratio, growth, CHECK_TOLERANCE
             ));
         }
     }
     if failures.is_empty() {
-        println!("perf check passed: all rows within {CHECK_TOLERANCE}x of recorded rates");
+        println!("perf check passed: all rows within {CHECK_TOLERANCE}x of recorded anchor ratios");
         Ok(())
     } else {
         Err(failures.join("\n"))

@@ -177,6 +177,74 @@ pub(crate) fn pct(new: f64, base: f64) -> String {
     format!("{:+.1}%", (new / base - 1.0) * 100.0)
 }
 
+/// Cycles of the calibration matcher per [`anchor_ns`] (~0.4 ms).
+const ANCHOR_CYCLES: usize = 20_000;
+
+/// Nanoseconds per cycle of a frozen calibration kernel that runs no
+/// simulator code: the unit of the `alloc_kernels` and `hotpath` perf
+/// guards. Each guard times it before each of its samples and records a
+/// row as the row's time divided by the anchor's, so a host that runs
+/// everything slower for minutes at a time slows both sides and the
+/// recorded ratio still judges the code.
+///
+/// The kernel is a small round-robin matcher (8 inputs, 16 outputs)
+/// replaying 64 fixed request rows: bit scans and learnable branches at an
+/// allocator's instruction mix. Of the loops tried, it slowed most like
+/// the allocator kernels when a busy neighbour shared the host (1.5x
+/// against their 1.8x; a register-only xorshift loop slowed 1.0-1.3x).
+/// It must never change: every recorded ratio is relative to it.
+#[inline(never)]
+#[must_use]
+pub fn anchor_ns() -> f64 {
+    const INPUTS: usize = 8;
+    const ROWS: usize = 64;
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut draw = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let trace: Vec<u64> = (0..ROWS * INPUTS).map(|_| draw() & draw() & 0xFFFF).collect();
+    let (mut in_ptr, mut out_owner, mut grants) = ([0u32; INPUTS], [0usize; 16], 0u64);
+    let start = std::time::Instant::now();
+    for cycle in 0..ANCHOR_CYCLES {
+        let row = &trace[(std::hint::black_box(cycle) % ROWS) * INPUTS..][..INPUTS];
+        let mut taken = 0u64;
+        for (input, &wants) in row.iter().enumerate() {
+            let free = wants & !taken;
+            if free == 0 {
+                continue;
+            }
+            let upper = free & (!0 << in_ptr[input]);
+            let out = (if upper != 0 { upper } else { free }).trailing_zeros() as usize;
+            if out_owner[out] > input {
+                out_owner[out] = 0;
+                continue;
+            }
+            taken |= 1 << out;
+            in_ptr[input] = (out as u32 + 1) & 15;
+            out_owner[out] = input + 1;
+            grants += 1;
+        }
+    }
+    let elapsed = start.elapsed();
+    std::hint::black_box((grants, in_ptr, out_owner));
+    elapsed.as_nanos() as f64 / ANCHOR_CYCLES as f64
+}
+
+/// The host a recording was taken on: CPU model and available cores.
+#[must_use]
+pub fn host() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split(':').nth(1))
+        .map_or("unknown CPU", str::trim);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    format!("{model}, {cores} cores")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -93,8 +93,9 @@ long=$(rss_kib 1000000)
 echo "peak RSS: --measure 20000 ${short} KiB, --measure 1000000 ${long} KiB"
 test $((long - short)) -le 2048
 
-# Allocator-kernel perf guard: fresh kernel timings must stay within 25%
-# of the recorded BENCH_allockernels.json figures.
+# Allocator-kernel perf guard: each kernel's time over a calibration
+# kernel timed in the same process must stay within 25% of the ratio
+# recorded in BENCH_allockernels.json.
 echo "==> cargo bench -p vix-bench --bench alloc_kernels -- --check"
 cargo bench -p vix-bench --bench alloc_kernels -- --check
 
@@ -104,10 +105,10 @@ cargo bench -p vix-bench --bench alloc_kernels -- --check
 echo "==> cargo bench -p vix-bench --bench shardscaling -- --check"
 cargo bench -p vix-bench --bench shardscaling -- --check
 
-# Hot-path perf guard: fresh steady-state cycles/sec must stay within
-# 25% of the recorded BENCH_hotpath.json rates, and the engine
-# self-profiler's measured overhead must stay within its 5% budget;
-# also prints the one-line speedup summary vs the pre-ring-transport
+# Hot-path perf guard: each row's ns/cycle over the same calibration
+# kernel must stay within 25% of the ratio recorded in BENCH_hotpath.json,
+# and the engine self-profiler's measured overhead must stay within its
+# 5% budget; also prints the one-line speedup summary vs the pre-ring-transport
 # BENCH_hotpath_baseline.json.
 echo "==> cargo bench -p vix-bench --bench hotpath -- --check"
 cargo bench -p vix-bench --bench hotpath -- --check
