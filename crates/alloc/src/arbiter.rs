@@ -1,4 +1,6 @@
-//! Hardware arbiter models used by separable NoC switch allocators.
+//! Hardware arbiter models: the building block of the separable switch
+//! allocators (the `v/k : 1` input and `P·k : 1` output arbiters of the
+//! paper's Fig. 3).
 //!
 //! An arbiter picks one winner from a set of simultaneous requestors. The
 //! implementations here mirror the circuits used in on-chip routers:
@@ -11,25 +13,25 @@
 //!   adversarial baseline and for modelling unfair allocators.
 //!
 //! All arbiters implement the [`Arbiter`] trait, which separates the pure
-//! decision ([`Arbiter::peek`]) from the state update
-//! ([`Arbiter::commit`]) so that allocators can evaluate a matching
-//! before committing priority updates.
+//! decision ([`Arbiter::peek_words`], over a request bit mask) from the
+//! state update ([`Arbiter::commit`]) so that allocators can evaluate a
+//! matching before committing priority updates.
 //!
 //! # Example
 //!
 //! ```
-//! use vix_arbiter::{Arbiter, RoundRobinArbiter};
+//! use vix_alloc::arbiter::{Arbiter, RoundRobinArbiter};
 //!
 //! let mut arb = RoundRobinArbiter::new(4);
-//! assert_eq!(arb.arbitrate(&[true, false, true, false]), Some(0));
+//! assert_eq!(arb.peek_words(&[0b0101]), Some(0));
+//! arb.commit(0);
 //! // Priority rotated past the winner: requestor 2 wins next.
-//! assert_eq!(arb.arbitrate(&[true, false, true, false]), Some(2));
+//! assert_eq!(arb.peek_words(&[0b0101]), Some(2));
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod matrix;
+#[cfg(test)]
+mod properties;
 mod round_robin;
 mod static_priority;
 
@@ -46,15 +48,17 @@ pub use static_priority::StaticArbiter;
 /// own them) migrate to worker threads under the sharded engine (DESIGN.md §8).
 pub trait Arbiter: std::fmt::Debug + Send {
     /// Number of requestors this arbiter serves.
+    #[cfg(test)]
     fn size(&self) -> usize;
 
-    /// The requestor that *would* win, without updating priority state.
-    ///
-    /// Returns `None` when no line is asserted.
+    /// The requestor that *would* win, without updating priority state:
+    /// the scalar form of [`peek_words`](Arbiter::peek_words) the scalar
+    /// oracle kernels call. Returns `None` when no line is asserted.
     ///
     /// # Panics
     ///
     /// Implementations panic if `requests.len() != self.size()`.
+    #[cfg(test)]
     fn peek(&self, requests: &[bool]) -> Option<usize>;
 
     /// Commits a grant to `winner`, updating the priority state exactly as
@@ -66,17 +70,16 @@ pub trait Arbiter: std::fmt::Debug + Send {
     fn commit(&mut self, winner: usize);
 
     /// The requestor that *would* win among the asserted bits of a request
-    /// mask, without updating priority state — the word-parallel companion
-    /// of [`peek`](Arbiter::peek), of any width (e.g. the `P·v : 1` stage-1
-    /// arbiters of the output-first allocator span several words). Bit `i`
-    /// of the mask corresponds to `requests[i]`: `words[w]` holds
-    /// requestors `64·w ..= 64·w + 63`, little-endian; `words.len()` must
-    /// be `size().div_ceil(64)` and stray bits at or above
-    /// [`size`](Arbiter::size) must be clear. Must return exactly what
-    /// `peek` would on the equivalent boolean slice.
+    /// mask, without updating priority state; `None` when no bit is set.
+    /// Any width (e.g. the `P·v : 1` stage-1 arbiters of the output-first
+    /// allocator span several words): `words[w]` holds requestors
+    /// `64·w ..= 64·w + 63`, little-endian; `words.len()` must be
+    /// `size.div_ceil(64)` for the `size` the arbiter was built with, and
+    /// stray bits at or above `size` must be clear.
     fn peek_words(&self, words: &[u64]) -> Option<usize>;
 
     /// Picks a winner and updates priority state: `peek` + `commit`.
+    #[cfg(test)]
     fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
         let winner = self.peek(requests)?;
         self.commit(winner);
@@ -84,6 +87,7 @@ pub trait Arbiter: std::fmt::Debug + Send {
     }
 
     /// Restores the power-on priority state.
+    #[cfg(test)]
     fn reset(&mut self);
 }
 

@@ -1,6 +1,6 @@
 //! Least-recently-granted matrix arbiter.
 
-use crate::Arbiter;
+use super::Arbiter;
 
 /// A matrix arbiter (Dally & Towles, *Principles and Practices of
 /// Interconnection Networks*, §18.5).
@@ -15,13 +15,15 @@ use crate::Arbiter;
 /// # Example
 ///
 /// ```
-/// use vix_arbiter::{Arbiter, MatrixArbiter};
+/// use vix_alloc::arbiter::{Arbiter, MatrixArbiter};
 ///
 /// let mut arb = MatrixArbiter::new(3);
-/// assert_eq!(arb.arbitrate(&[true, true, false]), Some(0));
+/// assert_eq!(arb.peek_words(&[0b011]), Some(0));
+/// arb.commit(0);
 /// // 0 dropped to the bottom; between 1 and 2, 1 still leads.
-/// assert_eq!(arb.arbitrate(&[true, true, true]), Some(1));
-/// assert_eq!(arb.arbitrate(&[true, false, true]), Some(2));
+/// assert_eq!(arb.peek_words(&[0b111]), Some(1));
+/// arb.commit(1);
+/// assert_eq!(arb.peek_words(&[0b101]), Some(2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixArbiter {
@@ -42,34 +44,33 @@ impl MatrixArbiter {
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "arbiter must serve at least one requestor");
         let words_per_row = size.div_ceil(64);
-        let mut arb = MatrixArbiter { size, words_per_row, beats: vec![0; size * words_per_row] };
-        arb.reset();
-        arb
+        let mut beats = vec![0; size * words_per_row];
+        // Power-on order: i beats every j above it.
+        for i in 0..size {
+            for j in (i + 1)..size {
+                beats[i * words_per_row + j / 64] |= 1 << (j % 64);
+            }
+        }
+        MatrixArbiter { size, words_per_row, beats }
     }
 
     fn row(&self, i: usize) -> &[u64] {
         &self.beats[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
+    #[cfg(test)]
     fn beats(&self, i: usize, j: usize) -> bool {
         self.row(i)[j / 64] & (1u64 << (j % 64)) != 0
-    }
-
-    fn set_beats(&mut self, i: usize, j: usize, v: bool) {
-        let word = &mut self.beats[i * self.words_per_row + j / 64];
-        if v {
-            *word |= 1u64 << (j % 64);
-        } else {
-            *word &= !(1u64 << (j % 64));
-        }
     }
 }
 
 impl Arbiter for MatrixArbiter {
+    #[cfg(test)]
     fn size(&self) -> usize {
         self.size
     }
 
+    #[cfg(test)]
     fn peek(&self, requests: &[bool]) -> Option<usize> {
         debug_assert_eq!(requests.len(), self.size, "request vector width mismatch");
         (0..self.size).find(|&i| {
@@ -120,14 +121,9 @@ impl Arbiter for MatrixArbiter {
         None
     }
 
+    #[cfg(test)]
     fn reset(&mut self) {
-        // Cold path: plain bit-by-bit rebuild of "i beats every j above it".
-        self.beats.fill(0);
-        for i in 0..self.size {
-            for j in (i + 1)..self.size {
-                self.set_beats(i, j, true);
-            }
-        }
+        *self = MatrixArbiter::new(self.size);
     }
 }
 

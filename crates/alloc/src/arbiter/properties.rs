@@ -3,7 +3,7 @@
 //! Each case is a pure function of its seed, drawn from `vix-rng`; a
 //! failing assertion names the seed that reproduces it.
 
-use vix_arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter};
+use super::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter};
 use vix_rng::rngs::StdRng;
 use vix_rng::{Rng, SeedableRng};
 

@@ -1,6 +1,6 @@
 //! Rotating-priority (round-robin) arbiter.
 
-use crate::{first_set_from_words, Arbiter};
+use super::{first_set_from_words, Arbiter};
 
 /// A rotating-priority arbiter: the requestor at or after the priority
 /// pointer wins, and the pointer then advances one past the winner.
@@ -12,13 +12,13 @@ use crate::{first_set_from_words, Arbiter};
 /// # Example
 ///
 /// ```
-/// use vix_arbiter::{Arbiter, RoundRobinArbiter};
+/// use vix_alloc::arbiter::{Arbiter, RoundRobinArbiter};
 ///
 /// let mut arb = RoundRobinArbiter::new(3);
-/// assert_eq!(arb.arbitrate(&[true, true, true]), Some(0));
-/// assert_eq!(arb.arbitrate(&[true, true, true]), Some(1));
-/// assert_eq!(arb.arbitrate(&[true, true, true]), Some(2));
-/// assert_eq!(arb.arbitrate(&[true, true, true]), Some(0));
+/// for expected in [0, 1, 2, 0] {
+///     assert_eq!(arb.peek_words(&[0b111]), Some(expected));
+///     arb.commit(expected);
+/// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
@@ -40,19 +40,20 @@ impl RoundRobinArbiter {
         RoundRobinArbiter { size, pointer: 0 }
     }
 
-    /// Current priority pointer (highest-priority index), exposed for tests
-    /// and for allocators that snapshot arbitration state.
-    #[must_use]
-    pub fn pointer(&self) -> usize {
+    /// Current priority pointer (highest-priority index).
+    #[cfg(test)]
+    pub(crate) fn pointer(&self) -> usize {
         self.pointer
     }
 }
 
 impl Arbiter for RoundRobinArbiter {
+    #[cfg(test)]
     fn size(&self) -> usize {
         self.size
     }
 
+    #[cfg(test)]
     fn peek(&self, requests: &[bool]) -> Option<usize> {
         debug_assert_eq!(requests.len(), self.size, "request vector width mismatch");
         (0..self.size).map(|i| (self.pointer + i) % self.size).find(|&i| requests[i])
@@ -70,6 +71,7 @@ impl Arbiter for RoundRobinArbiter {
         first_set_from_words(words, self.pointer, self.size)
     }
 
+    #[cfg(test)]
     fn reset(&mut self) {
         self.pointer = 0;
     }

@@ -1,6 +1,6 @@
 //! Fixed-priority arbiter.
 
-use crate::Arbiter;
+use super::Arbiter;
 
 /// A fixed-priority arbiter: the asserted requestor with the lowest index
 /// always wins and no state is kept.
@@ -13,11 +13,12 @@ use crate::Arbiter;
 /// # Example
 ///
 /// ```
-/// use vix_arbiter::{Arbiter, StaticArbiter};
+/// use vix_alloc::arbiter::{Arbiter, StaticArbiter};
 ///
 /// let mut arb = StaticArbiter::new(3);
-/// assert_eq!(arb.arbitrate(&[false, true, true]), Some(1));
-/// assert_eq!(arb.arbitrate(&[false, true, true]), Some(1)); // never rotates
+/// assert_eq!(arb.peek_words(&[0b110]), Some(1));
+/// arb.commit(1);
+/// assert_eq!(arb.peek_words(&[0b110]), Some(1)); // never rotates
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticArbiter {
@@ -38,10 +39,12 @@ impl StaticArbiter {
 }
 
 impl Arbiter for StaticArbiter {
+    #[cfg(test)]
     fn size(&self) -> usize {
         self.size
     }
 
+    #[cfg(test)]
     fn peek(&self, requests: &[bool]) -> Option<usize> {
         debug_assert_eq!(requests.len(), self.size, "request vector width mismatch");
         requests.iter().position(|&r| r)
@@ -61,6 +64,7 @@ impl Arbiter for StaticArbiter {
             .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
     }
 
+    #[cfg(test)]
     fn reset(&mut self) {}
 }
 

@@ -3,7 +3,7 @@
 
 use crate::separable::SeparableAllocator;
 use crate::AllocatorConfig;
-use vix_arbiter::Arbiter;
+use crate::arbiter::Arbiter;
 use vix_core::bits::{set_bit, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId};
 use vix_telemetry::MatchingStats;

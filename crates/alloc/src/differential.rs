@@ -20,7 +20,7 @@ use crate::{
     Allocator, AllocatorConfig, IslipAllocator, MaxMatchingAllocator, OutputFirstAllocator,
     PacketChainingAllocator, PriorityPolicy, SeparableAllocator, WavefrontAllocator,
 };
-use vix_arbiter::ArbiterKind;
+use crate::arbiter::ArbiterKind;
 use vix_core::{GrantSet, PortId, RequestSet, SwitchRequest, VcId, VixPartition};
 use vix_rng::{rngs::StdRng, Rng, SeedableRng};
 
@@ -152,13 +152,15 @@ fn wide_flavours() -> Vec<Flavour> {
     ]
 }
 
-/// Separable shapes with a row at exactly one word and just past it, each
-/// under every arbiter kind and under oldest-first priority: the separable
-/// allocator picks its one-word kernel from the shape at construction, so
-/// these hold both row widths × every arbiter kind to the scalar oracle.
+/// Shapes with a row at exactly one word and just past it, so each kernel
+/// runs its one-word and its multi-word instantiation (picked from the
+/// shape at construction) against the scalar oracle:
 ///
-/// * 32 ports × k = 2 is 64 virtual inputs (one word), 33 × 2 is 66;
-/// * IF with 64 VCs per port has one-word VC lines, with 65 two-word ones.
+/// * separable under every arbiter kind and under oldest-first priority:
+///   32 ports × k = 2 is 64 virtual inputs (one word), 33 × 2 is 66; IF
+///   with 64 VCs per port has one-word VC lines, with 65 two-word ones;
+/// * iSLIP-1 and iSLIP-2 under every arbiter kind at 64 and 65 ports, and
+///   at 64 and 65 VCs per port.
 fn boundary_flavours() -> Vec<Flavour> {
     let shapes = [
         ("VIX-32x4x2", 32, 4, VixPartition::even(4, 2).unwrap()),
@@ -181,6 +183,17 @@ fn boundary_flavours() -> Vec<Flavour> {
             flavours.push(flavour(format!("{shape}/{variant}"), ports, vcs, move || {
                 Allocator::Separable(SeparableAllocator::new(cfg))
             }));
+        }
+    }
+    for (ports, vcs) in [(64, 2), (65, 2), (5, 64), (5, 65)] {
+        for (variant, arbiter, _) in &variants[..3] {
+            let cfg = AllocatorConfig::new(ports, VixPartition::baseline(vcs)).with_arbiter(*arbiter);
+            for iters in [1, 2] {
+                let label = format!("iSLIP-{iters}-{ports}x{vcs}/{variant}");
+                flavours.push(flavour(label, ports, vcs, move || {
+                    Allocator::Islip(Box::new(IslipAllocator::new(cfg, iters)))
+                }));
+            }
         }
     }
     flavours
@@ -260,7 +273,7 @@ fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
         }
     }
     // The scalar kernels scan the request set for the matching record; the
-    // separable one-word kernel hands over counts from its own sweep.
+    // separable kernel hands over counts from its own sweep.
     assert_eq!(
         scalar.matching_stats().summary(),
         bitset.matching_stats().summary(),
@@ -302,7 +315,7 @@ fn wide_shapes_bitset_kernels_match_scalar_across_seeds() {
 }
 
 #[test]
-fn word_boundary_separable_kernels_match_scalar() {
+fn word_boundary_kernels_match_scalar() {
     for f in boundary_flavours() {
         for (seed, cycles) in [(0xB0_0DA7, 400), (3_u64, 120)] {
             assert_twins_agree(&f, seed, cycles);

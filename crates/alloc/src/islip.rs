@@ -1,10 +1,9 @@
 //! Iterative separable allocator (iSLIP-style), included as an extension
 //! baseline beyond the paper's evaluated schemes.
 
+use crate::arbiter::Arbiter;
+use crate::row::{self, Row, WIDE};
 use crate::AllocatorConfig;
-use std::slice::from_ref;
-use vix_arbiter::{first_set_from_words, Arbiter};
-use vix_core::bits::{any_set, clear_bit, mask_up_to, set_bit, set_low_bits, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
@@ -31,29 +30,16 @@ pub struct IslipAllocator {
     accept_pointers: Vec<usize>,
     /// Champion VC selection per input port.
     vc_selectors: Vec<Box<dyn Arbiter>>,
-    scratch: IslipScratch,
-    pub(crate) matching: MatchingStats,
-}
-
-/// Owned per-cycle working state reused across
-/// [`crate::Allocator::allocate_into`] calls.
-#[derive(Debug, Default)]
-struct IslipScratch {
-    matched_out_of_in: Vec<Option<usize>>,
-    /// Output mask granting each input this iteration, `port_words` words
-    /// per input.
+    /// Output chosen by each matched input.
+    matched: Vec<Option<usize>>,
+    /// Outputs granting each input this iteration, one row per input.
     grant_masks: Vec<u64>,
-    /// Still-unmatched inputs, one bit per port.
-    free_in: Vec<u64>,
-    /// Already-matched outputs, one bit per port.
-    out_matched_bits: Vec<u64>,
-    /// Requesting free inputs of one output.
-    cand: Vec<u64>,
-    /// Requesting inputs of each output, either speculation class,
-    /// `port_words` words per output.
+    /// Requesting inputs of each output, either speculation class, one row
+    /// per output.
     requesters: Vec<u64>,
-    /// One matched pair's VC line.
-    line: Vec<u64>,
+    /// [`run`](Self::run) at the shape's row width, picked at construction.
+    run: fn(&mut Self, &RequestSet, &mut GrantSet),
+    pub(crate) matching: MatchingStats,
 }
 
 impl IslipAllocator {
@@ -61,19 +47,26 @@ impl IslipAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `iterations` is zero.
+    /// Panics if `iterations` is zero or the partition has more than 256
+    /// VCs per port.
     #[must_use]
     pub fn new(cfg: AllocatorConfig, iterations: usize) -> Self {
         assert!(iterations >= 1, "iSLIP needs at least one iteration");
-        let vc_selectors = (0..cfg.ports).map(|_| cfg.arbiter.build(cfg.partition.vcs())).collect();
+        let (ports, vcs) = (cfg.ports, cfg.partition.vcs());
+        assert!(vcs <= 64 * WIDE, "{vcs} VCs per port exceeds the allocator's {}", 64 * WIDE);
+        let (run, words): (fn(&mut Self, &RequestSet, &mut GrantSet), usize) =
+            if ports <= 64 && vcs <= 64 { (Self::run::<1>, 1) } else { (Self::run::<WIDE>, WIDE) };
         IslipAllocator {
             cfg,
             iterations,
-            grant_pointers: vec![0; cfg.ports],
-            accept_pointers: vec![0; cfg.ports],
-            vc_selectors,
-            scratch: IslipScratch::default(),
-            matching: MatchingStats::new(cfg.ports * cfg.partition.groups()),
+            grant_pointers: vec![0; ports],
+            accept_pointers: vec![0; ports],
+            vc_selectors: (0..ports).map(|_| cfg.arbiter.build(vcs)).collect(),
+            matched: vec![None; ports],
+            grant_masks: vec![0; ports * words],
+            requesters: vec![0; ports * words],
+            run,
+            matching: MatchingStats::new(ports * cfg.partition.groups()),
         }
     }
 
@@ -83,200 +76,90 @@ impl IslipAllocator {
         self.iterations
     }
 
-    /// The word-parallel kernel, picked by width: both pointer scans
-    /// collapse to a first-set-bit search over per-output requester masks,
-    /// built from the request set at the top of the call.
+    /// One cycle of [`crate::Allocator::allocate_into`], on this scheme
+    /// alone.
     pub(crate) fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         debug_assert_eq!(requests.ports(), self.cfg.ports, "request set port mismatch");
         grants.clear();
-        if self.cfg.ports <= 64 && requests.vc_words() == 1 {
-            self.word(requests, grants);
-        } else {
-            self.words(requests, grants);
-        }
+        (self.run)(self, requests, grants);
     }
 
-    /// The one-word kernel: every port mask is one `u64`, so an input's
-    /// requested outputs OR up in a register before they are scattered to
-    /// the outputs' requester masks, and a matched pair's VC line is one
-    /// pass over the input's requests.
-    fn word(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+    /// The kernel, over `W`-word port and VC rows (one register at every
+    /// paper shape): an input's requested outputs OR up in a row before
+    /// they are scattered to the outputs' requester rows, both pointer
+    /// scans are a first-set-bit search from the pointer, and a matched
+    /// pair's VC line is one pass over the input's requests.
+    fn run<const W: usize>(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
-        let Self { iterations, grant_pointers, accept_pointers, vc_selectors, scratch, matching, .. } = self;
-        let IslipScratch { matched_out_of_in: matched, grant_masks, requesters, .. } = scratch;
-        requesters.clear();
-        requesters.resize(ports, 0);
+        let vc_words = row::words::<W>(self.cfg.partition.vcs());
+        let Self { iterations, grant_pointers, accept_pointers, vc_selectors, matched, matching, .. } = self;
+        let (requesters, _) = self.requesters.as_chunks_mut::<W>();
+        let (grant_masks, _) = self.grant_masks.as_chunks_mut::<W>();
+        requesters.fill([0; W]);
         for port in 0..ports {
-            let mut outs = 0u64;
-            requests.for_each_request_at(PortId(port), |_, out, _| outs |= 1 << out.0);
-            while outs != 0 {
-                requesters[outs.trailing_zeros() as usize] |= 1 << port;
-                outs &= outs - 1;
-            }
+            let mut outs = [0u64; W];
+            requests.for_each_request_at(PortId(port), |_, out, _| outs.set(out.0));
+            outs.for_each(|out| requesters[out].set(port));
         }
-        // First set bit of a non-empty `mask` at or cyclically after `start`.
-        let first_from = |mask: u64, start: usize| {
-            let upper = mask & (!0 << start);
-            (if upper != 0 { upper } else { mask }).trailing_zeros() as usize
-        };
-        matched.clear();
-        matched.resize(ports, None);
-        grant_masks.clear();
-        grant_masks.resize(ports, 0);
-        let (mut free_in, mut out_matched, mut matched_in) = (mask_up_to(ports), 0u64, 0u64);
+        matched.fill(None);
+        grant_masks.fill([0; W]);
+        let (mut free_in, mut out_matched, mut matched_in) = (<[u64; W]>::low(ports), [0u64; W], [0u64; W]);
         for iter in 0..*iterations {
-            // Grant round, then accept round over the inputs offered a grant.
-            let mut offered = 0u64;
+            // Grant round: each free output grants one requesting free
+            // input, scanning cyclically from its grant pointer. Port-level
+            // requests ignore speculation; the VC champion prefers
+            // non-speculative below.
+            let mut offered = [0u64; W];
             for (out, &pointer) in grant_pointers.iter().enumerate() {
-                let cand = requesters[out] & free_in;
-                if out_matched & (1 << out) != 0 || cand == 0 {
+                let cand = requesters[out].and(free_in);
+                if out_matched.test(out) || cand.is_empty() {
                     continue;
                 }
-                let input = first_from(cand, pointer);
-                grant_masks[input] |= 1 << out;
-                offered |= 1 << input;
+                let input = cand.first_from(pointer);
+                grant_masks[input].set(out);
+                offered.set(input);
             }
-            if offered == 0 {
+            if offered.is_empty() {
                 break;
             }
-            while offered != 0 {
-                let input = offered.trailing_zeros() as usize;
-                offered &= offered - 1;
-                let accepted = first_from(std::mem::take(&mut grant_masks[input]), accept_pointers[input]);
+            // Accept round over the inputs offered a grant.
+            offered.for_each(|input| {
+                let accepted = std::mem::replace(&mut grant_masks[input], [0; W]).first_from(accept_pointers[input]);
                 matched[input] = Some(accepted);
-                matched_in |= 1 << input;
-                out_matched |= 1 << accepted;
-                free_in &= !(1 << input);
-                if iter == 0 {
-                    grant_pointers[accepted] = (input + 1) % ports;
-                    accept_pointers[input] = (accepted + 1) % ports;
-                }
-            }
-        }
-
-        // VC champions for matched pairs, non-speculative first.
-        while matched_in != 0 {
-            let input = matched_in.trailing_zeros() as usize;
-            matched_in &= matched_in - 1;
-            let out = matched[input].expect("matched input has an output");
-            let mut wants_out = 0u64;
-            requests.for_each_request_at(PortId(input), |vc, to, _| wants_out |= u64::from(to.0 == out) << vc.0);
-            let spec = requests.spec_vcs(PortId(input))[0];
-            let sel = &mut vc_selectors[input];
-            let vc = [wants_out & !spec, wants_out & spec]
-                .into_iter()
-                .find_map(|line| sel.peek_words(from_ref(&line)))
-                .expect("matched pair implies a requesting VC");
-            sel.commit(vc);
-            grants.add(Grant { port: PortId(input), vc: VcId(vc), out_port: PortId(out) });
-        }
-        let outputs = requesters.iter().filter(|&&row| row != 0).count();
-        let active_vi = requests.active_virtual_inputs(&self.cfg.partition);
-        matching.record(requests.len(), active_vi, outputs, grants.len());
-    }
-
-    /// The multi-word kernel, for more than 64 ports or VCs:
-    /// [`word`](Self::word)'s rounds over `&[u64]` masks, the pointer scans
-    /// [`first_set_from_words`], and the requester masks ORed up one
-    /// request at a time.
-    fn words(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        let ports = self.cfg.ports;
-        let iterations = self.iterations;
-        let port_words = words_for(ports);
-        let Self { cfg, grant_pointers, accept_pointers, vc_selectors, scratch, matching, .. } =
-            self;
-        let IslipScratch {
-            matched_out_of_in,
-            grant_masks,
-            free_in,
-            out_matched_bits,
-            cand,
-            requesters,
-            line,
-        } = scratch;
-        requesters.clear();
-        requesters.resize(ports * port_words, 0);
-        requests.for_each_request(|port, _, out, _| {
-            requesters[out.0 * port_words + port.0 / 64] |= 1 << (port.0 % 64);
-        });
-        line.clear();
-        line.resize(requests.vc_words(), 0);
-
-        matched_out_of_in.clear();
-        matched_out_of_in.resize(ports, None);
-        grant_masks.clear();
-        grant_masks.resize(ports * port_words, 0);
-        free_in.clear();
-        free_in.resize(port_words, 0);
-        set_low_bits(free_in, ports);
-        out_matched_bits.clear();
-        out_matched_bits.resize(port_words, 0);
-        cand.clear();
-        cand.resize(port_words, 0);
-
-        for iter in 0..iterations {
-            // Grant round: each free output grants one requesting free
-            // input, scanning cyclically from its grant pointer.
-            for m in grant_masks.iter_mut() {
-                *m = 0;
-            }
-            for (out, &pointer) in grant_pointers.iter().enumerate().take(ports) {
-                if test_bit(out_matched_bits, out) {
-                    continue;
-                }
-                // Port-level requests ignore speculation for the matching;
-                // the VC champion prefers non-speculative below.
-                for (w, c) in cand.iter_mut().enumerate() {
-                    *c = requesters[out * port_words + w] & free_in[w];
-                }
-                if let Some(i) = first_set_from_words(cand, pointer, ports) {
-                    set_bit(&mut grant_masks[i * port_words..(i + 1) * port_words], out);
-                }
-            }
-            // Accept round.
-            for input in 0..ports {
-                let offered = &grant_masks[input * port_words..(input + 1) * port_words];
-                if matched_out_of_in[input].is_some() || !any_set(offered) {
-                    continue;
-                }
-                let accepted = first_set_from_words(offered, accept_pointers[input], ports)
-                    .expect("non-empty grant mask must contain an acceptable output");
-                matched_out_of_in[input] = Some(accepted);
-                set_bit(out_matched_bits, accepted);
-                clear_bit(free_in, input);
+                matched_in.set(input);
+                out_matched.set(accepted);
+                free_in.clear(input);
                 if iter == 0 {
                     // Pointer update rule: one past the matched partner,
                     // first iteration only.
                     grant_pointers[accepted] = (input + 1) % ports;
                     accept_pointers[input] = (accepted + 1) % ports;
                 }
-            }
+            });
         }
 
-        // VC champions for matched pairs.
-        for input in 0..ports {
-            let Some(out) = matched_out_of_in[input] else { continue };
-            let mut chosen = None;
-            for speculative in [false, true] {
-                requests.vcs_requesting(PortId(input), PortId(out), Some(speculative), 0..cfg.partition.vcs(), line);
-                let sel = &mut vc_selectors[input];
-                if let Some(v) = sel.peek_words(line) {
-                    sel.commit(v);
-                    chosen = Some(VcId(v));
-                    break;
-                }
-            }
-            let vc = chosen.expect("matched pair implies a requesting VC");
-            grants.add(Grant { port: PortId(input), vc, out_port: PortId(out) });
-        }
-        let outputs = requesters.chunks_exact(port_words).filter(|row| any_set(row)).count();
-        let active_vi = requests.active_virtual_inputs(&cfg.partition);
+        // VC champions for matched pairs, non-speculative first.
+        matched_in.for_each(|input| {
+            let out = matched[input].expect("matched input has an output");
+            let mut wants_out = [0u64; W];
+            requests.for_each_request_at(PortId(input), |vc, to, _| wants_out.set_if(vc.0, to.0 == out));
+            let spec = <[u64; W]>::load(requests.spec_vcs(PortId(input)));
+            let sel = &mut vc_selectors[input];
+            let vc = [wants_out.and_not(spec), wants_out.and(spec)]
+                .into_iter()
+                .find_map(|line| sel.peek_words(&line[..vc_words]))
+                .expect("matched pair implies a requesting VC");
+            sel.commit(vc);
+            grants.add(Grant { port: PortId(input), vc: VcId(vc), out_port: PortId(out) });
+        });
+        let outputs = requesters.iter().filter(|row| !row.is_empty()).count();
+        let active_vi = requests.active_virtual_inputs(&self.cfg.partition);
         matching.record(requests.len(), active_vi, outputs, grants.len());
     }
 
     /// The original scalar loops: the executable specification the
-    /// differential suite holds [`allocate_into`](Self::allocate_into)
-    /// against.
+    /// differential suite holds [`run`](Self::run) against at both row
+    /// widths.
     #[cfg(test)]
     pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;

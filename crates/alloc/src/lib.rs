@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod arbiter;
 mod chaining;
 #[cfg(test)]
 mod differential;
@@ -62,9 +63,11 @@ mod islip;
 mod matching;
 mod max_matching;
 mod output_first;
+mod row;
 mod separable;
 mod wavefront;
 
+pub use arbiter::ArbiterKind;
 pub use chaining::PacketChainingAllocator;
 pub use islip::IslipAllocator;
 pub use matching::{max_bipartite_matching_bits_into, MatchingScratch};
@@ -73,7 +76,6 @@ pub use output_first::OutputFirstAllocator;
 pub use separable::SeparableAllocator;
 pub use wavefront::WavefrontAllocator;
 
-use vix_arbiter::ArbiterKind;
 use vix_core::{AllocatorKind, GrantSet, RequestSet, RouterConfig, SwitchRequest, VixPartition};
 use vix_telemetry::MatchingStats;
 

@@ -2,7 +2,7 @@
 //! VC-level matcher, unified over the virtual-input partition.
 
 use crate::AllocatorConfig;
-use vix_arbiter::Arbiter;
+use crate::arbiter::Arbiter;
 use vix_core::bits::{set_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;

@@ -3,7 +3,7 @@
 //! allocator study (which the paper builds on).
 
 use crate::AllocatorConfig;
-use vix_arbiter::Arbiter;
+use crate::arbiter::Arbiter;
 use vix_core::bits::{any_set, clear_range, set_bit, set_low_bits, test_bit, words_for};
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId, VirtualInputId};
 use vix_telemetry::MatchingStats;

@@ -5,12 +5,10 @@
 //! [`VixPartition`](vix_core::VixPartition) — one sub-group per port for IF, `k` sub-groups for a
 //! 1:k VIX router.
 
+use crate::arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter, StaticArbiter};
+use crate::row::{self, Row, WIDE};
 use crate::{mask_to_oldest_bits, AllocatorConfig, PriorityPolicy};
-use std::slice::{from_mut, from_ref};
-use vix_arbiter::{Arbiter, ArbiterKind, MatrixArbiter, RoundRobinArbiter, StaticArbiter};
-use vix_core::bits::{
-    any_set, extract_range, mask_up_to, range_any_set, set_bit, test_bit, words_for,
-};
+use vix_core::bits::words_for;
 use vix_core::{Grant, GrantSet, PortId, RequestSet, SwitchRequest, VcId};
 use vix_telemetry::MatchingStats;
 
@@ -37,6 +35,8 @@ use vix_telemetry::MatchingStats;
 pub struct SeparableAllocator {
     arbiters: Arbiters,
     pub(crate) kernel: Kernel,
+    /// [`run`](Self::run) at the shape's row width, picked at construction.
+    run: fn(&mut Self, &RequestSet, &mut GrantSet),
 }
 
 /// The arbiters by kind: a call matches once, then runs a kernel generic
@@ -89,28 +89,25 @@ struct Champion {
 #[derive(Debug)]
 pub(crate) struct Kernel {
     pub(crate) cfg: AllocatorConfig,
-    /// `vcs`, `ports` and `ports × groups` are all ≤ 64 (every paper shape):
-    /// [`Kernel::word`] runs, and `nonspec_line`, `line_buf`, `taken` idle.
-    one_word: bool,
     /// Stage-1 winner per virtual input.
     champs: Vec<Champion>,
     /// `[class][out]` → the champion virtual inputs targeting `out`, class 0
-    /// non-speculative, `words_for(ports × groups)` words per row.
+    /// non-speculative, `words_for(ports × groups)` words per row. Reading
+    /// a row clears it, so every row is zero between calls.
     champ_class: Vec<u64>,
-    /// The current port's `active & !speculative` VC mask.
-    nonspec_line: Vec<u64>,
-    /// One sub-group's extracted stage-1 request lines.
-    line_buf: Vec<u64>,
-    /// Outputs granted so far this call.
-    taken: Vec<u64>,
     pub(crate) matching: MatchingStats,
 }
 
 impl SeparableAllocator {
     /// Creates the allocator for `cfg.ports` ports and the given partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition has more than 256 VCs per port.
     #[must_use]
     pub fn new(cfg: AllocatorConfig) -> Self {
         let vcs = cfg.partition.vcs();
+        assert!(vcs <= 64 * WIDE, "{vcs} VCs per port exceeds the allocator's {}", 64 * WIDE);
         let virtual_inputs = cfg.ports * cfg.partition.groups();
         let arbiters = match cfg.arbiter {
             ArbiterKind::RoundRobin => Arbiters::RoundRobin(Bank::new(RoundRobinArbiter::new, cfg)),
@@ -119,15 +116,27 @@ impl SeparableAllocator {
         };
         let kernel = Kernel {
             cfg,
-            one_word: vcs <= 64 && cfg.ports <= 64 && virtual_inputs <= 64,
             champs: vec![Champion::default(); virtual_inputs],
             champ_class: vec![0; 2 * cfg.ports * words_for(virtual_inputs)],
-            nonspec_line: vec![0; words_for(vcs)],
-            line_buf: vec![0; words_for(cfg.partition.group_size())],
-            taken: vec![0; words_for(cfg.ports)],
             matching: MatchingStats::new(virtual_inputs),
         };
-        SeparableAllocator { arbiters, kernel }
+        // Every paper shape has ≤ 64 VCs, ports and virtual inputs.
+        let run = if vcs <= 64 && cfg.ports <= 64 && virtual_inputs <= 64 {
+            Self::run::<1>
+        } else {
+            Self::run::<WIDE>
+        };
+        SeparableAllocator { arbiters, kernel, run }
+    }
+
+    /// One call with `W`-word rows, the arbiter kind resolved.
+    fn run<const W: usize>(&mut self, reqs: &RequestSet, grants: &mut GrantSet) {
+        let Self { arbiters, kernel, .. } = self;
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.run::<W>(bank, reqs, grants),
+            Arbiters::Matrix(bank) => kernel.run::<W>(bank, reqs, grants),
+            Arbiters::Static(bank) => kernel.run::<W>(bank, reqs, grants),
+        }
     }
 }
 
@@ -186,8 +195,8 @@ fn mask_to_oldest(lines: &mut [bool], ages: &[u64]) {
 }
 
 impl Kernel {
-    /// One call, with the arbiter kind resolved and the body picked by width.
-    fn run(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+    /// One call: the lone-request path, or both stages over `W`-word rows.
+    fn run<const W: usize>(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         if reqs.len() == 1 {
             let lone = (0..self.cfg.ports).map(PortId).find_map(|port| {
                 let active = reqs.active_vcs(port);
@@ -195,16 +204,14 @@ impl Kernel {
                 reqs.get(port, VcId(w * 64 + active[w].trailing_zeros() as usize))
             });
             self.single(bank, lone.expect("one request posted"), grants);
-        } else if self.one_word {
-            self.word(bank, reqs, grants);
         } else {
-            self.words(bank, reqs, grants);
+            self.stages::<W>(bank, reqs, grants);
         }
     }
 
     /// Single-request fast path: every arbiter kind grants a lone asserted
     /// line, so both stages collapse to their grant-time pointer commits —
-    /// the same grants and arbiter state as the full kernels.
+    /// the same grants and arbiter state as the full kernel.
     #[inline]
     fn single(&mut self, bank: &mut Bank<impl Arbiter>, req: SwitchRequest, grants: &mut GrantSet) {
         let partition = &self.cfg.partition;
@@ -215,13 +222,13 @@ impl Kernel {
         self.matching.record(1, 1, 1, 1);
     }
 
-    /// The one-word kernel. Each port's VC lines, each sub-group's line,
-    /// the `(class, output)` champion rows and the taken-output set are
-    /// single `u64`s, read from the request set's own masks and out ports.
-    fn word(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+    /// The kernel. VC lines, sub-group lines and output sets are `W`-word
+    /// rows (a register at every paper shape) read from the request set's
+    /// masks and out ports; the champion rows span the virtual inputs.
+    fn stages<const W: usize>(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         let (ports, groups) = (self.cfg.ports, self.cfg.partition.groups());
         let gsize = self.cfg.partition.group_size();
-        let group_mask = mask_up_to(gsize);
+        let (line_words, vi_words) = (row::words::<W>(gsize), row::words::<W>(ports * groups));
         let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
         let age_of = |port: PortId, vc: VcId| reqs.get(port, vc).map_or(0, |r| r.age);
         let Self { champs, champ_class, matching, .. } = self;
@@ -229,45 +236,41 @@ impl Kernel {
         // Stage 1: one champion per virtual input with a request, set in the
         // (class, output) row stage 2 arbitrates over; `targeted[class]`
         // marks the non-empty rows. The sweep also counts for the record.
-        let (mut targeted, mut out_union, mut active_vi) = ([0u64; 2], 0u64, 0);
+        let (mut targeted, mut out_union, mut active_vi) = ([[0u64; W]; 2], [0u64; W], 0);
         for port in (0..ports).map(PortId) {
-            let (active, spec) = (reqs.active_vcs(port)[0], reqs.spec_vcs(port)[0]);
-            if active == 0 {
+            let active = <[u64; W]>::load(reqs.active_vcs(port));
+            if active.is_empty() {
                 continue;
             }
+            let spec = <[u64; W]>::load(reqs.spec_vcs(port));
             // Scanned here rather than through `for_each_request_at`, whose
-            // per-port slicing made this kernel 8–11 % slower in
+            // per-port slicing made the one-word kernel 8–11 % slower in
             // `alloc_kernels` (IF mesh-5p, 1.23x of its recorded figure).
-            let mut scan = active;
-            while scan != 0 {
-                out_union |= 1 << reqs.out_port(port, VcId(scan.trailing_zeros() as usize)).0;
-                scan &= scan - 1;
-            }
+            active.for_each(|vc| out_union.set(reqs.out_port(port, VcId(vc)).0));
             for group in 0..groups {
                 let (gstart, vi) = (group * gsize, port.0 * groups + group);
-                if (active >> gstart) & group_mask == 0 {
+                if active.window(gstart, gsize).is_empty() {
                     continue;
                 }
                 active_vi += 1;
                 // Pessimistic masking: non-speculative lines first. An empty
                 // sub-group or class can neither win nor move an arbiter.
-                for (class, class_line) in [active & !spec, spec].into_iter().enumerate() {
+                for (class, class_line) in [active.and_not(spec), spec].into_iter().enumerate() {
                     if class == 1 && reqs.speculative_len() == 0 {
                         break;
                     }
-                    let mut line = (class_line >> gstart) & group_mask;
+                    let mut line = class_line.window(gstart, gsize);
                     if oldest_first {
-                        let age = |i| age_of(port, VcId(gstart + i));
-                        mask_to_oldest_bits(from_mut(&mut line), age);
+                        mask_to_oldest_bits(&mut line, |i| age_of(port, VcId(gstart + i)));
                     }
-                    let Some(local) = bank.inputs[vi].peek_words(from_ref(&line)) else {
+                    let Some(local) = bank.inputs[vi].peek_words(&line[..line_words]) else {
                         continue;
                     };
                     let vc = VcId(gstart + local);
                     let out = reqs.out_port(port, vc).0;
                     champs[vi] = Champion { port, vc, local };
-                    champ_class[class * ports + out] |= 1 << vi;
-                    targeted[class] |= 1 << out;
+                    champ_class[(class * ports + out) * vi_words + vi / 64] |= 1 << (vi % 64);
+                    targeted[class].set(out);
                     break;
                 }
             }
@@ -275,97 +278,28 @@ impl Kernel {
 
         // Stage 2: the targeted rows, non-speculative first, in output order.
         // A virtual input champions one row only, so no winner comes back.
-        // Reading a row clears it, so all rows are zero between calls.
-        let mut taken = 0u64;
-        for (class, mut outs) in targeted.into_iter().enumerate() {
-            while outs != 0 {
-                let out = outs.trailing_zeros() as usize;
-                outs &= outs - 1;
-                let mut line = std::mem::take(&mut champ_class[class * ports + out]);
-                if taken & (1 << out) != 0 {
-                    continue;
-                }
-                if oldest_first {
-                    let age = |vi: usize| age_of(champs[vi].port, champs[vi].vc);
-                    mask_to_oldest_bits(from_mut(&mut line), age);
-                }
-                let Some(winner_vi) = bank.outputs[out].peek_words(from_ref(&line)) else {
-                    continue;
-                };
-                taken |= 1 << out;
-                bank.grant(out, winner_vi, champs[winner_vi], grants);
-            }
-        }
-        matching.record(reqs.len(), active_vi, out_union.count_ones() as usize, grants.len());
-    }
-
-    /// The multi-word kernel, for shapes past one word: [`word`](Self::word)'s
-    /// two stages over `&[u64]` rows in the construction-sized buffers.
-    fn words(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
-        let (ports, groups) = (self.cfg.ports, self.cfg.partition.groups());
-        let gsize = self.cfg.partition.group_size();
-        let vi_words = words_for(ports * groups);
-        let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
-        let age_of = |port: PortId, vc: VcId| reqs.get(port, vc).map_or(0, |r| r.age);
-        let Self { champs, champ_class, nonspec_line, line_buf, taken, matching, .. } = self;
-
-        // Stage 1, which also counts the record's active virtual inputs
-        // and ORs up its requested-output union (at most 256 ports).
-        champ_class.fill(0);
-        let (mut active_vi, mut out_union) = (0, [0u64; 4]);
-        for port in (0..ports).map(PortId) {
-            let (active, spec) = (reqs.active_vcs(port), reqs.spec_vcs(port));
-            for (w, word) in nonspec_line.iter_mut().enumerate() {
-                *word = active[w] & !spec[w];
-            }
-            reqs.for_each_request_at(port, |_, out, _| out_union[out.0 / 64] |= 1 << (out.0 % 64));
-            for group in 0..groups {
-                let (gstart, vi) = (group * gsize, port.0 * groups + group);
-                if !range_any_set(active, gstart, gsize) {
-                    continue;
-                }
-                active_vi += 1;
-                for (class, class_line) in [&nonspec_line[..], spec].into_iter().enumerate() {
-                    extract_range(class_line, gstart, gsize, line_buf);
+        let mut taken = [0u64; W];
+        for (class, outs) in targeted.into_iter().enumerate() {
+            outs.for_each(|out| {
+                let row = &mut champ_class[(class * ports + out) * vi_words..][..vi_words];
+                if !taken.test(out) {
                     if oldest_first {
-                        mask_to_oldest_bits(line_buf, |i| age_of(port, VcId(gstart + i)));
+                        mask_to_oldest_bits(row, |vi| age_of(champs[vi].port, champs[vi].vc));
                     }
-                    let Some(local) = bank.inputs[vi].peek_words(line_buf) else {
-                        continue;
-                    };
-                    let vc = VcId(gstart + local);
-                    let out = reqs.out_port(port, vc).0;
-                    champs[vi] = Champion { port, vc, local };
-                    set_bit(&mut champ_class[(class * ports + out) * vi_words..][..vi_words], vi);
-                    break;
+                    if let Some(winner_vi) = bank.outputs[out].peek_words(row) {
+                        taken.set(out);
+                        bank.grant(out, winner_vi, champs[winner_vi], grants);
+                    }
                 }
-            }
+                row.fill(0);
+            });
         }
-
-        // Each row is read at most once, so age masking works in place.
-        taken.fill(0);
-        for rows in champ_class.chunks_exact_mut(ports * vi_words) {
-            for (out, row) in rows.chunks_exact_mut(vi_words).enumerate() {
-                if test_bit(taken, out) || !any_set(row) {
-                    continue;
-                }
-                if oldest_first {
-                    mask_to_oldest_bits(row, |vi| age_of(champs[vi].port, champs[vi].vc));
-                }
-                let Some(winner_vi) = bank.outputs[out].peek_words(row) else {
-                    continue;
-                };
-                set_bit(taken, out);
-                bank.grant(out, winner_vi, champs[winner_vi], grants);
-            }
-        }
-        let outputs = out_union.iter().map(|w| w.count_ones() as usize).sum();
-        matching.record(reqs.len(), active_vi, outputs, grants.len());
+        matching.record(reqs.len(), active_vi, out_union.count(), grants.len());
     }
 
     /// The original scalar loops over per-VC [`RequestSet::get`] lookups:
     /// the executable specification the differential suite holds
-    /// [`word`](Self::word) and [`words`](Self::words) against.
+    /// [`stages`](Self::stages) against at both row widths.
     #[cfg(test)]
     fn scalar(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
         let ports = self.cfg.ports;
@@ -444,24 +378,19 @@ impl SeparableAllocator {
     /// One cycle of [`crate::Allocator::allocate_into`], on this scheme
     /// alone.
     pub fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        let Self { arbiters, kernel } = self;
-        debug_assert_eq!(requests.ports(), kernel.cfg.ports, "request set port mismatch");
+        debug_assert_eq!(requests.ports(), self.kernel.cfg.ports, "request set port mismatch");
         debug_assert_eq!(
             requests.vcs_per_port(),
-            kernel.cfg.partition.vcs(),
+            self.kernel.cfg.partition.vcs(),
             "request set VC mismatch"
         );
         grants.clear();
-        match arbiters {
-            Arbiters::RoundRobin(bank) => kernel.run(bank, requests, grants),
-            Arbiters::Matrix(bank) => kernel.run(bank, requests, grants),
-            Arbiters::Static(bank) => kernel.run(bank, requests, grants),
-        }
+        (self.run)(self, requests, grants);
     }
 
     /// One cycle on a set holding `request` alone, without building it.
     pub(crate) fn allocate_one(&mut self, request: SwitchRequest, grants: &mut GrantSet) {
-        let Self { arbiters, kernel } = self;
+        let Self { arbiters, kernel, .. } = self;
         grants.clear();
         match arbiters {
             Arbiters::RoundRobin(bank) => kernel.single(bank, request, grants),
@@ -472,7 +401,7 @@ impl SeparableAllocator {
 
     #[cfg(test)]
     pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        let Self { arbiters, kernel } = self;
+        let Self { arbiters, kernel, .. } = self;
         match arbiters {
             Arbiters::RoundRobin(bank) => kernel.scalar(bank, requests, grants),
             Arbiters::Matrix(bank) => kernel.scalar(bank, requests, grants),

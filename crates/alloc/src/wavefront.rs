@@ -1,7 +1,7 @@
 //! Wavefront switch allocator (Tamir & Chi).
 
 use crate::AllocatorConfig;
-use vix_arbiter::Arbiter;
+use crate::arbiter::Arbiter;
 use vix_core::bits::{
     any_set, clear_bit, set_bit, set_low_bits, test_bit, words_for,
 };

@@ -2,8 +2,10 @@
 //! figure to stdout, asking the shared [`Paper`] for results.
 
 use crate::{network, pct, router_for, run, Paper};
-use vix_alloc::{build_allocator, Allocator, AllocatorConfig, MaxMatchingAllocator, SeparableAllocator};
-use vix_arbiter::ArbiterKind;
+use vix_alloc::{
+    build_allocator, Allocator, AllocatorConfig, ArbiterKind, MaxMatchingAllocator,
+    SeparableAllocator,
+};
 use vix_core::{
     AllocatorKind, GrantSet, PipelineKind, PortId, RequestSet, TopologyKind, VcId, VirtualInputs,
     VixPartition,

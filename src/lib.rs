@@ -42,7 +42,7 @@
 //! ```
 
 pub use vix_alloc as alloc;
-pub use vix_arbiter as arbiter;
+pub use vix_alloc::arbiter;
 pub use vix_core as core;
 pub use vix_delay as delay;
 pub use vix_manycore as manycore;
