@@ -98,8 +98,7 @@ pub trait Arbiter: std::fmt::Debug + Send {
 /// `width.div_ceil(64)`, stray bits at or above `width` must be clear, and
 /// `start < width`.
 #[inline]
-#[must_use]
-pub fn first_set_from_words(words: &[u64], start: usize, width: usize) -> Option<usize> {
+pub(crate) fn first_set_from_words(words: &[u64], start: usize, width: usize) -> Option<usize> {
     debug_assert!(start < width, "pointer {start} outside width {width}");
     debug_assert!(words.len() == width.div_ceil(64), "mask width mismatch");
     let sw = start / 64;

@@ -4,6 +4,7 @@
 use crate::arbiter::Arbiter;
 use crate::row::{self, Row, WIDE};
 use crate::AllocatorConfig;
+use vix_core::bits::set_low_bits;
 use vix_core::{Grant, GrantSet, PortId, RequestSet, VcId};
 use vix_telemetry::MatchingStats;
 
@@ -96,14 +97,19 @@ impl IslipAllocator {
         let (requesters, _) = self.requesters.as_chunks_mut::<W>();
         let (grant_masks, _) = self.grant_masks.as_chunks_mut::<W>();
         requesters.fill([0; W]);
+        // A port's requests, walked over its `W`-word row (one register at
+        // every paper shape).
+        let active = |port: usize| <[u64; W]>::load(requests.active_vcs(PortId(port)));
+        let out_of = |port: usize, vc: usize| requests.out_port(PortId(port), VcId(vc)).0;
         for port in 0..ports {
             let mut outs = [0u64; W];
-            requests.for_each_request_at(PortId(port), |_, out, _| outs.set(out.0));
+            active(port).for_each(|vc| outs.set(out_of(port, vc)));
             outs.for_each(|out| requesters[out].set(port));
         }
         matched.fill(None);
         grant_masks.fill([0; W]);
-        let (mut free_in, mut out_matched, mut matched_in) = (<[u64; W]>::low(ports), [0u64; W], [0u64; W]);
+        let (mut free_in, mut out_matched, mut matched_in) = ([0u64; W], [0u64; W], [0u64; W]);
+        set_low_bits(&mut free_in, ports);
         for iter in 0..*iterations {
             // Grant round: each free output grants one requesting free
             // input, scanning cyclically from its grant pointer. Port-level
@@ -142,7 +148,7 @@ impl IslipAllocator {
         matched_in.for_each(|input| {
             let out = matched[input].expect("matched input has an output");
             let mut wants_out = [0u64; W];
-            requests.for_each_request_at(PortId(input), |vc, to, _| wants_out.set_if(vc.0, to.0 == out));
+            active(input).for_each(|vc| wants_out.set_if(vc, out_of(input, vc) == out));
             let spec = <[u64; W]>::load(requests.spec_vcs(PortId(input)));
             let sel = &mut vc_selectors[input];
             let vc = [wants_out.and_not(spec), wants_out.and(spec)]

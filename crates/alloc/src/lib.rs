@@ -13,6 +13,9 @@
 //! | [`PacketChainingAllocator`] | *SameInput, anyVC* chaining ("PC") | §4.4 comparison |
 //! | [`IslipAllocator`] | iterative separable (iSLIP) | extension baseline |
 //!
+//! The [`arbiter`] module holds the round-robin, matrix and fixed-priority
+//! arbiters the schemes are built from.
+//!
 //! Each scheme's struct is one variant of the [`Allocator`] enum that a
 //! router holds inline; [`build_allocator`] picks it from an
 //! [`AllocatorKind`].
@@ -82,8 +85,8 @@ use vix_telemetry::MatchingStats;
 /// Bitset analogue of the scalar `mask_to_oldest` line masking: clears every
 /// set bit whose age is below the maximum age among set bits, leaving the
 /// arbiter to break ties among the oldest. `age_of` is only consulted for
-/// set bits. Operates on a multi-word mask; single-word callers pass
-/// `std::slice::from_mut`.
+/// set bits. Operates on a multi-word mask; a one-word row passes as a
+/// one-element slice.
 pub(crate) fn mask_to_oldest_bits(mask: &mut [u64], mut age_of: impl FnMut(usize) -> u64) {
     let mut max = 0u64;
     let mut any = false;

@@ -1,12 +1,8 @@
-//! Bit rows held by value, the row type the separable and iSLIP kernels are
-//! written once over.
-//!
-//! A row over ports, VCs or one sub-group's VCs is a `[u64; W]`. A kernel
-//! is monomorphised for `W = 1` when every such row of its shape fits one
-//! word, where the row is a single `u64` in a register, and for
-//! [`WIDE`] words otherwise. Bit `i` lives in word `i / 64`, taken modulo
-//! `W` so that no index needs a bounds check and the `W = 1` word index
-//! folds to zero.
+//! Bit rows held by value: the `[u64; W]` row the separable and iSLIP
+//! kernels are written once over, monomorphised for `W = 1` (every row of
+//! a paper shape is one `u64` in a register) and for [`WIDE`] words. Bit
+//! `i` lives in word `i / 64 % W`, so no index needs a bounds check and
+//! the one-word index folds to zero.
 
 use crate::arbiter::first_set_from_words;
 use vix_core::bits::{extract_range, mask_up_to, words_for};
@@ -25,8 +21,6 @@ pub(crate) fn words<const W: usize>(width: usize) -> usize {
 pub(crate) trait Row: Copy {
     /// The row holding the first `W` words of a request-set mask.
     fn load(mask: &[u64]) -> Self;
-    /// The row with the low `n` bits set.
-    fn low(n: usize) -> Self;
     fn is_empty(&self) -> bool;
     fn test(&self, i: usize) -> bool;
     /// ORs `bit` into bit `i`.
@@ -37,7 +31,6 @@ pub(crate) trait Row: Copy {
     fn clear(&mut self, i: usize);
     fn and(self, other: Self) -> Self;
     fn and_not(self, other: Self) -> Self;
-    fn count(&self) -> usize;
     /// Bits `start .. start + len`, moved down to bit 0.
     fn window(&self, start: usize, len: usize) -> Self;
     /// The first set bit at or cyclically after `start` of a non-empty row.
@@ -50,10 +43,6 @@ impl<const W: usize> Row for [u64; W] {
     fn load(mask: &[u64]) -> Self {
         debug_assert!(mask.len() <= W, "mask of {} words in a {W}-word row", mask.len());
         std::array::from_fn(|w| mask.get(w).copied().unwrap_or(0))
-    }
-
-    fn low(n: usize) -> Self {
-        std::array::from_fn(|w| mask_up_to(n.saturating_sub(w * 64).min(64)))
     }
 
     fn is_empty(&self) -> bool {
@@ -81,10 +70,7 @@ impl<const W: usize> Row for [u64; W] {
         std::array::from_fn(|w| self[w] & !other[w])
     }
 
-    fn count(&self) -> usize {
-        self.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
+    #[inline(always)]
     fn window(&self, start: usize, len: usize) -> Self {
         let mut out = [0; W];
         if W == 1 {
@@ -95,6 +81,7 @@ impl<const W: usize> Row for [u64; W] {
         out
     }
 
+    #[inline(always)]
     fn first_from(&self, start: usize) -> usize {
         debug_assert!(!self.is_empty(), "first set bit of an empty row");
         if W == 1 {
@@ -105,6 +92,7 @@ impl<const W: usize> Row for [u64; W] {
         }
     }
 
+    #[inline(always)]
     fn for_each(self, mut f: impl FnMut(usize)) {
         for (w, mut word) in self.into_iter().enumerate() {
             while word != 0 {
@@ -129,7 +117,6 @@ mod tests {
             let (start, len, from) = ((x >> 8) as usize % 32, (x >> 16) as usize % 33, (x >> 24) as usize % 64);
             let (one, wide) = (<[u64; 1]>::load(&[x]), <[u64; WIDE]>::load(&[x]));
             assert_eq!(one.window(start, len)[0], wide.window(start, len)[0]);
-            assert_eq!(one.count(), wide.count());
             if x != 0 {
                 assert_eq!(one.first_from(from), wide.first_from(from));
             }
@@ -142,7 +129,8 @@ mod tests {
 
     #[test]
     fn wide_rows_cross_word_boundaries() {
-        let mut row = <[u64; WIDE]>::low(130);
+        let mut row = [0; WIDE];
+        vix_core::bits::set_low_bits(&mut row, 130);
         assert_eq!(row, [!0, !0, 0b11, 0]);
         row.clear(64);
         assert!(!row.test(64) && row.test(63) && row.test(129) && !row.test(130));
@@ -152,6 +140,6 @@ mod tests {
         sparse.set(200);
         sparse.set_if(70, false);
         assert_eq!(sparse.first_from(71), 200);
-        assert_eq!(sparse.count(), 1);
+        assert_eq!(sparse, [0, 0, 0, 1 << 8]);
     }
 }

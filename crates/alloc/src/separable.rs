@@ -121,21 +121,61 @@ impl SeparableAllocator {
             matching: MatchingStats::new(virtual_inputs),
         };
         // Every paper shape has ≤ 64 VCs, ports and virtual inputs.
-        let run = if vcs <= 64 && cfg.ports <= 64 && virtual_inputs <= 64 {
-            Self::run::<1>
-        } else {
-            Self::run::<WIDE>
+        let run = match (vcs <= 64 && cfg.ports <= 64, virtual_inputs <= 64) {
+            (true, true) => Self::run::<1, true>,
+            (true, false) => Self::run::<1, false>,
+            (false, _) => Self::run::<WIDE, false>,
         };
         SeparableAllocator { arbiters, kernel, run }
     }
 
-    /// One call with `W`-word rows, the arbiter kind resolved.
-    fn run<const W: usize>(&mut self, reqs: &RequestSet, grants: &mut GrantSet) {
+    /// One call with `W`-word rows, and one-word virtual-input rows if
+    /// `VI1`: the lone-request path, or both stages with the arbiter kind
+    /// resolved.
+    fn run<const W: usize, const VI1: bool>(&mut self, reqs: &RequestSet, grants: &mut GrantSet) {
+        if reqs.len() == 1 {
+            let lone = (0..reqs.ports()).map(PortId).find_map(|port| {
+                let active = reqs.active_vcs(port);
+                let w = active.iter().position(|&word| word != 0)?;
+                reqs.get(port, VcId(w * 64 + active[w].trailing_zeros() as usize))
+            });
+            return self.allocate_one(lone.expect("one request posted"), grants);
+        }
         let Self { arbiters, kernel, .. } = self;
         match arbiters {
-            Arbiters::RoundRobin(bank) => kernel.run::<W>(bank, reqs, grants),
-            Arbiters::Matrix(bank) => kernel.run::<W>(bank, reqs, grants),
-            Arbiters::Static(bank) => kernel.run::<W>(bank, reqs, grants),
+            Arbiters::RoundRobin(bank) => kernel.stages::<W, VI1>(bank, reqs, grants),
+            Arbiters::Matrix(bank) => kernel.stages::<W, VI1>(bank, reqs, grants),
+            Arbiters::Static(bank) => kernel.stages::<W, VI1>(bank, reqs, grants),
+        }
+    }
+
+    /// One cycle of [`crate::Allocator::allocate_into`], on this scheme
+    /// alone.
+    pub fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        let shape = (self.kernel.cfg.ports, self.kernel.cfg.partition.vcs());
+        debug_assert_eq!((requests.ports(), requests.vcs_per_port()), shape, "request set shape mismatch");
+        grants.clear();
+        (self.run)(self, requests, grants);
+    }
+
+    /// One cycle on a set holding `request` alone, without building it.
+    pub(crate) fn allocate_one(&mut self, request: SwitchRequest, grants: &mut GrantSet) {
+        let Self { arbiters, kernel, .. } = self;
+        grants.clear();
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.single(bank, request, grants),
+            Arbiters::Matrix(bank) => kernel.single(bank, request, grants),
+            Arbiters::Static(bank) => kernel.single(bank, request, grants),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
+        let Self { arbiters, kernel, .. } = self;
+        match arbiters {
+            Arbiters::RoundRobin(bank) => kernel.scalar(bank, requests, grants),
+            Arbiters::Matrix(bank) => kernel.scalar(bank, requests, grants),
+            Arbiters::Static(bank) => kernel.scalar(bank, requests, grants),
         }
     }
 }
@@ -195,23 +235,9 @@ fn mask_to_oldest(lines: &mut [bool], ages: &[u64]) {
 }
 
 impl Kernel {
-    /// One call: the lone-request path, or both stages over `W`-word rows.
-    fn run<const W: usize>(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
-        if reqs.len() == 1 {
-            let lone = (0..self.cfg.ports).map(PortId).find_map(|port| {
-                let active = reqs.active_vcs(port);
-                let w = active.iter().position(|&word| word != 0)?;
-                reqs.get(port, VcId(w * 64 + active[w].trailing_zeros() as usize))
-            });
-            self.single(bank, lone.expect("one request posted"), grants);
-        } else {
-            self.stages::<W>(bank, reqs, grants);
-        }
-    }
-
     /// Single-request fast path: every arbiter kind grants a lone asserted
     /// line, so both stages collapse to their grant-time pointer commits —
-    /// the same grants and arbiter state as the full kernel.
+    /// the same grants and arbiter state as [`stages`](Self::stages).
     #[inline]
     fn single(&mut self, bank: &mut Bank<impl Arbiter>, req: SwitchRequest, grants: &mut GrantSet) {
         let partition = &self.cfg.partition;
@@ -225,10 +251,16 @@ impl Kernel {
     /// The kernel. VC lines, sub-group lines and output sets are `W`-word
     /// rows (a register at every paper shape) read from the request set's
     /// masks and out ports; the champion rows span the virtual inputs.
-    fn stages<const W: usize>(&mut self, bank: &mut Bank<impl Arbiter>, reqs: &RequestSet, grants: &mut GrantSet) {
+    fn stages<const W: usize, const VI1: bool>(
+        &mut self,
+        bank: &mut Bank<impl Arbiter>,
+        reqs: &RequestSet,
+        grants: &mut GrantSet,
+    ) {
         let (ports, groups) = (self.cfg.ports, self.cfg.partition.groups());
         let gsize = self.cfg.partition.group_size();
-        let (line_words, vi_words) = (row::words::<W>(gsize), row::words::<W>(ports * groups));
+        let line_words = row::words::<W>(gsize);
+        let vi_words = if VI1 { 1 } else { words_for(ports * groups) };
         let oldest_first = self.cfg.priority == PriorityPolicy::OldestFirst;
         let age_of = |port: PortId, vc: VcId| reqs.get(port, vc).map_or(0, |r| r.age);
         let Self { champs, champ_class, matching, .. } = self;
@@ -269,7 +301,7 @@ impl Kernel {
                     let vc = VcId(gstart + local);
                     let out = reqs.out_port(port, vc).0;
                     champs[vi] = Champion { port, vc, local };
-                    champ_class[(class * ports + out) * vi_words + vi / 64] |= 1 << (vi % 64);
+                    champ_class[(class * ports + out) * vi_words + if VI1 { 0 } else { vi / 64 }] |= 1 << (vi % 64);
                     targeted[class].set(out);
                     break;
                 }
@@ -281,7 +313,15 @@ impl Kernel {
         let mut taken = [0u64; W];
         for (class, outs) in targeted.into_iter().enumerate() {
             outs.for_each(|out| {
-                let row = &mut champ_class[(class * ports + out) * vi_words..][..vi_words];
+                // A one-word row is taken into a register, a wider one is
+                // cleared after use: either way rows are zero between calls.
+                let (at, mut word) = ((class * ports + out) * vi_words, [0]);
+                let row = if VI1 {
+                    word[0] = std::mem::take(&mut champ_class[at]);
+                    &mut word[..]
+                } else {
+                    &mut champ_class[at..][..vi_words]
+                };
                 if !taken.test(out) {
                     if oldest_first {
                         mask_to_oldest_bits(row, |vi| age_of(champs[vi].port, champs[vi].vc));
@@ -294,7 +334,8 @@ impl Kernel {
                 row.fill(0);
             });
         }
-        matching.record(reqs.len(), active_vi, out_union.count(), grants.len());
+        let outputs = out_union.iter().map(|w| w.count_ones() as usize).sum();
+        matching.record(reqs.len(), active_vi, outputs, grants.len());
     }
 
     /// The original scalar loops over per-VC [`RequestSet::get`] lookups:
@@ -371,42 +412,6 @@ impl Kernel {
             }
         }
         matching.record_set(reqs, grants, &cfg.partition);
-    }
-}
-
-impl SeparableAllocator {
-    /// One cycle of [`crate::Allocator::allocate_into`], on this scheme
-    /// alone.
-    pub fn allocate_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        debug_assert_eq!(requests.ports(), self.kernel.cfg.ports, "request set port mismatch");
-        debug_assert_eq!(
-            requests.vcs_per_port(),
-            self.kernel.cfg.partition.vcs(),
-            "request set VC mismatch"
-        );
-        grants.clear();
-        (self.run)(self, requests, grants);
-    }
-
-    /// One cycle on a set holding `request` alone, without building it.
-    pub(crate) fn allocate_one(&mut self, request: SwitchRequest, grants: &mut GrantSet) {
-        let Self { arbiters, kernel, .. } = self;
-        grants.clear();
-        match arbiters {
-            Arbiters::RoundRobin(bank) => kernel.single(bank, request, grants),
-            Arbiters::Matrix(bank) => kernel.single(bank, request, grants),
-            Arbiters::Static(bank) => kernel.single(bank, request, grants),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn allocate_scalar_into(&mut self, requests: &RequestSet, grants: &mut GrantSet) {
-        let Self { arbiters, kernel, .. } = self;
-        match arbiters {
-            Arbiters::RoundRobin(bank) => kernel.scalar(bank, requests, grants),
-            Arbiters::Matrix(bank) => kernel.scalar(bank, requests, grants),
-            Arbiters::Static(bank) => kernel.scalar(bank, requests, grants),
-        }
     }
 }
 

@@ -17,8 +17,10 @@
 //! Methodology: three router shapes from the paper's evaluation — the
 //! 5-port 2-D mesh, the 8-port concentrated mesh, and the 16-port
 //! flattened butterfly partitioned into 64 virtual inputs — plus a
-//! 128-virtual-input shape whose request rows span two 64-bit words,
-//! exercising the multi-word paths of the kernels. For each
+//! 128-virtual-input shape whose virtual-input rows span two 64-bit
+//! words, exercising the multi-word instantiation of the kernels (the
+//! separable kernel's champion rows; every row of wavefront and
+//! max-matching). For each
 //! shape × allocator the harness replays a fixed pseudo-random
 //! request trace (~55 % load, speculative bits and ages included) through
 //! a warmed-up allocator and reports the fastest-sample ns per
@@ -153,8 +155,9 @@ fn config(
 /// radix-scaling subset at the 8-port concentrated mesh, the
 /// VIX-partitioned allocators at the 64-virtual-input flattened butterfly
 /// (paper Fig. 12's widest configuration), and a radix-16 × 8 VC shape
-/// with 128 virtual inputs — beyond one 64-bit word, so every request
-/// row, arbiter mask, and adjacency row runs the multi-word kernel path.
+/// with 128 virtual inputs — beyond one 64-bit word, so every
+/// virtual-input row, output-arbiter mask and adjacency row is
+/// multi-word.
 fn configs() -> Vec<Config> {
     let mesh = AllocatorConfig::new(5, VixPartition::baseline(6));
     let mesh_vix = AllocatorConfig::new(5, VixPartition::even(6, 2).unwrap());

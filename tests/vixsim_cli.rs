@@ -36,11 +36,17 @@ fn rejected(args: &[&str]) -> String {
     String::from_utf8(out.stderr).expect("stderr is UTF-8")
 }
 
+/// A path under the test scratch directory, named per process so that two
+/// test runs sharing a target directory never write the same file.
+fn scratch_file(name: &str) -> String {
+    format!("{}/vixsim_cli_{}_{name}", env!("CARGO_TARGET_TMPDIR"), std::process::id())
+}
+
 #[test]
 fn unwritable_output_paths_fail_before_the_run() {
     let tmp = env!("CARGO_TARGET_TMPDIR");
     let bad = format!("{tmp}/no-such-dir/out.json");
-    let csv = format!("{tmp}/vixsim_cli_sweep.csv");
+    let csv = scratch_file("sweep.csv");
     let cases: [&[&str]; 7] = [
         &["--trace-out", &bad],
         &["--metrics-out", &bad],
@@ -57,15 +63,18 @@ fn unwritable_output_paths_fail_before_the_run() {
             "vixsim {args:?} printed: {stderr}"
         );
     }
+    // The rejected runs may or may not have created the sweep file.
+    let _ = std::fs::remove_file(&csv);
 }
 
 #[test]
 fn shard_weights_is_an_unknown_option() {
     // A sharded run has one plan, the balanced contiguous cut; the old
     // per-router weighting flag must not be silently accepted.
-    let weights = format!("{}/vixsim_cli_weights.txt", env!("CARGO_TARGET_TMPDIR"));
+    let weights = scratch_file("weights.txt");
     std::fs::write(&weights, "1\n".repeat(16)).expect("weights file is writable");
     let stderr = rejected(&["--nodes", "16", "--shards", "2", "--shard-weights", &weights]);
+    std::fs::remove_file(&weights).expect("cleanup");
     assert!(stderr.contains("error: unknown flag --shard-weights"), "printed: {stderr}");
 }
 
@@ -102,7 +111,7 @@ fn patterns_that_cannot_address_the_nodes_are_config_errors() {
     // A 6×6 mesh builds, but the bit permutations need a power-of-two node
     // count: these used to panic mid-run, inside the sweep's worker threads
     // under --sweep-csv.
-    let csv = format!("{}/vixsim_cli_pattern.csv", env!("CARGO_TARGET_TMPDIR"));
+    let csv = scratch_file("pattern.csv");
     for pattern in ["bitcomp", "bitrev", "shuffle"] {
         let single: &[&str] = &["--nodes", "36", "--pattern", pattern];
         for args in [single.to_vec(), [single, &["--sweep-csv", &csv]].concat()] {
@@ -114,16 +123,15 @@ fn patterns_that_cannot_address_the_nodes_are_config_errors() {
             assert!(stderr.contains(&expected), "vixsim {args:?} printed: {stderr}");
         }
     }
+    let _ = std::fs::remove_file(&csv);
 }
 
 #[test]
 fn sharded_recording_writes_the_serial_runs_bytes() {
     // Recording does not choose the engine: a traced, metered run at
     // --shards 4 runs sharded and writes exactly the serial run's files.
-    let tmp = env!("CARGO_TARGET_TMPDIR");
     let run = |shards: &str| {
-        let (trace, metrics) =
-            (format!("{tmp}/vixsim_cli_s{shards}.jsonl"), format!("{tmp}/vixsim_cli_s{shards}.json"));
+        let (trace, metrics) = (scratch_file(&format!("s{shards}.jsonl")), scratch_file(&format!("s{shards}.json")));
         let out = Command::new(env!("CARGO_BIN_EXE_vixsim"))
             .args(["--nodes", "64", "--rate", "0.08", "--warmup", "100", "--measure", "300"])
             .args(["--drain", "100", "--shards", shards, "--trace-out", &trace, "--metrics-out", &metrics])
