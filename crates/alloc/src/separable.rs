@@ -250,7 +250,8 @@ impl Kernel {
 
     /// The kernel. VC lines, sub-group lines and output sets are `W`-word
     /// rows (a register at every paper shape) read from the request set's
-    /// masks and out ports; the champion rows span the virtual inputs.
+    /// masks and out ports; the champion rows span the virtual inputs, in
+    /// one word if `VI1`.
     fn stages<const W: usize, const VI1: bool>(
         &mut self,
         bank: &mut Bank<impl Arbiter>,

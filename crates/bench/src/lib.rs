@@ -182,17 +182,14 @@ const ANCHOR_CYCLES: usize = 20_000;
 
 /// Nanoseconds per cycle of a frozen calibration kernel that runs no
 /// simulator code: the unit of the `alloc_kernels` and `hotpath` perf
-/// guards. Each guard times it before each of its samples and records a
-/// row as the row's time divided by the anchor's, so a host that runs
-/// everything slower for minutes at a time slows both sides and the
-/// recorded ratio still judges the code.
+/// guards, which time it before each sample and record a row as its time
+/// over the anchor's, so a host's slow phase slows both sides alike.
 ///
-/// The kernel is a small round-robin matcher (8 inputs, 16 outputs)
-/// replaying 64 fixed request rows: bit scans and learnable branches at an
-/// allocator's instruction mix. Of the loops tried, it slowed most like
-/// the allocator kernels when a busy neighbour shared the host (1.5x
-/// against their 1.8x; a register-only xorshift loop slowed 1.0-1.3x).
-/// It must never change: every recorded ratio is relative to it.
+/// The kernel, a round-robin matcher (8 inputs, 16 outputs) replaying 64
+/// fixed request rows, slowed most like the allocator kernels when a busy
+/// neighbour shared the host (1.5x against their 1.8x; a register-only
+/// xorshift loop 1.0-1.3x). It must never change: every recorded ratio is
+/// relative to it.
 #[inline(never)]
 #[must_use]
 pub fn anchor_ns() -> f64 {
